@@ -96,6 +96,8 @@ class AttackInstance:
     """One correction problem: model predictions, labels, guess, confidences.
 
     ``truth`` is carried for scoring only; no correction operation reads it.
+    ``cardinality`` bounds the guess values, while truth may hold values the
+    guess never takes, which simply never match.
     """
 
     predictions: Sequence[int]
@@ -112,7 +114,9 @@ class AttackInstance:
         confidence = as_confidence_array(self.confidence)
         truth = None
         if self.truth is not None:
-            truth = as_sensitive_array(self.truth, self.cardinality, "truth")
+            values = np.asarray(self.truth, dtype=np.int64)
+            span = max(self.cardinality, int(values.max(initial=0)) + 1)
+            truth = as_sensitive_array(values, span, "truth")
         lengths = {predictions.size, labels.size, guess.size, confidence.size}
         if truth is not None:
             lengths.add(truth.size)

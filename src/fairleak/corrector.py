@@ -4,11 +4,14 @@ Two routes are provided.  ``correct`` runs the efficient path: the group-rate
 constraint only depends on the *net* number of guess flips among positively
 and among negatively predicted examples, so the search collapses onto a 2-D
 integer lattice whose per-axis costs are prefix sums of ascending-sorted
-confidences.  Columns are visited best-first by cost; inside a column the
-feasible rows form at most two integer intervals (computed with exact integer
-cross-multiplication) and the cheapest row is the one nearest zero.  The scan
-stops once an unexplored column alone costs more than the best complete
-candidate, which proves optimality.
+confidences.  ``search_net_moves`` sweeps that lattice in numpy, taking
+columns cheapest first in blocks of doubling size.  For a whole block at
+once, the feasible rows of each column form at most two integer intervals,
+and the cheapest row of each is the one nearest zero.  Every interval end is
+an exact floor((A + u*B)/D), computed by ``_floor_affine`` without rounding
+error.  The sweep stops once a block's cheapest column costs more than the
+best cell found, which proves optimality.  The prediction repair of the
+simulated fair target rides the same sweep.
 
 ``solve_general_bruteforce`` enumerates every assignment on the active slice
 and is the correctness oracle as well as the only multi-valued solver.
@@ -16,10 +19,11 @@ and is the correctness oracle as well as the only multi-valued solver.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .errors import (
 )
 
 DEFAULT_BRUTEFORCE_BUDGET = 2**20
+_Solution = TypeVar("_Solution")
 
 
 @dataclass(frozen=True)
@@ -175,55 +180,39 @@ def move_cost(costs: CostArrays, moves: MoveCounts) -> float:
         raise MoveOutOfBounds("move count exceeds its group size") from exc
 
 
-def _ceil_div(a: int, b: int) -> int:
-    # b > 0
-    return -((-a) // b)
+#: Columns in the sweep's first block; each later block doubles, up to the cap.
+_FIRST_BLOCK = 512
+_MAX_BLOCK = 1 << 15
+#: Float screen of a fractional part: bound on its rounding error for any
+#: |u| below 1e8, so only values this close to an integer are rechecked.
+_NEAR = 1e-7
 
 
-def _sp_g1_window(
-    p1: int, p0: int, n: int, pos_total: int, num: int, den: int
-) -> tuple[int, int] | None:
-    """Integer range of group-1 sizes keeping both group rates within num/den
-    of the overall rate; None when empty.  p1/p0 are the group positives,
-    which are fixed along a column."""
-    a = pos_total * den + num * n
-    b = pos_total * den - num * n
-    lo, hi = 1, n - 1
-    t1 = p1 * n * den
-    t0 = p0 * n * den
-    if a > 0:
-        lo = max(lo, _ceil_div(t1, a))
-        hi = min(hi, n - _ceil_div(t0, a))
-    elif t1 > 0 or t0 > 0:
-        # no positives allowed anywhere, yet a group holds some
-        return None
-    if b > 0:
-        hi = min(hi, t1 // b)
-        lo = max(lo, n - t0 // b)
-    if lo > hi:
-        return None
-    return lo, hi
+def _floor_affine(a: int, b: int, d: int, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Exact ``clip(floor((a + b*u) / d), lo, hi)`` for an int64 array ``u``
+    and Python ints ``a``, ``b`` and ``d > 0`` of any size.
 
-
-def _sp_g1_strict_inside(
-    p1: int, p0: int, n: int, pos_total: int, num: int, den: int
-) -> tuple[int, int] | None:
-    """Integer range of group-1 sizes where BOTH group gaps fall strictly
-    below num/den (num > 0); None when no size does."""
-    a = pos_total * den + num * n  # > 0 since num > 0
-    b = pos_total * den - num * n
-    t1 = p1 * n * den
-    t0 = p0 * n * den
-    lo = max(1, t1 // a + 1)
-    hi = min(n - 1, n - (t0 // a + 1))
-    if b > 0:
-        hi = min(hi, _ceil_div(t1, b) - 1)
-        lo = max(lo, n - (_ceil_div(t0, b) - 1))
-    elif b == 0 and (t1 == 0 or t0 == 0):
-        return None
-    if lo > hi:
-        return None
-    return lo, hi
+    The integer quotients of a/d and b/d are split off.  The remainder
+    (ra + rb*u)/d is computed in int64 when it fits; otherwise it is screened
+    in float64 and only entries within ``_NEAR`` of an integer are rechecked
+    with Python ints (``Fraction(0.01)`` alone has a 2**59 denominator).
+    """
+    qa, ra = divmod(a, d)
+    qb, rb = divmod(b, d)
+    g = math.gcd(rb, d)
+    ra, rb, d = ra // g, rb // g, d // g
+    span = int(np.abs(u).max(initial=0)) + 1
+    if d * span < 2**62:
+        whole = (ra + rb * u) // d
+    else:
+        frac = ra / d + u * (rb / d)
+        whole = np.floor(frac).astype(np.int64)
+        near = np.flatnonzero(np.abs(frac - np.rint(frac)) < _NEAR)
+        if near.size:
+            whole[near] = (u[near].astype(object) * rb + ra) // d
+    if abs(qa) + abs(qb) * span < 2**62:
+        return np.minimum(np.maximum(qa + qb * u + whole, lo), hi)
+    return np.clip(u.astype(object) * qb + qa + whole, lo, hi).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,54 +230,91 @@ class _SideCosts:
     def hi(self) -> int:
         return self.pos.size - 1
 
-    def cost(self, v: int) -> float:
-        return float(self.pos[v]) if v >= 0 else float(self.neg[-v])
 
-    def ascending(self) -> Iterator[tuple[int, float]]:
-        """Yield (value, cost) over the full signed domain, cheapest first."""
-        i, j = 0, 1
-        while i < self.pos.size or j < self.neg.size:
-            if j >= self.neg.size or (i < self.pos.size and self.pos[i] <= self.neg[j]):
-                yield i, float(self.pos[i])
-                i += 1
-            else:
-                yield -j, float(self.neg[j])
-                j += 1
+#: window(u, num, den, strict) -> (lo, hi): for each column u, the rows v at
+#: which every group gap is at most num/den (strictly below it when
+#: ``strict``); a column whose lo exceeds its hi has no such row.
+WindowFn = Callable[[np.ndarray, int, int, bool], tuple[np.ndarray, np.ndarray]]
 
 
-IntervalFn = Callable[[int], tuple[tuple[int, int], ...]]
+def search_net_moves(
+    col: _SideCosts,
+    row: _SideCosts,
+    window: WindowFn,
+    epsilon: Fraction,
+    lower: Fraction | None,
+) -> tuple[tuple[int, int] | None, int]:
+    """Cheapest (column, row) cell whose gaps are within ``epsilon`` and, when
+    ``lower`` is positive, not all strictly below it; with the number of
+    columns scanned.
 
-
-def sweep_net_moves(
-    col: _SideCosts, row: _SideCosts, feasible_rows: IntervalFn
-) -> tuple[tuple[int, int], int] | tuple[None, int]:
-    """Best-first scan over net-move columns.
-
-    Visits columns in ascending column cost.  Row costs are V-shaped with
-    minimum zero, so within a feasible interval the cheapest row is the one
-    nearest zero.  Stops when the next column alone costs more than the best
-    complete candidate; ties on cost break on fewest total moves, then on the
-    (column, row) pair, keeping the result deterministic and invariant under
-    positive rescaling of all confidences.
+    A feasible (0, 0) returns at once with no column scanned.  Otherwise
+    columns are taken cheapest first in blocks of doubling size, and the scan
+    stops once a block's cheapest column costs more than the best cell so
+    far.  Row costs are V-shaped with minimum zero, so each feasible interval
+    offers its row nearest zero.  Ties on cost break on fewest total moves,
+    then on the (column, row) pair, keeping the result deterministic and
+    invariant under positive rescaling of all costs.  The count is that of
+    the columns no dearer than the best cell, which a one-column-at-a-time
+    best-first scan visits.
     """
-    best_key: tuple[float, int, int, int] | None = None
-    columns = 0
-    for u, cu in col.ascending():
-        if best_key is not None and cu > best_key[0]:
+    en, ed = epsilon.numerator, epsilon.denominator
+    carve = lower is not None and lower > 0
+
+    def pieces(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = window(u, en, ed, False)
+        lo = np.maximum(lo, row.lo)
+        hi = np.minimum(hi, row.hi)
+        if not carve:
+            return lo, hi
+        # the lower bound carves out the rows where every gap is below it
+        ilo, ihi = window(u, lower.numerator, lower.denominator, True)
+        hollow = ilo <= ihi
+        below = np.where(hollow, np.minimum(hi, ilo - 1), hi)
+        above = np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)
+        return np.concatenate((lo, above)), np.concatenate((below, hi))
+
+    lo, hi = pieces(np.zeros(1, dtype=np.int64))
+    if np.any((lo <= 0) & (0 <= hi)):
+        return (0, 0), 0
+
+    pos, neg = col.pos, col.neg
+    best: tuple[float, int, int, int] | None = None
+    i, j, size = 0, 1, _FIRST_BLOCK
+    while i < pos.size or j < neg.size:
+        head = np.concatenate((pos[i : i + size], neg[j : j + size]))
+        if best is not None and head.min() > best[0]:
             break
-        columns += 1
-        for lo, hi in feasible_rows(u):
-            lo = max(lo, row.lo)
-            hi = min(hi, row.hi)
-            if lo > hi:
-                continue
-            v = min(max(lo, 0), hi)
-            key = (cu + row.cost(v), abs(u) + abs(v), u, v)
-            if best_key is None or key < best_key:
-                best_key = key
-    if best_key is None:
-        return None, columns
-    return (best_key[2], best_key[3]), columns
+        take = min(size, head.size)
+        cut = np.partition(head, take - 1)[take - 1]
+        i_next = int(np.searchsorted(pos, cut, side="right"))
+        j_next = int(np.searchsorted(neg, cut, side="right"))
+        u = np.concatenate((np.arange(i, i_next), -np.arange(j, j_next)))
+        cu = np.concatenate((pos[i:i_next], neg[j:j_next]))
+        i, j, size = i_next, j_next, min(2 * size, _MAX_BLOCK)
+
+        lo, hi = pieces(u)
+        ok = np.flatnonzero(lo <= hi)
+        if not ok.size:
+            continue
+        ok_u = np.tile(u, lo.size // u.size)[ok]
+        v = np.minimum(np.maximum(lo[ok], 0), hi[ok])
+        cost = np.tile(cu, lo.size // u.size)[ok] + np.where(
+            v >= 0, row.pos[np.maximum(v, 0)], row.neg[np.maximum(-v, 0)]
+        )
+        tied = np.flatnonzero(cost == cost.min())
+        ok_u, v = ok_u[tied], v[tied]
+        moves = np.abs(ok_u) + np.abs(v)
+        first = np.lexsort((v, ok_u, moves))[0]
+        key = (float(cost[tied[0]]), int(moves[first]), int(ok_u[first]), int(v[first]))
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None, pos.size + neg.size - 1
+    scanned = np.searchsorted(pos, best[0], side="right") + np.searchsorted(
+        neg, best[0], side="right"
+    )
+    return (best[2], best[3]), int(scanned) - 1
 
 
 def _check_inputs(
@@ -321,42 +347,45 @@ def _solve_sp_form(
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
     n1 = tallies.n1_pos + tallies.n1_neg
-    en, ed = epsilon.numerator, epsilon.denominator
-    if lower is not None and lower > 0:
-        ln, ld = lower.numerator, lower.denominator
-    else:
-        ln = ld = 0
 
-    def feasible_rows(u: int) -> tuple[tuple[int, int], ...]:
-        p1 = tallies.n1_pos + u
-        p0 = tallies.n0_pos - u
-        window = _sp_g1_window(p1, p0, n, total_positive, en, ed)
-        if window is None:
-            return ()
-        vlo = window[0] - n1 - u
-        vhi = window[1] - n1 - u
-        if ld == 0:
-            return ((vlo, vhi),)
-        inside = _sp_g1_strict_inside(p1, p0, n, total_positive, ln, ld)
-        if inside is None:
-            return ((vlo, vhi),)
-        ilo = inside[0] - n1 - u
-        ihi = inside[1] - n1 - u
-        pieces = []
-        if vlo <= min(vhi, ilo - 1):
-            pieces.append((vlo, min(vhi, ilo - 1)))
-        if max(vlo, ihi + 1) <= vhi:
-            pieces.append((max(vlo, ihi + 1), vhi))
-        return tuple(pieces)
+    def window(u: np.ndarray, num: int, den: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+        # Column u leaves group g with p_g positives, t_g = p_g * n * den;
+        # row v sets the group-1 size m = n1 + u + v.  The group-1 gap is
+        # within num/den iff m*a >= t_1 and m*b <= t_1 (strict inside the
+        # carve-out); group 0 is the same with n - m and t_0.
+        s = int(strict)
+        a = total_positive * den + num * n
+        b = total_positive * den - num * n
+        scale = n * den
+        lo = np.ones_like(u)
+        hi = np.full_like(u, n - 1)
+        empty = np.zeros(u.shape, dtype=bool)
+        for base, sign in ((tallies.n1_pos, 1), (tallies.n0_pos, -1)):
+            p = base + sign * u
+            if a > 0:
+                least = _floor_affine(base * scale + a - 1 + s, sign * scale, a, u, 0, n)
+            else:
+                # a == 0 only when upper-bounding at zero with no positives
+                least = np.ones_like(u)
+                empty |= p > 0
+            if b > 0:
+                most = _floor_affine(base * scale - s, sign * scale, b, u, 0, n)
+            else:
+                most = np.full_like(u, n)
+                if b == 0 and strict:
+                    empty |= p == 0
+            if sign > 0:
+                lo = np.maximum(lo, least)
+                hi = np.minimum(hi, most)
+            else:
+                lo = np.maximum(lo, n - most)
+                hi = np.minimum(hi, n - least)
+        hi = np.where(empty, lo - 1, hi)
+        return lo - n1 - u, hi - n1 - u
 
     col = _SideCosts(pos=costs.t0_pos, neg=costs.t1_pos)
     row = _SideCosts(pos=costs.t0_neg, neg=costs.t1_neg)
-
-    # a feasible baseline needs no search at all
-    if any(lo <= 0 <= hi for lo, hi in feasible_rows(0)):
-        return MoveCounts(0, 0, 0, 0), 0
-
-    state, columns = sweep_net_moves(col, row, feasible_rows)
+    state, columns = search_net_moves(col, row, window, epsilon, lower)
     if state is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
     u, v = state
@@ -383,6 +412,26 @@ def solve_efficient(
     return moves
 
 
+def _flip_cheapest(
+    guess: np.ndarray, costs: CostArrays, moves: MoveCounts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flip the first members of each group's cost order; returns the
+    corrected vector and the sorted flipped indices."""
+    corrected = np.array(guess)
+    changed = []
+    for order, count, value in (
+        (costs.order_1_pos, moves.s10_pos, 0),
+        (costs.order_0_pos, moves.s01_pos, 1),
+        (costs.order_1_neg, moves.s10_neg, 0),
+        (costs.order_0_neg, moves.s01_neg, 1),
+    ):
+        if count < 0 or count > order.size:
+            raise MoveOutOfBounds("move count exceeds its group size")
+        corrected[order[:count]] = value
+        changed.append(order[:count])
+    return corrected, np.sort(np.concatenate(changed))
+
+
 def apply_moves(
     guess: Sequence[int],
     yhat: Sequence[int],
@@ -394,35 +443,9 @@ def apply_moves(
     Ties break on the lowest original index, so the flipped cost equals the
     solver objective exactly.
     """
-    g = as_binary_array(guess, "guess")
-    yh = as_binary_array(yhat, "predictions")
-    p = as_confidence_array(confidence)
-    if not g.size == yh.size == p.size:
-        raise LengthMismatch("guess, predictions and confidence differ in length")
-    gb = g.astype(bool)
-    yb = yh.astype(bool)
-    plan = (
-        (gb & yb, moves.s10_pos, 0),
-        (~gb & yb, moves.s01_pos, 1),
-        (gb & ~yb, moves.s10_neg, 0),
-        (~gb & ~yb, moves.s01_neg, 1),
-    )
-    corrected = np.array(g)
-    changed: list[np.ndarray] = []
-    for mask, count, value in plan:
-        if count < 0 or count > int(np.count_nonzero(mask)):
-            raise MoveOutOfBounds("move count exceeds its group size")
-        if count == 0:
-            continue
-        _, order = _sorted_group(p, mask)
-        sel = order[:count]
-        corrected[sel] = value
-        changed.append(sel)
-    if changed:
-        flipped = tuple(int(i) for i in np.sort(np.concatenate(changed)))
-    else:
-        flipped = ()
-    return corrected, flipped
+    costs = build_cost_arrays(guess, yhat, confidence)
+    corrected, changed = _flip_cheapest(as_binary_array(guess, "guess"), costs, moves)
+    return corrected, tuple(changed.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,16 +466,21 @@ def _solve_slice(
     lower: Fraction | None,
 ) -> _SliceSolution:
     sub_g = guess[idx]
-    sub_y = yhat[idx]
-    sub_p = conf[idx]
-    tallies = tally_groups(sub_g, sub_y)
-    costs = build_cost_arrays(sub_g, sub_y, sub_p)
+    # each group is sorted once, here; the flips below reuse its order
+    costs = build_cost_arrays(sub_g, yhat[idx], conf[idx])
+    tallies = GroupTallies(
+        costs.order_1_pos.size,
+        costs.order_0_pos.size,
+        costs.order_1_neg.size,
+        costs.order_0_neg.size,
+    )
     moves, columns = _solve_sp_form(
         tallies, costs, tallies.total_positive, tallies.n, epsilon, lower
     )
-    corrected_slice, changed_local = apply_moves(sub_g, sub_y, sub_p, moves)
-    changed = idx[np.asarray(changed_local, dtype=np.int64)]
-    return _SliceSolution(moves, corrected_slice, changed, move_cost(costs, moves), columns)
+    corrected_slice, changed_local = _flip_cheapest(sub_g, costs, moves)
+    return _SliceSolution(
+        moves, corrected_slice, idx[changed_local], move_cost(costs, moves), columns
+    )
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
@@ -475,7 +503,13 @@ def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
 
     solutions: list[_SliceSolution | None]
     if metric is FairnessMetric.EODDS and lower is not None and len(slices) == 2:
-        solutions = _solve_eodds_with_lower(guess, yhat, conf, slices, epsilon, lower)
+        solutions = carry_lower_bound(
+            lambda i, bound: _solve_slice(guess, yhat, conf, slices[i], epsilon, bound),
+            lambda i, sol: unfairness_exact(
+                FairnessMetric.SP, sol.corrected_slice, yhat[slices[i]]
+            ),
+            lower,
+        )
     else:
         # for single-slice metrics the lower bound applies to the slice gap
         solutions = [_solve_slice(guess, yhat, conf, idx, epsilon, lower) for idx in slices]
@@ -492,9 +526,7 @@ def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
         columns += sol.columns
         if sol.changed.size:
             changed.append(sol.changed)
-    changed_indices = (
-        tuple(int(i) for i in np.sort(np.concatenate(changed))) if changed else ()
-    )
+    changed_indices = tuple(np.sort(np.concatenate(changed)).tolist()) if changed else ()
     stats = SolverStats(
         nodes=columns, wall_time=time.perf_counter() - start, proven_optimal=True
     )
@@ -502,41 +534,33 @@ def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
     return CorrectionResult(corrected, objective, moves, changed_indices, stats)
 
 
-def _solve_eodds_with_lower(
-    guess: np.ndarray,
-    yhat: np.ndarray,
-    conf: np.ndarray,
-    slices: list[np.ndarray],
-    epsilon: Fraction,
+def carry_lower_bound(
+    solve: Callable[[int, Fraction | None], _Solution],
+    gap: Callable[[int, _Solution], Fraction],
     lower: Fraction,
-) -> list[_SliceSolution]:
-    """EOdds with a lower bound couples the slices: the max of the two slice
-    gaps must reach the bound, so at most one slice has to carry it.  Solve
-    both slices upper-only, and only if the bound is missed re-solve each
-    slice with the bound attached, keeping the cheaper combination."""
-    base = [
-        _solve_slice(guess, yhat, conf, idx, epsilon, None) for idx in slices
-    ]
-    gaps = [
-        unfairness_exact(FairnessMetric.SP, sol.corrected_slice, yhat[idx])
-        for idx, sol in zip(slices, base)
-    ]
-    if max(gaps) >= lower:
+) -> list[_Solution]:
+    """EOdds with a lower bound couples its two slices: the larger slice gap
+    must reach the bound, so at most one slice has to carry it.
+
+    ``solve(i, bound)`` solves slice i, with the lower bound when ``bound``
+    is set; ``gap(i, solution)`` measures the slice's gap.  Both slices are
+    solved upper-only, and only if the bound is missed is each re-solved
+    with the bound attached, keeping the cheaper combination.
+    """
+    base = [solve(i, None) for i in (0, 1)]
+    if max(gap(i, sol) for i, sol in enumerate(base)) >= lower:
         return base
-    candidates: list[tuple[float, int, list[_SliceSolution]]] = []
+    candidates = []
     for carrier in (0, 1):
         try:
-            forced = _solve_slice(
-                guess, yhat, conf, slices[carrier], epsilon, lower
-            )
+            forced = solve(carrier, lower)
         except Infeasible:
             continue
         combo = [forced if i == carrier else base[i] for i in (0, 1)]
-        candidates.append((sum(s.objective for s in combo), carrier, combo))
+        candidates.append((sum(sol.objective for sol in combo), carrier, combo))
     if not candidates:
         raise Infeasible("no slice can reach the required lower unfairness bound")
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    return candidates[0][2]
+    return min(candidates, key=lambda item: item[:2])[2]
 
 
 def _enumeration_positions(

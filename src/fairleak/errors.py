@@ -45,6 +45,10 @@ class DegenerateClasses(EmptyAttackSet):
     """The attack set's sensitive column holds a single class."""
 
 
+class UnsupportedCardinality(FairleakError):
+    """The attack pipeline handles binary sensitive attributes only."""
+
+
 class MissingPredictions(FairleakError):
     """Prediction-aware mode requested but no target predictions supplied."""
 

@@ -36,7 +36,14 @@ from ..core import (
     unfairness,
 )
 from ..corrector import correct, solve_general_bruteforce
-from ..errors import BadParameters, FairleakError, Infeasible, IoError, SchemaError
+from ..errors import (
+    BadParameters,
+    FairleakError,
+    Infeasible,
+    IoError,
+    SchemaError,
+    UnsupportedCardinality,
+)
 from ..estimator import estimate_constraint
 from .data import CATEGORICAL, DatasetTable, split_dataset
 from .predictor import fit_label_predictor, repair_predictions
@@ -105,6 +112,8 @@ class ExperimentConfig:
             raise BadParameters(f"unknown adversary mode: {self.adversary_mode!r}")
         if self.adversary_mode == MODE_EXTERNAL and self.external_guess is None:
             raise BadParameters("external mode needs a guess file")
+        if self.adversary_mode != MODE_EXTERNAL and self.external_guess is not None:
+            raise BadParameters("a guess file is only read in external mode")
 
 
 @dataclass(frozen=True)
@@ -138,11 +147,6 @@ REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(ReportRow))
 class ExperimentReport:
     rows: tuple[ReportRow, ...]
     metadata: dict
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExperimentReport):
-            return NotImplemented
-        return self.rows == other.rows and self.metadata == other.metadata
 
 
 def _r6(value: float | None) -> float | None:
@@ -344,6 +348,14 @@ def _oracle_gap(
 
 def run_experiment(config: ExperimentConfig, table: DatasetTable) -> ExperimentReport:
     """Run the full sweep and collect one row per (seed, epsilon)."""
+    if table.sensitive_cardinality > 2:
+        raise UnsupportedCardinality(
+            "the attack pipeline handles binary sensitive attributes; the dataset "
+            f"declares {table.sensitive_cardinality} values"
+        )
+    external = config.external_guess
+    if external is not None and not np.isin(external.guess, (0, 1)).all():
+        raise UnsupportedCardinality("external guess values must be 0 or 1")
     rows: list[ReportRow] = []
     for seed in config.seeds:
         parts = split_dataset(table, config.split_fractions, seed)

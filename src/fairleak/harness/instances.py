@@ -66,10 +66,8 @@ def read_instance_csv(path: str | Path) -> tuple[np.ndarray, AttackInstance]:
         raise DuplicateId("instance ids are not unique")
     truth = _ints(rows, "s_true") if "s_true" in header else None
     guess = _ints(rows, "s_hat")
-    observed = [int(guess.max()) if guess.size else 0]
-    if truth is not None and truth.size:
-        observed.append(int(truth.max()))
-    cardinality = max(2, max(observed) + 1)
+    # the guess alone picks the solver; truth is only scored against it
+    cardinality = max(2, int(guess.max(initial=0)) + 1)
     instance = AttackInstance(
         predictions=_ints(rows, "yhat"),
         labels=_ints(rows, "y"),

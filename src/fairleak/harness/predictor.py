@@ -1,12 +1,13 @@
 """Simplified fair target model: naive Bayes labels plus an exact repair.
 
 The repair flips minimum-margin predictions, group by group, until the
-requested rate constraint holds on the training data.  It rides the same
-net-move sweep as the guess corrector: with fixed group memberships the
-constraint depends only on the net number of prediction flips inside each
-sensitive group, the per-group flip costs are prefix sums of sorted margins,
-and the feasible rows of a column are integer intervals obtained by exact
-cross-multiplication.
+requested rate constraint holds on the training data.  It runs the guess
+corrector's block-wise vectorised sweep, ``corrector.search_net_moves``:
+with fixed group memberships the constraint depends only on the net number
+of prediction flips inside each sensitive group, and the per-group flip
+costs are prefix sums of sorted margins.  Its window function gives, for a
+block of group-1 flip counts at once, the interval of feasible group-0 flip
+counts, each end an exact integer floor.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, slice_for_metric, unfairness_exact
-from ..corrector import _SideCosts, sweep_net_moves
+from ..corrector import (
+    _floor_affine,
+    _SideCosts,
+    _sorted_group,
+    carry_lower_bound,
+    search_net_moves,
+)
 from ..errors import Infeasible
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
@@ -70,27 +77,11 @@ def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
     return LabelPredictor(nb=nb, discretizer=disc, feature_kinds=kinds)
 
 
-def _tighten(a: int, b: int, lo: int, hi: int, strict: bool = False) -> tuple[int, int]:
-    """Tighten [lo, hi] with the constraint a*v + b >= 0 (> 0 when strict)."""
-    if a > 0:
-        lo = max(lo, (-b) // a + 1 if strict else -(b // a))
-    elif a < 0:
-        hi = min(hi, -((-b) // (-a)) - 1 if strict else (-b) // a)
-    elif (b < 0) or (strict and b == 0):
-        return 1, 0
-    return lo, hi
-
-
 @dataclass(frozen=True, eq=False)
 class _RepairSlice:
     yhat: np.ndarray
     flipped: np.ndarray
-    cost: float
-
-
-def _prefix(margins: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = idx[np.argsort(margins[idx], kind="stable")]
-    return np.concatenate(([0.0], np.cumsum(margins[order]))), order
+    objective: float
 
 
 def _repair_slice(
@@ -113,74 +104,48 @@ def _repair_slice(
     pos1 = int(np.count_nonzero(sub_y[sub_s == 1]))
     pos0 = int(np.count_nonzero(sub_y[sub_s == 0]))
     tot = pos1 + pos0
-    en, ed = epsilon.numerator, epsilon.denominator
-    if lower is not None and lower > 0:
-        ln, ld = lower.numerator, lower.denominator
-    else:
-        ln = ld = 0
+    sub_m = margins[idx]
+    up1, up1_order = _sorted_group(sub_m, (sub_s == 1) & (sub_y == 0))
+    down1, down1_order = _sorted_group(sub_m, (sub_s == 1) & (sub_y == 1))
+    up0, up0_order = _sorted_group(sub_m, (sub_s == 0) & (sub_y == 0))
+    down0, down0_order = _sorted_group(sub_m, (sub_s == 0) & (sub_y == 1))
 
-    local = np.arange(n)
-    up1, up1_order = _prefix(margins[idx], local[(sub_s == 1) & (sub_y == 0)])
-    down1, down1_order = _prefix(margins[idx], local[(sub_s == 1) & (sub_y == 1)])
-    up0, up0_order = _prefix(margins[idx], local[(sub_s == 0) & (sub_y == 0)])
-    down0, down0_order = _prefix(margins[idx], local[(sub_s == 0) & (sub_y == 1)])
-
-    def window(u: int, num: int, den: int, strict: bool) -> tuple[int, int]:
-        """Feasible net group-0 flips for net group-1 flips ``u``."""
-        t = tot + u
-        p1 = pos1 + u
+    def window(u: np.ndarray, num: int, den: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Net group-0 flips v keeping both gaps within num/den of the
+        overall rate (strictly below it when ``strict``), for net group-1
+        flips u.  With d = n1 * den the group-1 gap bounds v*d + c1(u) and
+        the group-0 gap bounds c0(u) - v*d, both within [-r_g, r_g]."""
+        s = int(strict)
+        d = n1 * den
+        c1, k1 = (tot * n1 - pos1 * n) * den, (n1 - n) * den
+        c0, k0 = (tot * n0 - pos0 * n) * den, n0 * den
+        r1, r0 = num * n * n1, num * n * n0
         lo, hi = -pos0, n0 - pos0
-        # group 1 gap: ((t + v) * n1 - p1 * n) * den vs num * n * n1
-        c1 = (t * n1 - p1 * n) * den
-        lo, hi = _tighten(n1 * den, num * n * n1 + c1, lo, hi, strict)
-        lo, hi = _tighten(-n1 * den, num * n * n1 - c1, lo, hi, strict)
-        # group 0 gap: ((t + v) * n0 - (pos0 + v) * n) * den vs num * n * n0
-        c0 = (t * n0 - pos0 * n) * den
-        slope = (n0 - n) * den
-        lo, hi = _tighten(slope, num * n * n0 + c0, lo, hi, strict)
-        lo, hi = _tighten(-slope, num * n * n0 - c0, lo, hi, strict)
-        return lo, hi
 
-    def feasible_rows(u: int) -> tuple[tuple[int, int], ...]:
-        lo, hi = window(u, en, ed, strict=False)
-        if lo > hi:
-            return ()
-        if ld == 0:
-            return ((lo, hi),)
-        ilo, ihi = window(u, ln, ld, strict=True)
-        if ilo > ihi:
-            return ((lo, hi),)
-        pieces = []
-        if lo <= min(hi, ilo - 1):
-            pieces.append((lo, min(hi, ilo - 1)))
-        if max(lo, ihi + 1) <= hi:
-            pieces.append((max(lo, ihi + 1), hi))
-        return tuple(pieces)
+        def least(c: int, k: int) -> np.ndarray:  # v*d >= c + k*u, > when strict
+            return _floor_affine(c + d - 1 + s, k, d, u, lo - 1, hi + 1)
 
-    if any(lo <= 0 <= hi for lo, hi in feasible_rows(0)):
-        return _RepairSlice(sub_y.copy(), np.zeros(0, dtype=np.int64), 0.0)
+        def most(c: int, k: int) -> np.ndarray:  # v*d <= c + k*u, < when strict
+            return _floor_affine(c - s, k, d, u, lo - 1, hi + 1)
+
+        low = np.maximum(least(-r1 - c1, -k1), least(c0 - r0, k0))
+        high = np.minimum(most(r1 - c1, -k1), most(r0 + c0, k0))
+        return np.maximum(low, lo), np.minimum(high, hi)
 
     col = _SideCosts(pos=up1, neg=down1)
     row = _SideCosts(pos=up0, neg=down0)
-    state, _ = sweep_net_moves(col, row, feasible_rows)
+    state, _ = search_net_moves(col, row, window, epsilon, lower)
     if state is None:
         raise Infeasible("no prediction repair satisfies the constraint")
     k1, k0 = state
     repaired = sub_y.copy()
-    flips: list[np.ndarray] = []
+    flips = []
     for k, order_up, order_down in ((k1, up1_order, down1_order), (k0, up0_order, down0_order)):
-        if k > 0:
-            sel = order_up[:k]
-            repaired[sel] = 1
-        elif k < 0:
-            sel = order_down[:-k]
-            repaired[sel] = 0
-        else:
-            continue
+        sel = order_up[:k] if k > 0 else order_down[:-k]
+        repaired[sel] = int(k > 0)
         flips.append(sel)
-    flipped = np.sort(np.concatenate(flips)) if flips else np.zeros(0, dtype=np.int64)
-    cost = float(margins[idx][flipped].sum()) if flipped.size else 0.0
-    return _RepairSlice(repaired, flipped, cost)
+    flipped = np.sort(np.concatenate(flips))
+    return _RepairSlice(repaired, flipped, float(sub_m[flipped].sum()))
 
 
 def repair_predictions(
@@ -197,7 +162,11 @@ def repair_predictions(
     slices = [idx for idx in slice_for_metric(metric, labels) if idx.size]
     repaired = np.array(yhat)
     if metric is FairnessMetric.EODDS and lower is not None and len(slices) == 2:
-        parts = _repair_eodds_with_lower(yhat, margins, sensitive, slices, epsilon, lower)
+        parts = carry_lower_bound(
+            lambda i, bound: _repair_slice(yhat, margins, sensitive, slices[i], epsilon, bound),
+            lambda i, part: unfairness_exact(FairnessMetric.SP, sensitive[slices[i]], part.yhat),
+            lower,
+        )
     else:
         parts = [
             _repair_slice(yhat, margins, sensitive, idx, epsilon, lower)
@@ -206,39 +175,6 @@ def repair_predictions(
     for idx, part in zip(slices, parts):
         repaired[idx] = part.yhat
     return repaired
-
-
-def _repair_eodds_with_lower(
-    yhat: np.ndarray,
-    margins: np.ndarray,
-    sensitive: np.ndarray,
-    slices: list[np.ndarray],
-    epsilon: Fraction,
-    lower: Fraction,
-) -> list[_RepairSlice]:
-    base = [
-        _repair_slice(yhat, margins, sensitive, idx, epsilon, None) for idx in slices
-    ]
-    gaps = [
-        unfairness_exact(FairnessMetric.SP, sensitive[idx], part.yhat)
-        for idx, part in zip(slices, base)
-    ]
-    if max(gaps) >= lower:
-        return base
-    candidates = []
-    for carrier in (0, 1):
-        try:
-            forced = _repair_slice(
-                yhat, margins, sensitive, slices[carrier], epsilon, lower
-            )
-        except Infeasible:
-            continue
-        combo = [forced if i == carrier else base[i] for i in (0, 1)]
-        candidates.append((sum(p.cost for p in combo), carrier, combo))
-    if not candidates:
-        raise Infeasible("no slice can reach the required lower unfairness bound")
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    return candidates[0][2]
 
 
 def make_fair_predictions(

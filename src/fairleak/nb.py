@@ -22,8 +22,8 @@ class CategoricalNaiveBayes:
     n_classes: int
 
     def predict_log_joint(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        if set(columns) < set(self.feature_names):
-            missing = set(self.feature_names) - set(columns)
+        missing = set(self.feature_names) - set(columns)
+        if missing:
             raise KeyError(f"missing feature columns: {sorted(missing)}")
         n = next(iter(columns.values())).size if columns else 0
         scores = np.tile(self.log_prior, (n, 1))

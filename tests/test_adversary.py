@@ -194,3 +194,16 @@ class TestDiscretizer:
         disc = Discretizer().fit({"x": np.arange(100.0)})
         out = disc.transform_column("x", np.array([-5.0, 50.0, 500.0]))
         assert out.tolist() == [0, 5, 9]
+
+
+class TestNaiveBayes:
+    def test_mismatched_feature_names_report_the_missing_columns(self):
+        from fairleak.nb import fit_naive_bayes
+
+        model = fit_naive_bayes(
+            {"a": np.array([0, 1, 1]), "b": np.array([1, 0, 1])},
+            np.array([0, 1, 1]),
+            n_classes=2,
+        )
+        with pytest.raises(KeyError, match="missing feature columns"):
+            model.predict_log_joint({"b": np.array([0]), "c": np.array([1])})

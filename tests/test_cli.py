@@ -109,6 +109,33 @@ class TestCorrectCommand:
         )
         assert code == EXIT_OK
 
+    def test_truth_values_beyond_the_guess_keep_the_binary_solver(self, tmp_path):
+        # a binary guess whose truth column holds one 2: the guess alone sets
+        # the cardinality, so the efficient solver runs instead of a 3**40
+        # brute force
+        rows = ["id,y,yhat,s_hat,confidence,s_true"]
+        for i in range(40):
+            truth = 2 if i == 7 else i % 2
+            rows.append(f"{i},{i % 3 % 2},{int(i < 16)},{int(i < 20)},{0.5 + i / 100},{truth}")
+        path = tmp_path / "binary_guess.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        report = tmp_path / "solve.json"
+        code = main(
+            [
+                "correct",
+                "--input", str(path),
+                "--metric", "sp",
+                "--epsilon", "0.1",
+                "--out", str(tmp_path / "out.csv"),
+                "--report", str(report),
+            ]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(report.read_text())
+        assert payload["flips"] > 0
+        assert set(payload["moves"]) == {"s01_pos", "s10_pos", "s01_neg", "s10_neg"}
+        assert payload["baseline_accuracy"] < 1.0
+
 
 class TestEstimateCommand:
     def test_prints_constraint(self, tmp_path, capsys):
@@ -180,6 +207,22 @@ class TestAttackCommand:
             ]
         )
         assert code == EXIT_INPUT
+
+    def test_guess_file_needs_external_mode(self, dataset, tmp_path):
+        data, schema = dataset
+        guess = tmp_path / "guess.csv"
+        guess.write_text("id,s_hat,confidence_raw\n0,1,0.9\n", encoding="utf-8")
+        code = main(
+            [
+                "attack",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--guess-file", str(guess),
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestSynthAndBench:

@@ -15,6 +15,7 @@ from fairleak.errors import (
     DuplicateId,
     ParseError,
     SchemaError,
+    UnsupportedCardinality,
 )
 from fairleak.harness import (
     DatasetSchema,
@@ -256,6 +257,32 @@ class TestRunExperiment:
         assert len(report.rows) == 2
         assert all(row.status == "SchemaError" for row in report.rows)
 
+    def test_multivalued_dataset_rejected_before_the_sweep(self):
+        table = synth_generate(300, seed=2)
+        sensitive = table.sensitive.copy()
+        sensitive[:40] = 2
+        k3 = DatasetTable(
+            ids=table.ids,
+            features=table.features,
+            sensitive=sensitive,
+            labels=table.labels,
+            sensitive_cardinality=3,
+        )
+        config = ExperimentConfig(epsilon_grid=(0.1,), seeds=(0,))
+        with pytest.raises(UnsupportedCardinality, match="binary sensitive"):
+            run_experiment(config, k3)
+
+    def test_external_guess_outside_binary_rejected(self):
+        table = synth_generate(300, seed=2)
+        guess = table.sensitive.copy()
+        guess[0] = 2
+        external = ExternalGuess(ids=table.ids, guess=guess, raw_scores=np.ones(table.n))
+        config = ExperimentConfig(
+            epsilon_grid=(0.1,), seeds=(0,), adversary_mode="external", external_guess=external
+        )
+        with pytest.raises(UnsupportedCardinality):
+            run_experiment(config, table)
+
     def test_correction_never_reads_truth(self, rng):
         n = 60
         inst_args = dict(
@@ -297,6 +324,9 @@ class TestRunExperiment:
             ExperimentConfig(seeds=())
         with pytest.raises(BadParameters):
             ExperimentConfig(adversary_mode="external")
+        guess = ExternalGuess(ids=[0], guess=[1], raw_scores=[0.9])
+        with pytest.raises(BadParameters, match="external mode"):
+            ExperimentConfig(adversary_mode="aprime", external_guess=guess)
 
 
 class TestReports:
