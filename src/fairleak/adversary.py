@@ -29,7 +29,7 @@ from .errors import (
     ScoreOutOfRange,
     SchemaMismatch,
 )
-from .nb import CategoricalNaiveBayes, fit_naive_bayes
+from .nb import CategoricalNaiveBayes, fit_naive_bayes, posterior
 
 MODE_A = "a"
 MODE_A_PRIME = "aprime"
@@ -92,22 +92,29 @@ class AttackSet:
 
 @dataclass(frozen=True, eq=False)
 class AttackModel:
-    """Trained attack model; query it through :func:`predict_guess`."""
+    """Trained attack model; query it through :func:`predict_guess`.
+
+    ``nb`` holds the feature and label columns.  Prediction-aware mode adds
+    the target-prediction column as a model of its own, ``prediction_nb``,
+    whose log-likelihood adds onto the log joint of the others.
+    """
 
     nb: CategoricalNaiveBayes
     feature_names: tuple[str, ...]
-    uses_predictions: bool
     cardinality: int
+    prediction_nb: CategoricalNaiveBayes | None = None
+
+    @property
+    def uses_predictions(self) -> bool:
+        return self.prediction_nb is not None
 
 
 @dataclass(frozen=True, eq=False)
 class BaselineGuess:
-    """A guess vector with raw scores and, once shaped, processed confidences."""
+    """A guess vector with the posterior probability of each guessed class."""
 
     guess: np.ndarray
     raw_scores: np.ndarray
-    processed: np.ndarray | None = None
-    chosen_k: float | None = None
 
 
 class Discretizer:
@@ -141,12 +148,15 @@ def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
     observed = np.unique(attack_set.sensitive)
     if observed.size < 2:
         raise DegenerateClasses("sensitive column holds a single class")
-    columns = dict(attack_set.features)
-    columns[_LABEL_COLUMN] = attack_set.labels
+    prediction_nb = None
     if mode == MODE_A_PRIME:
         if attack_set.target_predictions is None:
             raise MissingPredictions("mode aprime needs target predictions")
-        columns[_PREDICTION_COLUMN] = attack_set.target_predictions
+        prediction_nb = fit_prediction_column(
+            attack_set.sensitive, attack_set.target_predictions, attack_set.cardinality
+        )
+    columns = dict(attack_set.features)
+    columns[_LABEL_COLUMN] = attack_set.labels
     nb = fit_naive_bayes(
         columns,
         attack_set.sensitive,
@@ -157,9 +167,55 @@ def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
     return AttackModel(
         nb=nb,
         feature_names=tuple(attack_set.features),
-        uses_predictions=mode == MODE_A_PRIME,
         cardinality=attack_set.cardinality,
+        prediction_nb=prediction_nb,
     )
+
+
+def fit_prediction_column(
+    sensitive: np.ndarray, predictions: np.ndarray, cardinality: int = 2
+) -> CategoricalNaiveBayes:
+    """The prediction-aware mode's target-prediction column, fitted alone on
+    the attack rows' sensitive values, with the attack model's smoothing and
+    uniform prior."""
+    return fit_naive_bayes(
+        {_PREDICTION_COLUMN: predictions},
+        sensitive,
+        n_classes=cardinality,
+        alpha=1.0,
+        class_prior="uniform",
+    )
+
+
+def prediction_log_likelihood(
+    column: CategoricalNaiveBayes, predictions: Sequence[int]
+) -> np.ndarray:
+    """The (n, classes) term the target-prediction column adds to the log
+    joint; it comes last, as in :func:`predict_guess`."""
+    return column.column_log_likelihood(
+        _PREDICTION_COLUMN, as_binary_array(predictions, "predictions")
+    )
+
+
+def label_log_joint(
+    model: AttackModel, features: dict[str, np.ndarray], labels: Sequence[int]
+) -> np.ndarray:
+    """Per-row log joint of the feature and label columns: the whole of a
+    mode ``a`` model, and all but the prediction column of a mode ``aprime``
+    one."""
+    if set(features) != set(model.feature_names):
+        raise SchemaMismatch("feature columns differ from the training schema")
+    columns = {k: np.asarray(v, dtype=np.int64) for k, v in features.items()}
+    columns[_LABEL_COLUMN] = as_binary_array(labels, "labels")
+    return model.nb.predict_log_joint(columns)
+
+
+def guess_from_log_joint(scores: np.ndarray) -> BaselineGuess:
+    """Per-row argmax class and its posterior probability as the raw score."""
+    proba = posterior(scores)
+    guess = np.argmax(proba, axis=1).astype(np.int64)
+    raw = proba[np.arange(proba.shape[0]), guess]
+    return BaselineGuess(guess=guess, raw_scores=raw)
 
 
 def predict_guess(
@@ -169,18 +225,12 @@ def predict_guess(
     predictions: Sequence[int] | None = None,
 ) -> BaselineGuess:
     """Per-row argmax class and its posterior probability as the raw score."""
-    if set(features) != set(model.feature_names):
-        raise SchemaMismatch("feature columns differ from the training schema")
-    if model.uses_predictions and predictions is None:
-        raise SchemaMismatch("model was trained with target predictions")
-    columns = {k: np.asarray(v, dtype=np.int64) for k, v in features.items()}
-    columns[_LABEL_COLUMN] = as_binary_array(labels, "labels")
+    scores = label_log_joint(model, features, labels)
     if model.uses_predictions:
-        columns[_PREDICTION_COLUMN] = as_binary_array(predictions, "predictions")
-    proba = model.nb.predict_proba(columns)
-    guess = np.argmax(proba, axis=1).astype(np.int64)
-    raw = proba[np.arange(proba.shape[0]), guess]
-    return BaselineGuess(guess=guess, raw_scores=raw)
+        if predictions is None:
+            raise SchemaMismatch("model was trained with target predictions")
+        scores = scores + prediction_log_likelihood(model.prediction_nb, predictions)
+    return guess_from_log_joint(scores)
 
 
 def normalize_scores(raw_scores: Sequence[float]) -> np.ndarray:

@@ -143,10 +143,26 @@ def tally_groups(guess: Sequence[int], yhat: Sequence[int]) -> GroupTallies:
 
 
 def _sorted_group(conf: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of the masked confidences in ascending order, and that
+    order as indices, ties broken by ascending index.
+
+    The default (unstable, vectorised) argsort leaves each run of equal
+    values contiguous; one int64 sort of run * m + position over the tied
+    entries then puts every run in index order, which is the stable order.
+    """
     idx = np.flatnonzero(mask)
-    order = idx[np.argsort(conf[idx], kind="stable")]
-    totals = np.concatenate(([0.0], np.cumsum(conf[order])))
-    return totals, order
+    values = conf[idx]
+    order = np.argsort(values)
+    ranked = values[order]
+    same = ranked[1:] == ranked[:-1]
+    if same.any():
+        tied = np.zeros(ranked.size, dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        run = np.cumsum(~np.concatenate(([False], same)))
+        order[tied] = np.sort(run[tied] * ranked.size + order[tied]) % ranked.size
+        ranked = values[order]
+    return np.concatenate(([0.0], np.cumsum(ranked))), idx[order]
 
 
 def build_cost_arrays(

@@ -1,10 +1,23 @@
 """Experiment orchestration: seeds x epsilon sweeps over the attack pipeline.
 
-Each (seed, epsilon) cell runs split -> fair predictions -> baseline
-adversary -> optional constraint estimation -> correction -> scoring.  Cell
-failures are recorded in their row instead of aborting the sweep.  Reports
-are fully deterministic for a fixed (config, data): rows carry no wall-clock
-fields and every random draw is seeded.
+Only the repaired target predictions depend on the tolerance, so a sweep
+does the rest once per seed.  Per seed: split the dataset, fit the label
+predictor, build a repair state for each part (its metric slices, group
+tallies and sorted margin prefix sums), and build the adversary.  That is
+the external guess with its shaped confidences, or the attack model: the
+fit/validation split, the discretised features and the naive-Bayes tables
+of the feature and label columns, with their log joints on the training and
+validation rows, which in mode ``a`` already give the guesses.  Per
+(seed, epsilon) cell: repair the three parts' predictions, score the target
+model, optionally estimate the constraint, in mode ``aprime`` fit the
+prediction column and add its term to the log joints, choose the confidence
+exponent, correct and score.
+
+Cell failures are recorded in their row instead of aborting the sweep.  A
+per-seed stage that fails is recorded in every cell, raised at the step of
+the cell that uses it.  Reports are fully deterministic for a fixed
+(config, data): rows carry no wall-clock fields and every random draw is
+seeded.
 """
 
 from __future__ import annotations
@@ -23,7 +36,11 @@ from ..adversary import (
     AttackSet,
     BaselineGuess,
     Discretizer,
+    fit_prediction_column,
+    guess_from_log_joint,
+    label_log_joint,
     predict_guess,
+    prediction_log_likelihood,
     process_confidences,
     shape_confidences,
     train_baseline,
@@ -46,7 +63,8 @@ from ..errors import (
 )
 from ..estimator import estimate_constraint
 from .data import CATEGORICAL, DatasetTable, split_dataset
-from .predictor import fit_label_predictor, repair_predictions
+from .predictor import RepairState, fit_label_predictor
+from .predictor import repair_predictions  # noqa: F401  (perfbench traces this name)
 
 MODE_EXTERNAL = "external"
 
@@ -173,30 +191,125 @@ def _attack_features(
     return columns
 
 
-def _run_cell(
-    config: ExperimentConfig,
-    seed: int,
-    epsilon: float,
-    parts: tuple[DatasetTable, DatasetTable, DatasetTable],
-    raw_predictions: dict[str, tuple[np.ndarray, np.ndarray]],
-    attack_disc: Discretizer,
-) -> ReportRow:
-    train, test, attack = parts
-    metric = config.metric
+@dataclass(frozen=True, eq=False)
+class _AttackModel:
+    """A seed's attack model, trained without the target-prediction column,
+    with the validation rows that k-selection corrects.
 
-    def repaired(table: DatasetTable, key: str) -> np.ndarray:
-        # fair training only ever enforces the upper bound; the lower bound
-        # is adversary-side knowledge used by the correction alone
-        yhat_raw, margins = raw_predictions[key]
-        floor = _min_group_floor(table.sensitive)
-        spec = FairnessSpec(metric, max(epsilon, floor))
-        return repair_predictions(
-            yhat_raw, margins, table.sensitive, table.labels, spec
+    In mode ``a`` the guesses on the training and validation rows are final
+    (``fixed``).  In mode ``aprime`` ``joints`` holds their log joints, and
+    each cell fits the prediction column on the fit rows' repaired
+    predictions and adds its term last, as ``predict_guess`` does.
+    """
+
+    fit_idx: np.ndarray
+    val_idx: np.ndarray
+    fit_sensitive: np.ndarray
+    val_floor: float
+    fixed: tuple[BaselineGuess, BaselineGuess] | None
+    joints: tuple[np.ndarray, np.ndarray] | None
+
+    def guesses(
+        self, yh_train: np.ndarray, yh_attack: np.ndarray
+    ) -> tuple[BaselineGuess, BaselineGuess]:
+        if self.fixed is not None:
+            return self.fixed
+        column = fit_prediction_column(self.fit_sensitive, yh_attack[self.fit_idx])
+        train_joint, val_joint = self.joints
+        return (
+            guess_from_log_joint(train_joint + prediction_log_likelihood(column, yh_train)),
+            guess_from_log_joint(
+                val_joint + prediction_log_likelihood(column, yh_attack[self.val_idx])
+            ),
         )
 
-    yh_train = repaired(train, "train")
-    yh_test = repaired(test, "test")
-    yh_attack = repaired(attack, "attack")
+
+def _train_attack_model(
+    mode: str, seed: int, train: DatasetTable, attack: DatasetTable
+) -> _AttackModel:
+    numeric = {
+        name: col.values
+        for name, col in attack.features.items()
+        if col.kind != CATEGORICAL
+    }
+    disc = Discretizer().fit(numeric)
+    feats_attack = _attack_features(attack, disc)
+    rng = np.random.default_rng([seed, 11])
+    perm = rng.permutation(attack.n)
+    n_fit = int(round(attack.n * 0.8))
+    fit_idx = np.sort(perm[:n_fit])
+    val_idx = np.sort(perm[n_fit:])
+    fit_set = AttackSet(
+        features={k: v[fit_idx] for k, v in feats_attack.items()},
+        labels=attack.labels[fit_idx],
+        sensitive=attack.sensitive[fit_idx],
+        cardinality=attack.sensitive_cardinality,
+    )
+    model = train_baseline(fit_set, MODE_A)
+    rows = (
+        (_attack_features(train, disc), train.labels),
+        ({k: v[val_idx] for k, v in feats_attack.items()}, attack.labels[val_idx]),
+    )
+    fixed = joints = None
+    if mode == MODE_A:
+        fixed = tuple(predict_guess(model, feats, labels) for feats, labels in rows)
+    else:
+        joints = tuple(label_log_joint(model, feats, labels) for feats, labels in rows)
+    return _AttackModel(
+        fit_idx,
+        val_idx,
+        fit_set.sensitive,
+        _min_group_floor(attack.sensitive[val_idx]),
+        fixed,
+        joints,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _Seed:
+    """What a seed's cells share: everything that does not depend on the
+    tolerance.  ``adversary`` is the external guess with its shaped
+    confidences, or the attack model, or the FairleakError that building it
+    raised; each cell raises that error at the step that needs the
+    adversary."""
+
+    parts: tuple[DatasetTable, DatasetTable, DatasetTable]
+    repairs: tuple[RepairState, ...]
+    floors: tuple[float, ...]  # one-count tolerance floor of each part
+    adversary: tuple[np.ndarray, np.ndarray] | _AttackModel | FairleakError
+
+
+def _prepare_seed(config: ExperimentConfig, table: DatasetTable, seed: int) -> _Seed:
+    parts = split_dataset(table, config.split_fractions, seed)
+    train, test, attack = parts
+    predictor = fit_label_predictor(train)
+    repairs = tuple(
+        RepairState(*predictor.raw_predictions(part), part.sensitive, part.labels, config.metric)
+        for part in parts
+    )
+    floors = tuple(_min_group_floor(part.sensitive) for part in parts)
+    adversary: tuple[np.ndarray, np.ndarray] | _AttackModel | FairleakError
+    try:
+        if config.adversary_mode == MODE_EXTERNAL:
+            guess, raw_scores = config.external_guess.for_ids(train.ids)
+            adversary = (guess, shape_confidences(raw_scores, 1.0))
+        else:
+            adversary = _train_attack_model(config.adversary_mode, seed, train, attack)
+    except FairleakError as exc:
+        adversary = exc
+    return _Seed(parts, repairs, floors, adversary)
+
+
+def _run_cell(config: ExperimentConfig, seed: int, epsilon: float, state: _Seed) -> ReportRow:
+    train, test, attack = state.parts
+    metric = config.metric
+
+    # fair training only ever enforces the upper bound; the lower bound
+    # is adversary-side knowledge used by the correction alone
+    yh_train, yh_test, yh_attack = [
+        repair.repair(max(epsilon, floor))
+        for repair, floor in zip(state.repairs, state.floors)
+    ]
 
     target_stats = dict(
         target_train_accuracy=_r6(float(np.mean(yh_train == train.labels))),
@@ -225,51 +338,25 @@ def _run_cell(
 
     # exact-zero parity is generically unattainable on integer counts, so the
     # pipeline floors the corrected tolerance at one-count resolution
-    train_floor = _min_group_floor(train.sensitive)
     corr_spec = FairnessSpec(
         spec_used.metric,
-        max(spec_used.epsilon, train_floor),
+        max(spec_used.epsilon, state.floors[0]),
         spec_used.epsilon_lower,
     )
 
-    if config.adversary_mode == MODE_EXTERNAL:
-        guess, raw_scores = config.external_guess.for_ids(train.ids)
-        processed = shape_confidences(raw_scores, 1.0)
+    adversary = state.adversary
+    if isinstance(adversary, FairleakError):
+        raise adversary
+    if isinstance(adversary, tuple):
+        guess, processed = adversary
         chosen_k = 1.0
     else:
-        feats_attack = _attack_features(attack, attack_disc)
-        attack_set = AttackSet(
-            features=feats_attack,
-            labels=attack.labels,
-            sensitive=attack.sensitive,
-            target_predictions=yh_attack,
-            cardinality=attack.sensitive_cardinality,
-        )
-        rng = np.random.default_rng([seed, 11])
-        perm = rng.permutation(attack.n)
-        n_fit = int(round(attack.n * 0.8))
-        fit_idx = np.sort(perm[:n_fit])
-        val_idx = np.sort(perm[n_fit:])
-        model = train_baseline(attack_set.subset(fit_idx), config.adversary_mode)
-
-        feats_train = _attack_features(train, attack_disc)
-        baseline: BaselineGuess = predict_guess(
-            model,
-            feats_train,
-            train.labels,
-            yh_train if config.adversary_mode == MODE_A_PRIME else None,
-        )
+        baseline, val_guess = adversary.guesses(yh_train, yh_attack)
         guess = baseline.guess
-        val_guess = predict_guess(
-            model,
-            {k: v[val_idx] for k, v in feats_attack.items()},
-            attack.labels[val_idx],
-            yh_attack[val_idx] if config.adversary_mode == MODE_A_PRIME else None,
-        )
-        val_floor = _min_group_floor(attack.sensitive[val_idx])
+        val_idx = adversary.val_idx
         val_spec = FairnessSpec(
             spec_used.metric,
-            max(spec_used.epsilon, val_floor),
+            max(spec_used.epsilon, adversary.val_floor),
             spec_used.epsilon_lower,
         )
         val_instance = AttackInstance(
@@ -358,25 +445,10 @@ def run_experiment(config: ExperimentConfig, table: DatasetTable) -> ExperimentR
         raise UnsupportedCardinality("external guess values must be 0 or 1")
     rows: list[ReportRow] = []
     for seed in config.seeds:
-        parts = split_dataset(table, config.split_fractions, seed)
-        train, test, attack = parts
-        predictor = fit_label_predictor(train)
-        raw_predictions = {
-            "train": predictor.raw_predictions(train),
-            "test": predictor.raw_predictions(test),
-            "attack": predictor.raw_predictions(attack),
-        }
-        numeric = {
-            name: col.values
-            for name, col in attack.features.items()
-            if col.kind != CATEGORICAL
-        }
-        attack_disc = Discretizer().fit(numeric)
+        state = _prepare_seed(config, table, seed)
         for epsilon in config.epsilon_grid:
             try:
-                rows.append(
-                    _run_cell(config, seed, epsilon, parts, raw_predictions, attack_disc)
-                )
+                rows.append(_run_cell(config, seed, epsilon, state))
             except FairleakError as exc:
                 rows.append(
                     ReportRow(

@@ -8,6 +8,11 @@ of prediction flips inside each sensitive group, and the per-group flip
 costs are prefix sums of sorted margins.  Its window function gives, for a
 block of group-1 flip counts at once, the interval of feasible group-0 flip
 counts, each end an exact integer floor.
+
+``RepairState`` holds what does not depend on the tolerance: a table's
+metric slices, group tallies and sorted margin prefix sums.  A sweep builds
+it once per table and runs only the search and the flips per tolerance;
+``repair_predictions`` is the one-shot form.
 """
 
 from __future__ import annotations
@@ -84,31 +89,44 @@ class _RepairSlice:
     objective: float
 
 
-def _repair_slice(
-    yhat: np.ndarray,
-    margins: np.ndarray,
-    sensitive: np.ndarray,
-    idx: np.ndarray,
-    epsilon: Fraction,
-    lower: Fraction | None,
-) -> _RepairSlice:
-    sub_y = yhat[idx]
-    sub_s = sensitive[idx]
-    n = idx.size
-    n1 = int(np.count_nonzero(sub_s == 1))
+@dataclass(frozen=True, eq=False)
+class _SliceState:
+    """One metric slice's tolerance-free repair inputs: its predictions,
+    margins and groups, and each (group, prediction) cell's margins sorted
+    into flip-cost prefix sums."""
+
+    yhat: np.ndarray
+    margins: np.ndarray
+    sensitive: np.ndarray
+    col: _SideCosts  # group 1: flips up (pos) or down (neg)
+    row: _SideCosts  # group 0
+    orders: tuple[tuple[np.ndarray, np.ndarray], ...]  # (up, down) per group, 1 then 0
+
+    @classmethod
+    def build(
+        cls, yhat: np.ndarray, margins: np.ndarray, sensitive: np.ndarray
+    ) -> "_SliceState":
+        sides, orders = [], []
+        for g in (1, 0):
+            up, up_order = _sorted_group(margins, (sensitive == g) & (yhat == 0))
+            down, down_order = _sorted_group(margins, (sensitive == g) & (yhat == 1))
+            sides.append(_SideCosts(pos=up, neg=down))
+            orders.append((up_order, down_order))
+        return cls(yhat, margins, sensitive, sides[0], sides[1], tuple(orders))
+
+
+def _repair_slice(part: _SliceState, epsilon: Fraction, lower: Fraction | None) -> _RepairSlice:
+    col, row = part.col, part.row
+    # group 1's members are its up (negative) and down (positive) flips
+    n = part.yhat.size
+    n1 = col.pos.size + col.neg.size - 2
     n0 = n - n1
     if n1 == 0 or n0 == 0:
         # a single group carries the whole slice, so its rate is the overall
         # rate and the constraint already holds
-        return _RepairSlice(sub_y.copy(), np.zeros(0, dtype=np.int64), 0.0)
-    pos1 = int(np.count_nonzero(sub_y[sub_s == 1]))
-    pos0 = int(np.count_nonzero(sub_y[sub_s == 0]))
+        return _RepairSlice(part.yhat.copy(), np.zeros(0, dtype=np.int64), 0.0)
+    pos1, pos0 = col.neg.size - 1, row.neg.size - 1
     tot = pos1 + pos0
-    sub_m = margins[idx]
-    up1, up1_order = _sorted_group(sub_m, (sub_s == 1) & (sub_y == 0))
-    down1, down1_order = _sorted_group(sub_m, (sub_s == 1) & (sub_y == 1))
-    up0, up0_order = _sorted_group(sub_m, (sub_s == 0) & (sub_y == 0))
-    down0, down0_order = _sorted_group(sub_m, (sub_s == 0) & (sub_y == 1))
 
     def window(u: np.ndarray, num: int, den: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
         """Net group-0 flips v keeping both gaps within num/den of the
@@ -132,20 +150,58 @@ def _repair_slice(
         high = np.minimum(most(r1 - c1, -k1), most(r0 + c0, k0))
         return np.maximum(low, lo), np.minimum(high, hi)
 
-    col = _SideCosts(pos=up1, neg=down1)
-    row = _SideCosts(pos=up0, neg=down0)
     state, _ = search_net_moves(col, row, window, epsilon, lower)
     if state is None:
         raise Infeasible("no prediction repair satisfies the constraint")
-    k1, k0 = state
-    repaired = sub_y.copy()
+    repaired = part.yhat.copy()
     flips = []
-    for k, order_up, order_down in ((k1, up1_order, down1_order), (k0, up0_order, down0_order)):
+    for k, (order_up, order_down) in zip(state, part.orders):
         sel = order_up[:k] if k > 0 else order_down[:-k]
         repaired[sel] = int(k > 0)
         flips.append(sel)
     flipped = np.sort(np.concatenate(flips))
-    return _RepairSlice(repaired, flipped, float(sub_m[flipped].sum()))
+    return _RepairSlice(repaired, flipped, float(part.margins[flipped].sum()))
+
+
+class RepairState:
+    """A table's tolerance-free repair inputs for one metric: its slices,
+    group tallies and sorted margin prefix sums.  Build it once and call
+    :meth:`repair` for each tolerance."""
+
+    def __init__(
+        self,
+        yhat: np.ndarray,
+        margins: np.ndarray,
+        sensitive: np.ndarray,
+        labels: np.ndarray,
+        metric: FairnessMetric,
+    ) -> None:
+        self.yhat = np.asarray(yhat)
+        self.metric = FairnessMetric(metric)
+        self.slices = [idx for idx in slice_for_metric(self.metric, labels) if idx.size]
+        self.parts = [
+            _SliceState.build(self.yhat[idx], margins[idx], sensitive[idx])
+            for idx in self.slices
+        ]
+
+    def repair(self, epsilon: float, epsilon_lower: float | None = None) -> np.ndarray:
+        """Minimally flip predictions so that the metric holds within
+        ``epsilon`` (and, when set, reaches ``epsilon_lower``), groups fixed."""
+        upper = Fraction(epsilon)
+        lower = Fraction(epsilon_lower) if epsilon_lower else None
+        parts = self.parts
+        if self.metric is FairnessMetric.EODDS and lower is not None and len(parts) == 2:
+            solved = carry_lower_bound(
+                lambda i, bound: _repair_slice(parts[i], upper, bound),
+                lambda i, sol: unfairness_exact(FairnessMetric.SP, parts[i].sensitive, sol.yhat),
+                lower,
+            )
+        else:
+            solved = [_repair_slice(part, upper, lower) for part in parts]
+        repaired = np.array(self.yhat)
+        for idx, sol in zip(self.slices, solved):
+            repaired[idx] = sol.yhat
+        return repaired
 
 
 def repair_predictions(
@@ -156,36 +212,12 @@ def repair_predictions(
     spec: FairnessSpec,
 ) -> np.ndarray:
     """Minimally flip predictions so that ``spec`` holds, groups held fixed."""
-    metric = FairnessMetric(spec.metric)
-    epsilon = Fraction(spec.epsilon)
-    lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
-    slices = [idx for idx in slice_for_metric(metric, labels) if idx.size]
-    repaired = np.array(yhat)
-    if metric is FairnessMetric.EODDS and lower is not None and len(slices) == 2:
-        parts = carry_lower_bound(
-            lambda i, bound: _repair_slice(yhat, margins, sensitive, slices[i], epsilon, bound),
-            lambda i, part: unfairness_exact(FairnessMetric.SP, sensitive[slices[i]], part.yhat),
-            lower,
-        )
-    else:
-        parts = [
-            _repair_slice(yhat, margins, sensitive, idx, epsilon, lower)
-            for idx in slices
-        ]
-    for idx, part in zip(slices, parts):
-        repaired[idx] = part.yhat
-    return repaired
+    state = RepairState(yhat, margins, sensitive, labels, spec.metric)
+    return state.repair(spec.epsilon, spec.epsilon_lower)
 
 
-def make_fair_predictions(
-    train: DatasetTable, spec: FairnessSpec, seed: int = 0
-) -> np.ndarray:
-    """Training-set predictions of the simulated fair target model.
-
-    ``seed`` is accepted for interface stability; the shipped predictor is
-    fully deterministic.
-    """
-    del seed
+def make_fair_predictions(train: DatasetTable, spec: FairnessSpec) -> np.ndarray:
+    """Training-set predictions of the simulated fair target model."""
     if train.n == 0:
         raise ValueError("training table is empty")
     if np.unique(train.sensitive).size < 2:

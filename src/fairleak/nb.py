@@ -28,22 +28,31 @@ class CategoricalNaiveBayes:
         n = next(iter(columns.values())).size if columns else 0
         scores = np.tile(self.log_prior, (n, 1))
         for name in self.feature_names:
-            table = self.log_likelihood[name]
-            codes = np.asarray(columns[name], dtype=np.int64)
-            seen = table.shape[1] - 1
-            codes = np.where((codes < 0) | (codes >= seen), seen, codes)
-            scores += table[:, codes].T
+            scores += self.column_log_likelihood(name, columns[name])
         return scores
 
-    def predict_proba(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        scores = self.predict_log_joint(columns)
-        shift = scores.max(axis=1, keepdims=True)
-        shifted = np.where(np.isfinite(shift), scores - shift, 0.0)
-        weights = np.exp(shifted)
-        return weights / weights.sum(axis=1, keepdims=True)
+    def column_log_likelihood(self, name: str, codes: np.ndarray) -> np.ndarray:
+        """One column's (n, n_classes) term of the log joint.
 
-    def predict(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        return np.argmax(self.predict_log_joint(columns), axis=1)
+        Every column is fitted on its own, so a model fitted on one column
+        adds that column's term onto the log joint of the others.
+        """
+        table = self.log_likelihood[name]
+        codes = np.asarray(codes, dtype=np.int64)
+        seen = table.shape[1] - 1
+        codes = np.where((codes < 0) | (codes >= seen), seen, codes)
+        return table[:, codes].T
+
+    def predict_proba(self, columns: dict[str, np.ndarray]) -> np.ndarray:
+        return posterior(self.predict_log_joint(columns))
+
+
+def posterior(scores: np.ndarray) -> np.ndarray:
+    """Class probabilities from per-row log joints."""
+    shift = scores.max(axis=1, keepdims=True)
+    shifted = np.where(np.isfinite(shift), scores - shift, 0.0)
+    weights = np.exp(shifted)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def fit_naive_bayes(

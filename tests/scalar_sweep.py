@@ -4,9 +4,9 @@ This is the scalar engine the package shipped before the block-wise
 vectorised sweep, kept verbatim as the cross-check reference.  Every window
 is derived independently of the package: the corrector's in terms of the
 group-1 size, the repair's by tightening one linear constraint at a time.
-``solve_sp_form`` and ``repair_slice`` have the signatures of
-``fairleak.corrector._solve_sp_form`` and
-``fairleak.harness.predictor._repair_slice``, so a test can swap them in.
+``solve_sp_form`` has the signature of ``fairleak.corrector._solve_sp_form``
+and ``repair_slice_state`` that of ``fairleak.harness.predictor._repair_slice``
+(``repair_slice`` on one prepared slice), so a test can swap them in.
 """
 
 from __future__ import annotations
@@ -269,3 +269,10 @@ def repair_slice(
     flipped = np.sort(np.concatenate(flips)) if flips else np.zeros(0, dtype=np.int64)
     cost = float(margins[idx][flipped].sum()) if flipped.size else 0.0
     return _RepairSlice(repaired, flipped, cost)
+
+
+def repair_slice_state(part, epsilon: Fraction, lower: Fraction | None) -> _RepairSlice:
+    """``repair_slice`` on a slice the package prepared: only its raw
+    predictions, margins and groups are read, never its sorted costs."""
+    local = np.arange(part.yhat.size)
+    return repair_slice(part.yhat, part.margins, part.sensitive, local, epsilon, lower)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, satisfies
+from fairleak.adversary import MIN_CONFIDENCE
 from fairleak.corrector import (
     GroupTallies,
+    _sorted_group,
     MoveCounts,
     apply_moves,
     build_cost_arrays,
@@ -28,6 +30,49 @@ SP, PE, EO, EODDS = (
     FairnessMetric.EO,
     FairnessMetric.EODDS,
 )
+
+
+class TestSortedGroup:
+    """The default argsort plus the tie-run fix must give the stable order."""
+
+    @staticmethod
+    def _stable(conf, mask):
+        idx = np.flatnonzero(mask)
+        order = idx[np.argsort(conf[idx], kind="stable")]
+        return np.concatenate(([0.0], np.cumsum(conf[order]))), order
+
+    def _check(self, conf, mask):
+        totals, order = _sorted_group(conf, mask)
+        want_totals, want_order = self._stable(conf, mask)
+        assert order.tolist() == want_order.tolist()
+        assert totals.tobytes() == want_totals.tobytes()
+
+    def test_matches_the_stable_argsort(self, rng):
+        for trial in range(600):
+            n = int(rng.choice([2, 7, 50, 400, 5000]))
+            style = trial % 4
+            if style == 0:
+                conf = rng.random(n)
+            elif style == 1:
+                conf = np.round(rng.random(n), 2)
+            elif style == 2:
+                conf = rng.choice([0.0, -0.0, MIN_CONFIDENCE, 0.25, 1.0], n)
+            else:
+                # shaped scores: a high power clamps many entries to the floor
+                conf = np.maximum(rng.random(n) ** 40, MIN_CONFIDENCE)
+            self._check(conf, rng.random(n) < rng.uniform(0.2, 1.0))
+
+    def test_signed_zeros_tie_in_index_order(self):
+        conf = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.0, -0.0])
+        self._check(conf, np.ones(conf.size, dtype=bool))
+        _, order = _sorted_group(conf, np.ones(conf.size, dtype=bool))
+        assert order.tolist() == [0, 1, 3, 4, 5, 6, 2]
+
+    def test_empty_and_single(self):
+        for conf in (np.zeros(0), np.array([0.3])):
+            self._check(conf, np.ones(conf.size, dtype=bool))
+        self._check(np.array([0.3, 0.3]), np.array([False, False]))
+        self._check(np.array([0.3, 0.3]), np.array([False, True]))
 
 
 class TestTallyGroups:

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from fairleak.adversary import (
+    MODE_A,
+    MODE_A_PRIME,
+    AttackSet,
+    Discretizer,
+    predict_guess,
+    train_baseline,
+)
 from fairleak.core import (
     AttackInstance,
     FairnessMetric,
@@ -13,6 +21,7 @@ from fairleak.errors import (
     BadFractions,
     BadParameters,
     DuplicateId,
+    Infeasible,
     ParseError,
     SchemaError,
     UnsupportedCardinality,
@@ -33,6 +42,10 @@ from fairleak.harness import (
     synth_generate,
     write_dataset_csv,
 )
+from fairleak.harness import CATEGORICAL, predictor
+from fairleak.harness.experiment import _attack_features, _train_attack_model
+from fairleak.harness.predictor import RepairState, repair_predictions
+from fairleak.nb import fit_naive_bayes
 
 SP = FairnessMetric.SP
 
@@ -211,6 +224,130 @@ class TestMakeFairPredictions:
         assert fair.tolist() != raw.tolist()
 
 
+class TestRepairState:
+    """One state, built once per table, serves every tolerance."""
+
+    # (eps, lower): a lower bound at or near eps is generically missed by the
+    # upper-only repair, so the EOdds carrier re-solves a slice with it
+    TOLERANCES = (
+        (0.3, 0.25),
+        (0.0, None),
+        (0.001, 0.001),
+        (0.01, 0.0099),
+        (0.05, 0.025),
+        (0.2, 0.19),
+        (0.01, None),
+    )
+
+    def _raw(self, seed, beta=1.0):
+        table = synth_generate(3000, seed=seed, rho=0.8, beta=beta)
+        yhat, margins = fit_label_predictor(table).raw_predictions(table)
+        return table, yhat, margins
+
+    @staticmethod
+    def _outcome(repair, spec):
+        try:
+            return repair(spec)
+        except Infeasible:
+            return None
+
+    @pytest.mark.parametrize("metric", list(FairnessMetric))
+    @pytest.mark.parametrize("with_lower", [False, True])
+    def test_reuse_matches_one_shot_repair(self, monkeypatch, metric, with_lower):
+        carried = []
+        original = predictor._repair_slice
+
+        def spy(part, epsilon, lower):
+            solved = original(part, epsilon, lower)
+            carried.append(lower is not None)
+            return solved
+
+        monkeypatch.setattr(predictor, "_repair_slice", spy)
+        for seed, beta in ((1, 1.0), (2, 1.0), (3, 0.1)):
+            table, yhat, margins = self._raw(seed, beta)
+            state = RepairState(yhat, margins, table.sensitive, table.labels, metric)
+            for eps, lower in self.TOLERANCES:
+                spec = FairnessSpec(metric, eps, lower if with_lower else None)
+                reused = self._outcome(
+                    lambda s: state.repair(s.epsilon, s.epsilon_lower), spec
+                )
+                one_shot = self._outcome(
+                    lambda s: repair_predictions(
+                        yhat, margins, table.sensitive, table.labels, s
+                    ),
+                    spec,
+                )
+                assert (reused is None) == (one_shot is None)
+                if reused is not None:
+                    assert np.array_equal(reused, one_shot)
+        if with_lower and metric is FairnessMetric.EODDS:
+            # the carrier solved a slice with the lower bound attached
+            assert any(carried)
+
+
+class TestHoistedAttackModel:
+    """A seed's attack model, trained once, gives each cell the guesses the
+    per-cell model of that cell gives."""
+
+    @pytest.mark.parametrize("mode", [MODE_A, MODE_A_PRIME])
+    def test_matches_a_model_trained_per_cell(self, rng, mode):
+        table = synth_generate(3000, seed=4)
+        train, _, attack = split_dataset(table, (1 / 3, 1 / 3, 1 / 3), 4)
+        hoisted = _train_attack_model(mode, 4, train, attack)
+        disc = Discretizer().fit(
+            {
+                name: col.values
+                for name, col in attack.features.items()
+                if col.kind != CATEGORICAL
+            }
+        )
+        feats_attack = _attack_features(attack, disc)
+        feats_train = _attack_features(train, disc)
+        val = hoisted.val_idx
+        for _ in range(4):
+            yh_train = rng.integers(0, 2, train.n)
+            yh_attack = rng.integers(0, 2, attack.n)
+            full = AttackSet(
+                features=feats_attack,
+                labels=attack.labels,
+                sensitive=attack.sensitive,
+                target_predictions=yh_attack,
+            )
+            model = train_baseline(full.subset(hoisted.fit_idx), mode)
+            aprime = mode == MODE_A_PRIME
+            want = (
+                predict_guess(model, feats_train, train.labels, yh_train if aprime else None),
+                predict_guess(
+                    model,
+                    {k: v[val] for k, v in feats_attack.items()},
+                    attack.labels[val],
+                    yh_attack[val] if aprime else None,
+                ),
+            )
+            got = hoisted.guesses(yh_train, yh_attack)
+            for mine, ref in zip(got, want):
+                assert np.array_equal(mine.guess, ref.guess)
+                assert np.array_equal(mine.raw_scores, ref.raw_scores)
+            if aprime:
+                # one naive Bayes fitted on every column at once, the
+                # prediction column last, gives the same probabilities
+                fit = full.subset(hoisted.fit_idx)
+                joint = fit_naive_bayes(
+                    {**fit.features, "y": fit.labels, "yhat": fit.target_predictions},
+                    fit.sensitive,
+                    n_classes=2,
+                    alpha=1.0,
+                    class_prior="uniform",
+                )
+                proba = joint.predict_proba(
+                    {**feats_train, "y": train.labels, "yhat": yh_train}
+                )
+                assert np.array_equal(got[0].guess, proba.argmax(axis=1))
+                assert np.array_equal(
+                    got[0].raw_scores, proba[np.arange(train.n), got[0].guess]
+                )
+
+
 class TestRunExperiment:
     def test_epsilon_one_is_noop_correction(self):
         table = synth_generate(600, seed=0)
@@ -256,6 +393,34 @@ class TestRunExperiment:
         report = run_experiment(config, table)
         assert len(report.rows) == 2
         assert all(row.status == "SchemaError" for row in report.rows)
+
+    def test_failing_seed_stage_fails_every_cell(self, monkeypatch):
+        table = synth_generate(300, seed=2)
+        one_group = DatasetTable(
+            ids=table.ids,
+            features=table.features,
+            sensitive=np.zeros(table.n, dtype=np.int64),
+            labels=table.labels,
+            sensitive_cardinality=2,
+        )
+        for mode in (MODE_A, MODE_A_PRIME):
+            config = ExperimentConfig(epsilon_grid=(0.0, 0.1), seeds=(0, 1), adversary_mode=mode)
+            report = run_experiment(config, one_group)
+            assert len(report.rows) == 4
+            assert all(row.status == "DegenerateClasses" for row in report.rows)
+
+        # a cell whose repair fails records that failure, not the seed's
+        original = RepairState.repair
+
+        def repair(self, epsilon, epsilon_lower=None):
+            if epsilon == 0.1:
+                raise Infeasible("forced")
+            return original(self, epsilon, epsilon_lower)
+
+        monkeypatch.setattr(RepairState, "repair", repair)
+        config = ExperimentConfig(epsilon_grid=(0.0, 0.1), seeds=(0, 1))
+        statuses = [row.status for row in run_experiment(config, one_group).rows]
+        assert statuses == ["DegenerateClasses", "Infeasible"] * 2
 
     def test_multivalued_dataset_rejected_before_the_sweep(self):
         table = synth_generate(300, seed=2)

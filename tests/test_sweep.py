@@ -64,7 +64,7 @@ def _assert_same_correction(monkeypatch, inst, spec):
 def _assert_same_repair(monkeypatch, yhat, margins, sensitive, labels, spec):
     ours = _outcome(repair_predictions, yhat, margins, sensitive, labels, spec)
     with monkeypatch.context() as patch:
-        patch.setattr(predictor, "_repair_slice", scalar_sweep.repair_slice)
+        patch.setattr(predictor, "_repair_slice", scalar_sweep.repair_slice_state)
         ref = _outcome(repair_predictions, yhat, margins, sensitive, labels, spec)
     assert (ours is None) == (ref is None)
     if ours is not None:
