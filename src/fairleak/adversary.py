@@ -4,6 +4,10 @@ The attack model is a class-balanced categorical naive Bayes over the
 discretized features plus the labels (plus the target model's predictions in
 prediction-aware mode).  Externally produced guesses enter through the
 harness CSV interface, so any stronger attack model can be plugged in.
+
+Confidence shaping raises normalised scores to a power k, chosen as the
+exponent whose correction of a validation guess is most accurate.  All the
+grid's exponents are solved in one ``corrector.correct_each`` batch.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from .core import (
     as_sensitive_array,
     reconstruction_accuracy,
 )
-from .corrector import correct
+from .corrector import correct  # noqa: F401  (perfbench traces this name)
+from .corrector import correct_each
 from .errors import (
     DegenerateClasses,
     EmptyAttackSet,
@@ -258,33 +263,21 @@ def process_confidences(
     """Pick the exponent that corrects the validation instance best.
 
     The validation instance carries raw scores in its confidence slot and
-    must carry the true sensitive values.  Ties prefer the smallest k.
+    must carry the true sensitive values.  Every exponent's correction is
+    solved in one :func:`correct_each` batch.  Ties prefer the smallest k.
     """
     if validation.truth is None:
         raise ValueError("validation instance needs truth for scoring")
     if not k_grid:
         raise ValueError("k grid must be nonempty")
-    best_k = None
-    best_acc = -1.0
-    for k in k_grid:
-        shaped = shape_confidences(validation.confidence, k)
-        candidate = AttackInstance(
-            predictions=validation.predictions,
-            labels=validation.labels,
-            guess=validation.guess,
-            confidence=shaped,
-            truth=validation.truth,
-            cardinality=validation.cardinality,
-        )
-        try:
-            result = correct(candidate, spec)
-        except Infeasible:
-            continue
-        acc = reconstruction_accuracy(result.corrected, validation.truth)
-        if acc > best_acc:
-            best_acc = acc
-            best_k = k
-    if best_k is None:
-        # correction infeasible for every k (feasibility never depends on k)
+    shaped = [shape_confidences(validation.confidence, k) for k in k_grid]
+    try:
+        results = correct_each(validation, spec, shaped)
+    except Infeasible:
+        # correction is infeasible for every k (feasibility never depends on k)
         best_k = min(k_grid)
+    else:
+        scores = [reconstruction_accuracy(r.corrected, validation.truth) for r in results]
+        best = max(scores)
+        best_k = min(k for k, score in zip(k_grid, scores) if score == best)
     return shape_confidences(raw_scores, best_k), float(best_k)

@@ -13,6 +13,12 @@ error.  The sweep stops once a block's cheapest column costs more than the
 best cell found, which proves optimality.  The prediction repair of the
 simulated fair target rides the same sweep.
 
+``correct_each`` solves one instance under several confidence vectors, as
+the adversary's choice of confidence exponent does; ``correct`` is its
+one-vector case.  Per slice, the groups and every vector's sorted costs are
+built in one batch, and the window pieces of the columns scanned for one
+vector are kept for the next, since windows never depend on the costs.
+
 ``solve_general_bruteforce`` enumerates every assignment on the active slice
 and is the correctness oracle as well as the only multi-valued solver.
 """
@@ -142,27 +148,49 @@ def tally_groups(guess: Sequence[int], yhat: Sequence[int]) -> GroupTallies:
     )
 
 
-def _sorted_group(conf: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of the masked confidences in ascending order, and that
-    order as indices, ties broken by ascending index.
+def _sorted_groups(confs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``confs``: prefix sums of the masked entries in
+    ascending order, and that order as indices, ties broken by ascending
+    index.
 
-    The default (unstable, vectorised) argsort leaves each run of equal
-    values contiguous; one int64 sort of run * m + position over the tied
-    entries then puts every run in index order, which is the stable order.
+    The first row is sorted by the default (unstable, vectorised) argsort.
+    The other rows are sorted by one stable argsort taken in the first row's
+    order: timsort finds the sorted runs, so it takes near-linear time when
+    the rows order alike, as powers x**k of one row do.  Either sort leaves
+    each run of equal values contiguous.  With the rows laid end to end, m
+    positions in all, one int64 sort of run * m + position over the tied
+    entries puts every run in index order, which is the stable order.  A run
+    that crosses from one row into the next stays apart, because positions
+    order the rows first.
     """
     idx = np.flatnonzero(mask)
-    values = conf[idx]
-    order = np.argsort(values)
-    ranked = values[order]
+    rows, size = confs.shape[0], idx.size
+    # take() is numpy's fast gather; 2-D fancy indexing is several times slower
+    values = confs.take(idx, axis=1)
+    # positions in values.ravel(): row r's entry i sits at r * size + i
+    flat = np.argsort(values[0])
+    if rows > 1:
+        rest = flat.take(np.argsort(values[1:].take(flat, axis=1), axis=1, kind="stable"))
+        flat = np.concatenate((flat, (rest + np.arange(1, rows)[:, None] * size).ravel()))
+    ranked = values.take(flat)
     same = ranked[1:] == ranked[:-1]
     if same.any():
         tied = np.zeros(ranked.size, dtype=bool)
         tied[1:] = same
         tied[:-1] |= same
         run = np.cumsum(~np.concatenate(([False], same)))
-        order[tied] = np.sort(run[tied] * ranked.size + order[tied]) % ranked.size
-        ranked = values[order]
-    return np.concatenate(([0.0], np.cumsum(ranked))), idx[order]
+        flat[tied] = np.sort(run[tied] * ranked.size + flat[tied]) % ranked.size
+        ranked = values.take(flat)
+    totals = np.zeros((rows, size + 1))
+    np.cumsum(ranked.reshape(rows, size), axis=1, out=totals[:, 1:])
+    # "wrap" takes each position modulo size, back to its row's entry
+    return totals, idx.take(flat, mode="wrap").reshape(rows, size)
+
+
+def _sorted_group(conf: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sorted_groups` of one vector."""
+    totals, order = _sorted_groups(conf[None], mask)
+    return totals[0], order[0]
 
 
 def build_cost_arrays(
@@ -253,12 +281,26 @@ class _SideCosts:
 WindowFn = Callable[[np.ndarray, int, int, bool], tuple[np.ndarray, np.ndarray]]
 
 
+class _WindowMemo:
+    """Window pieces of the columns scanned so far, kept for later searches
+    of the same lattice: same window, row sizes and bounds, other costs.
+
+    ``pos`` holds columns u = 0, 1, ... and ``neg`` columns u = 0, -1, ...,
+    one column each, with the lower ends of the pieces in the first half of
+    the rows and the upper ends in the second."""
+
+    def __init__(self) -> None:
+        self.pos: np.ndarray | None = None
+        self.neg: np.ndarray | None = None
+
+
 def search_net_moves(
     col: _SideCosts,
     row: _SideCosts,
     window: WindowFn,
     epsilon: Fraction,
     lower: Fraction | None,
+    memo: _WindowMemo | None = None,
 ) -> tuple[tuple[int, int] | None, int]:
     """Cheapest (column, row) cell whose gaps are within ``epsilon`` and, when
     ``lower`` is positive, not all strictly below it; with the number of
@@ -273,24 +315,47 @@ def search_net_moves(
     invariant under positive rescaling of all costs.  The count is that of
     the columns no dearer than the best cell, which a one-column-at-a-time
     best-first scan visits.
+
+    Every block is a range of columns on each side of zero, so ``memo`` can
+    keep the pieces of all columns scanned and hand them to the next search
+    of the lattice.  Without it only one block's pieces are held at a time.
     """
     en, ed = epsilon.numerator, epsilon.denominator
     carve = lower is not None and lower > 0
 
-    def pieces(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pieces(u: np.ndarray) -> np.ndarray:
         lo, hi = window(u, en, ed, False)
         lo = np.maximum(lo, row.lo)
         hi = np.minimum(hi, row.hi)
-        if not carve:
-            return lo, hi
-        # the lower bound carves out the rows where every gap is below it
-        ilo, ihi = window(u, lower.numerator, lower.denominator, True)
-        hollow = ilo <= ihi
-        below = np.where(hollow, np.minimum(hi, ilo - 1), hi)
-        above = np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)
-        return np.concatenate((lo, above)), np.concatenate((below, hi))
+        if carve:
+            # the lower bound carves out the rows where every gap is below it
+            ilo, ihi = window(u, lower.numerator, lower.denominator, True)
+            hollow = ilo <= ihi
+            below = np.where(hollow, np.minimum(hi, ilo - 1), hi)
+            above = np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)
+            lo, hi = np.concatenate((lo, above)), np.concatenate((below, hi))
+        return np.concatenate((lo, hi)).reshape(-1, u.size)
 
-    lo, hi = pieces(np.zeros(1, dtype=np.int64))
+    def block(i: int, i_next: int, j: int, j_next: int) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper ends of the pieces of columns [i, i_next) and
+        -[j, j_next), one piece after another."""
+        if memo is None:
+            ends = pieces(np.concatenate((np.arange(i, i_next), -np.arange(j, j_next))))
+        else:
+            if memo.pos is None:
+                # column 0 starts both sides
+                memo.pos = memo.neg = pieces(np.zeros(1, dtype=np.int64))
+            more_pos = np.arange(memo.pos.shape[1], i_next)
+            more_neg = np.arange(memo.neg.shape[1], j_next)
+            if more_pos.size or more_neg.size:
+                new = pieces(np.concatenate((more_pos, -more_neg)))
+                memo.pos = np.concatenate((memo.pos, new[:, : more_pos.size]), axis=1)
+                memo.neg = np.concatenate((memo.neg, new[:, more_pos.size :]), axis=1)
+            ends = np.concatenate((memo.pos[:, i:i_next], memo.neg[:, j:j_next]), axis=1)
+        half = ends.shape[0] // 2
+        return ends[:half].ravel(), ends[half:].ravel()
+
+    lo, hi = block(0, 1, 0, 0)
     if np.any((lo <= 0) & (0 <= hi)):
         return (0, 0), 0
 
@@ -307,9 +372,9 @@ def search_net_moves(
         j_next = int(np.searchsorted(neg, cut, side="right"))
         u = np.concatenate((np.arange(i, i_next), -np.arange(j, j_next)))
         cu = np.concatenate((pos[i:i_next], neg[j:j_next]))
+        lo, hi = block(i, i_next, j, j_next)
         i, j, size = i_next, j_next, min(2 * size, _MAX_BLOCK)
 
-        lo, hi = pieces(u)
         ok = np.flatnonzero(lo <= hi)
         if not ok.size:
             continue
@@ -359,6 +424,7 @@ def _solve_sp_form(
     n: int,
     epsilon: Fraction,
     lower: Fraction | None,
+    memo: _WindowMemo | None = None,
 ) -> tuple[MoveCounts, int]:
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
@@ -401,7 +467,7 @@ def _solve_sp_form(
 
     col = _SideCosts(pos=costs.t0_pos, neg=costs.t1_pos)
     row = _SideCosts(pos=costs.t0_neg, neg=costs.t1_neg)
-    state, columns = search_net_moves(col, row, window, epsilon, lower)
+    state, columns = search_net_moves(col, row, window, epsilon, lower, memo)
     if state is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
     u, v = state
@@ -473,30 +539,51 @@ class _SliceSolution:
     columns: int
 
 
-def _solve_slice(
-    guess: np.ndarray,
-    yhat: np.ndarray,
-    conf: np.ndarray,
-    idx: np.ndarray,
-    epsilon: Fraction,
-    lower: Fraction | None,
-) -> _SliceSolution:
-    sub_g = guess[idx]
-    # each group is sorted once, here; the flips below reuse its order
-    costs = build_cost_arrays(sub_g, yhat[idx], conf[idx])
-    tallies = GroupTallies(
-        costs.order_1_pos.size,
-        costs.order_0_pos.size,
-        costs.order_1_neg.size,
-        costs.order_0_neg.size,
-    )
-    moves, columns = _solve_sp_form(
-        tallies, costs, tallies.total_positive, tallies.n, epsilon, lower
-    )
-    corrected_slice, changed_local = _flip_cheapest(sub_g, costs, moves)
-    return _SliceSolution(
-        moves, corrected_slice, idx[changed_local], move_cost(costs, moves), columns
-    )
+class _Slice:
+    """One metric slice of a correction under several confidence vectors.
+
+    The guess groups, their tallies and every vector's sorted costs are built
+    once.  When ``keep_windows`` is set, the window pieces of scanned columns
+    are kept from one vector's search to the next, one memo per lower bound;
+    a single vector keeps none, so a large solve holds one block's pieces at
+    a time.
+    """
+
+    def __init__(
+        self,
+        guess: np.ndarray,
+        yhat: np.ndarray,
+        confs: np.ndarray,
+        idx: np.ndarray,
+        epsilon: Fraction,
+        keep_windows: bool,
+    ) -> None:
+        self.idx = idx
+        self.guess = guess.take(idx)
+        self.yhat = yhat.take(idx)
+        gb = self.guess.astype(bool)
+        yb = self.yhat.astype(bool)
+        sub = confs.take(idx, axis=1)
+        groups = [_sorted_groups(sub, m) for m in (gb & yb, ~gb & yb, gb & ~yb, ~gb & ~yb)]
+        self.tallies = GroupTallies(*(order.shape[1] for _, order in groups))
+        self.costs = [
+            CostArrays(*(totals[v] for totals, _ in groups), *(order[v] for _, order in groups))
+            for v in range(confs.shape[0])
+        ]
+        self.epsilon = epsilon
+        self.memos: dict[Fraction | None, _WindowMemo] | None = {} if keep_windows else None
+
+    def solve(self, vector: int, lower: Fraction | None) -> _SliceSolution:
+        costs = self.costs[vector]
+        memo = None if self.memos is None else self.memos.setdefault(lower, _WindowMemo())
+        t = self.tallies
+        moves, columns = _solve_sp_form(
+            t, costs, t.total_positive, t.n, self.epsilon, lower, memo
+        )
+        corrected_slice, changed_local = _flip_cheapest(self.guess, costs, moves)
+        return _SliceSolution(
+            moves, corrected_slice, self.idx[changed_local], move_cost(costs, moves), columns
+        )
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
@@ -506,48 +593,79 @@ def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
     slice and leave the complement untouched; EOdds corrects both disjoint
     slices.  Empty slices are no-ops.
     """
+    return _correct_rows(instance, spec, instance.confidence[None])[0]
+
+
+def correct_each(
+    instance: AttackInstance, spec: FairnessSpec, confidences: Sequence[Sequence[float]]
+) -> list[CorrectionResult]:
+    """Correct the guess of ``instance`` under each confidence vector in turn.
+
+    Result i is the one :func:`correct` gives for the instance carrying
+    ``confidences[i]``; the instance's own confidences are not read.  Which
+    corrections are feasible never depends on the costs, so an infeasible
+    ``spec`` raises :class:`Infeasible` once, for all vectors.  The slices'
+    groups are built once for all vectors, and each slice keeps its window
+    pieces from one vector to the next.
+    """
+    vectors = [as_confidence_array(conf) for conf in confidences]
+    if any(conf.size != instance.n for conf in vectors):
+        raise LengthMismatch("confidence vector length differs from the instance")
+    return _correct_rows(instance, spec, np.stack(vectors)) if vectors else []
+
+
+def _correct_rows(
+    instance: AttackInstance, spec: FairnessSpec, confs: np.ndarray
+) -> list[CorrectionResult]:
+    """:func:`correct_each` with the vectors validated and stacked as rows."""
     start = time.perf_counter()
     if instance.cardinality != 2:
         raise ValueError("correct() handles binary guesses; use the general model")
     metric = FairnessMetric(spec.metric)
     guess = instance.guess
-    yhat = instance.predictions
-    conf = instance.confidence
     epsilon = Fraction(spec.epsilon)
     lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
-    slices = [idx for idx in slice_for_metric(metric, instance.labels) if idx.size]
+    slices = [
+        _Slice(guess, instance.predictions, confs, idx, epsilon, confs.shape[0] > 1)
+        for idx in slice_for_metric(metric, instance.labels)
+        if idx.size
+    ]
+    carried = metric is FairnessMetric.EODDS and lower is not None and len(slices) == 2
 
-    solutions: list[_SliceSolution | None]
-    if metric is FairnessMetric.EODDS and lower is not None and len(slices) == 2:
-        solutions = carry_lower_bound(
-            lambda i, bound: _solve_slice(guess, yhat, conf, slices[i], epsilon, bound),
-            lambda i, sol: unfairness_exact(
-                FairnessMetric.SP, sol.corrected_slice, yhat[slices[i]]
-            ),
-            lower,
-        )
-    else:
-        # for single-slice metrics the lower bound applies to the slice gap
-        solutions = [_solve_slice(guess, yhat, conf, idx, epsilon, lower) for idx in slices]
+    results = []
+    for vector in range(confs.shape[0]):
+        solutions: list[_SliceSolution]
+        if carried:
+            solutions = carry_lower_bound(
+                lambda i, bound: slices[i].solve(vector, bound),
+                lambda i, sol: unfairness_exact(
+                    FairnessMetric.SP, sol.corrected_slice, slices[i].yhat
+                ),
+                lower,
+            )
+        else:
+            # for single-slice metrics the lower bound applies to the slice gap
+            solutions = [part.solve(vector, lower) for part in slices]
 
-    corrected = np.array(guess)
-    moves = MoveCounts(0, 0, 0, 0)
-    objective = 0.0
-    changed: list[np.ndarray] = []
-    columns = 0
-    for idx, sol in zip(slices, solutions):
-        corrected[idx] = sol.corrected_slice
-        moves = moves + sol.moves
-        objective += sol.objective
-        columns += sol.columns
-        if sol.changed.size:
-            changed.append(sol.changed)
-    changed_indices = tuple(np.sort(np.concatenate(changed)).tolist()) if changed else ()
-    stats = SolverStats(
-        nodes=columns, wall_time=time.perf_counter() - start, proven_optimal=True
-    )
-    corrected.setflags(write=False)
-    return CorrectionResult(corrected, objective, moves, changed_indices, stats)
+        corrected = np.array(guess)
+        moves = MoveCounts(0, 0, 0, 0)
+        objective = 0.0
+        changed: list[np.ndarray] = []
+        columns = 0
+        for part, sol in zip(slices, solutions):
+            corrected[part.idx] = sol.corrected_slice
+            moves = moves + sol.moves
+            objective += sol.objective
+            columns += sol.columns
+            if sol.changed.size:
+                changed.append(sol.changed)
+        changed_indices = tuple(np.sort(np.concatenate(changed)).tolist()) if changed else ()
+        now = time.perf_counter()
+        stats = SolverStats(nodes=columns, wall_time=now - start, proven_optimal=True)
+        start = now
+        corrected.setflags(write=False)
+        results.append(CorrectionResult(corrected, objective, moves, changed_indices, stats))
+    return results
 
 
 def carry_lower_bound(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,6 +127,10 @@ class ExperimentConfig:
             raise BadParameters("epsilon_lower exceeds the smallest grid tolerance")
         if not self.seeds:
             raise BadParameters("need at least one seed")
+        if not self.k_grid:
+            raise BadParameters("k grid must be nonempty")
+        if not all(math.isfinite(k) and k > 0 for k in self.k_grid):
+            raise BadParameters("k grid exponents must be finite and positive")
         if self.adversary_mode not in (MODE_A, MODE_A_PRIME, MODE_EXTERNAL):
             raise BadParameters(f"unknown adversary mode: {self.adversary_mode!r}")
         if self.adversary_mode == MODE_EXTERNAL and self.external_guess is None:

@@ -79,6 +79,15 @@ def read_instance_csv(path: str | Path) -> tuple[np.ndarray, AttackInstance]:
     return ids, instance
 
 
+def _int_cells(values) -> list[str]:
+    # whole columns through tolist(): indexing numpy scalars per cell is slow
+    return list(map(str, np.asarray(values, dtype=np.int64).tolist()))
+
+
+def _float_cells(values) -> list[str]:
+    return [f"{v:.12g}" for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
 def write_correction_csv(
     path: str | Path,
     ids: np.ndarray,
@@ -88,21 +97,19 @@ def write_correction_csv(
     """Write the corrected vector next to the instance columns."""
     path = Path(path)
     header = list(INSTANCE_COLUMNS) + ["s_corrected"]
+    cells = [
+        _int_cells(ids),
+        _int_cells(instance.labels),
+        _int_cells(instance.predictions),
+        _int_cells(instance.guess),
+        _float_cells(instance.confidence),
+        _int_cells(result.corrected),
+    ]
     if instance.truth is not None:
         header.append("s_true")
+        cells.append(_int_cells(instance.truth))
     lines = [",".join(header)]
-    for i in range(instance.n):
-        cells = [
-            str(int(ids[i])),
-            str(int(instance.labels[i])),
-            str(int(instance.predictions[i])),
-            str(int(instance.guess[i])),
-            f"{float(instance.confidence[i]):.12g}",
-            str(int(result.corrected[i])),
-        ]
-        if instance.truth is not None:
-            cells.append(str(int(instance.truth[i])))
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*cells, strict=True)))
     try:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
@@ -127,10 +134,8 @@ def write_guess_csv(path: str | Path, ids: np.ndarray, guess: BaselineGuess) -> 
     """Export a baseline guess in the external-guess format."""
     path = Path(path)
     lines = [",".join(GUESS_COLUMNS)]
-    for i in range(guess.guess.size):
-        lines.append(
-            f"{int(ids[i])},{int(guess.guess[i])},{float(guess.raw_scores[i]):.12g}"
-        )
+    cells = (_int_cells(ids), _int_cells(guess.guess), _float_cells(guess.raw_scores))
+    lines.extend(map(",".join, zip(*cells, strict=True)))
     try:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:

@@ -141,7 +141,9 @@ def solve_sp_form(
     n: int,
     epsilon: Fraction,
     lower: Fraction | None,
+    memo: object = None,
 ) -> tuple[MoveCounts, int]:
+    # ``memo`` carries the package sweep's window pieces; this sweep keeps none
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
     n1 = tallies.n1_pos + tallies.n1_neg

@@ -13,10 +13,17 @@ from fairleak.adversary import (
     shape_confidences,
     train_baseline,
 )
-from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec
+from fairleak.core import (
+    AttackInstance,
+    FairnessMetric,
+    FairnessSpec,
+    reconstruction_accuracy,
+)
+from fairleak.corrector import correct
 from fairleak.errors import (
     DegenerateClasses,
     EmptyAttackSet,
+    Infeasible,
     MissingPredictions,
     SchemaMismatch,
     ScoreOutOfRange,
@@ -173,6 +180,60 @@ class TestConfidenceProcessing:
         processed, k = process_confidences(raw, validation, spec, DEFAULT_K_GRID)
         assert k == 1.0
         assert processed.shape == raw.shape
+
+    @pytest.mark.parametrize("grid", [(4.0, 1.0), (1.0, 4.0)])
+    def test_ties_prefer_the_smallest_k_in_any_grid_order(self, grid):
+        # an already feasible guess: every k leaves it as it is
+        raw = np.array([0.95, 0.6, 0.75, 0.9])
+        guess, truth = [1, 1, 0, 0], [1, 0, 0, 0]
+        validation = AttackInstance([1, 0, 1, 0], [0, 1, 0, 1], guess, raw, truth=truth)
+        processed, k = process_confidences(raw, validation, FairnessSpec("sp", 1.0), grid)
+        assert k == 1.0
+        assert np.array_equal(processed, shape_confidences(raw, 1.0))
+
+    def test_batched_selection_matches_the_per_k_loop(self, rng):
+        def per_k_loop(raw, validation, spec, k_grid):
+            # the selection as one correct() per exponent
+            best_k, best_acc = None, -1.0
+            for k in k_grid:
+                candidate = AttackInstance(
+                    validation.predictions,
+                    validation.labels,
+                    validation.guess,
+                    shape_confidences(validation.confidence, k),
+                    truth=validation.truth,
+                )
+                try:
+                    result = correct(candidate, spec)
+                except Infeasible:
+                    continue
+                acc = reconstruction_accuracy(result.corrected, validation.truth)
+                if acc > best_acc:
+                    best_acc, best_k = acc, k
+            if best_k is None:
+                best_k = min(k_grid)
+            return shape_confidences(raw, best_k), float(best_k)
+
+        chosen = set()
+        for trial in range(120):
+            n = int(rng.choice([3, 20, 200, 2000]))
+            yhat = rng.integers(0, 2, n)
+            truth = rng.integers(0, 2, n)
+            guess = np.where(rng.random(n) < 0.7, truth, yhat)
+            val_raw = 0.5 + rng.integers(0, 30, n) / 60.0
+            validation = AttackInstance(yhat, rng.integers(0, 2, n), guess, val_raw, truth=truth)
+            eps = (0.0, 0.005, 0.02, 0.1)[trial % 4]
+            lower = (None, eps / 2)[(trial // 4) % 2] if eps else None
+            spec = FairnessSpec(list(FairnessMetric)[(trial // 8) % 4], eps, lower)
+            raw = 0.5 + rng.random(30) / 2
+            # the per-k loop takes the first of tied k, the smallest in an ascending grid
+            grid = DEFAULT_K_GRID if trial % 2 else tuple(sorted(rng.uniform(0.5, 40.0, 4)))
+            want = per_k_loop(raw, validation, spec, grid)
+            got = process_confidences(raw, validation, spec, grid)
+            assert got[1] == want[1]
+            assert np.array_equal(got[0], want[0])
+            chosen.add(got[1])
+        assert len(chosen) > 4
 
     def test_needs_truth(self):
         inst = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7])

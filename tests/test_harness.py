@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fairleak.adversary import (
     MODE_A,
     MODE_A_PRIME,
     AttackSet,
+    BaselineGuess,
     Discretizer,
     predict_guess,
     train_baseline,
@@ -40,7 +43,9 @@ from fairleak.harness import (
     run_experiment,
     split_dataset,
     synth_generate,
+    write_correction_csv,
     write_dataset_csv,
+    write_guess_csv,
 )
 from fairleak.harness import CATEGORICAL, predictor
 from fairleak.harness.experiment import _attack_features, _train_attack_model
@@ -492,6 +497,71 @@ class TestRunExperiment:
         guess = ExternalGuess(ids=[0], guess=[1], raw_scores=[0.9])
         with pytest.raises(BadParameters, match="external mode"):
             ExperimentConfig(adversary_mode="aprime", external_guess=guess)
+
+    @pytest.mark.parametrize("k_grid", [(), (0,), (-1,), (math.nan,), (math.inf,), (1.0, 0.0)])
+    def test_k_grid_validation(self, k_grid):
+        # each used to abort the sweep with a bare ValueError, or (nan)
+        # to turn every cell into a NegativeConfidence row
+        with pytest.raises(BadParameters, match="k grid"):
+            ExperimentConfig(k_grid=k_grid)
+
+
+def _per_cell_correction_csv(path, ids, instance, result):
+    """The instance writer as it indexed one numpy scalar per cell."""
+    header = ["id", "y", "yhat", "s_hat", "confidence", "s_corrected"]
+    if instance.truth is not None:
+        header.append("s_true")
+    lines = [",".join(header)]
+    for i in range(instance.n):
+        cells = [
+            str(int(ids[i])),
+            str(int(instance.labels[i])),
+            str(int(instance.predictions[i])),
+            str(int(instance.guess[i])),
+            f"{float(instance.confidence[i]):.12g}",
+            str(int(result.corrected[i])),
+        ]
+        if instance.truth is not None:
+            cells.append(str(int(instance.truth[i])))
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _per_cell_guess_csv(path, ids, guess):
+    lines = ["id,s_hat,confidence_raw"]
+    for i in range(guess.guess.size):
+        lines.append(f"{int(ids[i])},{int(guess.guess[i])},{float(guess.raw_scores[i]):.12g}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestInstanceWriters:
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_correction_csv_matches_the_per_cell_writer(self, tmp_path, rng, with_truth):
+        n = 3000
+        # awkward floats: tiny, huge exponents, exact ties, 1e-12 clamps, zero
+        conf = rng.random(n) ** rng.integers(1, 40, n)
+        conf[:5] = [0.0, 1e-12, 1.0, 1 / 3, 123456.789012345]
+        inst = AttackInstance(
+            rng.integers(0, 2, n),
+            rng.integers(0, 2, n),
+            rng.integers(0, 2, n),
+            conf,
+            truth=rng.integers(0, 3, n) if with_truth else None,
+        )
+        ids = rng.permutation(10 * n)[:n] - n
+        result = correct(inst, FairnessSpec(SP, 0.01))
+        write_correction_csv(tmp_path / "new.csv", ids, inst, result)
+        _per_cell_correction_csv(tmp_path / "old.csv", ids, inst, result)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_guess_csv_matches_the_per_cell_writer(self, tmp_path, rng):
+        n = 3000
+        raw = 0.5 + rng.random(n) ** rng.integers(1, 40, n) / 2
+        guess = BaselineGuess(guess=rng.integers(0, 2, n), raw_scores=raw)
+        ids = rng.permutation(10 * n)[:n]
+        write_guess_csv(tmp_path / "new.csv", ids, guess)
+        _per_cell_guess_csv(tmp_path / "old.csv", ids, guess)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestReports:

@@ -14,9 +14,10 @@ import pytest
 
 import scalar_sweep
 from fairleak import corrector
+from fairleak.adversary import DEFAULT_K_GRID, MIN_CONFIDENCE, shape_confidences
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, satisfies
-from fairleak.corrector import _floor_affine, correct
-from fairleak.errors import Infeasible
+from fairleak.corrector import _floor_affine, correct, correct_each
+from fairleak.errors import Infeasible, LengthMismatch, NegativeConfidence
 from fairleak.harness import predictor
 from fairleak.harness.predictor import repair_predictions
 
@@ -45,6 +46,14 @@ def _instance(rng, n, style):
     return AttackInstance(yhat, rng.integers(0, 2, n), guess, conf)
 
 
+def _assert_same_result(ours, ref):
+    assert ours.objective == ref.objective
+    assert ours.moves == ref.moves
+    assert ours.changed_indices == ref.changed_indices
+    assert ours.stats.nodes == ref.stats.nodes
+    assert np.array_equal(ours.corrected, ref.corrected)
+
+
 def _assert_same_correction(monkeypatch, inst, spec):
     ours = _outcome(correct, inst, spec)
     with monkeypatch.context() as patch:
@@ -53,12 +62,40 @@ def _assert_same_correction(monkeypatch, inst, spec):
     assert (ours is None) == (ref is None)
     if ours is None:
         return False
-    assert ours.objective == ref.objective
-    assert ours.moves == ref.moves
-    assert ours.changed_indices == ref.changed_indices
-    assert ours.stats.nodes == ref.stats.nodes
-    assert np.array_equal(ours.corrected, ref.corrected)
+    _assert_same_result(ours, ref)
     return True
+
+
+def _assert_same_each(monkeypatch, inst, spec, vectors):
+    """``correct_each`` against the scalar sweep's ``correct`` on an
+    instance carrying one vector at a time."""
+    ours = _outcome(correct_each, inst, spec, vectors)
+    with monkeypatch.context() as patch:
+        patch.setattr(corrector, "_solve_sp_form", scalar_sweep.solve_sp_form)
+        refs = [
+            _outcome(correct, AttackInstance(inst.predictions, inst.labels, inst.guess, conf), spec)
+            for conf in vectors
+        ]
+    if ours is None:
+        assert all(ref is None for ref in refs)
+        return False
+    assert len(ours) == len(vectors)
+    for result, ref in zip(ours, refs):
+        assert ref is not None
+        _assert_same_result(result, ref)
+    return True
+
+
+def _vectors(rng, n, style):
+    if style == "orders":
+        # orders unrelated to one another, so no vector's order helps the next
+        base = rng.random(n)
+        return [base, 1.0 - base, rng.permutation(base), rng.random(n), base[::-1].copy()]
+    if style == "ties":
+        return [rng.integers(0, 3, n) / 2.0 for _ in range(4)] + [np.ones(n)]
+    # k-selection's vectors: scores near 0.5 fall to MIN_CONFIDENCE at k = 32
+    raw = 0.5 + rng.integers(0, 40, n) / 80.0
+    return [shape_confidences(raw, k) for k in DEFAULT_K_GRID]
 
 
 def _assert_same_repair(monkeypatch, yhat, margins, sensitive, labels, spec):
@@ -209,6 +246,118 @@ class TestCorrectionCrossCheck:
         ours = correct(inst, spec)
         assert ours.stats.nodes > 0
         assert satisfies(spec, ours.corrected, inst.predictions)
+
+
+class TestCorrectEach:
+    @pytest.mark.parametrize("style", ["orders", "ties", "shaped"])
+    @pytest.mark.parametrize("blocks", [(1, 4), None])
+    def test_random_instances(self, monkeypatch, rng, style, blocks):
+        if blocks:
+            # tiny blocks make the window memo grow over many blocks
+            monkeypatch.setattr(corrector, "_FIRST_BLOCK", blocks[0])
+            monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
+        solved = 0
+        for trial in range(48):
+            n = int(rng.choice([2, 7, 40, 300, 2000]))
+            inst = _instance(rng, n, "uniform")
+            eps = EPSILONS[(trial // 4) % 5]
+            lower = (None, eps / 2, eps)[(trial // 8) % 3] if eps else None
+            spec = FairnessSpec(METRICS[trial % 4], eps, lower)
+            solved += _assert_same_each(monkeypatch, inst, spec, _vectors(rng, n, style))
+        assert solved > 15
+
+    def test_min_confidence_clamp_ties_what_k_one_orders(self, monkeypatch, rng):
+        inst = _instance(rng, 3000, "uniform")
+        vectors = _vectors(rng, 3000, "shaped")
+        clamped = vectors[-1] == MIN_CONFIDENCE
+        assert np.unique(vectors[0][clamped]).size > 1
+        for metric in METRICS:
+            assert _assert_same_each(monkeypatch, inst, FairnessSpec(metric, 0.01), vectors)
+
+    def test_both_eodds_carriers(self, monkeypatch, rng):
+        carriers = []
+        real = corrector.carry_lower_bound
+
+        def spy(solve, gap, lower):
+            forced = {}
+
+            def recording(i, bound):
+                forced[i, bound is None] = solve(i, bound)
+                return forced[i, bound is None]
+
+            combo = real(recording, gap, lower)
+            carriers.extend(i for i, sol in enumerate(combo) if forced.get((i, False)) is sol)
+            return combo
+
+        for trial in range(60):
+            n = int(rng.integers(20, 300))
+            inst = _instance(rng, n, "uniform")
+            eps = (0.05, 0.1, 0.2)[trial % 3]
+            spec = FairnessSpec(FairnessMetric.EODDS, eps, eps * rng.uniform(0.5, 1.0))
+            vectors = _vectors(rng, n, ("orders", "ties", "shaped")[trial % 3])
+            with monkeypatch.context() as patch:
+                patch.setattr(corrector, "carry_lower_bound", spy)
+                _outcome(correct_each, inst, spec, vectors)
+            _assert_same_each(monkeypatch, inst, spec, vectors)
+        assert {0, 1} <= set(carriers)
+
+    def test_infeasible_raises_once(self, monkeypatch, rng):
+        calls = []
+        real = corrector._solve_sp_form
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(corrector, "_solve_sp_form", counting)
+        # constant predictions leave every gap at zero, below any lower bound
+        n = 50
+        yhat = np.zeros(n, dtype=int)
+        inst = AttackInstance(yhat, rng.integers(0, 2, n), rng.integers(0, 2, n), rng.random(n))
+        vectors = _vectors(rng, n, "shaped")
+        for metric in METRICS:
+            spec = FairnessSpec(metric, 0.1, 0.05)
+            assert not _assert_same_each(monkeypatch, inst, spec, vectors)
+            solves = []
+            for batch in (vectors[:1], vectors):
+                calls.clear()
+                with pytest.raises(Infeasible):
+                    correct_each(inst, spec, batch)
+                solves.append(len(calls))
+            # the first vector's solves raise; no later vector is solved
+            assert solves[0] == solves[1] > 0
+        # groups of sizes 1 and 2 cannot both hold exactly a third positives
+        odd = AttackInstance([1, 0, 0], [0, 0, 0], [1, 0, 0], [0.5, 0.5, 0.5])
+        spec = FairnessSpec(FairnessMetric.SP, 0.0)
+        assert not _assert_same_each(monkeypatch, odd, spec, [np.ones(3), np.arange(3.0)])
+
+    def test_window_pieces_are_computed_once(self, monkeypatch, rng):
+        inst = _instance(rng, 2000, "uniform")
+        spec = FairnessSpec(FairnessMetric.SP, 0.001)
+        windows = []
+        real = corrector._floor_affine
+        monkeypatch.setattr(
+            corrector, "_floor_affine", lambda *args: windows.append(1) or real(*args)
+        )
+        (alone,) = correct_each(inst, spec, [inst.confidence])
+        once = len(windows)
+        assert alone.stats.nodes > 0
+        repeated = correct_each(inst, spec, [inst.confidence] * 6)
+        assert len(windows) == 2 * once
+        for result in repeated:
+            _assert_same_result(result, alone)
+
+    def test_inputs(self, rng):
+        inst = _instance(rng, 40, "uniform")
+        spec = FairnessSpec(FairnessMetric.SP, 0.01)
+        assert correct_each(inst, spec, []) == []
+        other = AttackInstance(inst.predictions, inst.labels, inst.guess, rng.random(40))
+        (mine,) = correct_each(other, spec, [inst.confidence])
+        _assert_same_result(mine, correct(inst, spec))
+        with pytest.raises(LengthMismatch):
+            correct_each(inst, spec, [inst.confidence, np.ones(39)])
+        with pytest.raises(NegativeConfidence):
+            correct_each(inst, spec, [inst.confidence, np.full(40, np.nan)])
 
 
 class TestRepairCrossCheck:
