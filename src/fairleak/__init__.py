@@ -29,17 +29,10 @@ from .core import (
 from .corrector import (
     DEFAULT_BRUTEFORCE_BUDGET,
     CorrectionResult,
-    CostArrays,
-    GroupTallies,
     MoveCounts,
     SolverStats,
-    apply_moves,
-    build_cost_arrays,
     correct,
-    move_cost,
-    solve_efficient,
     solve_general_bruteforce,
-    tally_groups,
 )
 from .estimator import EstimatedConstraint, estimate_constraint
 
@@ -51,34 +44,27 @@ __all__ = [
     "AttackSet",
     "BaselineGuess",
     "CorrectionResult",
-    "CostArrays",
     "DEFAULT_BRUTEFORCE_BUDGET",
     "DEFAULT_K_GRID",
     "EstimatedConstraint",
     "FairnessMetric",
     "FairnessSpec",
-    "GroupTallies",
     "MODE_A",
     "MODE_A_PRIME",
     "MoveCounts",
     "SLACK",
     "SolverStats",
-    "apply_moves",
-    "build_cost_arrays",
     "correct",
     "errors",
     "estimate_constraint",
     "harness",
-    "move_cost",
     "predict_guess",
     "process_confidences",
     "reconstruction_accuracy",
     "satisfies",
     "shape_confidences",
     "slice_for_metric",
-    "solve_efficient",
     "solve_general_bruteforce",
-    "tally_groups",
     "train_baseline",
     "unfairness",
     "unfairness_exact",

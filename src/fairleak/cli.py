@@ -144,7 +144,6 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             if isinstance(moves, MoveCounts)
             else {f"{a}->{b}": c for (a, b), c in sorted(moves.items())},
             "solver_nodes": result.stats.nodes,
-            "proven_optimal": result.stats.proven_optimal,
         }
         if instance.truth is not None:
             payload["baseline_accuracy"] = reconstruction_accuracy(

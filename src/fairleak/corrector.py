@@ -4,20 +4,22 @@ Two routes are provided.  ``correct`` runs the efficient path: the group-rate
 constraint only depends on the *net* number of guess flips among positively
 and among negatively predicted examples, so the search collapses onto a 2-D
 integer lattice whose per-axis costs are prefix sums of ascending-sorted
-confidences.  ``search_net_moves`` sweeps that lattice in numpy, taking
-columns cheapest first in blocks of doubling size.  For a whole block at
-once, the feasible rows of each column form at most two integer intervals,
-and the cheapest row of each is the one nearest zero.  Every interval end is
-an exact floor((A + u*B)/D), computed by ``_floor_affine`` without rounding
-error.  The sweep stops once a block's cheapest column costs more than the
-best cell found, which proves optimality.  The prediction repair of the
-simulated fair target rides the same sweep.
+confidences.  ``_Lattice`` holds that lattice for any 0/1 vector split by
+another: here the guess split by the predictions, and in the simulated fair
+target's prediction repair the predictions split by the groups.
+``search_net_moves`` sweeps it in numpy, taking columns cheapest first in
+blocks of doubling size.  For a whole block at once, the feasible rows of
+each column form at most two integer intervals, and the cheapest row of each
+is the one nearest zero.  Every interval end is an exact
+floor((A + u*B)/D), computed by ``_floor_affine`` without rounding error.
+The sweep stops once a block's cheapest column costs more than the best cell
+found, which proves optimality.
 
 ``correct_each`` solves one instance under several confidence vectors, as
 the adversary's choice of confidence exponent does; ``correct`` is its
-one-vector case.  Per slice, the groups and every vector's sorted costs are
-built in one batch, and the window pieces of the columns scanned for one
-vector are kept for the next, since windows never depend on the costs.
+one-vector case.  Per slice, one lattice sorts its cells under every vector
+in one batch, and the window pieces of the columns scanned for one vector
+are kept for the next, since windows never depend on the costs.
 
 ``solve_general_bruteforce`` enumerates every assignment on the active slice
 and is the correctness oracle as well as the only multi-valued solver.
@@ -26,7 +28,6 @@ and is the correctness oracle as well as the only multi-valued solver.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
@@ -37,59 +38,14 @@ from .core import (
     AttackInstance,
     FairnessMetric,
     FairnessSpec,
-    as_binary_array,
     as_confidence_array,
     slice_for_metric,
     unfairness_exact,
 )
-from .errors import (
-    BudgetExceeded,
-    Infeasible,
-    InvalidTallies,
-    LengthMismatch,
-    MoveOutOfBounds,
-)
+from .errors import BudgetExceeded, Infeasible, LengthMismatch
 
 DEFAULT_BRUTEFORCE_BUDGET = 2**20
 _Solution = TypeVar("_Solution")
-
-
-@dataclass(frozen=True)
-class GroupTallies:
-    """Cardinalities of the four (guess value x prediction) example groups."""
-
-    n1_pos: int
-    n0_pos: int
-    n1_neg: int
-    n0_neg: int
-
-    @property
-    def n(self) -> int:
-        return self.n1_pos + self.n0_pos + self.n1_neg + self.n0_neg
-
-    @property
-    def total_positive(self) -> int:
-        return self.n1_pos + self.n0_pos
-
-
-@dataclass(frozen=True, eq=False)
-class CostArrays:
-    """Sorted-and-cumulated confidence costs per move group.
-
-    ``t_X[i]`` is the minimum cost of flipping ``i`` members of group ``X``;
-    each array starts at 0 and its increments are non-decreasing.  The
-    ``order_X`` companions hold the original indices sorted by ascending
-    confidence with ascending index as tie-breaker.
-    """
-
-    t1_pos: np.ndarray
-    t0_pos: np.ndarray
-    t1_neg: np.ndarray
-    t0_neg: np.ndarray
-    order_1_pos: np.ndarray
-    order_0_pos: np.ndarray
-    order_1_neg: np.ndarray
-    order_0_neg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,9 +72,9 @@ class MoveCounts:
 
 @dataclass(frozen=True)
 class SolverStats:
+    """``nodes``: lattice columns scanned, or states the brute force enumerated."""
+
     nodes: int
-    wall_time: float
-    proven_optimal: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,22 +86,6 @@ class CorrectionResult:
     moves: "MoveCounts | dict[tuple[int, int], int]"
     changed_indices: tuple[int, ...]
     stats: SolverStats
-
-
-def tally_groups(guess: Sequence[int], yhat: Sequence[int]) -> GroupTallies:
-    """Count the four (guess value x prediction) groups."""
-    g = as_binary_array(guess, "guess")
-    yh = as_binary_array(yhat, "predictions")
-    if g.size != yh.size:
-        raise LengthMismatch("guess and predictions differ in length")
-    gb = g.astype(bool)
-    yb = yh.astype(bool)
-    return GroupTallies(
-        n1_pos=int(np.count_nonzero(gb & yb)),
-        n0_pos=int(np.count_nonzero(~gb & yb)),
-        n1_neg=int(np.count_nonzero(gb & ~yb)),
-        n0_neg=int(np.count_nonzero(~gb & ~yb)),
-    )
 
 
 def _sorted_groups(confs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,43 +125,6 @@ def _sorted_groups(confs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.
     np.cumsum(ranked.reshape(rows, size), axis=1, out=totals[:, 1:])
     # "wrap" takes each position modulo size, back to its row's entry
     return totals, idx.take(flat, mode="wrap").reshape(rows, size)
-
-
-def _sorted_group(conf: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_sorted_groups` of one vector."""
-    totals, order = _sorted_groups(conf[None], mask)
-    return totals[0], order[0]
-
-
-def build_cost_arrays(
-    guess: Sequence[int], yhat: Sequence[int], confidence: Sequence[float]
-) -> CostArrays:
-    """Prefix sums of each group's ascending-sorted confidences."""
-    g = as_binary_array(guess, "guess")
-    yh = as_binary_array(yhat, "predictions")
-    p = as_confidence_array(confidence)
-    if not g.size == yh.size == p.size:
-        raise LengthMismatch("guess, predictions and confidence differ in length")
-    gb = g.astype(bool)
-    yb = yh.astype(bool)
-    t1p, o1p = _sorted_group(p, gb & yb)
-    t0p, o0p = _sorted_group(p, ~gb & yb)
-    t1n, o1n = _sorted_group(p, gb & ~yb)
-    t0n, o0n = _sorted_group(p, ~gb & ~yb)
-    return CostArrays(t1p, t0p, t1n, t0n, o1p, o0p, o1n, o0n)
-
-
-def move_cost(costs: CostArrays, moves: MoveCounts) -> float:
-    """Objective value of a move assignment under the given cost arrays."""
-    try:
-        return float(
-            costs.t0_pos[moves.s01_pos]
-            + costs.t1_pos[moves.s10_pos]
-            + costs.t0_neg[moves.s01_neg]
-            + costs.t1_neg[moves.s10_neg]
-        )
-    except IndexError as exc:
-        raise MoveOutOfBounds("move count exceeds its group size") from exc
 
 
 #: Columns in the sweep's first block; each later block doubles, up to the cap.
@@ -273,6 +176,43 @@ class _SideCosts:
     @property
     def hi(self) -> int:
         return self.pos.size - 1
+
+    def at(self, k: int) -> float:
+        return float(self.pos[k] if k >= 0 else self.neg[-k])
+
+
+class _Lattice:
+    """The net-move lattice of a 0/1 vector ``x`` split by a 0/1 vector ``z``.
+
+    Column u flips |u| entries of ``x`` where z = 1, zeros to one when u > 0
+    and ones to zero when u < 0; row v does the same where z = 0.  Each of
+    the four (x, z) cells is sorted once under every row of ``costs``, so
+    that a flip of k entries takes the k cheapest, ties on the lowest index.
+    """
+
+    def __init__(self, x: np.ndarray, z: np.ndarray, costs: np.ndarray) -> None:
+        self.x, self.z = x, z
+        xb, zb = x.astype(bool), z.astype(bool)
+        # (totals, orders) of the up and down flips of the column, then the row
+        self.cells = [
+            _sorted_groups(costs, mask) for mask in (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb)
+        ]
+
+    def sides(self, r: int) -> tuple[_SideCosts, _SideCosts]:
+        """Column and row costs under cost row ``r``."""
+        up1, down1, up0, down0 = (totals[r] for totals, _ in self.cells)
+        return _SideCosts(pos=up1, neg=down1), _SideCosts(pos=up0, neg=down0)
+
+    def flip(self, r: int, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """``x`` with cell (u, v) applied under cost row ``r``, and the
+        sorted flipped indices."""
+        flipped = np.array(self.x)
+        changed = []
+        for k, (_, up), (_, down) in ((u, *self.cells[:2]), (v, *self.cells[2:])):
+            sel = up[r, :k] if k > 0 else down[r, :-k]
+            flipped[sel] = int(k > 0)
+            changed.append(sel)
+        return flipped, np.sort(np.concatenate(changed))
 
 
 #: window(u, num, den, strict) -> (lo, hi): for each column u, the rows v at
@@ -398,37 +338,20 @@ def search_net_moves(
     return (best[2], best[3]), int(scanned) - 1
 
 
-def _check_inputs(
-    tallies: GroupTallies, costs: CostArrays, total_positive: int, n: int
-) -> None:
-    if min(tallies.n1_pos, tallies.n0_pos, tallies.n1_neg, tallies.n0_neg) < 0:
-        raise InvalidTallies("negative group cardinality")
-    if tallies.n != n:
-        raise InvalidTallies("tallies do not sum to n")
-    if tallies.total_positive != total_positive:
-        raise InvalidTallies("tallies disagree with the positive total")
-    for arr, size in (
-        (costs.t1_pos, tallies.n1_pos),
-        (costs.t0_pos, tallies.n0_pos),
-        (costs.t1_neg, tallies.n1_neg),
-        (costs.t0_neg, tallies.n0_neg),
-    ):
-        if arr.size != size + 1:
-            raise InvalidTallies("cost array length does not match its group")
-
-
 def _solve_sp_form(
-    tallies: GroupTallies,
-    costs: CostArrays,
-    total_positive: int,
-    n: int,
+    col: _SideCosts,
+    row: _SideCosts,
     epsilon: Fraction,
     lower: Fraction | None,
-    memo: _WindowMemo | None = None,
+    memo: _WindowMemo | None,
 ) -> tuple[MoveCounts, int]:
+    # a side's up flips are its guess zeros, its down flips its guess ones
+    n1_pos, n0_pos = col.neg.size - 1, col.pos.size - 1
+    total_positive = n1_pos + n0_pos
+    n1 = n1_pos + row.neg.size - 1
+    n = total_positive + row.pos.size + row.neg.size - 2
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
-    n1 = tallies.n1_pos + tallies.n1_neg
 
     def window(u: np.ndarray, num: int, den: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
         # Column u leaves group g with p_g positives, t_g = p_g * n * den;
@@ -442,7 +365,7 @@ def _solve_sp_form(
         lo = np.ones_like(u)
         hi = np.full_like(u, n - 1)
         empty = np.zeros(u.shape, dtype=bool)
-        for base, sign in ((tallies.n1_pos, 1), (tallies.n0_pos, -1)):
+        for base, sign in ((n1_pos, 1), (n0_pos, -1)):
             p = base + sign * u
             if a > 0:
                 least = _floor_affine(base * scale + a - 1 + s, sign * scale, a, u, 0, n)
@@ -465,69 +388,11 @@ def _solve_sp_form(
         hi = np.where(empty, lo - 1, hi)
         return lo - n1 - u, hi - n1 - u
 
-    col = _SideCosts(pos=costs.t0_pos, neg=costs.t1_pos)
-    row = _SideCosts(pos=costs.t0_neg, neg=costs.t1_neg)
     state, columns = search_net_moves(col, row, window, epsilon, lower, memo)
     if state is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
     u, v = state
     return MoveCounts(max(u, 0), max(-u, 0), max(v, 0), max(-v, 0)), columns
-
-
-def solve_efficient(
-    tallies: GroupTallies,
-    costs: CostArrays,
-    total_positive: int,
-    n: int,
-    spec: FairnessSpec,
-) -> MoveCounts:
-    """Provably optimal move counts for the SP-form constraint.
-
-    Callers handle other metrics by reducing them to this form on the
-    appropriate label slice.
-    """
-    if FairnessMetric(spec.metric) is not FairnessMetric.SP:
-        raise ValueError("solve_efficient expects the SP-form constraint")
-    _check_inputs(tallies, costs, total_positive, n)
-    lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
-    moves, _ = _solve_sp_form(tallies, costs, total_positive, n, Fraction(spec.epsilon), lower)
-    return moves
-
-
-def _flip_cheapest(
-    guess: np.ndarray, costs: CostArrays, moves: MoveCounts
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flip the first members of each group's cost order; returns the
-    corrected vector and the sorted flipped indices."""
-    corrected = np.array(guess)
-    changed = []
-    for order, count, value in (
-        (costs.order_1_pos, moves.s10_pos, 0),
-        (costs.order_0_pos, moves.s01_pos, 1),
-        (costs.order_1_neg, moves.s10_neg, 0),
-        (costs.order_0_neg, moves.s01_neg, 1),
-    ):
-        if count < 0 or count > order.size:
-            raise MoveOutOfBounds("move count exceeds its group size")
-        corrected[order[:count]] = value
-        changed.append(order[:count])
-    return corrected, np.sort(np.concatenate(changed))
-
-
-def apply_moves(
-    guess: Sequence[int],
-    yhat: Sequence[int],
-    confidence: Sequence[float],
-    moves: MoveCounts,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Flip the cheapest members of each move group.
-
-    Ties break on the lowest original index, so the flipped cost equals the
-    solver objective exactly.
-    """
-    costs = build_cost_arrays(guess, yhat, confidence)
-    corrected, changed = _flip_cheapest(as_binary_array(guess, "guess"), costs, moves)
-    return corrected, tuple(changed.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,11 +407,11 @@ class _SliceSolution:
 class _Slice:
     """One metric slice of a correction under several confidence vectors.
 
-    The guess groups, their tallies and every vector's sorted costs are built
-    once.  When ``keep_windows`` is set, the window pieces of scanned columns
-    are kept from one vector's search to the next, one memo per lower bound;
-    a single vector keeps none, so a large solve holds one block's pieces at
-    a time.
+    Its lattice is the guess split by the predictions, sorted under every
+    vector once.  When ``keep_windows`` is set, the window pieces of scanned
+    columns are kept from one vector's search to the next, one memo per lower
+    bound; a single vector keeps none, so a large solve holds one block's
+    pieces at a time.
     """
 
     def __init__(
@@ -559,30 +424,18 @@ class _Slice:
         keep_windows: bool,
     ) -> None:
         self.idx = idx
-        self.guess = guess.take(idx)
-        self.yhat = yhat.take(idx)
-        gb = self.guess.astype(bool)
-        yb = self.yhat.astype(bool)
-        sub = confs.take(idx, axis=1)
-        groups = [_sorted_groups(sub, m) for m in (gb & yb, ~gb & yb, gb & ~yb, ~gb & ~yb)]
-        self.tallies = GroupTallies(*(order.shape[1] for _, order in groups))
-        self.costs = [
-            CostArrays(*(totals[v] for totals, _ in groups), *(order[v] for _, order in groups))
-            for v in range(confs.shape[0])
-        ]
+        self.lattice = _Lattice(guess.take(idx), yhat.take(idx), confs.take(idx, axis=1))
         self.epsilon = epsilon
         self.memos: dict[Fraction | None, _WindowMemo] | None = {} if keep_windows else None
 
     def solve(self, vector: int, lower: Fraction | None) -> _SliceSolution:
-        costs = self.costs[vector]
+        col, row = self.lattice.sides(vector)
         memo = None if self.memos is None else self.memos.setdefault(lower, _WindowMemo())
-        t = self.tallies
-        moves, columns = _solve_sp_form(
-            t, costs, t.total_positive, t.n, self.epsilon, lower, memo
-        )
-        corrected_slice, changed_local = _flip_cheapest(self.guess, costs, moves)
+        moves, columns = _solve_sp_form(col, row, self.epsilon, lower, memo)
+        u, v = moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg
+        corrected_slice, changed_local = self.lattice.flip(vector, u, v)
         return _SliceSolution(
-            moves, corrected_slice, self.idx[changed_local], move_cost(costs, moves), columns
+            moves, corrected_slice, self.idx[changed_local], col.at(u) + row.at(v), columns
         )
 
 
@@ -618,7 +471,6 @@ def _correct_rows(
     instance: AttackInstance, spec: FairnessSpec, confs: np.ndarray
 ) -> list[CorrectionResult]:
     """:func:`correct_each` with the vectors validated and stacked as rows."""
-    start = time.perf_counter()
     if instance.cardinality != 2:
         raise ValueError("correct() handles binary guesses; use the general model")
     metric = FairnessMetric(spec.metric)
@@ -639,7 +491,7 @@ def _correct_rows(
             solutions = carry_lower_bound(
                 lambda i, bound: slices[i].solve(vector, bound),
                 lambda i, sol: unfairness_exact(
-                    FairnessMetric.SP, sol.corrected_slice, slices[i].yhat
+                    FairnessMetric.SP, sol.corrected_slice, slices[i].lattice.z
                 ),
                 lower,
             )
@@ -660,11 +512,10 @@ def _correct_rows(
             if sol.changed.size:
                 changed.append(sol.changed)
         changed_indices = tuple(np.sort(np.concatenate(changed)).tolist()) if changed else ()
-        now = time.perf_counter()
-        stats = SolverStats(nodes=columns, wall_time=now - start, proven_optimal=True)
-        start = now
         corrected.setflags(write=False)
-        results.append(CorrectionResult(corrected, objective, moves, changed_indices, stats))
+        results.append(
+            CorrectionResult(corrected, objective, moves, changed_indices, SolverStats(columns))
+        )
     return results
 
 
@@ -758,7 +609,6 @@ def solve_general_bruteforce(
     Serves as the correctness oracle for the efficient path and as the only
     solver for multi-valued sensitive attributes.
     """
-    start = time.perf_counter()
     k = instance.cardinality if cardinality is None else cardinality
     if k < 2:
         raise ValueError("cardinality must be at least 2")
@@ -775,8 +625,7 @@ def solve_general_bruteforce(
         corrected = np.array(guess)
         corrected.setflags(write=False)
         moves = MoveCounts(0, 0, 0, 0) if k == 2 else {}
-        stats = SolverStats(0, time.perf_counter() - start, True)
-        return CorrectionResult(corrected, 0.0, moves, (), stats)
+        return CorrectionResult(corrected, 0.0, moves, (), SolverStats(0))
 
     states = k**m
     if states > budget:
@@ -837,7 +686,6 @@ def solve_general_bruteforce(
         for a, b in zip(old[changed_mask].tolist(), assignment[changed_mask].tolist()):
             moves[(a, b)] = moves.get((a, b), 0) + 1
 
-    stats = SolverStats(states, time.perf_counter() - start, True)
     return CorrectionResult(
-        corrected, float(cost[best]), moves, changed_indices, stats
+        corrected, float(cost[best]), moves, changed_indices, SolverStats(states)
     )

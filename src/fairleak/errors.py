@@ -21,14 +21,6 @@ class NegativeConfidence(FairleakError):
     """A confidence score is negative or not finite."""
 
 
-class InvalidTallies(FairleakError):
-    """Group tallies, cost arrays and totals are mutually inconsistent."""
-
-
-class MoveOutOfBounds(FairleakError):
-    """A move count exceeds the size of its group."""
-
-
 class Infeasible(FairleakError):
     """No assignment satisfies the requested constraints."""
 

@@ -2,16 +2,15 @@
 
 Only the repaired target predictions depend on the tolerance, so a sweep
 does the rest once per seed.  Per seed: split the dataset, fit the label
-predictor, build a repair state for each part (its metric slices, group
-tallies and sorted margin prefix sums), and build the adversary.  That is
-the external guess with its shaped confidences, or the attack model: the
-fit/validation split, the discretised features and the naive-Bayes tables
-of the feature and label columns, with their log joints on the training and
-validation rows, which in mode ``a`` already give the guesses.  Per
-(seed, epsilon) cell: repair the three parts' predictions, score the target
-model, optionally estimate the constraint, in mode ``aprime`` fit the
-prediction column and add its term to the log joints, choose the confidence
-exponent, correct and score.
+predictor, build a repair state for each part (its metric slices and the
+lattice of each), and build the adversary.  That is the external guess with
+its shaped confidences, or the attack model: the fit/validation split, the
+discretised features and the naive-Bayes tables of the feature and label
+columns, with their log joints on the training and validation rows, which
+in mode ``a`` already give the guesses.  Per (seed, epsilon) cell: repair
+the three parts' predictions, score the target model, optionally estimate
+the constraint, in mode ``aprime`` fit the prediction column and add its
+term to the log joints, choose the confidence exponent, correct and score.
 
 Cell failures are recorded in their row instead of aborting the sweep.  A
 per-seed stage that fails is recorded in every cell, raised at the step of
@@ -36,7 +35,6 @@ from ..adversary import (
     MODE_A_PRIME,
     AttackSet,
     BaselineGuess,
-    Discretizer,
     fit_prediction_column,
     guess_from_log_joint,
     label_log_joint,
@@ -63,8 +61,8 @@ from ..errors import (
     UnsupportedCardinality,
 )
 from ..estimator import estimate_constraint
-from .data import CATEGORICAL, DatasetTable, split_dataset
-from .predictor import RepairState, fit_label_predictor
+from .data import DatasetTable, split_dataset
+from .predictor import RepairState, encode_features, fit_discretizer, fit_label_predictor
 from .predictor import repair_predictions  # noqa: F401  (perfbench traces this name)
 
 MODE_EXTERNAL = "external"
@@ -123,10 +121,14 @@ class ExperimentConfig:
             raise BadParameters("epsilon grid must be nonempty")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilon_grid):
             raise BadParameters("epsilon grid values must lie in [0, 1]")
-        if self.epsilon_lower is not None and self.epsilon_lower > min(self.epsilon_grid):
-            raise BadParameters("epsilon_lower exceeds the smallest grid tolerance")
+        if self.epsilon_lower is not None and not (
+            0.0 <= self.epsilon_lower <= min(self.epsilon_grid)
+        ):
+            raise BadParameters("epsilon_lower must lie in [0, smallest grid tolerance]")
         if not self.seeds:
             raise BadParameters("need at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise BadParameters("seeds must be non-negative")
         if not self.k_grid:
             raise BadParameters("k grid must be nonempty")
         if not all(math.isfinite(k) and k > 0 for k in self.k_grid):
@@ -152,7 +154,6 @@ class ReportRow:
     flips: int | None = None
     chosen_k: float | None = None
     solver_nodes: int | None = None
-    proven_optimal: bool | None = None
     estimated: bool = False
     estimated_metric: str | None = None
     estimated_epsilon: float | None = None
@@ -182,18 +183,6 @@ def _min_group_floor(sensitive: np.ndarray) -> float:
     if present.size == 0:
         return 1.0
     return 1.0 / int(present.min())
-
-
-def _attack_features(
-    table: DatasetTable, disc: Discretizer
-) -> dict[str, np.ndarray]:
-    columns = {}
-    for name, col in table.features.items():
-        if col.kind == CATEGORICAL:
-            columns[name] = col.values
-        else:
-            columns[name] = disc.transform_column(name, col.values)
-    return columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,13 +221,8 @@ class _AttackModel:
 def _train_attack_model(
     mode: str, seed: int, train: DatasetTable, attack: DatasetTable
 ) -> _AttackModel:
-    numeric = {
-        name: col.values
-        for name, col in attack.features.items()
-        if col.kind != CATEGORICAL
-    }
-    disc = Discretizer().fit(numeric)
-    feats_attack = _attack_features(attack, disc)
+    disc = fit_discretizer(attack)
+    feats_attack = encode_features(attack, disc, attack.features)
     rng = np.random.default_rng([seed, 11])
     perm = rng.permutation(attack.n)
     n_fit = int(round(attack.n * 0.8))
@@ -252,7 +236,7 @@ def _train_attack_model(
     )
     model = train_baseline(fit_set, MODE_A)
     rows = (
-        (_attack_features(train, disc), train.labels),
+        (encode_features(train, disc, train.features), train.labels),
         ({k: v[val_idx] for k, v in feats_attack.items()}, attack.labels[val_idx]),
     )
     fixed = joints = None
@@ -402,7 +386,6 @@ def _run_cell(config: ExperimentConfig, seed: int, epsilon: float, state: _Seed)
         flips=len(result.changed_indices),
         chosen_k=chosen_k,
         solver_nodes=result.stats.nodes,
-        proven_optimal=result.stats.proven_optimal,
         oracle_gap=_r6(oracle_gap),
         **est_fields,
         **target_stats,
@@ -498,6 +481,8 @@ def run_benchmark(
     """
     from .synth import synth_generate
 
+    if n_seeds < 1:
+        raise BadParameters("need at least one seed")
     rows: list[ReportRow] = []
     metadata: dict = {}
     for seed in range(n_seeds):
@@ -560,5 +545,10 @@ def load_report_json(path: str | Path) -> ExperimentReport:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise IoError(f"cannot read report from {path}: {exc}") from exc
-    rows = tuple(ReportRow(**row) for row in payload["rows"])
-    return ExperimentReport(rows=rows, metadata=payload["metadata"])
+    try:
+        return ExperimentReport(
+            rows=tuple(ReportRow(**row) for row in payload["rows"]), metadata=payload["metadata"]
+        )
+    except (KeyError, TypeError) as exc:
+        # missing or unknown columns: a report of an older format
+        raise IoError(f"{path} does not hold a report of this format: {exc}") from exc

@@ -1,17 +1,18 @@
 """Simplified fair target model: naive Bayes labels plus an exact repair.
 
 The repair flips minimum-margin predictions, group by group, until the
-requested rate constraint holds on the training data.  It runs the guess
-corrector's block-wise vectorised sweep, ``corrector.search_net_moves``:
-with fixed group memberships the constraint depends only on the net number
-of prediction flips inside each sensitive group, and the per-group flip
-costs are prefix sums of sorted margins.  Its window function gives, for a
-block of group-1 flip counts at once, the interval of feasible group-0 flip
-counts, each end an exact integer floor.
+requested rate constraint holds on the training data.  With fixed group
+memberships the constraint depends only on the net number of prediction
+flips inside each sensitive group, so the repair searches the guess
+corrector's lattice type, ``corrector._Lattice``, with the two vectors
+swapped: the predictions split by the groups, flip costs the margins.  It
+runs the same block-wise vectorised sweep, ``corrector.search_net_moves``;
+its window function gives, for a block of group-1 flip counts at once, the
+interval of feasible group-0 flip counts, each end an exact integer floor.
 
 ``RepairState`` holds what does not depend on the tolerance: a table's
-metric slices, group tallies and sorted margin prefix sums.  A sweep builds
-it once per table and runs only the search and the flips per tolerance;
+metric slices and the lattice of each.  A sweep builds it once per table
+and runs only the search and the flips per tolerance;
 ``repair_predictions`` is the one-shot form.
 """
 
@@ -19,33 +20,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, slice_for_metric, unfairness_exact
-from ..corrector import (
-    _floor_affine,
-    _SideCosts,
-    _sorted_group,
-    carry_lower_bound,
-    search_net_moves,
-)
+from ..corrector import _floor_affine, _Lattice, carry_lower_bound, search_net_moves
 from ..errors import Infeasible
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
 
 
-def _encode(
-    table: DatasetTable, kinds: dict[str, str], disc: Discretizer
+def fit_discretizer(table: DatasetTable) -> Discretizer:
+    """Decile edges of the table's numeric feature columns."""
+    return Discretizer().fit(
+        {name: col.values for name, col in table.features.items() if col.kind != CATEGORICAL}
+    )
+
+
+def encode_features(
+    table: DatasetTable, disc: Discretizer, names: Iterable[str]
 ) -> dict[str, np.ndarray]:
+    """The named feature columns in that order: the numeric ones, which
+    ``disc`` was fitted on, binned, and the categorical ones as they are."""
     columns = {}
-    for name, kind in kinds.items():
-        col = table.features[name]
-        if kind == CATEGORICAL:
-            columns[name] = col.values
-        else:
-            columns[name] = disc.transform_column(name, col.values)
+    for name in names:
+        values = table.features[name].values
+        columns[name] = disc.transform_column(name, values) if name in disc.edges else values
     return columns
 
 
@@ -55,12 +57,12 @@ class LabelPredictor:
 
     nb: CategoricalNaiveBayes
     discretizer: Discretizer
-    feature_kinds: dict[str, str]
+    feature_names: tuple[str, ...]  # in training order
 
     def raw_predictions(self, table: DatasetTable) -> tuple[np.ndarray, np.ndarray]:
         """Predicted labels and the posterior margin of each prediction."""
         proba = self.nb.predict_proba(
-            _encode(table, self.feature_kinds, self.discretizer)
+            encode_features(table, self.discretizer, self.feature_names)
         )
         yhat = np.argmax(proba, axis=1).astype(np.int64)
         margins = np.abs(proba[:, 1] - proba[:, 0])
@@ -70,16 +72,11 @@ class LabelPredictor:
 def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
     if train.n == 0:
         raise ValueError("training table is empty")
-    kinds = {name: col.kind for name, col in train.features.items()}
-    numeric = {
-        name: train.features[name].values
-        for name, kind in kinds.items()
-        if kind != CATEGORICAL
-    }
-    disc = Discretizer().fit(numeric)
-    columns = _encode(train, kinds, disc)
+    names = tuple(train.features)
+    disc = fit_discretizer(train)
+    columns = encode_features(train, disc, names)
     nb = fit_naive_bayes(columns, train.labels, n_classes=2, class_prior="empirical")
-    return LabelPredictor(nb=nb, discretizer=disc, feature_kinds=kinds)
+    return LabelPredictor(nb=nb, discretizer=disc, feature_names=names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,34 +86,18 @@ class _RepairSlice:
     objective: float
 
 
-@dataclass(frozen=True, eq=False)
 class _SliceState:
     """One metric slice's tolerance-free repair inputs: its predictions,
-    margins and groups, and each (group, prediction) cell's margins sorted
-    into flip-cost prefix sums."""
+    margins and groups, and their lattice: group 1 the columns, group 0 the
+    rows, the margins the flip costs."""
 
-    yhat: np.ndarray
-    margins: np.ndarray
-    sensitive: np.ndarray
-    col: _SideCosts  # group 1: flips up (pos) or down (neg)
-    row: _SideCosts  # group 0
-    orders: tuple[tuple[np.ndarray, np.ndarray], ...]  # (up, down) per group, 1 then 0
-
-    @classmethod
-    def build(
-        cls, yhat: np.ndarray, margins: np.ndarray, sensitive: np.ndarray
-    ) -> "_SliceState":
-        sides, orders = [], []
-        for g in (1, 0):
-            up, up_order = _sorted_group(margins, (sensitive == g) & (yhat == 0))
-            down, down_order = _sorted_group(margins, (sensitive == g) & (yhat == 1))
-            sides.append(_SideCosts(pos=up, neg=down))
-            orders.append((up_order, down_order))
-        return cls(yhat, margins, sensitive, sides[0], sides[1], tuple(orders))
+    def __init__(self, yhat: np.ndarray, margins: np.ndarray, sensitive: np.ndarray) -> None:
+        self.yhat, self.margins, self.sensitive = yhat, margins, sensitive
+        self.lattice = _Lattice(yhat, sensitive, margins[None])
 
 
 def _repair_slice(part: _SliceState, epsilon: Fraction, lower: Fraction | None) -> _RepairSlice:
-    col, row = part.col, part.row
+    col, row = part.lattice.sides(0)
     # group 1's members are its up (negative) and down (positive) flips
     n = part.yhat.size
     n1 = col.pos.size + col.neg.size - 2
@@ -153,20 +134,14 @@ def _repair_slice(part: _SliceState, epsilon: Fraction, lower: Fraction | None) 
     state, _ = search_net_moves(col, row, window, epsilon, lower)
     if state is None:
         raise Infeasible("no prediction repair satisfies the constraint")
-    repaired = part.yhat.copy()
-    flips = []
-    for k, (order_up, order_down) in zip(state, part.orders):
-        sel = order_up[:k] if k > 0 else order_down[:-k]
-        repaired[sel] = int(k > 0)
-        flips.append(sel)
-    flipped = np.sort(np.concatenate(flips))
+    repaired, flipped = part.lattice.flip(0, *state)
     return _RepairSlice(repaired, flipped, float(part.margins[flipped].sum()))
 
 
 class RepairState:
-    """A table's tolerance-free repair inputs for one metric: its slices,
-    group tallies and sorted margin prefix sums.  Build it once and call
-    :meth:`repair` for each tolerance."""
+    """A table's tolerance-free repair inputs for one metric: its slices and
+    the lattice of each.  Build it once and call :meth:`repair` for each
+    tolerance."""
 
     def __init__(
         self,
@@ -180,7 +155,7 @@ class RepairState:
         self.metric = FairnessMetric(metric)
         self.slices = [idx for idx in slice_for_metric(self.metric, labels) if idx.size]
         self.parts = [
-            _SliceState.build(self.yhat[idx], margins[idx], sensitive[idx])
+            _SliceState(self.yhat[idx], margins[idx], sensitive[idx])
             for idx in self.slices
         ]
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from fairleak.corrector import CostArrays, GroupTallies, MoveCounts
+from fairleak.corrector import MoveCounts
 from fairleak.errors import Infeasible
 from fairleak.harness.predictor import _RepairSlice
 
@@ -135,18 +135,17 @@ def _carve(lo, hi, inside):
 
 
 def solve_sp_form(
-    tallies: GroupTallies,
-    costs: CostArrays,
-    total_positive: int,
-    n: int,
-    epsilon: Fraction,
-    lower: Fraction | None,
-    memo: object = None,
+    col, row, epsilon: Fraction, lower: Fraction | None, memo: object
 ) -> tuple[MoveCounts, int]:
-    # ``memo`` carries the package sweep's window pieces; this sweep keeps none
+    # ``memo`` carries the package sweep's window pieces; this sweep keeps none.
+    # A side's up flips are its guess zeros, its down flips its guess ones.
+    n1_pos, n0_pos = col.neg.size - 1, col.pos.size - 1
+    n1_neg, n0_neg = row.neg.size - 1, row.pos.size - 1
+    total_positive = n1_pos + n0_pos
+    n = total_positive + n1_neg + n0_neg
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
-    n1 = tallies.n1_pos + tallies.n1_neg
+    n1 = n1_pos + n1_neg
     en, ed = epsilon.numerator, epsilon.denominator
     if lower is not None and lower > 0:
         ln, ld = lower.numerator, lower.denominator
@@ -154,8 +153,8 @@ def solve_sp_form(
         ln = ld = 0
 
     def feasible_rows(u):
-        p1 = tallies.n1_pos + u
-        p0 = tallies.n0_pos - u
+        p1 = n1_pos + u
+        p0 = n0_pos - u
         window = _sp_g1_window(p1, p0, n, total_positive, en, ed)
         if window is None:
             return ()
@@ -168,8 +167,8 @@ def solve_sp_form(
             inside = (inside[0] - n1 - u, inside[1] - n1 - u)
         return _carve(vlo, vhi, inside)
 
-    col = SideCosts(pos=costs.t0_pos, neg=costs.t1_pos)
-    row = SideCosts(pos=costs.t0_neg, neg=costs.t1_neg)
+    col = SideCosts(pos=col.pos, neg=col.neg)
+    row = SideCosts(pos=row.pos, neg=row.neg)
     if any(lo <= 0 <= hi for lo, hi in feasible_rows(0)):
         return MoveCounts(0, 0, 0, 0), 0
     state, columns = sweep_net_moves(col, row, feasible_rows)

@@ -48,7 +48,14 @@ class TestCorrectCommand:
         assert len(lines) == 5
         payload = json.loads(report.read_text())
         assert payload["objective"] == pytest.approx(0.3)
-        assert payload["proven_optimal"] is True
+        assert set(payload) == {
+            "objective",
+            "flips",
+            "moves",
+            "solver_nodes",
+            "baseline_accuracy",
+            "corrected_accuracy",
+        }
         assert "baseline_accuracy" in payload
 
     def test_infeasible_exit_code(self, tmp_path):
@@ -252,3 +259,10 @@ class TestSynthAndBench:
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 4
         assert payload["metadata"]["benchmark"]["n"] == 300
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_bench_needs_a_seed(self, tmp_path, seeds):
+        out = tmp_path / "bench.json"
+        code = main(["bench", "--n", "300", "--seeds", seeds, "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert not out.exists()

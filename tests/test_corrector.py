@@ -4,23 +4,17 @@ import pytest
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, satisfies
 from fairleak.adversary import MIN_CONFIDENCE
 from fairleak.corrector import (
-    GroupTallies,
-    _sorted_group,
     MoveCounts,
-    apply_moves,
-    build_cost_arrays,
+    _Lattice,
+    _sorted_groups,
     correct,
-    move_cost,
-    solve_efficient,
+    correct_each,
     solve_general_bruteforce,
-    tally_groups,
 )
 from fairleak.errors import (
     BudgetExceeded,
     Infeasible,
-    InvalidTallies,
     LengthMismatch,
-    MoveOutOfBounds,
     NegativeConfidence,
 )
 
@@ -30,6 +24,20 @@ SP, PE, EO, EODDS = (
     FairnessMetric.EO,
     FairnessMetric.EODDS,
 )
+
+
+def _lattice(x, z, costs):
+    return _Lattice(
+        np.asarray(x, dtype=np.int64),
+        np.asarray(z, dtype=np.int64),
+        np.atleast_2d(np.asarray(costs, dtype=np.float64)),
+    )
+
+
+def _sizes(lattice):
+    """Cell sizes in the order (x=1, z=1), (x=0, z=1), (x=1, z=0), (x=0, z=0)."""
+    col, row = lattice.sides(0)
+    return (col.neg.size - 1, col.pos.size - 1, row.neg.size - 1, row.pos.size - 1)
 
 
 class TestSortedGroup:
@@ -42,10 +50,10 @@ class TestSortedGroup:
         return np.concatenate(([0.0], np.cumsum(conf[order]))), order
 
     def _check(self, conf, mask):
-        totals, order = _sorted_group(conf, mask)
+        totals, order = _sorted_groups(conf[None], mask)
         want_totals, want_order = self._stable(conf, mask)
-        assert order.tolist() == want_order.tolist()
-        assert totals.tobytes() == want_totals.tobytes()
+        assert order[0].tolist() == want_order.tolist()
+        assert totals[0].tobytes() == want_totals.tobytes()
 
     def test_matches_the_stable_argsort(self, rng):
         for trial in range(600):
@@ -65,8 +73,8 @@ class TestSortedGroup:
     def test_signed_zeros_tie_in_index_order(self):
         conf = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.0, -0.0])
         self._check(conf, np.ones(conf.size, dtype=bool))
-        _, order = _sorted_group(conf, np.ones(conf.size, dtype=bool))
-        assert order.tolist() == [0, 1, 3, 4, 5, 6, 2]
+        _, order = _sorted_groups(conf[None], np.ones(conf.size, dtype=bool))
+        assert order[0].tolist() == [0, 1, 3, 4, 5, 6, 2]
 
     def test_empty_and_single(self):
         for conf in (np.zeros(0), np.array([0.3])):
@@ -76,139 +84,127 @@ class TestSortedGroup:
 
 
 class TestTallyGroups:
+    """A lattice's four cells hold the (x, z) groups."""
+
     def test_hand_count(self):
-        assert tally_groups([1, 1, 0, 0], [1, 0, 1, 0]) == GroupTallies(1, 1, 1, 1)
+        assert _sizes(_lattice([1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1])) == (1, 1, 1, 1)
 
     def test_empty(self):
-        assert tally_groups([], []) == GroupTallies(0, 0, 0, 0)
+        assert _sizes(_lattice([], [], np.zeros((1, 0)))) == (0, 0, 0, 0)
 
     def test_single_group(self):
-        assert tally_groups([1, 1], [1, 1]) == GroupTallies(2, 0, 0, 0)
+        assert _sizes(_lattice([1, 1], [1, 1], [1, 1])) == (2, 0, 0, 0)
 
     def test_length_mismatch(self):
+        # lengths are checked where the vectors enter, before any lattice
         with pytest.raises(LengthMismatch):
-            tally_groups([1], [1, 0])
+            AttackInstance([1, 0], [0, 0], [1], [1.0])
 
 
 class TestBuildCostArrays:
+    """A lattice's sides are prefix sums of each cell's ascending costs."""
+
     def test_sort_and_cumulate(self):
-        costs = build_cost_arrays([1, 1, 1], [1, 1, 1], [0.9, 0.2, 0.5])
-        assert costs.t1_pos.tolist() == pytest.approx([0.0, 0.2, 0.7, 1.6])
-        assert costs.order_1_pos.tolist() == [1, 2, 0]
+        lattice = _lattice([1, 1, 1], [1, 1, 1], [0.9, 0.2, 0.5])
+        col, _ = lattice.sides(0)
+        assert col.neg.tolist() == pytest.approx([0.0, 0.2, 0.7, 1.6])
+        _, down = lattice.cells[1]
+        assert down[0].tolist() == [1, 2, 0]
 
     def test_empty_group(self):
-        costs = build_cost_arrays([1], [1], [0.3])
-        assert costs.t0_neg.tolist() == [0.0]
+        _, row = _lattice([1], [1], [0.3]).sides(0)
+        assert row.pos.tolist() == [0.0]
 
     def test_uniform_weights_count_moves(self):
-        costs = build_cost_arrays([0, 0], [1, 1], [1.0, 1.0])
-        assert costs.t0_pos.tolist() == [0.0, 1.0, 2.0]
+        col, _ = _lattice([0, 0], [1, 1], [1.0, 1.0]).sides(0)
+        assert col.pos.tolist() == [0.0, 1.0, 2.0]
 
     def test_negative_confidence(self):
+        inst = AttackInstance([1], [0], [1], [1.0])
         with pytest.raises(NegativeConfidence):
-            build_cost_arrays([1], [1], [-0.5])
+            correct_each(inst, FairnessSpec(SP, 0.1), [[-0.5]])
 
     def test_increments_non_decreasing(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 30))
-            costs = build_cost_arrays(
-                rng.integers(0, 2, n), rng.integers(0, 2, n), rng.random(n)
-            )
-            for arr in (costs.t1_pos, costs.t0_pos, costs.t1_neg, costs.t0_neg):
-                steps = np.diff(arr)
-                assert np.all(np.diff(steps) >= -1e-12)
+            lattice = _lattice(rng.integers(0, 2, n), rng.integers(0, 2, n), rng.random((3, n)))
+            for r in range(3):
+                for side in lattice.sides(r):
+                    for arr in (side.pos, side.neg):
+                        assert arr[0] == 0.0
+                        steps = np.diff(arr)
+                        assert np.all(np.diff(steps) >= -1e-12)
+
+    def test_rows_sort_independently(self):
+        lattice = _lattice([1, 1, 1], [1, 1, 1], [[0.9, 0.2, 0.5], [0.1, 0.3, 0.2]])
+        assert lattice.cells[1][1].tolist() == [[1, 2, 0], [0, 2, 1]]
+        assert lattice.sides(1)[0].neg.tolist() == pytest.approx([0.0, 0.1, 0.3, 0.6])
 
 
 class TestSolveEfficient:
-    def _setup(self, guess, yhat, conf):
-        tallies = tally_groups(guess, yhat)
-        costs = build_cost_arrays(guess, yhat, conf)
-        return tallies, costs
+    """The SP form through ``correct``."""
+
+    @staticmethod
+    def _correct(guess, yhat, conf, epsilon):
+        inst = AttackInstance(yhat, np.zeros(len(yhat), dtype=int), guess, conf)
+        return correct(inst, FairnessSpec(SP, epsilon))
 
     def test_unit_costs(self):
-        tallies, costs = self._setup([1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1])
-        moves = solve_efficient(tallies, costs, 2, 4, FairnessSpec(SP, 0.1))
-        assert moves == MoveCounts(s01_pos=0, s10_pos=1, s01_neg=1, s10_neg=0)
-        assert move_cost(costs, moves) == pytest.approx(2.0)
+        res = self._correct([1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1], 0.1)
+        assert res.moves == MoveCounts(s01_pos=0, s10_pos=1, s01_neg=1, s10_neg=0)
+        assert res.objective == pytest.approx(2.0)
 
     def test_loose_tolerance_is_noop(self):
-        tallies, costs = self._setup([1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1])
-        moves = solve_efficient(tallies, costs, 2, 4, FairnessSpec(SP, 0.5))
-        assert moves == MoveCounts(0, 0, 0, 0)
+        res = self._correct([1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1], 0.5)
+        assert res.moves == MoveCounts(0, 0, 0, 0)
+        assert res.objective == 0.0
 
     def test_weighted_costs(self):
-        tallies, costs = self._setup([1, 1, 0, 0], [1, 1, 0, 0], [0.1, 1, 1, 0.2])
-        moves = solve_efficient(tallies, costs, 2, 4, FairnessSpec(SP, 0.1))
-        assert moves == MoveCounts(0, 1, 1, 0)
-        assert move_cost(costs, moves) == pytest.approx(0.3)
+        res = self._correct([1, 1, 0, 0], [1, 1, 0, 0], [0.1, 1, 1, 0.2], 0.1)
+        assert res.moves == MoveCounts(0, 1, 1, 0)
+        assert res.objective == pytest.approx(0.3)
 
     def test_single_example_infeasible(self):
-        tallies, costs = self._setup([1], [1], [1.0])
         with pytest.raises(Infeasible):
-            solve_efficient(tallies, costs, 1, 1, FairnessSpec(SP, 0.0))
-
-    def test_rejects_non_sp_spec(self):
-        tallies, costs = self._setup([1, 0], [1, 0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            solve_efficient(tallies, costs, 1, 2, FairnessSpec(PE, 0.1))
-
-    def test_inconsistent_tallies(self):
-        tallies, costs = self._setup([1, 0], [1, 0], [1.0, 1.0])
-        with pytest.raises(InvalidTallies):
-            solve_efficient(tallies, costs, 1, 3, FairnessSpec(SP, 0.1))
-        with pytest.raises(InvalidTallies):
-            solve_efficient(GroupTallies(2, 0, 0, 0), costs, 2, 2, FairnessSpec(SP, 0.1))
+            self._correct([1], [1], [1.0], 0.0)
 
 
 class TestApplyMoves:
+    """``_Lattice.flip`` flips the cheapest members of each cell."""
+
     def test_all_zero_is_identity(self):
-        corrected, changed = apply_moves(
-            [1, 0, 1], [1, 1, 0], [0.5, 0.5, 0.5], MoveCounts(0, 0, 0, 0)
-        )
+        corrected, changed = _lattice([1, 0, 1], [1, 1, 0], [0.5, 0.5, 0.5]).flip(0, 0, 0)
         assert corrected.tolist() == [1, 0, 1]
-        assert changed == ()
+        assert changed.tolist() == []
 
     def test_flips_cheapest_members(self):
-        corrected, changed = apply_moves(
-            [1, 1, 0, 0], [1, 1, 0, 0], [0.1, 1, 1, 0.2], MoveCounts(0, 1, 1, 0)
-        )
+        lattice = _lattice([1, 1, 0, 0], [1, 1, 0, 0], [0.1, 1, 1, 0.2])
+        corrected, changed = lattice.flip(0, -1, 1)
         assert corrected.tolist() == [0, 1, 0, 1]
-        assert changed == (0, 3)
+        assert changed.tolist() == [0, 3]
 
     def test_tie_breaks_on_lowest_index(self):
-        guess = [0, 0, 1, 0, 0, 1]
-        yhat = [0, 0, 1, 0, 0, 1]
-        conf = [9, 9, 1.0, 9, 9, 1.0]
-        corrected, changed = apply_moves(guess, yhat, conf, MoveCounts(0, 1, 0, 0))
-        assert changed == (2,)
-        corrected, changed = apply_moves(
-            [1, 0, 1, 0, 0, 1], [1, 0, 1, 0, 0, 1], [1, 9, 1, 9, 9, 1], MoveCounts(0, 2, 0, 0)
-        )
-        assert changed == (0, 2)
-
-    def test_out_of_bounds(self):
-        with pytest.raises(MoveOutOfBounds):
-            apply_moves([1], [1], [1.0], MoveCounts(0, 2, 0, 0))
+        x = [0, 0, 1, 0, 0, 1]
+        lattice = _lattice(x, x, [9, 9, 1.0, 9, 9, 1.0])
+        assert lattice.flip(0, -1, 0)[1].tolist() == [2]
+        x = [1, 0, 1, 0, 0, 1]
+        lattice = _lattice(x, x, [1, 9, 1, 9, 9, 1])
+        assert lattice.flip(0, -2, 0)[1].tolist() == [0, 2]
 
     def test_flipped_cost_matches_objective(self, rng):
         for _ in range(20):
             n = int(rng.integers(4, 20))
-            guess = rng.integers(0, 2, n)
-            yhat = rng.integers(0, 2, n)
-            conf = rng.random(n)
-            tallies = tally_groups(guess, yhat)
-            costs = build_cost_arrays(guess, yhat, conf)
-            moves = MoveCounts(
-                int(rng.integers(0, tallies.n0_pos + 1)),
-                int(rng.integers(0, tallies.n1_pos + 1)),
-                int(rng.integers(0, tallies.n0_neg + 1)),
-                int(rng.integers(0, tallies.n1_neg + 1)),
-            )
-            corrected, changed = apply_moves(guess, yhat, conf, moves)
-            assert len(changed) == moves.total
-            assert conf[list(changed)].sum() == pytest.approx(
-                move_cost(costs, moves), abs=1e-9
-            )
+            x = rng.integers(0, 2, n)
+            costs = rng.random((2, n))
+            lattice = _lattice(x, rng.integers(0, 2, n), costs)
+            r = int(rng.integers(0, 2))
+            col, row = lattice.sides(r)
+            u = int(rng.integers(col.lo, col.hi + 1))
+            v = int(rng.integers(row.lo, row.hi + 1))
+            corrected, changed = lattice.flip(r, u, v)
+            assert changed.size == abs(u) + abs(v)
+            assert np.flatnonzero(corrected != x).tolist() == changed.tolist()
+            assert costs[r, changed].sum() == pytest.approx(col.at(u) + row.at(v), abs=1e-9)
 
 
 class TestCorrect:
@@ -217,7 +213,6 @@ class TestCorrect:
         res = correct(inst, FairnessSpec(SP, 1.0))
         assert res.corrected.tolist() == [1, 1, 0, 0]
         assert res.objective == 0.0
-        assert res.stats.proven_optimal
 
     def test_pe_with_all_positive_labels_is_identity(self):
         inst = AttackInstance([1, 1, 0, 0], [1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1])

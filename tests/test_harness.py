@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -25,6 +27,7 @@ from fairleak.errors import (
     BadParameters,
     DuplicateId,
     Infeasible,
+    IoError,
     ParseError,
     SchemaError,
     UnsupportedCardinality,
@@ -34,6 +37,7 @@ from fairleak.harness import (
     DatasetTable,
     ExperimentConfig,
     ExternalGuess,
+    FeatureColumn,
     emit_report,
     fit_label_predictor,
     ingest_csv,
@@ -47,9 +51,14 @@ from fairleak.harness import (
     write_dataset_csv,
     write_guess_csv,
 )
-from fairleak.harness import CATEGORICAL, predictor
-from fairleak.harness.experiment import _attack_features, _train_attack_model
-from fairleak.harness.predictor import RepairState, repair_predictions
+from fairleak.harness import CATEGORICAL, NUMERIC, predictor
+from fairleak.harness.experiment import _train_attack_model
+from fairleak.harness.predictor import (
+    RepairState,
+    encode_features,
+    fit_discretizer,
+    repair_predictions,
+)
 from fairleak.nb import fit_naive_bayes
 
 SP = FairnessMetric.SP
@@ -290,6 +299,43 @@ class TestRepairState:
             assert any(carried)
 
 
+class TestEncodeFeatures:
+    """One encoder serves the label predictor and the attack model."""
+
+    @staticmethod
+    def _mixed_table(seed):
+        table = synth_generate(500, seed=seed)
+        rng = np.random.default_rng(seed)
+        features = dict(table.features)
+        features["x"] = FeatureColumn(NUMERIC, rng.normal(size=table.n))
+        features["f9"] = features.pop("f0")
+        features["w"] = FeatureColumn(NUMERIC, rng.exponential(size=table.n))
+        return dataclasses.replace(table, features=features)
+
+    def test_bins_numeric_and_passes_categorical_in_the_given_order(self):
+        table = self._mixed_table(2)
+        disc = fit_discretizer(table)
+        names = list(table.features)[::-1]
+        encoded = encode_features(table, disc, names)
+        assert list(encoded) == names
+        for name in names:
+            col = table.features[name]
+            if col.kind == CATEGORICAL:
+                want = col.values
+            else:
+                want = Discretizer().fit({name: col.values}).transform_column(name, col.values)
+                assert np.unique(want).size == 10
+            assert np.array_equal(encoded[name], want)
+
+    def test_label_predictor_encodes_in_training_order(self):
+        table = self._mixed_table(3)
+        model = fit_label_predictor(table)
+        assert model.feature_names == tuple(table.features)
+        shuffled = dataclasses.replace(table, features=dict(reversed(table.features.items())))
+        for got, want in zip(model.raw_predictions(shuffled), model.raw_predictions(table)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestHoistedAttackModel:
     """A seed's attack model, trained once, gives each cell the guesses the
     per-cell model of that cell gives."""
@@ -306,8 +352,8 @@ class TestHoistedAttackModel:
                 if col.kind != CATEGORICAL
             }
         )
-        feats_attack = _attack_features(attack, disc)
-        feats_train = _attack_features(train, disc)
+        feats_attack = encode_features(attack, disc, attack.features)
+        feats_train = encode_features(train, disc, train.features)
         val = hoisted.val_idx
         for _ in range(4):
             yh_train = rng.integers(0, 2, train.n)
@@ -505,6 +551,24 @@ class TestRunExperiment:
         with pytest.raises(BadParameters, match="k grid"):
             ExperimentConfig(k_grid=k_grid)
 
+    @pytest.mark.parametrize("lower", [-0.01, math.nan])
+    def test_epsilon_lower_validation(self, lower):
+        # each used to abort the sweep with a bare ValueError
+        with pytest.raises(BadParameters, match="epsilon_lower"):
+            ExperimentConfig(epsilon_grid=(0.05, 0.1), epsilon_lower=lower)
+
+    def test_negative_seeds_are_rejected(self):
+        with pytest.raises(BadParameters, match="seeds"):
+            ExperimentConfig(seeds=(0, -1))
+
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_benchmark_needs_a_seed(self, n_seeds):
+        from fairleak.harness import run_benchmark
+
+        # an empty report without config metadata used to come back
+        with pytest.raises(BadParameters, match="seed"):
+            run_benchmark(n=300, n_seeds=n_seeds, epsilon_grid=(0.2,))
+
 
 def _per_cell_correction_csv(path, ids, instance, result):
     """The instance writer as it indexed one numpy scalar per cell."""
@@ -578,6 +642,20 @@ class TestReports:
         report = run_experiment(config, table)
         path = emit_report(report, tmp_path / "report.json", "json")
         assert load_report_json(path) == report
+
+    def test_json_of_another_format_is_an_io_error(self, tmp_path):
+        table = synth_generate(300, seed=5)
+        report = run_experiment(ExperimentConfig(epsilon_grid=(0.05,)), table)
+        path = emit_report(report, tmp_path / "report.json", "json")
+        payload = json.loads(path.read_text())
+        # reports used to carry an always-true `proven_optimal` column
+        payload["rows"][0]["proven_optimal"] = True
+        path.write_text(json.dumps(payload))
+        with pytest.raises(IoError, match="format"):
+            load_report_json(path)
+        path.write_text(json.dumps({"metadata": {}}))
+        with pytest.raises(IoError, match="format"):
+            load_report_json(path)
 
     def test_two_runs_are_byte_identical(self, tmp_path):
         table = synth_generate(300, seed=6)
