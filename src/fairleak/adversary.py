@@ -250,8 +250,7 @@ def shape_confidences(raw_scores: Sequence[float], k: float) -> np.ndarray:
     """Normalize then exponentiate, widening the gaps between scores."""
     if k <= 0:
         raise ValueError("exponent k must be positive")
-    processed = normalize_scores(raw_scores) ** k
-    return np.maximum(processed, MIN_CONFIDENCE)
+    return np.maximum(normalize_scores(raw_scores) ** k, MIN_CONFIDENCE)
 
 
 def process_confidences(
@@ -270,7 +269,10 @@ def process_confidences(
         raise ValueError("validation instance needs truth for scoring")
     if not k_grid:
         raise ValueError("k grid must be nonempty")
-    shaped = [shape_confidences(validation.confidence, k) for k in k_grid]
+    if min(k_grid) <= 0:
+        raise ValueError("exponent k must be positive")
+    normalized = normalize_scores(validation.confidence)
+    shaped = [np.maximum(normalized**k, MIN_CONFIDENCE) for k in k_grid]
     try:
         results = correct_each(validation, spec, shaped)
     except Infeasible:

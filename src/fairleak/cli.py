@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 
-
 from .core import FairnessMetric, FairnessSpec, reconstruction_accuracy
 from .corrector import MoveCounts, correct, solve_general_bruteforce
 from .errors import FairleakError, Infeasible
@@ -23,6 +22,7 @@ from .harness import (
     DEFAULT_EPSILON_GRID,
     DatasetSchema,
     ExperimentConfig,
+    ExperimentReport,
     emit_report,
     ingest_csv,
     read_guess_csv,
@@ -33,6 +33,7 @@ from .harness import (
     write_correction_csv,
     write_dataset_csv,
 )
+from .harness._csv import write_text
 
 log = logging.getLogger("fairleak")
 
@@ -152,9 +153,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             payload["corrected_accuracy"] = reconstruction_accuracy(
                 result.corrected, instance.truth
             )
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        write_text(args.report, json.dumps(payload, indent=2) + "\n", "solve report")
     return EXIT_OK
 
 
@@ -177,10 +176,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_format(args: argparse.Namespace) -> str:
-    if args.format:
-        return args.format
-    return "json" if str(args.out).endswith(".json") else "csv"
+def _emit(report: ExperimentReport, args: argparse.Namespace) -> int:
+    fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
+    emit_report(report, args.out, fmt)
+    log.info("wrote %d rows to %s", len(report.rows), args.out)
+    return EXIT_OK
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
@@ -198,9 +198,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         external_guess=external,
     )
     report = run_experiment(config, table)
-    emit_report(report, args.out, _report_format(args))
-    log.info("wrote %d rows to %s", len(report.rows), args.out)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -221,9 +219,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rho=args.rho,
         beta=args.beta,
     )
-    emit_report(report, args.out, _report_format(args))
-    log.info("wrote %d rows to %s", len(report.rows), args.out)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 _COMMANDS = {

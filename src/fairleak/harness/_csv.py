@@ -1,0 +1,89 @@
+"""The CSV column reader and writer behind every fairleak file kind.
+
+Files are UTF-8, a leading byte-order mark skipped, with a header row.
+Blank lines are skipped, so row numbers count records, the header being row
+1.  Columns and cells beyond those asked for are ignored; a short row leaves
+``None`` in its missing cells, which every converter rejects.
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
+
+from ..errors import IoError, ParseError, SchemaError
+
+
+def read_columns(path: str | Path, required: Sequence[str]) -> dict[str, tuple]:
+    """Each header column's raw cells by name; a repeated name means its last column."""
+    path = Path(path)
+    if not path.exists():
+        raise SchemaError(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise SchemaError(f"missing columns: {missing}")
+        rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
+    columns = list(zip(*rows)) or [()] * len(header)
+    return {name: columns[i] for i, name in enumerate(header)}
+
+
+def _convert(cells: Sequence, column: str, kind: Callable, what: str) -> list:
+    values = []
+    for row, raw in enumerate(cells, start=2):
+        try:
+            values.append(kind(raw))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"row {row}, column {column!r}: {raw!r} is not {what}") from exc
+    return values
+
+
+def ints(cells: Sequence, column: str) -> np.ndarray:
+    values = _convert(cells, column, int, "an integer")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise ParseError(f"row {i + 2}, column {column!r}: {cells[i]!r} is out of range") from None
+
+
+def floats(cells: Sequence, column: str) -> np.ndarray:
+    return np.array(_convert(cells, column, float, "a number"), dtype=np.float64)
+
+
+def codes(cells: Sequence, column: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A text column as codes into its sorted distinct cells, and those cells."""
+    if None in cells:
+        raise ParseError(f"row {cells.index(None) + 2}, column {column!r}: the cell is missing")
+    categories = tuple(sorted(set(cells)))
+    index = {c: i for i, c in enumerate(categories)}
+    return np.array([index[c] for c in cells], dtype=np.int64), categories
+
+
+def int_cells(values) -> list[str]:
+    # whole columns through tolist(): indexing numpy scalars per cell is slow
+    return list(map(str, np.asarray(values, dtype=np.int64).tolist()))
+
+
+def float_cells(values) -> list[str]:
+    return [f"{v:.12g}" for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def write_text(path: str | Path, text: str, what: str) -> Path:
+    path = Path(path)
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+    return path
+
+
+def write_columns(path: str | Path, header: Sequence[str], cells: Sequence, what: str) -> Path:
+    """Write equal-length columns of formatted cells under their header."""
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
+    return write_text(path, "\n".join(lines) + "\n", what)

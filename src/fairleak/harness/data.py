@@ -1,8 +1,12 @@
-"""Dataset tables, schema declarations, CSV ingestion and splitting."""
+"""Dataset tables, schema declarations, CSV ingestion and splitting.
+
+A dataset CSV holds an id column, the feature columns, the sensitive column,
+the label column and optionally the target model's prediction column; a JSON
+schema sidecar names them and declares each feature categorical or numeric.
+"""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -10,13 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import (
-    BadFractions,
-    DuplicateId,
-    LengthMismatch,
-    ParseError,
-    SchemaError,
-)
+from ..errors import BadFractions, DuplicateId, LengthMismatch, SchemaError
+from ._csv import codes, float_cells, floats, int_cells, ints, read_columns, write_columns
+from ._csv import write_text
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -35,6 +35,8 @@ class FeatureColumn:
             raise SchemaError(f"unknown feature kind: {self.kind!r}")
         dtype = np.int64 if self.kind == CATEGORICAL else np.float64
         object.__setattr__(self, "values", np.asarray(self.values, dtype=dtype))
+        if self.kind == NUMERIC and not np.isfinite(self.values).all():
+            raise SchemaError("numeric feature values must be finite")
 
     def take(self, indices: np.ndarray) -> "FeatureColumn":
         return FeatureColumn(self.kind, self.values[indices], self.categories)
@@ -133,7 +135,7 @@ class DatasetSchema:
                 prediction_column=payload.get("prediction", "yhat"),
                 sensitive_cardinality=int(payload.get("sensitive_cardinality", 2)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed schema file {path}: {exc}") from exc
 
     def to_json(self, path: str | Path) -> None:
@@ -145,82 +147,39 @@ class DatasetSchema:
             "sensitive_cardinality": self.sensitive_cardinality,
             "features": self.features,
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _parse_int(raw: str, row: int, column: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"row {row}, column {column!r}: {raw!r} is not an integer") from exc
-
-
-def _parse_float(raw: str, row: int, column: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"row {row}, column {column!r}: {raw!r} is not a number") from exc
+        write_text(path, json.dumps(payload, indent=2) + "\n", "schema")
 
 
 def ingest_csv(path: str | Path, schema: DatasetSchema) -> DatasetTable:
-    """Parse and validate a dataset CSV against its schema declaration."""
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        required = [schema.id_column, schema.sensitive_column, schema.label_column]
-        required.extend(schema.features)
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"missing columns: {missing}")
-        has_predictions = (
-            schema.prediction_column is not None and schema.prediction_column in header
-        )
+    """Parse and validate a dataset CSV against its schema declaration.
 
-        ids: list[int] = []
-        seen: set[int] = set()
-        sensitive: list[int] = []
-        labels: list[int] = []
-        predictions: list[int] = []
-        raw_features: dict[str, list] = {name: [] for name in schema.features}
-        for row_no, row in enumerate(reader, start=2):
-            rid = _parse_int(row[schema.id_column], row_no, schema.id_column)
-            if rid in seen:
-                raise DuplicateId(f"row {row_no}: duplicate id {rid}")
-            seen.add(rid)
-            ids.append(rid)
-            sensitive.append(
-                _parse_int(row[schema.sensitive_column], row_no, schema.sensitive_column)
-            )
-            labels.append(_parse_int(row[schema.label_column], row_no, schema.label_column))
-            if has_predictions:
-                predictions.append(
-                    _parse_int(row[schema.prediction_column], row_no, schema.prediction_column)
-                )
-            for name, kind in schema.features.items():
-                if kind == NUMERIC:
-                    raw_features[name].append(_parse_float(row[name], row_no, name))
-                else:
-                    raw_features[name].append(row[name])
+    The file follows the shared CSV rules of :mod:`._csv`.  A categorical
+    column's codes index its sorted distinct cells."""
+    required = [schema.id_column, schema.sensitive_column, schema.label_column, *schema.features]
+    columns = read_columns(path, required)
+    ids = ints(columns[schema.id_column], schema.id_column)
+    _, first = np.unique(ids, return_index=True)
+    if first.size != ids.size:
+        row = int(np.setdiff1d(np.arange(ids.size), first)[0])
+        raise DuplicateId(f"row {row + 2}: duplicate id {ids[row]}")
+    sensitive = ints(columns[schema.sensitive_column], schema.sensitive_column)
+    labels = ints(columns[schema.label_column], schema.label_column)
+    pred = schema.prediction_column
+    predictions = ints(columns[pred], pred) if pred is not None and pred in columns else None
 
     features: dict[str, FeatureColumn] = {}
     for name, kind in schema.features.items():
         if kind == NUMERIC:
-            features[name] = FeatureColumn(NUMERIC, np.asarray(raw_features[name]))
+            features[name] = FeatureColumn(NUMERIC, floats(columns[name], name))
         else:
-            categories = tuple(sorted(set(raw_features[name])))
-            mapping = {c: i for i, c in enumerate(categories)}
-            codes = np.asarray([mapping[v] for v in raw_features[name]], dtype=np.int64)
-            features[name] = FeatureColumn(CATEGORICAL, codes, categories)
+            features[name] = FeatureColumn(CATEGORICAL, *codes(columns[name], name))
 
     return DatasetTable(
-        ids=np.asarray(ids, dtype=np.int64),
+        ids=ids,
         features=features,
-        sensitive=np.asarray(sensitive, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.int64),
-        predictions=np.asarray(predictions, dtype=np.int64) if has_predictions else None,
+        sensitive=sensitive,
+        labels=labels,
+        predictions=predictions,
         sensitive_cardinality=schema.sensitive_cardinality,
     )
 
@@ -230,27 +189,17 @@ def write_dataset_csv(table: DatasetTable, path: str | Path) -> DatasetSchema:
 
     Categorical features are written as their integer codes."""
     path = Path(path)
-    feature_names = list(table.features)
-    header = ["id"] + feature_names + ["s", "y"]
+    header = ["id", *table.features, "s", "y"]
+    cells = [int_cells(table.ids)]
+    for col in table.features.values():
+        cells.append((int_cells if col.kind == CATEGORICAL else float_cells)(col.values))
+    cells += [int_cells(table.sensitive), int_cells(table.labels)]
     if table.predictions is not None:
         header.append("yhat")
-    lines = [",".join(header)]
-    for i in range(table.n):
-        cells = [str(int(table.ids[i]))]
-        for name in feature_names:
-            col = table.features[name]
-            if col.kind == CATEGORICAL:
-                cells.append(str(int(col.values[i])))
-            else:
-                cells.append(f"{float(col.values[i]):.12g}")
-        cells.append(str(int(table.sensitive[i])))
-        cells.append(str(int(table.labels[i])))
-        if table.predictions is not None:
-            cells.append(str(int(table.predictions[i])))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cells.append(int_cells(table.predictions))
+    write_columns(path, header, cells, "dataset")
     schema = DatasetSchema(
-        features={name: table.features[name].kind for name in feature_names},
+        features={name: col.kind for name, col in table.features.items()},
         sensitive_cardinality=table.sensitive_cardinality,
         prediction_column="yhat" if table.predictions is not None else None,
     )

@@ -54,6 +54,7 @@ from ..core import (
 from ..corrector import correct, solve_general_bruteforce
 from ..errors import (
     BadParameters,
+    DuplicateId,
     FairleakError,
     Infeasible,
     IoError,
@@ -61,6 +62,7 @@ from ..errors import (
     UnsupportedCardinality,
 )
 from ..estimator import estimate_constraint
+from ._csv import write_columns, write_text
 from .data import DatasetTable, split_dataset
 from .predictor import RepairState, encode_features, fit_discretizer, fit_label_predictor
 from .predictor import repair_predictions  # noqa: F401  (perfbench traces this name)
@@ -89,6 +91,8 @@ class ExternalGuess:
         raw = np.asarray(self.raw_scores, dtype=np.float64)
         if not ids.size == guess.size == raw.size:
             raise SchemaError("guess file columns differ in length")
+        if np.unique(ids).size != ids.size:
+            raise DuplicateId("guess ids are not unique")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "guess", guess)
         object.__setattr__(self, "raw_scores", raw)
@@ -517,26 +521,13 @@ def _format_cell(value) -> str:
 
 def emit_report(report: ExperimentReport, path: str | Path, fmt: str = "csv") -> Path:
     """Write the report with a deterministic layout; returns the path."""
-    path = Path(path)
-    try:
-        if fmt == "csv":
-            lines = [",".join(REPORT_COLUMNS)]
-            for row in report.rows:
-                lines.append(
-                    ",".join(_format_cell(getattr(row, c)) for c in REPORT_COLUMNS)
-                )
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        elif fmt == "json":
-            payload = {
-                "metadata": report.metadata,
-                "rows": [dataclasses.asdict(row) for row in report.rows],
-            }
-            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        else:
-            raise ValueError(f"unknown report format: {fmt!r}")
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
-    return path
+    if fmt == "csv":
+        cells = [[_format_cell(getattr(row, c)) for row in report.rows] for c in REPORT_COLUMNS]
+        return write_columns(path, REPORT_COLUMNS, cells, "report")
+    if fmt != "json":
+        raise ValueError(f"unknown report format: {fmt!r}")
+    payload = {"metadata": report.metadata, "rows": list(map(dataclasses.asdict, report.rows))}
+    return write_text(path, json.dumps(payload, indent=2) + "\n", "report")
 
 
 def load_report_json(path: str | Path) -> ExperimentReport:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, slice_for_metric, unfairness_exact
 from ..corrector import _floor_affine, _Lattice, carry_lower_bound, search_net_moves
-from ..errors import Infeasible
+from ..errors import Infeasible, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
@@ -72,6 +72,9 @@ class LabelPredictor:
 def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
     if train.n == 0:
         raise ValueError("training table is empty")
+    if not train.features:
+        # a model of no columns could not tell how many rows it predicts
+        raise SchemaError("the label predictor needs at least one feature column")
     names = tuple(train.features)
     disc = fit_discretizer(train)
     columns = encode_features(train, disc, names)

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairleak.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from fairleak.harness import synth_generate, write_dataset_csv
@@ -266,3 +270,153 @@ class TestSynthAndBench:
         code = main(["bench", "--n", "300", "--seeds", seeds, "--out", str(out)])
         assert code == EXIT_INPUT
         assert not out.exists()
+
+
+# Small valid files of each kind: a dataset with a categorical and a numeric
+# feature and its schema, a guess for the same ids, and a correction instance.
+_SCHEMA = {"features": {"f0": "categorical", "x": "numeric"}}
+_DATASET = [["id", "x", "s", "y", "yhat", "f0"]] + [
+    [str(i), f"{i / 4}", str(i * 7 % 3 % 2), str(i % 3 % 2), str(int(i < 6)), "ab"[i % 2]]
+    for i in range(12)
+]
+_GUESS = [["id", "s_hat", "confidence_raw"]] + [
+    [str(i), str(i * 5 % 3 % 2), f"{0.5 + i / 24}"] for i in range(12)
+]
+_INSTANCE = [["id", "y", "yhat", "s_hat", "confidence", "s_true"]] + [
+    [str(i), str(i % 2), str(int(i < 3)), str(int(i < 4)), f"{i / 5}", str(i % 3 % 2)]
+    for i in range(6)
+]
+
+
+def _csv_bytes(rows):
+    return ("\n".join(map(",".join, rows)) + "\n").encode()
+
+
+def _command_reading(kind, path, tmp_path):
+    """The command that reads ``path`` of this kind, plus its other inputs."""
+    data = tmp_path / "data.csv"
+    data.write_bytes(_csv_bytes(_DATASET))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(_SCHEMA), encoding="utf-8")
+    out = str(tmp_path / "out.csv")
+    if kind == "instance":
+        return ["correct", "--input", str(path), "--metric", "sp", "--epsilon", "0.2", "--out", out]
+    if kind == "guess":
+        return ["attack", "--data", str(data), "--schema", str(schema), "--mode", "external",
+                "--guess-file", str(path), "--epsilon-grid", "0.1", "--out", out]
+    return ["estimate", "--attack-set", str(path), "--schema", str(schema)]
+
+
+_FILES = {"instance": _INSTANCE, "guess": _GUESS, "dataset": _DATASET}
+
+
+@pytest.mark.parametrize("kind", list(_FILES))
+@pytest.mark.parametrize("defect", ["overflow", "short"])
+def test_bad_cell_of_every_file_kind_is_an_input_error(tmp_path, capsys, kind, defect):
+    rows = [list(row) for row in _FILES[kind]]
+    if defect == "overflow":
+        rows[2][0] = "99999999999999999999"
+        message = "row 3, column 'id': '99999999999999999999' is out of range"
+    else:
+        # the row loses its last cell; the dataset's is its categorical one
+        rows[2].pop()
+        message = f"row 3, column {rows[0][-1]!r}: "
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(_csv_bytes(rows))
+    assert main(_command_reading(kind, path, tmp_path)) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+_POOL = [
+    "0", "1", "2", "-1", "", " 1", "1.5", "0.5", "0.75", "nan", "inf", "-inf", "1e999",
+    "99999999999999999999", "-99999999999999999999", "zap", "a", "b", "\"1\"", "0,1",
+]
+
+
+@st.composite
+def _malformed(draw, rows):
+    """A CSV file as bytes: ``rows`` with a few cells replaced, rows cut
+    short, extended or dropped, or ids repeated; then maybe a byte-order
+    mark, bytes that are not UTF-8, or no content at all."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        row = rows[r]
+        edit = draw(st.sampled_from(["cell", "cell", "cut", "extend", "repeat_id", "drop_row"]))
+        if edit == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_POOL))
+        elif edit == "cut" and row:
+            del row[draw(st.integers(0, len(row) - 1)):]
+        elif edit == "extend":
+            row.append(draw(st.sampled_from(_POOL)))
+        elif edit == "repeat_id" and r > 1 and row and rows[1]:
+            row[0] = rows[1][0]
+        elif edit == "drop_row" and r > 0:
+            del rows[r]
+    data = _csv_bytes(rows)
+    framing = draw(st.sampled_from(["plain", "plain", "plain", "bom", "latin", "empty"]))
+    if framing == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif framing == "latin":
+        data = data.replace(b"1", b"\xe9", 1)
+    elif framing == "empty":
+        data = b""
+    return data
+
+
+def _file(rows):
+    """A valid file half the time, so that the defects of the others show."""
+    return st.one_of(st.just(_csv_bytes(rows)), _malformed(rows))
+
+
+_SCHEMAS = st.one_of(st.just(json.dumps(_SCHEMA)), st.sampled_from([
+    json.dumps({"features": {"f0": "categorical", "x": "numeric"}, "sensitive_cardinality": 3}),
+    json.dumps({"features": {"f0": "numeric", "x": "categorical"}}),
+    json.dumps({"features": {"f0": "ordinal"}}),
+    json.dumps({"features": {}, "prediction": None}),
+    json.dumps({"features": {"f0": "categorical"}, "sensitive_cardinality": "two"}),
+    json.dumps({"features": {"f0": "categorical"}, "sensitive_cardinality": 1}),
+    '{"features": {"f0": "categorical"}, "sensitive_cardinality": 1e400}',
+    json.dumps({"id": "x", "features": {"f0": "categorical"}}),
+    json.dumps(["features"]),
+    '{"features": ',
+]))
+_EPSILONS = st.sampled_from(["0.2", "0.05", "0", "1", "-0.1", "nan", "inf"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["correct", "attack", "estimate"]),
+    instance=_file(_INSTANCE),
+    dataset=_file(_DATASET),
+    guess=_file(_GUESS),
+    schema=_SCHEMAS,
+    metric=st.sampled_from(["sp", "pe", "eo", "eodds"]),
+    epsilon=_EPSILONS,
+    lower=st.sampled_from([None, None, "0", "0.01", "nan"]),
+    mode=st.sampled_from(["a", "aprime", "external"]),
+)
+def test_malformed_inputs_exit_cleanly(
+    command, instance, dataset, guess, schema, metric, epsilon, lower, mode
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, payload in [("instance.csv", instance), ("data.csv", dataset),
+                              ("guess.csv", guess), ("schema.json", schema.encode())]:
+            (tmp / name).write_bytes(payload)
+        out = str(tmp / "out.csv")
+        if command == "correct":
+            argv = ["correct", "--input", str(tmp / "instance.csv"), "--metric", metric,
+                    "--epsilon", epsilon, "--out", out, "--report", str(tmp / "r.json")]
+        elif command == "attack":
+            argv = ["attack", "--data", str(tmp / "data.csv"), "--schema", str(tmp / "schema.json"),
+                    "--mode", mode, "--metric", metric, "--epsilon-grid", epsilon, "--out", out]
+            if mode == "external":
+                argv += ["--guess-file", str(tmp / "guess.csv")]
+        else:
+            argv = ["estimate", "--attack-set", str(tmp / "data.csv"),
+                    "--schema", str(tmp / "schema.json")]
+        if lower is not None and command != "estimate":
+            argv += ["--epsilon-lower", lower]
+        # an escaping exception fails the test on its own
+        assert main(argv) in {EXIT_OK, EXIT_INFEASIBLE, EXIT_INPUT}

@@ -44,6 +44,8 @@ from fairleak.harness import (
     largest_remainder_sizes,
     load_report_json,
     make_fair_predictions,
+    read_guess_csv,
+    read_instance_csv,
     run_experiment,
     split_dataset,
     synth_generate,
@@ -108,6 +110,16 @@ class TestIngestCsv:
         with pytest.raises(SchemaError):
             ingest_csv(path, _schema())
 
+    def test_schema_cardinality_beyond_float_range(self, tmp_path):
+        path = _write(tmp_path, '{"features": {}, "sensitive_cardinality": 1e400}', "s.json")
+        with pytest.raises(SchemaError, match="malformed schema file"):
+            DatasetSchema.from_json(path)
+
+    def test_non_finite_numeric_feature(self, tmp_path):
+        path = _write(tmp_path, "id,f0,x,s,y\n1,a,0.5,0,1\n2,b,inf,1,0\n")
+        with pytest.raises(SchemaError, match="numeric feature values must be finite"):
+            ingest_csv(path, _schema())
+
     def test_dataset_csv_round_trip(self, tmp_path):
         table = synth_generate(40, seed=3)
         path = tmp_path / "synth.csv"
@@ -116,6 +128,109 @@ class TestIngestCsv:
         assert again.n == table.n
         assert again.sensitive.tolist() == table.sensitive.tolist()
         assert again.labels.tolist() == table.labels.tolist()
+
+
+# One valid two-row file of each kind, with the reader that takes it; the
+# shared CSV rules hold for all three.
+_FILES = {
+    "dataset": ("id,f0,x,s,y", ["1,a,0.5,0,1", "2,b,1.5,1,0"]),
+    "instance": ("id,y,yhat,s_hat,confidence", ["1,0,1,1,0.5", "2,1,0,0,0.25"]),
+    "guess": ("id,s_hat,confidence_raw", ["1,1,0.5", "2,0,0.75"]),
+}
+_READERS = {
+    "dataset": lambda path: ingest_csv(path, _schema()),
+    "instance": read_instance_csv,
+    "guess": read_guess_csv,
+}
+_KINDS = pytest.mark.parametrize("kind", list(_FILES))
+
+
+def _read(tmp_path, kind, lines, prefix=""):
+    path = _write(tmp_path, prefix + "\n".join(lines) + "\n", f"{kind}.csv")
+    return _READERS[kind](path)
+
+
+def _ids(parsed):
+    ids = parsed[0] if isinstance(parsed, tuple) else parsed.ids
+    return ids.tolist()
+
+
+class TestCsvRules:
+    @_KINDS
+    def test_blank_lines_are_skipped_and_rows_count_records(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        assert _ids(_read(tmp_path, kind, [header, "", rows[0], "", "", rows[1], ""])) == [1, 2]
+        with pytest.raises(ParseError, match=r"^row 3, column 'id': 'zap' is not an integer$"):
+            _read(tmp_path, kind, [header, "", rows[0], "", "zap" + rows[1][1:]])
+
+    @_KINDS
+    def test_extra_cells_and_columns_are_ignored(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        lines = [header + ",note", rows[0] + ",hello", rows[1] + ",x,y,z"]
+        assert _ids(_read(tmp_path, kind, lines)) == [1, 2]
+
+    @_KINDS
+    def test_quoted_cells_and_padded_numbers_are_read(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        quoted = ",".join(f'"{cell}"' for cell in rows[0].split(","))
+        padded = ",".join(f" {cell} " for cell in rows[1].split(","))
+        plain = _read(tmp_path, kind, [header, *rows])
+        parsed = _read(tmp_path, kind, [header, quoted, padded])
+        assert _ids(parsed) == [1, 2]
+        if kind == "dataset":
+            # categories are raw text: the padding is kept
+            assert parsed.features["f0"].categories == (" b ", "a")
+            assert parsed.features["x"].values.tolist() == [0.5, 1.5]
+        elif kind == "instance":
+            assert parsed[1].confidence.tolist() == plain[1].confidence.tolist()
+            assert parsed[1].guess.tolist() == plain[1].guess.tolist()
+        else:
+            assert parsed.raw_scores.tolist() == plain.raw_scores.tolist()
+
+    @_KINDS
+    def test_duplicate_ids(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        message = {
+            "dataset": "^row 3: duplicate id 1$",
+            "instance": "^instance ids are not unique$",
+            "guess": "^guess ids are not unique$",
+        }[kind]
+        with pytest.raises(DuplicateId, match=message):
+            _read(tmp_path, kind, [header, rows[0], "1" + rows[1][1:]])
+
+    @_KINDS
+    def test_missing_column_and_empty_file(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        with pytest.raises(SchemaError, match=r"^missing columns: \['id'\]$"):
+            _read(tmp_path, kind, ["ident" + header[2:], *rows])
+        path = _write(tmp_path, "", "empty.csv")
+        with pytest.raises(SchemaError, match="^missing columns: "):
+            _READERS[kind](path)
+
+    @_KINDS
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        assert _ids(_read(tmp_path, kind, [header, *rows], prefix="\ufeff")) == [1, 2]
+
+    @_KINDS
+    def test_integer_beyond_int64_is_a_parse_error(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        big = "99999999999999999999"
+        with pytest.raises(ParseError, match=rf"^row 3, column 'id': '{big}' is out of range"):
+            _read(tmp_path, kind, [header, rows[0], big + rows[1][1:]])
+
+    @_KINDS
+    def test_short_row_is_a_parse_error(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        last = header.split(",")[-1]
+        short = rows[1].rsplit(",", 1)[0]
+        what = "an integer" if kind == "dataset" else "a number"
+        with pytest.raises(ParseError, match=rf"^row 3, column '{last}': None is not {what}$"):
+            _read(tmp_path, kind, [header, rows[0], short])
+
+    def test_short_row_missing_a_categorical_cell(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^row 3, column 'f0': the cell is missing$"):
+            _read(tmp_path, "dataset", ["id,x,s,y,f0", "1,0.5,0,1,a", "2,1.5,1,0"])
 
 
 class TestSplitDataset:
@@ -472,6 +587,18 @@ class TestRunExperiment:
         config = ExperimentConfig(epsilon_grid=(0.0, 0.1), seeds=(0, 1))
         statuses = [row.status for row in run_experiment(config, one_group).rows]
         assert statuses == ["DegenerateClasses", "Infeasible"] * 2
+
+    def test_external_guess_ids_are_unique(self):
+        # a repeated id would silently map every row to its last guess
+        with pytest.raises(DuplicateId, match="^guess ids are not unique$"):
+            ExternalGuess(ids=[4, 4], guess=[0, 1], raw_scores=[0.6, 0.7])
+
+    def test_dataset_without_features_is_a_schema_error(self):
+        table = synth_generate(90, seed=0)
+        bare = DatasetTable(ids=table.ids, features={}, sensitive=table.sensitive,
+                            labels=table.labels)
+        with pytest.raises(SchemaError, match="at least one feature column"):
+            run_experiment(ExperimentConfig(epsilon_grid=(0.1,), adversary_mode="a"), bare)
 
     def test_multivalued_dataset_rejected_before_the_sweep(self):
         table = synth_generate(300, seed=2)
