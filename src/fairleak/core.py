@@ -1,8 +1,11 @@
 """Domain types, statistical fairness metrics, metric slicing and scoring.
 
+Each metric's slice rule is written once, in ``slice_for_metric``, and a
+metric's unfairness is the largest group rate gap over its nonempty slices.
 Rates are compared as exact integer ratios (``fractions.Fraction``) so that
 feasibility questions never depend on floating-point summation order.  The
 float slack ``SLACK`` applies only to the real-valued reporting surface.
+Out-of-range labels or groups are a ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySlice, EmptyVector, LengthMismatch, NegativeConfidence
+from .errors import EmptySlice, EmptyVector, LengthMismatch, NegativeConfidence, SchemaError
 
 #: Numeric slack applied by :func:`satisfies` on top of the exact comparison.
 SLACK = 1e-9
@@ -38,7 +41,7 @@ def as_binary_array(values: Sequence[int], name: str = "vector") -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise ValueError(f"{name} must contain only 0 and 1")
+        raise SchemaError(f"{name} must contain only 0 and 1")
     arr.setflags(write=False)
     return arr
 
@@ -53,7 +56,7 @@ def as_sensitive_array(
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() >= cardinality):
-        raise ValueError(f"{name} values must lie in [0, {cardinality})")
+        raise SchemaError(f"{name} values must lie in [0, {cardinality})")
     arr.setflags(write=False)
     return arr
 
@@ -157,24 +160,14 @@ def _group_rate_gap(s: np.ndarray, yhat: np.ndarray) -> Fraction:
 
     Groups absent from the slice contribute no term.
     """
-    n = int(s.size)
-    if n == 0:
-        raise EmptySlice("metric slice contains zero examples")
-    pos_total = int(yhat.sum())
-    overall = Fraction(pos_total, n)
+    overall = Fraction(int(yhat.sum()), int(s.size))
     counts = np.bincount(s)
-    if pos_total:
-        positives = np.bincount(s[yhat == 1], minlength=counts.size)
-    else:
-        positives = np.zeros_like(counts)
-    worst = Fraction(0)
-    for count, pos in zip(counts.tolist(), positives.tolist()):
-        if count == 0:
-            continue
-        gap = abs(overall - Fraction(pos, count))
-        if gap > worst:
-            worst = gap
-    return worst
+    positives = np.bincount(s[yhat == 1], minlength=counts.size)
+    return max(
+        (abs(overall - Fraction(pos, count))
+         for count, pos in zip(counts.tolist(), positives.tolist()) if count),
+        default=Fraction(0),
+    )
 
 
 def unfairness_exact(
@@ -183,7 +176,9 @@ def unfairness_exact(
     yhat: Sequence[int],
     y: Sequence[int] | None = None,
 ) -> Fraction:
-    """Exact rational unfairness of predictions ``yhat`` w.r.t. groups ``s``."""
+    """Exact rational unfairness of predictions ``yhat`` w.r.t. groups ``s``:
+    the largest group rate gap over the metric's nonempty slices.  EOdds is
+    the conjunction of PE and EO, so one-sided labels leave it one slice."""
     metric = FairnessMetric(metric)
     s_arr = np.asarray(s, dtype=np.int64)
     if s_arr.size and s_arr.min() < 0:
@@ -192,24 +187,13 @@ def unfairness_exact(
     if s_arr.size != yhat_arr.size:
         raise LengthMismatch("sensitive and prediction vectors differ in length")
     if metric is FairnessMetric.SP:
-        return _group_rate_gap(s_arr, yhat_arr)
-    if y is None:
+        y = yhat_arr  # SP reads no labels, only their count
+    elif y is None:
         raise ValueError(f"{metric.value} requires the label vector")
-    y_arr = as_binary_array(y, "labels")
-    if y_arr.size != yhat_arr.size:
+    if as_binary_array(y, "labels").size != yhat_arr.size:
         raise LengthMismatch("label vector differs in length")
-    if metric is FairnessMetric.PE:
-        mask = y_arr == 0
-        return _group_rate_gap(s_arr[mask], yhat_arr[mask])
-    if metric is FairnessMetric.EO:
-        mask = y_arr == 1
-        return _group_rate_gap(s_arr[mask], yhat_arr[mask])
-    # EOdds: conjunction of PE and EO; an empty side is skipped so one-sided
-    # label vectors degrade gracefully.
-    gaps = []
-    for mask in (y_arr == 0, y_arr == 1):
-        if mask.any():
-            gaps.append(_group_rate_gap(s_arr[mask], yhat_arr[mask]))
+    gaps = [_group_rate_gap(s_arr[idx], yhat_arr[idx])
+            for idx in slice_for_metric(metric, y) if idx.size]
     if not gaps:
         raise EmptySlice("metric slice contains zero examples")
     return max(gaps)

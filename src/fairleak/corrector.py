@@ -20,6 +20,8 @@ the adversary's choice of confidence exponent does; ``correct`` is its
 one-vector case.  Per slice, one lattice sorts its cells under every vector
 in one batch, and the window pieces of the columns scanned for one vector
 are kept for the next, since windows never depend on the costs.
+``solve_slices`` solves a metric's slices for the corrector and the repair
+alike, and alone decides which slice carries an EOdds lower bound.
 
 ``solve_general_bruteforce`` enumerates every assignment on the active slice
 and is the correctness oracle as well as the only multi-valued solver.
@@ -191,7 +193,7 @@ class _Lattice:
     """
 
     def __init__(self, x: np.ndarray, z: np.ndarray, costs: np.ndarray) -> None:
-        self.x, self.z = x, z
+        self.x, self.z, self.costs = x, z, costs
         xb, zb = x.astype(bool), z.astype(bool)
         # (totals, orders) of the up and down flips of the column, then the row
         self.cells = [
@@ -203,16 +205,12 @@ class _Lattice:
         up1, down1, up0, down0 = (totals[r] for totals, _ in self.cells)
         return _SideCosts(pos=up1, neg=down1), _SideCosts(pos=up0, neg=down0)
 
-    def flip(self, r: int, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """``x`` with cell (u, v) applied under cost row ``r``, and the
-        sorted flipped indices."""
+    def flip(self, r: int, u: int, v: int) -> np.ndarray:
+        """``x`` with cell (u, v) applied under cost row ``r``."""
         flipped = np.array(self.x)
-        changed = []
         for k, (_, up), (_, down) in ((u, *self.cells[:2]), (v, *self.cells[2:])):
-            sel = up[r, :k] if k > 0 else down[r, :-k]
-            flipped[sel] = int(k > 0)
-            changed.append(sel)
-        return flipped, np.sort(np.concatenate(changed))
+            flipped[up[r, :k] if k > 0 else down[r, :-k]] = int(k > 0)
+        return flipped
 
 
 #: window(u, num, den, strict) -> (lo, hi): for each column u, the rows v at
@@ -399,7 +397,6 @@ def _solve_sp_form(
 class _SliceSolution:
     moves: MoveCounts
     corrected_slice: np.ndarray
-    changed: np.ndarray
     objective: float
     columns: int
 
@@ -433,10 +430,8 @@ class _Slice:
         memo = None if self.memos is None else self.memos.setdefault(lower, _WindowMemo())
         moves, columns = _solve_sp_form(col, row, self.epsilon, lower, memo)
         u, v = moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg
-        corrected_slice, changed_local = self.lattice.flip(vector, u, v)
-        return _SliceSolution(
-            moves, corrected_slice, self.idx[changed_local], col.at(u) + row.at(v), columns
-        )
+        corrected_slice = self.lattice.flip(vector, u, v)
+        return _SliceSolution(moves, corrected_slice, col.at(u) + row.at(v), columns)
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
@@ -482,56 +477,54 @@ def _correct_rows(
         for idx in slice_for_metric(metric, instance.labels)
         if idx.size
     ]
-    carried = metric is FairnessMetric.EODDS and lower is not None and len(slices) == 2
 
     results = []
     for vector in range(confs.shape[0]):
-        solutions: list[_SliceSolution]
-        if carried:
-            solutions = carry_lower_bound(
-                lambda i, bound: slices[i].solve(vector, bound),
-                lambda i, sol: unfairness_exact(
-                    FairnessMetric.SP, sol.corrected_slice, slices[i].lattice.z
-                ),
-                lower,
-            )
-        else:
-            # for single-slice metrics the lower bound applies to the slice gap
-            solutions = [part.solve(vector, lower) for part in slices]
-
+        solutions = solve_slices(
+            metric,
+            len(slices),
+            lambda i, bound: slices[i].solve(vector, bound),
+            lambda i, sol: unfairness_exact(
+                FairnessMetric.SP, sol.corrected_slice, slices[i].lattice.z
+            ),
+            lower,
+        )
         corrected = np.array(guess)
         moves = MoveCounts(0, 0, 0, 0)
         objective = 0.0
-        changed: list[np.ndarray] = []
         columns = 0
         for part, sol in zip(slices, solutions):
             corrected[part.idx] = sol.corrected_slice
             moves = moves + sol.moves
             objective += sol.objective
             columns += sol.columns
-            if sol.changed.size:
-                changed.append(sol.changed)
-        changed_indices = tuple(np.sort(np.concatenate(changed)).tolist()) if changed else ()
         corrected.setflags(write=False)
+        changed_indices = tuple(np.flatnonzero(corrected != guess).tolist())
         results.append(
             CorrectionResult(corrected, objective, moves, changed_indices, SolverStats(columns))
         )
     return results
 
 
-def carry_lower_bound(
+def solve_slices(
+    metric: FairnessMetric,
+    count: int,
     solve: Callable[[int, Fraction | None], _Solution],
     gap: Callable[[int, _Solution], Fraction],
-    lower: Fraction,
+    lower: Fraction | None,
 ) -> list[_Solution]:
-    """EOdds with a lower bound couples its two slices: the larger slice gap
-    must reach the bound, so at most one slice has to carry it.
+    """Solutions of a metric's ``count`` nonempty slices, in slice order.
 
     ``solve(i, bound)`` solves slice i, with the lower bound when ``bound``
-    is set; ``gap(i, solution)`` measures the slice's gap.  Both slices are
-    solved upper-only, and only if the bound is missed is each re-solved
-    with the bound attached, keeping the cheaper combination.
+    is set; ``gap(i, solution)`` measures the slice's gap.  A single slice
+    carries the lower bound itself.  EOdds with a lower bound couples its
+    two slices: the larger slice gap must reach the bound, so at most one
+    slice has to carry it.  Both slices are solved upper-only, and only if
+    the bound is missed is each re-solved with the bound attached, keeping
+    the cheaper combination.
     """
+    if metric is not FairnessMetric.EODDS or lower is None or count < 2:
+        return [solve(i, lower) for i in range(count)]
     base = [solve(i, None) for i in (0, 1)]
     if max(gap(i, sol) for i, sol in enumerate(base)) >= lower:
         return base

@@ -1,6 +1,7 @@
 """The CSV column reader and writer behind every fairleak file kind.
 
-Files are UTF-8, a leading byte-order mark skipped, with a header row.
+Files are UTF-8, a leading byte-order mark skipped, with a header row; any
+other encoding is a ``ParseError`` that names the file.
 Blank lines are skipped, so row numbers count records, the header being row
 1.  Columns and cells beyond those asked for are ignored; a short row leaves
 ``None`` in its missing cells, which every converter rejects.
@@ -24,11 +25,14 @@ def read_columns(path: str | Path, required: Sequence[str]) -> dict[str, tuple]:
         raise SchemaError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"missing columns: {missing}")
-        rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
+        try:
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise SchemaError(f"missing columns: {missing}")
+            rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     columns = list(zip(*rows)) or [()] * len(header)
     return {name: columns[i] for i, name in enumerate(header)}
 

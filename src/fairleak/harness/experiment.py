@@ -13,10 +13,12 @@ the constraint, in mode ``aprime`` fit the prediction column and add its
 term to the log joints, choose the confidence exponent, correct and score.
 
 Cell failures are recorded in their row instead of aborting the sweep.  A
-per-seed stage that fails is recorded in every cell, raised at the step of
-the cell that uses it.  Reports are fully deterministic for a fixed
-(config, data): rows carry no wall-clock fields and every random draw is
-seeded.
+per-seed stage that fails is recorded in every cell of its seed: the
+adversary's error at the step of the cell that uses it, any other at once.
+Defects that do not depend on the seed, such as bad split fractions or a
+table too small to train on, are rejected before the first seed.  Reports
+are fully deterministic for a fixed (config, data): rows carry no
+wall-clock fields and every random draw is seeded.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from ..corrector import correct, solve_general_bruteforce
 from ..errors import (
     BadParameters,
     DuplicateId,
+    EmptyVector,
     FairleakError,
     Infeasible,
     IoError,
@@ -63,7 +66,7 @@ from ..errors import (
 )
 from ..estimator import estimate_constraint
 from ._csv import write_columns, write_text
-from .data import DatasetTable, split_dataset
+from .data import DatasetTable, largest_remainder_sizes, split_dataset
 from .predictor import RepairState, encode_features, fit_discretizer, fit_label_predictor
 from .predictor import repair_predictions  # noqa: F401  (perfbench traces this name)
 
@@ -137,6 +140,11 @@ class ExperimentConfig:
             raise BadParameters("k grid must be nonempty")
         if not all(math.isfinite(k) and k > 0 for k in self.k_grid):
             raise BadParameters("k grid exponents must be finite and positive")
+        fractions = self.split_fractions
+        if len(fractions) != 3 or not all(f > 0 for f in fractions):
+            raise BadParameters("split fractions must be three positive shares")
+        if not abs(sum(fractions) - 1.0) <= 1e-9:
+            raise BadParameters("split fractions must sum to 1")
         if self.adversary_mode not in (MODE_A, MODE_A_PRIME, MODE_EXTERNAL):
             raise BadParameters(f"unknown adversary mode: {self.adversary_mode!r}")
         if self.adversary_mode == MODE_EXTERNAL and self.external_guess is None:
@@ -435,11 +443,20 @@ def run_experiment(config: ExperimentConfig, table: DatasetTable) -> ExperimentR
     external = config.external_guess
     if external is not None and not np.isin(external.guess, (0, 1)).all():
         raise UnsupportedCardinality("external guess values must be 0 or 1")
+    if largest_remainder_sizes(table.n, config.split_fractions)[0] == 0:
+        raise EmptyVector(f"a table of {table.n} rows leaves the training part empty")
+    if not table.features:
+        raise SchemaError("the label predictor needs at least one feature column")
     rows: list[ReportRow] = []
     for seed in config.seeds:
-        state = _prepare_seed(config, table, seed)
+        try:
+            state: _Seed | FairleakError = _prepare_seed(config, table, seed)
+        except FairleakError as exc:
+            state = exc
         for epsilon in config.epsilon_grid:
             try:
+                if isinstance(state, FairleakError):
+                    raise state
                 rows.append(_run_cell(config, seed, epsilon, state))
             except FairleakError as exc:
                 rows.append(

@@ -11,8 +11,9 @@ its window function gives, for a block of group-1 flip counts at once, the
 interval of feasible group-0 flip counts, each end an exact integer floor.
 
 ``RepairState`` holds what does not depend on the tolerance: a table's
-metric slices and the lattice of each.  A sweep builds it once per table
-and runs only the search and the flips per tolerance;
+metric slices and the lattice of each, which keeps the slice's margins as
+its cost row.  A sweep builds it once per table and runs only the search
+and the flips per tolerance, through the corrector's ``solve_slices``;
 ``repair_predictions`` is the one-shot form.
 """
 
@@ -25,8 +26,8 @@ from typing import Iterable
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, slice_for_metric, unfairness_exact
-from ..corrector import _floor_affine, _Lattice, carry_lower_bound, search_net_moves
-from ..errors import Infeasible, SchemaError
+from ..corrector import _floor_affine, _Lattice, search_net_moves, solve_slices
+from ..errors import EmptyVector, Infeasible, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
@@ -71,7 +72,7 @@ class LabelPredictor:
 
 def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
     if train.n == 0:
-        raise ValueError("training table is empty")
+        raise EmptyVector("training table is empty")
     if not train.features:
         # a model of no columns could not tell how many rows it predicts
         raise SchemaError("the label predictor needs at least one feature column")
@@ -85,30 +86,21 @@ def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
 @dataclass(frozen=True, eq=False)
 class _RepairSlice:
     yhat: np.ndarray
-    flipped: np.ndarray
     objective: float
 
 
-class _SliceState:
-    """One metric slice's tolerance-free repair inputs: its predictions,
-    margins and groups, and their lattice: group 1 the columns, group 0 the
-    rows, the margins the flip costs."""
-
-    def __init__(self, yhat: np.ndarray, margins: np.ndarray, sensitive: np.ndarray) -> None:
-        self.yhat, self.margins, self.sensitive = yhat, margins, sensitive
-        self.lattice = _Lattice(yhat, sensitive, margins[None])
-
-
-def _repair_slice(part: _SliceState, epsilon: Fraction, lower: Fraction | None) -> _RepairSlice:
-    col, row = part.lattice.sides(0)
+def _repair_slice(part: _Lattice, epsilon: Fraction, lower: Fraction | None) -> _RepairSlice:
+    """Repair one slice's lattice: its predictions split by its groups, group
+    1 the columns, group 0 the rows, the margins the one cost row."""
+    col, row = part.sides(0)
     # group 1's members are its up (negative) and down (positive) flips
-    n = part.yhat.size
+    n = part.x.size
     n1 = col.pos.size + col.neg.size - 2
     n0 = n - n1
     if n1 == 0 or n0 == 0:
         # a single group carries the whole slice, so its rate is the overall
         # rate and the constraint already holds
-        return _RepairSlice(part.yhat.copy(), np.zeros(0, dtype=np.int64), 0.0)
+        return _RepairSlice(part.x.copy(), 0.0)
     pos1, pos0 = col.neg.size - 1, row.neg.size - 1
     tot = pos1 + pos0
 
@@ -137,8 +129,8 @@ def _repair_slice(part: _SliceState, epsilon: Fraction, lower: Fraction | None) 
     state, _ = search_net_moves(col, row, window, epsilon, lower)
     if state is None:
         raise Infeasible("no prediction repair satisfies the constraint")
-    repaired, flipped = part.lattice.flip(0, *state)
-    return _RepairSlice(repaired, flipped, float(part.margins[flipped].sum()))
+    repaired = part.flip(0, *state)
+    return _RepairSlice(repaired, float(part.costs[0][repaired != part.x].sum()))
 
 
 class RepairState:
@@ -158,8 +150,7 @@ class RepairState:
         self.metric = FairnessMetric(metric)
         self.slices = [idx for idx in slice_for_metric(self.metric, labels) if idx.size]
         self.parts = [
-            _SliceState(self.yhat[idx], margins[idx], sensitive[idx])
-            for idx in self.slices
+            _Lattice(self.yhat[idx], sensitive[idx], margins[idx][None]) for idx in self.slices
         ]
 
     def repair(self, epsilon: float, epsilon_lower: float | None = None) -> np.ndarray:
@@ -167,15 +158,13 @@ class RepairState:
         ``epsilon`` (and, when set, reaches ``epsilon_lower``), groups fixed."""
         upper = Fraction(epsilon)
         lower = Fraction(epsilon_lower) if epsilon_lower else None
-        parts = self.parts
-        if self.metric is FairnessMetric.EODDS and lower is not None and len(parts) == 2:
-            solved = carry_lower_bound(
-                lambda i, bound: _repair_slice(parts[i], upper, bound),
-                lambda i, sol: unfairness_exact(FairnessMetric.SP, parts[i].sensitive, sol.yhat),
-                lower,
-            )
-        else:
-            solved = [_repair_slice(part, upper, lower) for part in parts]
+        solved = solve_slices(
+            self.metric,
+            len(self.parts),
+            lambda i, bound: _repair_slice(self.parts[i], upper, bound),
+            lambda i, sol: unfairness_exact(FairnessMetric.SP, self.parts[i].z, sol.yhat),
+            lower,
+        )
         repaired = np.array(self.yhat)
         for idx, sol in zip(self.slices, solved):
             repaired[idx] = sol.yhat
@@ -196,10 +185,8 @@ def repair_predictions(
 
 def make_fair_predictions(train: DatasetTable, spec: FairnessSpec) -> np.ndarray:
     """Training-set predictions of the simulated fair target model."""
-    if train.n == 0:
-        raise ValueError("training table is empty")
+    predictor = fit_label_predictor(train)
     if np.unique(train.sensitive).size < 2:
         raise ValueError("training table must contain both sensitive groups")
-    predictor = fit_label_predictor(train)
     yhat, margins = predictor.raw_predictions(train)
     return repair_predictions(yhat, margins, train.sensitive, train.labels, spec)

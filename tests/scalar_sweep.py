@@ -208,7 +208,7 @@ def repair_slice(
     n1 = int(np.count_nonzero(sub_s == 1))
     n0 = n - n1
     if n1 == 0 or n0 == 0:
-        return _RepairSlice(sub_y.copy(), np.zeros(0, dtype=np.int64), 0.0)
+        return _RepairSlice(sub_y.copy(), 0.0)
     pos1 = int(np.count_nonzero(sub_y[sub_s == 1]))
     pos0 = int(np.count_nonzero(sub_y[sub_s == 0]))
     tot = pos1 + pos0
@@ -247,7 +247,7 @@ def repair_slice(
         return _carve(lo, hi, None if ilo > ihi else (ilo, ihi))
 
     if any(lo <= 0 <= hi for lo, hi in feasible_rows(0)):
-        return _RepairSlice(sub_y.copy(), np.zeros(0, dtype=np.int64), 0.0)
+        return _RepairSlice(sub_y.copy(), 0.0)
 
     col = SideCosts(pos=up1, neg=down1)
     row = SideCosts(pos=up0, neg=down0)
@@ -269,11 +269,11 @@ def repair_slice(
         flips.append(sel)
     flipped = np.sort(np.concatenate(flips)) if flips else np.zeros(0, dtype=np.int64)
     cost = float(margins[idx][flipped].sum()) if flipped.size else 0.0
-    return _RepairSlice(repaired, flipped, cost)
+    return _RepairSlice(repaired, cost)
 
 
 def repair_slice_state(part, epsilon: Fraction, lower: Fraction | None) -> _RepairSlice:
     """``repair_slice`` on a slice the package prepared: only its raw
     predictions, margins and groups are read, never its sorted costs."""
-    local = np.arange(part.yhat.size)
-    return repair_slice(part.yhat, part.margins, part.sensitive, local, epsilon, lower)
+    local = np.arange(part.x.size)
+    return repair_slice(part.x, part.costs[0], part.z, local, epsilon, lower)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fairleak.errors import (
     BadFractions,
     BadParameters,
     DuplicateId,
+    EmptyVector,
     Infeasible,
     IoError,
     ParseError,
@@ -53,7 +55,7 @@ from fairleak.harness import (
     write_dataset_csv,
     write_guess_csv,
 )
-from fairleak.harness import CATEGORICAL, NUMERIC, predictor
+from fairleak.harness import CATEGORICAL, NUMERIC, experiment, predictor
 from fairleak.harness.experiment import _train_attack_model
 from fairleak.harness.predictor import (
     RepairState,
@@ -231,6 +233,30 @@ class TestCsvRules:
     def test_short_row_missing_a_categorical_cell(self, tmp_path):
         with pytest.raises(ParseError, match=r"^row 3, column 'f0': the cell is missing$"):
             _read(tmp_path, "dataset", ["id,x,s,y,f0", "1,0.5,0,1,a", "2,1.5,1,0"])
+
+    @_KINDS
+    def test_non_utf8_file_is_a_parse_error_naming_it(self, tmp_path, kind):
+        header, rows = _FILES[kind]
+        path = tmp_path / f"{kind}.csv"
+        text = "\n".join([header, *rows]) + "\n"
+        path.write_bytes(text.encode().replace(b"1", b"\xe9", 1))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))} is not UTF-8 text"):
+            _READERS[kind](path)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [("y", "2", "labels must contain only 0 and 1"),
+         ("s_hat", "-1", r"guess values must lie in \[0, 2\)")],
+        ids=["y", "s_hat"],
+    )
+    def test_out_of_range_instance_value_is_a_schema_error(
+        self, tmp_path, column, value, message
+    ):
+        header, rows = _FILES["instance"]
+        cells = rows[1].split(",")
+        cells[header.split(",").index(column)] = value
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            _read(tmp_path, "instance", [header, rows[0], ",".join(cells)])
 
 
 class TestSplitDataset:
@@ -587,6 +613,39 @@ class TestRunExperiment:
         config = ExperimentConfig(epsilon_grid=(0.0, 0.1), seeds=(0, 1))
         statuses = [row.status for row in run_experiment(config, one_group).rows]
         assert statuses == ["DegenerateClasses", "Infeasible"] * 2
+
+    def test_failing_seed_preparation_spares_the_other_seeds(self, monkeypatch):
+        fits = []
+        original = experiment.fit_label_predictor
+
+        def fit(train):
+            fits.append(train.n)
+            if len(fits) == 2:
+                raise SchemaError("forced")
+            return original(train)
+
+        monkeypatch.setattr(experiment, "fit_label_predictor", fit)
+        config = ExperimentConfig(epsilon_grid=(0.05, 0.1), seeds=(0, 1, 2))
+        report = run_experiment(config, synth_generate(300, seed=2))
+        assert [(row.seed, row.status) for row in report.rows] == [
+            (0, "ok"), (0, "ok"), (1, "SchemaError"), (1, "SchemaError"), (2, "ok"), (2, "ok")
+        ]
+
+    @pytest.mark.parametrize(
+        "fractions", [(0.5, 0.5), (0.5, 0.5, 0.0), (0.5, 0.5, 0.5), (math.nan, 0.5, 0.5)]
+    )
+    def test_split_fraction_validation(self, fractions):
+        with pytest.raises(BadParameters, match="split fractions"):
+            ExperimentConfig(split_fractions=fractions)
+
+    def test_table_without_training_rows_is_rejected_before_the_sweep(self):
+        # two rows split 0.1/0.45/0.45 leave the training part none
+        table = synth_generate(300, seed=2).subset(np.arange(2))
+        config = ExperimentConfig(epsilon_grid=(0.1,), split_fractions=(0.1, 0.45, 0.45))
+        with pytest.raises(EmptyVector, match="training part empty"):
+            run_experiment(config, table)
+        with pytest.raises(EmptyVector, match="training table is empty"):
+            fit_label_predictor(table.subset(np.arange(0)))
 
     def test_external_guess_ids_are_unique(self):
         # a repeated id would silently map every row to its last guess

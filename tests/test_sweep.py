@@ -275,31 +275,55 @@ class TestCorrectEach:
             assert _assert_same_each(monkeypatch, inst, FairnessSpec(metric, 0.01), vectors)
 
     def test_both_eodds_carriers(self, monkeypatch, rng):
+        """The corrector and the prediction repair share one EOdds carrier
+        search; in each, either slice carries the lower bound."""
         carriers = []
-        real = corrector.carry_lower_bound
+        real = corrector.solve_slices
 
-        def spy(solve, gap, lower):
+        def spy(metric, count, solve, gap, lower):
             forced = {}
 
             def recording(i, bound):
                 forced[i, bound is None] = solve(i, bound)
                 return forced[i, bound is None]
 
-            combo = real(recording, gap, lower)
-            carriers.extend(i for i, sol in enumerate(combo) if forced.get((i, False)) is sol)
+            combo = real(metric, count, recording, gap, lower)
+            if count == 2:
+                carriers.extend(i for i, sol in enumerate(combo) if forced.get((i, False)) is sol)
             return combo
 
+        def carried(solve, *args):
+            carriers.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(corrector, "solve_slices", spy)
+                patch.setattr(predictor, "solve_slices", spy)
+                _outcome(solve, *args)
+            return set(carriers)
+
+        def spec(eps):
+            return FairnessSpec(FairnessMetric.EODDS, eps, eps * rng.uniform(0.5, 1.0))
+
+        corrected = set()
         for trial in range(60):
             n = int(rng.integers(20, 300))
             inst = _instance(rng, n, "uniform")
-            eps = (0.05, 0.1, 0.2)[trial % 3]
-            spec = FairnessSpec(FairnessMetric.EODDS, eps, eps * rng.uniform(0.5, 1.0))
+            eodds = spec((0.05, 0.1, 0.2)[trial % 3])
             vectors = _vectors(rng, n, ("orders", "ties", "shaped")[trial % 3])
-            with monkeypatch.context() as patch:
-                patch.setattr(corrector, "carry_lower_bound", spy)
-                _outcome(correct_each, inst, spec, vectors)
-            _assert_same_each(monkeypatch, inst, spec, vectors)
-        assert {0, 1} <= set(carriers)
+            corrected |= carried(correct_each, inst, eodds, vectors)
+            _assert_same_each(monkeypatch, inst, eodds, vectors)
+        assert {0, 1} <= corrected
+
+        repaired = set()
+        for trial in range(60):
+            n = int(rng.integers(20, 300))
+            yhat = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
+            margins = rng.random(n) if trial % 2 else rng.integers(0, 3, n) / 4.0
+            sensitive = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
+            labels = rng.integers(0, 2, n)
+            args = (yhat, margins, sensitive, labels, spec((0.05, 0.1, 0.2)[trial % 3]))
+            repaired |= carried(repair_predictions, *args)
+            _assert_same_repair(monkeypatch, *args)
+        assert {0, 1} <= repaired
 
     def test_infeasible_raises_once(self, monkeypatch, rng):
         calls = []
