@@ -219,7 +219,7 @@ def guess_from_log_joint(scores: np.ndarray) -> BaselineGuess:
     """Per-row argmax class and its posterior probability as the raw score."""
     proba = posterior(scores)
     guess = np.argmax(proba, axis=1).astype(np.int64)
-    raw = proba[np.arange(proba.shape[0]), guess]
+    raw = np.take_along_axis(proba, guess[:, None], axis=1)[:, 0]
     return BaselineGuess(guess=guess, raw_scores=raw)
 
 

@@ -13,7 +13,11 @@ each column form at most two integer intervals, and the cheapest row of each
 is the one nearest zero.  Every interval end is an exact
 floor((A + u*B)/D), computed by ``_floor_affine`` without rounding error.
 The sweep stops once a block's cheapest column costs more than the best cell
-found, which proves optimality.
+found, which proves optimality.  It takes a list of upper bounds: the blocks
+depend on the column costs alone, so every bound shares them until its own
+stop test holds.  The corrector searches one bound; the repair searches a
+whole tolerance grid at once, its window ends sharing one slope and divisor
+across tolerances.
 
 ``correct_each`` solves one instance under several confidence vectors, as
 the adversary's choice of confidence exponent does; ``correct`` is its
@@ -137,31 +141,42 @@ _MAX_BLOCK = 1 << 15
 _NEAR = 1e-7
 
 
-def _floor_affine(a: int, b: int, d: int, u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _floor_affine(
+    a: int | Sequence[int], b: int, d: int, u: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
     """Exact ``clip(floor((a + b*u) / d), lo, hi)`` for an int64 array ``u``
-    and Python ints ``a``, ``b`` and ``d > 0`` of any size.
+    and Python ints ``b`` and ``d > 0`` of any size.  ``a`` is a Python int,
+    or a sequence of them for one row of the result per offset.
 
     The integer quotients of a/d and b/d are split off.  The remainder
     (ra + rb*u)/d is computed in int64 when it fits; otherwise it is screened
     in float64 and only entries within ``_NEAR`` of an integer are rechecked
     with Python ints (``Fraction(0.01)`` alone has a 2**59 denominator).
     """
-    qa, ra = divmod(a, d)
+    single = isinstance(a, (int, np.integer))
     qb, rb = divmod(b, d)
     g = math.gcd(rb, d)
-    ra, rb, d = ra // g, rb // g, d // g
+    qa, ra = zip(*(divmod(int(offset), d) for offset in ((a,) if single else a)))
+    ra, rb, d = [r // g for r in ra], rb // g, d // g
+
+    def column(values: list, dtype: type | None = None) -> object:
+        """One value per offset, as a column, or as the single offset's own."""
+        return values[0] if single else np.array(values, dtype)[:, None]
+
     span = int(np.abs(u).max(initial=0)) + 1
     if d * span < 2**62:
-        whole = (ra + rb * u) // d
+        whole = (column(ra) + rb * u) // d
     else:
-        frac = ra / d + u * (rb / d)
+        frac = column([r / d for r in ra]) + u * (rb / d)
         whole = np.floor(frac).astype(np.int64)
         near = np.flatnonzero(np.abs(frac - np.rint(frac)) < _NEAR)
         if near.size:
-            whole[near] = (u[near].astype(object) * rb + ra) // d
-    if abs(qa) + abs(qb) * span < 2**62:
-        return np.minimum(np.maximum(qa + qb * u + whole, lo), hi)
-    return np.clip(u.astype(object) * qb + qa + whole, lo, hi).astype(np.int64)
+            row, at = np.divmod(near, u.size)
+            whole.put(near, (u[at].astype(object) * rb + np.array(ra, object)[row]) // d)
+    if max(map(abs, qa)) + abs(qb) * span < 2**62:
+        return np.minimum(np.maximum(column(qa) + qb * u + whole, lo), hi)
+    out = np.clip(u.astype(object) * qb + column(qa, object) + whole, lo, hi)
+    return out.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,10 +228,11 @@ class _Lattice:
         return flipped
 
 
-#: window(u, num, den, strict) -> (lo, hi): for each column u, the rows v at
-#: which every group gap is at most num/den (strictly below it when
-#: ``strict``); a column whose lo exceeds its hi has no such row.
-WindowFn = Callable[[np.ndarray, int, int, bool], tuple[np.ndarray, np.ndarray]]
+#: window(u, nums, den, strict) -> (lo, hi): for each bound nums[r]/den, one
+#: row each, and each column u, the rows v at which every group gap is at
+#: most the bound (strictly below it when ``strict``); a column whose lo
+#: exceeds its hi has no such row.
+WindowFn = Callable[[np.ndarray, Sequence[int], int, bool], tuple[np.ndarray, np.ndarray]]
 
 
 class _WindowMemo:
@@ -224,8 +240,8 @@ class _WindowMemo:
     of the same lattice: same window, row sizes and bounds, other costs.
 
     ``pos`` holds columns u = 0, 1, ... and ``neg`` columns u = 0, -1, ...,
-    one column each, with the lower ends of the pieces in the first half of
-    the rows and the upper ends in the second."""
+    indexed (end, bound, piece, column): the lower ends of the pieces first,
+    then the upper ends."""
 
     def __init__(self) -> None:
         self.pos: np.ndarray | None = None
@@ -236,104 +252,130 @@ def search_net_moves(
     col: _SideCosts,
     row: _SideCosts,
     window: WindowFn,
-    epsilon: Fraction,
+    bounds: Sequence[Fraction],
     lower: Fraction | None,
     memo: _WindowMemo | None = None,
-) -> tuple[tuple[int, int] | None, int]:
-    """Cheapest (column, row) cell whose gaps are within ``epsilon`` and, when
-    ``lower`` is positive, not all strictly below it; with the number of
-    columns scanned.
+) -> list[tuple[tuple[int, int] | None, int]]:
+    """For each upper bound in ``bounds``: the cheapest (column, row) cell
+    whose gaps are within it and, when ``lower`` is positive, not all
+    strictly below ``lower``; with the number of columns scanned.
 
-    A feasible (0, 0) returns at once with no column scanned.  Otherwise
-    columns are taken cheapest first in blocks of doubling size, and the scan
-    stops once a block's cheapest column costs more than the best cell so
-    far.  Row costs are V-shaped with minimum zero, so each feasible interval
-    offers its row nearest zero.  Ties on cost break on fewest total moves,
-    then on the (column, row) pair, keeping the result deterministic and
-    invariant under positive rescaling of all costs.  The count is that of
-    the columns no dearer than the best cell, which a one-column-at-a-time
-    best-first scan visits.
+    A feasible (0, 0) is returned with no column scanned.  Otherwise columns
+    are taken cheapest first in blocks of doubling size, and a bound leaves
+    the scan once a block's cheapest column costs more than its best cell so
+    far.  The blocks depend on the column costs alone, so all bounds share
+    them; a block is cut short while several bounds remain, so that bounds
+    times columns stay within ``_MAX_BLOCK``.  Row costs are V-shaped with
+    minimum zero, so each feasible interval offers its row nearest zero.
+    Ties on cost break on fewest total moves, then on the (column, row)
+    pair, keeping the result deterministic and invariant under positive
+    rescaling of all costs.  The count is that of the columns no dearer than
+    the best cell, which a one-column-at-a-time best-first scan visits; so
+    neither result depends on where blocks end.
 
-    Every block is a range of columns on each side of zero, so ``memo`` can
-    keep the pieces of all columns scanned and hand them to the next search
-    of the lattice.  Without it only one block's pieces are held at a time.
+    The bounds are passed to ``window`` over one common denominator, and the
+    carve-out window of ``lower`` is computed once per block for all of
+    them.  Every block is a range of columns on each side of zero, so
+    ``memo`` can keep the pieces of all columns scanned, for every bound,
+    and hand them to the next search of the lattice.  Without it only one
+    block's pieces are held at a time.
     """
-    en, ed = epsilon.numerator, epsilon.denominator
+    den = math.lcm(*(bound.denominator for bound in bounds))
+    nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
+    every_bound = list(range(len(nums)))
     carve = lower is not None and lower > 0
 
-    def pieces(u: np.ndarray) -> np.ndarray:
-        lo, hi = window(u, en, ed, False)
+    def pieces(u: np.ndarray, rows: list[int]) -> np.ndarray:
+        """Ends of the pieces of columns u under the bounds ``rows``,
+        indexed (end, bound, piece, column)."""
+        lo, hi = window(u, [nums[r] for r in rows], den, False)
         lo = np.maximum(lo, row.lo)
         hi = np.minimum(hi, row.hi)
-        if carve:
-            # the lower bound carves out the rows where every gap is below it
-            ilo, ihi = window(u, lower.numerator, lower.denominator, True)
-            hollow = ilo <= ihi
-            below = np.where(hollow, np.minimum(hi, ilo - 1), hi)
-            above = np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)
-            lo, hi = np.concatenate((lo, above)), np.concatenate((below, hi))
-        return np.concatenate((lo, hi)).reshape(-1, u.size)
+        if not carve:
+            return np.array((lo, hi))[:, :, None]
+        # the lower bound carves out the rows where every gap is below it
+        ilo, ihi = window(u, [lower.numerator], lower.denominator, True)
+        hollow = ilo <= ihi
+        below = np.where(hollow, np.minimum(hi, ilo - 1), hi)
+        above = np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)
+        ends = np.concatenate((lo, above), axis=1), np.concatenate((below, hi), axis=1)
+        return np.array(ends).reshape(2, len(rows), 2, u.size)
 
-    def block(i: int, i_next: int, j: int, j_next: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper ends of the pieces of columns [i, i_next) and
-        -[j, j_next), one piece after another."""
+    def block(i: int, i_next: int, j: int, j_next: int, rows: list[int]) -> np.ndarray:
+        """Ends of the pieces of columns [i, i_next) and -[j, j_next)."""
         if memo is None:
-            ends = pieces(np.concatenate((np.arange(i, i_next), -np.arange(j, j_next))))
-        else:
-            if memo.pos is None:
-                # column 0 starts both sides
-                memo.pos = memo.neg = pieces(np.zeros(1, dtype=np.int64))
-            more_pos = np.arange(memo.pos.shape[1], i_next)
-            more_neg = np.arange(memo.neg.shape[1], j_next)
-            if more_pos.size or more_neg.size:
-                new = pieces(np.concatenate((more_pos, -more_neg)))
-                memo.pos = np.concatenate((memo.pos, new[:, : more_pos.size]), axis=1)
-                memo.neg = np.concatenate((memo.neg, new[:, more_pos.size :]), axis=1)
-            ends = np.concatenate((memo.pos[:, i:i_next], memo.neg[:, j:j_next]), axis=1)
-        half = ends.shape[0] // 2
-        return ends[:half].ravel(), ends[half:].ravel()
+            return pieces(np.concatenate((np.arange(i, i_next), -np.arange(j, j_next))), rows)
+        if memo.pos is None:
+            # column 0 starts both sides
+            memo.pos = memo.neg = pieces(np.zeros(1, dtype=np.int64), every_bound)
+        more_pos = np.arange(memo.pos.shape[-1], i_next)
+        more_neg = np.arange(memo.neg.shape[-1], j_next)
+        if more_pos.size or more_neg.size:
+            new = pieces(np.concatenate((more_pos, -more_neg)), every_bound)
+            memo.pos = np.concatenate((memo.pos, new[..., : more_pos.size]), axis=-1)
+            memo.neg = np.concatenate((memo.neg, new[..., more_pos.size :]), axis=-1)
+        ends = np.concatenate((memo.pos[..., i:i_next], memo.neg[..., j:j_next]), axis=-1)
+        return ends if rows == every_bound else ends[:, rows]
 
-    lo, hi = block(0, 1, 0, 0)
-    if np.any((lo <= 0) & (0 <= hi)):
-        return (0, 0), 0
+    if not nums:
+        return []
+    lo, hi = block(0, 1, 0, 0, every_bound)
+    origin = ((lo <= 0) & (0 <= hi)).any(axis=(1, 2)).tolist()
+    active = [r for r in every_bound if not origin[r]]
 
     pos, neg = col.pos, col.neg
-    best: tuple[float, int, int, int] | None = None
+    best: list[tuple[float, int, int, int] | None] = [None] * len(nums)
     i, j, size = 0, 1, _FIRST_BLOCK
-    while i < pos.size or j < neg.size:
+    while active and (i < pos.size or j < neg.size):
         head = np.concatenate((pos[i : i + size], neg[j : j + size]))
-        if best is not None and head.min() > best[0]:
+        cheapest = head.min()
+        active = [r for r in active if best[r] is None or cheapest <= best[r][0]]
+        if not active:
             break
-        take = min(size, head.size)
+        take = min(size, max(1, _MAX_BLOCK // len(active)), head.size)
         cut = np.partition(head, take - 1)[take - 1]
         i_next = int(np.searchsorted(pos, cut, side="right"))
         j_next = int(np.searchsorted(neg, cut, side="right"))
         u = np.concatenate((np.arange(i, i_next), -np.arange(j, j_next)))
         cu = np.concatenate((pos[i:i_next], neg[j:j_next]))
-        lo, hi = block(i, i_next, j, j_next)
+        lo, hi = block(i, i_next, j, j_next, active)
         i, j, size = i_next, j_next, min(2 * size, _MAX_BLOCK)
 
         ok = np.flatnonzero(lo <= hi)
         if not ok.size:
             continue
-        ok_u = np.tile(u, lo.size // u.size)[ok]
-        v = np.minimum(np.maximum(lo[ok], 0), hi[ok])
-        cost = np.tile(cu, lo.size // u.size)[ok] + np.where(
+        # "wrap" takes each entry's position modulo u.size, back to its column
+        ok_u = u.take(ok, mode="wrap")
+        v = np.minimum(np.maximum(lo.ravel().take(ok), 0), hi.ravel().take(ok))
+        cost = cu.take(ok, mode="wrap") + np.where(
             v >= 0, row.pos[np.maximum(v, 0)], row.neg[np.maximum(-v, 0)]
         )
-        tied = np.flatnonzero(cost == cost.min())
-        ok_u, v = ok_u[tied], v[tied]
-        moves = np.abs(ok_u) + np.abs(v)
-        first = np.lexsort((v, ok_u, moves))[0]
-        key = (float(cost[tied[0]]), int(moves[first]), int(ok_u[first]), int(v[first]))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None, pos.size + neg.size - 1
-    scanned = np.searchsorted(pos, best[0], side="right") + np.searchsorted(
-        neg, best[0], side="right"
-    )
-    return (best[2], best[3]), int(scanned) - 1
+        # ok runs bound by bound: edges delimit each bound's entries
+        edges = np.searchsorted(ok, np.arange(0, lo.size + 1, lo.size // len(active))).tolist()
+        for r, start, end in zip(active, edges, edges[1:]):
+            if start == end:
+                continue
+            tied = start + np.flatnonzero(cost[start:end] == cost[start:end].min())
+            tied_u, tied_v = ok_u[tied], v[tied]
+            moves = np.abs(tied_u) + np.abs(tied_v)
+            k = np.lexsort((tied_v, tied_u, moves))[0]
+            key = (float(cost[tied[0]]), int(moves[k]), int(tied_u[k]), int(tied_v[k]))
+            if best[r] is None or key < best[r]:
+                best[r] = key
+
+    results: list[tuple[tuple[int, int] | None, int]] = []
+    for r in every_bound:
+        key = best[r]
+        if origin[r]:
+            results.append(((0, 0), 0))
+        elif key is None:
+            results.append((None, pos.size + neg.size - 1))
+        else:
+            scanned = np.searchsorted(pos, key[0], side="right") + np.searchsorted(
+                neg, key[0], side="right"
+            )
+            results.append(((key[2], key[3]), int(scanned) - 1))
+    return results
 
 
 def _solve_sp_form(
@@ -351,11 +393,15 @@ def _solve_sp_form(
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
 
-    def window(u: np.ndarray, num: int, den: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    def window(
+        u: np.ndarray, nums: Sequence[int], den: int, strict: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
         # Column u leaves group g with p_g positives, t_g = p_g * n * den;
         # row v sets the group-1 size m = n1 + u + v.  The group-1 gap is
         # within num/den iff m*a >= t_1 and m*b <= t_1 (strict inside the
-        # carve-out); group 0 is the same with n - m and t_0.
+        # carve-out); group 0 is the same with n - m and t_0.  The corrector
+        # searches one bound, so its ends are one row.
+        (num,) = nums
         s = int(strict)
         a = total_positive * den + num * n
         b = total_positive * den - num * n
@@ -384,9 +430,9 @@ def _solve_sp_form(
                 lo = np.maximum(lo, n - most)
                 hi = np.minimum(hi, n - least)
         hi = np.where(empty, lo - 1, hi)
-        return lo - n1 - u, hi - n1 - u
+        return (lo - n1 - u)[None], (hi - n1 - u)[None]
 
-    state, columns = search_net_moves(col, row, window, epsilon, lower, memo)
+    ((state, columns),) = search_net_moves(col, row, window, [epsilon], lower, memo)
     if state is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
     u, v = state

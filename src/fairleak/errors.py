@@ -34,7 +34,8 @@ class EmptyAttackSet(FairleakError):
 
 
 class DegenerateClasses(EmptyAttackSet):
-    """The attack set's sensitive column holds a single class."""
+    """The sensitive column of an attack set or a training table holds a
+    single class."""
 
 
 class UnsupportedCardinality(FairleakError):

@@ -2,15 +2,17 @@
 
 Only the repaired target predictions depend on the tolerance, so a sweep
 does the rest once per seed.  Per seed: split the dataset, fit the label
-predictor, build a repair state for each part (its metric slices and the
-lattice of each), and build the adversary.  That is the external guess with
+predictor, repair each part for the whole grid (one lattice search per
+metric slice, keeping each tolerance's lattice cell, or the Infeasible that
+tolerance raises), and build the adversary.  That is the external guess with
 its shaped confidences, or the attack model: the fit/validation split, the
 discretised features and the naive-Bayes tables of the feature and label
 columns, with their log joints on the training and validation rows, which
-in mode ``a`` already give the guesses.  Per (seed, epsilon) cell: repair
-the three parts' predictions, score the target model, optionally estimate
-the constraint, in mode ``aprime`` fit the prediction column and add its
-term to the log joints, choose the confidence exponent, correct and score.
+in mode ``a`` already give the guesses.  Per (seed, epsilon) cell: apply
+the three parts' repair cells, raising a repair's Infeasible first, score
+the target model, optionally estimate the constraint, in mode ``aprime``
+fit the prediction column and add its term to the log joints, choose the
+confidence exponent, correct and score.
 
 Cell failures are recorded in their row instead of aborting the sweep.  A
 per-seed stage that fails is recorded in every cell of its seed: the
@@ -276,6 +278,8 @@ class _Seed:
 
     parts: tuple[DatasetTable, DatasetTable, DatasetTable]
     repairs: tuple[RepairState, ...]
+    # per part, per grid tolerance: RepairState.solve's cells or Infeasible
+    repaired: tuple[list, ...]
     floors: tuple[float, ...]  # one-count tolerance floor of each part
     adversary: tuple[np.ndarray, np.ndarray] | _AttackModel | FairleakError
 
@@ -289,6 +293,12 @@ def _prepare_seed(config: ExperimentConfig, table: DatasetTable, seed: int) -> _
         for part in parts
     )
     floors = tuple(_min_group_floor(part.sensitive) for part in parts)
+    # fair training only ever enforces the upper bound; the lower bound
+    # is adversary-side knowledge used by the correction alone
+    repaired = tuple(
+        repair.solve([max(epsilon, floor) for epsilon in config.epsilon_grid])
+        for repair, floor in zip(repairs, floors)
+    )
     adversary: tuple[np.ndarray, np.ndarray] | _AttackModel | FairleakError
     try:
         if config.adversary_mode == MODE_EXTERNAL:
@@ -298,18 +308,17 @@ def _prepare_seed(config: ExperimentConfig, table: DatasetTable, seed: int) -> _
             adversary = _train_attack_model(config.adversary_mode, seed, train, attack)
     except FairleakError as exc:
         adversary = exc
-    return _Seed(parts, repairs, floors, adversary)
+    return _Seed(parts, repairs, repaired, floors, adversary)
 
 
-def _run_cell(config: ExperimentConfig, seed: int, epsilon: float, state: _Seed) -> ReportRow:
+def _run_cell(config: ExperimentConfig, seed: int, index: int, state: _Seed) -> ReportRow:
+    """The report row of the grid's ``index``-th tolerance on a prepared seed."""
     train, test, attack = state.parts
     metric = config.metric
+    epsilon = config.epsilon_grid[index]
 
-    # fair training only ever enforces the upper bound; the lower bound
-    # is adversary-side knowledge used by the correction alone
     yh_train, yh_test, yh_attack = [
-        repair.repair(max(epsilon, floor))
-        for repair, floor in zip(state.repairs, state.floors)
+        repair.apply(repaired[index]) for repair, repaired in zip(state.repairs, state.repaired)
     ]
 
     target_stats = dict(
@@ -453,11 +462,11 @@ def run_experiment(config: ExperimentConfig, table: DatasetTable) -> ExperimentR
             state: _Seed | FairleakError = _prepare_seed(config, table, seed)
         except FairleakError as exc:
             state = exc
-        for epsilon in config.epsilon_grid:
+        for index, epsilon in enumerate(config.epsilon_grid):
             try:
                 if isinstance(state, FairleakError):
                     raise state
-                rows.append(_run_cell(config, seed, epsilon, state))
+                rows.append(_run_cell(config, seed, index, state))
             except FairleakError as exc:
                 rows.append(
                     ReportRow(

@@ -12,22 +12,26 @@ interval of feasible group-0 flip counts, each end an exact integer floor.
 
 ``RepairState`` holds what does not depend on the tolerance: a table's
 metric slices and the lattice of each, which keeps the slice's margins as
-its cost row.  A sweep builds it once per table and runs only the search
-and the flips per tolerance, through the corrector's ``solve_slices``;
-``repair_predictions`` is the one-shot form.
+its cost row.  ``RepairState.solve`` repairs a whole tolerance list with
+one search per slice, all tolerances sharing its blocks, and picks each
+tolerance's EOdds carrier through the corrector's ``solve_slices``.  It
+returns each tolerance's lattice cells, which ``RepairState.apply`` flips;
+``RepairState.repair`` and ``repair_predictions`` are the one-tolerance
+forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, slice_for_metric, unfairness_exact
 from ..corrector import _floor_affine, _Lattice, search_net_moves, solve_slices
-from ..errors import EmptyVector, Infeasible, SchemaError
+from ..errors import DegenerateClasses, EmptyVector, Infeasible, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
@@ -83,15 +87,13 @@ def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
     return LabelPredictor(nb=nb, discretizer=disc, feature_names=names)
 
 
-@dataclass(frozen=True, eq=False)
-class _RepairSlice:
-    yhat: np.ndarray
-    objective: float
-
-
-def _repair_slice(part: _Lattice, epsilon: Fraction, lower: Fraction | None) -> _RepairSlice:
-    """Repair one slice's lattice: its predictions split by its groups, group
-    1 the columns, group 0 the rows, the margins the one cost row."""
+def _repair_slice(
+    part: _Lattice, epsilons: Sequence[Fraction], lower: Fraction | None
+) -> list[tuple[int, int] | None]:
+    """Repair one slice's lattice under each upper bound of ``epsilons``: its
+    predictions split by its groups, group 1 the columns, group 0 the rows,
+    the margins the one cost row.  Each repair is the lattice cell to flip,
+    or None when no cell is feasible."""
     col, row = part.sides(0)
     # group 1's members are its up (negative) and down (positive) flips
     n = part.x.size
@@ -100,43 +102,61 @@ def _repair_slice(part: _Lattice, epsilon: Fraction, lower: Fraction | None) -> 
     if n1 == 0 or n0 == 0:
         # a single group carries the whole slice, so its rate is the overall
         # rate and the constraint already holds
-        return _RepairSlice(part.x.copy(), 0.0)
+        return [(0, 0)] * len(epsilons)
     pos1, pos0 = col.neg.size - 1, row.neg.size - 1
     tot = pos1 + pos0
 
-    def window(u: np.ndarray, num: int, den: int, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Net group-0 flips v keeping both gaps within num/den of the
-        overall rate (strictly below it when ``strict``), for net group-1
+    def window(
+        u: np.ndarray, nums: Sequence[int], den: int, strict: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Net group-0 flips v keeping both gaps within each nums[r]/den of
+        the overall rate (strictly below it when ``strict``), for net group-1
         flips u.  With d = n1 * den the group-1 gap bounds v*d + c1(u) and
-        the group-0 gap bounds c0(u) - v*d, both within [-r_g, r_g]."""
+        the group-0 gap bounds c0(u) - v*d, both within [-r_g, r_g]; only
+        r_g depends on the bound."""
         s = int(strict)
         d = n1 * den
         c1, k1 = (tot * n1 - pos1 * n) * den, (n1 - n) * den
         c0, k0 = (tot * n0 - pos0 * n) * den, n0 * den
+        num = np.array(nums, dtype=object)  # one offset per bound, exact
         r1, r0 = num * n * n1, num * n * n0
         lo, hi = -pos0, n0 - pos0
 
-        def least(c: int, k: int) -> np.ndarray:  # v*d >= c + k*u, > when strict
+        def least(c: np.ndarray, k: int) -> np.ndarray:  # v*d >= c + k*u, > when strict
             return _floor_affine(c + d - 1 + s, k, d, u, lo - 1, hi + 1)
 
-        def most(c: int, k: int) -> np.ndarray:  # v*d <= c + k*u, < when strict
+        def most(c: np.ndarray, k: int) -> np.ndarray:  # v*d <= c + k*u, < when strict
             return _floor_affine(c - s, k, d, u, lo - 1, hi + 1)
 
         low = np.maximum(least(-r1 - c1, -k1), least(c0 - r0, k0))
         high = np.minimum(most(r1 - c1, -k1), most(r0 + c0, k0))
         return np.maximum(low, lo), np.minimum(high, hi)
 
-    state, _ = search_net_moves(col, row, window, epsilon, lower)
-    if state is None:
-        raise Infeasible("no prediction repair satisfies the constraint")
-    repaired = part.flip(0, *state)
-    return _RepairSlice(repaired, float(part.costs[0][repaired != part.x].sum()))
+    return [cell for cell, _ in search_net_moves(col, row, window, epsilons, lower)]
+
+
+@dataclass(frozen=True, eq=False)
+class _RepairSlice:
+    """One slice's repair, a cell of its lattice.  Only the EOdds carrier
+    choice reads the predictions it repairs and their flipped margins' sum."""
+
+    part: _Lattice
+    cell: tuple[int, int]
+
+    @property
+    def yhat(self) -> np.ndarray:
+        return self.part.flip(0, *self.cell)
+
+    @property
+    def objective(self) -> float:
+        return float(self.part.costs[0][self.yhat != self.part.x].sum())
 
 
 class RepairState:
     """A table's tolerance-free repair inputs for one metric: its slices and
-    the lattice of each.  Build it once and call :meth:`repair` for each
-    tolerance."""
+    the lattice of each.  Build it once; :meth:`solve` repairs a whole list
+    of tolerances at once and :meth:`apply` builds one tolerance's repaired
+    predictions."""
 
     def __init__(
         self,
@@ -153,22 +173,58 @@ class RepairState:
             _Lattice(self.yhat[idx], sensitive[idx], margins[idx][None]) for idx in self.slices
         ]
 
+    def solve(
+        self, epsilons: Sequence[float], epsilon_lower: float | None = None
+    ) -> list[list[tuple[int, int]] | Infeasible]:
+        """For each tolerance in ``epsilons``: the minimal repair that makes
+        the metric hold within it (and, when set, reach ``epsilon_lower``),
+        as one lattice cell per slice, or the Infeasible it raises.
+
+        Each slice's lattice is searched once for all tolerances, and once
+        more with the lower bound attached if the EOdds carrier needs it."""
+        uppers = [Fraction(epsilon) for epsilon in epsilons]
+        lower = Fraction(epsilon_lower) if epsilon_lower else None
+
+        @cache
+        def batch(i: int, bound: Fraction | None) -> list[tuple[int, int] | None]:
+            return _repair_slice(self.parts[i], uppers, bound)
+
+        def solve_one(t: int, i: int, bound: Fraction | None) -> _RepairSlice:
+            cell = batch(i, bound)[t]
+            if cell is None:
+                raise Infeasible("no prediction repair satisfies the constraint")
+            return _RepairSlice(self.parts[i], cell)
+
+        repairs: list[list[tuple[int, int]] | Infeasible] = []
+        for t in range(len(uppers)):
+            try:
+                solved = solve_slices(
+                    self.metric,
+                    len(self.parts),
+                    lambda i, bound: solve_one(t, i, bound),
+                    lambda i, sol: unfairness_exact(FairnessMetric.SP, self.parts[i].z, sol.yhat),
+                    lower,
+                )
+            except Infeasible as exc:
+                repairs.append(exc)
+            else:
+                repairs.append([sol.cell for sol in solved])
+        return repairs
+
+    def apply(self, repair: list[tuple[int, int]] | Infeasible) -> np.ndarray:
+        """The predictions one result of :meth:`solve` repairs; raises the
+        Infeasible it holds."""
+        if isinstance(repair, Infeasible):
+            raise repair
+        repaired = np.array(self.yhat)
+        for idx, part, cell in zip(self.slices, self.parts, repair):
+            repaired[idx] = part.flip(0, *cell)
+        return repaired
+
     def repair(self, epsilon: float, epsilon_lower: float | None = None) -> np.ndarray:
         """Minimally flip predictions so that the metric holds within
         ``epsilon`` (and, when set, reaches ``epsilon_lower``), groups fixed."""
-        upper = Fraction(epsilon)
-        lower = Fraction(epsilon_lower) if epsilon_lower else None
-        solved = solve_slices(
-            self.metric,
-            len(self.parts),
-            lambda i, bound: _repair_slice(self.parts[i], upper, bound),
-            lambda i, sol: unfairness_exact(FairnessMetric.SP, self.parts[i].z, sol.yhat),
-            lower,
-        )
-        repaired = np.array(self.yhat)
-        for idx, sol in zip(self.slices, solved):
-            repaired[idx] = sol.yhat
-        return repaired
+        return self.apply(self.solve([epsilon], epsilon_lower)[0])
 
 
 def repair_predictions(
@@ -185,8 +241,8 @@ def repair_predictions(
 
 def make_fair_predictions(train: DatasetTable, spec: FairnessSpec) -> np.ndarray:
     """Training-set predictions of the simulated fair target model."""
+    if np.unique(train.sensitive).size == 1:
+        raise DegenerateClasses("the training table's sensitive column holds a single class")
     predictor = fit_label_predictor(train)
-    if np.unique(train.sensitive).size < 2:
-        raise ValueError("training table must contain both sensitive groups")
     yhat, margins = predictor.raw_predictions(train)
     return repair_predictions(yhat, margins, train.sensitive, train.labels, spec)

@@ -7,6 +7,7 @@ prediction is defined for any input.  Everything is deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,21 @@ class CategoricalNaiveBayes:
 
 
 def posterior(scores: np.ndarray) -> np.ndarray:
-    """Class probabilities from per-row log joints."""
-    shift = scores.max(axis=1, keepdims=True)
-    shifted = np.where(np.isfinite(shift), scores - shift, 0.0)
+    """Class probabilities from per-row log joints.  A row with no finite
+    score gets equal probabilities."""
+    shift = _row_reduce(np.maximum, scores)[:, None]
+    shifted = np.subtract(scores, shift, out=np.zeros_like(scores), where=np.isfinite(shift))
     weights = np.exp(shifted)
-    return weights / weights.sum(axis=1, keepdims=True)
+    return weights / _row_reduce(np.add, weights)[:, None]
+
+
+def _row_reduce(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(values, axis=1)``, bit for bit.  numpy reduces a row of
+    fewer than eight entries in order, so such rows are reduced column by
+    column instead, which avoids the cost of reducing a short axis."""
+    if 0 < values.shape[1] < 8:
+        return functools.reduce(ufunc, values.T)
+    return ufunc.reduce(values, axis=1)
 
 
 def fit_naive_bayes(

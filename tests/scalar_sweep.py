@@ -6,7 +6,8 @@ is derived independently of the package: the corrector's in terms of the
 group-1 size, the repair's by tightening one linear constraint at a time.
 ``solve_sp_form`` has the signature of ``fairleak.corrector._solve_sp_form``
 and ``repair_slice_state`` that of ``fairleak.harness.predictor._repair_slice``
-(``repair_slice`` on one prepared slice), so a test can swap them in.
+(``repair_slice`` on one prepared slice, one tolerance at a time), so a test
+can swap them in.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import numpy as np
 
 from fairleak.corrector import MoveCounts
 from fairleak.errors import Infeasible
-from fairleak.harness.predictor import _RepairSlice
+
+
+@dataclass(frozen=True, eq=False)
+class _RepairSlice:
+    """A repaired slice's predictions and the sum of its flipped margins."""
+
+    yhat: np.ndarray
+    objective: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +280,26 @@ def repair_slice(
     return _RepairSlice(repaired, cost)
 
 
-def repair_slice_state(part, epsilon: Fraction, lower: Fraction | None) -> _RepairSlice:
-    """``repair_slice`` on a slice the package prepared: only its raw
-    predictions, margins and groups are read, never its sorted costs."""
+def repair_slice_state(
+    part, epsilons: list[Fraction], lower: Fraction | None
+) -> list[tuple[int, int] | None]:
+    """``repair_slice`` on a slice the package prepared, one tolerance at a
+    time: only its raw predictions, margins and groups are read, never its
+    sorted costs.  Each repair is returned as the package returns it: its
+    lattice cell, the net flips in group 1 and in group 0, or None when it is
+    infeasible.  The package must rebuild from that cell the very vector the
+    reference repaired, and price it at the reference's cost."""
     local = np.arange(part.x.size)
-    return repair_slice(part.x, part.costs[0], part.z, local, epsilon, lower)
+    cells = []
+    for epsilon in epsilons:
+        try:
+            ref = repair_slice(part.x, part.costs[0], part.z, local, epsilon, lower)
+        except Infeasible:
+            cells.append(None)
+            continue
+        flips = ref.yhat - part.x
+        cell = (int(flips[part.z == 1].sum()), int(flips[part.z == 0].sum()))
+        assert np.array_equal(part.flip(0, *cell), ref.yhat)
+        assert float(part.costs[0][ref.yhat != part.x].sum()) == ref.objective
+        cells.append(cell)
+    return cells

@@ -7,6 +7,7 @@ from fairleak.adversary import (
     MODE_A_PRIME,
     AttackSet,
     Discretizer,
+    guess_from_log_joint,
     normalize_scores,
     predict_guess,
     process_confidences,
@@ -28,6 +29,7 @@ from fairleak.errors import (
     SchemaMismatch,
     ScoreOutOfRange,
 )
+from fairleak.nb import posterior
 
 
 def _copying_fixture(n=10):
@@ -268,3 +270,22 @@ class TestNaiveBayes:
         )
         with pytest.raises(KeyError, match="missing feature columns"):
             model.predict_log_joint({"b": np.array([0]), "c": np.array([1])})
+
+    @pytest.mark.parametrize("classes", [*range(2, 9), 50])
+    def test_posterior_is_the_row_reduction_bit_for_bit(self, rng, classes):
+        # the axis-1 formula the column-wise posterior replaced
+        scores = rng.normal(0.0, 30.0, (5000, classes))
+        scores[rng.random(scores.shape) < 0.3] = -np.inf
+        scores[0] = -np.inf  # a row with no finite score
+        shift = scores.max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            shifted = np.where(np.isfinite(shift), scores - shift, 0.0)
+        weights = np.exp(shifted)
+        want = weights / weights.sum(axis=1, keepdims=True)
+        got = posterior(scores)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        guess = guess_from_log_joint(scores)
+        assert guess.guess.tolist() == np.argmax(want, axis=1).tolist()
+        chosen = want[np.arange(want.shape[0]), guess.guess]
+        assert np.array_equal(guess.raw_scores.view(np.int64), chosen.view(np.int64))

@@ -26,6 +26,7 @@ from fairleak.corrector import correct
 from fairleak.errors import (
     BadFractions,
     BadParameters,
+    DegenerateClasses,
     DuplicateId,
     EmptyVector,
     Infeasible,
@@ -364,6 +365,21 @@ class TestMakeFairPredictions:
         fair = make_fair_predictions(balanced, spec)
         assert satisfies(spec, balanced.sensitive, fair, balanced.labels)
 
+    def test_one_group_training_table_is_rejected_before_fitting(self, monkeypatch):
+        table = self._biased_table()
+        one_group = DatasetTable(
+            ids=table.ids,
+            features=table.features,
+            sensitive=np.ones(table.n, dtype=np.int64),
+            labels=table.labels,
+            sensitive_cardinality=2,
+        )
+        fits = []
+        monkeypatch.setattr(predictor, "fit_label_predictor", lambda train: fits.append(train))
+        with pytest.raises(DegenerateClasses, match="training table"):
+            make_fair_predictions(one_group, FairnessSpec(SP, 0.1))
+        assert fits == []
+
     def test_eodds_repair(self):
         table = self._biased_table(n=300, seed=5)
         spec = FairnessSpec(FairnessMetric.EODDS, 0.05)
@@ -412,8 +428,8 @@ class TestRepairState:
         carried = []
         original = predictor._repair_slice
 
-        def spy(part, epsilon, lower):
-            solved = original(part, epsilon, lower)
+        def spy(part, epsilons, lower):
+            solved = original(part, epsilons, lower)
             carried.append(lower is not None)
             return solved
 
@@ -602,14 +618,16 @@ class TestRunExperiment:
             assert all(row.status == "DegenerateClasses" for row in report.rows)
 
         # a cell whose repair fails records that failure, not the seed's
-        original = RepairState.repair
+        original = RepairState.solve
 
-        def repair(self, epsilon, epsilon_lower=None):
-            if epsilon == 0.1:
-                raise Infeasible("forced")
-            return original(self, epsilon, epsilon_lower)
+        def solve(self, epsilons, epsilon_lower=None):
+            repairs = original(self, epsilons, epsilon_lower)
+            return [
+                Infeasible("forced") if epsilon == 0.1 else repair
+                for epsilon, repair in zip(epsilons, repairs)
+            ]
 
-        monkeypatch.setattr(RepairState, "repair", repair)
+        monkeypatch.setattr(RepairState, "solve", solve)
         config = ExperimentConfig(epsilon_grid=(0.0, 0.1), seeds=(0, 1))
         statuses = [row.status for row in run_experiment(config, one_group).rows]
         assert statuses == ["DegenerateClasses", "Infeasible"] * 2

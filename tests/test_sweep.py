@@ -15,11 +15,18 @@ import pytest
 import scalar_sweep
 from fairleak import corrector
 from fairleak.adversary import DEFAULT_K_GRID, MIN_CONFIDENCE, shape_confidences
-from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, satisfies
-from fairleak.corrector import _floor_affine, correct, correct_each
+from fairleak.core import (
+    AttackInstance,
+    FairnessMetric,
+    FairnessSpec,
+    satisfies,
+    slice_for_metric,
+    unfairness_exact,
+)
+from fairleak.corrector import _floor_affine, correct, correct_each, solve_slices
 from fairleak.errors import Infeasible, LengthMismatch, NegativeConfidence
 from fairleak.harness import predictor
-from fairleak.harness.predictor import repair_predictions
+from fairleak.harness.predictor import RepairState, repair_predictions
 
 METRICS = list(FairnessMetric)
 EPSILONS = (0.0, 0.001, 0.01, 1 / 3, 0.2)
@@ -112,14 +119,19 @@ def _assert_same_repair(monkeypatch, yhat, margins, sensitive, labels, spec):
 class TestFloorAffine:
     def test_matches_python_ints(self, rng):
         u = np.arange(-300, 301)
+
+        def draw(bits):
+            return int(rng.integers(-(2**40), 2**40)) * 2 ** int(rng.integers(0, bits))
+
         for _ in range(300):
             bits = int(rng.choice([4, 20, 60, 70, 130]))
             d = int(rng.integers(1, 2**20)) * 2 ** int(rng.integers(0, bits)) + 1
-            a = int(rng.integers(-(2**40), 2**40)) * 2 ** int(rng.integers(0, bits))
-            b = int(rng.integers(-(2**40), 2**40)) * 2 ** int(rng.integers(0, bits))
-            got = _floor_affine(a, b, d, u, -50, 50)
-            want = [min(max((a + b * k) // d, -50), 50) for k in u.tolist()]
-            assert got.tolist() == want
+            offsets = [draw(bits), draw(bits), draw(int(rng.choice([4, 130])))]
+            b = draw(bits)
+            want = [[min(max((a + b * k) // d, -50), 50) for k in u.tolist()] for a in offsets]
+            assert _floor_affine(offsets[0], b, d, u, -50, 50).tolist() == want[0]
+            # a sequence of offsets gives one row each
+            assert _floor_affine(offsets, b, d, u, -50, 50).tolist() == want
 
     def test_rechecks_values_a_float_rounds_onto_an_integer(self):
         # (d - 5 + k) / d is exactly 1 at k = 5 and 1 - 1/d at k = 4, which
@@ -129,6 +141,15 @@ class TestFloorAffine:
         got = _floor_affine(d - 5, 1, d, u, -10, 10)
         assert got.tolist() == [(d - 5 + k) // d for k in range(10)]
         assert got[4] == 0 and got[5] == 1
+        # the same near-integers in other rows; the last offset's quotient
+        # -2**62 leaves int64 arithmetic for Python ints
+        offsets = [d - 3, 2 * d - 7, d - 5 - 2**62 * d]
+        lo, hi = -(2**63) + 1, 2**62
+        got = _floor_affine(offsets, 1, d, u, lo, hi)
+        want = [[(a + k) // d for k in range(10)] for a in offsets]
+        assert got.tolist() == want
+        assert want[0][2:4] == [0, 1] and want[1][6:8] == [1, 2]
+        assert want[2][4:6] == [-(2**62), 1 - 2**62]
 
     def test_quotients_beyond_int64_are_clipped_exactly(self):
         # n = 1000 with 300 positives at eps = 0.3: the group window divides
@@ -437,3 +458,123 @@ class TestRepairCrossCheck:
             assert _assert_same_repair(
                 monkeypatch, yhat, margins, sensitive, labels, FairnessSpec(metric, eps, lower)
             )
+
+
+def _scalar_repair(yhat, margins, sensitive, labels, metric, epsilon, lower, carried):
+    """One tolerance's repair by the scalar reference, slice by slice, with
+    the package's carrier choice; appends to ``carried`` the slices solved
+    with the lower bound."""
+    slices = [idx for idx in slice_for_metric(metric, labels) if idx.size]
+
+    def solve(i, bound):
+        if bound is not None:
+            carried.append(i)
+        return scalar_sweep.repair_slice(yhat, margins, sensitive, slices[i], epsilon, bound)
+
+    solved = solve_slices(
+        metric,
+        len(slices),
+        solve,
+        lambda i, sol: unfairness_exact(FairnessMetric.SP, sensitive[slices[i]], sol.yhat),
+        lower,
+    )
+    repaired = np.array(yhat)
+    for idx, sol in zip(slices, solved):
+        repaired[idx] = sol.yhat
+    return repaired
+
+
+class TestBatchedRepair:
+    """``RepairState.solve`` searches each slice once for a whole grid; each
+    tolerance must come out as the scalar reference repairs it alone."""
+
+    # zero, one, repeats and no order
+    GRIDS = ((0.0, 0.2, 0.05, 0.2, 1.0, 0.001, 1 / 3, 0.05), (1.0, 0.05, 0.0, 0.05))
+
+    @staticmethod
+    def _inputs(rng, n, trial):
+        sensitive = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
+        rates = rng.uniform(0.1, 0.9, 2)[sensitive]
+        yhat = (rng.random(n) < rates).astype(np.int64)
+        margins = rng.random(n) if trial % 2 else rng.integers(0, 3, n) / 4.0
+        return yhat, margins, sensitive, rng.integers(0, 2, n)
+
+    @staticmethod
+    def _check(yhat, margins, sensitive, labels, metric, grid, lower):
+        """Compare a batch with the reference; returns, per feasible
+        tolerance, whether a slice carried the lower bound."""
+        state = RepairState(yhat, margins, sensitive, labels, metric)
+        batch = state.solve(grid, lower)
+        assert len(batch) == len(grid)
+        forced = []
+        for epsilon, repair in zip(grid, batch):
+            carried = []
+            ref = _outcome(
+                _scalar_repair,
+                yhat,
+                margins,
+                sensitive,
+                labels,
+                metric,
+                Fraction(epsilon),
+                Fraction(lower) if lower else None,
+                carried,
+            )
+            if ref is None:
+                assert isinstance(repair, Infeasible)
+                with pytest.raises(Infeasible):
+                    state.apply(repair)
+                continue
+            assert np.array_equal(state.apply(repair), ref)
+            forced.append(bool(carried))
+        return forced
+
+    @pytest.mark.parametrize("blocks", [(1, 4), None])
+    def test_each_tolerance_matches_the_scalar_reference(self, monkeypatch, rng, blocks):
+        if blocks:
+            monkeypatch.setattr(corrector, "_FIRST_BLOCK", blocks[0])
+            monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
+        repaired = 0
+        for trial in range(64):
+            n = int(rng.choice([3, 20, 200, 2000]))
+            grid = self.GRIDS[(trial // 4) % 2]
+            lower = (None, 0.045)[(trial // 8) % 2]
+            inputs = self._inputs(rng, n, trial)
+            repaired += len(self._check(*inputs, METRICS[trial % 4], grid, lower))
+        assert repaired > 200
+
+        # EOdds: the upper-only repair to 0.05 lands below the 0.045 lower
+        # bound when a slice's group rates jump over it, and the raw rates
+        # kept at tolerance 1 generically do not
+        mixed = 0
+        for trial in range(24):
+            inputs = self._inputs(rng, 200, trial)
+            forced = self._check(*inputs, FairnessMetric.EODDS, self.GRIDS[trial % 2], 0.045)
+            mixed += any(forced) and not all(forced)
+        assert mixed > 2
+
+    def test_batch_windows_stay_within_one_block(self, monkeypatch, rng):
+        # a block is cut short while many tolerances remain, so that no
+        # window array holds more than _MAX_BLOCK bounds times columns
+        monkeypatch.setattr(corrector, "_FIRST_BLOCK", 16)
+        monkeypatch.setattr(corrector, "_MAX_BLOCK", 64)
+        sizes = []
+        real = predictor.search_net_moves
+
+        def spy(col, row, window, bounds, lower, memo=None):
+            def sized(u, nums, den, strict):
+                sizes.append(len(nums) * u.size)
+                return window(u, nums, den, strict)
+
+            return real(col, row, sized, bounds, lower, memo)
+
+        monkeypatch.setattr(predictor, "search_net_moves", spy)
+        n = 3000
+        yhat, margins, sensitive, labels = self._inputs(rng, n, 1)
+        grid = [0.0] + list(np.geomspace(0.001, 0.2, 24))
+        state = RepairState(yhat, margins, sensitive, labels, FairnessMetric.SP)
+        batch = state.solve(grid)
+        assert max(sizes) <= 64 and len(sizes) > 10
+        for epsilon, repair in zip(grid, batch):
+            alone = state.repair(epsilon)
+            assert np.array_equal(state.apply(repair), alone)
