@@ -7,7 +7,8 @@ harness CSV interface, so any stronger attack model can be plugged in.
 
 Confidence shaping raises normalised scores to a power k, chosen as the
 exponent whose correction of a validation guess is most accurate.  All the
-grid's exponents are solved in one ``corrector.correct_each`` batch.
+grid's exponents are solved in one ``corrector.correct_each`` batch: one
+search per metric slice, with one cost row per exponent.
 """
 
 from __future__ import annotations

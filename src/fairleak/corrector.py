@@ -13,19 +13,16 @@ each column form at most two integer intervals, and the cheapest row of each
 is the one nearest zero.  Every interval end is an exact
 floor((A + u*B)/D), computed by ``_floor_affine`` without rounding error.
 The sweep stops once a block's cheapest column costs more than the best cell
-found, which proves optimality.  It takes a list of upper bounds: the blocks
-depend on the column costs alone, so every bound shares them until its own
-stop test holds.  The corrector searches one bound; the repair searches a
-whole tolerance grid at once, its window ends sharing one slope and divisor
-across tolerances.
+found, which proves optimality.  It answers a list of upper bounds under a
+list of cost rows at once: windows never depend on the costs, so each block's
+windows serve every pair, and each pair keeps its own stop test.
 
 ``correct_each`` solves one instance under several confidence vectors, as
-the adversary's choice of confidence exponent does; ``correct`` is its
-one-vector case.  Per slice, one lattice sorts its cells under every vector
-in one batch, and the window pieces of the columns scanned for one vector
-are kept for the next, since windows never depend on the costs.
-``solve_slices`` solves a metric's slices for the corrector and the repair
-alike, and alone decides which slice carries an EOdds lower bound.
+the adversary's choice of confidence exponent does, in one search per slice
+with one cost row per vector; ``correct`` is its one-vector case.  The
+repair searches a whole tolerance grid under its one cost row.
+``solve_slices`` solves a metric's slices for both, and alone decides which
+slice carries an EOdds lower bound, and for which vectors or tolerances.
 
 ``solve_general_bruteforce`` enumerates every assignment on the active slice
 and is the correctness oracle as well as the only multi-valued solver.
@@ -48,7 +45,7 @@ from .core import (
     slice_for_metric,
     unfairness_exact,
 )
-from .errors import BudgetExceeded, Infeasible, LengthMismatch
+from .errors import BudgetExceeded, Infeasible, LengthMismatch, UnsupportedCardinality
 
 DEFAULT_BRUTEFORCE_BUDGET = 2**20
 _Solution = TypeVar("_Solution")
@@ -181,21 +178,22 @@ def _floor_affine(
 
 @dataclass(frozen=True, eq=False)
 class _SideCosts:
-    """V-shaped cost of a signed move count, held as two prefix arrays."""
+    """V-shaped costs of a signed move count, one per cost row, held as two
+    (rows x size) prefix arrays."""
 
     pos: np.ndarray
     neg: np.ndarray
 
     @property
     def lo(self) -> int:
-        return -(self.neg.size - 1)
+        return -(self.neg.shape[1] - 1)
 
     @property
     def hi(self) -> int:
-        return self.pos.size - 1
+        return self.pos.shape[1] - 1
 
-    def at(self, k: int) -> float:
-        return float(self.pos[k] if k >= 0 else self.neg[-k])
+    def at(self, r: int, k: int) -> float:
+        return float(self.pos[r, k] if k >= 0 else self.neg[r, -k])
 
 
 class _Lattice:
@@ -215,9 +213,11 @@ class _Lattice:
             _sorted_groups(costs, mask) for mask in (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb)
         ]
 
-    def sides(self, r: int) -> tuple[_SideCosts, _SideCosts]:
-        """Column and row costs under cost row ``r``."""
-        up1, down1, up0, down0 = (totals[r] for totals, _ in self.cells)
+    def sides(self, rows: Sequence[int]) -> tuple[_SideCosts, _SideCosts]:
+        """Column and row costs under the cost rows ``rows``, given in
+        ascending order, one array row each."""
+        pick = slice(None) if len(rows) == len(self.costs) else list(rows)
+        up1, down1, up0, down0 = (totals[pick] for totals, _ in self.cells)
         return _SideCosts(pos=up1, neg=down1), _SideCosts(pos=up0, neg=down0)
 
     def flip(self, r: int, u: int, v: int) -> np.ndarray:
@@ -235,60 +235,46 @@ class _Lattice:
 WindowFn = Callable[[np.ndarray, Sequence[int], int, bool], tuple[np.ndarray, np.ndarray]]
 
 
-class _WindowMemo:
-    """Window pieces of the columns scanned so far, kept for later searches
-    of the same lattice: same window, row sizes and bounds, other costs.
-
-    ``pos`` holds columns u = 0, 1, ... and ``neg`` columns u = 0, -1, ...,
-    indexed (end, bound, piece, column): the lower ends of the pieces first,
-    then the upper ends."""
-
-    def __init__(self) -> None:
-        self.pos: np.ndarray | None = None
-        self.neg: np.ndarray | None = None
-
-
 def search_net_moves(
     col: _SideCosts,
     row: _SideCosts,
     window: WindowFn,
     bounds: Sequence[Fraction],
     lower: Fraction | None,
-    memo: _WindowMemo | None = None,
-) -> list[tuple[tuple[int, int] | None, int]]:
-    """For each upper bound in ``bounds``: the cheapest (column, row) cell
-    whose gaps are within it and, when ``lower`` is positive, not all
-    strictly below ``lower``; with the number of columns scanned.
+) -> list[list[tuple[tuple[int, int] | None, int]]]:
+    """For each upper bound in ``bounds`` and each cost row of ``col`` and
+    ``row``: the cheapest (column, row) cell whose gaps are within the bound
+    and, when ``lower`` is positive, not all strictly below ``lower``; with
+    the number of columns scanned.  Results are indexed [bound][cost row].
 
     A feasible (0, 0) is returned with no column scanned.  Otherwise columns
-    are taken cheapest first in blocks of doubling size, and a bound leaves
-    the scan once a block's cheapest column costs more than its best cell so
-    far.  The blocks depend on the column costs alone, so all bounds share
-    them; a block is cut short while several bounds remain, so that bounds
-    times columns stay within ``_MAX_BLOCK``.  Row costs are V-shaped with
-    minimum zero, so each feasible interval offers its row nearest zero.
-    Ties on cost break on fewest total moves, then on the (column, row)
-    pair, keeping the result deterministic and invariant under positive
-    rescaling of all costs.  The count is that of the columns no dearer than
-    the best cell, which a one-column-at-a-time best-first scan visits; so
-    neither result depends on where blocks end.
+    are taken cheapest first in blocks of doubling size, and a (bound, cost
+    row) pair leaves the scan once the cheapest column left costs more than
+    its best cell so far.  Each cost row orders the columns its own way, so
+    a block is the union of each row's cut of its cheapest columns, cut
+    short so that the bounds left times the cost rows times the columns
+    stay within ``_MAX_BLOCK``.  Row costs are V-shaped with minimum zero,
+    so each feasible interval offers its row nearest zero.  Ties on cost
+    break on fewest total moves, then on the (column, row) pair, keeping the
+    result deterministic and invariant under positive rescaling of all
+    costs.  The count is that of the columns no dearer than the best cell,
+    which a one-column-at-a-time best-first scan visits; so neither result
+    depends on where blocks end.
 
-    The bounds are passed to ``window`` over one common denominator, and the
+    Windows never depend on the costs: each block's windows, and each
+    piece's row nearest zero, are computed once for every cost row.  The
+    bounds are passed to ``window`` over one common denominator, and the
     carve-out window of ``lower`` is computed once per block for all of
-    them.  Every block is a range of columns on each side of zero, so
-    ``memo`` can keep the pieces of all columns scanned, for every bound,
-    and hand them to the next search of the lattice.  Without it only one
-    block's pieces are held at a time.
+    them.
     """
     den = math.lcm(*(bound.denominator for bound in bounds))
     nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
-    every_bound = list(range(len(nums)))
     carve = lower is not None and lower > 0
 
-    def pieces(u: np.ndarray, rows: list[int]) -> np.ndarray:
-        """Ends of the pieces of columns u under the bounds ``rows``,
-        indexed (end, bound, piece, column)."""
-        lo, hi = window(u, [nums[r] for r in rows], den, False)
+    def pieces(u: np.ndarray, bs: Sequence[int]) -> np.ndarray:
+        """Ends of the pieces of columns u under the bounds ``bs``, indexed
+        (end, bound, piece, column)."""
+        lo, hi = window(u, [nums[b] for b in bs], den, False)
         lo = np.maximum(lo, row.lo)
         hi = np.minimum(hi, row.hi)
         if not carve:
@@ -299,46 +285,32 @@ def search_net_moves(
         below = np.where(hollow, np.minimum(hi, ilo - 1), hi)
         above = np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)
         ends = np.concatenate((lo, above), axis=1), np.concatenate((below, hi), axis=1)
-        return np.array(ends).reshape(2, len(rows), 2, u.size)
+        return np.array(ends).reshape(2, len(bs), 2, u.size)
 
-    def block(i: int, i_next: int, j: int, j_next: int, rows: list[int]) -> np.ndarray:
-        """Ends of the pieces of columns [i, i_next) and -[j, j_next)."""
-        if memo is None:
-            return pieces(np.concatenate((np.arange(i, i_next), -np.arange(j, j_next))), rows)
-        if memo.pos is None:
-            # column 0 starts both sides
-            memo.pos = memo.neg = pieces(np.zeros(1, dtype=np.int64), every_bound)
-        more_pos = np.arange(memo.pos.shape[-1], i_next)
-        more_neg = np.arange(memo.neg.shape[-1], j_next)
-        if more_pos.size or more_neg.size:
-            new = pieces(np.concatenate((more_pos, -more_neg)), every_bound)
-            memo.pos = np.concatenate((memo.pos, new[..., : more_pos.size]), axis=-1)
-            memo.neg = np.concatenate((memo.neg, new[..., more_pos.size :]), axis=-1)
-        ends = np.concatenate((memo.pos[..., i:i_next], memo.neg[..., j:j_next]), axis=-1)
-        return ends if rows == every_bound else ends[:, rows]
-
-    if not nums:
-        return []
-    lo, hi = block(0, 1, 0, 0, every_bound)
+    lo, hi = pieces(np.zeros(1, dtype=np.int64), range(len(nums)))
     origin = ((lo <= 0) & (0 <= hi)).any(axis=(1, 2)).tolist()
-    active = [r for r in every_bound if not origin[r]]
-
+    rows = col.pos.shape[0]
+    best: list[list[tuple[float, int, int, int] | None]] = [[None] * rows for _ in nums]
+    live = [(b, r) for b, free in enumerate(origin) if not free for r in range(rows)]
     pos, neg = col.pos, col.neg
-    best: list[tuple[float, int, int, int] | None] = [None] * len(nums)
     i, j, size = 0, 1, _FIRST_BLOCK
-    while active and (i < pos.size or j < neg.size):
-        head = np.concatenate((pos[i : i + size], neg[j : j + size]))
-        cheapest = head.min()
-        active = [r for r in active if best[r] is None or cheapest <= best[r][0]]
-        if not active:
+    while live and (i < pos.shape[1] or j < neg.shape[1]):
+        head = np.concatenate((pos[:, i : i + size], neg[:, j : j + size]), axis=1)
+        cheapest = head.min(axis=1).tolist()
+        live = [(b, r) for b, r in live if best[b][r] is None or cheapest[r] <= best[b][r][0]]
+        if not live:
             break
-        take = min(size, max(1, _MAX_BLOCK // len(active)), head.size)
-        cut = np.partition(head, take - 1)[take - 1]
-        i_next = int(np.searchsorted(pos, cut, side="right"))
-        j_next = int(np.searchsorted(neg, cut, side="right"))
+        bs, rs = sorted({b for b, _ in live}), sorted({r for _, r in live})
+        budget = max(1, _MAX_BLOCK // (len(bs) * rows))
+        take = min(size, budget, head.shape[1])
+        # each row in the scan cuts at its take-th cheapest column, ties included
+        cut = np.partition(head, take - 1, axis=1)[:, take - 1]
+        ends = [max(int(a[r].searchsorted(cut[r], "right")) for r in rs) for a in (pos, neg)]
+        i_next = min(max(i, ends[0]), i + budget)
+        j_next = min(max(j, ends[1]), j + budget - (i_next - i))
         u = np.concatenate((np.arange(i, i_next), -np.arange(j, j_next)))
-        cu = np.concatenate((pos[i:i_next], neg[j:j_next]))
-        lo, hi = block(i, i_next, j, j_next, active)
+        cu = np.concatenate((pos[:, i:i_next], neg[:, j:j_next]), axis=1)
+        lo, hi = pieces(u, bs)
         i, j, size = i_next, j_next, min(2 * size, _MAX_BLOCK)
 
         ok = np.flatnonzero(lo <= hi)
@@ -347,35 +319,36 @@ def search_net_moves(
         # "wrap" takes each entry's position modulo u.size, back to its column
         ok_u = u.take(ok, mode="wrap")
         v = np.minimum(np.maximum(lo.ravel().take(ok), 0), hi.ravel().take(ok))
-        cost = cu.take(ok, mode="wrap") + np.where(
-            v >= 0, row.pos[np.maximum(v, 0)], row.neg[np.maximum(-v, 0)]
+        cost = cu.take(ok, axis=1, mode="wrap") + np.where(
+            v >= 0, row.pos.take(np.maximum(v, 0), axis=1), row.neg.take(np.maximum(-v, 0), axis=1)
         )
         # ok runs bound by bound: edges delimit each bound's entries
-        edges = np.searchsorted(ok, np.arange(0, lo.size + 1, lo.size // len(active))).tolist()
-        for r, start, end in zip(active, edges, edges[1:]):
+        edges = np.searchsorted(ok, np.arange(0, lo.size + 1, lo.size // len(bs))).tolist()
+        for b, start, end in zip(bs, edges, edges[1:]):
             if start == end:
                 continue
-            tied = start + np.flatnonzero(cost[start:end] == cost[start:end].min())
-            tied_u, tied_v = ok_u[tied], v[tied]
-            moves = np.abs(tied_u) + np.abs(tied_v)
-            k = np.lexsort((tied_v, tied_u, moves))[0]
-            key = (float(cost[tied[0]]), int(moves[k]), int(tied_u[k]), int(tied_v[k]))
-            if best[r] is None or key < best[r]:
-                best[r] = key
+            least = cost[:, start:end].min(axis=1).tolist()
+            for r in rs:
+                if best[b][r] is not None and least[r] > best[b][r][0]:
+                    continue
+                tied = start + np.flatnonzero(cost[r, start:end] == least[r])
+                tied_u, tied_v = ok_u[tied], v[tied]
+                moves = np.abs(tied_u) + np.abs(tied_v)
+                m = np.lexsort((tied_v, tied_u, moves))[0]
+                key = (least[r], int(moves[m]), int(tied_u[m]), int(tied_v[m]))
+                if best[b][r] is None or key < best[b][r]:
+                    best[b][r] = key
 
-    results: list[tuple[tuple[int, int] | None, int]] = []
-    for r in every_bound:
-        key = best[r]
-        if origin[r]:
-            results.append(((0, 0), 0))
-        elif key is None:
-            results.append((None, pos.size + neg.size - 1))
-        else:
-            scanned = np.searchsorted(pos, key[0], side="right") + np.searchsorted(
-                neg, key[0], side="right"
-            )
-            results.append(((key[2], key[3]), int(scanned) - 1))
-    return results
+    def result(b: int, r: int) -> tuple[tuple[int, int] | None, int]:
+        key = best[b][r]
+        if origin[b]:
+            return (0, 0), 0
+        if key is None:
+            return None, pos.shape[1] + neg.shape[1] - 1
+        scanned = sum(int(np.searchsorted(side[r], key[0], side="right")) for side in (pos, neg))
+        return (key[2], key[3]), scanned - 1
+
+    return [[result(b, r) for r in range(rows)] for b in range(len(nums))]
 
 
 def _solve_sp_form(
@@ -383,13 +356,14 @@ def _solve_sp_form(
     row: _SideCosts,
     epsilon: Fraction,
     lower: Fraction | None,
-    memo: _WindowMemo | None,
-) -> tuple[MoveCounts, int]:
+) -> list[tuple[MoveCounts, int]]:
+    """Each cost row's cheapest moves and columns scanned; raises Infeasible
+    for all rows alike."""
     # a side's up flips are its guess zeros, its down flips its guess ones
-    n1_pos, n0_pos = col.neg.size - 1, col.pos.size - 1
+    n1_pos, n0_pos = col.neg.shape[1] - 1, col.pos.shape[1] - 1
     total_positive = n1_pos + n0_pos
-    n1 = n1_pos + row.neg.size - 1
-    n = total_positive + row.pos.size + row.neg.size - 2
+    n1 = n1_pos + row.neg.shape[1] - 1
+    n = total_positive + row.pos.shape[1] + row.neg.shape[1] - 2
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
 
@@ -432,11 +406,14 @@ def _solve_sp_form(
         hi = np.where(empty, lo - 1, hi)
         return (lo - n1 - u)[None], (hi - n1 - u)[None]
 
-    ((state, columns),) = search_net_moves(col, row, window, [epsilon], lower, memo)
-    if state is None:
+    (cells,) = search_net_moves(col, row, window, [epsilon], lower)
+    # which cells are feasible never depends on the costs
+    if cells[0][0] is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
-    u, v = state
-    return MoveCounts(max(u, 0), max(-u, 0), max(v, 0), max(-v, 0)), columns
+    return [
+        (MoveCounts(max(u, 0), max(-u, 0), max(v, 0), max(-v, 0)), columns)
+        for (u, v), columns in cells
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,10 +428,7 @@ class _Slice:
     """One metric slice of a correction under several confidence vectors.
 
     Its lattice is the guess split by the predictions, sorted under every
-    vector once.  When ``keep_windows`` is set, the window pieces of scanned
-    columns are kept from one vector's search to the next, one memo per lower
-    bound; a single vector keeps none, so a large solve holds one block's
-    pieces at a time.
+    vector once, and one search solves any list of vectors.
     """
 
     def __init__(
@@ -464,20 +438,26 @@ class _Slice:
         confs: np.ndarray,
         idx: np.ndarray,
         epsilon: Fraction,
-        keep_windows: bool,
     ) -> None:
         self.idx = idx
         self.lattice = _Lattice(guess.take(idx), yhat.take(idx), confs.take(idx, axis=1))
         self.epsilon = epsilon
-        self.memos: dict[Fraction | None, _WindowMemo] | None = {} if keep_windows else None
 
-    def solve(self, vector: int, lower: Fraction | None) -> _SliceSolution:
-        col, row = self.lattice.sides(vector)
-        memo = None if self.memos is None else self.memos.setdefault(lower, _WindowMemo())
-        moves, columns = _solve_sp_form(col, row, self.epsilon, lower, memo)
-        u, v = moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg
-        corrected_slice = self.lattice.flip(vector, u, v)
-        return _SliceSolution(moves, corrected_slice, col.at(u) + row.at(v), columns)
+    def solve(
+        self, vectors: Sequence[int], lower: Fraction | None
+    ) -> list[_SliceSolution | Infeasible]:
+        col, row = self.lattice.sides(vectors)
+        try:
+            solved = _solve_sp_form(col, row, self.epsilon, lower)
+        except Infeasible as exc:
+            return [exc] * len(vectors)
+        solutions: list[_SliceSolution | Infeasible] = []
+        for k, (vector, (moves, columns)) in enumerate(zip(vectors, solved)):
+            u, v = moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg
+            corrected_slice = self.lattice.flip(vector, u, v)
+            objective = col.at(k, u) + row.at(k, v)
+            solutions.append(_SliceSolution(moves, corrected_slice, objective, columns))
+        return solutions
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
@@ -499,8 +479,8 @@ def correct_each(
     ``confidences[i]``; the instance's own confidences are not read.  Which
     corrections are feasible never depends on the costs, so an infeasible
     ``spec`` raises :class:`Infeasible` once, for all vectors.  The slices'
-    groups are built once for all vectors, and each slice keeps its window
-    pieces from one vector to the next.
+    groups are built once for all vectors, and each slice is searched once
+    for all of them.
     """
     vectors = [as_confidence_array(conf) for conf in confidences]
     if any(conf.size != instance.n for conf in vectors):
@@ -513,28 +493,31 @@ def _correct_rows(
 ) -> list[CorrectionResult]:
     """:func:`correct_each` with the vectors validated and stacked as rows."""
     if instance.cardinality != 2:
-        raise ValueError("correct() handles binary guesses; use the general model")
+        raise UnsupportedCardinality("correct() handles binary guesses; use the general model")
     metric = FairnessMetric(spec.metric)
     guess = instance.guess
     epsilon = Fraction(spec.epsilon)
     lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
     slices = [
-        _Slice(guess, instance.predictions, confs, idx, epsilon, confs.shape[0] > 1)
+        _Slice(guess, instance.predictions, confs, idx, epsilon)
         for idx in slice_for_metric(metric, instance.labels)
         if idx.size
     ]
+    solved = solve_slices(
+        metric,
+        len(slices),
+        confs.shape[0],
+        lambda i, bound, vectors: slices[i].solve(vectors, bound),
+        lambda i, sol: unfairness_exact(
+            FairnessMetric.SP, sol.corrected_slice, slices[i].lattice.z
+        ),
+        lower,
+    )
 
     results = []
-    for vector in range(confs.shape[0]):
-        solutions = solve_slices(
-            metric,
-            len(slices),
-            lambda i, bound: slices[i].solve(vector, bound),
-            lambda i, sol: unfairness_exact(
-                FairnessMetric.SP, sol.corrected_slice, slices[i].lattice.z
-            ),
-            lower,
-        )
+    for solutions in solved:
+        if isinstance(solutions, Infeasible):
+            raise solutions
         corrected = np.array(guess)
         moves = MoveCounts(0, 0, 0, 0)
         objective = 0.0
@@ -555,36 +538,57 @@ def _correct_rows(
 def solve_slices(
     metric: FairnessMetric,
     count: int,
-    solve: Callable[[int, Fraction | None], _Solution],
+    lanes: int,
+    solve: Callable[[int, Fraction | None, list[int]], list[_Solution | Infeasible]],
     gap: Callable[[int, _Solution], Fraction],
     lower: Fraction | None,
-) -> list[_Solution]:
-    """Solutions of a metric's ``count`` nonempty slices, in slice order.
+) -> list[list[_Solution] | Infeasible]:
+    """For each of ``lanes`` problems over a metric's ``count`` nonempty
+    slices: its slices' solutions in slice order, or the Infeasible that
+    stops it.  A lane is one confidence vector of the corrector, or one
+    tolerance of the prediction repair.
 
-    ``solve(i, bound)`` solves slice i, with the lower bound when ``bound``
-    is set; ``gap(i, solution)`` measures the slice's gap.  A single slice
-    carries the lower bound itself.  EOdds with a lower bound couples its
-    two slices: the larger slice gap must reach the bound, so at most one
-    slice has to carry it.  Both slices are solved upper-only, and only if
-    the bound is missed is each re-solved with the bound attached, keeping
-    the cheaper combination.
+    ``solve(i, bound, chosen)`` solves slice i for each lane in the list
+    ``chosen`` in one search, with the lower bound when ``bound`` is set,
+    and gives an Infeasible in place of each lane it cannot solve;
+    ``gap(i, solution)`` measures the slice's gap.  A lane stops at its
+    first infeasible slice.  A single slice carries the lower bound itself.
+    EOdds with a lower bound couples its two slices: the larger slice gap
+    must reach the bound, so at most one slice has to carry it.  Both slices
+    are solved upper-only, and only the lanes that miss the bound are
+    re-solved with the bound attached to each slice in turn, each keeping
+    its cheaper combination.
     """
-    if metric is not FairnessMetric.EODDS or lower is None or count < 2:
-        return [solve(i, lower) for i in range(count)]
-    base = [solve(i, None) for i in (0, 1)]
-    if max(gap(i, sol) for i, sol in enumerate(base)) >= lower:
-        return base
-    candidates = []
+    solved: list[list[_Solution] | Infeasible] = [[] for _ in range(lanes)]
+    coupled = metric is FairnessMetric.EODDS and lower is not None and count > 1
+    for i in range(count):
+        alive = [t for t, sols in enumerate(solved) if isinstance(sols, list)]
+        if not alive:
+            break
+        for t, sol in zip(alive, solve(i, None if coupled else lower, alive)):
+            if isinstance(sol, Infeasible):
+                solved[t] = sol
+            else:
+                solved[t].append(sol)
+    if not coupled:
+        return solved
+    missed = [t for t, sols in enumerate(solved) if isinstance(sols, list)]
+    missed = [t for t in missed if max(map(gap, (0, 1), solved[t])) < lower]
+    if not missed:
+        return solved
+    candidates: dict[int, list] = {t: [] for t in missed}
     for carrier in (0, 1):
-        try:
-            forced = solve(carrier, lower)
-        except Infeasible:
-            continue
-        combo = [forced if i == carrier else base[i] for i in (0, 1)]
-        candidates.append((sum(sol.objective for sol in combo), carrier, combo))
-    if not candidates:
-        raise Infeasible("no slice can reach the required lower unfairness bound")
-    return min(candidates, key=lambda item: item[:2])[2]
+        for t, forced in zip(missed, solve(carrier, lower, missed)):
+            if not isinstance(forced, Infeasible):
+                combo = [forced if i == carrier else sol for i, sol in enumerate(solved[t])]
+                candidates[t].append((sum(sol.objective for sol in combo), carrier, combo))
+    for t, found in candidates.items():
+        solved[t] = (
+            min(found, key=lambda item: item[:2])[2]
+            if found
+            else Infeasible("no slice can reach the required lower unfairness bound")
+        )
+    return solved
 
 
 def _enumeration_positions(

@@ -13,18 +13,17 @@ interval of feasible group-0 flip counts, each end an exact integer floor.
 ``RepairState`` holds what does not depend on the tolerance: a table's
 metric slices and the lattice of each, which keeps the slice's margins as
 its cost row.  ``RepairState.solve`` repairs a whole tolerance list with
-one search per slice, all tolerances sharing its blocks, and picks each
-tolerance's EOdds carrier through the corrector's ``solve_slices``.  It
-returns each tolerance's lattice cells, which ``RepairState.apply`` flips;
-``RepairState.repair`` and ``repair_predictions`` are the one-tolerance
-forms.
+one search per slice, all tolerances sharing its blocks; the corrector's
+``solve_slices`` picks the EOdds carrier, searching it only for the
+tolerances that need it.  It returns each tolerance's lattice cells, which
+``RepairState.apply`` flips; ``RepairState.repair`` and
+``repair_predictions`` are the one-tolerance forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,16 +93,16 @@ def _repair_slice(
     predictions split by its groups, group 1 the columns, group 0 the rows,
     the margins the one cost row.  Each repair is the lattice cell to flip,
     or None when no cell is feasible."""
-    col, row = part.sides(0)
+    col, row = part.sides([0])
     # group 1's members are its up (negative) and down (positive) flips
     n = part.x.size
-    n1 = col.pos.size + col.neg.size - 2
+    n1 = col.pos.shape[1] + col.neg.shape[1] - 2
     n0 = n - n1
     if n1 == 0 or n0 == 0:
         # a single group carries the whole slice, so its rate is the overall
         # rate and the constraint already holds
         return [(0, 0)] * len(epsilons)
-    pos1, pos0 = col.neg.size - 1, row.neg.size - 1
+    pos1, pos0 = col.neg.shape[1] - 1, row.neg.shape[1] - 1
     tot = pos1 + pos0
 
     def window(
@@ -132,7 +131,7 @@ def _repair_slice(
         high = np.minimum(most(r1 - c1, -k1), most(r0 + c0, k0))
         return np.maximum(low, lo), np.minimum(high, hi)
 
-    return [cell for cell, _ in search_net_moves(col, row, window, epsilons, lower)]
+    return [cells[0][0] for cells in search_net_moves(col, row, window, epsilons, lower)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,35 +180,28 @@ class RepairState:
         as one lattice cell per slice, or the Infeasible it raises.
 
         Each slice's lattice is searched once for all tolerances, and once
-        more with the lower bound attached if the EOdds carrier needs it."""
+        more with the lower bound attached, for the tolerances whose EOdds
+        carrier needs it."""
         uppers = [Fraction(epsilon) for epsilon in epsilons]
-        lower = Fraction(epsilon_lower) if epsilon_lower else None
 
-        @cache
-        def batch(i: int, bound: Fraction | None) -> list[tuple[int, int] | None]:
-            return _repair_slice(self.parts[i], uppers, bound)
+        def solve(i: int, bound: Fraction | None, lanes: list[int]) -> list:
+            cells = _repair_slice(self.parts[i], [uppers[t] for t in lanes], bound)
+            return [
+                Infeasible("no prediction repair satisfies the constraint")
+                if cell is None
+                else _RepairSlice(self.parts[i], cell)
+                for cell in cells
+            ]
 
-        def solve_one(t: int, i: int, bound: Fraction | None) -> _RepairSlice:
-            cell = batch(i, bound)[t]
-            if cell is None:
-                raise Infeasible("no prediction repair satisfies the constraint")
-            return _RepairSlice(self.parts[i], cell)
-
-        repairs: list[list[tuple[int, int]] | Infeasible] = []
-        for t in range(len(uppers)):
-            try:
-                solved = solve_slices(
-                    self.metric,
-                    len(self.parts),
-                    lambda i, bound: solve_one(t, i, bound),
-                    lambda i, sol: unfairness_exact(FairnessMetric.SP, self.parts[i].z, sol.yhat),
-                    lower,
-                )
-            except Infeasible as exc:
-                repairs.append(exc)
-            else:
-                repairs.append([sol.cell for sol in solved])
-        return repairs
+        solved = solve_slices(
+            self.metric,
+            len(self.parts),
+            len(uppers),
+            solve,
+            lambda i, sol: unfairness_exact(FairnessMetric.SP, self.parts[i].z, sol.yhat),
+            Fraction(epsilon_lower) if epsilon_lower else None,
+        )
+        return [sols if isinstance(sols, Infeasible) else [s.cell for s in sols] for sols in solved]
 
     def apply(self, repair: list[tuple[int, int]] | Infeasible) -> np.ndarray:
         """The predictions one result of :meth:`solve` repairs; raises the

@@ -5,9 +5,9 @@ vectorised sweep, kept verbatim as the cross-check reference.  Every window
 is derived independently of the package: the corrector's in terms of the
 group-1 size, the repair's by tightening one linear constraint at a time.
 ``solve_sp_form`` has the signature of ``fairleak.corrector._solve_sp_form``
-and ``repair_slice_state`` that of ``fairleak.harness.predictor._repair_slice``
-(``repair_slice`` on one prepared slice, one tolerance at a time), so a test
-can swap them in.
+(the sweep on one cost row at a time) and ``repair_slice_state`` that of
+``fairleak.harness.predictor._repair_slice`` (``repair_slice`` on one
+prepared slice, one tolerance at a time), so a test can swap them in.
 """
 
 from __future__ import annotations
@@ -143,9 +143,23 @@ def _carve(lo, hi, inside):
 
 
 def solve_sp_form(
-    col, row, epsilon: Fraction, lower: Fraction | None, memo: object
+    col, row, epsilon: Fraction, lower: Fraction | None
+) -> list[tuple[MoveCounts, int]]:
+    """Solve each cost row of the package's (rows x size) sides alone."""
+    return [
+        _solve_sp_form_row(
+            SideCosts(pos=col.pos[r], neg=col.neg[r]),
+            SideCosts(pos=row.pos[r], neg=row.neg[r]),
+            epsilon,
+            lower,
+        )
+        for r in range(col.pos.shape[0])
+    ]
+
+
+def _solve_sp_form_row(
+    col, row, epsilon: Fraction, lower: Fraction | None
 ) -> tuple[MoveCounts, int]:
-    # ``memo`` carries the package sweep's window pieces; this sweep keeps none.
     # A side's up flips are its guess zeros, its down flips its guess ones.
     n1_pos, n0_pos = col.neg.size - 1, col.pos.size - 1
     n1_neg, n0_neg = row.neg.size - 1, row.pos.size - 1

@@ -16,6 +16,7 @@ from fairleak.errors import (
     Infeasible,
     LengthMismatch,
     NegativeConfidence,
+    UnsupportedCardinality,
 )
 
 SP, PE, EO, EODDS = (
@@ -36,7 +37,7 @@ def _lattice(x, z, costs):
 
 def _sizes(lattice):
     """Cell sizes in the order (x=1, z=1), (x=0, z=1), (x=1, z=0), (x=0, z=0)."""
-    col, row = lattice.sides(0)
+    col, row = lattice.sides([0])
     return (col.neg.size - 1, col.pos.size - 1, row.neg.size - 1, row.pos.size - 1)
 
 
@@ -106,18 +107,18 @@ class TestBuildCostArrays:
 
     def test_sort_and_cumulate(self):
         lattice = _lattice([1, 1, 1], [1, 1, 1], [0.9, 0.2, 0.5])
-        col, _ = lattice.sides(0)
-        assert col.neg.tolist() == pytest.approx([0.0, 0.2, 0.7, 1.6])
+        col, _ = lattice.sides([0])
+        assert col.neg[0].tolist() == pytest.approx([0.0, 0.2, 0.7, 1.6])
         _, down = lattice.cells[1]
         assert down[0].tolist() == [1, 2, 0]
 
     def test_empty_group(self):
-        _, row = _lattice([1], [1], [0.3]).sides(0)
-        assert row.pos.tolist() == [0.0]
+        _, row = _lattice([1], [1], [0.3]).sides([0])
+        assert row.pos.tolist() == [[0.0]]
 
     def test_uniform_weights_count_moves(self):
-        col, _ = _lattice([0, 0], [1, 1], [1.0, 1.0]).sides(0)
-        assert col.pos.tolist() == [0.0, 1.0, 2.0]
+        col, _ = _lattice([0, 0], [1, 1], [1.0, 1.0]).sides([0])
+        assert col.pos.tolist() == [[0.0, 1.0, 2.0]]
 
     def test_negative_confidence(self):
         inst = AttackInstance([1], [0], [1], [1.0])
@@ -128,9 +129,9 @@ class TestBuildCostArrays:
         for _ in range(20):
             n = int(rng.integers(1, 30))
             lattice = _lattice(rng.integers(0, 2, n), rng.integers(0, 2, n), rng.random((3, n)))
-            for r in range(3):
-                for side in lattice.sides(r):
-                    for arr in (side.pos, side.neg):
+            for side in lattice.sides([0, 1, 2]):
+                for r in range(3):
+                    for arr in (side.pos[r], side.neg[r]):
                         assert arr[0] == 0.0
                         steps = np.diff(arr)
                         assert np.all(np.diff(steps) >= -1e-12)
@@ -138,7 +139,10 @@ class TestBuildCostArrays:
     def test_rows_sort_independently(self):
         lattice = _lattice([1, 1, 1], [1, 1, 1], [[0.9, 0.2, 0.5], [0.1, 0.3, 0.2]])
         assert lattice.cells[1][1].tolist() == [[1, 2, 0], [0, 2, 1]]
-        assert lattice.sides(1)[0].neg.tolist() == pytest.approx([0.0, 0.1, 0.3, 0.6])
+        assert lattice.sides([0, 1])[0].neg[1].tolist() == pytest.approx([0.0, 0.1, 0.3, 0.6])
+        # a subset of the rows, in order
+        (neg,) = lattice.sides([1])[0].neg
+        assert neg.tolist() == pytest.approx([0.0, 0.1, 0.3, 0.6])
 
 
 class TestSolveEfficient:
@@ -195,12 +199,12 @@ class TestApplyMoves:
             costs = rng.random((2, n))
             lattice = _lattice(x, rng.integers(0, 2, n), costs)
             r = int(rng.integers(0, 2))
-            col, row = lattice.sides(r)
+            col, row = lattice.sides([0, 1])
             u = int(rng.integers(col.lo, col.hi + 1))
             v = int(rng.integers(row.lo, row.hi + 1))
             changed = np.flatnonzero(lattice.flip(r, u, v) != x)
             assert changed.size == abs(u) + abs(v)
-            assert costs[r, changed].sum() == pytest.approx(col.at(u) + row.at(v), abs=1e-9)
+            assert costs[r, changed].sum() == pytest.approx(col.at(r, u) + row.at(r, v), abs=1e-9)
 
 
 class TestCorrect:
@@ -255,8 +259,10 @@ class TestCorrect:
 
     def test_multivalued_guess_rejected(self):
         inst = AttackInstance([1, 0, 1], [0, 0, 0], [0, 1, 2], [1, 1, 1], cardinality=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedCardinality, match="binary guesses"):
             correct(inst, FairnessSpec(SP, 0.5))
+        with pytest.raises(UnsupportedCardinality, match="binary guesses"):
+            correct_each(inst, FairnessSpec(SP, 0.5), [[1, 1, 1], [0.5, 1, 2]])
 
     def test_epsilon_lower_forces_unfairness(self):
         # a perfectly balanced guess must become measurably unfair

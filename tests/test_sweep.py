@@ -105,6 +105,12 @@ def _vectors(rng, n, style):
     return [shape_confidences(raw, k) for k in DEFAULT_K_GRID]
 
 
+def _cheap_sides(rng, guess):
+    """Two vectors: one finds its cheapest columns among the up flips, the
+    other among the down flips, so that their cuts differ most."""
+    return [np.where(guess == side, 1e-3, 1.0) * rng.random(guess.size) for side in (0, 1)]
+
+
 def _assert_same_repair(monkeypatch, yhat, margins, sensitive, labels, spec):
     ours = _outcome(repair_predictions, yhat, margins, sensitive, labels, spec)
     with monkeypatch.context() as patch:
@@ -301,17 +307,20 @@ class TestCorrectEach:
         carriers = []
         real = corrector.solve_slices
 
-        def spy(metric, count, solve, gap, lower):
-            forced = {}
+        def spy(metric, count, lanes, solve, gap, lower):
+            forced = {}  # (slice, lane): the solution solved with the bound
 
-            def recording(i, bound):
-                forced[i, bound is None] = solve(i, bound)
-                return forced[i, bound is None]
+            def recording(i, bound, some):
+                solved = solve(i, bound, some)
+                if bound is not None:
+                    forced.update({(i, t): sol for t, sol in zip(some, solved)})
+                return solved
 
-            combo = real(metric, count, recording, gap, lower)
-            if count == 2:
-                carriers.extend(i for i, sol in enumerate(combo) if forced.get((i, False)) is sol)
-            return combo
+            combos = real(metric, count, lanes, recording, gap, lower)
+            for t, combo in enumerate(combos):
+                if count == 2 and not isinstance(combo, Infeasible):
+                    carriers.extend(i for i, sol in enumerate(combo) if forced.get((i, t)) is sol)
+            return combos
 
         def carried(solve, *args):
             carriers.clear()
@@ -350,9 +359,9 @@ class TestCorrectEach:
         calls = []
         real = corrector._solve_sp_form
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(col, row, epsilon, lower):
+            calls.append(col.pos.shape[0])
+            return real(col, row, epsilon, lower)
 
         monkeypatch.setattr(corrector, "_solve_sp_form", counting)
         # constant predictions leave every gap at zero, below any lower bound
@@ -369,7 +378,9 @@ class TestCorrectEach:
                 with pytest.raises(Infeasible):
                     correct_each(inst, spec, batch)
                 solves.append(len(calls))
-            # the first vector's solves raise; no later vector is solved
+                # each slice is solved once, for every vector of the batch
+                assert set(calls) == {len(batch)}
+            # the batch raises where its first vector alone does
             assert solves[0] == solves[1] > 0
         # groups of sizes 1 and 2 cannot both hold exactly a third positives
         odd = AttackInstance([1, 0, 0], [0, 0, 0], [1, 0, 0], [0.5, 0.5, 0.5])
@@ -391,6 +402,116 @@ class TestCorrectEach:
         assert len(windows) == 2 * once
         for result in repeated:
             _assert_same_result(result, alone)
+
+        # vectors that order the columns each their own way: no column's
+        # window is computed twice in a search, beyond the origin test, and
+        # the batch takes no more blocks than its slowest vector alone
+        searches = []
+        search = corrector.search_net_moves
+
+        def spy(col, row, window, bounds, lower):
+            seen = []
+
+            def recording(u, nums, den, strict):
+                if not strict:
+                    seen.append(u.tolist())
+                return window(u, nums, den, strict)
+
+            found = search(col, row, recording, bounds, lower)
+            columns = sum(seen, [])
+            assert columns[0] == 0 and len(set(columns[1:])) == len(columns) - 1
+            searches.append((len(seen), len(columns) - 1))
+            return found
+
+        monkeypatch.setattr(corrector, "search_net_moves", spy)
+        for first in (4, 16, 64):
+            monkeypatch.setattr(corrector, "_FIRST_BLOCK", first)
+            vectors = _vectors(rng, 2000, "orders")[:3] + _cheap_sides(rng, inst.guess)
+            searches.clear()
+            results = correct_each(inst, spec, vectors)
+            ((blocks, scanned),) = searches
+            for vector in vectors:
+                correct_each(inst, spec, [vector])
+            assert blocks <= max(count for count, _ in searches[1:])
+            # the union of the vectors' scans, never their sum
+            nodes = [result.stats.nodes for result in results]
+            assert max(nodes) <= scanned < sum(nodes)
+            assert _assert_same_each(monkeypatch, inst, spec, vectors)
+
+    def test_batch_windows_stay_within_one_block(self, monkeypatch, rng):
+        # six vectors share each block's windows and costs, so that vectors
+        # times columns stay within _MAX_BLOCK
+        monkeypatch.setattr(corrector, "_FIRST_BLOCK", 16)
+        monkeypatch.setattr(corrector, "_MAX_BLOCK", 64)
+        sizes = []
+        search = corrector.search_net_moves
+
+        def spy(col, row, window, bounds, lower):
+            def sized(u, nums, den, strict):
+                sizes.append(col.pos.shape[0] * len(nums) * u.size)
+                return window(u, nums, den, strict)
+
+            return search(col, row, sized, bounds, lower)
+
+        monkeypatch.setattr(corrector, "search_net_moves", spy)
+        n = 3000
+        # a guess that mostly copies the predictions takes many columns to
+        # correct
+        yhat = rng.integers(0, 2, n)
+        guess = np.where(rng.random(n) < 0.8, yhat, 1 - yhat)
+        inst = AttackInstance(yhat, rng.integers(0, 2, n), guess, rng.random(n))
+        vectors = _cheap_sides(rng, guess) + _vectors(rng, n, "orders")[:3]
+        vectors.append(_vectors(rng, n, "shaped")[-1])
+        for metric in METRICS:
+            sizes.clear()
+            assert _assert_same_each(monkeypatch, inst, FairnessSpec(metric, 0.001), vectors)
+            assert max(sizes) <= 64 and len(sizes) > 5
+
+    def test_carrier_searches_only_the_lanes_that_miss_the_bound(self, monkeypatch, rng):
+        """``solve_slices`` re-solves with the lower bound, once per slice,
+        exactly the lanes (vectors or tolerances) whose upper-only gaps miss
+        it; some batches mix both kinds."""
+        real = corrector.solve_slices
+        mixed = []
+
+        def spy(metric, count, lanes, solve, gap, lower):
+            upper, carried = {}, []
+
+            def recording(i, bound, some):
+                solved = solve(i, bound, some)
+                if bound is None:
+                    upper.update({(i, t): sol for t, sol in zip(some, solved)})
+                else:
+                    carried.append((i, some))
+                return solved
+
+            combos = real(metric, count, lanes, recording, gap, lower)
+            if count == 2:
+                sols = [[upper.get((i, t)) for i in (0, 1)] for t in range(lanes)]
+                # lanes that solved both slices upper-only
+                solved = [t for t in range(lanes) if all(hasattr(s, "objective") for s in sols[t])]
+                missed = [t for t in solved if max(map(gap, (0, 1), sols[t])) < lower]
+                assert carried == ([(0, missed), (1, missed)] if missed else [])
+                mixed.append(0 < len(missed) < len(solved))
+            return combos
+
+        monkeypatch.setattr(corrector, "solve_slices", spy)
+        monkeypatch.setattr(predictor, "solve_slices", spy)
+        for trial in range(60):
+            n = int(rng.integers(50, 400))
+            inst = _instance(rng, n, "uniform")
+            eps = (0.05, 0.1, 0.2)[trial % 3]
+            spec = FairnessSpec(FairnessMetric.EODDS, eps, 0.9 * eps)
+            vectors = _vectors(rng, n, ("orders", "ties", "shaped")[trial % 3])
+            _assert_same_each(monkeypatch, inst, spec, vectors)
+        assert sum(mixed) > 2
+
+        mixed.clear()
+        for trial in range(24):
+            inputs = TestBatchedRepair._inputs(rng, 200, trial)
+            state = RepairState(*inputs, FairnessMetric.EODDS)
+            state.solve(TestBatchedRepair.GRIDS[trial % 2], 0.045)
+        assert sum(mixed) > 2
 
     def test_inputs(self, rng):
         inst = _instance(rng, 40, "uniform")
@@ -466,18 +587,24 @@ def _scalar_repair(yhat, margins, sensitive, labels, metric, epsilon, lower, car
     with the lower bound."""
     slices = [idx for idx in slice_for_metric(metric, labels) if idx.size]
 
-    def solve(i, bound):
+    def solve(i, bound, lanes):
         if bound is not None:
             carried.append(i)
-        return scalar_sweep.repair_slice(yhat, margins, sensitive, slices[i], epsilon, bound)
+        try:
+            return [scalar_sweep.repair_slice(yhat, margins, sensitive, slices[i], epsilon, bound)]
+        except Infeasible as exc:
+            return [exc]
 
-    solved = solve_slices(
+    (solved,) = solve_slices(
         metric,
         len(slices),
+        1,
         solve,
         lambda i, sol: unfairness_exact(FairnessMetric.SP, sensitive[slices[i]], sol.yhat),
         lower,
     )
+    if isinstance(solved, Infeasible):
+        raise solved
     repaired = np.array(yhat)
     for idx, sol in zip(slices, solved):
         repaired[idx] = sol.yhat
@@ -561,12 +688,12 @@ class TestBatchedRepair:
         sizes = []
         real = predictor.search_net_moves
 
-        def spy(col, row, window, bounds, lower, memo=None):
+        def spy(col, row, window, bounds, lower):
             def sized(u, nums, den, strict):
                 sizes.append(len(nums) * u.size)
                 return window(u, nums, den, strict)
 
-            return real(col, row, sized, bounds, lower, memo)
+            return real(col, row, sized, bounds, lower)
 
         monkeypatch.setattr(predictor, "search_net_moves", spy)
         n = 3000
