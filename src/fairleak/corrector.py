@@ -8,14 +8,19 @@ confidences.  ``_Lattice`` holds that lattice for any 0/1 vector split by
 another: here the guess split by the predictions, and in the simulated fair
 target's prediction repair the predictions split by the groups.
 ``search_net_moves`` sweeps it in numpy, taking columns cheapest first in
-blocks of doubling size.  For a whole block at once, the feasible rows of
-each column form at most two integer intervals, and the cheapest row of each
-is the one nearest zero.  Every interval end is an exact
-floor((A + u*B)/D), computed by ``_floor_affine`` without rounding error.
+blocks of doubling size; the feasible rows of each column form at most two
+integer intervals, and the cheapest row of each is the one nearest zero.
 The sweep stops once a block's cheapest column costs more than the best cell
 found, which proves optimality.  It answers a list of upper bounds under a
 list of cost rows at once: windows never depend on the costs, so each block's
 windows serve every pair, and each pair keeps its own stop test.
+
+Both solvers bound one parity gap.  With c[x][z] the lattice's 2x2 table of
+counts and z_k the entries where z = k, a group of m entries has rate gap
+|D| / (n*m), where D = c00*c11 - c01*c10, and cell (u, v) moves D to
+D + u*z0 - v*z1.  A gap bound is thus a band of the determinant: a few
+half-planes in v per column, whose exact integer ends ``_rows_within``
+finds for a whole block of columns at once.
 
 ``correct_each`` solves one instance under several confidence vectors, as
 the adversary's choice of confidence exponent does, in one search per slice
@@ -139,41 +144,57 @@ _NEAR = 1e-7
 
 
 def _floor_affine(
-    a: int | Sequence[int], b: int, d: int, u: np.ndarray, lo: int, hi: int
+    a: Sequence[int], b: int, d: int, u: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
-    """Exact ``clip(floor((a + b*u) / d), lo, hi)`` for an int64 array ``u``
-    and Python ints ``b`` and ``d > 0`` of any size.  ``a`` is a Python int,
-    or a sequence of them for one row of the result per offset.
+    """Exact ``clip(floor((a[r] + b*u) / d), lo, hi)``, one row per offset
+    a[r], for an int64 array ``u`` and Python ints of any size, ``d > 0``:
+    where a half-plane of the determinant band crosses each column.
 
     The integer quotients of a/d and b/d are split off.  The remainder
     (ra + rb*u)/d is computed in int64 when it fits; otherwise it is screened
     in float64 and only entries within ``_NEAR`` of an integer are rechecked
     with Python ints (``Fraction(0.01)`` alone has a 2**59 denominator).
     """
-    single = isinstance(a, (int, np.integer))
     qb, rb = divmod(b, d)
     g = math.gcd(rb, d)
-    qa, ra = zip(*(divmod(int(offset), d) for offset in ((a,) if single else a)))
+    qa, ra = zip(*(divmod(int(offset), d) for offset in a))
     ra, rb, d = [r // g for r in ra], rb // g, d // g
-
-    def column(values: list, dtype: type | None = None) -> object:
-        """One value per offset, as a column, or as the single offset's own."""
-        return values[0] if single else np.array(values, dtype)[:, None]
-
     span = int(np.abs(u).max(initial=0)) + 1
     if d * span < 2**62:
-        whole = (column(ra) + rb * u) // d
+        whole = (np.array(ra)[:, None] + rb * u) // d
     else:
-        frac = column([r / d for r in ra]) + u * (rb / d)
+        frac = np.array([r / d for r in ra])[:, None] + u * (rb / d)
         whole = np.floor(frac).astype(np.int64)
         near = np.flatnonzero(np.abs(frac - np.rint(frac)) < _NEAR)
         if near.size:
             row, at = np.divmod(near, u.size)
             whole.put(near, (u[at].astype(object) * rb + np.array(ra, object)[row]) // d)
     if max(map(abs, qa)) + abs(qb) * span < 2**62:
-        return np.minimum(np.maximum(column(qa) + qb * u + whole, lo), hi)
-    out = np.clip(u.astype(object) * qb + column(qa, object) + whole, lo, hi)
+        return np.minimum(np.maximum(np.array(qa)[:, None] + qb * u + whole, lo), hi)
+    out = np.clip(u.astype(object) * qb + np.array(qa, object)[:, None] + whole, lo, hi)
     return out.astype(np.int64)
+
+
+def _rows_within(
+    u: np.ndarray, planes: Sequence[tuple[int, Sequence[int], int]], strict: bool, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ends, indexed (bound row r, column), of the rows v in [lo, hi] of each
+    column u with q*v <= c[r] + k*u for every plane (q, c, k), strictly when
+    ``strict``; a column with no such row has its ends crossed.  All terms are
+    integers, so a strict plane is the plain one with c - 1.  q > 0 caps the
+    rows at a floor, q < 0 raises them to a ceiling, q = 0 masks columns."""
+    low, high = (np.full((len(planes[0][1]), u.size), end) for end in (lo, hi))
+    for q, c, k in planes:
+        offsets = [ci - strict for ci in c]
+        if q > 0:
+            high = np.minimum(high, _floor_affine(offsets, k, q, u, lo - 1, hi + 1))
+        elif q < 0:
+            # q*v <= c + k*u iff v >= -floor((c + k*u) / -q)
+            low = np.maximum(low, -_floor_affine(offsets, k, -q, u, -hi - 1, 1 - lo))
+        else:
+            # clip(c + k*u, -1, 0) is -1 exactly where the plane fails
+            high = np.where(_floor_affine(offsets, k, 1, u, -1, 0) < 0, lo - 1, high)
+    return low, high
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,52 +380,26 @@ def _solve_sp_form(
 ) -> list[tuple[MoveCounts, int]]:
     """Each cost row's cheapest moves and columns scanned; raises Infeasible
     for all rows alike."""
-    # a side's up flips are its guess zeros, its down flips its guess ones
-    n1_pos, n0_pos = col.neg.shape[1] - 1, col.pos.shape[1] - 1
-    total_positive = n1_pos + n0_pos
-    n1 = n1_pos + row.neg.shape[1] - 1
-    n = total_positive + row.pos.shape[1] + row.neg.shape[1] - 2
+    # a side's up flips are its guess zeros, its down flips its guess ones:
+    # z1 positive predictions, z0 negative ones, n1 guess ones
+    z1, z0 = col.hi - col.lo, row.hi - row.lo
+    n, n1 = z0 + z1, -col.lo - row.lo
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
+    det = row.hi * -col.lo - col.hi * -row.lo  # c00*c11 - c01*c10, c[guess][prediction]
 
     def window(
         u: np.ndarray, nums: Sequence[int], den: int, strict: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        # Column u leaves group g with p_g positives, t_g = p_g * n * den;
-        # row v sets the group-1 size m = n1 + u + v.  The group-1 gap is
-        # within num/den iff m*a >= t_1 and m*b <= t_1 (strict inside the
-        # carve-out); group 0 is the same with n - m and t_0.  The corrector
-        # searches one bound, so its ends are one row.
+        # Cell (u, v) has D = det + u*z0 - v*z1 and guess-1 group size
+        # m = n1 + u + v in [1, n - 1]; its gaps are within num/den iff
+        # s*den*D <= t*m and s*den*D <= t*(n - m) for both signs s, t = num*n.
         (num,) = nums
-        s = int(strict)
-        a = total_positive * den + num * n
-        b = total_positive * den - num * n
-        scale = n * den
-        lo = np.ones_like(u)
-        hi = np.full_like(u, n - 1)
-        empty = np.zeros(u.shape, dtype=bool)
-        for base, sign in ((n1_pos, 1), (n0_pos, -1)):
-            p = base + sign * u
-            if a > 0:
-                least = _floor_affine(base * scale + a - 1 + s, sign * scale, a, u, 0, n)
-            else:
-                # a == 0 only when upper-bounding at zero with no positives
-                least = np.ones_like(u)
-                empty |= p > 0
-            if b > 0:
-                most = _floor_affine(base * scale - s, sign * scale, b, u, 0, n)
-            else:
-                most = np.full_like(u, n)
-                if b == 0 and strict:
-                    empty |= p == 0
-            if sign > 0:
-                lo = np.maximum(lo, least)
-                hi = np.minimum(hi, most)
-            else:
-                lo = np.maximum(lo, n - most)
-                hi = np.minimum(hi, n - least)
-        hi = np.where(empty, lo - 1, hi)
-        return (lo - n1 - u)[None], (hi - n1 - u)[None]
+        t = num * n
+        planes = [(-s * den * z1 - g * t, [t * size - s * den * det], g * t - s * den * z0)
+                  for size, g in ((n1, 1), (n - n1, -1)) for s in (1, -1)]
+        lo, hi = _rows_within(u, planes, strict, row.lo, row.hi)
+        return np.maximum(lo, 1 - n1 - u), np.minimum(hi, n - 1 - n1 - u)
 
     (cells,) = search_net_moves(col, row, window, [epsilon], lower)
     # which cells are feasible never depends on the costs

@@ -134,6 +134,8 @@ class ExperimentConfig:
             0.0 <= self.epsilon_lower <= min(self.epsilon_grid)
         ):
             raise BadParameters("epsilon_lower must lie in [0, smallest grid tolerance]")
+        if self.estimate and self.epsilon_lower is not None:
+            raise BadParameters("epsilon_lower cannot apply to an estimated constraint")
         if not self.seeds:
             raise BadParameters("need at least one seed")
         if any(seed < 0 for seed in self.seeds):

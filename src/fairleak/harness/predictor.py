@@ -6,9 +6,10 @@ memberships the constraint depends only on the net number of prediction
 flips inside each sensitive group, so the repair searches the guess
 corrector's lattice type, ``corrector._Lattice``, with the two vectors
 swapped: the predictions split by the groups, flip costs the margins.  It
-runs the same block-wise vectorised sweep, ``corrector.search_net_moves``;
-its window function gives, for a block of group-1 flip counts at once, the
-interval of feasible group-0 flip counts, each end an exact integer floor.
+runs the same block-wise vectorised sweep, ``corrector.search_net_moves``,
+under the same determinant band: the groups are fixed, so group g's gap
+|D| / (n * z_g) is bounded by two half-planes of the smaller group, and
+``corrector._rows_within`` gives each block's exact window ends.
 
 ``RepairState`` holds what does not depend on the tolerance: a table's
 metric slices and the lattice of each, which keeps the slice's margins as
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, slice_for_metric, unfairness_exact
-from ..corrector import _floor_affine, _Lattice, search_net_moves, solve_slices
+from ..corrector import _Lattice, _rows_within, search_net_moves, solve_slices
 from ..errors import DegenerateClasses, EmptyVector, Infeasible, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
@@ -94,42 +95,24 @@ def _repair_slice(
     the margins the one cost row.  Each repair is the lattice cell to flip,
     or None when no cell is feasible."""
     col, row = part.sides([0])
-    # group 1's members are its up (negative) and down (positive) flips
-    n = part.x.size
-    n1 = col.pos.shape[1] + col.neg.shape[1] - 2
-    n0 = n - n1
-    if n1 == 0 or n0 == 0:
-        # a single group carries the whole slice, so its rate is the overall
-        # rate and the constraint already holds
-        return [(0, 0)] * len(epsilons)
-    pos1, pos0 = col.neg.shape[1] - 1, row.neg.shape[1] - 1
-    tot = pos1 + pos0
+    # a group's members are its side's up (zero) and down (one) flips
+    z1, z0 = col.hi - col.lo, row.hi - row.lo
+    if not z1 or not z0:
+        # one group's rate is the overall rate: its gap of zero is within
+        # any upper bound and below any lower one
+        return [None if lower else (0, 0)] * len(epsilons)
+    det = row.hi * -col.lo - col.hi * -row.lo  # c00*c11 - c01*c10, c[prediction][group]
 
     def window(
         u: np.ndarray, nums: Sequence[int], den: int, strict: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Net group-0 flips v keeping both gaps within each nums[r]/den of
-        the overall rate (strictly below it when ``strict``), for net group-1
-        flips u.  With d = n1 * den the group-1 gap bounds v*d + c1(u) and
-        the group-0 gap bounds c0(u) - v*d, both within [-r_g, r_g]; only
-        r_g depends on the bound."""
-        s = int(strict)
-        d = n1 * den
-        c1, k1 = (tot * n1 - pos1 * n) * den, (n1 - n) * den
-        c0, k0 = (tot * n0 - pos0 * n) * den, n0 * den
-        num = np.array(nums, dtype=object)  # one offset per bound, exact
-        r1, r0 = num * n * n1, num * n * n0
-        lo, hi = -pos0, n0 - pos0
-
-        def least(c: np.ndarray, k: int) -> np.ndarray:  # v*d >= c + k*u, > when strict
-            return _floor_affine(c + d - 1 + s, k, d, u, lo - 1, hi + 1)
-
-        def most(c: np.ndarray, k: int) -> np.ndarray:  # v*d <= c + k*u, < when strict
-            return _floor_affine(c - s, k, d, u, lo - 1, hi + 1)
-
-        low = np.maximum(least(-r1 - c1, -k1), least(c0 - r0, k0))
-        high = np.minimum(most(r1 - c1, -k1), most(r0 + c0, k0))
-        return np.maximum(low, lo), np.minimum(high, hi)
+        """Net group-0 flips v keeping both gaps within each nums[r]/den
+        (strictly below it when ``strict``), for net group-1 flips u: the
+        smaller group binds, s*den*D <= num*n*min(z0, z1) for both signs s."""
+        reach = [num * (z0 + z1) * min(z0, z1) for num in nums]
+        planes = [(-s * den * z1, [r - s * den * det for r in reach], -s * den * z0)
+                  for s in (1, -1)]
+        return _rows_within(u, planes, strict, row.lo, row.hi)
 
     return [cells[0][0] for cells in search_net_moves(col, row, window, epsilons, lower)]
 

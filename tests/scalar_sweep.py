@@ -230,6 +230,9 @@ def repair_slice(
     n1 = int(np.count_nonzero(sub_s == 1))
     n0 = n - n1
     if n1 == 0 or n0 == 0:
+        # one group's gap is zero: within any upper bound, below any lower
+        if lower is not None and lower > 0:
+            raise Infeasible("a slice of one group cannot reach a lower bound")
         return _RepairSlice(sub_y.copy(), 0.0)
     pos1 = int(np.count_nonzero(sub_y[sub_s == 1]))
     pos0 = int(np.count_nonzero(sub_y[sub_s == 0]))

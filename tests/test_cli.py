@@ -235,6 +235,23 @@ class TestAttackCommand:
         assert code == EXIT_INPUT
         assert not (tmp_path / "r.csv").exists()
 
+    def test_estimate_rejects_a_lower_bound(self, dataset, tmp_path):
+        # the estimated constraint has no lower bound to apply it to
+        data, schema = dataset
+        code = main(
+            [
+                "attack",
+                "--data", str(data),
+                "--schema", str(schema),
+                "--estimate",
+                "--epsilon-grid", "0.01,0.1",
+                "--epsilon-lower", "0.004",
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestSynthAndBench:
     def test_synth_writes_schema_sidecar(self, tmp_path):

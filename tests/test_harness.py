@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fairleak.core import (
     FairnessSpec,
     satisfies,
     unfairness,
+    unfairness_exact,
 )
 from fairleak.corrector import correct
 from fairleak.errors import (
@@ -455,6 +457,26 @@ class TestRepairState:
             # the carrier solved a slice with the lower bound attached
             assert any(carried)
 
+    def test_one_group_slice_cannot_carry_a_lower_bound(self):
+        # slice y=0 holds group 1 alone, so its gap is zero; slice y=1 has
+        # groups of ten with 6 and 3 positives, a gap of 3/20 = 0.15
+        sensitive = np.array([1] * 5 + [1] * 10 + [0] * 10)
+        labels = np.array([0] * 5 + [1] * 20)
+        yhat = np.array([1, 0, 1, 0, 0] + [1] * 6 + [0] * 4 + [1] * 3 + [0] * 7)
+        margins = np.linspace(0.1, 0.9, 25)
+        spec = FairnessSpec(FairnessMetric.EODDS, 0.3, 0.2)
+        assert unfairness_exact(FairnessMetric.EODDS, sensitive, yhat, labels) == Fraction(3, 20)
+        fair = repair_predictions(yhat, margins, sensitive, labels, spec)
+        gap = unfairness_exact(FairnessMetric.EODDS, sensitive, fair, labels)
+        assert Fraction(1, 5) <= gap <= Fraction(3, 10)
+        # a table of one group never reaches a positive lower bound
+        one = np.zeros(25, dtype=np.int64)
+        with pytest.raises(Infeasible):
+            repair_predictions(yhat, margins, one, labels, FairnessSpec(SP, 0.3, 0.1))
+        state = RepairState(yhat, margins, one, labels, SP)
+        assert all(isinstance(r, Infeasible) for r in state.solve([0.1, 0.3], 0.1))
+        assert np.array_equal(state.repair(0.1), yhat)
+
 
 class TestEncodeFeatures:
     """One encoder serves the label predictor and the attack model."""
@@ -760,6 +782,14 @@ class TestRunExperiment:
         # each used to abort the sweep with a bare ValueError
         with pytest.raises(BadParameters, match="epsilon_lower"):
             ExperimentConfig(epsilon_grid=(0.05, 0.1), epsilon_lower=lower)
+
+    def test_estimate_rejects_a_lower_bound(self):
+        # the estimated constraint has no lower bound to apply it to
+        grid = (0.01, 0.1)
+        with pytest.raises(BadParameters, match="estimate"):
+            ExperimentConfig(epsilon_grid=grid, estimate=True, epsilon_lower=0.004)
+        ExperimentConfig(epsilon_grid=grid, estimate=True)
+        ExperimentConfig(epsilon_grid=grid, epsilon_lower=0.004)
 
     def test_negative_seeds_are_rejected(self):
         with pytest.raises(BadParameters, match="seeds"):

@@ -135,7 +135,7 @@ class TestFloorAffine:
             offsets = [draw(bits), draw(bits), draw(int(rng.choice([4, 130])))]
             b = draw(bits)
             want = [[min(max((a + b * k) // d, -50), 50) for k in u.tolist()] for a in offsets]
-            assert _floor_affine(offsets[0], b, d, u, -50, 50).tolist() == want[0]
+            assert _floor_affine([offsets[0]], b, d, u, -50, 50).tolist() == [want[0]]
             # a sequence of offsets gives one row each
             assert _floor_affine(offsets, b, d, u, -50, 50).tolist() == want
 
@@ -144,7 +144,7 @@ class TestFloorAffine:
         # float64 rounds up to 1.0; only the exact recheck floors it to 0
         d = 2**61 + 1
         u = np.arange(0, 10)
-        got = _floor_affine(d - 5, 1, d, u, -10, 10)
+        (got,) = _floor_affine([d - 5], 1, d, u, -10, 10)
         assert got.tolist() == [(d - 5 + k) // d for k in range(10)]
         assert got[4] == 0 and got[5] == 1
         # the same near-integers in other rows; the last offset's quotient
@@ -165,7 +165,7 @@ class TestFloorAffine:
         assert b == 200
         scale = 1000 * eps.denominator
         u = np.arange(-300, 701)
-        got = _floor_affine(300 * scale, scale, b, u, 0, 1000)
+        (got,) = _floor_affine([300 * scale], scale, b, u, 0, 1000)
         want = [min(max((300 + k) * scale // b, 0), 1000) for k in range(-300, 701)]
         assert got.tolist() == want
         assert got[0] == 0 and got[1] == 1000

@@ -1,0 +1,169 @@
+"""Every net-move window against the definition of the gap it bounds.
+
+Both solvers hand ``search_net_moves`` a window function: for a block of
+columns u and a list of bounds, the rows v whose cell keeps the group gaps
+within each bound, or strictly below it.  A spy captures each window the
+solvers build on small lattices, and for every column, every bound and both
+strictnesses, the window must hold exactly the rows whose cell meets the
+bound by ``core.unfairness_exact``, and for the corrector also leaves both
+guess groups nonempty.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from fairleak import corrector
+from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, unfairness_exact
+from fairleak.corrector import correct
+from fairleak.errors import Infeasible
+from fairleak.harness import predictor
+from fairleak.harness.predictor import repair_predictions
+
+SP = FairnessMetric.SP
+
+
+def _cell(col, row, u, v):
+    """The lattice's two vectors after cell (u, v), rebuilt from the counts
+    of its sides: x the flipped vector, z the one that splits it."""
+    zeros1, ones1 = col.pos.shape[1] - 1, col.neg.shape[1] - 1
+    zeros0, ones0 = row.pos.shape[1] - 1, row.neg.shape[1] - 1
+    z1, z0 = zeros1 + ones1, zeros0 + ones0
+    # column u turns u zeros into ones where z = 1 (ones into zeros when
+    # negative), row v the same where z = 0; which entries move is immaterial
+    x = [1] * (ones1 + u) + [0] * (z1 - ones1 - u) + [1] * (ones0 + v) + [0] * (z0 - ones0 - v)
+    return np.array(x), np.array([1] * z1 + [0] * z0)
+
+
+def _corrector_gap(col, row, u, v):
+    # the guess x is the group vector, the predictions z the outcome
+    x, z = _cell(col, row, u, v)
+    return unfairness_exact(SP, x, z) if 0 < x.sum() < x.size else None
+
+
+def _repair_gap(col, row, u, v):
+    # the predictions x are the outcome, the groups z fixed
+    x, z = _cell(col, row, u, v)
+    return unfairness_exact(SP, z, x)
+
+
+def _check_windows(col, row, window, gap, batch):
+    """Compare ``window`` with ``gap`` on every cell of the lattice; when
+    ``batch``, also pass all bounds at once over one denominator."""
+    us = np.arange(col.lo, col.hi + 1)
+    vs = range(row.lo, row.hi + 1)
+    gaps = {(u, v): gap(col, row, u, v) for u in us.tolist() for v in vs}
+    n = col.hi - col.lo + row.hi - row.lo
+    z1 = col.hi - col.lo
+    # every gap a cell reaches puts a bound exactly on a window end; z1/n is
+    # the overall rate, where the corrector's planes lose their slope in v
+    bounds = sorted(
+        {g for g in gaps.values() if g is not None}
+        | {Fraction(0), Fraction(z1, n), Fraction(1, 3), Fraction(0.01), Fraction(1)}
+    )
+
+    def want(u, bound, strict):
+        return [
+            v
+            for v in vs
+            if gaps[u, v] is not None and (gaps[u, v] < bound if strict else gaps[u, v] <= bound)
+        ]
+
+    def got(lo, hi):
+        return list(range(max(int(lo), row.lo), min(int(hi), row.hi) + 1))
+
+    den = math.lcm(*(bound.denominator for bound in bounds))
+    nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
+    for strict in (False, True):
+        for bound in bounds:
+            lo, hi = window(us, [bound.numerator], bound.denominator, strict)
+            assert lo.shape == hi.shape == (1, us.size)
+            for k, u in enumerate(us.tolist()):
+                assert got(lo[0, k], hi[0, k]) == want(u, bound, strict), (u, bound, strict)
+        if batch:
+            lo, hi = window(us, nums, den, strict)
+            assert lo.shape == hi.shape == (len(bounds), us.size)
+            for r, bound in enumerate(bounds):
+                for k, u in enumerate(us.tolist()):
+                    assert got(lo[r, k], hi[r, k]) == want(u, bound, strict)
+
+
+def _captured(monkeypatch, module, run):
+    """The (col, row, window) of every search ``run`` makes through
+    ``module``'s ``search_net_moves``."""
+    seen = []
+    real = module.search_net_moves
+
+    def spy(col, row, window, bounds, lower):
+        seen.append((col, row, window))
+        return real(col, row, window, bounds, lower)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "search_net_moves", spy)
+        try:
+            run()
+        except Infeasible:
+            pass
+    return seen
+
+
+def _guess_cases(rng):
+    """(predictions, guess) pairs: random ones and the edge cases."""
+    for n in range(2, 13):
+        for _ in range(6):
+            yield rng.integers(0, 2, n), rng.integers(0, 2, n)
+        # guess groups of one member
+        one = np.zeros(n, dtype=np.int64)
+        one[rng.integers(n)] = 1
+        yield rng.integers(0, 2, n), one
+        yield rng.integers(0, 2, n), 1 - one
+        # no positive prediction, and only positive ones
+        yield np.zeros(n, dtype=np.int64), rng.integers(0, 2, n)
+        yield np.ones(n, dtype=np.int64), rng.integers(0, 2, n)
+
+
+def _group_cases(rng):
+    """(predictions, groups) pairs: random ones and the edge cases."""
+    for n in range(2, 13):
+        for _ in range(6):
+            yield rng.integers(0, 2, n), rng.integers(0, 2, n)
+        # sensitive groups of one member
+        one = np.zeros(n, dtype=np.int64)
+        one[rng.integers(n)] = 1
+        yield rng.integers(0, 2, n), one
+        yield rng.integers(0, 2, n), 1 - one
+        yield np.zeros(n, dtype=np.int64), one
+        yield np.ones(n, dtype=np.int64), rng.integers(0, 2, n)
+
+
+class TestWindowsMatchTheDefinition:
+    def test_corrector(self, monkeypatch, rng):
+        searched = 0
+        for yhat, guess in _guess_cases(rng):
+            n = yhat.size
+            inst = AttackInstance(yhat, rng.integers(0, 2, n), guess, rng.random(n))
+            for metric, eps in ((SP, 0.0), (FairnessMetric.EODDS, 0.1)):
+                spec = FairnessSpec(metric, eps)
+                for col, row, window in _captured(
+                    monkeypatch, corrector, lambda: correct(inst, spec)
+                ):
+                    _check_windows(col, row, window, _corrector_gap, batch=False)
+                    searched += 1
+        assert searched > 150
+
+    def test_repair(self, monkeypatch, rng):
+        searched = 0
+        for yhat, sensitive in _group_cases(rng):
+            n = yhat.size
+            labels = rng.integers(0, 2, n)
+            for metric in (SP, FairnessMetric.EODDS):
+                spec = FairnessSpec(metric, 0.0)
+                for col, row, window in _captured(
+                    monkeypatch,
+                    predictor,
+                    lambda: repair_predictions(yhat, rng.random(n), sensitive, labels, spec),
+                ):
+                    _check_windows(col, row, window, _repair_gap, batch=True)
+                    searched += 1
+        assert searched > 150
