@@ -96,43 +96,25 @@ class CorrectionResult:
     stats: SolverStats
 
 
-def _sorted_groups(confs: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``confs``: prefix sums of the masked entries in
-    ascending order, and that order as indices, ties broken by ascending
-    index.
-
-    The first row is sorted by the default (unstable, vectorised) argsort.
-    The other rows are sorted by one stable argsort taken in the first row's
-    order: timsort finds the sorted runs, so it takes near-linear time when
-    the rows order alike, as powers x**k of one row do.  Either sort leaves
-    each run of equal values contiguous.  With the rows laid end to end, m
-    positions in all, one int64 sort of run * m + position over the tied
-    entries puts every run in index order, which is the stable order.  A run
-    that crosses from one row into the next stays apart, because positions
-    order the rows first.
-    """
-    idx = np.flatnonzero(mask)
-    rows, size = confs.shape[0], idx.size
+def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """For each row of ``costs``: prefix sums of its entries at ``idx`` in
+    ascending order.  Ties may sit in any order, as their sums do not
+    depend on it."""
     # take() is numpy's fast gather; 2-D fancy indexing is several times slower
-    values = confs.take(idx, axis=1)
-    # positions in values.ravel(): row r's entry i sits at r * size + i
-    flat = np.argsort(values[0])
-    if rows > 1:
-        rest = flat.take(np.argsort(values[1:].take(flat, axis=1), axis=1, kind="stable"))
-        flat = np.concatenate((flat, (rest + np.arange(1, rows)[:, None] * size).ravel()))
-    ranked = values.take(flat)
-    same = ranked[1:] == ranked[:-1]
-    if same.any():
-        tied = np.zeros(ranked.size, dtype=bool)
-        tied[1:] = same
-        tied[:-1] |= same
-        run = np.cumsum(~np.concatenate(([False], same)))
-        flat[tied] = np.sort(run[tied] * ranked.size + flat[tied]) % ranked.size
-        ranked = values.take(flat)
-    totals = np.zeros((rows, size + 1))
-    np.cumsum(ranked.reshape(rows, size), axis=1, out=totals[:, 1:])
-    # "wrap" takes each position modulo size, back to its row's entry
-    return totals, idx.take(flat, mode="wrap").reshape(rows, size)
+    values = np.sort(costs.take(idx, axis=1), axis=1)
+    totals = np.zeros((costs.shape[0], idx.size + 1))
+    np.cumsum(values, axis=1, out=totals[:, 1:])
+    return totals
+
+
+def _cheapest(values: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k smallest of ``values``, 0 < k <= size, ties on the
+    lowest position: every entry below the k-th smallest value, then the
+    first of those equal to it."""
+    kth = np.partition(values, k - 1)[k - 1]
+    chosen = values < kth
+    chosen[np.flatnonzero(values == kth)[: k - np.count_nonzero(chosen)]] = True
+    return chosen
 
 
 #: Columns in the sweep's first block; each later block doubles, up to the cap.
@@ -221,17 +203,18 @@ class _Lattice:
     """The net-move lattice of a 0/1 vector ``x`` split by a 0/1 vector ``z``.
 
     Column u flips |u| entries of ``x`` where z = 1, zeros to one when u > 0
-    and ones to zero when u < 0; row v does the same where z = 0.  Each of
-    the four (x, z) cells is sorted once under every row of ``costs``, so
-    that a flip of k entries takes the k cheapest, ties on the lowest index.
+    and ones to zero when u < 0; row v does the same where z = 0.  A cell
+    keeps its indices and its sorted costs' prefix sums under each cost row;
+    a flip of k entries takes its k cheapest, ties on the lowest index.
     """
 
     def __init__(self, x: np.ndarray, z: np.ndarray, costs: np.ndarray) -> None:
         self.x, self.z, self.costs = x, z, costs
         xb, zb = x.astype(bool), z.astype(bool)
-        # (totals, orders) of the up and down flips of the column, then the row
+        # (totals, indices) of the up and down flips of the column, then the row
         self.cells = [
-            _sorted_groups(costs, mask) for mask in (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb)
+            (_sorted_sums(costs, idx), idx)
+            for idx in map(np.flatnonzero, (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb))
         ]
 
     def sides(self, rows: Sequence[int]) -> tuple[_SideCosts, _SideCosts]:
@@ -245,7 +228,9 @@ class _Lattice:
         """``x`` with cell (u, v) applied under cost row ``r``."""
         flipped = np.array(self.x)
         for k, (_, up), (_, down) in ((u, *self.cells[:2]), (v, *self.cells[2:])):
-            flipped[up[r, :k] if k > 0 else down[r, :-k]] = int(k > 0)
+            if k:
+                idx = up if k > 0 else down
+                flipped[idx[_cheapest(self.costs[r].take(idx), abs(k))]] = int(k > 0)
         return flipped
 
 
@@ -422,7 +407,7 @@ class _SliceSolution:
 class _Slice:
     """One metric slice of a correction under several confidence vectors.
 
-    Its lattice is the guess split by the predictions, sorted under every
+    Its lattice is the guess split by the predictions, summed under every
     vector once, and one search solves any list of vectors.
     """
 
@@ -636,6 +621,20 @@ def _class_feasible(
     return True
 
 
+def _signature_classes(signature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(signature, axis=0, return_inverse=True)`` of a non-negative
+    integer matrix, sorting one mixed-radix int64 key per row (first column
+    most significant) unless the radix product overflows int64."""
+    radix = (signature.max(axis=0, initial=0) + 1).tolist()
+    if math.prod(radix) > 2**63:
+        return np.unique(signature, axis=0, return_inverse=True)
+    keys = np.zeros(signature.shape[0], dtype=np.int64)
+    for column, base in zip(signature.T, radix):
+        keys = keys * base + column
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return signature[first], inverse
+
+
 def solve_general_bruteforce(
     instance: AttackInstance,
     spec: FairnessSpec,
@@ -685,8 +684,7 @@ def solve_general_bruteforce(
             eq = block == g
             stats_cols.append(eq.sum(axis=1))
             stats_cols.append(eq[:, pos_mask].sum(axis=1))
-    signature = np.stack(stats_cols, axis=1)
-    uniq, inverse = np.unique(signature, axis=0, return_inverse=True)
+    uniq, inverse = _signature_classes(np.stack(stats_cols, axis=1))
 
     epsilon = Fraction(spec.epsilon)
     lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None

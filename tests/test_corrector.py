@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from fairleak.adversary import MIN_CONFIDENCE
 from fairleak.corrector import (
     MoveCounts,
     _Lattice,
-    _sorted_groups,
+    _signature_classes,
     correct,
     correct_each,
     solve_general_bruteforce,
@@ -41,47 +43,88 @@ def _sizes(lattice):
     return (col.neg.size - 1, col.pos.size - 1, row.neg.size - 1, row.pos.size - 1)
 
 
+def _stable_orders(lattice, r):
+    """Each cell's indices in the stable order of cost row ``r``: the up and
+    down flips of the column, then of the row."""
+    x, z, cost = lattice.x, lattice.z, lattice.costs[r]
+    cells = [np.flatnonzero((x == xv) & (z == zv)) for zv in (1, 0) for xv in (0, 1)]
+    return [idx[np.argsort(cost[idx], kind="stable")] for idx in cells]
+
+
+def _stable_flip(lattice, r, u, v, orders=None):
+    """``_Lattice.flip`` by a stable argsort: the first |k| entries of each
+    cell's stable order."""
+    up1, down1, up0, down0 = orders or _stable_orders(lattice, r)
+    flipped = np.array(lattice.x)
+    for k, up, down in ((u, up1, down1), (v, up0, down0)):
+        flipped[(up if k > 0 else down)[: abs(k)]] = int(k > 0)
+    return flipped
+
+
 class TestSortedGroup:
-    """The default argsort plus the tie-run fix must give the stable order."""
+    """Cells sorted by value alone give the stable order's prefix sums, and
+    ``flip`` picks the stable order's first entries."""
 
     @staticmethod
-    def _stable(conf, mask):
-        idx = np.flatnonzero(mask)
-        order = idx[np.argsort(conf[idx], kind="stable")]
-        return np.concatenate(([0.0], np.cumsum(conf[order]))), order
-
-    def _check(self, conf, mask):
-        totals, order = _sorted_groups(conf[None], mask)
-        want_totals, want_order = self._stable(conf, mask)
-        assert order[0].tolist() == want_order.tolist()
-        assert totals[0].tobytes() == want_totals.tobytes()
+    def _check(costs, x, z, rng=None):
+        lattice = _lattice(x, z, costs)
+        col, row = lattice.sides(range(len(costs)))
+        for r, cost in enumerate(lattice.costs):
+            orders = _stable_orders(lattice, r)
+            for totals, order in zip((col.pos, col.neg, row.pos, row.neg), orders):
+                want = np.concatenate(([0.0], np.cumsum(cost[order])))
+                # np.sort does not order -0.0 against 0.0, so only the sign
+                # of a zero total may differ; adding 0.0 clears that sign
+                assert (totals[r] + 0.0).tobytes() == (want + 0.0).tobytes()
+            moves = []
+            for lo, hi in ((col.lo, col.hi), (row.lo, row.hi)):
+                ks = np.arange(lo, hi + 1)
+                if ks.size > 201:
+                    # a large side checks its ends and a sample, to keep the test short
+                    ends = [lo, lo + 1, -1, 0, 1, hi - 1, hi]
+                    ks = np.unique(np.concatenate((ends, rng.integers(lo, hi + 1, 40))))
+                moves.append(ks.tolist())
+            # one flip checks a column move and a row move together
+            for u, v in itertools.zip_longest(*moves, fillvalue=0):
+                assert np.array_equal(lattice.flip(r, u, v), _stable_flip(lattice, r, u, v, orders))
 
     def test_matches_the_stable_argsort(self, rng):
         for trial in range(600):
             n = int(rng.choice([2, 7, 50, 400, 5000]))
-            style = trial % 4
-            if style == 0:
-                conf = rng.random(n)
-            elif style == 1:
-                conf = np.round(rng.random(n), 2)
-            elif style == 2:
-                conf = rng.choice([0.0, -0.0, MIN_CONFIDENCE, 0.25, 1.0], n)
-            else:
-                # shaped scores: a high power clamps many entries to the floor
-                conf = np.maximum(rng.random(n) ** 40, MIN_CONFIDENCE)
-            self._check(conf, rng.random(n) < rng.uniform(0.2, 1.0))
+            style = trial % 5
+
+            def draw():
+                if style == 0:
+                    return rng.random(n)
+                if style == 1:
+                    return np.round(rng.random(n), 2)
+                if style == 2:
+                    return rng.choice([0.0, -0.0, MIN_CONFIDENCE, 0.25, 1.0], n)
+                if style == 3:
+                    # shaped scores: a high power clamps many entries to the floor
+                    return np.maximum(rng.random(n) ** 40, MIN_CONFIDENCE)
+                # posterior-like: about 50 distinct values, shaped as k-selection does
+                return rng.choice(rng.uniform(0.5, 1.0, 50), n) ** 4
+
+            first = draw()
+            costs = np.stack((first, first**2, draw()))
+            z = rng.random(n) < rng.uniform(0.2, 1.0)
+            self._check(costs, rng.integers(0, 2, n), z, rng)
 
     def test_signed_zeros_tie_in_index_order(self):
         conf = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.0, -0.0])
-        self._check(conf, np.ones(conf.size, dtype=bool))
-        _, order = _sorted_groups(conf[None], np.ones(conf.size, dtype=bool))
-        assert order[0].tolist() == [0, 1, 3, 4, 5, 6, 2]
+        ones = np.ones(conf.size, dtype=int)
+        self._check(conf[None], ones, ones)
+        lattice = _lattice(ones, ones, conf)
+        changed = [np.flatnonzero(lattice.flip(0, -k, 0) != 1).tolist() for k in range(1, 8)]
+        order = [0, 1, 3, 4, 5, 6, 2]
+        assert changed == [sorted(order[:k]) for k in range(1, 8)]
 
     def test_empty_and_single(self):
         for conf in (np.zeros(0), np.array([0.3])):
-            self._check(conf, np.ones(conf.size, dtype=bool))
-        self._check(np.array([0.3, 0.3]), np.array([False, False]))
-        self._check(np.array([0.3, 0.3]), np.array([False, True]))
+            self._check(conf[None], np.ones(conf.size, dtype=int), np.ones(conf.size, dtype=int))
+        for z in ([0, 0], [0, 1]):
+            self._check(np.array([[0.3, 0.3]]), [1, 0], z)
 
 
 class TestTallyGroups:
@@ -109,8 +152,8 @@ class TestBuildCostArrays:
         lattice = _lattice([1, 1, 1], [1, 1, 1], [0.9, 0.2, 0.5])
         col, _ = lattice.sides([0])
         assert col.neg[0].tolist() == pytest.approx([0.0, 0.2, 0.7, 1.6])
-        _, down = lattice.cells[1]
-        assert down[0].tolist() == [1, 2, 0]
+        changed = [np.flatnonzero(lattice.flip(0, -k, 0) == 0).tolist() for k in (1, 2, 3)]
+        assert changed == [[1], [1, 2], [0, 1, 2]]
 
     def test_empty_group(self):
         _, row = _lattice([1], [1], [0.3]).sides([0])
@@ -138,7 +181,11 @@ class TestBuildCostArrays:
 
     def test_rows_sort_independently(self):
         lattice = _lattice([1, 1, 1], [1, 1, 1], [[0.9, 0.2, 0.5], [0.1, 0.3, 0.2]])
-        assert lattice.cells[1][1].tolist() == [[1, 2, 0], [0, 2, 1]]
+        changed = [
+            [np.flatnonzero(lattice.flip(r, -k, 0) == 0).tolist() for k in (1, 2, 3)]
+            for r in (0, 1)
+        ]
+        assert changed == [[[1], [1, 2], [0, 1, 2]], [[0], [0, 2], [0, 1, 2]]]
         assert lattice.sides([0, 1])[0].neg[1].tolist() == pytest.approx([0.0, 0.1, 0.3, 0.6])
         # a subset of the rows, in order
         (neg,) = lattice.sides([1])[0].neg
@@ -205,6 +252,34 @@ class TestApplyMoves:
             changed = np.flatnonzero(lattice.flip(r, u, v) != x)
             assert changed.size == abs(u) + abs(v)
             assert costs[r, changed].sum() == pytest.approx(col.at(r, u) + row.at(r, v), abs=1e-9)
+
+
+class TestTiedTraffic:
+    """The paper's traffic: naive-Bayes posteriors take few distinct values,
+    so most entries of each cell sit in a tie run."""
+
+    def test_batches_match_the_stable_flip(self, rng, monkeypatch):
+        n = 5000
+        yhat = rng.integers(0, 2, n)
+        guess = np.where(rng.random(n) < 0.6, yhat, 1 - yhat)
+        # at most 50 distinct scores, shaped by the exponents k-selection tries
+        scores = rng.choice(rng.uniform(0.0, 1.0, 50), n)
+        vectors = [np.maximum(scores**k, MIN_CONFIDENCE) for k in (1, 2, 3, 4, 6, 8)]
+        inst = AttackInstance(yhat, rng.integers(0, 2, n), guess, vectors[0])
+        for metric in (SP, PE, EO, EODDS):
+            # the guess's gaps are 0.10-0.12: a lower bound of 0.15 must raise them
+            for spec in (FairnessSpec(metric, 0.01), FairnessSpec(metric, 0.2, epsilon_lower=0.15)):
+                got = correct_each(inst, spec, vectors)
+                with monkeypatch.context() as patch:
+                    patch.setattr(_Lattice, "flip", _stable_flip)
+                    want = correct_each(inst, spec, vectors)
+                assert len(got) == len(want) == len(vectors)
+                for ours, ref in zip(got, want):
+                    assert np.array_equal(ours.corrected, ref.corrected)
+                    assert ours.objective == ref.objective
+                    assert ours.moves == ref.moves
+                    assert ours.changed_indices == ref.changed_indices
+                    assert ours.stats.nodes == ref.stats.nodes
 
 
 class TestCorrect:
@@ -321,6 +396,25 @@ class TestBruteForce:
         )
         with pytest.raises(BudgetExceeded):
             solve_general_bruteforce(inst, FairnessSpec(SP, 0.5), budget=2**20)
+
+    def test_signature_classes_match_the_row_sort(self, rng):
+        # small radices take the int64 keys, large ones the row-wise sort
+        for high in (1, 3, 40, 2**20, 2**40):
+            for _ in range(20):
+                rows, cols = int(rng.integers(0, 300)), int(rng.integers(1, 8))
+                signature = rng.integers(0, high, (rows, cols))
+                uniq, inverse = _signature_classes(signature)
+                want_uniq, want_inverse = np.unique(signature, axis=0, return_inverse=True)
+                assert np.array_equal(uniq, want_uniq)
+                assert np.array_equal(inverse.ravel(), want_inverse.ravel())
+
+    def test_many_groups_take_the_row_sort(self):
+        # 17 groups over 4 entries with 2 positives: the count columns have
+        # radix 5 and the positive columns radix 3, and 15**17 > 2**63;
+        # no assignment populates every group
+        inst = AttackInstance([1, 1, 0, 0], [0, 0, 0, 0], [0, 1, 2, 3], [1, 1, 1, 1], cardinality=17)
+        with pytest.raises(Infeasible):
+            solve_general_bruteforce(inst, FairnessSpec(SP, 1.0))
 
     def test_infeasible_single_example(self):
         inst = AttackInstance([1], [0], [1], [1.0])
