@@ -623,14 +623,13 @@ def _class_feasible(
 
 def _signature_classes(signature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(signature, axis=0, return_inverse=True)`` of a non-negative
-    integer matrix, sorting one mixed-radix int64 key per row (first column
-    most significant) unless the radix product overflows int64."""
-    radix = (signature.max(axis=0, initial=0) + 1).tolist()
-    if math.prod(radix) > 2**63:
+    integer matrix, sorting one mixed-radix key per row (first column most
+    significant) unless the radix product overflows the index type."""
+    radix = signature.max(axis=0, initial=0) + 1
+    try:
+        keys = np.ravel_multi_index(signature.T, radix)
+    except ValueError:
         return np.unique(signature, axis=0, return_inverse=True)
-    keys = np.zeros(signature.shape[0], dtype=np.int64)
-    for column, base in zip(signature.T, radix):
-        keys = keys * base + column
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return signature[first], inverse
 

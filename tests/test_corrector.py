@@ -61,12 +61,38 @@ def _stable_flip(lattice, r, u, v, orders=None):
     return flipped
 
 
+def _draw(rng, style, n):
+    """Costs in one of five tie styles."""
+    if style == 0:
+        return rng.random(n)
+    if style == 1:
+        return np.round(rng.random(n), 2)
+    if style == 2:
+        return rng.choice([0.0, -0.0, MIN_CONFIDENCE, 0.25, 1.0], n)
+    if style == 3:
+        # shaped scores: a high power clamps many entries to the floor
+        return np.maximum(rng.random(n) ** 40, MIN_CONFIDENCE)
+    # posterior-like: about 50 distinct values, shaped as k-selection does
+    return rng.choice(rng.uniform(0.5, 1.0, 50), n) ** 4
+
+
+def _tie_moves(sorted_costs):
+    """Move counts that take one entry of a tie run, all but one, all of
+    it, and one entry past it, for every run of equal sorted costs."""
+    bounds = np.flatnonzero(np.diff(sorted_costs, prepend=np.nan, append=np.nan) != 0)
+    runs = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a > 1]
+    return sorted({k for a, b in runs for k in (a + 1, b - 1, b, b + 1)})
+
+
 class TestSortedGroup:
     """Cells sorted by value alone give the stable order's prefix sums, and
     ``flip`` picks the stable order's first entries."""
 
     @staticmethod
     def _check(costs, x, z, rng=None):
+        """Prefix sums under every row, and ``flip`` at every move of each
+        side; a side of more than 201 moves takes its ends, the moves at and
+        next to each tie run's ends (``_tie_moves``) and 40 random moves."""
         lattice = _lattice(x, z, costs)
         col, row = lattice.sides(range(len(costs)))
         for r, cost in enumerate(lattice.costs):
@@ -77,12 +103,13 @@ class TestSortedGroup:
                 # of a zero total may differ; adding 0.0 clears that sign
                 assert (totals[r] + 0.0).tobytes() == (want + 0.0).tobytes()
             moves = []
-            for lo, hi in ((col.lo, col.hi), (row.lo, row.hi)):
+            for lo, hi, up, down in ((col.lo, col.hi, *orders[:2]), (row.lo, row.hi, *orders[2:])):
                 ks = np.arange(lo, hi + 1)
                 if ks.size > 201:
-                    # a large side checks its ends and a sample, to keep the test short
+                    ties = _tie_moves(cost[up]) + [-k for k in _tie_moves(cost[down])]
                     ends = [lo, lo + 1, -1, 0, 1, hi - 1, hi]
-                    ks = np.unique(np.concatenate((ends, rng.integers(lo, hi + 1, 40))))
+                    sample = rng.integers(lo, hi + 1, 40).tolist()
+                    ks = np.unique(np.clip(ends + ties + sample, lo, hi))
                 moves.append(ks.tolist())
             # one flip checks a column move and a row move together
             for u, v in itertools.zip_longest(*moves, fillvalue=0):
@@ -92,24 +119,25 @@ class TestSortedGroup:
         for trial in range(600):
             n = int(rng.choice([2, 7, 50, 400, 5000]))
             style = trial % 5
-
-            def draw():
-                if style == 0:
-                    return rng.random(n)
-                if style == 1:
-                    return np.round(rng.random(n), 2)
-                if style == 2:
-                    return rng.choice([0.0, -0.0, MIN_CONFIDENCE, 0.25, 1.0], n)
-                if style == 3:
-                    # shaped scores: a high power clamps many entries to the floor
-                    return np.maximum(rng.random(n) ** 40, MIN_CONFIDENCE)
-                # posterior-like: about 50 distinct values, shaped as k-selection does
-                return rng.choice(rng.uniform(0.5, 1.0, 50), n) ** 4
-
-            first = draw()
-            costs = np.stack((first, first**2, draw()))
+            first = _draw(rng, style, n)
+            costs = np.stack((first, first**2, _draw(rng, style, n)))
             z = rng.random(n) < rng.uniform(0.2, 1.0)
             self._check(costs, rng.integers(0, 2, n), z, rng)
+
+    def test_large_cells_flip_at_every_move(self, rng):
+        # one fixed large trial per tie style, every move of both sides
+        for style in range(5):
+            n = 2000
+            first = _draw(rng, style, n)
+            costs = np.stack((first, first**2, _draw(rng, style, n)))
+            lattice = _lattice(rng.integers(0, 2, n), rng.random(n) < 0.5, costs)
+            col, row = lattice.sides([0, 1, 2])
+            for r in range(3):
+                orders = _stable_orders(lattice, r)
+                for u in range(col.lo, col.hi + 1):
+                    assert np.array_equal(lattice.flip(r, u, 0), _stable_flip(lattice, r, u, 0, orders))
+                for v in range(row.lo, row.hi + 1):
+                    assert np.array_equal(lattice.flip(r, 0, v), _stable_flip(lattice, r, 0, v, orders))
 
     def test_signed_zeros_tie_in_index_order(self):
         conf = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.0, -0.0])
