@@ -5,8 +5,10 @@ constraint only depends on the *net* number of guess flips among positively
 and among negatively predicted examples, so the search collapses onto a 2-D
 integer lattice whose per-axis costs are prefix sums of ascending-sorted
 confidences.  ``_Lattice`` holds that lattice for any 0/1 vector split by
-another: here the guess split by the predictions, and in the simulated fair
-target's prediction repair the predictions split by the groups.
+another, read in place at a metric slice's rows: here the guess split by the
+predictions, and in the simulated fair target's prediction repair the
+predictions split by the groups.  A flip names the rows it changes, and
+``_flip_all`` scatters every slice's flips into one copy of the vector.
 ``search_net_moves`` sweeps it in numpy, taking columns cheapest first in
 blocks of doubling size; the feasible rows of each column form at most two
 integer intervals, and the cheapest row of each is the one nearest zero.
@@ -96,25 +98,16 @@ class CorrectionResult:
     stats: SolverStats
 
 
-def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """For each row of ``costs``: prefix sums of its entries at ``idx`` in
-    ascending order.  Ties may sit in any order, as their sums do not
-    depend on it."""
+def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``costs``: its entries at ``idx`` in ascending order,
+    and their prefix sums.  Ties may sit in any order, as neither the values
+    nor their sums depend on it."""
     # take() is numpy's fast gather; 2-D fancy indexing is several times slower
-    values = np.sort(costs.take(idx, axis=1), axis=1)
+    values = costs.take(idx, axis=1)
+    values.sort(axis=1)
     totals = np.zeros((costs.shape[0], idx.size + 1))
     np.cumsum(values, axis=1, out=totals[:, 1:])
-    return totals
-
-
-def _cheapest(values: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the k smallest of ``values``, 0 < k <= size, ties on the
-    lowest position: every entry below the k-th smallest value, then the
-    first of those equal to it."""
-    kth = np.partition(values, k - 1)[k - 1]
-    chosen = values < kth
-    chosen[np.flatnonzero(values == kth)[: k - np.count_nonzero(chosen)]] = True
-    return chosen
+    return values, totals
 
 
 #: Columns in the sweep's first block; each later block doubles, up to the cap.
@@ -200,38 +193,59 @@ class _SideCosts:
 
 
 class _Lattice:
-    """The net-move lattice of a 0/1 vector ``x`` split by a 0/1 vector ``z``.
+    """The net-move lattice of 0/1 vectors ``x`` split by ``z``, read in place
+    at their ascending entries ``idx``, with one cost row per row of ``costs``.
 
     Column u flips |u| entries of ``x`` where z = 1, zeros to one when u > 0
     and ones to zero when u < 0; row v does the same where z = 0.  A cell
-    keeps its indices and its sorted costs' prefix sums under each cost row;
+    keeps its indices into ``x`` and its sorted costs with their prefix sums;
     a flip of k entries takes its k cheapest, ties on the lowest index.
     """
 
-    def __init__(self, x: np.ndarray, z: np.ndarray, costs: np.ndarray) -> None:
-        self.x, self.z, self.costs = x, z, costs
-        xb, zb = x.astype(bool), z.astype(bool)
-        # (totals, indices) of the up and down flips of the column, then the row
-        self.cells = [
-            (_sorted_sums(costs, idx), idx)
-            for idx in map(np.flatnonzero, (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb))
-        ]
+    def __init__(self, x: np.ndarray, z: np.ndarray, costs: np.ndarray, idx: np.ndarray) -> None:
+        self.x, self.z, self.costs, self.idx = x, z, costs, idx
+        whole = idx.size == x.size  # then idx is 0..n-1, which needs no gather
+        xb, zb = ((a if whole else a.take(idx)).astype(bool) for a in (x, z))
+        cells = [np.flatnonzero(m) for m in (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb)]
+        cells = cells if whole else [idx.take(cell) for cell in cells]
+        # (values, totals, indices) of the up and down flips of the column, then the row
+        self.cells = [(*_sorted_sums(costs, cell), cell) for cell in cells]
 
     def sides(self, rows: Sequence[int]) -> tuple[_SideCosts, _SideCosts]:
         """Column and row costs under the cost rows ``rows``, given in
         ascending order, one array row each."""
         pick = slice(None) if len(rows) == len(self.costs) else list(rows)
-        up1, down1, up0, down0 = (totals[pick] for totals, _ in self.cells)
+        up1, down1, up0, down0 = (totals[pick] for _, totals, _ in self.cells)
         return _SideCosts(pos=up1, neg=down1), _SideCosts(pos=up0, neg=down0)
 
     def flip(self, r: int, u: int, v: int) -> np.ndarray:
-        """``x`` with cell (u, v) applied under cost row ``r``."""
-        flipped = np.array(self.x)
-        for k, (_, up), (_, down) in ((u, *self.cells[:2]), (v, *self.cells[2:])):
-            if k:
-                idx = up if k > 0 else down
-                flipped[idx[_cheapest(self.costs[r].take(idx), abs(k))]] = int(k > 0)
-        return flipped
+        """The indices into ``x`` of the entries cell (u, v) flips under cost
+        row ``r``: the column's, then the row's, each ascending."""
+        picks = []
+        for k, up, down in ((u, *self.cells[:2]), (v, *self.cells[2:])):
+            values, _, idx = up if k > 0 else down
+            k = abs(k)
+            if 0 < k < idx.size:
+                # every entry below the k-th smallest cost, then the first ties
+                cost, kth = self.costs[r].take(idx), values[r, k - 1]
+                chosen = cost < kth
+                chosen[np.flatnonzero(cost == kth)[: k - np.count_nonzero(chosen)]] = True
+                idx = idx[chosen]
+            picks.append(idx[:k])
+        return np.concatenate(picks)
+
+    def sliced(self, changed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slice's ``x`` with the entries ``changed`` flipped, and its ``z``."""
+        return _flip_all(self.x, [changed])[0].take(self.idx), self.z.take(self.idx)
+
+
+def _flip_all(x: np.ndarray, flips: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of the 0/1 vector ``x`` with the disjoint index arrays ``flips``
+    flipped, and their union, ascending."""
+    changed = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *flips]))
+    flipped = np.array(x)
+    flipped[changed] = x.take(changed) == 0
+    return flipped, changed
 
 
 #: window(u, nums, den, strict) -> (lo, hi): for each bound nums[r]/den, one
@@ -399,29 +413,22 @@ def _solve_sp_form(
 @dataclass(frozen=True, eq=False)
 class _SliceSolution:
     moves: MoveCounts
-    corrected_slice: np.ndarray
+    changed: np.ndarray
     objective: float
     columns: int
 
 
+@dataclass(frozen=True, eq=False)
 class _Slice:
     """One metric slice of a correction under several confidence vectors.
 
-    Its lattice is the guess split by the predictions, summed under every
-    vector once, and one search solves any list of vectors.
+    Its lattice is the guess split by the predictions at the slice's rows,
+    summed under every vector once; one search solves any list of vectors,
+    and each solution holds the rows it flips.
     """
 
-    def __init__(
-        self,
-        guess: np.ndarray,
-        yhat: np.ndarray,
-        confs: np.ndarray,
-        idx: np.ndarray,
-        epsilon: Fraction,
-    ) -> None:
-        self.idx = idx
-        self.lattice = _Lattice(guess.take(idx), yhat.take(idx), confs.take(idx, axis=1))
-        self.epsilon = epsilon
+    lattice: _Lattice
+    epsilon: Fraction
 
     def solve(
         self, vectors: Sequence[int], lower: Fraction | None
@@ -434,9 +441,9 @@ class _Slice:
         solutions: list[_SliceSolution | Infeasible] = []
         for k, (vector, (moves, columns)) in enumerate(zip(vectors, solved)):
             u, v = moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg
-            corrected_slice = self.lattice.flip(vector, u, v)
+            changed = self.lattice.flip(vector, u, v)
             objective = col.at(k, u) + row.at(k, v)
-            solutions.append(_SliceSolution(moves, corrected_slice, objective, columns))
+            solutions.append(_SliceSolution(moves, changed, objective, columns))
         return solutions
 
 
@@ -479,7 +486,7 @@ def _correct_rows(
     epsilon = Fraction(spec.epsilon)
     lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
     slices = [
-        _Slice(guess, instance.predictions, confs, idx, epsilon)
+        _Slice(_Lattice(guess, instance.predictions, confs, idx), epsilon)
         for idx in slice_for_metric(metric, instance.labels)
         if idx.size
     ]
@@ -488,9 +495,7 @@ def _correct_rows(
         len(slices),
         confs.shape[0],
         lambda i, bound, vectors: slices[i].solve(vectors, bound),
-        lambda i, sol: unfairness_exact(
-            FairnessMetric.SP, sol.corrected_slice, slices[i].lattice.z
-        ),
+        lambda i, sol: unfairness_exact(FairnessMetric.SP, *slices[i].lattice.sliced(sol.changed)),
         lower,
     )
 
@@ -498,17 +503,15 @@ def _correct_rows(
     for solutions in solved:
         if isinstance(solutions, Infeasible):
             raise solutions
-        corrected = np.array(guess)
+        corrected, changed = _flip_all(guess, [sol.changed for sol in solutions])
+        corrected.setflags(write=False)
         moves = MoveCounts(0, 0, 0, 0)
         objective = 0.0
-        columns = 0
-        for part, sol in zip(slices, solutions):
-            corrected[part.idx] = sol.corrected_slice
+        for sol in solutions:
             moves = moves + sol.moves
             objective += sol.objective
-            columns += sol.columns
-        corrected.setflags(write=False)
-        changed_indices = tuple(np.flatnonzero(corrected != guess).tolist())
+        columns = sum(sol.columns for sol in solutions)
+        changed_indices = tuple(changed.tolist())
         results.append(
             CorrectionResult(corrected, objective, moves, changed_indices, SolverStats(columns))
         )

@@ -11,14 +11,15 @@ under the same determinant band: the groups are fixed, so group g's gap
 |D| / (n * z_g) is bounded by two half-planes of the smaller group, and
 ``corrector._rows_within`` gives each block's exact window ends.
 
-``RepairState`` holds what does not depend on the tolerance: a table's
-metric slices and the lattice of each, which keeps the slice's margins as
-its cost row.  ``RepairState.solve`` repairs a whole tolerance list with
+``RepairState`` holds what does not depend on the tolerance: the lattice
+of each metric slice, which reads the table's predictions, groups and
+margins in place.  ``RepairState.solve`` repairs a whole tolerance list with
 one search per slice, all tolerances sharing its blocks; the corrector's
 ``solve_slices`` picks the EOdds carrier, searching it only for the
-tolerances that need it.  It returns each tolerance's lattice cells, which
-``RepairState.apply`` flips; ``RepairState.repair`` and
-``repair_predictions`` are the one-tolerance forms.
+tolerances that need it.  It returns each tolerance's lattice cells, whose
+flips ``RepairState.apply`` scatters into one copy of the predictions, as
+the corrector does; ``RepairState.repair`` and ``repair_predictions`` are
+the one-tolerance forms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, slice_for_metric, unfairness_exact
-from ..corrector import _Lattice, _rows_within, search_net_moves, solve_slices
+from ..corrector import _flip_all, _Lattice, _rows_within, search_net_moves, solve_slices
 from ..errors import DegenerateClasses, EmptyVector, Infeasible, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
@@ -120,18 +121,18 @@ def _repair_slice(
 @dataclass(frozen=True, eq=False)
 class _RepairSlice:
     """One slice's repair, a cell of its lattice.  Only the EOdds carrier
-    choice reads the predictions it repairs and their flipped margins' sum."""
+    choice reads the predictions it flips and their margins' sum."""
 
     part: _Lattice
     cell: tuple[int, int]
 
     @property
-    def yhat(self) -> np.ndarray:
+    def changed(self) -> np.ndarray:
         return self.part.flip(0, *self.cell)
 
     @property
     def objective(self) -> float:
-        return float(self.part.costs[0][self.yhat != self.part.x].sum())
+        return float(self.part.costs[0].take(np.sort(self.changed)).sum())
 
 
 class RepairState:
@@ -150,9 +151,10 @@ class RepairState:
     ) -> None:
         self.yhat = np.asarray(yhat)
         self.metric = FairnessMetric(metric)
-        self.slices = [idx for idx in slice_for_metric(self.metric, labels) if idx.size]
         self.parts = [
-            _Lattice(self.yhat[idx], sensitive[idx], margins[idx][None]) for idx in self.slices
+            _Lattice(self.yhat, sensitive, margins[None], idx)
+            for idx in slice_for_metric(self.metric, labels)
+            if idx.size
         ]
 
     def solve(
@@ -181,7 +183,9 @@ class RepairState:
             len(self.parts),
             len(uppers),
             solve,
-            lambda i, sol: unfairness_exact(FairnessMetric.SP, self.parts[i].z, sol.yhat),
+            lambda i, sol: unfairness_exact(
+                FairnessMetric.SP, *self.parts[i].sliced(sol.changed)[::-1]
+            ),
             Fraction(epsilon_lower) if epsilon_lower else None,
         )
         return [sols if isinstance(sols, Infeasible) else [s.cell for s in sols] for sols in solved]
@@ -191,10 +195,8 @@ class RepairState:
         Infeasible it holds."""
         if isinstance(repair, Infeasible):
             raise repair
-        repaired = np.array(self.yhat)
-        for idx, part, cell in zip(self.slices, self.parts, repair):
-            repaired[idx] = part.flip(0, *cell)
-        return repaired
+        flips = [part.flip(0, *cell) for part, cell in zip(self.parts, repair)]
+        return _flip_all(self.yhat, flips)[0]
 
     def repair(self, epsilon: float, epsilon_lower: float | None = None) -> np.ndarray:
         """Minimally flip predictions so that the metric holds within

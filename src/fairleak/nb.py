@@ -92,8 +92,9 @@ def fit_naive_bayes(
     for name, values in columns.items():
         codes = np.asarray(values, dtype=np.int64)
         n_values = int(codes.max()) + 1 if codes.size else 1
-        counts = np.zeros((n_classes, n_values + 1))
-        np.add.at(counts, (target, codes), 1.0)
+        # a negative code is counted in the unseen bucket, where prediction puts it
+        cells = target * (n_values + 1) + np.where(codes < 0, n_values, codes)
+        counts = np.bincount(cells, minlength=n_classes * (n_values + 1)).reshape(n_classes, -1)
         denom = (class_counts + alpha * n_values)[:, None]
         tables[name] = np.log((counts + alpha) / denom)
     return CategoricalNaiveBayes(

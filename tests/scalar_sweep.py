@@ -306,17 +306,27 @@ def repair_slice_state(
     lattice cell, the net flips in group 1 and in group 0, or None when it is
     infeasible.  The package must rebuild from that cell the very vector the
     reference repaired, and price it at the reference's cost."""
-    local = np.arange(part.x.size)
+    idx = part.idx
+    x, z, margins = part.x[idx], part.z[idx], part.costs[0][idx]
+    local = np.arange(idx.size)
     cells = []
     for epsilon in epsilons:
         try:
-            ref = repair_slice(part.x, part.costs[0], part.z, local, epsilon, lower)
+            ref = repair_slice(x, margins, z, local, epsilon, lower)
         except Infeasible:
             cells.append(None)
             continue
-        flips = ref.yhat - part.x
-        cell = (int(flips[part.z == 1].sum()), int(flips[part.z == 0].sum()))
-        assert np.array_equal(part.flip(0, *cell), ref.yhat)
-        assert float(part.costs[0][ref.yhat != part.x].sum()) == ref.objective
+        flips = ref.yhat - x
+        cell = (int(flips[z == 1].sum()), int(flips[z == 0].sum()))
+        # the flip, applied to the caller's whole vector, must change no
+        # entry twice, and none outside the slice
+        changed = part.flip(0, *cell)
+        assert np.unique(changed).size == changed.size
+        want = np.array(part.x)
+        want[idx] = ref.yhat
+        repaired = np.array(part.x)
+        repaired[changed] = 1 - repaired[changed]
+        assert np.array_equal(repaired, want)
+        assert float(part.costs[0][repaired != part.x].sum()) == ref.objective
         cells.append(cell)
     return cells

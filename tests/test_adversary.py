@@ -271,6 +271,32 @@ class TestNaiveBayes:
         with pytest.raises(KeyError, match="missing feature columns"):
             model.predict_log_joint({"b": np.array([0]), "c": np.array([1])})
 
+    def test_counts_match_the_scattered_add(self, rng):
+        from fairleak.nb import fit_naive_bayes
+
+        for n_classes, n, span in ((2, 8000, 12), (3, 50, 4), (5, 7, 40)):
+            target = rng.integers(0, n_classes, n)
+            codes = rng.integers(-1, span, n)
+            model = fit_naive_bayes({"a": codes}, target, n_classes=n_classes, alpha=0.5)
+            # the scattered add the counts replaced: numpy sends -1 to the
+            # last column, the unseen bucket
+            n_values = int(codes.max()) + 1
+            counts = np.zeros((n_classes, n_values + 1))
+            np.add.at(counts, (target, codes), 1.0)
+            denom = (np.bincount(target, minlength=n_classes) + 0.5 * n_values)[:, None]
+            want = np.log((counts + 0.5) / denom)
+            assert np.array_equal(model.log_likelihood["a"], want)
+
+    def test_negative_codes_fit_the_bucket_they_predict_from(self):
+        from fairleak.nb import fit_naive_bayes
+
+        model = fit_naive_bayes({"a": np.array([0, 1, -3, -1])}, np.array([0, 0, 1, 1]), 2)
+        table = model.log_likelihood["a"]
+        # class 1 saw no code 0 or 1: both its negative codes are unseen ones
+        assert table[1].tolist() == np.log(np.array([1, 1, 3]) / 4).tolist()
+        scores = model.column_log_likelihood("a", np.array([-3, -1, 2, 0]))
+        assert scores[:3].tolist() == [table[:, 2].tolist()] * 3
+
     @pytest.mark.parametrize("classes", [*range(2, 9), 50])
     def test_posterior_is_the_row_reduction_bit_for_bit(self, rng, classes):
         # the axis-1 formula the column-wise posterior replaced

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,11 +30,15 @@ SP, PE, EO, EODDS = (
 )
 
 
-def _lattice(x, z, costs):
+def _lattice(x, z, costs, idx=None):
+    """The lattice of ``x`` split by ``z`` over the entries ``idx``, every
+    entry when it is None."""
+    x = np.asarray(x, dtype=np.int64)
     return _Lattice(
-        np.asarray(x, dtype=np.int64),
+        x,
         np.asarray(z, dtype=np.int64),
         np.atleast_2d(np.asarray(costs, dtype=np.float64)),
+        np.arange(x.size) if idx is None else idx,
     )
 
 
@@ -44,21 +49,39 @@ def _sizes(lattice):
 
 
 def _stable_orders(lattice, r):
-    """Each cell's indices in the stable order of cost row ``r``: the up and
-    down flips of the column, then of the row."""
-    x, z, cost = lattice.x, lattice.z, lattice.costs[r]
+    """Each cell's indices into ``x`` in the stable order of cost row ``r``:
+    the up and down flips of the column, then of the row."""
+    idx = lattice.idx
+    x, z, cost = lattice.x[idx], lattice.z[idx], lattice.costs[r][idx]
     cells = [np.flatnonzero((x == xv) & (z == zv)) for zv in (1, 0) for xv in (0, 1)]
-    return [idx[np.argsort(cost[idx], kind="stable")] for idx in cells]
+    return [idx[cell[np.argsort(cost[cell], kind="stable")]] for cell in cells]
 
 
 def _stable_flip(lattice, r, u, v, orders=None):
     """``_Lattice.flip`` by a stable argsort: the first |k| entries of each
     cell's stable order."""
     up1, down1, up0, down0 = orders or _stable_orders(lattice, r)
+    return np.concatenate(
+        [(up if k > 0 else down)[: abs(k)] for k, up, down in ((u, up1, down1), (v, up0, down0))]
+    )
+
+
+def _flipped(lattice, changed):
+    """The full ``x`` with the entries ``changed`` flipped, which must be
+    distinct entries of the lattice's slice."""
+    assert changed.dtype == np.int64
     flipped = np.array(lattice.x)
-    for k, up, down in ((u, up1, down1), (v, up0, down0)):
-        flipped[(up if k > 0 else down)[: abs(k)]] = int(k > 0)
+    flipped[changed] = 1 - flipped[changed]
+    # an entry named twice flips back, and one outside the slice is missed
+    idx = lattice.idx
+    assert np.count_nonzero(flipped.take(idx) != lattice.x.take(idx)) == changed.size
+    assert np.count_nonzero(flipped != lattice.x) == changed.size
     return flipped
+
+
+def _apply(lattice, r, u, v):
+    """The full ``x`` with cell (u, v) applied under cost row ``r``."""
+    return _flipped(lattice, lattice.flip(r, u, v))
 
 
 def _draw(rng, style, n):
@@ -89,11 +112,11 @@ class TestSortedGroup:
     ``flip`` picks the stable order's first entries."""
 
     @staticmethod
-    def _check(costs, x, z, rng=None):
+    def _check(costs, x, z, rng=None, idx=None):
         """Prefix sums under every row, and ``flip`` at every move of each
         side; a side of more than 201 moves takes its ends, the moves at and
         next to each tie run's ends (``_tie_moves``) and 40 random moves."""
-        lattice = _lattice(x, z, costs)
+        lattice = _lattice(x, z, costs, idx)
         col, row = lattice.sides(range(len(costs)))
         for r, cost in enumerate(lattice.costs):
             orders = _stable_orders(lattice, r)
@@ -113,7 +136,8 @@ class TestSortedGroup:
                 moves.append(ks.tolist())
             # one flip checks a column move and a row move together
             for u, v in itertools.zip_longest(*moves, fillvalue=0):
-                assert np.array_equal(lattice.flip(r, u, v), _stable_flip(lattice, r, u, v, orders))
+                want = _flipped(lattice, _stable_flip(lattice, r, u, v, orders))
+                assert np.array_equal(_apply(lattice, r, u, v), want)
 
     def test_matches_the_stable_argsort(self, rng):
         for trial in range(600):
@@ -122,7 +146,9 @@ class TestSortedGroup:
             first = _draw(rng, style, n)
             costs = np.stack((first, first**2, _draw(rng, style, n)))
             z = rng.random(n) < rng.uniform(0.2, 1.0)
-            self._check(costs, rng.integers(0, 2, n), z, rng)
+            # odd trials take a metric slice of the entries, read in place
+            idx = np.flatnonzero(rng.random(n) < 0.6) if trial % 2 else None
+            self._check(costs, rng.integers(0, 2, n), z, rng, idx)
 
     def test_large_cells_flip_at_every_move(self, rng):
         # one fixed large trial per tie style, every move of both sides
@@ -135,16 +161,18 @@ class TestSortedGroup:
             for r in range(3):
                 orders = _stable_orders(lattice, r)
                 for u in range(col.lo, col.hi + 1):
-                    assert np.array_equal(lattice.flip(r, u, 0), _stable_flip(lattice, r, u, 0, orders))
+                    want = _flipped(lattice, _stable_flip(lattice, r, u, 0, orders))
+                    assert np.array_equal(_apply(lattice, r, u, 0), want)
                 for v in range(row.lo, row.hi + 1):
-                    assert np.array_equal(lattice.flip(r, 0, v), _stable_flip(lattice, r, 0, v, orders))
+                    want = _flipped(lattice, _stable_flip(lattice, r, 0, v, orders))
+                    assert np.array_equal(_apply(lattice, r, 0, v), want)
 
     def test_signed_zeros_tie_in_index_order(self):
         conf = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.0, -0.0])
         ones = np.ones(conf.size, dtype=int)
         self._check(conf[None], ones, ones)
         lattice = _lattice(ones, ones, conf)
-        changed = [np.flatnonzero(lattice.flip(0, -k, 0) != 1).tolist() for k in range(1, 8)]
+        changed = [np.flatnonzero(_apply(lattice, 0, -k, 0) != 1).tolist() for k in range(1, 8)]
         order = [0, 1, 3, 4, 5, 6, 2]
         assert changed == [sorted(order[:k]) for k in range(1, 8)]
 
@@ -180,7 +208,7 @@ class TestBuildCostArrays:
         lattice = _lattice([1, 1, 1], [1, 1, 1], [0.9, 0.2, 0.5])
         col, _ = lattice.sides([0])
         assert col.neg[0].tolist() == pytest.approx([0.0, 0.2, 0.7, 1.6])
-        changed = [np.flatnonzero(lattice.flip(0, -k, 0) == 0).tolist() for k in (1, 2, 3)]
+        changed = [np.flatnonzero(_apply(lattice, 0, -k, 0) == 0).tolist() for k in (1, 2, 3)]
         assert changed == [[1], [1, 2], [0, 1, 2]]
 
     def test_empty_group(self):
@@ -210,7 +238,7 @@ class TestBuildCostArrays:
     def test_rows_sort_independently(self):
         lattice = _lattice([1, 1, 1], [1, 1, 1], [[0.9, 0.2, 0.5], [0.1, 0.3, 0.2]])
         changed = [
-            [np.flatnonzero(lattice.flip(r, -k, 0) == 0).tolist() for k in (1, 2, 3)]
+            [np.flatnonzero(_apply(lattice, r, -k, 0) == 0).tolist() for k in (1, 2, 3)]
             for r in (0, 1)
         ]
         assert changed == [[[1], [1, 2], [0, 1, 2]], [[0], [0, 2], [0, 1, 2]]]
@@ -252,20 +280,20 @@ class TestApplyMoves:
     """``_Lattice.flip`` flips the cheapest members of each cell."""
 
     def test_all_zero_is_identity(self):
-        corrected = _lattice([1, 0, 1], [1, 1, 0], [0.5, 0.5, 0.5]).flip(0, 0, 0)
+        corrected = _apply(_lattice([1, 0, 1], [1, 1, 0], [0.5, 0.5, 0.5]), 0, 0, 0)
         assert corrected.tolist() == [1, 0, 1]
 
     def test_flips_cheapest_members(self):
         lattice = _lattice([1, 1, 0, 0], [1, 1, 0, 0], [0.1, 1, 1, 0.2])
-        assert lattice.flip(0, -1, 1).tolist() == [0, 1, 0, 1]
+        assert _apply(lattice, 0, -1, 1).tolist() == [0, 1, 0, 1]
 
     def test_tie_breaks_on_lowest_index(self):
         x = [0, 0, 1, 0, 0, 1]
         lattice = _lattice(x, x, [9, 9, 1.0, 9, 9, 1.0])
-        assert lattice.flip(0, -1, 0).tolist() == [0, 0, 0, 0, 0, 1]
+        assert _apply(lattice, 0, -1, 0).tolist() == [0, 0, 0, 0, 0, 1]
         x = [1, 0, 1, 0, 0, 1]
         lattice = _lattice(x, x, [1, 9, 1, 9, 9, 1])
-        assert lattice.flip(0, -2, 0).tolist() == [0, 0, 0, 0, 0, 1]
+        assert _apply(lattice, 0, -2, 0).tolist() == [0, 0, 0, 0, 0, 1]
 
     def test_flipped_cost_matches_objective(self, rng):
         for _ in range(20):
@@ -277,7 +305,7 @@ class TestApplyMoves:
             col, row = lattice.sides([0, 1])
             u = int(rng.integers(col.lo, col.hi + 1))
             v = int(rng.integers(row.lo, row.hi + 1))
-            changed = np.flatnonzero(lattice.flip(r, u, v) != x)
+            changed = np.flatnonzero(_apply(lattice, r, u, v) != x)
             assert changed.size == abs(u) + abs(v)
             assert costs[r, changed].sum() == pytest.approx(col.at(r, u) + row.at(r, v), abs=1e-9)
 
@@ -376,6 +404,72 @@ class TestCorrect:
         res = correct(inst, spec)
         assert satisfies(spec, res.corrected, inst.predictions, inst.labels)
         assert res.objective > 0
+
+
+class TestChangedIndices:
+    """``changed_indices`` is the ascending union of the slices' flips: the
+    entries where ``corrected`` differs from the guess, each once."""
+
+    @staticmethod
+    def _check(inst, result):
+        changed = result.changed_indices
+        assert isinstance(changed, tuple) and all(type(i) is int for i in changed)
+        assert list(changed) == sorted(set(changed))
+        assert changed == tuple(np.flatnonzero(result.corrected != inst.guess).tolist())
+
+    def test_random_instances(self, rng):
+        solved = 0
+        for trial in range(24):
+            n = int(rng.choice([3, 40, 500, 4000]))
+            yhat = rng.integers(0, 2, n)
+            guess = np.where(rng.random(n) < 0.6, yhat, 1 - yhat)
+            vectors = [rng.random(n), rng.integers(0, 3, n) / 2.0, np.ones(n)]
+            inst = AttackInstance(yhat, rng.integers(0, 2, n), guess, vectors[0])
+            for metric in (SP, PE, EO, EODDS):
+                for lower in (None, 0.02):
+                    spec = FairnessSpec(metric, 0.05, lower)
+                    try:
+                        results = [correct(inst, spec), *correct_each(inst, spec, vectors)]
+                    except Infeasible:
+                        continue
+                    solved += 1
+                    for result in results:
+                        self._check(inst, result)
+        assert solved > 100
+
+    def test_metric_without_a_nonempty_slice(self):
+        # PE reads the y = 0 rows and EO the y = 1 rows: none is left to flip
+        for metric, label in ((PE, 1), (EO, 0)):
+            inst = AttackInstance([1, 0, 1, 0], [label] * 4, [1, 1, 0, 0], [0.3, 0.4, 0.5, 0.6])
+            for lower in (None, 0.1):
+                spec = FairnessSpec(metric, 0.0 if lower is None else 0.2, lower)
+                for result in (correct(inst, spec), *correct_each(inst, spec, [[1] * 4, [2] * 4])):
+                    self._check(inst, result)
+                    assert result.changed_indices == ()
+                    assert result.corrected.tolist() == [1, 1, 0, 0]
+
+
+class TestInPlace:
+    """The lattice reads the instance's own arrays, and the result is one
+    copy of the guess with the flips scattered in."""
+
+    def test_peak_memory_per_row(self):
+        n = 200_000
+        rng = np.random.default_rng(0)
+        yhat = rng.integers(0, 2, n)
+        guess = np.where(rng.random(n) < 0.6, yhat, 1 - yhat)
+        inst = AttackInstance(yhat, rng.integers(0, 2, n), guess, rng.random(n))
+        spec = FairnessSpec(SP, 0.01)
+        tracemalloc.start()
+        try:
+            result = correct(inst, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stats.nodes > 0
+        # copies of the slice's guess, predictions and confidences, and of
+        # each solved slice, peak at 68 bytes a row; in place it is 46
+        assert peak / n < 57
 
 
 class TestBruteForce:

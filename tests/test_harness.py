@@ -477,6 +477,15 @@ class TestRepairState:
         assert all(isinstance(r, Infeasible) for r in state.solve([0.1, 0.3], 0.1))
         assert np.array_equal(state.repair(0.1), yhat)
 
+    def test_boolean_predictions_repair_like_their_codes(self):
+        table, yhat, margins = self._raw(1)
+        for metric in FairnessMetric:
+            spec = FairnessSpec(metric, 0.01, 0.005)
+            codes = repair_predictions(yhat, margins, table.sensitive, table.labels, spec)
+            flags = repair_predictions(yhat == 1, margins, table.sensitive, table.labels, spec)
+            assert flags.dtype == bool and np.array_equal(flags, codes)
+            assert np.count_nonzero(codes != yhat) > 0
+
 
 class TestEncodeFeatures:
     """One encoder serves the label predictor and the attack model."""
