@@ -194,7 +194,8 @@ class _SideCosts:
 
 class _Lattice:
     """The net-move lattice of 0/1 vectors ``x`` split by ``z``, read in place
-    at their ascending entries ``idx``, with one cost row per row of ``costs``.
+    at their ascending entries ``idx`` (every entry when it is None), with one
+    cost row per row of ``costs``.
 
     Column u flips |u| entries of ``x`` where z = 1, zeros to one when u > 0
     and ones to zero when u < 0; row v does the same where z = 0.  A cell
@@ -202,9 +203,11 @@ class _Lattice:
     a flip of k entries takes its k cheapest, ties on the lowest index.
     """
 
-    def __init__(self, x: np.ndarray, z: np.ndarray, costs: np.ndarray, idx: np.ndarray) -> None:
+    def __init__(
+        self, x: np.ndarray, z: np.ndarray, costs: np.ndarray, idx: np.ndarray | None
+    ) -> None:
         self.x, self.z, self.costs, self.idx = x, z, costs, idx
-        whole = idx.size == x.size  # then idx is 0..n-1, which needs no gather
+        whole = idx is None
         xb, zb = ((a if whole else a.take(idx)).astype(bool) for a in (x, z))
         cells = [np.flatnonzero(m) for m in (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb)]
         cells = cells if whole else [idx.take(cell) for cell in cells]
@@ -236,7 +239,18 @@ class _Lattice:
 
     def sliced(self, changed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The slice's ``x`` with the entries ``changed`` flipped, and its ``z``."""
-        return _flip_all(self.x, [changed])[0].take(self.idx), self.z.take(self.idx)
+        flipped, idx = _flip_all(self.x, [changed])[0], self.idx
+        return (flipped, self.z) if idx is None else (flipped.take(idx), self.z.take(idx))
+
+
+def _metric_lattices(
+    metric: FairnessMetric, labels: np.ndarray, x: np.ndarray, z: np.ndarray, costs: np.ndarray
+) -> list[_Lattice]:
+    """The lattice of each nonempty slice of ``metric``; SP's slice is every
+    row, read with no index array."""
+    if metric is FairnessMetric.SP:
+        return [_Lattice(x, z, costs, None)] if x.size else []
+    return [_Lattice(x, z, costs, idx) for idx in slice_for_metric(metric, labels) if idx.size]
 
 
 def _flip_all(x: np.ndarray, flips: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -486,9 +500,8 @@ def _correct_rows(
     epsilon = Fraction(spec.epsilon)
     lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
     slices = [
-        _Slice(_Lattice(guess, instance.predictions, confs, idx), epsilon)
-        for idx in slice_for_metric(metric, instance.labels)
-        if idx.size
+        _Slice(lattice, epsilon)
+        for lattice in _metric_lattices(metric, instance.labels, guess, instance.predictions, confs)
     ]
     solved = solve_slices(
         metric,

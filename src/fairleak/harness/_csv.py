@@ -5,6 +5,10 @@ other encoding is a ``ParseError`` that names the file.
 Blank lines are skipped, so row numbers count records, the header being row
 1.  Columns and cells beyond those asked for are ignored; a short row leaves
 ``None`` in its missing cells, which every converter rejects.
+
+A column is converted in one C-level pass of ``int`` or ``float``; only a
+column that fails is walked cell by cell, to name its first bad cell.  Id
+and float columns are written cell by cell, code columns once per code.
 """
 
 from __future__ import annotations
@@ -30,30 +34,35 @@ def read_columns(path: str | Path, required: Sequence[str]) -> dict[str, tuple]:
             missing = [c for c in required if c not in header]
             if missing:
                 raise SchemaError(f"missing columns: {missing}")
-            rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
+            rows = list(filter(None, reader))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    if rows and min(map(len, rows)) < len(header):
+        rows = [row + [None] * (len(header) - len(row)) for row in rows]
     columns = list(zip(*rows)) or [()] * len(header)
     return {name: columns[i] for i, name in enumerate(header)}
 
 
 def _convert(cells: Sequence, column: str, kind: Callable, what: str) -> list:
-    values = []
-    for row, raw in enumerate(cells, start=2):
-        try:
-            values.append(kind(raw))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"row {row}, column {column!r}: {raw!r} is not {what}") from exc
-    return values
+    try:
+        return list(map(kind, cells))
+    except (TypeError, ValueError):
+        for row, raw in enumerate(cells, start=2):
+            try:
+                kind(raw)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"row {row}, column {column!r}: {raw!r} is not {what}") from exc
+        raise
 
 
 def ints(cells: Sequence, column: str) -> np.ndarray:
-    values = _convert(cells, column, int, "an integer")
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
-        raise ParseError(f"row {i + 2}, column {column!r}: {cells[i]!r} is out of range") from None
+        # numpy calls int() on each str cell, as _convert does
+        return np.array(cells, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        values = _convert(cells, column, int, "an integer")
+    i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+    raise ParseError(f"row {i + 2}, column {column!r}: {cells[i]!r} is out of range")
 
 
 def floats(cells: Sequence, column: str) -> np.ndarray:
@@ -66,12 +75,18 @@ def codes(cells: Sequence, column: str) -> tuple[np.ndarray, tuple[str, ...]]:
         raise ParseError(f"row {cells.index(None) + 2}, column {column!r}: the cell is missing")
     categories = tuple(sorted(set(cells)))
     index = {c: i for i, c in enumerate(categories)}
-    return np.array([index[c] for c in cells], dtype=np.int64), categories
+    return np.array(list(map(index.__getitem__, cells)), dtype=np.int64), categories
 
 
 def int_cells(values) -> list[str]:
     # whole columns through tolist(): indexing numpy scalars per cell is slow
     return list(map(str, np.asarray(values, dtype=np.int64).tolist()))
+
+
+def code_cells(values) -> list[str]:
+    """Cells of a code column (labels, predictions, groups, categories)."""
+    distinct, inverse = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+    return np.array(int_cells(distinct), dtype=object)[inverse].tolist()
 
 
 def float_cells(values) -> list[str]:

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import BadFractions, DuplicateId, LengthMismatch, SchemaError
-from ._csv import codes, float_cells, floats, int_cells, ints, read_columns, write_columns
-from ._csv import write_text
+from ._csv import code_cells, codes, float_cells, floats, int_cells, ints, read_columns
+from ._csv import write_columns, write_text
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -192,11 +192,11 @@ def write_dataset_csv(table: DatasetTable, path: str | Path) -> DatasetSchema:
     header = ["id", *table.features, "s", "y"]
     cells = [int_cells(table.ids)]
     for col in table.features.values():
-        cells.append((int_cells if col.kind == CATEGORICAL else float_cells)(col.values))
-    cells += [int_cells(table.sensitive), int_cells(table.labels)]
+        cells.append((code_cells if col.kind == CATEGORICAL else float_cells)(col.values))
+    cells += [code_cells(table.sensitive), code_cells(table.labels)]
     if table.predictions is not None:
         header.append("yhat")
-        cells.append(int_cells(table.predictions))
+        cells.append(code_cells(table.predictions))
     write_columns(path, header, cells, "dataset")
     schema = DatasetSchema(
         features={name: col.kind for name, col in table.features.items()},

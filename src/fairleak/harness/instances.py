@@ -15,7 +15,7 @@ from ..adversary import BaselineGuess
 from ..core import AttackInstance
 from ..corrector import CorrectionResult
 from ..errors import DuplicateId
-from ._csv import float_cells, floats, int_cells, ints, read_columns, write_columns
+from ._csv import code_cells, float_cells, floats, int_cells, ints, read_columns, write_columns
 from .experiment import ExternalGuess
 
 INSTANCE_COLUMNS = ("id", "y", "yhat", "s_hat", "confidence")
@@ -50,15 +50,15 @@ def write_correction_csv(
     header = [*INSTANCE_COLUMNS, "s_corrected"]
     cells = [
         int_cells(ids),
-        int_cells(instance.labels),
-        int_cells(instance.predictions),
-        int_cells(instance.guess),
+        code_cells(instance.labels),
+        code_cells(instance.predictions),
+        code_cells(instance.guess),
         float_cells(instance.confidence),
-        int_cells(result.corrected),
+        code_cells(result.corrected),
     ]
     if instance.truth is not None:
         header.append("s_true")
-        cells.append(int_cells(instance.truth))
+        cells.append(code_cells(instance.truth))
     return write_columns(path, header, cells, "corrected instance")
 
 
@@ -74,5 +74,5 @@ def read_guess_csv(path: str | Path) -> ExternalGuess:
 
 def write_guess_csv(path: str | Path, ids: np.ndarray, guess: BaselineGuess) -> Path:
     """Export a baseline guess in the external-guess format."""
-    cells = (int_cells(ids), int_cells(guess.guess), float_cells(guess.raw_scores))
+    cells = (int_cells(ids), code_cells(guess.guess), float_cells(guess.raw_scores))
     return write_columns(path, GUESS_COLUMNS, cells, "guess file")

@@ -30,8 +30,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core import FairnessMetric, FairnessSpec, slice_for_metric, unfairness_exact
-from ..corrector import _flip_all, _Lattice, _rows_within, search_net_moves, solve_slices
+from ..core import FairnessMetric, FairnessSpec, unfairness_exact
+from ..corrector import _flip_all, _Lattice, _metric_lattices, _rows_within, search_net_moves
+from ..corrector import solve_slices
 from ..errors import DegenerateClasses, EmptyVector, Infeasible, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
@@ -151,11 +152,7 @@ class RepairState:
     ) -> None:
         self.yhat = np.asarray(yhat)
         self.metric = FairnessMetric(metric)
-        self.parts = [
-            _Lattice(self.yhat, sensitive, margins[None], idx)
-            for idx in slice_for_metric(self.metric, labels)
-            if idx.size
-        ]
+        self.parts = _metric_lattices(self.metric, labels, self.yhat, sensitive, margins[None])
 
     def solve(
         self, epsilons: Sequence[float], epsilon_lower: float | None = None

@@ -306,7 +306,7 @@ def repair_slice_state(
     lattice cell, the net flips in group 1 and in group 0, or None when it is
     infeasible.  The package must rebuild from that cell the very vector the
     reference repaired, and price it at the reference's cost."""
-    idx = part.idx
+    idx = np.arange(part.x.size) if part.idx is None else part.idx
     x, z, margins = part.x[idx], part.z[idx], part.costs[0][idx]
     local = np.arange(idx.size)
     cells = []

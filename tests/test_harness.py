@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -58,7 +59,7 @@ from fairleak.harness import (
     write_dataset_csv,
     write_guess_csv,
 )
-from fairleak.harness import CATEGORICAL, NUMERIC, experiment, predictor
+from fairleak.harness import CATEGORICAL, NUMERIC, _csv, experiment, predictor
 from fairleak.harness.experiment import _train_attack_model
 from fairleak.harness.predictor import (
     RepairState,
@@ -67,6 +68,7 @@ from fairleak.harness.predictor import (
     repair_predictions,
 )
 from fairleak.nb import fit_naive_bayes
+from test_cli import _POOL
 
 SP = FairnessMetric.SP
 
@@ -261,6 +263,175 @@ class TestCsvRules:
         with pytest.raises(SchemaError, match=f"^{message}$"):
             _read(tmp_path, "instance", [header, rows[0], ",".join(cells)])
 
+
+
+def _per_cell_columns(path, required):
+    """The CSV reader as it padded every row to the header's width."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise SchemaError(f"missing columns: {missing}")
+        rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
+    columns = list(zip(*rows)) or [()] * len(header)
+    return {name: columns[i] for i, name in enumerate(header)}
+
+
+def _per_cell_convert(cells, column, kind, what):
+    values = []
+    for row, raw in enumerate(cells, start=2):
+        try:
+            values.append(kind(raw))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"row {row}, column {column!r}: {raw!r} is not {what}") from exc
+    return values
+
+
+def _per_cell_ints(cells, column):
+    values = _per_cell_convert(cells, column, int, "an integer")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise ParseError(f"row {i + 2}, column {column!r}: {cells[i]!r} is out of range") from None
+
+
+def _per_cell_floats(cells, column):
+    return np.array(_per_cell_convert(cells, column, float, "a number"), dtype=np.float64)
+
+
+def _per_cell_codes(cells, column):
+    if None in cells:
+        raise ParseError(f"row {cells.index(None) + 2}, column {column!r}: the cell is missing")
+    categories = tuple(sorted(set(cells)))
+    index = {c: i for i, c in enumerate(categories)}
+    return np.array([index[c] for c in cells], dtype=np.int64), categories
+
+
+_CONVERTERS = [
+    (_csv.ints, _per_cell_ints),
+    (_csv.floats, _per_cell_floats),
+    (_csv.codes, _per_cell_codes),
+]
+
+
+def _outcome(convert, cells):
+    """What a converter makes of a column: its values bit for bit, or the
+    text of the ParseError it raises."""
+    try:
+        got = convert(cells, "c")
+    except ParseError as exc:
+        return "error", str(exc)
+    values, categories = got if isinstance(got, tuple) else (got, None)
+    return values.dtype.str, values.shape, values.tobytes(), categories
+
+
+class TestColumnConverters:
+    """Whole-column conversion gives the per-cell loop's values and errors."""
+
+    CELLS = [*_POOL, None, " 1", "+1", "1_0", "\u0661", "1_0.5", "0x10", "infinity"]
+    BIG = "99999999999999999999"
+
+    @pytest.mark.parametrize("convert, reference", _CONVERTERS, ids=["ints", "floats", "codes"])
+    def test_every_cell_in_every_position(self, convert, reference):
+        for cell in self.CELLS:
+            # alone, after and before good cells, and on either side of an
+            # integer out of range, which ints reports only if no cell is bad
+            for cells in ((cell,), ("0", cell), (cell, "1"), ("1", cell, self.BIG), (self.BIG, cell)):
+                assert _outcome(convert, cells) == _outcome(reference, cells), cells
+
+    @pytest.mark.parametrize("convert, reference", _CONVERTERS, ids=["ints", "floats", "codes"])
+    def test_columns_drawn_from_the_pool(self, convert, reference, rng):
+        good = ["0", "1", "2", "-1", " 1", "+1", "1_0", "\u0661"]
+        for _ in range(200):
+            cells = tuple(rng.choice(good, int(rng.integers(0, 6))).tolist())
+            if rng.random() < 0.5:
+                spot = int(rng.integers(0, len(cells) + 1))
+                cells = (*cells[:spot], self.CELLS[rng.integers(len(self.CELLS))], *cells[spot:])
+            assert _outcome(convert, cells) == _outcome(reference, cells), cells
+
+    def test_empty_column(self):
+        for convert, reference in _CONVERTERS:
+            assert _outcome(convert, ()) == _outcome(reference, ())
+
+    def test_code_cells_format_each_code_once(self, rng):
+        for values in (
+            rng.integers(0, 2, 500),
+            rng.integers(-3, 40, 500),
+            np.array([2**63 - 1, -(2**63), 0, 2**63 - 1]),
+            np.array([True, False, True]),
+            np.zeros(0, dtype=np.int64),
+        ):
+            cells = _csv.code_cells(values)
+            assert cells == _csv.int_cells(values)
+            assert all(type(c) is str for c in cells)
+
+
+class TestCsvFraming:
+    """A file's framing reads as the per-cell reader reads it."""
+
+    @staticmethod
+    def _framed(tmp_path, header, rows, rng):
+        """``rows`` under ``header`` with a byte-order mark, CRLF endings,
+        quoted cells, blank lines and extra trailing cells."""
+        lines = []
+        for row in rows:
+            cells = [f'"{c}"' if rng.random() < 0.3 else c for c in row]
+            cells += ["extra"] * int(rng.integers(0, 3) == 0)
+            lines.append(",".join(cells))
+            lines += [""] * int(rng.integers(0, 4) == 0)
+        path = tmp_path / "framed.csv"
+        path.write_bytes(("\ufeff" + "\r\n".join([header, *lines]) + "\r\n").encode("utf-8"))
+        return path
+
+    def _rows(self, rng, n, kinds):
+        """n rows of cells: ids, 0/1 codes, floats or text, per kind."""
+        ids = rng.permutation(3 * n)[:n]
+        make = {
+            "id": lambda i: str(ids[i]),
+            "bit": lambda i: str(rng.integers(0, 2)),
+            "float": lambda i: repr(float(rng.random())),
+            "text": lambda i: str(rng.choice(["a", "b", "c d"])),
+        }
+        return [[make[kind](i) for kind in kinds] for i in range(n)]
+
+    def test_instance_file(self, tmp_path, rng):
+        # the second y column is the one read
+        header = "id,y,yhat,s_hat,confidence,s_true,y"
+        kinds = ["id", "bit", "bit", "bit", "float", "bit", "bit"]
+        path = self._framed(tmp_path, header, self._rows(rng, 300, kinds), rng)
+        columns = _csv.read_columns(path, ())
+        assert columns == _per_cell_columns(path, ())
+        ids, inst = read_instance_csv(path)
+        assert ids.tobytes() == _per_cell_ints(columns["id"], "id").tobytes()
+        for got, name in (
+            (inst.labels, "y"), (inst.predictions, "yhat"), (inst.guess, "s_hat"),
+            (inst.truth, "s_true"),
+        ):
+            assert got.tobytes() == _per_cell_ints(columns[name], name).tobytes()
+        want = _per_cell_floats(columns["confidence"], "confidence")
+        assert inst.confidence.tobytes() == want.tobytes()
+
+    def test_dataset_file(self, tmp_path, rng):
+        header = "id,f0,x,s,y,f0"
+        kinds = ["id", "text", "float", "bit", "bit", "text"]
+        path = self._framed(tmp_path, header, self._rows(rng, 300, kinds), rng)
+        columns = _csv.read_columns(path, ())
+        assert columns == _per_cell_columns(path, ())
+        table = ingest_csv(path, _schema())
+        codes, categories = _per_cell_codes(columns["f0"], "f0")
+        assert table.features["f0"].values.tobytes() == codes.tobytes()
+        assert table.features["f0"].categories == categories
+        assert table.features["x"].values.tobytes() == _per_cell_floats(columns["x"], "x").tobytes()
+        assert table.labels.tobytes() == _per_cell_ints(columns["y"], "y").tobytes()
+
+    def test_short_rows_are_padded_as_before(self, tmp_path, rng):
+        rows = self._rows(rng, 40, ["id", "bit", "bit", "bit", "float"])
+        for r in (0, 17, 39):
+            del rows[r][int(rng.integers(0, 5)):]
+        path = self._framed(tmp_path, "id,y,yhat,s_hat,confidence", rows, rng)
+        assert _csv.read_columns(path, ()) == _per_cell_columns(path, ())
 
 class TestSplitDataset:
     def test_exact_thirds(self):
@@ -842,24 +1013,32 @@ def _per_cell_guess_csv(path, ids, guess):
 
 
 class TestInstanceWriters:
-    @pytest.mark.parametrize("with_truth", [True, False])
-    def test_correction_csv_matches_the_per_cell_writer(self, tmp_path, rng, with_truth):
-        n = 3000
+    @staticmethod
+    def _check_correction_csv(tmp_path, rng, ids, truth):
+        n = ids.size
         # awkward floats: tiny, huge exponents, exact ties, 1e-12 clamps, zero
         conf = rng.random(n) ** rng.integers(1, 40, n)
         conf[:5] = [0.0, 1e-12, 1.0, 1 / 3, 123456.789012345]
         inst = AttackInstance(
-            rng.integers(0, 2, n),
-            rng.integers(0, 2, n),
-            rng.integers(0, 2, n),
-            conf,
-            truth=rng.integers(0, 3, n) if with_truth else None,
+            rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n), conf, truth=truth
         )
-        ids = rng.permutation(10 * n)[:n] - n
         result = correct(inst, FairnessSpec(SP, 0.01))
         write_correction_csv(tmp_path / "new.csv", ids, inst, result)
         _per_cell_correction_csv(tmp_path / "old.csv", ids, inst, result)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_correction_csv_matches_the_per_cell_writer(self, tmp_path, rng, with_truth):
+        n = 3000
+        ids = rng.permutation(10 * n)[:n] - n
+        self._check_correction_csv(tmp_path, rng, ids, rng.integers(0, 3, n) if with_truth else None)
+
+    @pytest.mark.parametrize("truth_span", [None, 12])
+    def test_dense_ids_and_truth_beyond_the_guess_cardinality(self, tmp_path, rng, truth_span):
+        # ids 0..n-1, and truth naming groups the binary guess never does
+        n = 3000
+        truth = None if truth_span is None else rng.integers(0, truth_span, n)
+        self._check_correction_csv(tmp_path, rng, np.arange(n), truth)
 
     def test_guess_csv_matches_the_per_cell_writer(self, tmp_path, rng):
         n = 3000
