@@ -16,25 +16,20 @@ from .adversary import (
     train_baseline,
 )
 from .core import (
-    SLACK,
     AttackInstance,
+    CorrectionResult,
     FairnessMetric,
     FairnessSpec,
+    MoveCounts,
+    SolverStats,
     reconstruction_accuracy,
-    satisfies,
     slice_for_metric,
     unfairness,
     unfairness_exact,
 )
-from .corrector import (
-    DEFAULT_BRUTEFORCE_BUDGET,
-    CorrectionResult,
-    MoveCounts,
-    SolverStats,
-    correct,
-    solve_general_bruteforce,
-)
+from .corrector import correct
 from .estimator import EstimatedConstraint, estimate_constraint
+from .oracle import solve_general_bruteforce
 
 __version__ = "0.1.0"
 
@@ -44,7 +39,6 @@ __all__ = [
     "AttackSet",
     "BaselineGuess",
     "CorrectionResult",
-    "DEFAULT_BRUTEFORCE_BUDGET",
     "DEFAULT_K_GRID",
     "EstimatedConstraint",
     "FairnessMetric",
@@ -52,7 +46,6 @@ __all__ = [
     "MODE_A",
     "MODE_A_PRIME",
     "MoveCounts",
-    "SLACK",
     "SolverStats",
     "correct",
     "errors",
@@ -61,7 +54,6 @@ __all__ = [
     "predict_guess",
     "process_confidences",
     "reconstruction_accuracy",
-    "satisfies",
     "shape_confidences",
     "slice_for_metric",
     "solve_general_bruteforce",

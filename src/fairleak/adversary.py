@@ -110,10 +110,6 @@ class AttackModel:
     cardinality: int
     prediction_nb: CategoricalNaiveBayes | None = None
 
-    @property
-    def uses_predictions(self) -> bool:
-        return self.prediction_nb is not None
-
 
 @dataclass(frozen=True, eq=False)
 class BaselineGuess:
@@ -232,7 +228,7 @@ def predict_guess(
 ) -> BaselineGuess:
     """Per-row argmax class and its posterior probability as the raw score."""
     scores = label_log_joint(model, features, labels)
-    if model.uses_predictions:
+    if model.prediction_nb is not None:
         if predictions is None:
             raise SchemaMismatch("model was trained with target predictions")
         scores = scores + prediction_log_likelihood(model.prediction_nb, predictions)

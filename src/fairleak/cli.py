@@ -14,8 +14,8 @@ import logging
 import os
 import sys
 
-from .core import FairnessMetric, FairnessSpec, reconstruction_accuracy
-from .corrector import MoveCounts, correct, solve_general_bruteforce
+from .core import FairnessMetric, FairnessSpec, MoveCounts, reconstruction_accuracy
+from .corrector import correct
 from .errors import FairleakError, Infeasible
 from .estimator import estimate_constraint
 from .harness import (
@@ -34,6 +34,7 @@ from .harness import (
     write_dataset_csv,
 )
 from .harness._csv import write_text
+from .oracle import solve_general_bruteforce
 
 log = logging.getLogger("fairleak")
 

@@ -3,9 +3,19 @@
 Each metric's slice rule is written once, in ``slice_for_metric``, and a
 metric's unfairness is the largest group rate gap over its nonempty slices.
 Rates are compared as exact integer ratios (``fractions.Fraction``) so that
-feasibility questions never depend on floating-point summation order.  The
-float slack ``SLACK`` applies only to the real-valued reporting surface.
-Out-of-range labels or groups are a ``SchemaError``.
+feasibility questions never depend on floating-point summation order.
+Out-of-range labels or groups are a ``SchemaError``.  A correction's result
+types, ``CorrectionResult`` with its ``MoveCounts`` and ``SolverStats``, are
+shared by the lattice solver and the brute-force oracle.
+
+Empty groups follow one rule, in three parts:
+
+- the guess corrector and the oracle require every group in every slice
+  they constrain, so a slice of fewer than two entries is infeasible;
+- ``_group_rate_gap``, and so every unfairness measured here, skips the
+  groups absent from a slice;
+- the prediction repair holds the groups fixed, and a slice of one group has
+  gap zero: within any upper bound, and below any positive lower bound.
 """
 
 from __future__ import annotations
@@ -18,9 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySlice, EmptyVector, LengthMismatch, NegativeConfidence, SchemaError
-
-#: Numeric slack applied by :func:`satisfies` on top of the exact comparison.
-SLACK = 1e-9
 
 
 class FairnessMetric(str, Enum):
@@ -139,6 +146,46 @@ class AttackInstance:
         return self.predictions.size
 
 
+@dataclass(frozen=True)
+class MoveCounts:
+    """The four decision variables: guess flips per (direction x prediction)."""
+
+    s01_pos: int
+    s10_pos: int
+    s01_neg: int
+    s10_neg: int
+
+    @property
+    def total(self) -> int:
+        return self.s01_pos + self.s10_pos + self.s01_neg + self.s10_neg
+
+    def __add__(self, other: "MoveCounts") -> "MoveCounts":
+        return MoveCounts(
+            self.s01_pos + other.s01_pos,
+            self.s10_pos + other.s10_pos,
+            self.s01_neg + other.s01_neg,
+            self.s10_neg + other.s10_neg,
+        )
+
+
+@dataclass(frozen=True)
+class SolverStats:
+    """``nodes``: lattice columns scanned, or states the brute force enumerated."""
+
+    nodes: int
+
+
+@dataclass(frozen=True, eq=False)
+class CorrectionResult:
+    """A corrected sensitive vector with its cost and solve diagnostics."""
+
+    corrected: np.ndarray
+    objective: float
+    moves: "MoveCounts | dict[tuple[int, int], int]"
+    changed_indices: tuple[int, ...]
+    stats: SolverStats
+
+
 def slice_for_metric(metric: FairnessMetric, y: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Index set(s) a metric constrains: all, y=0, y=1, or the ordered pair.
 
@@ -207,21 +254,6 @@ def unfairness(
 ) -> float:
     """Float-valued unfairness in [0, 1]; see :func:`unfairness_exact`."""
     return float(unfairness_exact(metric, s, yhat, y))
-
-
-def satisfies(
-    spec: FairnessSpec,
-    s: Sequence[int],
-    yhat: Sequence[int],
-    y: Sequence[int] | None = None,
-) -> bool:
-    """Whether ``s`` meets the spec, with slack ``SLACK`` on both bounds."""
-    value = unfairness_exact(spec.metric, s, yhat, y)
-    if value > Fraction(spec.epsilon) + Fraction(SLACK):
-        return False
-    if spec.epsilon_lower is not None:
-        return value >= Fraction(spec.epsilon_lower) - Fraction(SLACK)
-    return True
 
 
 def reconstruction_accuracy(guess: Sequence[int], truth: Sequence[int]) -> float:

@@ -1,7 +1,6 @@
-"""Exact solvers for minimum confidence-weighted guess correction.
+"""Exact solver for minimum confidence-weighted guess correction.
 
-Two routes are provided.  ``correct`` runs the efficient path: the group-rate
-constraint only depends on the *net* number of guess flips among positively
+``correct`` runs the efficient path: the group-rate constraint only depends on the *net* number of guess flips among positively
 and among negatively predicted examples, so the search collapses onto a 2-D
 integer lattice whose per-axis costs are prefix sums of ascending-sorted
 confidences.  ``_Lattice`` holds that lattice for any 0/1 vector split by
@@ -31,8 +30,8 @@ repair searches a whole tolerance grid under its one cost row.
 ``solve_slices`` solves a metric's slices for both, and alone decides which
 slice carries an EOdds lower bound, and for which vectors or tolerances.
 
-``solve_general_bruteforce`` enumerates every assignment on the active slice
-and is the correctness oracle as well as the only multi-valued solver.
+The brute-force oracle this solver is checked against, and the only solver
+for more than two groups, is ``fairleak.oracle``.
 """
 
 from __future__ import annotations
@@ -46,56 +45,18 @@ import numpy as np
 
 from .core import (
     AttackInstance,
+    CorrectionResult,
     FairnessMetric,
     FairnessSpec,
+    MoveCounts,
+    SolverStats,
     as_confidence_array,
     slice_for_metric,
     unfairness_exact,
 )
-from .errors import BudgetExceeded, Infeasible, LengthMismatch, UnsupportedCardinality
+from .errors import Infeasible, LengthMismatch, UnsupportedCardinality
 
-DEFAULT_BRUTEFORCE_BUDGET = 2**20
 _Solution = TypeVar("_Solution")
-
-
-@dataclass(frozen=True)
-class MoveCounts:
-    """The four decision variables: guess flips per (direction x prediction)."""
-
-    s01_pos: int
-    s10_pos: int
-    s01_neg: int
-    s10_neg: int
-
-    @property
-    def total(self) -> int:
-        return self.s01_pos + self.s10_pos + self.s01_neg + self.s10_neg
-
-    def __add__(self, other: "MoveCounts") -> "MoveCounts":
-        return MoveCounts(
-            self.s01_pos + other.s01_pos,
-            self.s10_pos + other.s10_pos,
-            self.s01_neg + other.s01_neg,
-            self.s10_neg + other.s10_neg,
-        )
-
-
-@dataclass(frozen=True)
-class SolverStats:
-    """``nodes``: lattice columns scanned, or states the brute force enumerated."""
-
-    nodes: int
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectionResult:
-    """A corrected sensitive vector with its cost and solve diagnostics."""
-
-    corrected: np.ndarray
-    objective: float
-    moves: "MoveCounts | dict[tuple[int, int], int]"
-    changed_indices: tuple[int, ...]
-    stats: SolverStats
 
 
 def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +353,8 @@ def _solve_sp_form(
     lower: Fraction | None,
 ) -> list[tuple[MoveCounts, int]]:
     """Each cost row's cheapest moves and columns scanned; raises Infeasible
-    for all rows alike."""
+    for all rows alike.  Both groups must be present, as the empty-group rule
+    in ``core`` says."""
     # a side's up flips are its guess zeros, its down flips its guess ones:
     # z1 positive predictions, z0 negative ones, n1 guess ones
     z1, z0 = col.hi - col.lo, row.hi - row.lo
@@ -585,158 +547,3 @@ def solve_slices(
             else Infeasible("no slice can reach the required lower unfairness bound")
         )
     return solved
-
-
-def _enumeration_positions(
-    metric: FairnessMetric, labels: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Positions the general model enumerates, plus the constrained slices
-    expressed locally to those positions."""
-    n = labels.size
-    if metric is FairnessMetric.SP:
-        return np.arange(n), [np.arange(n)]
-    if metric is FairnessMetric.PE:
-        idx = np.flatnonzero(labels == 0)
-        return idx, [np.arange(idx.size)]
-    if metric is FairnessMetric.EO:
-        idx = np.flatnonzero(labels == 1)
-        return idx, [np.arange(idx.size)]
-    idx = np.arange(n)
-    local = [np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)]
-    return idx, [sl for sl in local if sl.size]
-
-
-def _class_feasible(
-    row: Sequence[int],
-    slice_meta: list[tuple[int, int]],
-    k: int,
-    epsilon: Fraction,
-    lower: Fraction | None,
-) -> bool:
-    """Exact feasibility of one (counts, positives) signature.
-
-    ``row`` holds 2k interleaved entries per slice; ``slice_meta`` carries
-    (slice size, slice positive total)."""
-    worst = Fraction(0)
-    offset = 0
-    for size, pos_total in slice_meta:
-        overall = Fraction(pos_total, size)
-        for g in range(k):
-            count = int(row[offset + 2 * g])
-            pos = int(row[offset + 2 * g + 1])
-            if count == 0:
-                return False
-            gap = abs(overall - Fraction(pos, count))
-            if gap > epsilon:
-                return False
-            if gap > worst:
-                worst = gap
-        offset += 2 * k
-    if lower is not None and lower > 0 and worst < lower:
-        return False
-    return True
-
-
-def _signature_classes(signature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(signature, axis=0, return_inverse=True)`` of a non-negative
-    integer matrix, sorting one mixed-radix key per row (first column most
-    significant) unless the radix product overflows the index type."""
-    radix = signature.max(axis=0, initial=0) + 1
-    try:
-        keys = np.ravel_multi_index(signature.T, radix)
-    except ValueError:
-        return np.unique(signature, axis=0, return_inverse=True)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return signature[first], inverse
-
-
-def solve_general_bruteforce(
-    instance: AttackInstance,
-    spec: FairnessSpec,
-    cardinality: int | None = None,
-    budget: int = DEFAULT_BRUTEFORCE_BUDGET,
-) -> CorrectionResult:
-    """Exhaustive minimum-cost correction over the active slice.
-
-    Serves as the correctness oracle for the efficient path and as the only
-    solver for multi-valued sensitive attributes.
-    """
-    k = instance.cardinality if cardinality is None else cardinality
-    if k < 2:
-        raise ValueError("cardinality must be at least 2")
-    if instance.guess.size and int(instance.guess.max()) >= k:
-        raise ValueError("guess values exceed the requested cardinality")
-    metric = FairnessMetric(spec.metric)
-    guess = instance.guess
-    yhat = instance.predictions
-    conf = instance.confidence
-    enum_idx, local_slices = _enumeration_positions(metric, instance.labels)
-    m = int(enum_idx.size)
-
-    if m == 0:
-        corrected = np.array(guess)
-        corrected.setflags(write=False)
-        moves = MoveCounts(0, 0, 0, 0) if k == 2 else {}
-        return CorrectionResult(corrected, 0.0, moves, (), SolverStats(0))
-
-    states = k**m
-    if states > budget:
-        raise BudgetExceeded(f"{k}**{m} states exceed the budget of {budget}")
-
-    digits = ((np.arange(states)[:, None] // k ** np.arange(m)) % k).astype(np.int8)
-    sub_guess = guess[enum_idx].astype(np.int8)
-    sub_conf = conf[enum_idx]
-    cost = ((digits != sub_guess) * sub_conf).sum(axis=1)
-
-    sub_yhat = yhat[enum_idx]
-    stats_cols: list[np.ndarray] = []
-    slice_meta: list[tuple[int, int]] = []
-    for sl in local_slices:
-        pos_mask = sub_yhat[sl] == 1
-        slice_meta.append((int(sl.size), int(np.count_nonzero(pos_mask))))
-        block = digits[:, sl]
-        for g in range(k):
-            eq = block == g
-            stats_cols.append(eq.sum(axis=1))
-            stats_cols.append(eq[:, pos_mask].sum(axis=1))
-    uniq, inverse = _signature_classes(np.stack(stats_cols, axis=1))
-
-    epsilon = Fraction(spec.epsilon)
-    lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
-    uniq_ok = np.array(
-        [_class_feasible(row, slice_meta, k, epsilon, lower) for row in uniq.tolist()],
-        dtype=bool,
-    )
-    feasible = uniq_ok[inverse]
-    if not feasible.any():
-        raise Infeasible("exhaustive search found no feasible assignment")
-
-    cand = np.flatnonzero(feasible)
-    best = int(cand[np.argmin(cost[cand])])
-    assignment = digits[best].astype(np.int64)
-
-    corrected = np.array(guess)
-    corrected[enum_idx] = assignment
-    corrected.setflags(write=False)
-    changed_mask = assignment != guess[enum_idx]
-    changed_indices = tuple(int(i) for i in enum_idx[changed_mask])
-
-    moves: MoveCounts | dict[tuple[int, int], int]
-    if k == 2:
-        pos = sub_yhat == 1
-        old = guess[enum_idx]
-        moves = MoveCounts(
-            s01_pos=int(np.count_nonzero((old == 0) & (assignment == 1) & pos)),
-            s10_pos=int(np.count_nonzero((old == 1) & (assignment == 0) & pos)),
-            s01_neg=int(np.count_nonzero((old == 0) & (assignment == 1) & ~pos)),
-            s10_neg=int(np.count_nonzero((old == 1) & (assignment == 0) & ~pos)),
-        )
-    else:
-        moves = {}
-        old = guess[enum_idx]
-        for a, b in zip(old[changed_mask].tolist(), assignment[changed_mask].tolist()):
-            moves[(a, b)] = moves.get((a, b), 0) + 1
-
-    return CorrectionResult(
-        corrected, float(cost[best]), moves, changed_indices, SolverStats(states)
-    )

@@ -33,7 +33,6 @@ from .instances import (
 from .predictor import (
     LabelPredictor,
     fit_label_predictor,
-    make_fair_predictions,
     repair_predictions,
 )
 from .synth import synth_generate
@@ -57,7 +56,6 @@ __all__ = [
     "ingest_csv",
     "largest_remainder_sizes",
     "load_report_json",
-    "make_fair_predictions",
     "read_guess_csv",
     "read_instance_csv",
     "repair_predictions",

@@ -55,7 +55,7 @@ from ..core import (
     reconstruction_accuracy,
     unfairness,
 )
-from ..corrector import correct, solve_general_bruteforce
+from ..corrector import correct
 from ..errors import (
     BadParameters,
     DuplicateId,
@@ -67,6 +67,7 @@ from ..errors import (
     UnsupportedCardinality,
 )
 from ..estimator import estimate_constraint
+from ..oracle import solve_general_bruteforce
 from ._csv import write_columns, write_text
 from .data import DatasetTable, largest_remainder_sizes, split_dataset
 from .predictor import RepairState, encode_features, fit_discretizer, fit_label_predictor

@@ -18,8 +18,7 @@ one search per slice, all tolerances sharing its blocks; the corrector's
 ``solve_slices`` picks the EOdds carrier, searching it only for the
 tolerances that need it.  It returns each tolerance's lattice cells, whose
 flips ``RepairState.apply`` scatters into one copy of the predictions, as
-the corrector does; ``RepairState.repair`` and ``repair_predictions`` are
-the one-tolerance forms.
+the corrector does; ``repair_predictions`` is the one-tolerance form.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from ..core import FairnessMetric, FairnessSpec, unfairness_exact
 from ..corrector import _flip_all, _Lattice, _metric_lattices, _rows_within, search_net_moves
 from ..corrector import solve_slices
-from ..errors import DegenerateClasses, EmptyVector, Infeasible, SchemaError
+from ..errors import EmptyVector, Infeasible, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
@@ -100,8 +99,7 @@ def _repair_slice(
     # a group's members are its side's up (zero) and down (one) flips
     z1, z0 = col.hi - col.lo, row.hi - row.lo
     if not z1 or not z0:
-        # one group's rate is the overall rate: its gap of zero is within
-        # any upper bound and below any lower one
+        # a one-group slice: the empty-group rule in ``core``
         return [None if lower else (0, 0)] * len(epsilons)
     det = row.hi * -col.lo - col.hi * -row.lo  # c00*c11 - c01*c10, c[prediction][group]
 
@@ -195,11 +193,6 @@ class RepairState:
         flips = [part.flip(0, *cell) for part, cell in zip(self.parts, repair)]
         return _flip_all(self.yhat, flips)[0]
 
-    def repair(self, epsilon: float, epsilon_lower: float | None = None) -> np.ndarray:
-        """Minimally flip predictions so that the metric holds within
-        ``epsilon`` (and, when set, reaches ``epsilon_lower``), groups fixed."""
-        return self.apply(self.solve([epsilon], epsilon_lower)[0])
-
 
 def repair_predictions(
     yhat: np.ndarray,
@@ -210,13 +203,4 @@ def repair_predictions(
 ) -> np.ndarray:
     """Minimally flip predictions so that ``spec`` holds, groups held fixed."""
     state = RepairState(yhat, margins, sensitive, labels, spec.metric)
-    return state.repair(spec.epsilon, spec.epsilon_lower)
-
-
-def make_fair_predictions(train: DatasetTable, spec: FairnessSpec) -> np.ndarray:
-    """Training-set predictions of the simulated fair target model."""
-    if np.unique(train.sensitive).size == 1:
-        raise DegenerateClasses("the training table's sensitive column holds a single class")
-    predictor = fit_label_predictor(train)
-    yhat, margins = predictor.raw_predictions(train)
-    return repair_predictions(yhat, margins, train.sensitive, train.labels, spec)
+    return state.apply(state.solve([spec.epsilon], spec.epsilon_lower)[0])

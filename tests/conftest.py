@@ -1,7 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from fairleak.core import AttackInstance
+from fairleak.core import AttackInstance, FairnessSpec, unfairness_exact
+
+
+def meets_spec(spec: FairnessSpec, s, yhat, y=None) -> bool:
+    """Whether groups ``s`` meet ``spec`` exactly: the unfairness of ``yhat``
+    is at most epsilon and, when the spec sets one, at least epsilon_lower."""
+    value = unfairness_exact(spec.metric, s, yhat, y)
+    if spec.epsilon_lower is not None and value < Fraction(spec.epsilon_lower):
+        return False
+    return value <= Fraction(spec.epsilon)
 
 
 def random_instance(

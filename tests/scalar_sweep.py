@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from fairleak.corrector import MoveCounts
+from fairleak.core import MoveCounts
 from fairleak.errors import Infeasible
 
 

@@ -11,15 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import meets_spec, random_instance
 from fairleak.core import (
     AttackInstance,
     FairnessMetric,
     FairnessSpec,
-    satisfies,
     slice_for_metric,
 )
-from fairleak.corrector import correct, solve_general_bruteforce
+from fairleak.corrector import correct
 from fairleak.errors import Infeasible
 from fairleak.estimator import estimate_constraint
 from fairleak.harness import (
@@ -31,6 +30,7 @@ from fairleak.harness import (
     synth_generate,
 )
 from fairleak.cli import main as cli_main
+from fairleak.oracle import solve_general_bruteforce
 
 METRICS = list(FairnessMetric)
 EPS_GRID = (0.0, 0.05, 0.1, 0.25)
@@ -126,7 +126,7 @@ class TestCriterion2Feasibility:
                 if not any(idx.size for idx in slice_for_metric(metric, inst.labels)):
                     continue
                 checked += 1
-                assert satisfies(spec, ours.corrected, inst.predictions, inst.labels)
+                assert meets_spec(spec, ours.corrected, inst.predictions, inst.labels)
         assert checked > 1000
         print(f"\nACCEPTANCE 2a feasibility (binary): PASS ({checked} results exact)")
 
@@ -148,7 +148,7 @@ class TestCriterion2Feasibility:
             if not any(idx.size for idx in slice_for_metric(metric, inst.labels)):
                 continue
             solved += 1
-            assert satisfies(spec, result.corrected, inst.predictions, inst.labels)
+            assert meets_spec(spec, result.corrected, inst.predictions, inst.labels)
         assert solved > 20
         print(
             f"\nACCEPTANCE 2b feasibility (K=3): PASS ({cases} cases, {solved} solvable)"

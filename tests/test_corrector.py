@@ -1,19 +1,18 @@
+import ast
+import inspect
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, satisfies
+from conftest import meets_spec
+from fairleak import corrector, oracle
+from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec
 from fairleak.adversary import MIN_CONFIDENCE
-from fairleak.corrector import (
-    MoveCounts,
-    _Lattice,
-    _signature_classes,
-    correct,
-    correct_each,
-    solve_general_bruteforce,
-)
+from fairleak.corrector import MoveCounts, _Lattice, correct, correct_each
+from fairleak.oracle import _signature_classes, solve_general_bruteforce
 from fairleak.errors import (
     BudgetExceeded,
     Infeasible,
@@ -383,7 +382,7 @@ class TestCorrect:
             except Infeasible:
                 continue
             solved += 1
-            assert satisfies(spec, res.corrected, inst.predictions, inst.labels)
+            assert meets_spec(spec, res.corrected, inst.predictions, inst.labels)
         assert solved > 10
 
     def test_flip_count_identity(self):
@@ -407,7 +406,7 @@ class TestCorrect:
         )
         spec = FairnessSpec(SP, 1.0, epsilon_lower=0.4)
         res = correct(inst, spec)
-        assert satisfies(spec, res.corrected, inst.predictions, inst.labels)
+        assert meets_spec(spec, res.corrected, inst.predictions, inst.labels)
         assert res.objective > 0
 
 
@@ -533,7 +532,7 @@ class TestBruteForce:
             np.ones(n),
         )
         with pytest.raises(BudgetExceeded):
-            solve_general_bruteforce(inst, FairnessSpec(SP, 0.5), budget=2**20)
+            solve_general_bruteforce(inst, FairnessSpec(SP, 0.5))
 
     def test_signature_classes_match_the_row_sort(self, rng):
         # small radices take the int64 keys, large ones the row-wise sort
@@ -558,3 +557,19 @@ class TestBruteForce:
         inst = AttackInstance([1], [0], [1], [1.0])
         with pytest.raises(Infeasible):
             solve_general_bruteforce(inst, FairnessSpec(SP, 0.0))
+
+    def test_oracle_imports_only_core_and_errors(self):
+        # the oracle checks the lattice solver, so it must not share its code
+        allowed = set(sys.stdlib_module_names) | {"numpy"}
+        for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1 and node.module in ("core", "errors"), node.module
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module.split(".")[0] in allowed, node.module
+            elif isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] in allowed for alias in node.names)
+
+    def test_corrector_holds_no_bruteforce(self):
+        for name in ("solve_general_bruteforce", "_class_feasible", "_signature_classes",
+                     "_enumeration_positions", "DEFAULT_BRUTEFORCE_BUDGET"):
+            assert not hasattr(corrector, name), name

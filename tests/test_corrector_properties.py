@@ -9,17 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import meets_spec, random_instance
 from fairleak.core import (
     AttackInstance,
     FairnessMetric,
     FairnessSpec,
-    satisfies,
     slice_for_metric,
     unfairness_exact,
 )
-from fairleak.corrector import correct, solve_general_bruteforce
+from fairleak.corrector import correct
 from fairleak.errors import Infeasible
+from fairleak.oracle import solve_general_bruteforce
 
 METRICS = list(FairnessMetric)
 
@@ -87,7 +87,7 @@ class TestFeasibility:
             if not any(idx.size for idx in slices):
                 continue
             checked += 1
-            assert satisfies(spec, result.corrected, inst.predictions, inst.labels)
+            assert meets_spec(spec, result.corrected, inst.predictions, inst.labels)
         assert checked > 30
 
 

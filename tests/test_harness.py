@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import meets_spec
 from fairleak.adversary import (
     MODE_A,
     MODE_A_PRIME,
@@ -21,7 +22,6 @@ from fairleak.core import (
     AttackInstance,
     FairnessMetric,
     FairnessSpec,
-    satisfies,
     unfairness,
     unfairness_exact,
 )
@@ -49,7 +49,6 @@ from fairleak.harness import (
     ingest_csv,
     largest_remainder_sizes,
     load_report_json,
-    make_fair_predictions,
     read_guess_csv,
     read_instance_csv,
     run_experiment,
@@ -502,14 +501,22 @@ class TestSynthGenerate:
 
 
 class TestMakeFairPredictions:
+    """The simulated fair target: raw label predictions, then the repair."""
+
     def _biased_table(self, n=240, seed=1):
         return synth_generate(n, seed=seed, rho=0.8, beta=1.0)
+
+    @staticmethod
+    def _fair(t, spec):
+        return repair_predictions(
+            *fit_label_predictor(t).raw_predictions(t), t.sensitive, t.labels, spec
+        )
 
     def test_epsilon_one_keeps_raw_predictions(self):
         table = self._biased_table()
         predictor = fit_label_predictor(table)
         raw, _ = predictor.raw_predictions(table)
-        fair = make_fair_predictions(table, FairnessSpec(SP, 1.0))
+        fair = self._fair(table, FairnessSpec(SP, 1.0))
         assert fair.tolist() == raw.tolist()
 
     def test_constant_labels_give_constant_predictions(self):
@@ -521,9 +528,9 @@ class TestMakeFairPredictions:
             labels=np.ones(table.n, dtype=int),
             sensitive_cardinality=2,
         )
-        fair = make_fair_predictions(constant, FairnessSpec(SP, 0.3))
+        fair = self._fair(constant, FairnessSpec(SP, 0.3))
         assert len(set(fair.tolist())) == 1
-        assert satisfies(FairnessSpec(SP, 0.0), constant.sensitive, fair)
+        assert meets_spec(FairnessSpec(SP, 0.0), constant.sensitive, fair)
 
     def test_biased_fixture_repaired_to_exact_parity(self):
         # equal group sizes make exact statistical parity attainable
@@ -535,35 +542,20 @@ class TestMakeFairPredictions:
         )
         balanced = table.subset(np.sort(keep))
         spec = FairnessSpec(SP, 0.0)
-        fair = make_fair_predictions(balanced, spec)
-        assert satisfies(spec, balanced.sensitive, fair, balanced.labels)
-
-    def test_one_group_training_table_is_rejected_before_fitting(self, monkeypatch):
-        table = self._biased_table()
-        one_group = DatasetTable(
-            ids=table.ids,
-            features=table.features,
-            sensitive=np.ones(table.n, dtype=np.int64),
-            labels=table.labels,
-            sensitive_cardinality=2,
-        )
-        fits = []
-        monkeypatch.setattr(predictor, "fit_label_predictor", lambda train: fits.append(train))
-        with pytest.raises(DegenerateClasses, match="training table"):
-            make_fair_predictions(one_group, FairnessSpec(SP, 0.1))
-        assert fits == []
+        fair = self._fair(balanced, spec)
+        assert meets_spec(spec, balanced.sensitive, fair, balanced.labels)
 
     def test_eodds_repair(self):
         table = self._biased_table(n=300, seed=5)
         spec = FairnessSpec(FairnessMetric.EODDS, 0.05)
-        fair = make_fair_predictions(table, spec)
-        assert satisfies(spec, table.sensitive, fair, table.labels)
+        fair = self._fair(table, spec)
+        assert meets_spec(spec, table.sensitive, fair, table.labels)
 
     def test_repair_touches_something_on_biased_data(self):
         table = self._biased_table()
         predictor = fit_label_predictor(table)
         raw, _ = predictor.raw_predictions(table)
-        fair = make_fair_predictions(table, FairnessSpec(SP, 0.02))
+        fair = self._fair(table, FairnessSpec(SP, 0.02))
         assert unfairness(SP, table.sensitive, raw) > 0.02
         assert fair.tolist() != raw.tolist()
 
@@ -613,7 +605,7 @@ class TestRepairState:
             for eps, lower in self.TOLERANCES:
                 spec = FairnessSpec(metric, eps, lower if with_lower else None)
                 reused = self._outcome(
-                    lambda s: state.repair(s.epsilon, s.epsilon_lower), spec
+                    lambda s: state.apply(state.solve([s.epsilon], s.epsilon_lower)[0]), spec
                 )
                 one_shot = self._outcome(
                     lambda s: repair_predictions(
@@ -646,7 +638,7 @@ class TestRepairState:
             repair_predictions(yhat, margins, one, labels, FairnessSpec(SP, 0.3, 0.1))
         state = RepairState(yhat, margins, one, labels, SP)
         assert all(isinstance(r, Infeasible) for r in state.solve([0.1, 0.3], 0.1))
-        assert np.array_equal(state.repair(0.1), yhat)
+        assert np.array_equal(state.apply(state.solve([0.1])[0]), yhat)
 
     def test_boolean_predictions_repair_like_their_codes(self):
         table, yhat, margins = self._raw(1)
