@@ -82,19 +82,6 @@ class AttackSet:
     def n(self) -> int:
         return self.labels.size
 
-    def subset(self, indices: np.ndarray) -> "AttackSet":
-        return AttackSet(
-            features={k: v[indices] for k, v in self.features.items()},
-            labels=self.labels[indices],
-            sensitive=self.sensitive[indices],
-            target_predictions=(
-                None
-                if self.target_predictions is None
-                else self.target_predictions[indices]
-            ),
-            cardinality=self.cardinality,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class AttackModel:

@@ -29,6 +29,8 @@ with one cost row per vector; ``correct`` is its one-vector case.  The
 repair searches a whole tolerance grid under its one cost row.
 ``solve_slices`` solves a metric's slices for both, and alone decides which
 slice carries an EOdds lower bound, and for which vectors or tolerances.
+Both answer each slice with one ``_SolvedCell``: a lattice cell under one
+cost row, priced by ``_Lattice.cost`` and flipped by ``_Lattice.flip``.
 
 The brute-force oracle this solver is checked against, and the only solver
 for more than two groups, is ``fairleak.oracle``.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,8 +57,6 @@ from .core import (
     unfairness_exact,
 )
 from .errors import Infeasible, LengthMismatch, UnsupportedCardinality
-
-_Solution = TypeVar("_Solution")
 
 
 def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,9 +149,6 @@ class _SideCosts:
     def hi(self) -> int:
         return self.pos.shape[1] - 1
 
-    def at(self, r: int, k: int) -> float:
-        return float(self.pos[r, k] if k >= 0 else self.neg[r, -k])
-
 
 class _Lattice:
     """The net-move lattice of 0/1 vectors ``x`` split by ``z``, read in place
@@ -181,6 +178,13 @@ class _Lattice:
         pick = slice(None) if len(rows) == len(self.costs) else list(rows)
         up1, down1, up0, down0 = (totals[pick] for _, totals, _ in self.cells)
         return _SideCosts(pos=up1, neg=down1), _SideCosts(pos=up0, neg=down0)
+
+    def cost(self, r: int, u: int, v: int) -> float:
+        """The cost of cell (u, v) under cost row ``r``: its column's prefix
+        sum plus its row's."""
+        up1, down1, up0, down0 = (totals[r] for _, totals, _ in self.cells)
+        column = float((up1 if u >= 0 else down1)[abs(u)])
+        return column + float((up0 if v >= 0 else down0)[abs(v)])
 
     def flip(self, r: int, u: int, v: int) -> np.ndarray:
         """The indices into ``x`` of the entries cell (u, v) flips under cost
@@ -351,10 +355,10 @@ def _solve_sp_form(
     row: _SideCosts,
     epsilon: Fraction,
     lower: Fraction | None,
-) -> list[tuple[MoveCounts, int]]:
-    """Each cost row's cheapest moves and columns scanned; raises Infeasible
-    for all rows alike.  Both groups must be present, as the empty-group rule
-    in ``core`` says."""
+) -> list[tuple[tuple[int, int], int]]:
+    """Each cost row's cheapest lattice cell and columns scanned; raises
+    Infeasible for all rows alike.  Both groups must be present, as the
+    empty-group rule in ``core`` says."""
     # a side's up flips are its guess zeros, its down flips its guess ones:
     # z1 positive predictions, z0 negative ones, n1 guess ones
     z1, z0 = col.hi - col.lo, row.hi - row.lo
@@ -380,47 +384,28 @@ def _solve_sp_form(
     # which cells are feasible never depends on the costs
     if cells[0][0] is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
-    return [
-        (MoveCounts(max(u, 0), max(-u, 0), max(v, 0), max(-v, 0)), columns)
-        for (u, v), columns in cells
-    ]
+    return cells
 
 
 @dataclass(frozen=True, eq=False)
-class _SliceSolution:
-    moves: MoveCounts
-    changed: np.ndarray
-    objective: float
-    columns: int
-
-
-@dataclass(frozen=True, eq=False)
-class _Slice:
-    """One metric slice of a correction under several confidence vectors.
-
-    Its lattice is the guess split by the predictions at the slice's rows,
-    summed under every vector once; one search solves any list of vectors,
-    and each solution holds the rows it flips.
-    """
+class _SolvedCell:
+    """One slice's solution, for either solver: cell (u, v) of the slice's
+    lattice under cost row ``r``, found after scanning ``columns`` columns
+    (the repair does not count them)."""
 
     lattice: _Lattice
-    epsilon: Fraction
+    r: int
+    u: int
+    v: int
+    columns: int = 0
 
-    def solve(
-        self, vectors: Sequence[int], lower: Fraction | None
-    ) -> list[_SliceSolution | Infeasible]:
-        col, row = self.lattice.sides(vectors)
-        try:
-            solved = _solve_sp_form(col, row, self.epsilon, lower)
-        except Infeasible as exc:
-            return [exc] * len(vectors)
-        solutions: list[_SliceSolution | Infeasible] = []
-        for k, (vector, (moves, columns)) in enumerate(zip(vectors, solved)):
-            u, v = moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg
-            changed = self.lattice.flip(vector, u, v)
-            objective = col.at(k, u) + row.at(k, v)
-            solutions.append(_SliceSolution(moves, changed, objective, columns))
-        return solutions
+    @property
+    def changed(self) -> np.ndarray:
+        return self.lattice.flip(self.r, self.u, self.v)
+
+    @property
+    def objective(self) -> float:
+        return self.lattice.cost(self.r, self.u, self.v)
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
@@ -461,34 +446,44 @@ def _correct_rows(
     guess = instance.guess
     epsilon = Fraction(spec.epsilon)
     lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
-    slices = [
-        _Slice(lattice, epsilon)
-        for lattice in _metric_lattices(metric, instance.labels, guess, instance.predictions, confs)
-    ]
+    lattices = _metric_lattices(metric, instance.labels, guess, instance.predictions, confs)
+
+    def solve(i: int, bound: Fraction | None, vectors: list[int]) -> list:
+        try:
+            cells = _solve_sp_form(*lattices[i].sides(vectors), epsilon, bound)
+        except Infeasible as exc:
+            return [exc] * len(vectors)
+        return [_SolvedCell(lattices[i], r, *uv, n) for r, (uv, n) in zip(vectors, cells)]
+
     solved = solve_slices(
         metric,
-        len(slices),
+        len(lattices),
         confs.shape[0],
-        lambda i, bound, vectors: slices[i].solve(vectors, bound),
-        lambda i, sol: unfairness_exact(FairnessMetric.SP, *slices[i].lattice.sliced(sol.changed)),
+        solve,
+        lambda i, cell: unfairness_exact(FairnessMetric.SP, *lattices[i].sliced(cell.changed)),
         lower,
     )
 
     results = []
-    for solutions in solved:
-        if isinstance(solutions, Infeasible):
-            raise solutions
-        corrected, changed = _flip_all(guess, [sol.changed for sol in solutions])
+    for cells in solved:
+        if isinstance(cells, Infeasible):
+            raise cells
+        corrected, changed = _flip_all(guess, [cell.changed for cell in cells])
         corrected.setflags(write=False)
-        moves = MoveCounts(0, 0, 0, 0)
-        objective = 0.0
-        for sol in solutions:
-            moves = moves + sol.moves
-            objective += sol.objective
-        columns = sum(sol.columns for sol in solutions)
-        changed_indices = tuple(changed.tolist())
+        moves = MoveCounts(
+            sum(max(cell.u, 0) for cell in cells),
+            sum(max(-cell.u, 0) for cell in cells),
+            sum(max(cell.v, 0) for cell in cells),
+            sum(max(-cell.v, 0) for cell in cells),
+        )
         results.append(
-            CorrectionResult(corrected, objective, moves, changed_indices, SolverStats(columns))
+            CorrectionResult(
+                corrected,
+                sum((cell.objective for cell in cells), 0.0),
+                moves,
+                tuple(changed.tolist()),
+                SolverStats(sum(cell.columns for cell in cells)),
+            )
         )
     return results
 
@@ -497,19 +492,19 @@ def solve_slices(
     metric: FairnessMetric,
     count: int,
     lanes: int,
-    solve: Callable[[int, Fraction | None, list[int]], list[_Solution | Infeasible]],
-    gap: Callable[[int, _Solution], Fraction],
+    solve: Callable[[int, Fraction | None, list[int]], list[_SolvedCell | Infeasible]],
+    gap: Callable[[int, _SolvedCell], Fraction],
     lower: Fraction | None,
-) -> list[list[_Solution] | Infeasible]:
+) -> list[list[_SolvedCell] | Infeasible]:
     """For each of ``lanes`` problems over a metric's ``count`` nonempty
-    slices: its slices' solutions in slice order, or the Infeasible that
+    slices: its slices' solved cells in slice order, or the Infeasible that
     stops it.  A lane is one confidence vector of the corrector, or one
     tolerance of the prediction repair.
 
     ``solve(i, bound, chosen)`` solves slice i for each lane in the list
     ``chosen`` in one search, with the lower bound when ``bound`` is set,
     and gives an Infeasible in place of each lane it cannot solve;
-    ``gap(i, solution)`` measures the slice's gap.  A lane stops at its
+    ``gap(i, cell)`` measures slice i's gap.  A lane stops at its
     first infeasible slice.  A single slice carries the lower bound itself.
     EOdds with a lower bound couples its two slices: the larger slice gap
     must reach the bound, so at most one slice has to carry it.  Both slices
@@ -517,7 +512,7 @@ def solve_slices(
     re-solved with the bound attached to each slice in turn, each keeping
     its cheaper combination.
     """
-    solved: list[list[_Solution] | Infeasible] = [[] for _ in range(lanes)]
+    solved: list[list[_SolvedCell] | Infeasible] = [[] for _ in range(lanes)]
     coupled = metric is FairnessMetric.EODDS and lower is not None and count > 1
     for i in range(count):
         alive = [t for t, sols in enumerate(solved) if isinstance(sols, list)]

@@ -503,7 +503,6 @@ def run_benchmark(
     metric: FairnessMetric = FairnessMetric.SP,
     estimate: bool = False,
     oracle_check: bool = False,
-    adversary_mode: str = MODE_A_PRIME,
     rho: float = 0.6,
     beta: float = 0.5,
 ) -> ExperimentReport:
@@ -525,7 +524,6 @@ def run_benchmark(
             estimate=estimate,
             epsilon_grid=tuple(epsilon_grid),
             seeds=(seed,),
-            adversary_mode=adversary_mode,
             oracle_check=oracle_check,
         )
         report = run_experiment(config, table)

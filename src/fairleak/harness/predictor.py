@@ -16,9 +16,10 @@ of each metric slice, which reads the table's predictions, groups and
 margins in place.  ``RepairState.solve`` repairs a whole tolerance list with
 one search per slice, all tolerances sharing its blocks; the corrector's
 ``solve_slices`` picks the EOdds carrier, searching it only for the
-tolerances that need it.  It returns each tolerance's lattice cells, whose
-flips ``RepairState.apply`` scatters into one copy of the predictions, as
-the corrector does; ``repair_predictions`` is the one-tolerance form.
+tolerances that need it.  It returns each tolerance's cells in the
+corrector's one solved-cell type, ``corrector._SolvedCell``, whose flips
+``RepairState.apply`` scatters into one copy of the predictions, as the
+corrector does; ``repair_predictions`` is the one-tolerance form.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, unfairness_exact
-from ..corrector import _flip_all, _Lattice, _metric_lattices, _rows_within, search_net_moves
-from ..corrector import solve_slices
+from ..corrector import _flip_all, _Lattice, _metric_lattices, _rows_within, _SolvedCell
+from ..corrector import search_net_moves, solve_slices
 from ..errors import EmptyVector, Infeasible, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
@@ -117,23 +118,6 @@ def _repair_slice(
     return [cells[0][0] for cells in search_net_moves(col, row, window, epsilons, lower)]
 
 
-@dataclass(frozen=True, eq=False)
-class _RepairSlice:
-    """One slice's repair, a cell of its lattice.  Only the EOdds carrier
-    choice reads the predictions it flips and their margins' sum."""
-
-    part: _Lattice
-    cell: tuple[int, int]
-
-    @property
-    def changed(self) -> np.ndarray:
-        return self.part.flip(0, *self.cell)
-
-    @property
-    def objective(self) -> float:
-        return float(self.part.costs[0].take(np.sort(self.changed)).sum())
-
-
 class RepairState:
     """A table's tolerance-free repair inputs for one metric: its slices and
     the lattice of each.  Build it once; :meth:`solve` repairs a whole list
@@ -154,10 +138,10 @@ class RepairState:
 
     def solve(
         self, epsilons: Sequence[float], epsilon_lower: float | None = None
-    ) -> list[list[tuple[int, int]] | Infeasible]:
+    ) -> list[list[_SolvedCell] | Infeasible]:
         """For each tolerance in ``epsilons``: the minimal repair that makes
         the metric hold within it (and, when set, reach ``epsilon_lower``),
-        as one lattice cell per slice, or the Infeasible it raises.
+        as one solved lattice cell per slice, or the Infeasible it raises.
 
         Each slice's lattice is searched once for all tolerances, and once
         more with the lower bound attached, for the tolerances whose EOdds
@@ -169,29 +153,27 @@ class RepairState:
             return [
                 Infeasible("no prediction repair satisfies the constraint")
                 if cell is None
-                else _RepairSlice(self.parts[i], cell)
+                else _SolvedCell(self.parts[i], 0, *cell)
                 for cell in cells
             ]
 
-        solved = solve_slices(
+        return solve_slices(
             self.metric,
             len(self.parts),
             len(uppers),
             solve,
-            lambda i, sol: unfairness_exact(
-                FairnessMetric.SP, *self.parts[i].sliced(sol.changed)[::-1]
+            lambda i, cell: unfairness_exact(
+                FairnessMetric.SP, *self.parts[i].sliced(cell.changed)[::-1]
             ),
             Fraction(epsilon_lower) if epsilon_lower else None,
         )
-        return [sols if isinstance(sols, Infeasible) else [s.cell for s in sols] for sols in solved]
 
-    def apply(self, repair: list[tuple[int, int]] | Infeasible) -> np.ndarray:
+    def apply(self, repair: list[_SolvedCell] | Infeasible) -> np.ndarray:
         """The predictions one result of :meth:`solve` repairs; raises the
         Infeasible it holds."""
         if isinstance(repair, Infeasible):
             raise repair
-        flips = [part.flip(0, *cell) for part, cell in zip(self.parts, repair)]
-        return _flip_all(self.yhat, flips)[0]
+        return _flip_all(self.yhat, [cell.changed for cell in repair])[0]
 
 
 def repair_predictions(

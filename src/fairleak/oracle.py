@@ -101,7 +101,11 @@ def solve_general_bruteforce(instance: AttackInstance, spec: FairnessSpec) -> Co
     if states > _BUDGET:
         raise BudgetExceeded(f"{k}**{m} states exceed the budget of {_BUDGET}")
 
-    digits = ((np.arange(states)[:, None] // k ** np.arange(m)) % k).astype(np.int8)
+    # digit j of state s is s // k**j % k, built one int8 column at a time
+    digits = np.empty((states, m), dtype=np.int8)
+    rest = np.arange(states)
+    for j in range(m):
+        rest, digits[:, j] = np.divmod(rest, k)
     sub_guess = guess[enum_idx].astype(np.int8)
     sub_conf = conf[enum_idx]
     cost = ((digits != sub_guess) * sub_conf).sum(axis=1)

@@ -144,17 +144,21 @@ def _carve(lo, hi, inside):
 
 def solve_sp_form(
     col, row, epsilon: Fraction, lower: Fraction | None
-) -> list[tuple[MoveCounts, int]]:
-    """Solve each cost row of the package's (rows x size) sides alone."""
-    return [
-        _solve_sp_form_row(
+) -> list[tuple[tuple[int, int], int]]:
+    """Solve each cost row of the package's (rows x size) sides alone.  Each
+    result is returned as the package returns it: its lattice cell, the net
+    flips among positive and among negative predictions, and the columns
+    scanned."""
+    cells = []
+    for r in range(col.pos.shape[0]):
+        moves, columns = _solve_sp_form_row(
             SideCosts(pos=col.pos[r], neg=col.neg[r]),
             SideCosts(pos=row.pos[r], neg=row.neg[r]),
             epsilon,
             lower,
         )
-        for r in range(col.pos.shape[0])
-    ]
+        cells.append(((moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg), columns))
+    return cells
 
 
 def _solve_sp_form_row(

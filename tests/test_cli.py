@@ -62,7 +62,7 @@ class TestCorrectCommand:
         }
         assert "baseline_accuracy" in payload
 
-    def test_infeasible_exit_code(self, tmp_path):
+    def test_infeasible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("id,y,yhat,s_hat,confidence\n0,0,1,1,1.0\n", encoding="utf-8")
         code = main(
@@ -75,6 +75,8 @@ class TestCorrectCommand:
             ]
         )
         assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.splitlines()
+        assert "fairleak: infeasible: both groups must be nonempty, impossible with n < 2" in err
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(

@@ -12,6 +12,7 @@ from fairleak import corrector, oracle
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec
 from fairleak.adversary import MIN_CONFIDENCE
 from fairleak.corrector import MoveCounts, _Lattice, correct, correct_each
+from fairleak.harness.predictor import repair_predictions
 from fairleak.oracle import _signature_classes, solve_general_bruteforce
 from fairleak.errors import (
     BudgetExceeded,
@@ -311,7 +312,7 @@ class TestApplyMoves:
             v = int(rng.integers(row.lo, row.hi + 1))
             changed = np.flatnonzero(_apply(lattice, r, u, v) != x)
             assert changed.size == abs(u) + abs(v)
-            assert costs[r, changed].sum() == pytest.approx(col.at(r, u) + row.at(r, v), abs=1e-9)
+            assert costs[r, changed].sum() == pytest.approx(lattice.cost(r, u, v), abs=1e-9)
 
 
 class TestTiedTraffic:
@@ -487,6 +488,40 @@ class TestInPlace:
         assert peak / n < 42
 
 
+class TestInfeasibleMessages:
+    """Each way a lattice solve fails names its failed condition."""
+
+    def test_one_row_has_one_group(self):
+        message = r"^both groups must be nonempty, impossible with n < 2$"
+        with pytest.raises(Infeasible, match=message):
+            correct(AttackInstance([1], [0], [1], [1.0]), FairnessSpec(SP, 0.5))
+
+    def test_no_cell_within_the_bounds(self):
+        # constant predictions leave every gap at zero, below any lower bound
+        inst = AttackInstance([0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [1.0] * 4)
+        message = r"^no move assignment satisfies the rate constraints$"
+        with pytest.raises(Infeasible, match=message):
+            correct(inst, FairnessSpec(SP, 0.5, 0.1))
+
+    def test_no_prediction_repair(self):
+        # one group's gap is zero, below any lower bound
+        yhat, zeros = np.array([0, 1, 0, 1]), np.zeros(4, dtype=int)
+        with pytest.raises(Infeasible, match=r"^no prediction repair satisfies the constraint$"):
+            repair_predictions(yhat, np.ones(4), zeros, zeros, FairnessSpec(SP, 0.5, 0.1))
+
+    def test_no_eodds_carrier(self):
+        # both slices solve upper-only at gap zero, and neither can carry the
+        # lower bound: the corrector's predictions are constant within each
+        # label slice, and each of the repair's slices holds one group
+        labels = np.array([0, 0, 1, 1])
+        spec = FairnessSpec(EODDS, 0.5, 0.1)
+        message = r"^no slice can reach the required lower unfairness bound$"
+        with pytest.raises(Infeasible, match=message):
+            correct(AttackInstance(labels, labels, [0, 1, 0, 1], [1.0] * 4), spec)
+        with pytest.raises(Infeasible, match=message):
+            repair_predictions(np.array([0, 1, 0, 1]), np.ones(4), labels, labels, spec)
+
+
 class TestBruteForce:
     def test_matches_efficient_on_spec_example(self):
         inst = AttackInstance([1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1])
@@ -533,6 +568,23 @@ class TestBruteForce:
         )
         with pytest.raises(BudgetExceeded):
             solve_general_bruteforce(inst, FairnessSpec(SP, 0.5))
+
+    def test_enumeration_at_the_budget_keeps_one_byte_a_digit(self):
+        # 20 rows, 2**20 states: int64 digit matrices alone would take 336 MiB,
+        # where int8 digits take 20 MiB and the float cost matrix 168 MiB
+        yhat = np.array([0, 1] * 10)
+        inst = AttackInstance(yhat, np.zeros(20, dtype=int), yhat, np.linspace(0.05, 1.0, 20))
+        spec = FairnessSpec(SP, 0.1)
+        tracemalloc.start()
+        try:
+            result = solve_general_bruteforce(inst, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stats.nodes == 2**20
+        assert result.changed_indices == correct(inst, spec).changed_indices
+        assert result.objective == pytest.approx(1.8)
+        assert peak < 256 * 2**20
 
     def test_signature_classes_match_the_row_sort(self, rng):
         # small radices take the int64 keys, large ones the row-wise sort

@@ -709,13 +709,14 @@ class TestHoistedAttackModel:
         for _ in range(4):
             yh_train = rng.integers(0, 2, train.n)
             yh_attack = rng.integers(0, 2, attack.n)
-            full = AttackSet(
-                features=feats_attack,
-                labels=attack.labels,
-                sensitive=attack.sensitive,
-                target_predictions=yh_attack,
+            fit_idx = hoisted.fit_idx
+            fit = AttackSet(
+                features={k: v[fit_idx] for k, v in feats_attack.items()},
+                labels=attack.labels[fit_idx],
+                sensitive=attack.sensitive[fit_idx],
+                target_predictions=yh_attack[fit_idx],
             )
-            model = train_baseline(full.subset(hoisted.fit_idx), mode)
+            model = train_baseline(fit, mode)
             aprime = mode == MODE_A_PRIME
             want = (
                 predict_guess(model, feats_train, train.labels, yh_train if aprime else None),
@@ -733,7 +734,6 @@ class TestHoistedAttackModel:
             if aprime:
                 # one naive Bayes fitted on every column at once, the
                 # prediction column last, gives the same probabilities
-                fit = full.subset(hoisted.fit_idx)
                 joint = fit_naive_bayes(
                     {**fit.features, "y": fit.labels, "yhat": fit.target_predictions},
                     fit.sensitive,
