@@ -2,7 +2,8 @@
 
 Subcommands: ``correct``, ``estimate``, ``attack``, ``synth``, ``bench``.
 Exit codes: 0 on success, 2 when a correction is infeasible, 3 on input
-errors.  ``FAIRLEAK_LOG`` in {error, info, debug} sets the log level.
+errors; a failure is written to stderr once, as one ``fairleak:`` line.
+``FAIRLEAK_LOG`` in {error, info, debug} sets the log level.
 """
 
 from __future__ import annotations
@@ -246,11 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except Infeasible as exc:
-        log.error("infeasible: %s", exc)
         print(f"fairleak: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (FairleakError, OSError, ValueError) as exc:
-        log.error("input error: %s", exc)
         print(f"fairleak: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

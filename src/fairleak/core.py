@@ -15,7 +15,7 @@ Empty groups follow one rule, in three parts:
 - ``_group_rate_gap``, and so every unfairness measured here, skips the
   groups absent from a slice;
 - the prediction repair holds the groups fixed, and a slice of one group has
-  gap zero: within any upper bound, and below any positive lower bound.
+  gap zero, within any upper bound.
 """
 
 from __future__ import annotations
@@ -158,14 +158,6 @@ class MoveCounts:
     @property
     def total(self) -> int:
         return self.s01_pos + self.s10_pos + self.s01_neg + self.s10_neg
-
-    def __add__(self, other: "MoveCounts") -> "MoveCounts":
-        return MoveCounts(
-            self.s01_pos + other.s01_pos,
-            self.s10_pos + other.s10_pos,
-            self.s01_neg + other.s01_neg,
-            self.s10_neg + other.s10_neg,
-        )
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ finds for a whole block of columns at once.
 
 ``correct_each`` solves one instance under several confidence vectors, as
 the adversary's choice of confidence exponent does, in one search per slice
-with one cost row per vector; ``correct`` is its one-vector case.  The
-repair searches a whole tolerance grid under its one cost row.
-``solve_slices`` solves a metric's slices for both, and alone decides which
-slice carries an EOdds lower bound, and for which vectors or tolerances.
-Both answer each slice with one ``_SolvedCell``: a lattice cell under one
-cost row, priced by ``_Lattice.cost`` and flipped by ``_Lattice.flip``.
+with one cost row per vector; ``correct`` is its one-vector case, and only
+the corrector decides which slice carries an EOdds lower bound.  The repair,
+which enforces an upper bound alone, searches a whole tolerance grid under
+its one cost row.  Both answer each slice with one ``_SolvedCell``: a
+lattice cell under one cost row, priced by ``_Lattice.cost`` and flipped by
+``_Lattice.flip``.
 
 The brute-force oracle this solver is checked against, and the only solver
 for more than two groups, is ``fairleak.oracle``.
@@ -201,11 +201,6 @@ class _Lattice:
                 idx = idx[chosen]
             picks.append(idx[:k])
         return np.concatenate(picks)
-
-    def sliced(self, changed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slice's ``x`` with the entries ``changed`` flipped, and its ``z``."""
-        flipped, idx = _flip_all(self.x, [changed])[0], self.idx
-        return (flipped, self.z) if idx is None else (flipped.take(idx), self.z.take(idx))
 
 
 def _metric_lattices(
@@ -407,6 +402,14 @@ class _SolvedCell:
     def objective(self) -> float:
         return self.lattice.cost(self.r, self.u, self.v)
 
+    @property
+    def gap(self) -> Fraction:
+        """The slice's SP gap, ``x`` split by ``z``, once the cell's flips apply."""
+        part = self.lattice
+        flipped = _flip_all(part.x, [self.changed])[0]
+        rows = slice(None) if part.idx is None else part.idx
+        return unfairness_exact(FairnessMetric.SP, flipped[rows], part.z[rows])
+
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
     """Correct a binary guess to satisfy ``spec`` at minimum weighted cost.
@@ -439,7 +442,16 @@ def correct_each(
 def _correct_rows(
     instance: AttackInstance, spec: FairnessSpec, confs: np.ndarray
 ) -> list[CorrectionResult]:
-    """:func:`correct_each` with the vectors validated and stacked as rows."""
+    """:func:`correct_each` with the vectors validated and stacked as rows.
+
+    A single slice carries the lower bound itself.  EOdds with a lower bound
+    couples its two slices: the larger slice gap must reach the bound, so at
+    most one slice has to carry it.  Both slices are solved upper-only, and
+    only the vectors that miss the bound are re-solved with the bound
+    attached to each slice in turn, each keeping its cheaper combination,
+    ties to slice 0.  Which cells are feasible never depends on the costs,
+    so every solve below succeeds or raises for all of its vectors alike.
+    """
     if instance.cardinality != 2:
         raise UnsupportedCardinality("correct() handles binary guesses; use the general model")
     metric = FairnessMetric(spec.metric)
@@ -447,27 +459,35 @@ def _correct_rows(
     epsilon = Fraction(spec.epsilon)
     lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
     lattices = _metric_lattices(metric, instance.labels, guess, instance.predictions, confs)
+    coupled = metric is FairnessMetric.EODDS and lower is not None and len(lattices) > 1
 
-    def solve(i: int, bound: Fraction | None, vectors: list[int]) -> list:
-        try:
-            cells = _solve_sp_form(*lattices[i].sides(vectors), epsilon, bound)
-        except Infeasible as exc:
-            return [exc] * len(vectors)
-        return [_SolvedCell(lattices[i], r, *uv, n) for r, (uv, n) in zip(vectors, cells)]
+    def solve(i: int, bound: Fraction | None, rows: list[int]) -> list[_SolvedCell]:
+        cells = _solve_sp_form(*lattices[i].sides(rows), epsilon, bound)
+        return [_SolvedCell(lattices[i], r, *uv, n) for r, (uv, n) in zip(rows, cells)]
 
-    solved = solve_slices(
-        metric,
-        len(lattices),
-        confs.shape[0],
-        solve,
-        lambda i, cell: unfairness_exact(FairnessMetric.SP, *lattices[i].sliced(cell.changed)),
-        lower,
-    )
+    vectors = list(range(confs.shape[0]))
+    slices = [solve(i, None if coupled else lower, vectors) for i in range(len(lattices))]
+    solved = [[cells[t] for cells in slices] for t in vectors]
+    missed = [t for t in vectors if coupled and max(cell.gap for cell in solved[t]) < lower]
+    if missed:
+        best: dict[int, tuple[float, list[_SolvedCell]]] = {}
+        for carrier in (0, 1):
+            try:
+                forced = solve(carrier, lower, missed)
+            except Infeasible:
+                continue
+            for t, cell in zip(missed, forced):
+                combo = [cell if i == carrier else sol for i, sol in enumerate(solved[t])]
+                cost = sum(sol.objective for sol in combo)
+                if t not in best or cost < best[t][0]:
+                    best[t] = cost, combo
+        if not best:
+            raise Infeasible("no slice can reach the required lower unfairness bound")
+        for t, (_, combo) in best.items():
+            solved[t] = combo
 
     results = []
     for cells in solved:
-        if isinstance(cells, Infeasible):
-            raise cells
         corrected, changed = _flip_all(guess, [cell.changed for cell in cells])
         corrected.setflags(write=False)
         moves = MoveCounts(
@@ -486,59 +506,3 @@ def _correct_rows(
             )
         )
     return results
-
-
-def solve_slices(
-    metric: FairnessMetric,
-    count: int,
-    lanes: int,
-    solve: Callable[[int, Fraction | None, list[int]], list[_SolvedCell | Infeasible]],
-    gap: Callable[[int, _SolvedCell], Fraction],
-    lower: Fraction | None,
-) -> list[list[_SolvedCell] | Infeasible]:
-    """For each of ``lanes`` problems over a metric's ``count`` nonempty
-    slices: its slices' solved cells in slice order, or the Infeasible that
-    stops it.  A lane is one confidence vector of the corrector, or one
-    tolerance of the prediction repair.
-
-    ``solve(i, bound, chosen)`` solves slice i for each lane in the list
-    ``chosen`` in one search, with the lower bound when ``bound`` is set,
-    and gives an Infeasible in place of each lane it cannot solve;
-    ``gap(i, cell)`` measures slice i's gap.  A lane stops at its
-    first infeasible slice.  A single slice carries the lower bound itself.
-    EOdds with a lower bound couples its two slices: the larger slice gap
-    must reach the bound, so at most one slice has to carry it.  Both slices
-    are solved upper-only, and only the lanes that miss the bound are
-    re-solved with the bound attached to each slice in turn, each keeping
-    its cheaper combination.
-    """
-    solved: list[list[_SolvedCell] | Infeasible] = [[] for _ in range(lanes)]
-    coupled = metric is FairnessMetric.EODDS and lower is not None and count > 1
-    for i in range(count):
-        alive = [t for t, sols in enumerate(solved) if isinstance(sols, list)]
-        if not alive:
-            break
-        for t, sol in zip(alive, solve(i, None if coupled else lower, alive)):
-            if isinstance(sol, Infeasible):
-                solved[t] = sol
-            else:
-                solved[t].append(sol)
-    if not coupled:
-        return solved
-    missed = [t for t, sols in enumerate(solved) if isinstance(sols, list)]
-    missed = [t for t in missed if max(map(gap, (0, 1), solved[t])) < lower]
-    if not missed:
-        return solved
-    candidates: dict[int, list] = {t: [] for t in missed}
-    for carrier in (0, 1):
-        for t, forced in zip(missed, solve(carrier, lower, missed)):
-            if not isinstance(forced, Infeasible):
-                combo = [forced if i == carrier else sol for i, sol in enumerate(solved[t])]
-                candidates[t].append((sum(sol.objective for sol in combo), carrier, combo))
-    for t, found in candidates.items():
-        solved[t] = (
-            min(found, key=lambda item: item[:2])[2]
-            if found
-            else Infeasible("no slice can reach the required lower unfairness bound")
-        )
-    return solved

@@ -3,16 +3,15 @@
 Only the repaired target predictions depend on the tolerance, so a sweep
 does the rest once per seed.  Per seed: split the dataset, fit the label
 predictor, repair each part for the whole grid (one lattice search per
-metric slice, keeping each tolerance's lattice cell, or the Infeasible that
-tolerance raises), and build the adversary.  That is the external guess with
-its shaped confidences, or the attack model: the fit/validation split, the
-discretised features and the naive-Bayes tables of the feature and label
-columns, with their log joints on the training and validation rows, which
-in mode ``a`` already give the guesses.  Per (seed, epsilon) cell: apply
-the three parts' repair cells, raising a repair's Infeasible first, score
-the target model, optionally estimate the constraint, in mode ``aprime``
-fit the prediction column and add its term to the log joints, choose the
-confidence exponent, correct and score.
+metric slice, keeping each tolerance's lattice cell), and build the
+adversary.  That is the external guess with its shaped confidences, or the
+attack model: the fit/validation split, the discretised features and the
+naive-Bayes tables of the feature and label columns, with their log joints
+on the training and validation rows, which in mode ``a`` already give the
+guesses.  Per (seed, epsilon) cell: apply the three parts' repair cells,
+score the target model, optionally estimate the constraint, in mode
+``aprime`` fit the prediction column and add its term to the log joints,
+choose the confidence exponent, correct and score.
 
 Cell failures are recorded in their row instead of aborting the sweep.  A
 per-seed stage that fails is recorded in every cell of its seed: the
@@ -281,7 +280,7 @@ class _Seed:
 
     parts: tuple[DatasetTable, DatasetTable, DatasetTable]
     repairs: tuple[RepairState, ...]
-    # per part, per grid tolerance: RepairState.solve's cells or Infeasible
+    # per part, per grid tolerance: RepairState.solve's cells
     repaired: tuple[list, ...]
     floors: tuple[float, ...]  # one-count tolerance floor of each part
     adversary: tuple[np.ndarray, np.ndarray] | _AttackModel | FairleakError
@@ -296,8 +295,6 @@ def _prepare_seed(config: ExperimentConfig, table: DatasetTable, seed: int) -> _
         for part in parts
     )
     floors = tuple(_min_group_floor(part.sensitive) for part in parts)
-    # fair training only ever enforces the upper bound; the lower bound
-    # is adversary-side knowledge used by the correction alone
     repaired = tuple(
         repair.solve([max(epsilon, floor) for epsilon in config.epsilon_grid])
         for repair, floor in zip(repairs, floors)

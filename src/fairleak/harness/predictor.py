@@ -14,12 +14,14 @@ under the same determinant band: the groups are fixed, so group g's gap
 ``RepairState`` holds what does not depend on the tolerance: the lattice
 of each metric slice, which reads the table's predictions, groups and
 margins in place.  ``RepairState.solve`` repairs a whole tolerance list with
-one search per slice, all tolerances sharing its blocks; the corrector's
-``solve_slices`` picks the EOdds carrier, searching it only for the
-tolerances that need it.  It returns each tolerance's cells in the
-corrector's one solved-cell type, ``corrector._SolvedCell``, whose flips
-``RepairState.apply`` scatters into one copy of the predictions, as the
-corrector does; ``repair_predictions`` is the one-tolerance form.
+one search per slice, all tolerances sharing its blocks.  The repair
+enforces an upper bound alone, as fair training does; a lower bound is the
+adversary's knowledge, used by the correction only.  An upper-only repair
+always exists: flipping a slice's predictions all to 0 leaves it no gap.
+Each tolerance's cells come in the corrector's one solved-cell type,
+``corrector._SolvedCell``, whose flips ``RepairState.apply`` scatters into
+one copy of the predictions, as the corrector does; ``repair_predictions``
+is the one-tolerance form.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core import FairnessMetric, FairnessSpec, unfairness_exact
+from ..core import FairnessMetric, FairnessSpec
 from ..corrector import _flip_all, _Lattice, _metric_lattices, _rows_within, _SolvedCell
-from ..corrector import search_net_moves, solve_slices
-from ..errors import EmptyVector, Infeasible, SchemaError
+from ..corrector import search_net_moves
+from ..errors import BadParameters, EmptyVector, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
@@ -89,19 +91,16 @@ def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
     return LabelPredictor(nb=nb, discretizer=disc, feature_names=names)
 
 
-def _repair_slice(
-    part: _Lattice, epsilons: Sequence[Fraction], lower: Fraction | None
-) -> list[tuple[int, int] | None]:
+def _repair_slice(part: _Lattice, epsilons: Sequence[Fraction]) -> list[tuple[int, int]]:
     """Repair one slice's lattice under each upper bound of ``epsilons``: its
     predictions split by its groups, group 1 the columns, group 0 the rows,
-    the margins the one cost row.  Each repair is the lattice cell to flip,
-    or None when no cell is feasible."""
+    the margins the one cost row.  Each repair is the lattice cell to flip."""
     col, row = part.sides([0])
     # a group's members are its side's up (zero) and down (one) flips
     z1, z0 = col.hi - col.lo, row.hi - row.lo
     if not z1 or not z0:
         # a one-group slice: the empty-group rule in ``core``
-        return [None if lower else (0, 0)] * len(epsilons)
+        return [(0, 0)] * len(epsilons)
     det = row.hi * -col.lo - col.hi * -row.lo  # c00*c11 - c01*c10, c[prediction][group]
 
     def window(
@@ -115,7 +114,7 @@ def _repair_slice(
                   for s in (1, -1)]
         return _rows_within(u, planes, strict, row.lo, row.hi)
 
-    return [cells[0][0] for cells in search_net_moves(col, row, window, epsilons, lower)]
+    return [cells[0][0] for cells in search_net_moves(col, row, window, epsilons, None)]
 
 
 class RepairState:
@@ -133,46 +132,23 @@ class RepairState:
         metric: FairnessMetric,
     ) -> None:
         self.yhat = np.asarray(yhat)
-        self.metric = FairnessMetric(metric)
-        self.parts = _metric_lattices(self.metric, labels, self.yhat, sensitive, margins[None])
-
-    def solve(
-        self, epsilons: Sequence[float], epsilon_lower: float | None = None
-    ) -> list[list[_SolvedCell] | Infeasible]:
-        """For each tolerance in ``epsilons``: the minimal repair that makes
-        the metric hold within it (and, when set, reach ``epsilon_lower``),
-        as one solved lattice cell per slice, or the Infeasible it raises.
-
-        Each slice's lattice is searched once for all tolerances, and once
-        more with the lower bound attached, for the tolerances whose EOdds
-        carrier needs it."""
-        uppers = [Fraction(epsilon) for epsilon in epsilons]
-
-        def solve(i: int, bound: Fraction | None, lanes: list[int]) -> list:
-            cells = _repair_slice(self.parts[i], [uppers[t] for t in lanes], bound)
-            return [
-                Infeasible("no prediction repair satisfies the constraint")
-                if cell is None
-                else _SolvedCell(self.parts[i], 0, *cell)
-                for cell in cells
-            ]
-
-        return solve_slices(
-            self.metric,
-            len(self.parts),
-            len(uppers),
-            solve,
-            lambda i, cell: unfairness_exact(
-                FairnessMetric.SP, *self.parts[i].sliced(cell.changed)[::-1]
-            ),
-            Fraction(epsilon_lower) if epsilon_lower else None,
+        self.parts = _metric_lattices(
+            FairnessMetric(metric), labels, self.yhat, sensitive, margins[None]
         )
 
-    def apply(self, repair: list[_SolvedCell] | Infeasible) -> np.ndarray:
-        """The predictions one result of :meth:`solve` repairs; raises the
-        Infeasible it holds."""
-        if isinstance(repair, Infeasible):
-            raise repair
+    def solve(self, epsilons: Sequence[float]) -> list[list[_SolvedCell]]:
+        """For each tolerance in ``epsilons``: the minimal repair that makes
+        the metric hold within it, as one solved lattice cell per slice.
+        Each slice's lattice is searched once for all tolerances."""
+        uppers = [Fraction(epsilon) for epsilon in epsilons]
+        slices = [_repair_slice(part, uppers) for part in self.parts]
+        return [
+            [_SolvedCell(part, 0, *cells[t]) for part, cells in zip(self.parts, slices)]
+            for t in range(len(uppers))
+        ]
+
+    def apply(self, repair: list[_SolvedCell]) -> np.ndarray:
+        """The predictions one result of :meth:`solve` repairs."""
         return _flip_all(self.yhat, [cell.changed for cell in repair])[0]
 
 
@@ -183,6 +159,9 @@ def repair_predictions(
     labels: np.ndarray,
     spec: FairnessSpec,
 ) -> np.ndarray:
-    """Minimally flip predictions so that ``spec`` holds, groups held fixed."""
+    """Minimally flip predictions so that ``spec`` holds, groups held fixed.
+    The repair takes an upper bound only."""
+    if spec.epsilon_lower is not None:
+        raise BadParameters("the prediction repair takes no lower bound")
     state = RepairState(yhat, margins, sensitive, labels, spec.metric)
-    return state.apply(state.solve([spec.epsilon], spec.epsilon_lower)[0])
+    return state.apply(state.solve([spec.epsilon])[0])

@@ -3,7 +3,8 @@
 This is the scalar engine the package shipped before the block-wise
 vectorised sweep, kept verbatim as the cross-check reference.  Every window
 is derived independently of the package: the corrector's in terms of the
-group-1 size, the repair's by tightening one linear constraint at a time.
+group-1 size, the upper-only repair's by tightening one linear constraint
+at a time.
 ``solve_sp_form`` has the signature of ``fairleak.corrector._solve_sp_form``
 (the sweep on one cost row at a time) and ``repair_slice_state`` that of
 ``fairleak.harness.predictor._repair_slice`` (``repair_slice`` on one
@@ -204,13 +205,13 @@ def _solve_sp_form_row(
     return MoveCounts(max(u, 0), max(-u, 0), max(v, 0), max(-v, 0)), columns
 
 
-def _tighten(a, b, lo, hi, strict=False):
-    """Tighten [lo, hi] with the constraint a*v + b >= 0 (> 0 when strict)."""
+def _tighten(a, b, lo, hi):
+    """Tighten [lo, hi] with the constraint a*v + b >= 0."""
     if a > 0:
-        lo = max(lo, (-b) // a + 1 if strict else -(b // a))
+        lo = max(lo, -(b // a))
     elif a < 0:
-        hi = min(hi, -((-b) // (-a)) - 1 if strict else (-b) // a)
-    elif (b < 0) or (strict and b == 0):
+        hi = min(hi, (-b) // a)
+    elif b < 0:
         return 1, 0
     return lo, hi
 
@@ -226,26 +227,20 @@ def repair_slice(
     sensitive: np.ndarray,
     idx: np.ndarray,
     epsilon: Fraction,
-    lower: Fraction | None,
 ) -> _RepairSlice:
+    """The cheapest repair of one slice to gaps within ``epsilon``."""
     sub_y = yhat[idx]
     sub_s = sensitive[idx]
     n = idx.size
     n1 = int(np.count_nonzero(sub_s == 1))
     n0 = n - n1
     if n1 == 0 or n0 == 0:
-        # one group's gap is zero: within any upper bound, below any lower
-        if lower is not None and lower > 0:
-            raise Infeasible("a slice of one group cannot reach a lower bound")
+        # one group's gap is zero, within any upper bound
         return _RepairSlice(sub_y.copy(), 0.0)
     pos1 = int(np.count_nonzero(sub_y[sub_s == 1]))
     pos0 = int(np.count_nonzero(sub_y[sub_s == 0]))
     tot = pos1 + pos0
     en, ed = epsilon.numerator, epsilon.denominator
-    if lower is not None and lower > 0:
-        ln, ld = lower.numerator, lower.denominator
-    else:
-        ln = ld = 0
 
     local = np.arange(n)
     up1, up1_order = _prefix(margins[idx], local[(sub_s == 1) & (sub_y == 0)])
@@ -253,27 +248,18 @@ def repair_slice(
     up0, up0_order = _prefix(margins[idx], local[(sub_s == 0) & (sub_y == 0)])
     down0, down0_order = _prefix(margins[idx], local[(sub_s == 0) & (sub_y == 1)])
 
-    def window(u, num, den, strict):
+    def feasible_rows(u):
         t = tot + u
         p1 = pos1 + u
         lo, hi = -pos0, n0 - pos0
-        c1 = (t * n1 - p1 * n) * den
-        lo, hi = _tighten(n1 * den, num * n * n1 + c1, lo, hi, strict)
-        lo, hi = _tighten(-n1 * den, num * n * n1 - c1, lo, hi, strict)
-        c0 = (t * n0 - pos0 * n) * den
-        slope = (n0 - n) * den
-        lo, hi = _tighten(slope, num * n * n0 + c0, lo, hi, strict)
-        lo, hi = _tighten(-slope, num * n * n0 - c0, lo, hi, strict)
-        return lo, hi
-
-    def feasible_rows(u):
-        lo, hi = window(u, en, ed, strict=False)
-        if lo > hi:
-            return ()
-        if ld == 0:
-            return ((lo, hi),)
-        ilo, ihi = window(u, ln, ld, strict=True)
-        return _carve(lo, hi, None if ilo > ihi else (ilo, ihi))
+        c1 = (t * n1 - p1 * n) * ed
+        lo, hi = _tighten(n1 * ed, en * n * n1 + c1, lo, hi)
+        lo, hi = _tighten(-n1 * ed, en * n * n1 - c1, lo, hi)
+        c0 = (t * n0 - pos0 * n) * ed
+        slope = (n0 - n) * ed
+        lo, hi = _tighten(slope, en * n * n0 + c0, lo, hi)
+        lo, hi = _tighten(-slope, en * n * n0 - c0, lo, hi)
+        return ((lo, hi),) if lo <= hi else ()
 
     if any(lo <= 0 <= hi for lo, hi in feasible_rows(0)):
         return _RepairSlice(sub_y.copy(), 0.0)
@@ -281,8 +267,8 @@ def repair_slice(
     col = SideCosts(pos=up1, neg=down1)
     row = SideCosts(pos=up0, neg=down0)
     state, _ = sweep_net_moves(col, row, feasible_rows)
-    if state is None:
-        raise Infeasible("no prediction repair satisfies the constraint")
+    # flipping every prediction to 0 leaves no gap, so some cell is feasible
+    assert state is not None
     k1, k0 = state
     repaired = sub_y.copy()
     flips = []
@@ -301,25 +287,19 @@ def repair_slice(
     return _RepairSlice(repaired, cost)
 
 
-def repair_slice_state(
-    part, epsilons: list[Fraction], lower: Fraction | None
-) -> list[tuple[int, int] | None]:
+def repair_slice_state(part, epsilons: list[Fraction]) -> list[tuple[int, int]]:
     """``repair_slice`` on a slice the package prepared, one tolerance at a
     time: only its raw predictions, margins and groups are read, never its
     sorted costs.  Each repair is returned as the package returns it: its
-    lattice cell, the net flips in group 1 and in group 0, or None when it is
-    infeasible.  The package must rebuild from that cell the very vector the
-    reference repaired, and price it at the reference's cost."""
+    lattice cell, the net flips in group 1 and in group 0.  The package must
+    rebuild from that cell the very vector the reference repaired, and price
+    it at the reference's cost."""
     idx = np.arange(part.x.size) if part.idx is None else part.idx
     x, z, margins = part.x[idx], part.z[idx], part.costs[0][idx]
     local = np.arange(idx.size)
     cells = []
     for epsilon in epsilons:
-        try:
-            ref = repair_slice(x, margins, z, local, epsilon, lower)
-        except Infeasible:
-            cells.append(None)
-            continue
+        ref = repair_slice(x, margins, z, local, epsilon)
         flips = ref.yhat - x
         cell = (int(flips[z == 1].sum()), int(flips[z == 0].sum()))
         # the flip, applied to the caller's whole vector, must change no

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairleak
 from fairleak.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from fairleak.harness import synth_generate, write_dataset_csv
 
@@ -77,6 +81,43 @@ class TestCorrectCommand:
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err.splitlines()
         assert "fairleak: infeasible: both groups must be nonempty, impossible with n < 2" in err
+
+    @pytest.mark.parametrize(
+        "rows, code, line",
+        [
+            (
+                "0,0,1,1,0.5\n",
+                EXIT_INFEASIBLE,
+                "fairleak: infeasible: both groups must be nonempty, impossible with n < 2",
+            ),
+            (
+                "0,0,1,1,0.5\n1,x,1,1,0.5\n",
+                EXIT_INPUT,
+                "fairleak: error: row 3, column 'y': 'x' is not an integer",
+            ),
+        ],
+        ids=["infeasible", "input-error"],
+    )
+    def test_failure_is_one_stderr_line(self, tmp_path, rows, code, line):
+        # at the default log level, as a console user runs it
+        path = tmp_path / "instance.csv"
+        path.write_text("id,y,yhat,s_hat,confidence\n" + rows, encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "FAIRLEAK_LOG"}
+        env["PYTHONPATH"] = str(Path(fairleak.__file__).parents[1])
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "fairleak.cli", "correct",
+                "--input", str(path),
+                "--metric", "sp",
+                "--epsilon", "0.1",
+                "--out", str(tmp_path / "out.csv"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == code
+        assert done.stderr == line + "\n"
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(

@@ -15,6 +15,7 @@ from fairleak.corrector import MoveCounts, _Lattice, correct, correct_each
 from fairleak.harness.predictor import repair_predictions
 from fairleak.oracle import _signature_classes, solve_general_bruteforce
 from fairleak.errors import (
+    BadParameters,
     BudgetExceeded,
     Infeasible,
     LengthMismatch,
@@ -503,22 +504,16 @@ class TestInfeasibleMessages:
         with pytest.raises(Infeasible, match=message):
             correct(inst, FairnessSpec(SP, 0.5, 0.1))
 
-    def test_no_prediction_repair(self):
-        # one group's gap is zero, below any lower bound
-        yhat, zeros = np.array([0, 1, 0, 1]), np.zeros(4, dtype=int)
-        with pytest.raises(Infeasible, match=r"^no prediction repair satisfies the constraint$"):
-            repair_predictions(yhat, np.ones(4), zeros, zeros, FairnessSpec(SP, 0.5, 0.1))
-
     def test_no_eodds_carrier(self):
         # both slices solve upper-only at gap zero, and neither can carry the
-        # lower bound: the corrector's predictions are constant within each
-        # label slice, and each of the repair's slices holds one group
+        # lower bound: the predictions are constant within each label slice
         labels = np.array([0, 0, 1, 1])
         spec = FairnessSpec(EODDS, 0.5, 0.1)
         message = r"^no slice can reach the required lower unfairness bound$"
         with pytest.raises(Infeasible, match=message):
             correct(AttackInstance(labels, labels, [0, 1, 0, 1], [1.0] * 4), spec)
-        with pytest.raises(Infeasible, match=message):
+        # the prediction repair, an upper-only fair training, takes no lower bound
+        with pytest.raises(BadParameters, match=r"^the prediction repair takes no lower bound$"):
             repair_predictions(np.array([0, 1, 0, 1]), np.ones(4), labels, labels, spec)
 
 

@@ -22,6 +22,7 @@ from fairleak.core import (
     AttackInstance,
     FairnessMetric,
     FairnessSpec,
+    slice_for_metric,
     unfairness,
     unfairness_exact,
 )
@@ -563,62 +564,24 @@ class TestMakeFairPredictions:
 class TestRepairState:
     """One state, built once per table, serves every tolerance."""
 
-    # (eps, lower): a lower bound at or near eps is generically missed by the
-    # upper-only repair, so the EOdds carrier re-solves a slice with it
-    TOLERANCES = (
-        (0.3, 0.25),
-        (0.0, None),
-        (0.001, 0.001),
-        (0.01, 0.0099),
-        (0.05, 0.025),
-        (0.2, 0.19),
-        (0.01, None),
-    )
+    TOLERANCES = (0.3, 0.0, 0.001, 0.01, 0.05, 0.2)
 
     def _raw(self, seed, beta=1.0):
         table = synth_generate(3000, seed=seed, rho=0.8, beta=beta)
         yhat, margins = fit_label_predictor(table).raw_predictions(table)
         return table, yhat, margins
 
-    @staticmethod
-    def _outcome(repair, spec):
-        try:
-            return repair(spec)
-        except Infeasible:
-            return None
-
     @pytest.mark.parametrize("metric", list(FairnessMetric))
-    @pytest.mark.parametrize("with_lower", [False, True])
-    def test_reuse_matches_one_shot_repair(self, monkeypatch, metric, with_lower):
-        carried = []
-        original = predictor._repair_slice
-
-        def spy(part, epsilons, lower):
-            solved = original(part, epsilons, lower)
-            carried.append(lower is not None)
-            return solved
-
-        monkeypatch.setattr(predictor, "_repair_slice", spy)
+    def test_reuse_matches_one_shot_repair(self, metric):
         for seed, beta in ((1, 1.0), (2, 1.0), (3, 0.1)):
             table, yhat, margins = self._raw(seed, beta)
             state = RepairState(yhat, margins, table.sensitive, table.labels, metric)
-            for eps, lower in self.TOLERANCES:
-                spec = FairnessSpec(metric, eps, lower if with_lower else None)
-                reused = self._outcome(
-                    lambda s: state.apply(state.solve([s.epsilon], s.epsilon_lower)[0]), spec
+            for eps in self.TOLERANCES:
+                reused = state.apply(state.solve([eps])[0])
+                one_shot = repair_predictions(
+                    yhat, margins, table.sensitive, table.labels, FairnessSpec(metric, eps)
                 )
-                one_shot = self._outcome(
-                    lambda s: repair_predictions(
-                        yhat, margins, table.sensitive, table.labels, s
-                    ),
-                    spec,
-                )
-                assert (reused is None) == (one_shot is None)
-                if reused is not None:
-                    assert np.array_equal(reused, one_shot)
-        if with_lower and metric is FairnessMetric.EODDS:
-            # the carrier solved a slice with the lower bound attached
-            assert any(carried)
+                assert np.array_equal(reused, one_shot)
 
     def test_one_group_slice_cannot_carry_a_lower_bound(self):
         # slice y=0 holds group 1 alone, so its gap is zero; slice y=1 has
@@ -627,23 +590,46 @@ class TestRepairState:
         labels = np.array([0] * 5 + [1] * 20)
         yhat = np.array([1, 0, 1, 0, 0] + [1] * 6 + [0] * 4 + [1] * 3 + [0] * 7)
         margins = np.linspace(0.1, 0.9, 25)
-        spec = FairnessSpec(FairnessMetric.EODDS, 0.3, 0.2)
         assert unfairness_exact(FairnessMetric.EODDS, sensitive, yhat, labels) == Fraction(3, 20)
-        fair = repair_predictions(yhat, margins, sensitive, labels, spec)
-        gap = unfairness_exact(FairnessMetric.EODDS, sensitive, fair, labels)
-        assert Fraction(1, 5) <= gap <= Fraction(3, 10)
-        # a table of one group never reaches a positive lower bound
+        for eps in (0.3, 0.1):
+            spec = FairnessSpec(FairnessMetric.EODDS, eps)
+            fair = repair_predictions(yhat, margins, sensitive, labels, spec)
+            assert meets_spec(spec, sensitive, fair, labels)
+            # the one-group slice is left as it is
+            assert np.array_equal(fair[:5], yhat[:5])
+        # a table of one group is within any bound as it is
         one = np.zeros(25, dtype=np.int64)
-        with pytest.raises(Infeasible):
-            repair_predictions(yhat, margins, one, labels, FairnessSpec(SP, 0.3, 0.1))
         state = RepairState(yhat, margins, one, labels, SP)
-        assert all(isinstance(r, Infeasible) for r in state.solve([0.1, 0.3], 0.1))
-        assert np.array_equal(state.apply(state.solve([0.1])[0]), yhat)
+        assert all(np.array_equal(state.apply(r), yhat) for r in state.solve([0.0, 0.1]))
+        # fair training enforces an upper bound only
+        with pytest.raises(BadParameters, match="no lower bound"):
+            repair_predictions(yhat, margins, sensitive, labels, FairnessSpec(SP, 0.3, 0.1))
+
+    @pytest.mark.parametrize("metric", list(FairnessMetric))
+    def test_upper_only_repair_always_succeeds(self, rng, metric):
+        """Flipping every prediction of a slice to 0 leaves it no gap, so an
+        upper-only repair exists for every table: it never raises, and its
+        predictions meet the bound exactly, one-group slices included."""
+        for trial in range(300):
+            n = int(rng.integers(1, 41))
+            # whole tables, and single slices, of one group
+            sensitive = (rng.random(n) < rng.choice([0.0, 0.1, 0.5, 1.0])).astype(np.int64)
+            labels = np.where(rng.random(n) < 0.3, sensitive, rng.integers(0, 2, n))
+            yhat = (rng.random(n) < rng.uniform(0.0, 1.0, 2)[sensitive]).astype(np.int64)
+            margins = rng.random(n) if trial % 2 else rng.integers(0, 3, n) / 4.0
+            for eps in (0.0, 0.1):
+                fair = repair_predictions(
+                    yhat, margins, sensitive, labels, FairnessSpec(metric, eps)
+                )
+                if any(idx.size for idx in slice_for_metric(metric, labels)):
+                    assert unfairness_exact(metric, sensitive, fair, labels) <= Fraction(eps)
+                else:
+                    assert np.array_equal(fair, yhat)
 
     def test_boolean_predictions_repair_like_their_codes(self):
         table, yhat, margins = self._raw(1)
         for metric in FairnessMetric:
-            spec = FairnessSpec(metric, 0.01, 0.005)
+            spec = FairnessSpec(metric, 0.01)
             codes = repair_predictions(yhat, margins, table.sensitive, table.labels, spec)
             flags = repair_predictions(yhat == 1, margins, table.sensitive, table.labels, spec)
             assert flags.dtype == bool and np.array_equal(flags, codes)
@@ -812,16 +798,21 @@ class TestRunExperiment:
             assert all(row.status == "DegenerateClasses" for row in report.rows)
 
         # a cell whose repair fails records that failure, not the seed's
-        original = RepairState.solve
+        forced = []
+        solve, apply = RepairState.solve, RepairState.apply
 
-        def solve(self, epsilons, epsilon_lower=None):
-            repairs = original(self, epsilons, epsilon_lower)
-            return [
-                Infeasible("forced") if epsilon == 0.1 else repair
-                for epsilon, repair in zip(epsilons, repairs)
-            ]
+        def solving(self, epsilons):
+            repairs = solve(self, epsilons)
+            forced.extend(r for epsilon, r in zip(epsilons, repairs) if epsilon == 0.1)
+            return repairs
 
-        monkeypatch.setattr(RepairState, "solve", solve)
+        def applying(self, repair):
+            if any(repair is r for r in forced):
+                raise Infeasible("forced")
+            return apply(self, repair)
+
+        monkeypatch.setattr(RepairState, "solve", solving)
+        monkeypatch.setattr(RepairState, "apply", applying)
         config = ExperimentConfig(epsilon_grid=(0.0, 0.1), seeds=(0, 1))
         statuses = [row.status for row in run_experiment(config, one_group).rows]
         assert statuses == ["DegenerateClasses", "Infeasible"] * 2

@@ -23,12 +23,13 @@ from fairleak.core import (
     slice_for_metric,
     unfairness_exact,
 )
-from fairleak.corrector import _floor_affine, correct, correct_each, solve_slices
+from fairleak.corrector import _floor_affine, correct, correct_each
 from fairleak.errors import Infeasible, LengthMismatch, NegativeConfidence
 from fairleak.harness import predictor
 from fairleak.harness.predictor import RepairState, repair_predictions
 
 METRICS = list(FairnessMetric)
+SP = FairnessMetric.SP
 EPSILONS = (0.0, 0.001, 0.01, 1 / 3, 0.2)
 
 
@@ -111,15 +112,55 @@ def _cheap_sides(rng, guess):
     return [np.where(guess == side, 1e-3, 1.0) * rng.random(guess.size) for side in (0, 1)]
 
 
+def _logged_solves(patch):
+    """Spy on the corrector's slice solves: one [lattice, vectors, bound,
+    cells] entry per solve, in call order, ``cells`` left None where the
+    solve raises.  ``_Lattice.sides`` names the vectors, ``_solve_sp_form``
+    the bound."""
+    log = []
+    sides, solve = corrector._Lattice.sides, corrector._solve_sp_form
+
+    def spy_sides(lattice, rows):
+        log.append([lattice, list(rows), None, None])
+        return sides(lattice, rows)
+
+    def spy_solve(col, row, epsilon, lower):
+        log[-1][2] = lower
+        log[-1][3] = solve(col, row, epsilon, lower)
+        return log[-1][3]
+
+    patch.setattr(corrector._Lattice, "sides", spy_sides)
+    patch.setattr(corrector, "_solve_sp_form", spy_solve)
+    return log
+
+
+def _eodds_solves(monkeypatch, inst, spec, vectors):
+    """``correct_each`` on an EOdds ``spec`` with a lower bound: its results
+    (None when infeasible), its slices' lattices, and its upper-only and
+    carrier solves, each as (slice, vectors, cells).  Both lists of solves
+    are empty below two slices, where no carrier is chosen."""
+    with monkeypatch.context() as patch:
+        log = _logged_solves(patch)
+        results = _outcome(correct_each, inst, spec, vectors)
+    lattices = []
+    for lattice, *_ in log:
+        if lattice not in lattices:
+            lattices.append(lattice)
+    if len(lattices) < 2:
+        return results, lattices, [], []
+    solves = [(lattices.index(lattice), rows, bound, cells) for lattice, rows, bound, cells in log]
+    upper = [(i, rows, cells) for i, rows, bound, cells in solves if bound is None]
+    carried = [(i, rows, cells) for i, rows, bound, cells in solves if bound is not None]
+    return results, lattices, upper, carried
+
+
 def _assert_same_repair(monkeypatch, yhat, margins, sensitive, labels, spec):
-    ours = _outcome(repair_predictions, yhat, margins, sensitive, labels, spec)
+    ours = repair_predictions(yhat, margins, sensitive, labels, spec)
     with monkeypatch.context() as patch:
         patch.setattr(predictor, "_repair_slice", scalar_sweep.repair_slice_state)
-        ref = _outcome(repair_predictions, yhat, margins, sensitive, labels, spec)
-    assert (ours is None) == (ref is None)
-    if ours is not None:
-        assert np.array_equal(ours, ref)
-    return ours is not None
+        ref = repair_predictions(yhat, margins, sensitive, labels, spec)
+    assert np.array_equal(ours, ref)
+    return bool(np.any(ours != yhat))
 
 
 class TestFloorAffine:
@@ -302,58 +343,31 @@ class TestCorrectEach:
             assert _assert_same_each(monkeypatch, inst, FairnessSpec(metric, 0.01), vectors)
 
     def test_both_eodds_carriers(self, monkeypatch, rng):
-        """The corrector and the prediction repair share one EOdds carrier
-        search; in each, either slice carries the lower bound."""
-        carriers = []
-        real = corrector.solve_slices
-
-        def spy(metric, count, lanes, solve, gap, lower):
-            forced = {}  # (slice, lane): the solution solved with the bound
-
-            def recording(i, bound, some):
-                solved = solve(i, bound, some)
-                if bound is not None:
-                    forced.update({(i, t): sol for t, sol in zip(some, solved)})
-                return solved
-
-            combos = real(metric, count, lanes, recording, gap, lower)
-            for t, combo in enumerate(combos):
-                if count == 2 and not isinstance(combo, Infeasible):
-                    carriers.extend(i for i, sol in enumerate(combo) if forced.get((i, t)) is sol)
-            return combos
-
-        def carried(solve, *args):
-            carriers.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(corrector, "solve_slices", spy)
-                patch.setattr(predictor, "solve_slices", spy)
-                _outcome(solve, *args)
-            return set(carriers)
-
-        def spec(eps):
-            return FairnessSpec(FairnessMetric.EODDS, eps, eps * rng.uniform(0.5, 1.0))
-
+        """Either slice can carry the corrector's EOdds lower bound: the cell
+        its carrier solve found is then the result's flips in that slice."""
         corrected = set()
         for trial in range(60):
             n = int(rng.integers(20, 300))
             inst = _instance(rng, n, "uniform")
-            eodds = spec((0.05, 0.1, 0.2)[trial % 3])
+            eps = (0.05, 0.1, 0.2)[trial % 3]
+            spec = FairnessSpec(FairnessMetric.EODDS, eps, eps * rng.uniform(0.5, 1.0))
             vectors = _vectors(rng, n, ("orders", "ties", "shaped")[trial % 3])
-            corrected |= carried(correct_each, inst, eodds, vectors)
-            _assert_same_each(monkeypatch, inst, eodds, vectors)
+            results, lattices, _, carried = _eodds_solves(monkeypatch, inst, spec, vectors)
+            for i, rows, cells in carried if results else ():
+                for r, (uv, _) in zip(rows, cells or ()):
+                    kept = np.intersect1d(results[r].changed_indices, lattices[i].idx)
+                    if np.array_equal(kept, np.sort(lattices[i].flip(r, *uv))):
+                        corrected.add(i)
+            _assert_same_each(monkeypatch, inst, spec, vectors)
         assert {0, 1} <= corrected
 
-        repaired = set()
-        for trial in range(60):
-            n = int(rng.integers(20, 300))
-            yhat = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
-            margins = rng.random(n) if trial % 2 else rng.integers(0, 3, n) / 4.0
-            sensitive = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
-            labels = rng.integers(0, 2, n)
-            args = (yhat, margins, sensitive, labels, spec((0.05, 0.1, 0.2)[trial % 3]))
-            repaired |= carried(repair_predictions, *args)
-            _assert_same_repair(monkeypatch, *args)
-        assert {0, 1} <= repaired
+    def test_carrier_ties_go_to_the_first_slice(self):
+        # two mirrored slices at gap zero: one flip in either carries the
+        # bound at the same cost, and the y = 0 slice is the one that does
+        inst = AttackInstance([1, 1, 0, 0] * 2, [0] * 4 + [1] * 4, [1, 0, 1, 0] * 2, [1.0] * 8)
+        spec = FairnessSpec(FairnessMetric.EODDS, 1.0, 0.5)
+        results = correct_each(inst, spec, [inst.confidence, np.full(8, 0.5)])
+        assert [result.changed_indices for result in results] == [(0,), (0,)]
 
     def test_infeasible_raises_once(self, monkeypatch, rng):
         calls = []
@@ -468,49 +482,36 @@ class TestCorrectEach:
             assert max(sizes) <= 64 and len(sizes) > 5
 
     def test_carrier_searches_only_the_lanes_that_miss_the_bound(self, monkeypatch, rng):
-        """``solve_slices`` re-solves with the lower bound, once per slice,
-        exactly the lanes (vectors or tolerances) whose upper-only gaps miss
-        it; some batches mix both kinds."""
-        real = corrector.solve_slices
+        """The corrector re-solves with the lower bound, once per slice,
+        exactly the vectors whose upper-only gaps miss it; some batches mix
+        both kinds."""
         mixed = []
-
-        def spy(metric, count, lanes, solve, gap, lower):
-            upper, carried = {}, []
-
-            def recording(i, bound, some):
-                solved = solve(i, bound, some)
-                if bound is None:
-                    upper.update({(i, t): sol for t, sol in zip(some, solved)})
-                else:
-                    carried.append((i, some))
-                return solved
-
-            combos = real(metric, count, lanes, recording, gap, lower)
-            if count == 2:
-                sols = [[upper.get((i, t)) for i in (0, 1)] for t in range(lanes)]
-                # lanes that solved both slices upper-only
-                solved = [t for t in range(lanes) if all(hasattr(s, "objective") for s in sols[t])]
-                missed = [t for t in solved if max(map(gap, (0, 1), sols[t])) < lower]
-                assert carried == ([(0, missed), (1, missed)] if missed else [])
-                mixed.append(0 < len(missed) < len(solved))
-            return combos
-
-        monkeypatch.setattr(corrector, "solve_slices", spy)
-        monkeypatch.setattr(predictor, "solve_slices", spy)
         for trial in range(60):
             n = int(rng.integers(50, 400))
             inst = _instance(rng, n, "uniform")
             eps = (0.05, 0.1, 0.2)[trial % 3]
             spec = FairnessSpec(FairnessMetric.EODDS, eps, 0.9 * eps)
             vectors = _vectors(rng, n, ("orders", "ties", "shaped")[trial % 3])
-            _assert_same_each(monkeypatch, inst, spec, vectors)
-        assert sum(mixed) > 2
+            _, lattices, upper, carried = _eodds_solves(monkeypatch, inst, spec, vectors)
+            if len(lattices) == 2:
+                # vectors that solved both slices upper-only
+                solved = [] if any(cells is None for *_, cells in upper) else range(len(vectors))
 
-        mixed.clear()
-        for trial in range(24):
-            inputs = TestBatchedRepair._inputs(rng, 200, trial)
-            state = RepairState(*inputs, FairnessMetric.EODDS)
-            state.solve(TestBatchedRepair.GRIDS[trial % 2], 0.045)
+                def gap(i, r):
+                    (uv, _), idx = upper[i][2][r], lattices[i].idx
+                    guess = np.array(inst.guess)
+                    changed = lattices[i].flip(r, *uv)
+                    guess[changed] = 1 - guess[changed]
+                    return unfairness_exact(SP, guess[idx], inst.predictions[idx])
+
+                assert [i for i, *_ in upper] == [0, 1]
+                lower = Fraction(spec.epsilon_lower)
+                missed = [r for r in solved if max(gap(0, r), gap(1, r)) < lower]
+                assert [(i, rows) for i, rows, _ in carried] == (
+                    [(0, missed), (1, missed)] if missed else []
+                )
+                mixed.append(0 < len(missed) < len(solved))
+            _assert_same_each(monkeypatch, inst, spec, vectors)
         assert sum(mixed) > 2
 
     def test_inputs(self, rng):
@@ -532,35 +533,29 @@ class TestRepairCrossCheck:
         if blocks:
             monkeypatch.setattr(corrector, "_FIRST_BLOCK", blocks[0])
             monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
-        repaired = 0
+        flipped = 0
         for trial in range(160):
             n = int(rng.choice([3, 20, 200, 3000]))
             yhat = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
             margins = rng.random(n) if trial % 2 else rng.integers(0, 3, n) / 4.0
             sensitive = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
             labels = rng.integers(0, 2, n)
-            eps = EPSILONS[(trial // 4) % 5]
-            lower = None if trial % 3 else eps / 2
-            spec = FairnessSpec(METRICS[trial % 4], eps, lower)
-            repaired += _assert_same_repair(
-                monkeypatch, yhat, margins, sensitive, labels, spec
-            )
-        assert repaired > 60
+            spec = FairnessSpec(METRICS[trial % 4], EPSILONS[(trial // 4) % 5])
+            flipped += _assert_same_repair(monkeypatch, yhat, margins, sensitive, labels, spec)
+        assert flipped > 60
 
     def test_dyadic_bounds_met_with_equality(self, monkeypatch, rng):
-        repaired = 0
+        flipped = 0
         for trial in range(240):
             n = int(rng.choice([4, 8, 16, 64, 512]))
             yhat = np.tile(rng.integers(0, 2, 4), n // 4)
             sensitive = np.repeat(rng.integers(0, 2, n // 4), 4)
             margins = np.ones(n) if trial % 2 else rng.integers(1, 3, n) / 2.0
-            eps = (0.5, 0.25, 0.125)[trial % 3]
-            lower = (None, eps, eps / 2, eps / 4)[(trial // 3) % 4]
-            spec = FairnessSpec(METRICS[(trial // 12) % 4], eps, lower)
-            repaired += _assert_same_repair(
+            spec = FairnessSpec(METRICS[(trial // 12) % 4], (0.5, 0.25, 0.125)[trial % 3])
+            flipped += _assert_same_repair(
                 monkeypatch, yhat, margins, sensitive, rng.integers(0, 2, n), spec
             )
-        assert repaired > 60
+        assert flipped > 5
 
     def test_large_repair(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -570,44 +565,23 @@ class TestRepairCrossCheck:
         yhat[sensitive == 1] = (rng.random(int(sensitive.sum())) < 0.6).astype(np.int64)
         margins = rng.random(n)
         labels = rng.integers(0, 2, n)
-        for metric, eps, lower in (
-            (FairnessMetric.SP, 0.01, None),
-            (FairnessMetric.EODDS, 0.001, None),
-            (FairnessMetric.EODDS, 0.01, 0.009),
-            (FairnessMetric.EO, 1 / 3, 0.3),
+        for metric, eps in (
+            (FairnessMetric.SP, 0.01),
+            (FairnessMetric.EODDS, 0.001),
+            (FairnessMetric.EODDS, 0.01),
+            (FairnessMetric.EO, 1 / 3),
         ):
-            assert _assert_same_repair(
-                monkeypatch, yhat, margins, sensitive, labels, FairnessSpec(metric, eps, lower)
+            _assert_same_repair(
+                monkeypatch, yhat, margins, sensitive, labels, FairnessSpec(metric, eps)
             )
 
 
-def _scalar_repair(yhat, margins, sensitive, labels, metric, epsilon, lower, carried):
-    """One tolerance's repair by the scalar reference, slice by slice, with
-    the package's carrier choice; appends to ``carried`` the slices solved
-    with the lower bound."""
-    slices = [idx for idx in slice_for_metric(metric, labels) if idx.size]
-
-    def solve(i, bound, lanes):
-        if bound is not None:
-            carried.append(i)
-        try:
-            return [scalar_sweep.repair_slice(yhat, margins, sensitive, slices[i], epsilon, bound)]
-        except Infeasible as exc:
-            return [exc]
-
-    (solved,) = solve_slices(
-        metric,
-        len(slices),
-        1,
-        solve,
-        lambda i, sol: unfairness_exact(FairnessMetric.SP, sensitive[slices[i]], sol.yhat),
-        lower,
-    )
-    if isinstance(solved, Infeasible):
-        raise solved
+def _scalar_repair(yhat, margins, sensitive, labels, metric, epsilon):
+    """One tolerance's repair by the scalar reference, slice by slice."""
     repaired = np.array(yhat)
-    for idx, sol in zip(slices, solved):
-        repaired[idx] = sol.yhat
+    for idx in slice_for_metric(metric, labels):
+        if idx.size:
+            repaired[idx] = scalar_sweep.repair_slice(yhat, margins, sensitive, idx, epsilon).yhat
     return repaired
 
 
@@ -627,58 +601,24 @@ class TestBatchedRepair:
         return yhat, margins, sensitive, rng.integers(0, 2, n)
 
     @staticmethod
-    def _check(yhat, margins, sensitive, labels, metric, grid, lower):
-        """Compare a batch with the reference; returns, per feasible
-        tolerance, whether a slice carried the lower bound."""
+    def _check(yhat, margins, sensitive, labels, metric, grid):
+        """Compare a batch with the reference, tolerance by tolerance."""
         state = RepairState(yhat, margins, sensitive, labels, metric)
-        batch = state.solve(grid, lower)
+        batch = state.solve(grid)
         assert len(batch) == len(grid)
-        forced = []
         for epsilon, repair in zip(grid, batch):
-            carried = []
-            ref = _outcome(
-                _scalar_repair,
-                yhat,
-                margins,
-                sensitive,
-                labels,
-                metric,
-                Fraction(epsilon),
-                Fraction(lower) if lower else None,
-                carried,
-            )
-            if ref is None:
-                assert isinstance(repair, Infeasible)
-                with pytest.raises(Infeasible):
-                    state.apply(repair)
-                continue
+            ref = _scalar_repair(yhat, margins, sensitive, labels, metric, Fraction(epsilon))
             assert np.array_equal(state.apply(repair), ref)
-            forced.append(bool(carried))
-        return forced
 
     @pytest.mark.parametrize("blocks", [(1, 4), None])
     def test_each_tolerance_matches_the_scalar_reference(self, monkeypatch, rng, blocks):
         if blocks:
             monkeypatch.setattr(corrector, "_FIRST_BLOCK", blocks[0])
             monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
-        repaired = 0
         for trial in range(64):
             n = int(rng.choice([3, 20, 200, 2000]))
-            grid = self.GRIDS[(trial // 4) % 2]
-            lower = (None, 0.045)[(trial // 8) % 2]
             inputs = self._inputs(rng, n, trial)
-            repaired += len(self._check(*inputs, METRICS[trial % 4], grid, lower))
-        assert repaired > 200
-
-        # EOdds: the upper-only repair to 0.05 lands below the 0.045 lower
-        # bound when a slice's group rates jump over it, and the raw rates
-        # kept at tolerance 1 generically do not
-        mixed = 0
-        for trial in range(24):
-            inputs = self._inputs(rng, 200, trial)
-            forced = self._check(*inputs, FairnessMetric.EODDS, self.GRIDS[trial % 2], 0.045)
-            mixed += any(forced) and not all(forced)
-        assert mixed > 2
+            self._check(*inputs, METRICS[trial % 4], self.GRIDS[(trial // 4) % 2])
 
     def test_batch_windows_stay_within_one_block(self, monkeypatch, rng):
         # a block is cut short while many tolerances remain, so that no
