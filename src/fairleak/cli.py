@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -77,6 +78,7 @@ def _seed_list(value: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("seeds must be comma-separated integers") from None
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="fairleak", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,16 +15,18 @@ from ..adversary import BaselineGuess
 from ..core import AttackInstance
 from ..corrector import CorrectionResult
 from ..errors import DuplicateId
-from ._csv import code_cells, float_cells, floats, int_cells, ints, read_columns, write_columns
+from ._csv import code_cells, fast_columns, float_cells, floats, int_cells, ints, read_columns
+from ._csv import write_columns
 from .experiment import ExternalGuess
 
-INSTANCE_COLUMNS = ("id", "y", "yhat", "s_hat", "confidence")
-GUESS_COLUMNS = ("id", "s_hat", "confidence_raw")
+INSTANCE_COLUMNS = dict(id=np.int64, y=np.int64, yhat=np.int64, s_hat=np.int64, confidence=float)
+GUESS_COLUMNS = dict(id=np.int64, s_hat=np.int64, confidence_raw=float)
 
 
 def read_instance_csv(path: str | Path) -> tuple[np.ndarray, AttackInstance]:
     """Read one correction instance; returns (ids, instance)."""
-    columns = read_columns(path, INSTANCE_COLUMNS)
+    columns = fast_columns(path, INSTANCE_COLUMNS, {"s_true": np.int64})
+    columns = columns or read_columns(path, INSTANCE_COLUMNS)
     ids = ints(columns["id"], "id")
     if np.unique(ids).size != ids.size:
         raise DuplicateId("instance ids are not unique")
@@ -64,7 +66,7 @@ def write_correction_csv(
 
 def read_guess_csv(path: str | Path) -> ExternalGuess:
     """Read an externally produced guess with raw scores."""
-    columns = read_columns(path, GUESS_COLUMNS)
+    columns = fast_columns(path, GUESS_COLUMNS, {}) or read_columns(path, GUESS_COLUMNS)
     return ExternalGuess(
         ids=ints(columns["id"], "id"),
         guess=ints(columns["s_hat"], "s_hat"),

@@ -3,10 +3,15 @@ import dataclasses
 import json
 import math
 import re
+import tempfile
+import warnings
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import meets_spec
 from fairleak.adversary import (
@@ -59,7 +64,7 @@ from fairleak.harness import (
     write_dataset_csv,
     write_guess_csv,
 )
-from fairleak.harness import CATEGORICAL, NUMERIC, _csv, experiment, predictor
+from fairleak.harness import CATEGORICAL, NUMERIC, _csv, experiment, instances, predictor
 from fairleak.harness.experiment import _train_attack_model
 from fairleak.harness.predictor import (
     RepairState,
@@ -68,7 +73,7 @@ from fairleak.harness.predictor import (
     repair_predictions,
 )
 from fairleak.nb import fit_naive_bayes
-from test_cli import _POOL
+from test_cli import _GUESS, _INSTANCE, _POOL, _file
 
 SP = FairnessMetric.SP
 
@@ -432,6 +437,198 @@ class TestCsvFraming:
             del rows[r][int(rng.integers(0, 5)):]
         path = self._framed(tmp_path, "id,y,yhat,s_hat,confidence", rows, rng)
         assert _csv.read_columns(path, ()) == _per_cell_columns(path, ())
+
+
+def _read_outcome(read, path):
+    """What a reader makes of a file: each array's dtype and bytes, or the
+    type and text of what it raises."""
+    try:
+        got = read(path)
+    except Exception as exc:  # the two paths must fail alike
+        return type(exc).__name__, str(exc)
+    if isinstance(got, tuple):
+        ids, inst = got
+        arrays = [ids, inst.labels, inst.predictions, inst.guess, inst.confidence, inst.truth]
+        arrays.append(np.array(inst.cardinality))
+    else:
+        arrays = [got.ids, got.guess, got.raw_scores]
+    return [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays]
+
+
+def _fast_columns_agree(path, kinds, optional):
+    """fast_columns declines the file, or reads each column as read_columns
+    with ints and floats do; whether it read the file."""
+    fast = _csv.fast_columns(path, kinds, optional)
+    if fast is None:
+        return False
+    columns = _csv.read_columns(path, kinds)
+    assert fast.keys() == kinds.keys() | (optional.keys() & columns.keys())
+    for name, got in fast.items():
+        kind = {**kinds, **optional}[name]
+        convert = _csv.floats if np.dtype(kind) == np.float64 else _csv.ints
+        want = convert(columns[name], name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+    return True
+
+
+def _both_paths_agree(path):
+    """Both readers give the same outcome with and without the one-call path;
+    whether that path read the file as an instance or as a guess file."""
+    read = []
+    for reader, kinds, optional in (
+        (read_instance_csv, instances.INSTANCE_COLUMNS, {"s_true": np.int64}),
+        (read_guess_csv, instances.GUESS_COLUMNS, {}),
+    ):
+        fast = _read_outcome(reader, path)
+        with mock.patch.object(instances, "fast_columns", lambda *args: None):
+            assert fast == _read_outcome(reader, path), path.read_bytes()
+        read.append(_fast_columns_agree(path, kinds, optional))
+    return any(read)
+
+
+def _instance_rows(rng, n):
+    """n rows of id,y,yhat,s_hat,confidence,s_true cells."""
+    bits = rng.integers(0, 2, (n, 4)).astype(str).tolist()
+    return [[str(i), *b[:3], repr(float(rng.random())), b[3]] for i, b in enumerate(bits)]
+
+
+# cells of every kind the one-call path might read otherwise than int() and
+# float(): signed zero and NaN, under- and overflow, long mantissas, padding,
+# signs, underscores, non-ASCII digits, int64's ends and the numbers past them
+_EDGE_FLOATS = [
+    "-0.0", "-0", "-nan", "nan", "NaN", "1e-400", "1e999", "-inf", "Infinity",
+    "0.1000000000000000055511151231257827021181583404541015625", "0.30000000000000004",
+    "1.7976931348623157e308", "5e-324", "1234567890123456789012345678901234567890.5",
+]
+_EDGE_CELLS = [
+    *_EDGE_FLOATS, " 1 ", "+1", "+0.5", "\xa01\xa0", "　1　", "\t0.5", "1_0", "1_0.5", "١",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "-9223372036854775809", "1.0", "1e3", "0x10", "", " ", ".5", "5.", "1,0", "#1",
+    "\u01fe", "1\u04fe",  # letters that np.loadtxt reads as digits
+]
+
+
+class TestFastColumns:
+    """The one-call reader declines a file or reads it as the per-column path does."""
+
+    @staticmethod
+    def _column_file(tmp_path, cells, column):
+        """An instance file whose ``column`` holds ``cells``; a None cell cuts
+        its row short there."""
+        rows = _instance_rows(np.random.default_rng(len(cells)), len(cells))
+        at = ["id", "y", "yhat", "s_hat", "confidence", "s_true"].index(column)
+        for row, cell in zip(rows, cells):
+            if cell is None:
+                del row[at:]
+            else:
+                row[at] = cell
+        lines = ["id,y,yhat,s_hat,confidence,s_true", *map(",".join, rows)]
+        return _write(tmp_path, "\n".join(lines) + "\n", "column.csv")
+
+    def test_converter_cases_through_both_paths(self, tmp_path, rng):
+        cases = [
+            cells
+            for cell in TestColumnConverters.CELLS
+            for cells in ((cell,), ("0", cell), (cell, "1"), ("1", cell, TestColumnConverters.BIG),
+                          (TestColumnConverters.BIG, cell))
+        ]
+        good = ["0", "1", "2", "-1", " 1", "+1", "1_0", "١"]
+        for _ in range(40):
+            cells = tuple(rng.choice(good, int(rng.integers(1, 6))).tolist())
+            spot = int(rng.integers(0, len(cells) + 1))
+            cases.append((*cells[:spot], rng.choice(TestColumnConverters.CELLS), *cells[spot:]))
+        for cells in cases:
+            for column in ("id", "confidence"):
+                _both_paths_agree(self._column_file(tmp_path, cells, column))
+
+    def test_edge_cells_and_every_padding_character(self, tmp_path):
+        space = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+        cells = [*_EDGE_CELLS, *(f"{c}1{c}" for c in [*space, "\u200b", "\ufeff", "\x00", "\x7f"])]
+        read = {
+            column: {
+                cell for cell in cells
+                if _both_paths_agree(self._column_file(tmp_path, ("0", cell), column))
+            }
+            for column in ("id", "confidence")
+        }
+        # ASCII spaces pad a cell alike on both paths; other spaces decline
+        padded = {f"{c}1{c}" for c in " \t\x0b\x0c"}
+        ends = {"9223372036854775807", "-9223372036854775808"}
+        assert read["id"] == {"-0", "+1", *padded, *ends}
+        assert read["confidence"] >= {*_EDGE_FLOATS, "+1", "+0.5", "\t0.5", *padded}
+
+    def test_framed_and_plain_twins(self, tmp_path, rng):
+        framing = TestCsvFraming()
+        kinds = ["id", "bit", "bit", "bit", "float", "bit", "bit"]
+        rows = framing._rows(rng, 50, kinds)
+        header = "id,y,yhat,s_hat,confidence,y,s_true"
+        framed = framing._framed(tmp_path, header, rows, rng)
+        assert not _both_paths_agree(framed)
+        plain = _write(tmp_path, "\n".join([header, *map(",".join, rows)]) + "\n", "plain.csv")
+        assert _both_paths_agree(plain)
+        # both paths end a line at \r\n and at \r alone
+        for end in (b"\r\n", b"\r"):
+            twin = tmp_path / "twin.csv"
+            twin.write_bytes(plain.read_bytes().replace(b"\n", end))
+            assert _both_paths_agree(twin)
+
+    def test_seeded_plain_files(self, tmp_path, rng):
+        headers = [
+            "id,y,yhat,s_hat,confidence,s_true", "s_true,confidence,s_hat,yhat,y,id,note",
+            "id,y,yhat,s_hat,confidence", "id,y,y,yhat,s_hat,confidence,s_hat",
+            "id,s_hat,confidence_raw", "confidence_raw,id,s_hat,s_hat", "id,y,s_hat,confidence",
+            'id,y,yhat,s_hat,confidence,"s_true"',
+        ]
+        read = 0
+        for _ in range(200):
+            header = headers[int(rng.integers(len(headers)))]
+            width = header.count(",") + 1
+            rows = [row[:width] for row in _instance_rows(rng, int(rng.integers(0, 8)))]
+            for row in rows:
+                row += ["0.5"] * (width - len(row))
+                if rng.random() < 0.1:
+                    row[int(rng.integers(width))] = str(rng.choice(_EDGE_CELLS))
+                if rng.random() < 0.05:
+                    del row[int(rng.integers(width)):]
+                if rng.random() < 0.05:
+                    row.append("extra")
+            lines = [header, *map(",".join, rows)]
+            if lines[1:] and rng.random() < 0.1:
+                lines.insert(int(rng.integers(1, len(lines))), str(rng.choice(["", " ", "\t"])))
+            read += _both_paths_agree(_write(tmp_path, "\n".join(lines) + "\n", "seeded.csv"))
+        assert read >= 50  # about a third of the files
+
+    def test_header_only_file_reads_as_before_without_a_warning(self, tmp_path):
+        for text in ("id,y,yhat,s_hat,confidence\n", "id,y,yhat,s_hat,confidence\n\n\n"):
+            path = _write(tmp_path, text, "header.csv")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert not _both_paths_agree(path)
+                ids, inst = read_instance_csv(path)
+            assert not caught
+            assert ids.size == inst.n == 0 and inst.truth is None
+
+    def test_short_row_in_an_ignored_column_reads_as_before(self, tmp_path):
+        text = "id,y,yhat,s_hat,confidence,note\n1,0,1,1,0.5,a\n2,1,0,0,0.25\n"
+        assert _both_paths_agree(_write(tmp_path, text, "short.csv"))
+
+    def test_duplicate_ids_come_before_a_bad_cell(self, tmp_path):
+        text = "id,y,yhat,s_hat,confidence\n1,0,1,1,0.5\n1,x,0,0,0.25\n"
+        path = _write(tmp_path, text, "duplicate.csv")
+        with pytest.raises(DuplicateId, match="^instance ids are not unique$"):
+            read_instance_csv(path)
+        assert not _both_paths_agree(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=_file(_INSTANCE), guess=_file(_GUESS))
+def test_fuzzed_files_read_alike_on_both_paths(instance, guess):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, payload in (("instance.csv", instance), ("guess.csv", guess)):
+            path = Path(tmp) / name
+            path.write_bytes(payload)
+            _both_paths_agree(path)
+
 
 class TestSplitDataset:
     def test_exact_thirds(self):
