@@ -134,8 +134,7 @@ def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
         raise ValueError(f"unknown adversary mode: {mode!r}")
     if attack_set.n == 0:
         raise EmptyAttackSet("attack set has no rows")
-    observed = np.unique(attack_set.sensitive)
-    if observed.size < 2:
+    if attack_set.sensitive.min() == attack_set.sensitive.max():
         raise DegenerateClasses("sensitive column holds a single class")
     prediction_nb = None
     if mode == MODE_A_PRIME:

@@ -1,39 +1,40 @@
 """Exact solver for minimum confidence-weighted guess correction.
 
-``correct`` runs the efficient path: the group-rate constraint only depends on the *net* number of guess flips among positively
-and among negatively predicted examples, so the search collapses onto a 2-D
-integer lattice whose per-axis costs are prefix sums of ascending-sorted
-confidences.  ``_Lattice`` holds that lattice for any 0/1 vector split by
-another, read in place at a metric slice's rows: here the guess split by the
-predictions, and in the simulated fair target's prediction repair the
-predictions split by the groups.  A flip names the rows it changes, and
-``_flip_all`` scatters every slice's flips into one copy of the vector.
-``search_net_moves`` sweeps it in numpy, taking columns cheapest first in
-blocks of doubling size; the feasible rows of each column form at most two
-integer intervals, and the cheapest row of each is the one nearest zero.
-The sweep stops once a block's cheapest column costs more than the best cell
-found, which proves optimality.  It answers a list of upper bounds under a
-list of cost rows at once: windows never depend on the costs, so each block's
-windows serve every pair, and each pair keeps its own stop test.
+``correct`` runs the efficient path: the group-rate constraint depends only on
+the *net* number of guess flips among positively and among negatively
+predicted examples, so the search collapses onto a 2-D integer lattice whose
+per-axis costs are prefix sums of ascending-sorted confidences.  ``_Lattice``
+holds that lattice for any 0/1 vector split by another, read in place at a
+metric slice's rows: here the guess split by the predictions, and in the
+simulated fair target's prediction repair the predictions split by the
+groups.  A flip names the rows it changes, and ``_flip_all`` scatters every
+slice's flips into one copy of the vector.  ``search_net_moves`` sweeps it in
+numpy, taking columns cheapest first in blocks of doubling size; the feasible
+rows of each column form at most two integer intervals, and the cheapest row
+of each is the one nearest zero.  The sweep stops once a block's cheapest
+column costs more than the best cell found, which proves optimality.  It
+answers a list of upper bounds under a list of cost rows at once: windows
+never depend on the costs, so each block's windows serve every pair, and each
+pair keeps its own stop test.
 
 Both solvers bound one parity gap.  With c[x][z] the lattice's 2x2 table of
 counts and z_k the entries where z = k, a group of m entries has rate gap
 |D| / (n*m), where D = c00*c11 - c01*c10, and cell (u, v) moves D to
-D + u*z0 - v*z1.  A gap bound is thus a band of the determinant: a few
-half-planes in v per column, whose exact integer ends ``_rows_within``
-finds for a whole block of columns at once.
+D + u*z0 - v*z1.  ``_group_gap`` reads one cell's gap from the four counts in
+exact integers: each solver judges the origin by it, with no window, and it
+gives the EOdds carrier its slices' gaps and the sweep its fair target's
+unfairness.  A gap bound is a band of the determinant: a few half-planes in v
+per column, whose exact integer ends ``_rows_within`` finds for a whole block.
 
 ``correct_each`` solves one instance under several confidence vectors, as
 the adversary's choice of confidence exponent does, in one search per slice
 with one cost row per vector; ``correct`` is its one-vector case, and only
 the corrector decides which slice carries an EOdds lower bound.  The repair,
 which enforces an upper bound alone, searches a whole tolerance grid under
-its one cost row.  Both answer each slice with one ``_SolvedCell``: a
-lattice cell under one cost row, priced by ``_Lattice.cost`` and flipped by
-``_Lattice.flip``.
-
-The brute-force oracle this solver is checked against, and the only solver
-for more than two groups, is ``fairleak.oracle``.
+its one cost row.  Both answer each slice with one ``_SolvedCell``: a lattice
+cell under one cost row, priced by ``_Lattice.cost`` and flipped by
+``_Lattice.flip``.  The brute-force oracle this solver is checked against,
+and the only solver for more than two groups, is ``fairleak.oracle``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .core import (
     SolverStats,
     as_confidence_array,
     slice_for_metric,
-    unfairness_exact,
 )
 from .errors import Infeasible, LengthMismatch, UnsupportedCardinality
 
@@ -169,6 +169,7 @@ class _Lattice:
         xb, zb = ((a if whole else a.take(idx)).astype(bool) for a in (x, z))
         cells = [np.flatnonzero(m) for m in (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb)]
         cells = cells if whole else [idx.take(cell) for cell in cells]
+        self.counts = tuple(cell.size for cell in cells)
         # (values, totals, indices) of the up and down flips of the column, then the row
         self.cells = [(*_sorted_sums(costs, cell), cell) for cell in cells]
 
@@ -203,6 +204,18 @@ class _Lattice:
         return np.concatenate(picks)
 
 
+def _group_gap(counts: Sequence[int], u: int, v: int, fixed: bool) -> Fraction:
+    """A slice's exact gap after cell (u, v), its cells holding ``counts`` entries:
+    |D + u*z0 - v*z1| / (n*m), m the smaller group of ``z`` when ``fixed``, else of
+    the flipped ``x``; 0 for a one-group slice."""
+    c01, c11, c00, c10 = counts
+    z1, z0 = c01 + c11, c00 + c10
+    size = z1 if fixed else c11 + c10 + u + v
+    m = min(size, z0 + z1 - size)
+    det = c00 * c11 - c01 * c10 + u * z0 - v * z1
+    return Fraction(abs(det), (z0 + z1) * m) if m else Fraction(0)
+
+
 def _metric_lattices(
     metric: FairnessMetric, labels: np.ndarray, x: np.ndarray, z: np.ndarray, costs: np.ndarray
 ) -> list[_Lattice]:
@@ -235,25 +248,27 @@ def search_net_moves(
     window: WindowFn,
     bounds: Sequence[Fraction],
     lower: Fraction | None,
+    origin: Sequence[bool],
 ) -> list[list[tuple[tuple[int, int] | None, int]]]:
     """For each upper bound in ``bounds`` and each cost row of ``col`` and
     ``row``: the cheapest (column, row) cell whose gaps are within the bound
     and, when ``lower`` is positive, not all strictly below ``lower``; with
     the number of columns scanned.  Results are indexed [bound][cost row].
 
-    A feasible (0, 0) is returned with no column scanned.  Otherwise columns
-    are taken cheapest first in blocks of doubling size, and a (bound, cost
-    row) pair leaves the scan once the cheapest column left costs more than
-    its best cell so far.  Each cost row orders the columns its own way, so
-    a block is the union of each row's cut of its cheapest columns, cut
-    short so that the bounds left times the cost rows times the columns
-    stay within ``_MAX_BLOCK``.  Row costs are V-shaped with minimum zero,
-    so each feasible interval offers its row nearest zero.  Ties on cost
-    break on fewest total moves, then on the (column, row) pair, keeping the
-    result deterministic and invariant under positive rescaling of all
-    costs.  The count is that of the columns no dearer than the best cell,
-    which a one-column-at-a-time best-first scan visits; so neither result
-    depends on where blocks end.
+    ``origin[b]`` says whether (0, 0) is feasible under bound b, as the caller
+    reads it from the counts; such a bound gets it with no window.  Otherwise
+    columns are taken cheapest first in blocks of doubling size, and a (bound,
+    cost row) pair leaves the scan once the cheapest column left costs more
+    than its best cell so far.  Each cost row orders the columns its own way,
+    so a block is the union of each row's cut of its cheapest columns, cut
+    short so that the bounds left times the cost rows times the columns stay
+    within ``_MAX_BLOCK``.  Row costs are V-shaped with minimum zero, so each
+    feasible interval offers its row nearest zero.  Ties on cost break on
+    fewest total moves, then on the (column, row) pair, keeping the result
+    deterministic and invariant under positive rescaling of all costs.  The
+    count is that of the columns no dearer than the best cell, which a
+    one-column-at-a-time best-first scan visits; so neither result depends on
+    where blocks end.
 
     Windows never depend on the costs: each block's windows, and each
     piece's row nearest zero, are computed once for every cost row.  The
@@ -265,24 +280,6 @@ def search_net_moves(
     nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
     carve = lower is not None and lower > 0
 
-    def pieces(u: np.ndarray, bs: Sequence[int]) -> np.ndarray:
-        """Ends of the pieces of columns u under the bounds ``bs``, indexed
-        (end, bound, piece, column)."""
-        lo, hi = window(u, [nums[b] for b in bs], den, False)
-        lo = np.maximum(lo, row.lo)
-        hi = np.minimum(hi, row.hi)
-        if not carve:
-            return np.array((lo, hi))[:, :, None]
-        # the lower bound carves out the rows where every gap is below it
-        ilo, ihi = window(u, [lower.numerator], lower.denominator, True)
-        hollow = ilo <= ihi
-        below = np.where(hollow, np.minimum(hi, ilo - 1), hi)
-        above = np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)
-        ends = np.concatenate((lo, above), axis=1), np.concatenate((below, hi), axis=1)
-        return np.array(ends).reshape(2, len(bs), 2, u.size)
-
-    lo, hi = pieces(np.zeros(1, dtype=np.int64), range(len(nums)))
-    origin = ((lo <= 0) & (0 <= hi)).any(axis=(1, 2)).tolist()
     rows = col.pos.shape[0]
     best: list[list[tuple[float, int, int, int] | None]] = [[None] * rows for _ in nums]
     live = [(b, r) for b, free in enumerate(origin) if not free for r in range(rows)]
@@ -304,7 +301,15 @@ def search_net_moves(
         j_next = min(max(j, ends[1]), j + budget - (i_next - i))
         u = np.concatenate((np.arange(i, i_next), -np.arange(j, j_next)))
         cu = np.concatenate((pos[:, i:i_next], neg[:, j:j_next]), axis=1)
-        lo, hi = pieces(u, bs)
+        lo, hi = window(u, [nums[b] for b in bs], den, False)
+        lo, hi = np.maximum(lo, row.lo), np.minimum(hi, row.hi)
+        if carve:
+            # the lower bound carves out the rows where every gap is below it,
+            # leaving two pieces per column, indexed (bound, piece, column)
+            ilo, ihi = window(u, [lower.numerator], lower.denominator, True)
+            hollow = ilo <= ihi
+            lo, hi = (np.stack((lo, np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)), axis=1),
+                      np.stack((np.where(hollow, np.minimum(hi, ilo - 1), hi), hi), axis=1))
         i, j, size = i_next, j_next, min(2 * size, _MAX_BLOCK)
 
         ok = np.flatnonzero(lo <= hi)
@@ -356,11 +361,12 @@ def _solve_sp_form(
     empty-group rule in ``core`` says."""
     # a side's up flips are its guess zeros, its down flips its guess ones:
     # z1 positive predictions, z0 negative ones, n1 guess ones
-    z1, z0 = col.hi - col.lo, row.hi - row.lo
-    n, n1 = z0 + z1, -col.lo - row.lo
+    counts = c01, c11, c00, c10 = col.hi, -col.lo, row.hi, -row.lo  # c[guess][prediction]
+    z1, z0 = c01 + c11, c00 + c10
+    n, n1 = z0 + z1, c11 + c10
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
-    det = row.hi * -col.lo - col.hi * -row.lo  # c00*c11 - c01*c10, c[guess][prediction]
+    det = c00 * c11 - c01 * c10
 
     def window(
         u: np.ndarray, nums: Sequence[int], den: int, strict: bool
@@ -375,7 +381,9 @@ def _solve_sp_form(
         lo, hi = _rows_within(u, planes, strict, row.lo, row.hi)
         return np.maximum(lo, 1 - n1 - u), np.minimum(hi, n - 1 - n1 - u)
 
-    (cells,) = search_net_moves(col, row, window, [epsilon], lower)
+    # the window's verdict: both groups present, the gap within both bounds
+    origin = 0 < n1 < n and (lower or 0) <= _group_gap(counts, 0, 0, False) <= epsilon
+    (cells,) = search_net_moves(col, row, window, [epsilon], lower, [origin])
     # which cells are feasible never depends on the costs
     if cells[0][0] is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
@@ -405,10 +413,7 @@ class _SolvedCell:
     @property
     def gap(self) -> Fraction:
         """The slice's SP gap, ``x`` split by ``z``, once the cell's flips apply."""
-        part = self.lattice
-        flipped = _flip_all(part.x, [self.changed])[0]
-        rows = slice(None) if part.idx is None else part.idx
-        return unfairness_exact(FairnessMetric.SP, flipped[rows], part.z[rows])
+        return _group_gap(self.lattice.counts, self.u, self.v, False)
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:

@@ -1,13 +1,14 @@
 """The CSV column reader and writer behind every fairleak file kind.
 
 Files are UTF-8, a leading byte-order mark skipped, with a header row; any
-other encoding is a ``ParseError`` that names the file.
-Blank lines are skipped, so row numbers count records, the header being row
-1.  Columns and cells beyond those asked for are ignored; a short row leaves
-``None`` in its missing cells, which every converter rejects.
+other encoding, or a field over ``csv``'s size limit, is a ``ParseError`` that
+names the file.  Blank lines are skipped, so row numbers count records, the
+header being row 1.  Columns and cells beyond those asked for are ignored; a
+short row leaves ``None`` in its missing cells, which every converter rejects.
 
 Instance and guess files are read in one ``np.loadtxt`` call unless they hold
-a quote, NUL, ``\\x1c``-``\\x1f``, non-ASCII text, no rows or a cell it rejects.
+a quote, NUL, ``\\x1c``-``\\x1f``, non-ASCII text, a line that may hold a field
+over that limit, no rows or a cell it rejects.
 Those, other files and every error take the per-column path: one C-level
 pass of ``int`` or ``float`` per column, and a walk cell by cell of a column
 that fails, to name its first bad cell.  Id and float columns are written
@@ -41,6 +42,8 @@ def read_columns(path: str | Path, required: Iterable[str]) -> dict[str, tuple]:
             rows = list(filter(None, reader))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+        except csv.Error as exc:  # a field over the size limit; NUL before Python 3.11
+            raise ParseError(f"{path}, line {reader.line_num}: {exc}") from exc
     if rows and min(map(len, rows)) < len(header):
         rows = [row + [None] * (len(header) - len(row)) for row in rows]
     columns = list(zip(*rows)) or [()] * len(header)
@@ -52,9 +55,12 @@ def fast_columns(path: str | Path, kinds: dict, optional: dict) -> dict[str, np.
     None where ``read_columns`` with ``ints`` and ``floats`` might read the file otherwise."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-        # csv.reader splits a line with no quote or NUL at every comma; loadtxt
-        # reads some non-ASCII letters as digits and \x1c-\x1f as spaces
+        # csv.reader splits a line with no quote or NUL at every comma, and refuses a
+        # field over its size limit, which spans an aligned block of half the limit;
+        # loadtxt reads some non-ASCII letters as digits and \x1c-\x1f as spaces
+        half = csv.field_size_limit() // 2
         clean = text.isascii() and not any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
+        clean &= all(text.find("\n", k, k + half) >= 0 for k in range(0, len(text) - half, half))
         where = {name: i for i, name in enumerate(text.partition("\n")[0].split(","))}
         kinds = {**kinds, **{name: kind for name, kind in optional.items() if name in where}}
         if not (clean and kinds.keys() <= where.keys()):

@@ -17,6 +17,7 @@ from ..corrector import CorrectionResult
 from ..errors import DuplicateId
 from ._csv import code_cells, fast_columns, float_cells, floats, int_cells, ints, read_columns
 from ._csv import write_columns
+from .data import all_distinct
 from .experiment import ExternalGuess
 
 INSTANCE_COLUMNS = dict(id=np.int64, y=np.int64, yhat=np.int64, s_hat=np.int64, confidence=float)
@@ -28,7 +29,7 @@ def read_instance_csv(path: str | Path) -> tuple[np.ndarray, AttackInstance]:
     columns = fast_columns(path, INSTANCE_COLUMNS, {"s_true": np.int64})
     columns = columns or read_columns(path, INSTANCE_COLUMNS)
     ids = ints(columns["id"], "id")
-    if np.unique(ids).size != ids.size:
+    if not all_distinct(ids):
         raise DuplicateId("instance ids are not unique")
     truth = ints(columns["s_true"], "s_true") if "s_true" in columns else None
     guess = ints(columns["s_hat"], "s_hat")

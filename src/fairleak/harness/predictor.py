@@ -11,17 +11,17 @@ under the same determinant band: the groups are fixed, so group g's gap
 |D| / (n * z_g) is bounded by two half-planes of the smaller group, and
 ``corrector._rows_within`` gives each block's exact window ends.
 
-``RepairState`` holds what does not depend on the tolerance: the lattice
-of each metric slice, which reads the table's predictions, groups and
-margins in place.  ``RepairState.solve`` repairs a whole tolerance list with
-one search per slice, all tolerances sharing its blocks.  The repair
-enforces an upper bound alone, as fair training does; a lower bound is the
-adversary's knowledge, used by the correction only.  An upper-only repair
-always exists: flipping a slice's predictions all to 0 leaves it no gap.
-Each tolerance's cells come in the corrector's one solved-cell type,
-``corrector._SolvedCell``, whose flips ``RepairState.apply`` scatters into
-one copy of the predictions, as the corrector does; ``repair_predictions``
-is the one-tolerance form.
+``RepairState`` holds what does not depend on the tolerance: the lattice of
+each metric slice, read in place.  ``RepairState.solve`` repairs a whole
+tolerance list with one search per slice, all tolerances sharing its blocks,
+each judging the origin from the slice's counts (``corrector._group_gap``).
+The repair enforces an upper bound alone, as fair training does; a lower
+bound is the adversary's knowledge, used by the correction only.  An
+upper-only repair always exists: predictions all 0 leave a slice no gap.
+Each tolerance's cells are ``corrector._SolvedCell``s, whose flips
+``RepairState.apply`` scatters into one copy of the predictions and whose
+counts give ``RepairState.unfairness`` with no rescan of the predictions;
+``repair_predictions`` is the one-tolerance form.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec
-from ..corrector import _flip_all, _Lattice, _metric_lattices, _rows_within, _SolvedCell
-from ..corrector import search_net_moves
-from ..errors import BadParameters, EmptyVector, SchemaError
+from ..corrector import _flip_all, _group_gap, _Lattice, _metric_lattices, _rows_within
+from ..corrector import _SolvedCell, search_net_moves
+from ..errors import BadParameters, EmptySlice, EmptyVector, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
@@ -114,7 +114,9 @@ def _repair_slice(part: _Lattice, epsilons: Sequence[Fraction]) -> list[tuple[in
                   for s in (1, -1)]
         return _rows_within(u, planes, strict, row.lo, row.hi)
 
-    return [cells[0][0] for cells in search_net_moves(col, row, window, epsilons, None)]
+    gap = _group_gap(part.counts, 0, 0, True)
+    origin = [gap <= epsilon for epsilon in epsilons]
+    return [cells[0][0] for cells in search_net_moves(col, row, window, epsilons, None, origin)]
 
 
 class RepairState:
@@ -150,6 +152,12 @@ class RepairState:
     def apply(self, repair: list[_SolvedCell]) -> np.ndarray:
         """The predictions one result of :meth:`solve` repairs."""
         return _flip_all(self.yhat, [cell.changed for cell in repair])[0]
+
+    def unfairness(self, repair: list[_SolvedCell]) -> Fraction:
+        """``core.unfairness_exact`` of :meth:`apply`'s predictions, from the counts."""
+        if not repair:
+            raise EmptySlice("metric slice contains zero examples")
+        return max(_group_gap(cell.lattice.counts, cell.u, cell.v, True) for cell in repair)
 
 
 def repair_predictions(

@@ -387,6 +387,21 @@ def test_bad_cell_of_every_file_kind_is_an_input_error(tmp_path, capsys, kind, d
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", list(_FILES))
+@pytest.mark.parametrize("column", ["id", "ignored"])
+def test_oversized_cell_is_one_input_error_line(tmp_path, capsys, kind, column):
+    # csv.reader's field size limit is 131,072 characters
+    rows = [[*row, "note"] for row in _FILES[kind]]
+    rows[2][0 if column == "id" else -1] = "1" * 200_000
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(_csv_bytes(rows))
+    capsys.readouterr()
+    assert main(_command_reading(kind, path, tmp_path)) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"fairleak: error: {path}, line 3: field larger than field limit (131072)\n"
+    )
+
+
 _POOL = [
     "0", "1", "2", "-1", "", " 1", "1.5", "0.5", "0.75", "nan", "inf", "-inf", "1e999",
     "99999999999999999999", "-99999999999999999999", "zap", "a", "b", "\"1\"", "0,1",

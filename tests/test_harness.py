@@ -37,6 +37,7 @@ from fairleak.errors import (
     BadParameters,
     DegenerateClasses,
     DuplicateId,
+    EmptySlice,
     EmptyVector,
     Infeasible,
     IoError,
@@ -65,6 +66,7 @@ from fairleak.harness import (
     write_guess_csv,
 )
 from fairleak.harness import CATEGORICAL, NUMERIC, _csv, experiment, instances, predictor
+from fairleak.harness.data import all_distinct
 from fairleak.harness.experiment import _train_attack_model
 from fairleak.harness.predictor import (
     RepairState,
@@ -620,6 +622,21 @@ class TestFastColumns:
         assert not _both_paths_agree(path)
 
 
+    def test_oversized_field_is_declined_and_named(self, tmp_path):
+        # csv.reader refuses a field over its size limit, even in a column no
+        # reader asks for, so the one-call path must not read the file either
+        for cell in ("1" * 200_000, "b" * 200_000):
+            text = f"id,y,yhat,s_hat,confidence,note\n1,0,1,1,0.5,a\n2,1,0,0,0.25,{cell}\n"
+            path = _write(tmp_path, text, "long.csv")
+            assert not _both_paths_agree(path)
+            with pytest.raises(ParseError, match=r"long\.csv, line 3: field larger than"):
+                read_instance_csv(path)
+        # the same cell in the id column of a guess file
+        path = _write(tmp_path, f"id,s_hat,confidence_raw\n{'1' * 200_000},1,0.5\n", "long.csv")
+        with pytest.raises(ParseError, match=r"long\.csv, line 2: field larger than"):
+            read_guess_csv(path)
+
+
 @settings(max_examples=80, deadline=None)
 @given(instance=_file(_INSTANCE), guess=_file(_GUESS))
 def test_fuzzed_files_read_alike_on_both_paths(instance, guess):
@@ -628,6 +645,38 @@ def test_fuzzed_files_read_alike_on_both_paths(instance, guess):
             path = Path(tmp) / name
             path.write_bytes(payload)
             _both_paths_agree(path)
+
+
+class TestDistinctIds:
+    """Ids are checked by a sort, with every site's error as before."""
+
+    def test_all_distinct_matches_unique(self, rng):
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        cases = [[], [5], [bottom, top], [top, bottom, top], [0, -1, 1, 0], [bottom, bottom]]
+        cases += [rng.integers(-50, 50, rng.integers(0, 60)) for _ in range(200)]
+        for values in cases:
+            values = np.array(values, dtype=np.int64)
+            assert all_distinct(values) == (np.unique(values).size == values.size), values
+
+    def test_every_site_raises_its_error(self, tmp_path):
+        ids, bits = [3, 1, 3], [0, 1, 0]
+        with pytest.raises(DuplicateId, match="^dataset ids are not unique$"):
+            DatasetTable(ids=ids, features={}, sensitive=bits, labels=bits)
+        with pytest.raises(DuplicateId, match="^guess ids are not unique$"):
+            ExternalGuess(ids=ids, guess=bits, raw_scores=[0.5] * 3)
+        # the dataset reader names the first repeat's row
+        path = _write(tmp_path, "id,f0,x,s,y\n3,a,0.5,0,1\n1,b,1.5,1,0\n3,a,2.5,1,1\n")
+        with pytest.raises(DuplicateId, match="^row 4: duplicate id 3$"):
+            ingest_csv(path, _schema())
+        text = "id,y,yhat,s_hat,confidence\n3,0,1,1,0.5\n1,1,0,0,0.5\n3,0,0,1,0.5\n"
+        with pytest.raises(DuplicateId, match="^instance ids are not unique$"):
+            read_instance_csv(_write(tmp_path, text, "instance.csv"))
+        one_class = AttackSet(features={"f": np.array(bits)}, labels=bits, sensitive=[1, 1, 1])
+        with pytest.raises(DegenerateClasses, match="^sensitive column holds a single class$"):
+            train_baseline(one_class, MODE_A)
+        # distinct ids pass every check
+        DatasetTable(ids=[3, 1, 2], features={}, sensitive=bits, labels=bits)
+        ExternalGuess(ids=[3, 1, 2], guess=bits, raw_scores=[0.5] * 3)
 
 
 class TestSplitDataset:
@@ -1013,6 +1062,50 @@ class TestRunExperiment:
         config = ExperimentConfig(epsilon_grid=(0.0, 0.1), seeds=(0, 1))
         statuses = [row.status for row in run_experiment(config, one_group).rows]
         assert statuses == ["DegenerateClasses", "Infeasible"] * 2
+
+    def test_target_unfairness_is_that_of_the_repaired_predictions(self, monkeypatch):
+        # rows read it from the repair's lattice counts; unfairness() rescans
+        # the predictions that each cell repaired
+        applied = []
+        apply = RepairState.apply
+
+        def applying(state, repair):
+            applied.append(apply(state, repair))
+            return applied[-1]
+
+        monkeypatch.setattr(RepairState, "apply", applying)
+        table = synth_generate(300, seed=3)
+        # every y = 1 row in group 1: EO's slice, and one of EOdds', has one group
+        one_group = dataclasses.replace(
+            table, sensitive=np.where(table.labels == 1, 1, table.sensitive)
+        )
+        # no y = 0 row: PE has no slice at all
+        positive = dataclasses.replace(table, labels=np.ones(table.n, dtype=np.int64))
+        values, statuses = [], []
+        for data in (table, one_group, positive):
+            for metric in FairnessMetric:
+                config = ExperimentConfig(
+                    metric=metric, epsilon_grid=(0.0, 0.01, 0.05, 0.2), seeds=(0, 1),
+                    adversary_mode=MODE_A,
+                )
+                applied.clear()
+                rows = run_experiment(config, data).rows
+                assert len(applied) == 3 * len(rows)
+                for row, repaired in zip(rows, zip(*[iter(applied)] * 3)):
+                    parts = split_dataset(data, config.split_fractions, row.seed)
+                    try:
+                        want = [
+                            round(unfairness(metric, part.sensitive, yhat, part.labels), 6)
+                            for part, yhat in zip(parts[:2], repaired)
+                        ]
+                    except EmptySlice:
+                        want = None
+                    statuses.append((data is positive and metric is FairnessMetric.PE, row.status))
+                    got = [row.target_train_unfairness, row.target_test_unfairness]
+                    assert got == (want or [None, None]), (metric, row)
+                    values += want or []
+        assert set(statuses) == {(False, "ok"), (True, "EmptySlice")}
+        assert values.count(0.0) > 20 and len(set(values)) > 20
 
     def test_failing_seed_preparation_spares_the_other_seeds(self, monkeypatch):
         fits = []

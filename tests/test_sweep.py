@@ -418,12 +418,14 @@ class TestCorrectEach:
             _assert_same_result(result, alone)
 
         # vectors that order the columns each their own way: no column's
-        # window is computed twice in a search, beyond the origin test, and
-        # the batch takes no more blocks than its slowest vector alone
+        # window is computed twice in a search, column 0 only inside the first
+        # block (the origin is judged from the lattice's counts, with no
+        # window), and the batch takes no more blocks than its slowest vector
+        # alone
         searches = []
         search = corrector.search_net_moves
 
-        def spy(col, row, window, bounds, lower):
+        def spy(col, row, window, bounds, lower, origin):
             seen = []
 
             def recording(u, nums, den, strict):
@@ -431,10 +433,12 @@ class TestCorrectEach:
                     seen.append(u.tolist())
                 return window(u, nums, den, strict)
 
-            found = search(col, row, recording, bounds, lower)
+            assert origin == [False]
+            found = search(col, row, recording, bounds, lower, origin)
             columns = sum(seen, [])
-            assert columns[0] == 0 and len(set(columns[1:])) == len(columns) - 1
-            searches.append((len(seen), len(columns) - 1))
+            assert columns[0] == 0 and len(seen[0]) > 1 and [0] not in seen
+            assert len(set(columns)) == len(columns)
+            searches.append((len(seen), len(columns)))
             return found
 
         monkeypatch.setattr(corrector, "search_net_moves", spy)
@@ -460,12 +464,12 @@ class TestCorrectEach:
         sizes = []
         search = corrector.search_net_moves
 
-        def spy(col, row, window, bounds, lower):
+        def spy(col, row, window, bounds, lower, origin):
             def sized(u, nums, den, strict):
                 sizes.append(col.pos.shape[0] * len(nums) * u.size)
                 return window(u, nums, den, strict)
 
-            return search(col, row, sized, bounds, lower)
+            return search(col, row, sized, bounds, lower, origin)
 
         monkeypatch.setattr(corrector, "search_net_moves", spy)
         n = 3000
@@ -628,12 +632,12 @@ class TestBatchedRepair:
         sizes = []
         real = predictor.search_net_moves
 
-        def spy(col, row, window, bounds, lower):
+        def spy(col, row, window, bounds, lower, origin):
             def sized(u, nums, den, strict):
                 sizes.append(len(nums) * u.size)
                 return window(u, nums, den, strict)
 
-            return real(col, row, sized, bounds, lower)
+            return real(col, row, sized, bounds, lower, origin)
 
         monkeypatch.setattr(predictor, "search_net_moves", spy)
         n = 3000

@@ -6,7 +6,9 @@ within each bound, or strictly below it.  A spy captures each window the
 solvers build on small lattices, and for every column, every bound and both
 strictnesses, the window must hold exactly the rows whose cell meets the
 bound by ``core.unfairness_exact``, and for the corrector also leaves both
-guess groups nonempty.
+guess groups nonempty.  The solvers judge the origin from the lattice's
+counts, with no window; the spy checks each verdict against the window at
+column 0 and against the same definition.
 """
 
 import math
@@ -19,7 +21,7 @@ from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, unfairne
 from fairleak.corrector import correct
 from fairleak.errors import Infeasible
 from fairleak.harness import predictor
-from fairleak.harness.predictor import repair_predictions
+from fairleak.harness.predictor import RepairState
 
 SP = FairnessMetric.SP
 
@@ -89,15 +91,34 @@ def _check_windows(col, row, window, gap, batch):
                     assert got(lo[r, k], hi[r, k]) == want(u, bound, strict)
 
 
+def _check_origin(col, row, window, gap, bounds, lower, origin):
+    """Compare the caller's verdict on cell (0, 0) under each bound with the
+    window's at column 0, carve-out included, and with ``gap``; return it."""
+    den = math.lcm(*(bound.denominator for bound in bounds))
+    nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
+    lo, hi = window(np.zeros(1, dtype=np.int64), nums, den, False)
+    inside = (np.maximum(lo, row.lo) <= 0) & (0 <= np.minimum(hi, row.hi))
+    if lower is not None and lower > 0:
+        ilo, ihi = window(np.zeros(1, dtype=np.int64), [lower.numerator], lower.denominator, True)
+        inside &= ~((ilo <= 0) & (0 <= ihi))
+    assert list(origin) == inside[:, 0].tolist()
+    at = gap(col, row, 0, 0)
+    assert list(origin) == [
+        at is not None and bound >= at and not (lower is not None and at < lower)
+        for bound in bounds
+    ]
+    return list(origin)
+
+
 def _captured(monkeypatch, module, run):
-    """The (col, row, window) of every search ``run`` makes through
-    ``module``'s ``search_net_moves``."""
+    """The arguments (col, row, window, bounds, lower, origin) of every
+    search ``run`` makes through ``module``'s ``search_net_moves``."""
     seen = []
     real = module.search_net_moves
 
-    def spy(col, row, window, bounds, lower):
-        seen.append((col, row, window))
-        return real(col, row, window, bounds, lower)
+    def spy(col, row, window, bounds, lower, origin):
+        seen.append((col, row, window, bounds, lower, origin))
+        return real(col, row, window, bounds, lower, origin)
 
     with monkeypatch.context() as patch:
         patch.setattr(module, "search_net_moves", spy)
@@ -121,6 +142,9 @@ def _guess_cases(rng):
         # no positive prediction, and only positive ones
         yield np.zeros(n, dtype=np.int64), rng.integers(0, 2, n)
         yield np.ones(n, dtype=np.int64), rng.integers(0, 2, n)
+        # one guess group: n1 = 0 and n1 = n
+        yield rng.integers(0, 2, n), np.zeros(n, dtype=np.int64)
+        yield rng.integers(0, 2, n), np.ones(n, dtype=np.int64)
 
 
 def _group_cases(rng):
@@ -139,31 +163,48 @@ def _group_cases(rng):
 
 class TestWindowsMatchTheDefinition:
     def test_corrector(self, monkeypatch, rng):
-        searched = 0
+        searched = carved = 0
+        verdicts = []
         for yhat, guess in _guess_cases(rng):
             n = yhat.size
             inst = AttackInstance(yhat, rng.integers(0, 2, n), guess, rng.random(n))
-            for metric, eps in ((SP, 0.0), (FairnessMetric.EODDS, 0.1)):
-                spec = FairnessSpec(metric, eps)
-                for col, row, window in _captured(
+            for metric, eps, lower in (
+                (SP, 0.0, None),
+                (FairnessMetric.EODDS, 0.1, None),
+                (SP, 0.3, 0.1),
+                (FairnessMetric.EODDS, 0.5, 0.2),
+            ):
+                spec = FairnessSpec(metric, eps, lower)
+                for col, row, window, bounds, low, origin in _captured(
                     monkeypatch, corrector, lambda: correct(inst, spec)
                 ):
                     _check_windows(col, row, window, _corrector_gap, batch=False)
+                    verdicts += _check_origin(
+                        col, row, window, _corrector_gap, bounds, low, origin
+                    )
                     searched += 1
-        assert searched > 150
+                    carved += low is not None
+        assert searched > 300 and carved > 100
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
     def test_repair(self, monkeypatch, rng):
         searched = 0
+        verdicts = []
+        # one search per slice answers the whole grid, each tolerance with its
+        # own verdict on the origin
+        grid = [0.0, 0.05, 0.2, 1 / 3, 1.0]
         for yhat, sensitive in _group_cases(rng):
             n = yhat.size
             labels = rng.integers(0, 2, n)
             for metric in (SP, FairnessMetric.EODDS):
-                spec = FairnessSpec(metric, 0.0)
-                for col, row, window in _captured(
-                    monkeypatch,
-                    predictor,
-                    lambda: repair_predictions(yhat, rng.random(n), sensitive, labels, spec),
+                state = RepairState(yhat, rng.random(n), sensitive, labels, metric)
+                for col, row, window, bounds, lower, origin in _captured(
+                    monkeypatch, predictor, lambda: state.solve(grid)
                 ):
                     _check_windows(col, row, window, _repair_gap, batch=True)
+                    verdicts += _check_origin(
+                        col, row, window, _repair_gap, bounds, lower, origin
+                    )
                     searched += 1
         assert searched > 150
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
