@@ -28,10 +28,13 @@ from .core import (
 from .corrector import correct  # noqa: F401  (perfbench traces this name)
 from .corrector import correct_each
 from .errors import (
+    BadParameters,
     DegenerateClasses,
     EmptyAttackSet,
     Infeasible,
+    LengthMismatch,
     MissingPredictions,
+    SchemaError,
     ScoreOutOfRange,
     SchemaMismatch,
 )
@@ -72,7 +75,7 @@ class AttackSet:
         if preds is not None:
             lengths.add(preds.size)
         if len(lengths) > 1:
-            raise ValueError("attack set columns differ in length")
+            raise LengthMismatch("attack set columns differ in length")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sensitive", sensitive)
@@ -131,7 +134,7 @@ def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
     Class priors are uniform (class balancing) and Laplace smoothing is 1.
     """
     if mode not in (MODE_A, MODE_A_PRIME):
-        raise ValueError(f"unknown adversary mode: {mode!r}")
+        raise BadParameters(f"unknown adversary mode: {mode!r}")
     if attack_set.n == 0:
         raise EmptyAttackSet("attack set has no rows")
     if attack_set.sensitive.min() == attack_set.sensitive.max():
@@ -232,7 +235,7 @@ def normalize_scores(raw_scores: Sequence[float]) -> np.ndarray:
 def shape_confidences(raw_scores: Sequence[float], k: float) -> np.ndarray:
     """Normalize then exponentiate, widening the gaps between scores."""
     if k <= 0:
-        raise ValueError("exponent k must be positive")
+        raise BadParameters("exponent k must be positive")
     return np.maximum(normalize_scores(raw_scores) ** k, MIN_CONFIDENCE)
 
 
@@ -249,11 +252,11 @@ def process_confidences(
     solved in one :func:`correct_each` batch.  Ties prefer the smallest k.
     """
     if validation.truth is None:
-        raise ValueError("validation instance needs truth for scoring")
+        raise SchemaError("validation instance needs truth for scoring")
     if not k_grid:
-        raise ValueError("k grid must be nonempty")
+        raise BadParameters("k grid must be nonempty")
     if min(k_grid) <= 0:
-        raise ValueError("exponent k must be positive")
+        raise BadParameters("exponent k must be positive")
     normalized = normalize_scores(validation.confidence)
     shaped = [np.maximum(normalized**k, MIN_CONFIDENCE) for k in k_grid]
     try:

@@ -251,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except Infeasible as exc:
         print(f"fairleak: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FairleakError, OSError, ValueError) as exc:
+    except (FairleakError, OSError) as exc:
         print(f"fairleak: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySlice, EmptyVector, LengthMismatch, NegativeConfidence, SchemaError
+from .errors import BadParameters, EmptySlice, EmptyVector, LengthMismatch
+from .errors import NegativeConfidence, SchemaError
 
 
 class FairnessMetric(str, Enum):
@@ -46,7 +47,7 @@ def as_binary_array(values: Sequence[int], name: str = "vector") -> np.ndarray:
     """Validate and convert a 0/1 sequence to a read-only int64 array."""
     arr = np.asarray(values, dtype=np.int64).copy()
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        raise SchemaError(f"{name} must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise SchemaError(f"{name} must contain only 0 and 1")
     arr.setflags(write=False)
@@ -58,10 +59,10 @@ def as_sensitive_array(
 ) -> np.ndarray:
     """Validate a sensitive-value sequence against its declared cardinality."""
     if cardinality < 2:
-        raise ValueError("cardinality must be at least 2")
+        raise BadParameters("cardinality must be at least 2")
     arr = np.asarray(values, dtype=np.int64).copy()
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        raise SchemaError(f"{name} must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() >= cardinality):
         raise SchemaError(f"{name} values must lie in [0, {cardinality})")
     arr.setflags(write=False)
@@ -72,7 +73,7 @@ def as_confidence_array(values: Sequence[float], name: str = "confidence") -> np
     """Validate a non-negative, finite confidence sequence."""
     arr = np.asarray(values, dtype=np.float64).copy()
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        raise SchemaError(f"{name} must be one-dimensional")
     if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0):
         raise NegativeConfidence(f"{name} must be finite and non-negative")
     arr.setflags(write=False)
@@ -96,9 +97,9 @@ class FairnessSpec:
         metric = FairnessMetric(self.metric)
         object.__setattr__(self, "metric", metric)
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+            raise BadParameters("epsilon must lie in [0, 1]")
         if self.epsilon_lower is not None and not 0.0 <= self.epsilon_lower <= self.epsilon:
-            raise ValueError("epsilon_lower must lie in [0, epsilon]")
+            raise BadParameters("epsilon_lower must lie in [0, epsilon]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +155,6 @@ class MoveCounts:
     s10_pos: int
     s01_neg: int
     s10_neg: int
-
-    @property
-    def total(self) -> int:
-        return self.s01_pos + self.s10_pos + self.s01_neg + self.s10_neg
 
 
 @dataclass(frozen=True)
@@ -221,14 +218,14 @@ def unfairness_exact(
     metric = FairnessMetric(metric)
     s_arr = np.asarray(s, dtype=np.int64)
     if s_arr.size and s_arr.min() < 0:
-        raise ValueError("sensitive values must be non-negative")
+        raise SchemaError("sensitive values must be non-negative")
     yhat_arr = as_binary_array(yhat, "predictions")
     if s_arr.size != yhat_arr.size:
         raise LengthMismatch("sensitive and prediction vectors differ in length")
     if metric is FairnessMetric.SP:
         y = yhat_arr  # SP reads no labels, only their count
     elif y is None:
-        raise ValueError(f"{metric.value} requires the label vector")
+        raise SchemaError(f"{metric.value} requires the label vector")
     if as_binary_array(y, "labels").size != yhat_arr.size:
         raise LengthMismatch("label vector differs in length")
     gaps = [_group_rate_gap(s_arr[idx], yhat_arr[idx])

@@ -25,16 +25,19 @@ exact integers: each solver judges the origin by it, with no window, and it
 gives the EOdds carrier its slices' gaps and the sweep its fair target's
 unfairness.  A gap bound is a band of the determinant: a few half-planes in v
 per column, whose exact integer ends ``_rows_within`` finds for a whole block.
+``_solve_sp_form``'s guess groups move with the cell; the repair's groups are
+fixed, so ``_repair_slice`` bounds group g's gap |D| / (n * z_g) by two
+half-planes of the smaller group, for a whole grid of upper bounds at once.
 
 ``correct_each`` solves one instance under several confidence vectors, as
 the adversary's choice of confidence exponent does, in one search per slice
 with one cost row per vector; ``correct`` is its one-vector case, and only
-the corrector decides which slice carries an EOdds lower bound.  The repair,
-which enforces an upper bound alone, searches a whole tolerance grid under
-its one cost row.  Both answer each slice with one ``_SolvedCell``: a lattice
-cell under one cost row, priced by ``_Lattice.cost`` and flipped by
-``_Lattice.flip``.  The brute-force oracle this solver is checked against,
-and the only solver for more than two groups, is ``fairleak.oracle``.
+the corrector decides which slice carries an EOdds lower bound.  Each solver
+hands ``search_net_moves`` a slice's lattice and the cost rows to read, and
+gets one ``_SolvedCell`` per bound and row: a lattice cell under one cost
+row, priced by ``_Lattice.cost`` and flipped by ``_Lattice.flip``.  The
+brute-force oracle this solver is checked against, and the only solver for
+more than two groups, is ``fairleak.oracle``.
 """
 
 from __future__ import annotations
@@ -133,32 +136,17 @@ def _rows_within(
     return low, high
 
 
-@dataclass(frozen=True, eq=False)
-class _SideCosts:
-    """V-shaped costs of a signed move count, one per cost row, held as two
-    (rows x size) prefix arrays."""
-
-    pos: np.ndarray
-    neg: np.ndarray
-
-    @property
-    def lo(self) -> int:
-        return -(self.neg.shape[1] - 1)
-
-    @property
-    def hi(self) -> int:
-        return self.pos.shape[1] - 1
-
-
 class _Lattice:
     """The net-move lattice of 0/1 vectors ``x`` split by ``z``, read in place
     at their ascending entries ``idx`` (every entry when it is None), with one
     cost row per row of ``costs``.
 
     Column u flips |u| entries of ``x`` where z = 1, zeros to one when u > 0
-    and ones to zero when u < 0; row v does the same where z = 0.  A cell
-    keeps its indices into ``x`` and its sorted costs with their prefix sums;
-    a flip of k entries takes its k cheapest, ties on the lowest index.
+    and ones to zero when u < 0; row v does the same where z = 0.  Its cells
+    c[x][z], and their sizes ``counts``, come as c01, c11, c00, c10: the
+    column's up and down flips, then the row's.  A cell keeps its indices
+    into ``x`` and its sorted costs with their prefix sums; a flip of k
+    entries takes its k cheapest, ties on the lowest index.
     """
 
     def __init__(
@@ -172,13 +160,6 @@ class _Lattice:
         self.counts = tuple(cell.size for cell in cells)
         # (values, totals, indices) of the up and down flips of the column, then the row
         self.cells = [(*_sorted_sums(costs, cell), cell) for cell in cells]
-
-    def sides(self, rows: Sequence[int]) -> tuple[_SideCosts, _SideCosts]:
-        """Column and row costs under the cost rows ``rows``, given in
-        ascending order, one array row each."""
-        pick = slice(None) if len(rows) == len(self.costs) else list(rows)
-        up1, down1, up0, down0 = (totals[pick] for _, totals, _ in self.cells)
-        return _SideCosts(pos=up1, neg=down1), _SideCosts(pos=up0, neg=down0)
 
     def cost(self, r: int, u: int, v: int) -> float:
         """The cost of cell (u, v) under cost row ``r``: its column's prefix
@@ -235,6 +216,31 @@ def _flip_all(x: np.ndarray, flips: Sequence[np.ndarray]) -> tuple[np.ndarray, n
     return flipped, changed
 
 
+@dataclass(frozen=True, eq=False)
+class _SolvedCell:
+    """One slice's solution, for either solver: cell (u, v) of the slice's
+    lattice under cost row ``r``, found after scanning ``columns`` columns."""
+
+    lattice: _Lattice
+    r: int
+    u: int
+    v: int
+    columns: int
+
+    @property
+    def changed(self) -> np.ndarray:
+        return self.lattice.flip(self.r, self.u, self.v)
+
+    @property
+    def objective(self) -> float:
+        return self.lattice.cost(self.r, self.u, self.v)
+
+    @property
+    def gap(self) -> Fraction:
+        """The slice's SP gap, ``x`` split by ``z``, once the cell's flips apply."""
+        return _group_gap(self.lattice.counts, self.u, self.v, False)
+
+
 #: window(u, nums, den, strict) -> (lo, hi): for each bound nums[r]/den, one
 #: row each, and each column u, the rows v at which every group gap is at
 #: most the bound (strictly below it when ``strict``); a column whose lo
@@ -243,17 +249,18 @@ WindowFn = Callable[[np.ndarray, Sequence[int], int, bool], tuple[np.ndarray, np
 
 
 def search_net_moves(
-    col: _SideCosts,
-    row: _SideCosts,
+    part: _Lattice,
+    rows: Sequence[int],
     window: WindowFn,
     bounds: Sequence[Fraction],
     lower: Fraction | None,
     origin: Sequence[bool],
-) -> list[list[tuple[tuple[int, int] | None, int]]]:
-    """For each upper bound in ``bounds`` and each cost row of ``col`` and
-    ``row``: the cheapest (column, row) cell whose gaps are within the bound
-    and, when ``lower`` is positive, not all strictly below ``lower``; with
-    the number of columns scanned.  Results are indexed [bound][cost row].
+) -> list[list[_SolvedCell | None]]:
+    """For each upper bound in ``bounds`` and each cost row ``rows`` names,
+    ascending: the cheapest cell of ``part`` whose gaps are within the bound
+    and, when ``lower`` is positive, not all strictly below ``lower``, as a
+    ``_SolvedCell`` counting the columns scanned, or None if there is none.
+    Results are indexed [bound][position in ``rows``].
 
     ``origin[b]`` says whether (0, 0) is feasible under bound b, as the caller
     reads it from the counts; such a bound gets it with no window.  Otherwise
@@ -280,10 +287,12 @@ def search_net_moves(
     nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
     carve = lower is not None and lower > 0
 
-    rows = col.pos.shape[0]
-    best: list[list[tuple[float, int, int, int] | None]] = [[None] * rows for _ in nums]
-    live = [(b, r) for b, free in enumerate(origin) if not free for r in range(rows)]
-    pos, neg = col.pos, col.neg
+    # prefix sums of the column's up and down flips, then of the row's
+    pick = slice(None) if len(rows) == len(part.costs) else list(rows)
+    pos, neg, row_pos, row_neg = (totals[pick] for _, totals, _ in part.cells)
+    row_lo, row_hi = -part.counts[3], part.counts[2]
+    best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in nums]
+    live = [(b, r) for b, free in enumerate(origin) if not free for r in range(len(rows))]
     i, j, size = 0, 1, _FIRST_BLOCK
     while live and (i < pos.shape[1] or j < neg.shape[1]):
         head = np.concatenate((pos[:, i : i + size], neg[:, j : j + size]), axis=1)
@@ -292,7 +301,7 @@ def search_net_moves(
         if not live:
             break
         bs, rs = sorted({b for b, _ in live}), sorted({r for _, r in live})
-        budget = max(1, _MAX_BLOCK // (len(bs) * rows))
+        budget = max(1, _MAX_BLOCK // (len(bs) * len(rows)))
         take = min(size, budget, head.shape[1])
         # each row in the scan cuts at its take-th cheapest column, ties included
         cut = np.partition(head, take - 1, axis=1)[:, take - 1]
@@ -302,7 +311,7 @@ def search_net_moves(
         u = np.concatenate((np.arange(i, i_next), -np.arange(j, j_next)))
         cu = np.concatenate((pos[:, i:i_next], neg[:, j:j_next]), axis=1)
         lo, hi = window(u, [nums[b] for b in bs], den, False)
-        lo, hi = np.maximum(lo, row.lo), np.minimum(hi, row.hi)
+        lo, hi = np.maximum(lo, row_lo), np.minimum(hi, row_hi)
         if carve:
             # the lower bound carves out the rows where every gap is below it,
             # leaving two pieces per column, indexed (bound, piece, column)
@@ -319,7 +328,7 @@ def search_net_moves(
         ok_u = u.take(ok, mode="wrap")
         v = np.minimum(np.maximum(lo.ravel().take(ok), 0), hi.ravel().take(ok))
         cost = cu.take(ok, axis=1, mode="wrap") + np.where(
-            v >= 0, row.pos.take(np.maximum(v, 0), axis=1), row.neg.take(np.maximum(-v, 0), axis=1)
+            v >= 0, row_pos.take(np.maximum(v, 0), axis=1), row_neg.take(np.maximum(-v, 0), axis=1)
         )
         # ok runs bound by bound: edges delimit each bound's entries
         edges = np.searchsorted(ok, np.arange(0, lo.size + 1, lo.size // len(bs))).tolist()
@@ -338,30 +347,27 @@ def search_net_moves(
                 if best[b][r] is None or key < best[b][r]:
                     best[b][r] = key
 
-    def result(b: int, r: int) -> tuple[tuple[int, int] | None, int]:
+    def result(b: int, r: int) -> _SolvedCell | None:
         key = best[b][r]
         if origin[b]:
-            return (0, 0), 0
+            return _SolvedCell(part, rows[r], 0, 0, 0)
         if key is None:
-            return None, pos.shape[1] + neg.shape[1] - 1
+            return None
         scanned = sum(int(np.searchsorted(side[r], key[0], side="right")) for side in (pos, neg))
-        return (key[2], key[3]), scanned - 1
+        return _SolvedCell(part, rows[r], key[2], key[3], scanned - 1)
 
-    return [[result(b, r) for r in range(rows)] for b in range(len(nums))]
+    return [[result(b, r) for r in range(len(rows))] for b in range(len(nums))]
 
 
 def _solve_sp_form(
-    col: _SideCosts,
-    row: _SideCosts,
-    epsilon: Fraction,
-    lower: Fraction | None,
-) -> list[tuple[tuple[int, int], int]]:
-    """Each cost row's cheapest lattice cell and columns scanned; raises
-    Infeasible for all rows alike.  Both groups must be present, as the
-    empty-group rule in ``core`` says."""
-    # a side's up flips are its guess zeros, its down flips its guess ones:
+    part: _Lattice, rows: Sequence[int], epsilon: Fraction, lower: Fraction | None
+) -> list[_SolvedCell]:
+    """The cheapest correction of one slice's lattice, its guess split by its
+    predictions, under each cost row of ``rows``; raises Infeasible for all
+    rows alike.  Both groups must be present, as the empty-group rule in
+    ``core`` says."""
     # z1 positive predictions, z0 negative ones, n1 guess ones
-    counts = c01, c11, c00, c10 = col.hi, -col.lo, row.hi, -row.lo  # c[guess][prediction]
+    counts = c01, c11, c00, c10 = part.counts  # c[guess][prediction]
     z1, z0 = c01 + c11, c00 + c10
     n, n1 = z0 + z1, c11 + c10
     if n < 2:
@@ -378,42 +384,43 @@ def _solve_sp_form(
         t = num * n
         planes = [(-s * den * z1 - g * t, [t * size - s * den * det], g * t - s * den * z0)
                   for size, g in ((n1, 1), (n - n1, -1)) for s in (1, -1)]
-        lo, hi = _rows_within(u, planes, strict, row.lo, row.hi)
+        lo, hi = _rows_within(u, planes, strict, -c10, c00)
         return np.maximum(lo, 1 - n1 - u), np.minimum(hi, n - 1 - n1 - u)
 
     # the window's verdict: both groups present, the gap within both bounds
     origin = 0 < n1 < n and (lower or 0) <= _group_gap(counts, 0, 0, False) <= epsilon
-    (cells,) = search_net_moves(col, row, window, [epsilon], lower, [origin])
+    (cells,) = search_net_moves(part, rows, window, [epsilon], lower, [origin])
     # which cells are feasible never depends on the costs
-    if cells[0][0] is None:
+    if cells[0] is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
     return cells
 
 
-@dataclass(frozen=True, eq=False)
-class _SolvedCell:
-    """One slice's solution, for either solver: cell (u, v) of the slice's
-    lattice under cost row ``r``, found after scanning ``columns`` columns
-    (the repair does not count them)."""
+def _repair_slice(part: _Lattice, epsilons: Sequence[Fraction]) -> list[_SolvedCell]:
+    """The cheapest repair of one slice's lattice, its predictions split by
+    its groups, under each upper bound of ``epsilons``, the margins its one
+    cost row."""
+    c01, c11, c00, c10 = part.counts  # c[prediction][group]
+    z1, z0 = c01 + c11, c00 + c10
+    if not z1 or not z0:
+        # a one-group slice: the empty-group rule in ``core``
+        return [_SolvedCell(part, 0, 0, 0, 0)] * len(epsilons)
+    det = c00 * c11 - c01 * c10
 
-    lattice: _Lattice
-    r: int
-    u: int
-    v: int
-    columns: int = 0
+    def window(
+        u: np.ndarray, nums: Sequence[int], den: int, strict: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Net group-0 flips v keeping both gaps within each nums[r]/den
+        (strictly below it when ``strict``), for net group-1 flips u: the
+        smaller group binds, s*den*D <= num*n*min(z0, z1) for both signs s."""
+        reach = [num * (z0 + z1) * min(z0, z1) for num in nums]
+        planes = [(-s * den * z1, [r - s * den * det for r in reach], -s * den * z0)
+                  for s in (1, -1)]
+        return _rows_within(u, planes, strict, -c10, c00)
 
-    @property
-    def changed(self) -> np.ndarray:
-        return self.lattice.flip(self.r, self.u, self.v)
-
-    @property
-    def objective(self) -> float:
-        return self.lattice.cost(self.r, self.u, self.v)
-
-    @property
-    def gap(self) -> Fraction:
-        """The slice's SP gap, ``x`` split by ``z``, once the cell's flips apply."""
-        return _group_gap(self.lattice.counts, self.u, self.v, False)
+    gap = _group_gap(part.counts, 0, 0, True)
+    found = search_net_moves(part, [0], window, epsilons, None, [gap <= e for e in epsilons])
+    return [cell for (cell,) in found]
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
@@ -466,19 +473,16 @@ def _correct_rows(
     lattices = _metric_lattices(metric, instance.labels, guess, instance.predictions, confs)
     coupled = metric is FairnessMetric.EODDS and lower is not None and len(lattices) > 1
 
-    def solve(i: int, bound: Fraction | None, rows: list[int]) -> list[_SolvedCell]:
-        cells = _solve_sp_form(*lattices[i].sides(rows), epsilon, bound)
-        return [_SolvedCell(lattices[i], r, *uv, n) for r, (uv, n) in zip(rows, cells)]
-
     vectors = list(range(confs.shape[0]))
-    slices = [solve(i, None if coupled else lower, vectors) for i in range(len(lattices))]
+    bound = None if coupled else lower
+    slices = [_solve_sp_form(part, vectors, epsilon, bound) for part in lattices]
     solved = [[cells[t] for cells in slices] for t in vectors]
     missed = [t for t in vectors if coupled and max(cell.gap for cell in solved[t]) < lower]
     if missed:
         best: dict[int, tuple[float, list[_SolvedCell]]] = {}
         for carrier in (0, 1):
             try:
-                forced = solve(carrier, lower, missed)
+                forced = _solve_sp_form(lattices[carrier], missed, epsilon, lower)
             except Infeasible:
                 continue
             for t, cell in zip(missed, forced):

@@ -59,7 +59,7 @@ class ParseError(FairleakError):
 
 
 class SchemaError(FairleakError):
-    """Declared columns or value ranges do not match the file contents."""
+    """Declared columns, shapes or value ranges do not match the data."""
 
 
 class DuplicateId(FairleakError):
@@ -71,7 +71,7 @@ class BadFractions(FairleakError):
 
 
 class BadParameters(FairleakError):
-    """Generator parameters are outside their allowed ranges."""
+    """Parameters are outside their allowed ranges or name no known option."""
 
 
 class IoError(FairleakError):

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-
 from .core import FairnessMetric, FairnessSpec, unfairness
+from .errors import BadParameters
 
 #: Tie-break preference: metrics covering more examples first.
 _PREFERENCE = {
@@ -43,7 +43,7 @@ def estimate_constraint(
     """
     metrics = sorted({FairnessMetric(m) for m in candidates}, key=_PREFERENCE.__getitem__)
     if not metrics:
-        raise ValueError("candidates must be nonempty")
+        raise BadParameters("candidates must be nonempty")
     measured = {
         metric: unfairness(metric, attack_sensitive, attack_predictions, attack_labels)
         for metric in metrics

@@ -545,7 +545,7 @@ def emit_report(report: ExperimentReport, path: str | Path, fmt: str = "csv") ->
         cells = [[_format_cell(getattr(row, c)) for row in report.rows] for c in REPORT_COLUMNS]
         return write_columns(path, REPORT_COLUMNS, cells, "report")
     if fmt != "json":
-        raise ValueError(f"unknown report format: {fmt!r}")
+        raise BadParameters(f"unknown report format: {fmt!r}")
     payload = {"metadata": report.metadata, "rows": list(map(dataclasses.asdict, report.rows))}
     return write_text(path, json.dumps(payload, indent=2) + "\n", "report")
 

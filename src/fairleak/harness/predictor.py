@@ -5,11 +5,10 @@ requested rate constraint holds on the training data.  With fixed group
 memberships the constraint depends only on the net number of prediction
 flips inside each sensitive group, so the repair searches the guess
 corrector's lattice type, ``corrector._Lattice``, with the two vectors
-swapped: the predictions split by the groups, flip costs the margins.  It
-runs the same block-wise vectorised sweep, ``corrector.search_net_moves``,
-under the same determinant band: the groups are fixed, so group g's gap
-|D| / (n * z_g) is bounded by two half-planes of the smaller group, and
-``corrector._rows_within`` gives each block's exact window ends.
+swapped: the predictions split by the groups, flip costs the margins.  Its
+window, with every other determinant-band window, lives in ``corrector``:
+``corrector._repair_slice`` runs the corrector's sweep on one slice for a
+whole tolerance list.
 
 ``RepairState`` holds what does not depend on the tolerance: the lattice of
 each metric slice, read in place.  ``RepairState.solve`` repairs a whole
@@ -33,8 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec
-from ..corrector import _flip_all, _group_gap, _Lattice, _metric_lattices, _rows_within
-from ..corrector import _SolvedCell, search_net_moves
+from ..corrector import _flip_all, _group_gap, _metric_lattices, _repair_slice, _SolvedCell
 from ..errors import BadParameters, EmptySlice, EmptyVector, SchemaError
 from ..nb import CategoricalNaiveBayes, fit_naive_bayes
 from ..adversary import Discretizer
@@ -91,34 +89,6 @@ def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
     return LabelPredictor(nb=nb, discretizer=disc, feature_names=names)
 
 
-def _repair_slice(part: _Lattice, epsilons: Sequence[Fraction]) -> list[tuple[int, int]]:
-    """Repair one slice's lattice under each upper bound of ``epsilons``: its
-    predictions split by its groups, group 1 the columns, group 0 the rows,
-    the margins the one cost row.  Each repair is the lattice cell to flip."""
-    col, row = part.sides([0])
-    # a group's members are its side's up (zero) and down (one) flips
-    z1, z0 = col.hi - col.lo, row.hi - row.lo
-    if not z1 or not z0:
-        # a one-group slice: the empty-group rule in ``core``
-        return [(0, 0)] * len(epsilons)
-    det = row.hi * -col.lo - col.hi * -row.lo  # c00*c11 - c01*c10, c[prediction][group]
-
-    def window(
-        u: np.ndarray, nums: Sequence[int], den: int, strict: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Net group-0 flips v keeping both gaps within each nums[r]/den
-        (strictly below it when ``strict``), for net group-1 flips u: the
-        smaller group binds, s*den*D <= num*n*min(z0, z1) for both signs s."""
-        reach = [num * (z0 + z1) * min(z0, z1) for num in nums]
-        planes = [(-s * den * z1, [r - s * den * det for r in reach], -s * den * z0)
-                  for s in (1, -1)]
-        return _rows_within(u, planes, strict, row.lo, row.hi)
-
-    gap = _group_gap(part.counts, 0, 0, True)
-    origin = [gap <= epsilon for epsilon in epsilons]
-    return [cells[0][0] for cells in search_net_moves(col, row, window, epsilons, None, origin)]
-
-
 class RepairState:
     """A table's tolerance-free repair inputs for one metric: its slices and
     the lattice of each.  Build it once; :meth:`solve` repairs a whole list
@@ -144,10 +114,7 @@ class RepairState:
         Each slice's lattice is searched once for all tolerances."""
         uppers = [Fraction(epsilon) for epsilon in epsilons]
         slices = [_repair_slice(part, uppers) for part in self.parts]
-        return [
-            [_SolvedCell(part, 0, *cells[t]) for part, cells in zip(self.parts, slices)]
-            for t in range(len(uppers))
-        ]
+        return [[cells[t] for cells in slices] for t in range(len(uppers))]
 
     def apply(self, repair: list[_SolvedCell]) -> np.ndarray:
         """The predictions one result of :meth:`solve` repairs."""

@@ -44,6 +44,11 @@ def synth_generate(
     """Generate a deterministic synthetic dataset of ``n`` rows."""
     if n < 10:
         raise BadParameters("n must be at least 10")
+    if n >= 2**58:
+        # numpy refuses an (n, 4) int64 draw past 2**63 bytes
+        raise BadParameters("n must be below 2**58")
+    if seed < 0:
+        raise BadParameters("seed must be non-negative")
     if not 0.0 <= rho <= 1.0:
         raise BadParameters("rho must lie in [0, 1]")
     if not 0.0 <= beta <= 1.0:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadParameters, SchemaMismatch
+
 
 @dataclass(frozen=True, eq=False)
 class CategoricalNaiveBayes:
@@ -25,7 +27,7 @@ class CategoricalNaiveBayes:
     def predict_log_joint(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         missing = set(self.feature_names) - set(columns)
         if missing:
-            raise KeyError(f"missing feature columns: {sorted(missing)}")
+            raise SchemaMismatch(f"missing feature columns: {sorted(missing)}")
         n = next(iter(columns.values())).size if columns else 0
         scores = np.tile(self.log_prior, (n, 1))
         for name in self.feature_names:
@@ -86,7 +88,7 @@ def fit_naive_bayes(
         with np.errstate(divide="ignore"):
             log_prior = np.log(class_counts / max(target.size, 1))
     else:
-        raise ValueError(f"unknown class prior: {class_prior!r}")
+        raise BadParameters(f"unknown class prior: {class_prior!r}")
 
     tables: dict[str, np.ndarray] = {}
     for name, values in columns.items():

@@ -7,8 +7,9 @@ group-1 size, the upper-only repair's by tightening one linear constraint
 at a time.
 ``solve_sp_form`` has the signature of ``fairleak.corrector._solve_sp_form``
 (the sweep on one cost row at a time) and ``repair_slice_state`` that of
-``fairleak.harness.predictor._repair_slice`` (``repair_slice`` on one
-prepared slice, one tolerance at a time), so a test can swap them in.
+``fairleak.corrector._repair_slice`` (``repair_slice`` on one prepared
+slice, one tolerance at a time): each takes a slice's lattice and answers
+with the package's solved cells, so a test can swap them in.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from fairleak.core import MoveCounts
+from fairleak.corrector import _SolvedCell
 from fairleak.errors import Infeasible
 
 
@@ -144,21 +146,23 @@ def _carve(lo, hi, inside):
 
 
 def solve_sp_form(
-    col, row, epsilon: Fraction, lower: Fraction | None
-) -> list[tuple[tuple[int, int], int]]:
-    """Solve each cost row of the package's (rows x size) sides alone.  Each
-    result is returned as the package returns it: its lattice cell, the net
-    flips among positive and among negative predictions, and the columns
-    scanned."""
+    part, rows: list[int], epsilon: Fraction, lower: Fraction | None
+) -> list[_SolvedCell]:
+    """Solve each cost row ``rows`` names of the package's lattice alone,
+    from its prefix sums.  Each result is returned as the package returns
+    it: a solved cell whose (u, v) are the net flips among positive and among
+    negative predictions, with the columns scanned."""
+    up1, down1, up0, down0 = (totals for _, totals, _ in part.cells)
     cells = []
-    for r in range(col.pos.shape[0]):
+    for r in rows:
         moves, columns = _solve_sp_form_row(
-            SideCosts(pos=col.pos[r], neg=col.neg[r]),
-            SideCosts(pos=row.pos[r], neg=row.neg[r]),
+            SideCosts(pos=up1[r], neg=down1[r]),
+            SideCosts(pos=up0[r], neg=down0[r]),
             epsilon,
             lower,
         )
-        cells.append(((moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg), columns))
+        u, v = moves.s01_pos - moves.s10_pos, moves.s01_neg - moves.s10_neg
+        cells.append(_SolvedCell(part, r, u, v, columns))
     return cells
 
 
@@ -287,13 +291,14 @@ def repair_slice(
     return _RepairSlice(repaired, cost)
 
 
-def repair_slice_state(part, epsilons: list[Fraction]) -> list[tuple[int, int]]:
+def repair_slice_state(part, epsilons: list[Fraction]) -> list[_SolvedCell]:
     """``repair_slice`` on a slice the package prepared, one tolerance at a
     time: only its raw predictions, margins and groups are read, never its
-    sorted costs.  Each repair is returned as the package returns it: its
-    lattice cell, the net flips in group 1 and in group 0.  The package must
-    rebuild from that cell the very vector the reference repaired, and price
-    it at the reference's cost."""
+    sorted costs.  Each repair is returned as the package returns it: a
+    solved cell whose (u, v) are the net flips in group 1 and in group 0;
+    the reference counts no columns.  The package must rebuild from that
+    cell the very vector the reference repaired, and price it at the
+    reference's cost."""
     idx = np.arange(part.x.size) if part.idx is None else part.idx
     x, z, margins = part.x[idx], part.z[idx], part.costs[0][idx]
     local = np.arange(idx.size)
@@ -312,5 +317,5 @@ def repair_slice_state(part, epsilons: list[Fraction]) -> list[tuple[int, int]]:
         repaired[changed] = 1 - repaired[changed]
         assert np.array_equal(repaired, want)
         assert float(part.costs[0][repaired != part.x].sum()) == ref.objective
-        cells.append(cell)
+        cells.append(_SolvedCell(part, 0, *cell, 0))
     return cells

@@ -26,6 +26,7 @@ from fairleak.errors import (
     EmptyAttackSet,
     Infeasible,
     MissingPredictions,
+    SchemaError,
     SchemaMismatch,
     ScoreOutOfRange,
 )
@@ -239,7 +240,7 @@ class TestConfidenceProcessing:
 
     def test_needs_truth(self):
         inst = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7])
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="^validation instance needs truth for scoring$"):
             process_confidences([0.6, 0.7], inst, FairnessSpec(FairnessMetric.SP, 0.5))
 
 
@@ -268,7 +269,7 @@ class TestNaiveBayes:
             np.array([0, 1, 1]),
             n_classes=2,
         )
-        with pytest.raises(KeyError, match="missing feature columns"):
+        with pytest.raises(SchemaMismatch, match=r"^missing feature columns: \['a'\]$"):
             model.predict_log_joint({"b": np.array([0]), "c": np.array([1])})
 
     def test_counts_match_the_scattered_add(self, rng):

@@ -11,7 +11,7 @@ from fairleak.core import (
     unfairness,
     unfairness_exact,
 )
-from fairleak.errors import EmptySlice, EmptyVector, LengthMismatch
+from fairleak.errors import BadParameters, EmptySlice, EmptyVector, LengthMismatch
 
 SP, PE, EO, EODDS = (
     FairnessMetric.SP,
@@ -87,9 +87,9 @@ class TestSatisfies:
         assert not meets_spec(spec, [1, 1, 0, 0], [1, 0, 1, 0])
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameters, match=r"^epsilon must lie in \[0, 1\]$"):
             FairnessSpec(SP, 1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameters, match=r"^epsilon_lower must lie in \[0, epsilon\]$"):
             FairnessSpec(SP, 0.1, epsilon_lower=0.2)
 
 

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import inspect
 import itertools
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,10 +50,25 @@ def _rows(lattice):
     return np.arange(lattice.x.size) if lattice.idx is None else lattice.idx
 
 
+def _totals(lattice):
+    """Each cell's prefix sums, one row per cost row: the up and down flips of
+    the column, then of the row."""
+    return [totals for _, totals, _ in lattice.cells]
+
+
+def _ends(lattice):
+    """The lowest and highest column, then row, from the prefix sums' lengths:
+    a side's up flips are its zeros, its down flips its ones."""
+    up1, down1, up0, down0 = (totals.shape[1] - 1 for totals in _totals(lattice))
+    return -down1, up1, -down0, up0
+
+
 def _sizes(lattice):
-    """Cell sizes in the order (x=1, z=1), (x=0, z=1), (x=1, z=0), (x=0, z=0)."""
-    col, row = lattice.sides([0])
-    return (col.neg.size - 1, col.pos.size - 1, row.neg.size - 1, row.pos.size - 1)
+    """Cell sizes in the order (x=1, z=1), (x=0, z=1), (x=1, z=0), (x=0, z=0),
+    on which the counts and the prefix sums agree."""
+    c01, c11, c00, c10 = lattice.counts
+    assert [totals.shape[1] - 1 for totals in _totals(lattice)] == [c01, c11, c00, c10]
+    return c11, c01, c10, c00
 
 
 def _stable_orders(lattice, r):
@@ -123,16 +140,16 @@ class TestSortedGroup:
         side; a side of more than 201 moves takes its ends, the moves at and
         next to each tie run's ends (``_tie_moves``) and 40 random moves."""
         lattice = _lattice(x, z, costs, idx)
-        col, row = lattice.sides(range(len(costs)))
+        u_lo, u_hi, v_lo, v_hi = _ends(lattice)
         for r, cost in enumerate(lattice.costs):
             orders = _stable_orders(lattice, r)
-            for totals, order in zip((col.pos, col.neg, row.pos, row.neg), orders):
+            for totals, order in zip(_totals(lattice), orders):
                 want = np.concatenate(([0.0], np.cumsum(cost[order])))
                 # np.sort does not order -0.0 against 0.0, so only the sign
                 # of a zero total may differ; adding 0.0 clears that sign
                 assert (totals[r] + 0.0).tobytes() == (want + 0.0).tobytes()
             moves = []
-            for lo, hi, up, down in ((col.lo, col.hi, *orders[:2]), (row.lo, row.hi, *orders[2:])):
+            for lo, hi, up, down in ((u_lo, u_hi, *orders[:2]), (v_lo, v_hi, *orders[2:])):
                 ks = np.arange(lo, hi + 1)
                 if ks.size > 201:
                     ties = _tie_moves(cost[up]) + [-k for k in _tie_moves(cost[down])]
@@ -163,13 +180,13 @@ class TestSortedGroup:
             first = _draw(rng, style, n)
             costs = np.stack((first, first**2, _draw(rng, style, n)))
             lattice = _lattice(rng.integers(0, 2, n), rng.random(n) < 0.5, costs)
-            col, row = lattice.sides([0, 1, 2])
+            u_lo, u_hi, v_lo, v_hi = _ends(lattice)
             for r in range(3):
                 orders = _stable_orders(lattice, r)
-                for u in range(col.lo, col.hi + 1):
+                for u in range(u_lo, u_hi + 1):
                     want = _flipped(lattice, _stable_flip(lattice, r, u, 0, orders))
                     assert np.array_equal(_apply(lattice, r, u, 0), want)
-                for v in range(row.lo, row.hi + 1):
+                for v in range(v_lo, v_hi + 1):
                     want = _flipped(lattice, _stable_flip(lattice, r, 0, v, orders))
                     assert np.array_equal(_apply(lattice, r, 0, v), want)
 
@@ -208,22 +225,22 @@ class TestTallyGroups:
 
 
 class TestBuildCostArrays:
-    """A lattice's sides are prefix sums of each cell's ascending costs."""
+    """A lattice's cells hold prefix sums of their ascending costs."""
 
     def test_sort_and_cumulate(self):
         lattice = _lattice([1, 1, 1], [1, 1, 1], [0.9, 0.2, 0.5])
-        col, _ = lattice.sides([0])
-        assert col.neg[0].tolist() == pytest.approx([0.0, 0.2, 0.7, 1.6])
+        _, down1, _, _ = _totals(lattice)
+        assert down1[0].tolist() == pytest.approx([0.0, 0.2, 0.7, 1.6])
         changed = [np.flatnonzero(_apply(lattice, 0, -k, 0) == 0).tolist() for k in (1, 2, 3)]
         assert changed == [[1], [1, 2], [0, 1, 2]]
 
     def test_empty_group(self):
-        _, row = _lattice([1], [1], [0.3]).sides([0])
-        assert row.pos.tolist() == [[0.0]]
+        _, _, up0, _ = _totals(_lattice([1], [1], [0.3]))
+        assert up0.tolist() == [[0.0]]
 
     def test_uniform_weights_count_moves(self):
-        col, _ = _lattice([0, 0], [1, 1], [1.0, 1.0]).sides([0])
-        assert col.pos.tolist() == [[0.0, 1.0, 2.0]]
+        up1, _, _, _ = _totals(_lattice([0, 0], [1, 1], [1.0, 1.0]))
+        assert up1.tolist() == [[0.0, 1.0, 2.0]]
 
     def test_negative_confidence(self):
         inst = AttackInstance([1], [0], [1], [1.0])
@@ -234,12 +251,11 @@ class TestBuildCostArrays:
         for _ in range(20):
             n = int(rng.integers(1, 30))
             lattice = _lattice(rng.integers(0, 2, n), rng.integers(0, 2, n), rng.random((3, n)))
-            for side in lattice.sides([0, 1, 2]):
-                for r in range(3):
-                    for arr in (side.pos[r], side.neg[r]):
-                        assert arr[0] == 0.0
-                        steps = np.diff(arr)
-                        assert np.all(np.diff(steps) >= -1e-12)
+            for totals in _totals(lattice):
+                for arr in totals:
+                    assert arr[0] == 0.0
+                    steps = np.diff(arr)
+                    assert np.all(np.diff(steps) >= -1e-12)
 
     def test_rows_sort_independently(self):
         lattice = _lattice([1, 1, 1], [1, 1, 1], [[0.9, 0.2, 0.5], [0.1, 0.3, 0.2]])
@@ -248,10 +264,13 @@ class TestBuildCostArrays:
             for r in (0, 1)
         ]
         assert changed == [[[1], [1, 2], [0, 1, 2]], [[0], [0, 2], [0, 1, 2]]]
-        assert lattice.sides([0, 1])[0].neg[1].tolist() == pytest.approx([0.0, 0.1, 0.3, 0.6])
-        # a subset of the rows, in order
-        (neg,) = lattice.sides([1])[0].neg
-        assert neg.tolist() == pytest.approx([0.0, 0.1, 0.3, 0.6])
+        assert _totals(lattice)[1][1].tolist() == pytest.approx([0.0, 0.1, 0.3, 0.6])
+        # a subset of the rows, in order, is searched as it is among all rows
+        (alone,) = corrector._solve_sp_form(lattice, [1], Fraction(1), None)
+        both = corrector._solve_sp_form(lattice, [0, 1], Fraction(1), None)
+        assert [(cell.r, cell.u, cell.v) for cell in both] == [(0, -1, 0), (1, -1, 0)]
+        assert (alone.r, alone.u, alone.v, alone.columns) == (1, -1, 0, both[1].columns)
+        assert alone.objective == both[1].objective == pytest.approx(0.1)
 
 
 class TestSolveEfficient:
@@ -308,9 +327,9 @@ class TestApplyMoves:
             costs = rng.random((2, n))
             lattice = _lattice(x, rng.integers(0, 2, n), costs)
             r = int(rng.integers(0, 2))
-            col, row = lattice.sides([0, 1])
-            u = int(rng.integers(col.lo, col.hi + 1))
-            v = int(rng.integers(row.lo, row.hi + 1))
+            u_lo, u_hi, v_lo, v_hi = _ends(lattice)
+            u = int(rng.integers(u_lo, u_hi + 1))
+            v = int(rng.integers(v_lo, v_hi + 1))
             changed = np.flatnonzero(_apply(lattice, r, u, v) != x)
             assert changed.size == abs(u) + abs(v)
             assert costs[r, changed].sum() == pytest.approx(lattice.cost(r, u, v), abs=1e-9)
@@ -392,7 +411,7 @@ class TestCorrect:
             [1, 1, 0, 0, 1, 0], [0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0], [0.5] * 6
         )
         res = correct(inst, FairnessSpec(SP, 0.0))
-        assert len(res.changed_indices) == res.moves.total
+        assert len(res.changed_indices) == sum(dataclasses.astuple(res.moves))
 
     def test_multivalued_guess_rejected(self):
         inst = AttackInstance([1, 0, 1], [0, 0, 0], [0, 1, 2], [1, 1, 1], cardinality=3)

@@ -4,6 +4,7 @@ The brute-force general model is the correctness oracle throughout; the
 heavyweight acceptance corpus lives in test_acceptance.py.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -155,7 +156,7 @@ class TestFlipCount:
             result = objective_or_none(correct, inst, spec)
             if result is None:
                 continue
-            assert len(result.changed_indices) == result.moves.total
+            assert len(result.changed_indices) == sum(dataclasses.astuple(result.moves))
             assert inst.confidence[list(result.changed_indices)].sum() == pytest.approx(
                 result.objective, abs=1e-9
             )

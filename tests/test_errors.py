@@ -1,0 +1,146 @@
+"""Every public entry point rejects its bad input with a typed error.
+
+Each case names the ``FairleakError`` subclass and the exact message: the
+command line exits 3 on a ``FairleakError`` with its message as the one
+stderr line, and leaves any other exception, a program bug, to a traceback.
+"""
+
+import numpy as np
+import pytest
+
+from fairleak.adversary import AttackSet, process_confidences, shape_confidences, train_baseline
+from fairleak.core import (
+    AttackInstance,
+    FairnessSpec,
+    as_binary_array,
+    as_confidence_array,
+    as_sensitive_array,
+    unfairness_exact,
+)
+from fairleak.errors import (
+    BadParameters,
+    FairleakError,
+    LengthMismatch,
+    SchemaError,
+    SchemaMismatch,
+)
+from fairleak.estimator import estimate_constraint
+from fairleak.harness import ExperimentReport, emit_report, synth_generate
+from fairleak.nb import fit_naive_bayes
+
+SCORED = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7], truth=[1, 0])
+UNSCORED = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7])
+SPEC = FairnessSpec("sp", 0.5)
+
+
+def _fitted():
+    return fit_naive_bayes({"a": np.array([0, 1])}, np.array([0, 1]), n_classes=2)
+
+
+CASES = {
+    "epsilon": (lambda: FairnessSpec("sp", 1.5), BadParameters, "epsilon must lie in [0, 1]"),
+    "lower above epsilon": (
+        lambda: FairnessSpec("sp", 0.1, 0.2),
+        BadParameters,
+        "epsilon_lower must lie in [0, epsilon]",
+    ),
+    "exponent": (lambda: shape_confidences([0.6], 0), BadParameters, "exponent k must be positive"),
+    "empty k grid": (
+        lambda: process_confidences([0.6, 0.7], SCORED, SPEC, k_grid=[]),
+        BadParameters,
+        "k grid must be nonempty",
+    ),
+    "k grid exponent": (
+        lambda: process_confidences([0.6, 0.7], SCORED, SPEC, k_grid=[1, -1]),
+        BadParameters,
+        "exponent k must be positive",
+    ),
+    "no truth": (
+        lambda: process_confidences([0.6, 0.7], UNSCORED, SPEC),
+        SchemaError,
+        "validation instance needs truth for scoring",
+    ),
+    "no candidates": (
+        lambda: estimate_constraint([0, 1], [0, 1], [0, 1], candidates=[]),
+        BadParameters,
+        "candidates must be nonempty",
+    ),
+    "attack set lengths": (
+        lambda: AttackSet({"a": [0, 1, 2]}, labels=[0, 1], sensitive=[0, 1]),
+        LengthMismatch,
+        "attack set columns differ in length",
+    ),
+    "adversary mode": (
+        lambda: train_baseline(AttackSet({"a": [0, 1]}, [0, 1], [0, 1]), "b"),
+        BadParameters,
+        "unknown adversary mode: 'b'",
+    ),
+    "report format": (
+        lambda: emit_report(ExperimentReport(rows=(), metadata={}), "report.txt", "txt"),
+        BadParameters,
+        "unknown report format: 'txt'",
+    ),
+    "no labels": (
+        lambda: unfairness_exact("eo", [0, 1], [0, 1]),
+        SchemaError,
+        "eo requires the label vector",
+    ),
+    "negative group": (
+        lambda: unfairness_exact("sp", [-1, 1], [0, 1]),
+        SchemaError,
+        "sensitive values must be non-negative",
+    ),
+    "class prior": (
+        lambda: fit_naive_bayes({"a": np.array([0])}, np.array([0]), 2, class_prior="flat"),
+        BadParameters,
+        "unknown class prior: 'flat'",
+    ),
+    "missing column": (
+        lambda: _fitted().predict_log_joint({"b": np.array([0])}),
+        SchemaMismatch,
+        "missing feature columns: ['a']",
+    ),
+    "2-D binary": (
+        lambda: as_binary_array([[0, 1]], "guess"),
+        SchemaError,
+        "guess must be one-dimensional",
+    ),
+    "2-D sensitive": (
+        lambda: as_sensitive_array([[0, 1]]),
+        SchemaError,
+        "sensitive must be one-dimensional",
+    ),
+    "2-D confidence": (
+        lambda: as_confidence_array([[0.5]]),
+        SchemaError,
+        "confidence must be one-dimensional",
+    ),
+    "cardinality": (
+        lambda: as_sensitive_array([0], cardinality=1),
+        BadParameters,
+        "cardinality must be at least 2",
+    ),
+    "negative seed": (
+        lambda: synth_generate(100, seed=-1),
+        BadParameters,
+        "seed must be non-negative",
+    ),
+    "too many rows": (lambda: synth_generate(10**20), BadParameters, "n must be below 2**58"),
+    "first row count refused": (
+        lambda: synth_generate(2**58),
+        BadParameters,
+        "n must be below 2**58",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bad_input_raises_its_typed_error(case, tmp_path, monkeypatch):
+    call, error, message = CASES[case]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as caught:
+        call()
+    assert isinstance(caught.value, FairleakError)
+    assert str(caught.value) == message
+    # nothing was written on the way to the error
+    assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairleak.core import FairnessMetric, unfairness
-from fairleak.errors import EmptySlice
+from fairleak.errors import BadParameters, EmptySlice
 from fairleak.estimator import estimate_constraint
 
 SP, PE, EO, EODDS = (
@@ -67,7 +67,7 @@ class TestEstimateConstraint:
 
     def test_empty_candidates(self, rng):
         s, yhat, y = _vectors_with_gaps(rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameters, match="^candidates must be nonempty$"):
             estimate_constraint(s, yhat, y, ())
 
     def test_propagates_empty_slice(self):

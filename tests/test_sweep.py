@@ -115,21 +115,15 @@ def _cheap_sides(rng, guess):
 def _logged_solves(patch):
     """Spy on the corrector's slice solves: one [lattice, vectors, bound,
     cells] entry per solve, in call order, ``cells`` left None where the
-    solve raises.  ``_Lattice.sides`` names the vectors, ``_solve_sp_form``
-    the bound."""
+    solve raises."""
     log = []
-    sides, solve = corrector._Lattice.sides, corrector._solve_sp_form
+    solve = corrector._solve_sp_form
 
-    def spy_sides(lattice, rows):
-        log.append([lattice, list(rows), None, None])
-        return sides(lattice, rows)
-
-    def spy_solve(col, row, epsilon, lower):
-        log[-1][2] = lower
-        log[-1][3] = solve(col, row, epsilon, lower)
+    def spy_solve(lattice, rows, epsilon, lower):
+        log.append([lattice, list(rows), lower, None])
+        log[-1][3] = solve(lattice, rows, epsilon, lower)
         return log[-1][3]
 
-    patch.setattr(corrector._Lattice, "sides", spy_sides)
     patch.setattr(corrector, "_solve_sp_form", spy_solve)
     return log
 
@@ -354,9 +348,10 @@ class TestCorrectEach:
             vectors = _vectors(rng, n, ("orders", "ties", "shaped")[trial % 3])
             results, lattices, _, carried = _eodds_solves(monkeypatch, inst, spec, vectors)
             for i, rows, cells in carried if results else ():
-                for r, (uv, _) in zip(rows, cells or ()):
+                for r, cell in zip(rows, cells or ()):
+                    assert (cell.lattice, cell.r) == (lattices[i], r)
                     kept = np.intersect1d(results[r].changed_indices, lattices[i].idx)
-                    if np.array_equal(kept, np.sort(lattices[i].flip(r, *uv))):
+                    if np.array_equal(kept, np.sort(lattices[i].flip(r, cell.u, cell.v))):
                         corrected.add(i)
             _assert_same_each(monkeypatch, inst, spec, vectors)
         assert {0, 1} <= corrected
@@ -373,9 +368,9 @@ class TestCorrectEach:
         calls = []
         real = corrector._solve_sp_form
 
-        def counting(col, row, epsilon, lower):
-            calls.append(col.pos.shape[0])
-            return real(col, row, epsilon, lower)
+        def counting(lattice, rows, epsilon, lower):
+            calls.append(len(rows))
+            return real(lattice, rows, epsilon, lower)
 
         monkeypatch.setattr(corrector, "_solve_sp_form", counting)
         # constant predictions leave every gap at zero, below any lower bound
@@ -425,7 +420,7 @@ class TestCorrectEach:
         searches = []
         search = corrector.search_net_moves
 
-        def spy(col, row, window, bounds, lower, origin):
+        def spy(lattice, rows, window, bounds, lower, origin):
             seen = []
 
             def recording(u, nums, den, strict):
@@ -434,7 +429,7 @@ class TestCorrectEach:
                 return window(u, nums, den, strict)
 
             assert origin == [False]
-            found = search(col, row, recording, bounds, lower, origin)
+            found = search(lattice, rows, recording, bounds, lower, origin)
             columns = sum(seen, [])
             assert columns[0] == 0 and len(seen[0]) > 1 and [0] not in seen
             assert len(set(columns)) == len(columns)
@@ -464,12 +459,12 @@ class TestCorrectEach:
         sizes = []
         search = corrector.search_net_moves
 
-        def spy(col, row, window, bounds, lower, origin):
+        def spy(lattice, rows, window, bounds, lower, origin):
             def sized(u, nums, den, strict):
-                sizes.append(col.pos.shape[0] * len(nums) * u.size)
+                sizes.append(len(rows) * len(nums) * u.size)
                 return window(u, nums, den, strict)
 
-            return search(col, row, sized, bounds, lower, origin)
+            return search(lattice, rows, sized, bounds, lower, origin)
 
         monkeypatch.setattr(corrector, "search_net_moves", spy)
         n = 3000
@@ -502,9 +497,9 @@ class TestCorrectEach:
                 solved = [] if any(cells is None for *_, cells in upper) else range(len(vectors))
 
                 def gap(i, r):
-                    (uv, _), idx = upper[i][2][r], lattices[i].idx
+                    cell, idx = upper[i][2][r], lattices[i].idx
                     guess = np.array(inst.guess)
-                    changed = lattices[i].flip(r, *uv)
+                    changed = lattices[i].flip(r, cell.u, cell.v)
                     guess[changed] = 1 - guess[changed]
                     return unfairness_exact(SP, guess[idx], inst.predictions[idx])
 
@@ -630,16 +625,16 @@ class TestBatchedRepair:
         monkeypatch.setattr(corrector, "_FIRST_BLOCK", 16)
         monkeypatch.setattr(corrector, "_MAX_BLOCK", 64)
         sizes = []
-        real = predictor.search_net_moves
+        real = corrector.search_net_moves
 
-        def spy(col, row, window, bounds, lower, origin):
+        def spy(lattice, rows, window, bounds, lower, origin):
             def sized(u, nums, den, strict):
-                sizes.append(len(nums) * u.size)
+                sizes.append(len(rows) * len(nums) * u.size)
                 return window(u, nums, den, strict)
 
-            return real(col, row, sized, bounds, lower, origin)
+            return real(lattice, rows, sized, bounds, lower, origin)
 
-        monkeypatch.setattr(predictor, "search_net_moves", spy)
+        monkeypatch.setattr(corrector, "search_net_moves", spy)
         n = 3000
         yhat, margins, sensitive, labels = self._inputs(rng, n, 1)
         grid = [0.0] + list(np.geomspace(0.001, 0.2, 24))

@@ -20,17 +20,15 @@ from fairleak import corrector
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, unfairness_exact
 from fairleak.corrector import correct
 from fairleak.errors import Infeasible
-from fairleak.harness import predictor
 from fairleak.harness.predictor import RepairState
 
 SP = FairnessMetric.SP
 
 
-def _cell(col, row, u, v):
-    """The lattice's two vectors after cell (u, v), rebuilt from the counts
-    of its sides: x the flipped vector, z the one that splits it."""
-    zeros1, ones1 = col.pos.shape[1] - 1, col.neg.shape[1] - 1
-    zeros0, ones0 = row.pos.shape[1] - 1, row.neg.shape[1] - 1
+def _cell(part, u, v):
+    """The lattice's two vectors after cell (u, v), rebuilt from its cells'
+    indices: x the flipped vector, z the one that splits it."""
+    zeros1, ones1, zeros0, ones0 = (idx.size for *_, idx in part.cells)
     z1, z0 = zeros1 + ones1, zeros0 + ones0
     # column u turns u zeros into ones where z = 1 (ones into zeros when
     # negative), row v the same where z = 0; which entries move is immaterial
@@ -38,26 +36,34 @@ def _cell(col, row, u, v):
     return np.array(x), np.array([1] * z1 + [0] * z0)
 
 
-def _corrector_gap(col, row, u, v):
+def _corrector_gap(part, u, v):
     # the guess x is the group vector, the predictions z the outcome
-    x, z = _cell(col, row, u, v)
+    x, z = _cell(part, u, v)
     return unfairness_exact(SP, x, z) if 0 < x.sum() < x.size else None
 
 
-def _repair_gap(col, row, u, v):
+def _repair_gap(part, u, v):
     # the predictions x are the outcome, the groups z fixed
-    x, z = _cell(col, row, u, v)
+    x, z = _cell(part, u, v)
     return unfairness_exact(SP, z, x)
 
 
-def _check_windows(col, row, window, gap, batch):
+def _ends(part):
+    """The lattice's lowest and highest column, then row, from the sizes of
+    its cells: a column's up flips are its zeros, its down flips its ones."""
+    zeros1, ones1, zeros0, ones0 = (idx.size for *_, idx in part.cells)
+    return -ones1, zeros1, -ones0, zeros0
+
+
+def _check_windows(part, window, gap, batch):
     """Compare ``window`` with ``gap`` on every cell of the lattice; when
     ``batch``, also pass all bounds at once over one denominator."""
-    us = np.arange(col.lo, col.hi + 1)
-    vs = range(row.lo, row.hi + 1)
-    gaps = {(u, v): gap(col, row, u, v) for u in us.tolist() for v in vs}
-    n = col.hi - col.lo + row.hi - row.lo
-    z1 = col.hi - col.lo
+    u_lo, u_hi, v_lo, v_hi = _ends(part)
+    us = np.arange(u_lo, u_hi + 1)
+    vs = range(v_lo, v_hi + 1)
+    gaps = {(u, v): gap(part, u, v) for u in us.tolist() for v in vs}
+    n = u_hi - u_lo + v_hi - v_lo
+    z1 = u_hi - u_lo
     # every gap a cell reaches puts a bound exactly on a window end; z1/n is
     # the overall rate, where the corrector's planes lose their slope in v
     bounds = sorted(
@@ -73,7 +79,7 @@ def _check_windows(col, row, window, gap, batch):
         ]
 
     def got(lo, hi):
-        return list(range(max(int(lo), row.lo), min(int(hi), row.hi) + 1))
+        return list(range(max(int(lo), v_lo), min(int(hi), v_hi) + 1))
 
     den = math.lcm(*(bound.denominator for bound in bounds))
     nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
@@ -91,18 +97,19 @@ def _check_windows(col, row, window, gap, batch):
                     assert got(lo[r, k], hi[r, k]) == want(u, bound, strict)
 
 
-def _check_origin(col, row, window, gap, bounds, lower, origin):
+def _check_origin(part, window, gap, bounds, lower, origin):
     """Compare the caller's verdict on cell (0, 0) under each bound with the
     window's at column 0, carve-out included, and with ``gap``; return it."""
+    _, _, v_lo, v_hi = _ends(part)
     den = math.lcm(*(bound.denominator for bound in bounds))
     nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
     lo, hi = window(np.zeros(1, dtype=np.int64), nums, den, False)
-    inside = (np.maximum(lo, row.lo) <= 0) & (0 <= np.minimum(hi, row.hi))
+    inside = (np.maximum(lo, v_lo) <= 0) & (0 <= np.minimum(hi, v_hi))
     if lower is not None and lower > 0:
         ilo, ihi = window(np.zeros(1, dtype=np.int64), [lower.numerator], lower.denominator, True)
         inside &= ~((ilo <= 0) & (0 <= ihi))
     assert list(origin) == inside[:, 0].tolist()
-    at = gap(col, row, 0, 0)
+    at = gap(part, 0, 0)
     assert list(origin) == [
         at is not None and bound >= at and not (lower is not None and at < lower)
         for bound in bounds
@@ -110,18 +117,18 @@ def _check_origin(col, row, window, gap, bounds, lower, origin):
     return list(origin)
 
 
-def _captured(monkeypatch, module, run):
-    """The arguments (col, row, window, bounds, lower, origin) of every
-    search ``run`` makes through ``module``'s ``search_net_moves``."""
+def _captured(monkeypatch, run):
+    """The arguments (lattice, window, bounds, lower, origin) of every search
+    ``run`` makes through ``corrector.search_net_moves``."""
     seen = []
-    real = module.search_net_moves
+    real = corrector.search_net_moves
 
-    def spy(col, row, window, bounds, lower, origin):
-        seen.append((col, row, window, bounds, lower, origin))
-        return real(col, row, window, bounds, lower, origin)
+    def spy(part, rows, window, bounds, lower, origin):
+        seen.append((part, window, bounds, lower, origin))
+        return real(part, rows, window, bounds, lower, origin)
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "search_net_moves", spy)
+        patch.setattr(corrector, "search_net_moves", spy)
         try:
             run()
         except Infeasible:
@@ -175,13 +182,11 @@ class TestWindowsMatchTheDefinition:
                 (FairnessMetric.EODDS, 0.5, 0.2),
             ):
                 spec = FairnessSpec(metric, eps, lower)
-                for col, row, window, bounds, low, origin in _captured(
-                    monkeypatch, corrector, lambda: correct(inst, spec)
+                for part, window, bounds, low, origin in _captured(
+                    monkeypatch, lambda: correct(inst, spec)
                 ):
-                    _check_windows(col, row, window, _corrector_gap, batch=False)
-                    verdicts += _check_origin(
-                        col, row, window, _corrector_gap, bounds, low, origin
-                    )
+                    _check_windows(part, window, _corrector_gap, batch=False)
+                    verdicts += _check_origin(part, window, _corrector_gap, bounds, low, origin)
                     searched += 1
                     carved += low is not None
         assert searched > 300 and carved > 100
@@ -198,13 +203,11 @@ class TestWindowsMatchTheDefinition:
             labels = rng.integers(0, 2, n)
             for metric in (SP, FairnessMetric.EODDS):
                 state = RepairState(yhat, rng.random(n), sensitive, labels, metric)
-                for col, row, window, bounds, lower, origin in _captured(
-                    monkeypatch, predictor, lambda: state.solve(grid)
+                for part, window, bounds, lower, origin in _captured(
+                    monkeypatch, lambda: state.solve(grid)
                 ):
-                    _check_windows(col, row, window, _repair_gap, batch=True)
-                    verdicts += _check_origin(
-                        col, row, window, _repair_gap, bounds, lower, origin
-                    )
+                    _check_windows(part, window, _repair_gap, batch=True)
+                    verdicts += _check_origin(part, window, _repair_gap, bounds, lower, origin)
                     searched += 1
         assert searched > 150
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100
