@@ -38,7 +38,7 @@ from .errors import (
     ScoreOutOfRange,
     SchemaMismatch,
 )
-from .nb import CategoricalNaiveBayes, fit_naive_bayes, posterior
+from .nb import CategoricalNaiveBayes, best_class, fit_naive_bayes, posterior
 
 MODE_A = "a"
 MODE_A_PRIME = "aprime"
@@ -181,8 +181,8 @@ def fit_prediction_column(
 def prediction_log_likelihood(
     column: CategoricalNaiveBayes, predictions: Sequence[int]
 ) -> np.ndarray:
-    """The (n, classes) term the target-prediction column adds to the log
-    joint; it comes last, as in :func:`predict_guess`."""
+    """The term the target-prediction column adds to the log joint; it comes
+    last, as in :func:`predict_guess`."""
     return column.column_log_likelihood(
         _PREDICTION_COLUMN, as_binary_array(predictions, "predictions")
     )
@@ -203,9 +203,7 @@ def label_log_joint(
 
 def guess_from_log_joint(scores: np.ndarray) -> BaselineGuess:
     """Per-row argmax class and its posterior probability as the raw score."""
-    proba = posterior(scores)
-    guess = np.argmax(proba, axis=1).astype(np.int64)
-    raw = np.take_along_axis(proba, guess[:, None], axis=1)[:, 0]
+    guess, raw = best_class(posterior(scores))
     return BaselineGuess(guess=guess, raw_scores=raw)
 
 
@@ -220,7 +218,7 @@ def predict_guess(
     if model.prediction_nb is not None:
         if predictions is None:
             raise SchemaMismatch("model was trained with target predictions")
-        scores = scores + prediction_log_likelihood(model.prediction_nb, predictions)
+        scores += prediction_log_likelihood(model.prediction_nb, predictions)
     return guess_from_log_joint(scores)
 
 

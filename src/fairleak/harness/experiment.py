@@ -224,12 +224,12 @@ class _AttackModel:
     ) -> tuple[BaselineGuess, BaselineGuess]:
         if self.fixed is not None:
             return self.fixed
-        column = fit_prediction_column(self.fit_sensitive, yh_attack[self.fit_idx])
+        column = fit_prediction_column(self.fit_sensitive, yh_attack.take(self.fit_idx))
         train_joint, val_joint = self.joints
         return (
             guess_from_log_joint(train_joint + prediction_log_likelihood(column, yh_train)),
             guess_from_log_joint(
-                val_joint + prediction_log_likelihood(column, yh_attack[self.val_idx])
+                val_joint + prediction_log_likelihood(column, yh_attack.take(self.val_idx))
             ),
         )
 

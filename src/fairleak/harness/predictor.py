@@ -34,7 +34,7 @@ import numpy as np
 from ..core import FairnessMetric, FairnessSpec
 from ..corrector import _flip_all, _group_gap, _metric_lattices, _repair_slice, _SolvedCell
 from ..errors import BadParameters, EmptySlice, EmptyVector, SchemaError
-from ..nb import CategoricalNaiveBayes, fit_naive_bayes
+from ..nb import CategoricalNaiveBayes, best_class, fit_naive_bayes
 from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
 
@@ -71,9 +71,8 @@ class LabelPredictor:
         proba = self.nb.predict_proba(
             encode_features(table, self.discretizer, self.feature_names)
         )
-        yhat = np.argmax(proba, axis=1).astype(np.int64)
-        margins = np.abs(proba[:, 1] - proba[:, 0])
-        return yhat, margins
+        yhat, _ = best_class(proba)
+        return yhat, np.abs(proba[1] - proba[0])
 
 
 def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
@@ -112,6 +111,8 @@ class RepairState:
         """For each tolerance in ``epsilons``: the minimal repair that makes
         the metric hold within it, as one solved lattice cell per slice.
         Each slice's lattice is searched once for all tolerances."""
+        if not all(0.0 <= epsilon <= 1.0 for epsilon in epsilons):
+            raise BadParameters("epsilon must lie in [0, 1]")
         uppers = [Fraction(epsilon) for epsilon in epsilons]
         slices = [_repair_slice(part, uppers) for part in self.parts]
         return [[cells[t] for cells in slices] for t in range(len(uppers))]

@@ -3,11 +3,15 @@
 Inputs are integer-coded categorical columns.  Codes unseen at fit time fall
 into a reserved bucket whose likelihood is the bare smoothing mass, so
 prediction is defined for any input.  Everything is deterministic.
+
+Log joints and probabilities are class-major, ``(n_classes, n)``, and bit for
+bit what the row-major formulas along axis 1 give.  numpy sums a row of eight
+or more entries pairwise, not in class order, so with that many classes
+:func:`posterior` sums a row-major copy.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +33,13 @@ class CategoricalNaiveBayes:
         if missing:
             raise SchemaMismatch(f"missing feature columns: {sorted(missing)}")
         n = next(iter(columns.values())).size if columns else 0
-        scores = np.tile(self.log_prior, (n, 1))
+        scores = np.repeat(self.log_prior[:, None], n, axis=1)
         for name in self.feature_names:
             scores += self.column_log_likelihood(name, columns[name])
         return scores
 
     def column_log_likelihood(self, name: str, codes: np.ndarray) -> np.ndarray:
-        """One column's (n, n_classes) term of the log joint.
+        """One column's (n_classes, n) term of the log joint.
 
         Every column is fitted on its own, so a model fitted on one column
         adds that column's term onto the log joint of the others.
@@ -44,28 +48,33 @@ class CategoricalNaiveBayes:
         codes = np.asarray(codes, dtype=np.int64)
         seen = table.shape[1] - 1
         codes = np.where((codes < 0) | (codes >= seen), seen, codes)
-        return table[:, codes].T
+        return table.take(codes, axis=1)
 
     def predict_proba(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         return posterior(self.predict_log_joint(columns))
 
 
 def posterior(scores: np.ndarray) -> np.ndarray:
-    """Class probabilities from per-row log joints.  A row with no finite
-    score gets equal probabilities."""
-    shift = _row_reduce(np.maximum, scores)[:, None]
-    shifted = np.subtract(scores, shift, out=np.zeros_like(scores), where=np.isfinite(shift))
-    weights = np.exp(shifted)
-    return weights / _row_reduce(np.add, weights)[:, None]
+    """Class probabilities from class-major log joints.  An input row with no
+    finite score gets equal probabilities."""
+    shift = np.maximum.reduce(scores, axis=0)
+    proba = np.zeros_like(scores)
+    np.subtract(scores, shift, out=proba, where=np.isfinite(shift))
+    np.exp(proba, out=proba)
+    proba /= proba.sum(axis=0) if len(proba) < 8 else proba.T.copy().sum(axis=1)
+    return proba
 
 
-def _row_reduce(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(values, axis=1)``, bit for bit.  numpy reduces a row of
-    fewer than eight entries in order, so such rows are reduced column by
-    column instead, which avoids the cost of reducing a short axis."""
-    if 0 < values.shape[1] < 8:
-        return functools.reduce(ufunc, values.T)
-    return ufunc.reduce(values, axis=1)
+def best_class(proba: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first most probable class, as ``argmax`` picks it, and its
+    probability."""
+    best = np.zeros(proba.shape[1], dtype=np.int64)
+    top = proba[0].copy()
+    for c in range(1, len(proba)):
+        # classes come in order, so a strictly better one raises the index
+        np.maximum(best, (proba[c] > top) * c, out=best)
+        np.maximum(top, proba[c], out=top)
+    return best, top
 
 
 def fit_naive_bayes(

@@ -26,6 +26,7 @@ from fairleak.errors import (
 )
 from fairleak.estimator import estimate_constraint
 from fairleak.harness import ExperimentReport, emit_report, synth_generate
+from fairleak.harness.predictor import RepairState
 from fairleak.nb import fit_naive_bayes
 
 SCORED = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7], truth=[1, 0])
@@ -37,8 +38,18 @@ def _fitted():
     return fit_naive_bayes({"a": np.array([0, 1])}, np.array([0, 1]), n_classes=2)
 
 
+def _repair_state():
+    bits = np.array([0, 1])
+    return RepairState(bits, np.array([0.5, 0.5]), bits, bits, "sp")
+
+
 CASES = {
     "epsilon": (lambda: FairnessSpec("sp", 1.5), BadParameters, "epsilon must lie in [0, 1]"),
+    "repair tolerance": (
+        lambda: _repair_state().solve([-0.1, 1.5]),
+        BadParameters,
+        "epsilon must lie in [0, 1]",
+    ),
     "lower above epsilon": (
         lambda: FairnessSpec("sp", 0.1, 0.2),
         BadParameters,

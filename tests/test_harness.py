@@ -918,6 +918,29 @@ class TestEncodeFeatures:
         for got, want in zip(model.raw_predictions(shuffled), model.raw_predictions(table)):
             assert got.tobytes() == want.tobytes()
 
+    def test_raw_predictions_are_the_row_major_argmax_and_margin(self):
+        # code 0 is as likely under either label, and the labels are
+        # balanced: its rows tie, and the first label must win
+        tied = DatasetTable(
+            ids=np.arange(4),
+            features={"a": FeatureColumn(CATEGORICAL, np.array([0, 0, 1, 2]))},
+            sensitive=np.array([0, 1, 0, 1]),
+            labels=np.array([0, 1, 0, 1]),
+        )
+        for table in (tied, self._mixed_table(4)):
+            model = fit_label_predictor(table)
+            yhat, margins = model.raw_predictions(table)
+            proba = model.nb.predict_proba(
+                encode_features(table, model.discretizer, model.feature_names)
+            ).T
+            assert yhat.dtype == np.int64
+            assert np.array_equal(yhat, np.argmax(proba, axis=1))
+            want = np.abs(proba[:, 1] - proba[:, 0])
+            assert np.array_equal(margins.view(np.int64), want.view(np.int64))
+        yhat, margins = fit_label_predictor(tied).raw_predictions(tied)
+        assert yhat.tolist() == [0, 0, 0, 1]
+        assert margins[0] == margins[1] == 0.0
+
 
 class TestHoistedAttackModel:
     """A seed's attack model, trained once, gives each cell the guesses the
@@ -975,7 +998,7 @@ class TestHoistedAttackModel:
                 )
                 proba = joint.predict_proba(
                     {**feats_train, "y": train.labels, "yhat": yh_train}
-                )
+                ).T  # row-major, one row per table row
                 assert np.array_equal(got[0].guess, proba.argmax(axis=1))
                 assert np.array_equal(
                     got[0].raw_scores, proba[np.arange(train.n), got[0].guess]
