@@ -97,7 +97,6 @@ class AttackModel:
 
     nb: CategoricalNaiveBayes
     feature_names: tuple[str, ...]
-    cardinality: int
     prediction_nb: CategoricalNaiveBayes | None = None
 
 
@@ -107,25 +106,6 @@ class BaselineGuess:
 
     guess: np.ndarray
     raw_scores: np.ndarray
-
-
-class Discretizer:
-    """Decile binning for numeric columns, fitted on the attack set.
-
-    Categorical columns pass through unchanged.
-    """
-
-    def __init__(self) -> None:
-        self.edges: dict[str, np.ndarray] = {}
-
-    def fit(self, numeric: dict[str, np.ndarray]) -> "Discretizer":
-        for name, values in numeric.items():
-            qs = np.quantile(np.asarray(values, dtype=np.float64), np.linspace(0.1, 0.9, 9))
-            self.edges[name] = qs
-        return self
-
-    def transform_column(self, name: str, values: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.edges[name], np.asarray(values, dtype=np.float64), side="right")
 
 
 def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
@@ -158,7 +138,6 @@ def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
     return AttackModel(
         nb=nb,
         feature_names=tuple(attack_set.features),
-        cardinality=attack_set.cardinality,
         prediction_nb=prediction_nb,
     )
 

@@ -244,7 +244,8 @@ class _SolvedCell:
 #: window(u, nums, den, strict) -> (lo, hi): for each bound nums[r]/den, one
 #: row each, and each column u, the rows v at which every group gap is at
 #: most the bound (strictly below it when ``strict``); a column whose lo
-#: exceeds its hi has no such row.
+#: exceeds its hi has no such row.  Both windows narrow ``_rows_within(...,
+#: -c10, c00)``, so no lo is below -c10 and no hi above c00, the lattice's rows.
 WindowFn = Callable[[np.ndarray, Sequence[int], int, bool], tuple[np.ndarray, np.ndarray]]
 
 
@@ -290,7 +291,6 @@ def search_net_moves(
     # prefix sums of the column's up and down flips, then of the row's
     pick = slice(None) if len(rows) == len(part.costs) else list(rows)
     pos, neg, row_pos, row_neg = (totals[pick] for _, totals, _ in part.cells)
-    row_lo, row_hi = -part.counts[3], part.counts[2]
     best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in nums]
     live = [(b, r) for b, free in enumerate(origin) if not free for r in range(len(rows))]
     i, j, size = 0, 1, _FIRST_BLOCK
@@ -311,7 +311,6 @@ def search_net_moves(
         u = np.concatenate((np.arange(i, i_next), -np.arange(j, j_next)))
         cu = np.concatenate((pos[:, i:i_next], neg[:, j:j_next]), axis=1)
         lo, hi = window(u, [nums[b] for b in bs], den, False)
-        lo, hi = np.maximum(lo, row_lo), np.minimum(hi, row_hi)
         if carve:
             # the lower bound carves out the rows where every gap is below it,
             # leaving two pieces per column, indexed (bound, piece, column)

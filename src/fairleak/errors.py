@@ -66,10 +66,6 @@ class DuplicateId(FairleakError):
     """Two rows share an id."""
 
 
-class BadFractions(FairleakError):
-    """Split fractions are not positive or do not sum to one."""
-
-
 class BadParameters(FairleakError):
     """Parameters are outside their allowed ranges or name no known option."""
 

@@ -7,7 +7,6 @@ from .data import (
     DatasetTable,
     FeatureColumn,
     ingest_csv,
-    largest_remainder_sizes,
     split_dataset,
     write_dataset_csv,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "emit_report",
     "fit_label_predictor",
     "ingest_csv",
-    "largest_remainder_sizes",
     "load_report_json",
     "read_guess_csv",
     "read_instance_csv",

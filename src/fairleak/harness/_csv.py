@@ -42,7 +42,7 @@ def read_columns(path: str | Path, required: Iterable[str]) -> dict[str, tuple]:
             rows = list(filter(None, reader))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-        except csv.Error as exc:  # a field over the size limit; NUL before Python 3.11
+        except csv.Error as exc:  # a field over the size limit
             raise ParseError(f"{path}, line {reader.line_num}: {exc}") from exc
     if rows and min(map(len, rows)) < len(header):
         rows = [row + [None] * (len(header) - len(row)) for row in rows]

@@ -3,18 +3,19 @@
 A dataset CSV holds an id column, the feature columns, the sensitive column,
 the label column and optionally the target model's prediction column; a JSON
 schema sidecar names them and declares each feature categorical or numeric.
+``split_dataset`` deals a seeded permutation of the rows into thirds: the
+target model's training part, its test part and the attack part.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadFractions, DuplicateId, LengthMismatch, SchemaError
+from ..errors import DuplicateId, LengthMismatch, SchemaError
 from ._csv import code_cells, codes, float_cells, floats, int_cells, ints, read_columns
 from ._csv import write_columns, write_text
 
@@ -212,30 +213,11 @@ def write_dataset_csv(table: DatasetTable, path: str | Path) -> DatasetSchema:
     return schema
 
 
-def largest_remainder_sizes(n: int, fractions: tuple[float, ...]) -> tuple[int, ...]:
-    """Integer split sizes summing to n; remainders go to the largest shares,
-    earlier splits first on ties."""
-    quotas = [f * n for f in fractions]
-    sizes = [math.floor(q) for q in quotas]
-    leftover = n - sum(sizes)
-    order = sorted(range(len(fractions)), key=lambda i: (-(quotas[i] - sizes[i]), i))
-    for i in order[:leftover]:
-        sizes[i] += 1
-    return tuple(sizes)
-
-
 def split_dataset(
-    table: DatasetTable,
-    fractions: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
-    seed: int = 0,
+    table: DatasetTable, seed: int = 0
 ) -> tuple[DatasetTable, DatasetTable, DatasetTable]:
-    """Disjoint, exhaustive, seed-deterministic (train, test, attack) split."""
-    if any(f <= 0 for f in fractions):
-        raise BadFractions("fractions must be positive")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise BadFractions("fractions must sum to 1")
-    sizes = largest_remainder_sizes(table.n, tuple(fractions))
+    """Disjoint, exhaustive, seed-deterministic (train, test, attack) split
+    into thirds of a seeded permutation; the first ``n % 3`` parts get one
+    row more."""
     perm = np.random.default_rng(seed).permutation(table.n)
-    bounds = np.cumsum(sizes)[:-1]
-    parts = np.split(perm, bounds)
-    return tuple(table.subset(np.sort(part)) for part in parts)
+    return tuple(table.subset(np.sort(part)) for part in np.array_split(perm, 3))

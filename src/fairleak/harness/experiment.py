@@ -1,9 +1,9 @@
 """Experiment orchestration: seeds x epsilon sweeps over the attack pipeline.
 
 Only the repaired target predictions depend on the tolerance, so a sweep
-does the rest once per seed.  Per seed: split the dataset, fit the label
-predictor, repair each part for the whole grid (one lattice search per
-metric slice, keeping each tolerance's lattice cell), and build the
+does the rest once per seed.  Per seed: split the dataset into thirds, fit
+the label predictor, repair each part for the whole grid (one lattice search
+per metric slice, keeping each tolerance's lattice cell), and build the
 adversary.  That is the external guess with its shaped confidences, or the
 attack model: the fit/validation split, the discretised features and the
 naive-Bayes tables of the feature and label columns, with their log joints
@@ -11,24 +11,24 @@ on the training and validation rows, which in mode ``a`` already give the
 guesses.  Per (seed, epsilon) cell: apply the three parts' repair cells,
 score the target model, optionally estimate the constraint, in mode
 ``aprime`` fit the prediction column and add its term to the log joints,
-choose the confidence exponent, correct and score.
+choose the confidence exponent from ``DEFAULT_K_GRID``, correct and score.
 
 Cell failures are recorded in their row instead of aborting the sweep.  A
 per-seed stage that fails is recorded in every cell of its seed: the
 adversary's error at the step of the cell that uses it, any other at once.
-Defects that do not depend on the seed, such as bad split fractions or a
-table too small to train on, are rejected before the first seed.  Reports
-are fully deterministic for a fixed (config, data): rows carry no
-wall-clock fields and every random draw is seeded.
+Defects that do not depend on the seed, such as a table too small to train
+on, are rejected before the first seed.  Reports are fully deterministic for
+a fixed (config, data): rows carry no wall-clock fields and every random
+draw is seeded.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from ..errors import (
 from ..estimator import estimate_constraint
 from ..oracle import solve_general_bruteforce
 from ._csv import write_columns, write_text
-from .data import DatasetTable, all_distinct, largest_remainder_sizes, split_dataset
+from .data import DatasetTable, all_distinct, split_dataset
 from .predictor import RepairState, encode_features, fit_discretizer, fit_label_predictor
 from .predictor import repair_predictions  # noqa: F401  (perfbench traces this name)
 
@@ -119,10 +119,10 @@ class ExperimentConfig:
     epsilon_lower: float | None = None
     seeds: tuple[int, ...] = (0,)
     adversary_mode: str = MODE_A_PRIME
-    split_fractions: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    k_grid: tuple[float, ...] = DEFAULT_K_GRID
     oracle_check: bool = False
     external_guess: ExternalGuess | None = None
+    # the confidence exponents k-selection tries; not a setting
+    k_grid: ClassVar[tuple[float, ...]] = DEFAULT_K_GRID
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metric", FairnessMetric(self.metric))
@@ -140,15 +140,6 @@ class ExperimentConfig:
             raise BadParameters("need at least one seed")
         if any(seed < 0 for seed in self.seeds):
             raise BadParameters("seeds must be non-negative")
-        if not self.k_grid:
-            raise BadParameters("k grid must be nonempty")
-        if not all(math.isfinite(k) and k > 0 for k in self.k_grid):
-            raise BadParameters("k grid exponents must be finite and positive")
-        fractions = self.split_fractions
-        if len(fractions) != 3 or not all(f > 0 for f in fractions):
-            raise BadParameters("split fractions must be three positive shares")
-        if not abs(sum(fractions) - 1.0) <= 1e-9:
-            raise BadParameters("split fractions must sum to 1")
         if self.adversary_mode not in (MODE_A, MODE_A_PRIME, MODE_EXTERNAL):
             raise BadParameters(f"unknown adversary mode: {self.adversary_mode!r}")
         if self.adversary_mode == MODE_EXTERNAL and self.external_guess is None:
@@ -287,7 +278,7 @@ class _Seed:
 
 
 def _prepare_seed(config: ExperimentConfig, table: DatasetTable, seed: int) -> _Seed:
-    parts = split_dataset(table, config.split_fractions, seed)
+    parts = split_dataset(table, seed)
     train, test, attack = parts
     predictor = fit_label_predictor(train)
     repairs = tuple(
@@ -448,7 +439,7 @@ def run_experiment(config: ExperimentConfig, table: DatasetTable) -> ExperimentR
     external = config.external_guess
     if external is not None and not np.isin(external.guess, (0, 1)).all():
         raise UnsupportedCardinality("external guess values must be 0 or 1")
-    if largest_remainder_sizes(table.n, config.split_fractions)[0] == 0:
+    if table.n == 0:
         raise EmptyVector(f"a table of {table.n} rows leaves the training part empty")
     if not table.features:
         raise SchemaError("the label predictor needs at least one feature column")
@@ -481,7 +472,7 @@ def run_experiment(config: ExperimentConfig, table: DatasetTable) -> ExperimentR
         "epsilon_lower": config.epsilon_lower,
         "seeds": [int(s) for s in config.seeds],
         "adversary_mode": config.adversary_mode,
-        "split_fractions": [float(f) for f in config.split_fractions],
+        "split_fractions": [1 / 3] * 3,
         "k_grid": [float(k) for k in config.k_grid],
         "oracle_check": config.oracle_check,
         "dataset_rows": int(table.n),

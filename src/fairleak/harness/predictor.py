@@ -1,5 +1,9 @@
 """Simplified fair target model: naive Bayes labels plus an exact repair.
 
+Numeric feature columns enter naive Bayes as decile codes 0-9, binned at
+the nine decile edges ``fit_discretizer`` fits: on the training part for the
+label predictor, on the attack part for the attack model.
+
 The repair flips minimum-margin predictions, group by group, until the
 requested rate constraint holds on the training data.  With fixed group
 memberships the constraint depends only on the net number of prediction
@@ -35,35 +39,35 @@ from ..core import FairnessMetric, FairnessSpec
 from ..corrector import _flip_all, _group_gap, _metric_lattices, _repair_slice, _SolvedCell
 from ..errors import BadParameters, EmptySlice, EmptyVector, SchemaError
 from ..nb import CategoricalNaiveBayes, best_class, fit_naive_bayes
-from ..adversary import Discretizer
 from .data import CATEGORICAL, DatasetTable
 
 
-def fit_discretizer(table: DatasetTable) -> Discretizer:
-    """Decile edges of the table's numeric feature columns."""
-    return Discretizer().fit(
-        {name: col.values for name, col in table.features.items() if col.kind != CATEGORICAL}
-    )
+def fit_discretizer(table: DatasetTable) -> dict[str, np.ndarray]:
+    """The nine decile edges of each numeric feature column."""
+    return {
+        name: np.quantile(col.values, np.linspace(0.1, 0.9, 9))
+        for name, col in table.features.items()
+        if col.kind != CATEGORICAL
+    }
 
 
 def encode_features(
-    table: DatasetTable, disc: Discretizer, names: Iterable[str]
+    table: DatasetTable, edges: dict[str, np.ndarray], names: Iterable[str]
 ) -> dict[str, np.ndarray]:
-    """The named feature columns in that order: the numeric ones, which
-    ``disc`` was fitted on, binned, and the categorical ones as they are."""
-    columns = {}
-    for name in names:
-        values = table.features[name].values
-        columns[name] = disc.transform_column(name, values) if name in disc.edges else values
+    """The named feature columns in that order: the numeric ones, whose
+    decile ``edges`` are given, binned, and the categorical ones as they are."""
+    columns = {name: table.features[name].values for name in names}
+    for name in columns.keys() & edges.keys():
+        columns[name] = np.searchsorted(edges[name], columns[name], side="right")
     return columns
 
 
 @dataclass(frozen=True, eq=False)
 class LabelPredictor:
-    """Naive Bayes label model with the discretizer fitted alongside it."""
+    """Naive Bayes label model with the decile edges fitted alongside it."""
 
     nb: CategoricalNaiveBayes
-    discretizer: Discretizer
+    discretizer: dict[str, np.ndarray]  # numeric feature -> decile edges
     feature_names: tuple[str, ...]  # in training order
 
     def raw_predictions(self, table: DatasetTable) -> tuple[np.ndarray, np.ndarray]:

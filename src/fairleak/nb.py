@@ -26,7 +26,6 @@ class CategoricalNaiveBayes:
     feature_names: tuple[str, ...]
     log_likelihood: dict[str, np.ndarray]  # name -> (n_classes, n_values + 1)
     log_prior: np.ndarray
-    n_classes: int
 
     def predict_log_joint(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         missing = set(self.feature_names) - set(columns)
@@ -112,5 +111,4 @@ def fit_naive_bayes(
         feature_names=tuple(columns),
         log_likelihood=tables,
         log_prior=log_prior,
-        n_classes=n_classes,
     )

@@ -6,7 +6,6 @@ from fairleak.adversary import (
     MODE_A,
     MODE_A_PRIME,
     AttackSet,
-    Discretizer,
     guess_from_log_joint,
     normalize_scores,
     predict_guess,
@@ -30,6 +29,8 @@ from fairleak.errors import (
     SchemaMismatch,
     ScoreOutOfRange,
 )
+from fairleak.harness import NUMERIC, DatasetTable, FeatureColumn
+from fairleak.harness.predictor import encode_features, fit_discretizer
 from fairleak.nb import posterior
 
 
@@ -244,19 +245,32 @@ class TestConfidenceProcessing:
             process_confidences([0.6, 0.7], inst, FairnessSpec(FairnessMetric.SP, 0.5))
 
 
+def _numeric_table(values):
+    values = np.asarray(values, dtype=np.float64)
+    bits = np.zeros(values.size, dtype=np.int64)
+    return DatasetTable(
+        np.arange(values.size), {"x": FeatureColumn(NUMERIC, values)}, bits, bits
+    )
+
+
 class TestDiscretizer:
+    """The attack model's and the label predictor's numeric columns are
+    binned at their nine decile edges."""
+
     def test_decile_binning(self):
         rng = np.random.default_rng(0)
-        values = rng.normal(size=5000)
-        disc = Discretizer().fit({"x": values})
-        codes = disc.transform_column("x", values)
+        table = _numeric_table(rng.normal(size=5000))
+        edges = fit_discretizer(table)
+        want = np.quantile(table.features["x"].values, np.linspace(0.1, 0.9, 9))
+        assert list(edges) == ["x"] and np.array_equal(edges["x"], want)
+        codes = encode_features(table, edges, ["x"])["x"]
         assert codes.min() == 0 and codes.max() == 9
         counts = np.bincount(codes, minlength=10)
         assert counts.min() > 300
 
     def test_deterministic_on_new_data(self):
-        disc = Discretizer().fit({"x": np.arange(100.0)})
-        out = disc.transform_column("x", np.array([-5.0, 50.0, 500.0]))
+        edges = fit_discretizer(_numeric_table(np.arange(100.0)))
+        out = encode_features(_numeric_table([-5.0, 50.0, 500.0]), edges, ["x"])["x"]
         assert out.tolist() == [0, 5, 9]
 
 

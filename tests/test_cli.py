@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fairleak
 from fairleak.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
-from fairleak.harness import synth_generate, write_dataset_csv
+from fairleak.harness import DEFAULT_EPSILON_GRID, synth_generate, write_dataset_csv
 
 
 @pytest.fixture
@@ -400,6 +400,61 @@ def test_oversized_cell_is_one_input_error_line(tmp_path, capsys, kind, column):
     assert capsys.readouterr().err == (
         f"fairleak: error: {path}, line 3: field larger than field limit (131072)\n"
     )
+
+
+@pytest.mark.parametrize("defect", ["label", "prediction", "cardinality"])
+def test_bad_dataset_or_schema_is_an_input_error(tmp_path, capsys, defect):
+    rows = [list(row) for row in _DATASET]
+    schema = dict(_SCHEMA)
+    if defect == "label":
+        rows[3][3], message = "2", "labels must be 0 or 1"
+    elif defect == "prediction":
+        rows[3][4], message = "2", "predictions must be 0 or 1"
+    else:
+        schema["sensitive_cardinality"] = 1
+        message = "sensitive cardinality must be at least 2"
+    data = tmp_path / "data.csv"
+    data.write_bytes(_csv_bytes(rows))
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    argv = ["attack", "--data", str(data), "--schema", str(tmp_path / "schema.json"),
+            "--epsilon-grid", "0.1", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"fairleak: error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "synth.csv"
+    assert main(["synth", "--n", "20", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"fairleak: error: cannot write dataset to {out}: "
+        f"[Errno 2] No such file or directory: '{out}'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--epsilon-grid", "0.1,x", "epsilon grid must be comma-separated numbers"),
+        ("--seeds", "0,x", "seeds must be comma-separated integers"),
+    ],
+)
+def test_bad_list_flag_is_an_input_error(tmp_path, capsys, flag, value, message):
+    argv = ["attack", "--data", "data.csv", "--schema", "schema.json", flag, value,
+            "--out", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"fairleak attack: error: argument {flag}: {message}"
+
+
+def test_default_epsilon_grid_names_the_default_grid(tmp_path):
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--n", "60", "--seeds", "1", "--epsilon-grid", "default", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    grid = json.loads(out.read_text())["metadata"]["epsilon_grid"]
+    assert grid == list(DEFAULT_EPSILON_GRID) and len(grid) == 25
 
 
 _POOL = [

@@ -15,6 +15,7 @@ from fairleak.core import (
     as_binary_array,
     as_confidence_array,
     as_sensitive_array,
+    reconstruction_accuracy,
     unfairness_exact,
 )
 from fairleak.errors import (
@@ -25,7 +26,15 @@ from fairleak.errors import (
     SchemaMismatch,
 )
 from fairleak.estimator import estimate_constraint
-from fairleak.harness import ExperimentReport, emit_report, synth_generate
+from fairleak.harness import (
+    DatasetTable,
+    ExperimentConfig,
+    ExperimentReport,
+    ExternalGuess,
+    FeatureColumn,
+    emit_report,
+    synth_generate,
+)
 from fairleak.harness.predictor import RepairState
 from fairleak.nb import fit_naive_bayes
 
@@ -95,6 +104,36 @@ CASES = {
         lambda: unfairness_exact("eo", [0, 1], [0, 1]),
         SchemaError,
         "eo requires the label vector",
+    ),
+    "label lengths": (
+        lambda: unfairness_exact("eo", [0, 1], [0, 1], [0]),
+        LengthMismatch,
+        "label vector differs in length",
+    ),
+    "accuracy lengths": (
+        lambda: reconstruction_accuracy([0, 1], [0]),
+        LengthMismatch,
+        "guess and truth differ in length",
+    ),
+    "guess file lengths": (
+        lambda: ExternalGuess(ids=[0, 1], guess=[0], raw_scores=[0.5, 0.6]),
+        SchemaError,
+        "guess file columns differ in length",
+    ),
+    "dataset lengths": (
+        lambda: DatasetTable(ids=[0, 1], features={}, sensitive=[0], labels=[0, 1]),
+        LengthMismatch,
+        "dataset columns differ in length",
+    ),
+    "experiment adversary mode": (
+        lambda: ExperimentConfig(adversary_mode="b"),
+        BadParameters,
+        "unknown adversary mode: 'b'",
+    ),
+    "feature kind": (
+        lambda: FeatureColumn("ordinal", [1.0]),
+        SchemaError,
+        "unknown feature kind: 'ordinal'",
     ),
     "negative group": (
         lambda: unfairness_exact("sp", [-1, 1], [0, 1]),
