@@ -7,8 +7,11 @@ harness CSV interface, so any stronger attack model can be plugged in.
 
 Confidence shaping raises normalised scores to a power k, chosen as the
 exponent whose correction of a validation guess is most accurate.  All the
-grid's exponents are solved in one ``corrector.correct_each`` batch: one
-search per metric slice, with one cost row per exponent.
+grid's exponents are solved in ``corrector.correct_each``'s one solve: one
+search per metric slice, with one cost row per exponent.  No correction is
+built: each exponent is scored from the rows its solved cells flip, which
+lose a match with the truth where the guess held it and gain one where the
+flipped guess does.
 """
 
 from __future__ import annotations
@@ -18,19 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    AttackInstance,
-    FairnessSpec,
-    as_binary_array,
-    as_sensitive_array,
-    reconstruction_accuracy,
-)
+from .core import AttackInstance, FairnessSpec, as_binary_array, as_sensitive_array
 from .corrector import correct  # noqa: F401  (perfbench traces this name)
-from .corrector import correct_each
+from .corrector import _solve_rows
 from .errors import (
     BadParameters,
     DegenerateClasses,
     EmptyAttackSet,
+    EmptyVector,
     Infeasible,
     LengthMismatch,
     MissingPredictions,
@@ -225,8 +223,8 @@ def process_confidences(
     """Pick the exponent that corrects the validation instance best.
 
     The validation instance carries raw scores in its confidence slot and
-    must carry the true sensitive values.  Every exponent's correction is
-    solved in one :func:`correct_each` batch.  Ties prefer the smallest k.
+    must carry the true sensitive values.  Every exponent is scored from its
+    flips in one solve (:func:`_k_scores`); ties prefer the smallest k.
     """
     if validation.truth is None:
         raise SchemaError("validation instance needs truth for scoring")
@@ -234,15 +232,33 @@ def process_confidences(
         raise BadParameters("k grid must be nonempty")
     if min(k_grid) <= 0:
         raise BadParameters("exponent k must be positive")
-    normalized = normalize_scores(validation.confidence)
-    shaped = [np.maximum(normalized**k, MIN_CONFIDENCE) for k in k_grid]
     try:
-        results = correct_each(validation, spec, shaped)
+        scores = _k_scores(validation, spec, k_grid)
     except Infeasible:
         # correction is infeasible for every k (feasibility never depends on k)
         best_k = min(k_grid)
     else:
-        scores = [reconstruction_accuracy(r.corrected, validation.truth) for r in results]
         best = max(scores)
         best_k = min(k for k, score in zip(k_grid, scores) if score == best)
     return shape_confidences(raw_scores, best_k), float(best_k)
+
+
+def _k_scores(
+    validation: AttackInstance, spec: FairnessSpec, k_grid: Sequence[float]
+) -> list[float]:
+    """The :func:`reconstruction_accuracy` of each exponent's correction of
+    the validation guess, read from the rows its solved cells flip."""
+    normalized = normalize_scores(validation.confidence)
+    # finite and non-negative by construction, so no row needs validating
+    shaped = np.empty((len(k_grid), normalized.size))
+    for row, k in zip(shaped, k_grid):
+        np.maximum(normalized**k, MIN_CONFIDENCE, out=row)
+    solved = _solve_rows(validation, spec, shaped)
+    if not validation.n:
+        raise EmptyVector("reconstruction accuracy needs at least one element")
+    guess, truth = validation.guess, validation.truth
+    # a flip gains a match or loses one; a truth of 2 matches neither guess
+    base = np.count_nonzero(truth == guess)
+    gain = (truth == 1 - guess) - (truth == guess).astype(np.int64)
+    gained = [sum(int(gain.take(cell.changed).sum()) for cell in cells) for cells in solved]
+    return [(base + g) / validation.n for g in gained]

@@ -29,13 +29,15 @@ per column, whose exact integer ends ``_rows_within`` finds for a whole block.
 fixed, so ``_repair_slice`` bounds group g's gap |D| / (n * z_g) by two
 half-planes of the smaller group, for a whole grid of upper bounds at once.
 
-``correct_each`` solves one instance under several confidence vectors, as
-the adversary's choice of confidence exponent does, in one search per slice
-with one cost row per vector; ``correct`` is its one-vector case, and only
-the corrector decides which slice carries an EOdds lower bound.  Each solver
-hands ``search_net_moves`` a slice's lattice and the cost rows to read, and
-gets one ``_SolvedCell`` per bound and row: a lattice cell under one cost
-row, priced by ``_Lattice.cost`` and flipped by ``_Lattice.flip``.  The
+``correct_each`` solves one instance under several confidence vectors in
+one search per slice with one cost row per vector; ``correct`` is its
+one-vector case, and only the corrector decides which slice carries an
+EOdds lower bound.  Each solver hands ``search_net_moves`` a slice's lattice
+and the cost rows to read, and gets one ``_SolvedCell`` per bound and row: a
+lattice cell under one cost row, priced by ``_Lattice.cost`` and flipped by
+``_Lattice.flip``, in one pass where no cost tie straddles its cut.
+``_solve_rows``, the one solve, returns each vector's cells; k-selection
+runs it too and scores their flips without building results.  The
 brute-force oracle this solver is checked against, and the only solver for
 more than two groups, is ``fairleak.oracle``.
 """
@@ -176,11 +178,15 @@ class _Lattice:
             values, _, idx = up if k > 0 else down
             k = abs(k)
             if 0 < k < idx.size:
-                # every entry below the k-th smallest cost, then the first ties
                 cost, kth = self.costs[r].take(idx), values[r, k - 1]
-                chosen = cost < kth
-                chosen[np.flatnonzero(cost == kth)[: k - np.count_nonzero(chosen)]] = True
-                idx = idx[chosen]
+                if values[r, k] > kth:
+                    # no tie straddles the cut: the k entries up to the k-th cost
+                    idx = idx[cost <= kth]
+                else:
+                    # every entry below the k-th smallest cost, then the first ties
+                    chosen = cost < kth
+                    chosen[np.flatnonzero(cost == kth)[: k - np.count_nonzero(chosen)]] = True
+                    idx = idx[chosen]
             picks.append(idx[:k])
         return np.concatenate(picks)
 
@@ -429,7 +435,7 @@ def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
     slice and leave the complement untouched; EOdds corrects both disjoint
     slices.  Empty slices are no-ops.
     """
-    return _correct_rows(instance, spec, instance.confidence[None])[0]
+    return _result(instance.guess, _solve_rows(instance, spec, instance.confidence[None])[0])
 
 
 def correct_each(
@@ -447,13 +453,16 @@ def correct_each(
     vectors = [as_confidence_array(conf) for conf in confidences]
     if any(conf.size != instance.n for conf in vectors):
         raise LengthMismatch("confidence vector length differs from the instance")
-    return _correct_rows(instance, spec, np.stack(vectors)) if vectors else []
+    solved = _solve_rows(instance, spec, np.stack(vectors)) if vectors else []
+    return [_result(instance.guess, cells) for cells in solved]
 
 
-def _correct_rows(
+def _solve_rows(
     instance: AttackInstance, spec: FairnessSpec, confs: np.ndarray
-) -> list[CorrectionResult]:
-    """:func:`correct_each` with the vectors validated and stacked as rows.
+) -> list[list[_SolvedCell]]:
+    """The one solve of :func:`correct_each`, its vectors the rows of
+    ``confs``, which must be finite and non-negative: each vector's solved
+    cells, one per nonempty slice of the metric.
 
     A single slice carries the lower bound itself.  EOdds with a lower bound
     couples its two slices: the larger slice gap must reach the bound, so at
@@ -494,23 +503,23 @@ def _correct_rows(
         for t, (_, combo) in best.items():
             solved[t] = combo
 
-    results = []
-    for cells in solved:
-        corrected, changed = _flip_all(guess, [cell.changed for cell in cells])
-        corrected.setflags(write=False)
-        moves = MoveCounts(
-            sum(max(cell.u, 0) for cell in cells),
-            sum(max(-cell.u, 0) for cell in cells),
-            sum(max(cell.v, 0) for cell in cells),
-            sum(max(-cell.v, 0) for cell in cells),
-        )
-        results.append(
-            CorrectionResult(
-                corrected,
-                sum((cell.objective for cell in cells), 0.0),
-                moves,
-                tuple(changed.tolist()),
-                SolverStats(sum(cell.columns for cell in cells)),
-            )
-        )
-    return results
+    return solved
+
+
+def _result(guess: np.ndarray, cells: Sequence[_SolvedCell]) -> CorrectionResult:
+    """The correction of ``guess`` that the solved cells of its slices make."""
+    corrected, changed = _flip_all(guess, [cell.changed for cell in cells])
+    corrected.setflags(write=False)
+    moves = MoveCounts(
+        sum(max(cell.u, 0) for cell in cells),
+        sum(max(-cell.u, 0) for cell in cells),
+        sum(max(cell.v, 0) for cell in cells),
+        sum(max(-cell.v, 0) for cell in cells),
+    )
+    return CorrectionResult(
+        corrected,
+        sum((cell.objective for cell in cells), 0.0),
+        moves,
+        tuple(changed.tolist()),
+        SolverStats(sum(cell.columns for cell in cells)),
+    )

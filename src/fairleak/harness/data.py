@@ -141,7 +141,7 @@ class DatasetSchema:
                 prediction_column=payload.get("prediction", "yhat"),
                 sensitive_cardinality=int(payload.get("sensitive_cardinality", 2)),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, SchemaError) as exc:
             raise SchemaError(f"malformed schema file {path}: {exc}") from exc
 
     def to_json(self, path: str | Path) -> None:

@@ -9,6 +9,7 @@ from fairleak.adversary import (
     guess_from_log_joint,
     normalize_scores,
     predict_guess,
+    _k_scores,
     process_confidences,
     shape_confidences,
     train_baseline,
@@ -19,10 +20,11 @@ from fairleak.core import (
     FairnessSpec,
     reconstruction_accuracy,
 )
-from fairleak.corrector import correct
+from fairleak.corrector import _solve_rows, correct, correct_each
 from fairleak.errors import (
     DegenerateClasses,
     EmptyAttackSet,
+    EmptyVector,
     Infeasible,
     MissingPredictions,
     SchemaError,
@@ -243,6 +245,100 @@ class TestConfidenceProcessing:
         inst = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7])
         with pytest.raises(SchemaError, match="^validation instance needs truth for scoring$"):
             process_confidences([0.6, 0.7], inst, FairnessSpec(FairnessMetric.SP, 0.5))
+
+
+class TestScoresFromFlips:
+    """k-selection scores each exponent from the rows its solved cells flip,
+    with no correction built: the same float ``reconstruction_accuracy``
+    gives the built correction, and so the same chosen k."""
+
+    @staticmethod
+    def _check(validation, spec, grid=DEFAULT_K_GRID):
+        shaped = [shape_confidences(validation.confidence, k) for k in grid]
+        try:
+            results = correct_each(validation, spec, shaped)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                _k_scores(validation, spec, grid)
+            _, k = process_confidences(validation.confidence, validation, spec, grid)
+            assert k == min(grid)
+            return None
+        want = [reconstruction_accuracy(r.corrected, validation.truth) for r in results]
+        got = _k_scores(validation, spec, grid)
+        assert [score.hex() for score in got] == [score.hex() for score in want]
+        _, k = process_confidences(validation.confidence, validation, spec, grid)
+        assert k == min(k for k, score in zip(grid, want) if score == max(want))
+        return want
+
+    def test_tied_confidences(self):
+        # six distinct scores over 40 rows: every cut of a cell may split a run
+        rng = np.random.default_rng(5)
+        n = 40
+        yhat, truth = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        guess = np.where(rng.random(n) < 0.6, truth, 1 - truth)
+        raw = 0.5 + rng.integers(0, 6, n) / 12
+        validation = AttackInstance(yhat, rng.integers(0, 2, n), guess, raw, truth=truth)
+        for metric in FairnessMetric:
+            self._check(validation, FairnessSpec(metric, 0.02))
+
+    def test_truth_the_guess_never_takes(self):
+        # the cheapest rows to flip hold truth 2: flipping them gains no match
+        yhat = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+        guess = np.array([1, 1, 1, 1, 0, 0, 0, 1])
+        truth = np.array([2, 2, 1, 1, 0, 0, 0, 2])
+        raw = np.array([0.55, 0.6, 0.9, 0.95, 0.9, 0.95, 0.9, 0.5])
+        validation = AttackInstance(yhat, np.zeros(8, dtype=int), guess, raw, truth=truth)
+        spec = FairnessSpec(FairnessMetric.SP, 0.1)
+        self._check(validation, spec)
+        flipped = [np.flatnonzero(r.corrected != guess) for r in
+                   correct_each(validation, spec, [shape_confidences(raw, k) for k in (1, 32)])]
+        assert all(flips.size and np.any(truth[flips] == 2) for flips in flipped)
+
+    def test_eodds_lower_bound_takes_the_carrier(self):
+        # upper-only, both slices stay below the lower bound: one slice carries it
+        yhat = [1, 1, 1, 1, 1, 1, 0, 1]
+        labels = [0, 0, 0, 0, 1, 1, 1, 1]
+        guess = [0, 0, 1, 0, 1, 1, 0, 0]
+        raw = [0.55, 0.75, 0.75, 0.95, 0.8, 0.75, 0.75, 0.6]
+        truth = [1, 0, 1, 0, 1, 0, 0, 1]
+        validation = AttackInstance(yhat, labels, guess, raw, truth=truth)
+        shaped = np.stack([shape_confidences(raw, k) for k in DEFAULT_K_GRID])
+        upper = _solve_rows(validation, FairnessSpec("eodds", 0.75), shaped)
+        assert all(max(cell.gap for cell in cells) < 0.5 for cells in upper)
+        self._check(validation, FairnessSpec("eodds", 0.75, 0.5))
+
+    def test_random_instances(self, rng):
+        solved = 0
+        for trial in range(80):
+            n = int(rng.choice([2, 9, 60, 400]))
+            yhat = rng.integers(0, 2, n)
+            truth = rng.integers(0, 3, n)
+            guess = np.where(rng.random(n) < 0.6, truth % 2, yhat)
+            raw = 0.5 + rng.integers(0, 20, n) / 40
+            validation = AttackInstance(yhat, rng.integers(0, 2, n), guess, raw, truth=truth)
+            eps = (0.0, 0.01, 0.05, 0.2)[trial % 4]
+            lower = eps / 2 if eps and trial % 8 >= 4 else None
+            spec = FairnessSpec(list(FairnessMetric)[(trial // 8) % 4], eps, lower)
+            solved += self._check(validation, spec) is not None
+        assert solved > 40
+
+    def test_infeasible_falls_back_to_the_smallest_k(self):
+        # one row is one group: no correction exists under any exponent
+        validation = AttackInstance([1], [0], [1], [0.8], truth=[0])
+        spec = FairnessSpec(FairnessMetric.SP, 0.1)
+        assert self._check(validation, spec, (4.0, 2.0, 8.0)) is None
+        processed, k = process_confidences([0.9, 0.6], validation, spec, (4.0, 2.0, 8.0))
+        assert k == 2.0
+        assert np.array_equal(processed, shape_confidences([0.9, 0.6], 2.0))
+
+    def test_empty_validation_raises_as_the_accuracy_does(self):
+        validation = AttackInstance([], [], [], [], truth=[])
+        with pytest.raises(EmptyVector) as want:
+            reconstruction_accuracy(validation.guess, validation.truth)
+        for metric in FairnessMetric:
+            with pytest.raises(EmptyVector) as got:
+                process_confidences([0.7], validation, FairnessSpec(metric, 0.1))
+            assert str(got.value) == str(want.value)
 
 
 def _numeric_table(values):

@@ -402,17 +402,22 @@ def test_oversized_cell_is_one_input_error_line(tmp_path, capsys, kind, column):
     )
 
 
-@pytest.mark.parametrize("defect", ["label", "prediction", "cardinality"])
+@pytest.mark.parametrize("defect", ["label", "prediction", "cardinality", "kind"])
 def test_bad_dataset_or_schema_is_an_input_error(tmp_path, capsys, defect):
     rows = [list(row) for row in _DATASET]
     schema = dict(_SCHEMA)
+    # a schema that fails its own checks names the file, as a missing key does
+    malformed = f"malformed schema file {tmp_path / 'schema.json'}: "
     if defect == "label":
         rows[3][3], message = "2", "labels must be 0 or 1"
     elif defect == "prediction":
         rows[3][4], message = "2", "predictions must be 0 or 1"
-    else:
+    elif defect == "cardinality":
         schema["sensitive_cardinality"] = 1
-        message = "sensitive cardinality must be at least 2"
+        message = malformed + "sensitive cardinality must be at least 2"
+    else:
+        schema["features"] = {**schema["features"], "f0": "ordinal"}
+        message = malformed + "feature 'f0' has unknown kind 'ordinal'"
     data = tmp_path / "data.csv"
     data.write_bytes(_csv_bytes(rows))
     (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")

@@ -199,6 +199,21 @@ class TestSortedGroup:
         order = [0, 1, 3, 4, 5, 6, 2]
         assert changed == [sorted(order[:k]) for k in range(1, 8)]
 
+    def test_cut_inside_and_between_tie_runs(self):
+        # sorted costs 0.1, 0.3, 0.3, 0.3, 0.7: cuts 2 and 3 fall inside the
+        # run of 0.3, which flip settles by index; cuts 1 and 4 fall between
+        # distinct costs, which it takes in one pass
+        conf = np.array([0.3, 0.7, 0.3, 0.1, 0.3])
+        ones = np.ones(conf.size, dtype=int)
+        lattice = _lattice(ones, ones, conf)
+        values = lattice.cells[1][0][0]
+        want = {1: [3], 2: [0, 3], 3: [0, 2, 3], 4: [0, 2, 3, 4]}
+        for k, inside in ((1, False), (2, True), (3, True), (4, False)):
+            assert bool(values[k] == values[k - 1]) is inside
+            changed = lattice.flip(0, -k, 0)
+            assert changed.tolist() == want[k]
+            assert sorted(changed) == sorted(_stable_flip(lattice, 0, -k, 0))
+
     def test_empty_and_single(self):
         for conf in (np.zeros(0), np.array([0.3])):
             self._check(conf[None], np.ones(conf.size, dtype=int), np.ones(conf.size, dtype=int))
