@@ -6,12 +6,12 @@ prediction-aware mode).  Externally produced guesses enter through the
 harness CSV interface, so any stronger attack model can be plugged in.
 
 Confidence shaping raises normalised scores to a power k, chosen as the
-exponent whose correction of a validation guess is most accurate.  All the
-grid's exponents are solved in ``corrector.correct_each``'s one solve: one
-search per metric slice, with one cost row per exponent.  No correction is
-built: each exponent is scored from the rows its solved cells flip, which
-lose a match with the truth where the guess held it and gain one where the
-flipped guess does.
+exponent in ``DEFAULT_K_GRID`` whose correction of a validation guess is
+most accurate.  All the grid's exponents are solved in one solve of the
+corrector: one search per metric slice, with one cost row per exponent.  No
+correction is built: each exponent is scored from the rows its solved cells
+flip, which lose a match with the truth where the guess held it and gain one
+where the flipped guess does.
 """
 
 from __future__ import annotations
@@ -60,11 +60,10 @@ class AttackSet:
     labels: np.ndarray
     sensitive: np.ndarray
     target_predictions: np.ndarray | None = None
-    cardinality: int = 2
 
     def __post_init__(self) -> None:
         labels = as_binary_array(self.labels, "labels")
-        sensitive = as_sensitive_array(self.sensitive, self.cardinality, "sensitive")
+        sensitive = as_sensitive_array(self.sensitive, 2, "sensitive")
         preds = self.target_predictions
         if preds is not None:
             preds = as_binary_array(preds, "target_predictions")
@@ -121,18 +120,10 @@ def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
     if mode == MODE_A_PRIME:
         if attack_set.target_predictions is None:
             raise MissingPredictions("mode aprime needs target predictions")
-        prediction_nb = fit_prediction_column(
-            attack_set.sensitive, attack_set.target_predictions, attack_set.cardinality
-        )
+        prediction_nb = fit_prediction_column(attack_set.sensitive, attack_set.target_predictions)
     columns = dict(attack_set.features)
     columns[_LABEL_COLUMN] = attack_set.labels
-    nb = fit_naive_bayes(
-        columns,
-        attack_set.sensitive,
-        n_classes=attack_set.cardinality,
-        alpha=1.0,
-        class_prior="uniform",
-    )
+    nb = fit_naive_bayes(columns, attack_set.sensitive, n_classes=2, class_prior="uniform")
     return AttackModel(
         nb=nb,
         feature_names=tuple(attack_set.features),
@@ -140,18 +131,12 @@ def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
     )
 
 
-def fit_prediction_column(
-    sensitive: np.ndarray, predictions: np.ndarray, cardinality: int = 2
-) -> CategoricalNaiveBayes:
+def fit_prediction_column(sensitive: np.ndarray, predictions: np.ndarray) -> CategoricalNaiveBayes:
     """The prediction-aware mode's target-prediction column, fitted alone on
     the attack rows' sensitive values, with the attack model's smoothing and
     uniform prior."""
     return fit_naive_bayes(
-        {_PREDICTION_COLUMN: predictions},
-        sensitive,
-        n_classes=cardinality,
-        alpha=1.0,
-        class_prior="uniform",
+        {_PREDICTION_COLUMN: predictions}, sensitive, n_classes=2, class_prior="uniform"
     )
 
 
@@ -218,9 +203,9 @@ def process_confidences(
     raw_scores: Sequence[float],
     validation: AttackInstance,
     spec: FairnessSpec,
-    k_grid: Sequence[float] = DEFAULT_K_GRID,
 ) -> tuple[np.ndarray, float]:
-    """Pick the exponent that corrects the validation instance best.
+    """Pick the exponent of ``DEFAULT_K_GRID`` that corrects the validation
+    instance best.
 
     The validation instance carries raw scores in its confidence slot and
     must carry the true sensitive values.  Every exponent is scored from its
@@ -228,30 +213,24 @@ def process_confidences(
     """
     if validation.truth is None:
         raise SchemaError("validation instance needs truth for scoring")
-    if not k_grid:
-        raise BadParameters("k grid must be nonempty")
-    if min(k_grid) <= 0:
-        raise BadParameters("exponent k must be positive")
     try:
-        scores = _k_scores(validation, spec, k_grid)
+        scores = _k_scores(validation, spec)
     except Infeasible:
         # correction is infeasible for every k (feasibility never depends on k)
-        best_k = min(k_grid)
+        best_k = min(DEFAULT_K_GRID)
     else:
         best = max(scores)
-        best_k = min(k for k, score in zip(k_grid, scores) if score == best)
+        best_k = min(k for k, score in zip(DEFAULT_K_GRID, scores) if score == best)
     return shape_confidences(raw_scores, best_k), float(best_k)
 
 
-def _k_scores(
-    validation: AttackInstance, spec: FairnessSpec, k_grid: Sequence[float]
-) -> list[float]:
+def _k_scores(validation: AttackInstance, spec: FairnessSpec) -> list[float]:
     """The :func:`reconstruction_accuracy` of each exponent's correction of
     the validation guess, read from the rows its solved cells flip."""
     normalized = normalize_scores(validation.confidence)
     # finite and non-negative by construction, so no row needs validating
-    shaped = np.empty((len(k_grid), normalized.size))
-    for row, k in zip(shaped, k_grid):
+    shaped = np.empty((len(DEFAULT_K_GRID), normalized.size))
+    for row, k in zip(shaped, DEFAULT_K_GRID):
         np.maximum(normalized**k, MIN_CONFIDENCE, out=row)
     solved = _solve_rows(validation, spec, shaped)
     if not validation.n:

@@ -18,7 +18,7 @@ import sys
 
 from .core import FairnessMetric, FairnessSpec, MoveCounts, reconstruction_accuracy
 from .corrector import correct
-from .errors import FairleakError, Infeasible
+from .errors import FairleakError, Infeasible, MissingPredictions
 from .estimator import estimate_constraint
 from .harness import (
     DEFAULT_EPSILON_GRID,
@@ -150,7 +150,8 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             else {f"{a}->{b}": c for (a, b), c in sorted(moves.items())},
             "solver_nodes": result.stats.nodes,
         }
-        if instance.truth is not None:
+        # an empty instance has no accuracy to report
+        if instance.truth is not None and instance.n:
             payload["baseline_accuracy"] = reconstruction_accuracy(
                 instance.guess, instance.truth
             )
@@ -165,10 +166,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     schema = DatasetSchema.from_json(args.schema)
     table = ingest_csv(args.attack_set, schema)
     if table.predictions is None:
-        raise FairleakError("attack set needs the target model's prediction column")
-    estimated = estimate_constraint(
-        table.sensitive, table.predictions, table.labels, tuple(FairnessMetric)
-    )
+        raise MissingPredictions("attack set needs the target model's prediction column")
+    estimated = estimate_constraint(table.sensitive, table.predictions, table.labels)
     payload = {
         "metric": estimated.spec.metric.value,
         "epsilon": estimated.spec.epsilon,

@@ -29,15 +29,15 @@ per column, whose exact integer ends ``_rows_within`` finds for a whole block.
 fixed, so ``_repair_slice`` bounds group g's gap |D| / (n * z_g) by two
 half-planes of the smaller group, for a whole grid of upper bounds at once.
 
-``correct_each`` solves one instance under several confidence vectors in
-one search per slice with one cost row per vector; ``correct`` is its
-one-vector case, and only the corrector decides which slice carries an
-EOdds lower bound.  Each solver hands ``search_net_moves`` a slice's lattice
-and the cost rows to read, and gets one ``_SolvedCell`` per bound and row: a
-lattice cell under one cost row, priced by ``_Lattice.cost`` and flipped by
-``_Lattice.flip``, in one pass where no cost tie straddles its cut.
-``_solve_rows``, the one solve, returns each vector's cells; k-selection
-runs it too and scores their flips without building results.  The
+``_solve_rows`` solves one instance under several confidence vectors in
+one search per slice with one cost row per vector, and only it decides which
+slice carries an EOdds lower bound.  Each solver hands ``search_net_moves`` a
+slice's lattice and the cost rows to read, and gets one ``_SolvedCell`` per
+bound and row: a lattice cell under one cost row, priced by
+``_Lattice.cost`` and flipped by ``_Lattice.flip``, in one pass where no
+cost tie straddles its cut.  ``correct`` is its one-vector case, and builds
+its result from the cells with ``_result``; k-selection solves every
+exponent at once and scores their flips without building results.  The
 brute-force oracle this solver is checked against, and the only solver for
 more than two groups, is ``fairleak.oracle``.
 """
@@ -58,10 +58,9 @@ from .core import (
     FairnessSpec,
     MoveCounts,
     SolverStats,
-    as_confidence_array,
     slice_for_metric,
 )
-from .errors import Infeasible, LengthMismatch, UnsupportedCardinality
+from .errors import Infeasible, UnsupportedCardinality
 
 
 def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,31 +437,12 @@ def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
     return _result(instance.guess, _solve_rows(instance, spec, instance.confidence[None])[0])
 
 
-def correct_each(
-    instance: AttackInstance, spec: FairnessSpec, confidences: Sequence[Sequence[float]]
-) -> list[CorrectionResult]:
-    """Correct the guess of ``instance`` under each confidence vector in turn.
-
-    Result i is the one :func:`correct` gives for the instance carrying
-    ``confidences[i]``; the instance's own confidences are not read.  Which
-    corrections are feasible never depends on the costs, so an infeasible
-    ``spec`` raises :class:`Infeasible` once, for all vectors.  The slices'
-    groups are built once for all vectors, and each slice is searched once
-    for all of them.
-    """
-    vectors = [as_confidence_array(conf) for conf in confidences]
-    if any(conf.size != instance.n for conf in vectors):
-        raise LengthMismatch("confidence vector length differs from the instance")
-    solved = _solve_rows(instance, spec, np.stack(vectors)) if vectors else []
-    return [_result(instance.guess, cells) for cells in solved]
-
-
 def _solve_rows(
     instance: AttackInstance, spec: FairnessSpec, confs: np.ndarray
 ) -> list[list[_SolvedCell]]:
-    """The one solve of :func:`correct_each`, its vectors the rows of
-    ``confs``, which must be finite and non-negative: each vector's solved
-    cells, one per nonempty slice of the metric.
+    """The guess of ``instance`` solved under each row of ``confs``, which
+    must be finite and non-negative, in place of its own confidences: each
+    vector's solved cells, one per nonempty slice of the metric.
 
     A single slice carries the lower bound itself.  EOdds with a lower bound
     couples its two slices: the larger slice gap must reach the bound, so at

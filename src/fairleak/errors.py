@@ -43,7 +43,8 @@ class UnsupportedCardinality(FairleakError):
 
 
 class MissingPredictions(FairleakError):
-    """Prediction-aware mode requested but no target predictions supplied."""
+    """Target predictions are needed, by prediction-aware mode or by the
+    constraint estimate, but none were supplied."""
 
 
 class SchemaMismatch(FairleakError):

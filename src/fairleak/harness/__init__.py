@@ -19,16 +19,10 @@ from .experiment import (
     REPORT_COLUMNS,
     ReportRow,
     emit_report,
-    load_report_json,
     run_benchmark,
     run_experiment,
 )
-from .instances import (
-    read_guess_csv,
-    read_instance_csv,
-    write_correction_csv,
-    write_guess_csv,
-)
+from .instances import read_guess_csv, read_instance_csv, write_correction_csv
 from .predictor import (
     LabelPredictor,
     fit_label_predictor,
@@ -53,7 +47,6 @@ __all__ = [
     "emit_report",
     "fit_label_predictor",
     "ingest_csv",
-    "load_report_json",
     "read_guess_csv",
     "read_instance_csv",
     "repair_predictions",
@@ -63,5 +56,4 @@ __all__ = [
     "synth_generate",
     "write_correction_csv",
     "write_dataset_csv",
-    "write_guess_csv",
 ]

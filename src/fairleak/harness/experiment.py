@@ -61,7 +61,6 @@ from ..errors import (
     EmptyVector,
     FairleakError,
     Infeasible,
-    IoError,
     SchemaError,
     UnsupportedCardinality,
 )
@@ -239,7 +238,6 @@ def _train_attack_model(
         features={k: v[fit_idx] for k, v in feats_attack.items()},
         labels=attack.labels[fit_idx],
         sensitive=attack.sensitive[fit_idx],
-        cardinality=attack.sensitive_cardinality,
     )
     model = train_baseline(fit_set, MODE_A)
     rows = (
@@ -320,9 +318,7 @@ def _run_cell(config: ExperimentConfig, seed: int, index: int, state: _Seed) -> 
     )
 
     if config.estimate:
-        estimated = estimate_constraint(
-            attack.sensitive, yh_attack, attack.labels, tuple(FairnessMetric)
-        )
+        estimated = estimate_constraint(attack.sensitive, yh_attack, attack.labels)
         spec_used = estimated.spec
         est_fields = dict(
             estimated=True,
@@ -363,9 +359,7 @@ def _run_cell(config: ExperimentConfig, seed: int, index: int, state: _Seed) -> 
             confidence=val_guess.raw_scores,
             truth=attack.sensitive[val_idx],
         )
-        processed, chosen_k = process_confidences(
-            baseline.raw_scores, val_instance, val_spec, config.k_grid
-        )
+        processed, chosen_k = process_confidences(baseline.raw_scores, val_instance, val_spec)
 
     instance = AttackInstance(
         predictions=yh_train,
@@ -439,8 +433,9 @@ def run_experiment(config: ExperimentConfig, table: DatasetTable) -> ExperimentR
     external = config.external_guess
     if external is not None and not np.isin(external.guess, (0, 1)).all():
         raise UnsupportedCardinality("external guess values must be 0 or 1")
-    if table.n == 0:
-        raise EmptyVector(f"a table of {table.n} rows leaves the training part empty")
+    if table.n < 3:
+        part = ("training", "test", "attack")[table.n]
+        raise EmptyVector(f"a table of {table.n} rows leaves the {part} part empty")
     if not table.features:
         raise SchemaError("the label predictor needs at least one feature column")
     rows: list[ReportRow] = []
@@ -540,17 +535,3 @@ def emit_report(report: ExperimentReport, path: str | Path, fmt: str = "csv") ->
     payload = {"metadata": report.metadata, "rows": list(map(dataclasses.asdict, report.rows))}
     return write_text(path, json.dumps(payload, indent=2) + "\n", "report")
 
-
-def load_report_json(path: str | Path) -> ExperimentReport:
-    """Read back a JSON report emitted by :func:`emit_report`."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoError(f"cannot read report from {path}: {exc}") from exc
-    try:
-        return ExperimentReport(
-            rows=tuple(ReportRow(**row) for row in payload["rows"]), metadata=payload["metadata"]
-        )
-    except (KeyError, TypeError) as exc:
-        # missing or unknown columns: a report of an older format
-        raise IoError(f"{path} does not hold a report of this format: {exc}") from exc

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..adversary import BaselineGuess
 from ..core import AttackInstance
 from ..corrector import CorrectionResult
 from ..errors import DuplicateId
@@ -74,8 +73,3 @@ def read_guess_csv(path: str | Path) -> ExternalGuess:
         raw_scores=floats(columns["confidence_raw"], "confidence_raw"),
     )
 
-
-def write_guess_csv(path: str | Path, ids: np.ndarray, guess: BaselineGuess) -> Path:
-    """Export a baseline guess in the external-guess format."""
-    cells = (int_cells(ids), code_cells(guess.guess), float_cells(guess.raw_scores))
-    return write_columns(path, GUESS_COLUMNS, cells, "guess file")

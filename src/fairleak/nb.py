@@ -80,10 +80,10 @@ def fit_naive_bayes(
     columns: dict[str, np.ndarray],
     target: np.ndarray,
     n_classes: int,
-    alpha: float = 1.0,
     class_prior: str = "uniform",
 ) -> CategoricalNaiveBayes:
-    """Fit the model.
+    """Fit the model with Laplace smoothing: one pseudo-count per class and
+    seen code.
 
     ``class_prior="uniform"`` balances the classes regardless of their
     empirical frequency; ``"empirical"`` uses the observed frequencies.
@@ -105,8 +105,8 @@ def fit_naive_bayes(
         # a negative code is counted in the unseen bucket, where prediction puts it
         cells = target * (n_values + 1) + np.where(codes < 0, n_values, codes)
         counts = np.bincount(cells, minlength=n_classes * (n_values + 1)).reshape(n_classes, -1)
-        denom = (class_counts + alpha * n_values)[:, None]
-        tables[name] = np.log((counts + alpha) / denom)
+        denom = (class_counts + n_values)[:, None]
+        tables[name] = np.log((counts + 1.0) / denom)
     return CategoricalNaiveBayes(
         feature_names=tuple(columns),
         log_likelihood=tables,

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairleak.core import AttackInstance, FairnessSpec, unfairness_exact
+from fairleak.core import AttackInstance, CorrectionResult, FairnessSpec, unfairness_exact
+from fairleak.corrector import _result, _solve_rows
 
 
 def meets_spec(spec: FairnessSpec, s, yhat, y=None) -> bool:
@@ -13,6 +14,14 @@ def meets_spec(spec: FairnessSpec, s, yhat, y=None) -> bool:
     if spec.epsilon_lower is not None and value < Fraction(spec.epsilon_lower):
         return False
     return value <= Fraction(spec.epsilon)
+
+
+def solve_each(instance: AttackInstance, spec: FairnessSpec, vectors) -> list[CorrectionResult]:
+    """The corrector's one batched solve of ``instance`` under each confidence
+    vector, each built into the result ``correct`` gives on the instance
+    carrying that vector."""
+    confs = np.array(vectors, dtype=np.float64).reshape(len(vectors), instance.n)
+    return [_result(instance.guess, cells) for cells in _solve_rows(instance, spec, confs)]
 
 
 def random_instance(

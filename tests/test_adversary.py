@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import solve_each
+from fairleak import adversary
 from fairleak.adversary import (
     DEFAULT_K_GRID,
     MODE_A,
@@ -20,7 +22,7 @@ from fairleak.core import (
     FairnessSpec,
     reconstruction_accuracy,
 )
-from fairleak.corrector import _solve_rows, correct, correct_each
+from fairleak.corrector import _solve_rows, correct
 from fairleak.errors import (
     DegenerateClasses,
     EmptyAttackSet,
@@ -183,25 +185,27 @@ class TestConfidenceProcessing:
         truth = np.array([1, 1, 0, 0, 0, 0])
         validation = AttackInstance(predictions, labels, guess, raw, truth=truth)
         spec = FairnessSpec(FairnessMetric.SP, 0.2)
-        processed, k = process_confidences(raw, validation, spec, DEFAULT_K_GRID)
+        processed, k = process_confidences(raw, validation, spec)
         assert k == 1.0
         assert processed.shape == raw.shape
 
-    @pytest.mark.parametrize("grid", [(4.0, 1.0), (1.0, 4.0)])
-    def test_ties_prefer_the_smallest_k_in_any_grid_order(self, grid):
+    @pytest.mark.parametrize("grid", [DEFAULT_K_GRID[::-1], DEFAULT_K_GRID])
+    def test_ties_prefer_the_smallest_k_in_any_grid_order(self, monkeypatch, grid):
+        monkeypatch.setattr(adversary, "DEFAULT_K_GRID", grid)
         # an already feasible guess: every k leaves it as it is
         raw = np.array([0.95, 0.6, 0.75, 0.9])
         guess, truth = [1, 1, 0, 0], [1, 0, 0, 0]
         validation = AttackInstance([1, 0, 1, 0], [0, 1, 0, 1], guess, raw, truth=truth)
-        processed, k = process_confidences(raw, validation, FairnessSpec("sp", 1.0), grid)
+        processed, k = process_confidences(raw, validation, FairnessSpec("sp", 1.0))
         assert k == 1.0
         assert np.array_equal(processed, shape_confidences(raw, 1.0))
 
     def test_batched_selection_matches_the_per_k_loop(self, rng):
-        def per_k_loop(raw, validation, spec, k_grid):
-            # the selection as one correct() per exponent
+        def per_k_loop(raw, validation, spec):
+            # the selection as one correct() per exponent, the first of tied
+            # k, the smallest in the ascending grid
             best_k, best_acc = None, -1.0
-            for k in k_grid:
+            for k in DEFAULT_K_GRID:
                 candidate = AttackInstance(
                     validation.predictions,
                     validation.labels,
@@ -217,7 +221,7 @@ class TestConfidenceProcessing:
                 if acc > best_acc:
                     best_acc, best_k = acc, k
             if best_k is None:
-                best_k = min(k_grid)
+                best_k = min(DEFAULT_K_GRID)
             return shape_confidences(raw, best_k), float(best_k)
 
         chosen = set()
@@ -232,10 +236,8 @@ class TestConfidenceProcessing:
             lower = (None, eps / 2)[(trial // 4) % 2] if eps else None
             spec = FairnessSpec(list(FairnessMetric)[(trial // 8) % 4], eps, lower)
             raw = 0.5 + rng.random(30) / 2
-            # the per-k loop takes the first of tied k, the smallest in an ascending grid
-            grid = DEFAULT_K_GRID if trial % 2 else tuple(sorted(rng.uniform(0.5, 40.0, 4)))
-            want = per_k_loop(raw, validation, spec, grid)
-            got = process_confidences(raw, validation, spec, grid)
+            want = per_k_loop(raw, validation, spec)
+            got = process_confidences(raw, validation, spec)
             assert got[1] == want[1]
             assert np.array_equal(got[0], want[0])
             chosen.add(got[1])
@@ -253,20 +255,21 @@ class TestScoresFromFlips:
     gives the built correction, and so the same chosen k."""
 
     @staticmethod
-    def _check(validation, spec, grid=DEFAULT_K_GRID):
+    def _check(validation, spec):
+        grid = DEFAULT_K_GRID
         shaped = [shape_confidences(validation.confidence, k) for k in grid]
         try:
-            results = correct_each(validation, spec, shaped)
+            results = solve_each(validation, spec, shaped)
         except Infeasible:
             with pytest.raises(Infeasible):
-                _k_scores(validation, spec, grid)
-            _, k = process_confidences(validation.confidence, validation, spec, grid)
+                _k_scores(validation, spec)
+            _, k = process_confidences(validation.confidence, validation, spec)
             assert k == min(grid)
             return None
         want = [reconstruction_accuracy(r.corrected, validation.truth) for r in results]
-        got = _k_scores(validation, spec, grid)
+        got = _k_scores(validation, spec)
         assert [score.hex() for score in got] == [score.hex() for score in want]
-        _, k = process_confidences(validation.confidence, validation, spec, grid)
+        _, k = process_confidences(validation.confidence, validation, spec)
         assert k == min(k for k, score in zip(grid, want) if score == max(want))
         return want
 
@@ -291,7 +294,7 @@ class TestScoresFromFlips:
         spec = FairnessSpec(FairnessMetric.SP, 0.1)
         self._check(validation, spec)
         flipped = [np.flatnonzero(r.corrected != guess) for r in
-                   correct_each(validation, spec, [shape_confidences(raw, k) for k in (1, 32)])]
+                   solve_each(validation, spec, [shape_confidences(raw, k) for k in (1, 32)])]
         assert all(flips.size and np.any(truth[flips] == 2) for flips in flipped)
 
     def test_eodds_lower_bound_takes_the_carrier(self):
@@ -326,10 +329,10 @@ class TestScoresFromFlips:
         # one row is one group: no correction exists under any exponent
         validation = AttackInstance([1], [0], [1], [0.8], truth=[0])
         spec = FairnessSpec(FairnessMetric.SP, 0.1)
-        assert self._check(validation, spec, (4.0, 2.0, 8.0)) is None
-        processed, k = process_confidences([0.9, 0.6], validation, spec, (4.0, 2.0, 8.0))
-        assert k == 2.0
-        assert np.array_equal(processed, shape_confidences([0.9, 0.6], 2.0))
+        assert self._check(validation, spec) is None
+        processed, k = process_confidences([0.9, 0.6], validation, spec)
+        assert k == 1.0
+        assert np.array_equal(processed, shape_confidences([0.9, 0.6], 1.0))
 
     def test_empty_validation_raises_as_the_accuracy_does(self):
         validation = AttackInstance([], [], [], [], truth=[])
@@ -388,14 +391,14 @@ class TestNaiveBayes:
         for n_classes, n, span in ((2, 8000, 12), (3, 50, 4), (5, 7, 40)):
             target = rng.integers(0, n_classes, n)
             codes = rng.integers(-1, span, n)
-            model = fit_naive_bayes({"a": codes}, target, n_classes=n_classes, alpha=0.5)
+            model = fit_naive_bayes({"a": codes}, target, n_classes=n_classes)
             # the scattered add the counts replaced: numpy sends -1 to the
             # last column, the unseen bucket
             n_values = int(codes.max()) + 1
             counts = np.zeros((n_classes, n_values + 1))
             np.add.at(counts, (target, codes), 1.0)
-            denom = (np.bincount(target, minlength=n_classes) + 0.5 * n_values)[:, None]
-            want = np.log((counts + 0.5) / denom)
+            denom = (np.bincount(target, minlength=n_classes) + n_values)[:, None]
+            want = np.log((counts + 1.0) / denom)
             assert np.array_equal(model.log_likelihood["a"], want)
 
     def test_negative_codes_fit_the_bucket_they_predict_from(self):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairleak
-from fairleak.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from fairleak.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, _cmd_estimate, build_parser, main
+from fairleak.errors import MissingPredictions
 from fairleak.harness import DEFAULT_EPSILON_GRID, synth_generate, write_dataset_csv
 
 
@@ -190,6 +191,28 @@ class TestCorrectCommand:
         assert set(payload["moves"]) == {"s01_pos", "s10_pos", "s01_neg", "s10_neg"}
         assert payload["baseline_accuracy"] < 1.0
 
+    def test_report_of_a_header_only_instance_with_truth(self, tmp_path, capsys):
+        # no row to score: the report leaves out both accuracies
+        path = tmp_path / "empty.csv"
+        path.write_text("id,y,yhat,s_hat,confidence,s_true\n", encoding="utf-8")
+        out, report = tmp_path / "out.csv", tmp_path / "solve.json"
+        code = main(
+            [
+                "correct",
+                "--input", str(path),
+                "--metric", "sp",
+                "--epsilon", "0.1",
+                "--out", str(out),
+                "--report", str(report),
+            ]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out.read_text() == "id,y,yhat,s_hat,confidence,s_corrected,s_true\n"
+        payload = json.loads(report.read_text())
+        assert set(payload) == {"objective", "flips", "moves", "solver_nodes"}
+        assert payload["flips"] == 0 and payload["objective"] == 0.0
+
 
 class TestEstimateCommand:
     def test_prints_constraint(self, tmp_path, capsys):
@@ -223,6 +246,16 @@ class TestEstimateCommand:
         data, schema = dataset
         code = main(["estimate", "--attack-set", str(data), "--schema", str(schema)])
         assert code == EXIT_INPUT
+
+    def test_missing_predictions_is_a_typed_error(self, dataset, capsys):
+        data, schema = dataset
+        argv = ["estimate", "--attack-set", str(data), "--schema", str(schema)]
+        with pytest.raises(MissingPredictions):
+            _cmd_estimate(build_parser().parse_args(argv))
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "fairleak: error: attack set needs the target model's prediction column\n"
+        )
 
 
 class TestAttackCommand:
@@ -425,6 +458,26 @@ def test_bad_dataset_or_schema_is_an_input_error(tmp_path, capsys, defect):
             "--epsilon-grid", "0.1", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == f"fairleak: error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("feature", ["x", "f0"])
+@pytest.mark.parametrize("n, part", [(1, "test"), (2, "attack")])
+def test_table_of_one_or_two_rows_is_one_input_error_line(tmp_path, capsys, feature, n, part):
+    # one numeric or one categorical feature, and the first n rows of the
+    # small dataset: a part of the split into thirds is empty
+    columns = [0, 2, 3, _DATASET[0].index(feature)]
+    rows = [[row[c] for c in columns] for row in _DATASET[: n + 1]]
+    data = tmp_path / "data.csv"
+    data.write_bytes(_csv_bytes(rows))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"features": {feature: _SCHEMA["features"][feature]}}))
+    argv = ["attack", "--data", str(data), "--schema", str(schema),
+            "--epsilon-grid", "0.1", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"fairleak: error: a table of {n} rows leaves the {part} part empty\n"
+    )
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import meets_spec
+from conftest import meets_spec, solve_each
 from fairleak import corrector, oracle
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec
 from fairleak.adversary import MIN_CONFIDENCE
-from fairleak.corrector import MoveCounts, _Lattice, correct, correct_each
+from fairleak.corrector import MoveCounts, _Lattice, correct
 from fairleak.harness.predictor import repair_predictions
 from fairleak.oracle import _signature_classes, solve_general_bruteforce
 from fairleak.errors import (
@@ -258,9 +258,9 @@ class TestBuildCostArrays:
         assert up1.tolist() == [[0.0, 1.0, 2.0]]
 
     def test_negative_confidence(self):
-        inst = AttackInstance([1], [0], [1], [1.0])
+        # the instance checks its confidences, so no solve reads a negative one
         with pytest.raises(NegativeConfidence):
-            correct_each(inst, FairnessSpec(SP, 0.1), [[-0.5]])
+            AttackInstance([1], [0], [1], [-0.5])
 
     def test_increments_non_decreasing(self, rng):
         for _ in range(20):
@@ -365,10 +365,10 @@ class TestTiedTraffic:
         for metric in (SP, PE, EO, EODDS):
             # the guess's gaps are 0.10-0.12: a lower bound of 0.15 must raise them
             for spec in (FairnessSpec(metric, 0.01), FairnessSpec(metric, 0.2, epsilon_lower=0.15)):
-                got = correct_each(inst, spec, vectors)
+                got = solve_each(inst, spec, vectors)
                 with monkeypatch.context() as patch:
                     patch.setattr(_Lattice, "flip", _stable_flip)
-                    want = correct_each(inst, spec, vectors)
+                    want = solve_each(inst, spec, vectors)
                 assert len(got) == len(want) == len(vectors)
                 for ours, ref in zip(got, want):
                     assert np.array_equal(ours.corrected, ref.corrected)
@@ -433,7 +433,7 @@ class TestCorrect:
         with pytest.raises(UnsupportedCardinality, match="binary guesses"):
             correct(inst, FairnessSpec(SP, 0.5))
         with pytest.raises(UnsupportedCardinality, match="binary guesses"):
-            correct_each(inst, FairnessSpec(SP, 0.5), [[1, 1, 1], [0.5, 1, 2]])
+            solve_each(inst, FairnessSpec(SP, 0.5), [[1, 1, 1], [0.5, 1, 2]])
 
     def test_epsilon_lower_forces_unfairness(self):
         # a perfectly balanced guess must become measurably unfair
@@ -469,7 +469,7 @@ class TestChangedIndices:
                 for lower in (None, 0.02):
                     spec = FairnessSpec(metric, 0.05, lower)
                     try:
-                        results = [correct(inst, spec), *correct_each(inst, spec, vectors)]
+                        results = [correct(inst, spec), *solve_each(inst, spec, vectors)]
                     except Infeasible:
                         continue
                     solved += 1
@@ -483,7 +483,7 @@ class TestChangedIndices:
             inst = AttackInstance([1, 0, 1, 0], [label] * 4, [1, 1, 0, 0], [0.3, 0.4, 0.5, 0.6])
             for lower in (None, 0.1):
                 spec = FairnessSpec(metric, 0.0 if lower is None else 0.2, lower)
-                for result in (correct(inst, spec), *correct_each(inst, spec, [[1] * 4, [2] * 4])):
+                for result in (correct(inst, spec), *solve_each(inst, spec, [[1] * 4, [2] * 4])):
                     self._check(inst, result)
                     assert result.changed_indices == ()
                     assert result.corrected.tolist() == [1, 1, 0, 0]
@@ -494,7 +494,7 @@ class TestChangedIndices:
         inst = AttackInstance([], [], [], [])
         for lower in (None, 0.1):
             spec = FairnessSpec(SP, 0.2, lower)
-            for result in (correct(inst, spec), *correct_each(inst, spec, [[], []])):
+            for result in (correct(inst, spec), *solve_each(inst, spec, [[], []])):
                 self._check(inst, result)
                 assert result.changed_indices == () and result.objective == 0.0
 

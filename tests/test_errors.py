@@ -25,7 +25,6 @@ from fairleak.errors import (
     SchemaError,
     SchemaMismatch,
 )
-from fairleak.estimator import estimate_constraint
 from fairleak.harness import (
     DatasetTable,
     ExperimentConfig,
@@ -38,7 +37,6 @@ from fairleak.harness import (
 from fairleak.harness.predictor import RepairState
 from fairleak.nb import fit_naive_bayes
 
-SCORED = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7], truth=[1, 0])
 UNSCORED = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7])
 SPEC = FairnessSpec("sp", 0.5)
 
@@ -65,25 +63,10 @@ CASES = {
         "epsilon_lower must lie in [0, epsilon]",
     ),
     "exponent": (lambda: shape_confidences([0.6], 0), BadParameters, "exponent k must be positive"),
-    "empty k grid": (
-        lambda: process_confidences([0.6, 0.7], SCORED, SPEC, k_grid=[]),
-        BadParameters,
-        "k grid must be nonempty",
-    ),
-    "k grid exponent": (
-        lambda: process_confidences([0.6, 0.7], SCORED, SPEC, k_grid=[1, -1]),
-        BadParameters,
-        "exponent k must be positive",
-    ),
     "no truth": (
         lambda: process_confidences([0.6, 0.7], UNSCORED, SPEC),
         SchemaError,
         "validation instance needs truth for scoring",
-    ),
-    "no candidates": (
-        lambda: estimate_constraint([0, 1], [0, 1], [0, 1], candidates=[]),
-        BadParameters,
-        "candidates must be nonempty",
     ),
     "attack set lengths": (
         lambda: AttackSet({"a": [0, 1, 2]}, labels=[0, 1], sensitive=[0, 1]),

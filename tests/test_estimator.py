@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairleak.core import FairnessMetric, unfairness
-from fairleak.errors import BadParameters, EmptySlice
+from fairleak.errors import EmptySlice
 from fairleak.estimator import estimate_constraint
 
 SP, PE, EO, EODDS = (
@@ -25,12 +25,13 @@ class TestEstimateConstraint:
         # search for a case with a strict PE minimum, then check the argmin
         for _ in range(200):
             s, yhat, y = _vectors_with_gaps(rng)
-            values = {m: unfairness(m, s, yhat, y) for m in (SP, PE, EO)}
+            values = {m: unfairness(m, s, yhat, y) for m in FairnessMetric}
             best = min(values, key=values.get)
             ties = [m for m, v in values.items() if v == values[best]]
             if len(ties) > 1:
                 continue
-            est = estimate_constraint(s, yhat, y, (SP, PE, EO))
+            est = estimate_constraint(s, yhat, y)
+            assert est.per_metric_unfairness == values
             assert est.spec.metric == best
             assert est.spec.epsilon == values[best]
             return
@@ -54,25 +55,15 @@ class TestEstimateConstraint:
     def test_eodds_never_beats_its_parts(self, rng):
         for _ in range(50):
             s, yhat, y = _vectors_with_gaps(rng)
-            est = estimate_constraint(s, yhat, y, (PE, EO, EODDS))
+            est = estimate_constraint(s, yhat, y)
             assert est.spec.metric != EODDS
             assert est.per_metric_unfairness[EODDS] == max(
                 est.per_metric_unfairness[PE], est.per_metric_unfairness[EO]
             )
 
-    def test_eodds_alone_is_allowed(self, rng):
-        s, yhat, y = _vectors_with_gaps(rng)
-        est = estimate_constraint(s, yhat, y, (EODDS,))
-        assert est.spec.metric == EODDS
-
-    def test_empty_candidates(self, rng):
-        s, yhat, y = _vectors_with_gaps(rng)
-        with pytest.raises(BadParameters, match="^candidates must be nonempty$"):
-            estimate_constraint(s, yhat, y, ())
-
     def test_propagates_empty_slice(self):
         with pytest.raises(EmptySlice):
-            estimate_constraint([1, 0], [1, 0], [1, 1], (PE,))
+            estimate_constraint([1, 0], [1, 0], [1, 1])
 
     def test_true_constraint_recovered_when_tightest(self):
         # globally balanced rates but opposite per-slice biases, so SP is

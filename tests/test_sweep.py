@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_sweep
-from conftest import meets_spec
+from conftest import meets_spec, solve_each
 from fairleak import corrector
 from fairleak.adversary import DEFAULT_K_GRID, MIN_CONFIDENCE, shape_confidences
 from fairleak.core import (
@@ -23,8 +23,8 @@ from fairleak.core import (
     slice_for_metric,
     unfairness_exact,
 )
-from fairleak.corrector import _floor_affine, correct, correct_each
-from fairleak.errors import Infeasible, LengthMismatch, NegativeConfidence
+from fairleak.corrector import _floor_affine, correct
+from fairleak.errors import Infeasible
 from fairleak.harness import predictor
 from fairleak.harness.predictor import RepairState, repair_predictions
 
@@ -75,9 +75,9 @@ def _assert_same_correction(monkeypatch, inst, spec):
 
 
 def _assert_same_each(monkeypatch, inst, spec, vectors):
-    """``correct_each`` against the scalar sweep's ``correct`` on an
+    """The batched solve against the scalar sweep's ``correct`` on an
     instance carrying one vector at a time."""
-    ours = _outcome(correct_each, inst, spec, vectors)
+    ours = _outcome(solve_each, inst, spec, vectors)
     with monkeypatch.context() as patch:
         patch.setattr(corrector, "_solve_sp_form", scalar_sweep.solve_sp_form)
         refs = [
@@ -129,13 +129,13 @@ def _logged_solves(patch):
 
 
 def _eodds_solves(monkeypatch, inst, spec, vectors):
-    """``correct_each`` on an EOdds ``spec`` with a lower bound: its results
+    """The batched solve on an EOdds ``spec`` with a lower bound: its results
     (None when infeasible), its slices' lattices, and its upper-only and
     carrier solves, each as (slice, vectors, cells).  Both lists of solves
     are empty below two slices, where no carrier is chosen."""
     with monkeypatch.context() as patch:
         log = _logged_solves(patch)
-        results = _outcome(correct_each, inst, spec, vectors)
+        results = _outcome(solve_each, inst, spec, vectors)
     lattices = []
     for lattice, *_ in log:
         if lattice not in lattices:
@@ -311,6 +311,9 @@ class TestCorrectionCrossCheck:
 
 
 class TestCorrectEach:
+    """The corrector's batched solve, each vector's cells built into a
+    result: the one ``correct`` gives on the instance carrying the vector."""
+
     @pytest.mark.parametrize("style", ["orders", "ties", "shaped"])
     @pytest.mark.parametrize("blocks", [(1, 4), None])
     def test_random_instances(self, monkeypatch, rng, style, blocks):
@@ -361,7 +364,7 @@ class TestCorrectEach:
         # bound at the same cost, and the y = 0 slice is the one that does
         inst = AttackInstance([1, 1, 0, 0] * 2, [0] * 4 + [1] * 4, [1, 0, 1, 0] * 2, [1.0] * 8)
         spec = FairnessSpec(FairnessMetric.EODDS, 1.0, 0.5)
-        results = correct_each(inst, spec, [inst.confidence, np.full(8, 0.5)])
+        results = solve_each(inst, spec, [inst.confidence, np.full(8, 0.5)])
         assert [result.changed_indices for result in results] == [(0,), (0,)]
 
     def test_infeasible_raises_once(self, monkeypatch, rng):
@@ -385,7 +388,7 @@ class TestCorrectEach:
             for batch in (vectors[:1], vectors):
                 calls.clear()
                 with pytest.raises(Infeasible):
-                    correct_each(inst, spec, batch)
+                    solve_each(inst, spec, batch)
                 solves.append(len(calls))
                 # each slice is solved once, for every vector of the batch
                 assert set(calls) == {len(batch)}
@@ -404,10 +407,10 @@ class TestCorrectEach:
         monkeypatch.setattr(
             corrector, "_floor_affine", lambda *args: windows.append(1) or real(*args)
         )
-        (alone,) = correct_each(inst, spec, [inst.confidence])
+        (alone,) = solve_each(inst, spec, [inst.confidence])
         once = len(windows)
         assert alone.stats.nodes > 0
-        repeated = correct_each(inst, spec, [inst.confidence] * 6)
+        repeated = solve_each(inst, spec, [inst.confidence] * 6)
         assert len(windows) == 2 * once
         for result in repeated:
             _assert_same_result(result, alone)
@@ -441,10 +444,10 @@ class TestCorrectEach:
             monkeypatch.setattr(corrector, "_FIRST_BLOCK", first)
             vectors = _vectors(rng, 2000, "orders")[:3] + _cheap_sides(rng, inst.guess)
             searches.clear()
-            results = correct_each(inst, spec, vectors)
+            results = solve_each(inst, spec, vectors)
             ((blocks, scanned),) = searches
             for vector in vectors:
-                correct_each(inst, spec, [vector])
+                solve_each(inst, spec, [vector])
             assert blocks <= max(count for count, _ in searches[1:])
             # the union of the vectors' scans, never their sum
             nodes = [result.stats.nodes for result in results]
@@ -514,16 +517,12 @@ class TestCorrectEach:
         assert sum(mixed) > 2
 
     def test_inputs(self, rng):
+        # the solve reads the vectors it is given, not the instance's own
         inst = _instance(rng, 40, "uniform")
         spec = FairnessSpec(FairnessMetric.SP, 0.01)
-        assert correct_each(inst, spec, []) == []
         other = AttackInstance(inst.predictions, inst.labels, inst.guess, rng.random(40))
-        (mine,) = correct_each(other, spec, [inst.confidence])
+        (mine,) = solve_each(other, spec, [inst.confidence])
         _assert_same_result(mine, correct(inst, spec))
-        with pytest.raises(LengthMismatch):
-            correct_each(inst, spec, [inst.confidence, np.ones(39)])
-        with pytest.raises(NegativeConfidence):
-            correct_each(inst, spec, [inst.confidence, np.full(40, np.nan)])
 
 
 class TestRepairCrossCheck:
