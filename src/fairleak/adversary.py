@@ -93,7 +93,6 @@ class AttackModel:
     """
 
     nb: CategoricalNaiveBayes
-    feature_names: tuple[str, ...]
     prediction_nb: CategoricalNaiveBayes | None = None
 
 
@@ -123,21 +122,15 @@ def train_baseline(attack_set: AttackSet, mode: str = MODE_A) -> AttackModel:
         prediction_nb = fit_prediction_column(attack_set.sensitive, attack_set.target_predictions)
     columns = dict(attack_set.features)
     columns[_LABEL_COLUMN] = attack_set.labels
-    nb = fit_naive_bayes(columns, attack_set.sensitive, n_classes=2, class_prior="uniform")
-    return AttackModel(
-        nb=nb,
-        feature_names=tuple(attack_set.features),
-        prediction_nb=prediction_nb,
-    )
+    nb = fit_naive_bayes(columns, attack_set.sensitive, class_prior="uniform")
+    return AttackModel(nb=nb, prediction_nb=prediction_nb)
 
 
 def fit_prediction_column(sensitive: np.ndarray, predictions: np.ndarray) -> CategoricalNaiveBayes:
     """The prediction-aware mode's target-prediction column, fitted alone on
     the attack rows' sensitive values, with the attack model's smoothing and
     uniform prior."""
-    return fit_naive_bayes(
-        {_PREDICTION_COLUMN: predictions}, sensitive, n_classes=2, class_prior="uniform"
-    )
+    return fit_naive_bayes({_PREDICTION_COLUMN: predictions}, sensitive, class_prior="uniform")
 
 
 def prediction_log_likelihood(
@@ -156,7 +149,7 @@ def label_log_joint(
     """Per-row log joint of the feature and label columns: the whole of a
     mode ``a`` model, and all but the prediction column of a mode ``aprime``
     one."""
-    if set(features) != set(model.feature_names):
+    if set(features) | {_LABEL_COLUMN} != model.nb.log_likelihood.keys():
         raise SchemaMismatch("feature columns differ from the training schema")
     columns = {k: np.asarray(v, dtype=np.int64) for k, v in features.items()}
     columns[_LABEL_COLUMN] = as_binary_array(labels, "labels")
@@ -187,7 +180,8 @@ def predict_guess(
 def normalize_scores(raw_scores: Sequence[float]) -> np.ndarray:
     """Map raw binary-classifier scores from [0.5, 1.0] onto [0, 1]."""
     raw = np.asarray(raw_scores, dtype=np.float64)
-    if raw.size and (raw.min() < 0.5 - 1e-9 or raw.max() > 1.0 + 1e-9):
+    # negated, so that a NaN, whose comparisons are all false, is out of range
+    if raw.size and not (raw.min() >= 0.5 - 1e-9 and raw.max() <= 1.0 + 1e-9):
         raise ScoreOutOfRange("raw scores must lie in [0.5, 1.0]")
     return np.clip((raw - 0.5) / 0.5, 0.0, 1.0)
 

@@ -103,13 +103,12 @@ def floats(cells: Sequence, column: str) -> np.ndarray:
     return np.array(_convert(cells, column, float, "a number"), dtype=np.float64)
 
 
-def codes(cells: Sequence, column: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    """A text column as codes into its sorted distinct cells, and those cells."""
+def codes(cells: Sequence, column: str) -> np.ndarray:
+    """A text column as codes into its sorted distinct cells."""
     if None in cells:
         raise ParseError(f"row {cells.index(None) + 2}, column {column!r}: the cell is missing")
-    categories = tuple(sorted(set(cells)))
-    index = {c: i for i, c in enumerate(categories)}
-    return np.array(list(map(index.__getitem__, cells)), dtype=np.int64), categories
+    index = {c: i for i, c in enumerate(sorted(set(cells)))}
+    return np.array(list(map(index.__getitem__, cells)), dtype=np.int64)
 
 
 def int_cells(values) -> list[str]:

@@ -28,24 +28,31 @@ def all_distinct(values: np.ndarray) -> bool:
     return bool(np.diff(np.sort(values)).all())
 
 
+def one_dimensional(values, dtype, name: str) -> np.ndarray:
+    """``values`` as an array of ``dtype``, copied only to convert it."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim != 1:
+        raise SchemaError(f"{name} must be one-dimensional")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureColumn:
     """One feature column: integer codes or raw numeric values."""
 
     kind: str
     values: np.ndarray
-    categories: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (CATEGORICAL, NUMERIC):
             raise SchemaError(f"unknown feature kind: {self.kind!r}")
         dtype = np.int64 if self.kind == CATEGORICAL else np.float64
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=dtype))
+        object.__setattr__(self, "values", one_dimensional(self.values, dtype, "feature values"))
         if self.kind == NUMERIC and not np.isfinite(self.values).all():
             raise SchemaError("numeric feature values must be finite")
 
     def take(self, indices: np.ndarray) -> "FeatureColumn":
-        return FeatureColumn(self.kind, self.values[indices], self.categories)
+        return FeatureColumn(self.kind, self.values[indices])
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +67,12 @@ class DatasetTable:
     sensitive_cardinality: int = 2
 
     def __post_init__(self) -> None:
-        ids = np.asarray(self.ids, dtype=np.int64)
-        sensitive = np.asarray(self.sensitive, dtype=np.int64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        ids = one_dimensional(self.ids, np.int64, "ids")
+        sensitive = one_dimensional(self.sensitive, np.int64, "sensitive")
+        labels = one_dimensional(self.labels, np.int64, "labels")
         predictions = self.predictions
         if predictions is not None:
-            predictions = np.asarray(predictions, dtype=np.int64)
+            predictions = one_dimensional(predictions, np.int64, "predictions")
         lengths = {ids.size, sensitive.size, labels.size}
         lengths |= {col.values.size for col in self.features.values()}
         if predictions is not None:
@@ -178,7 +185,7 @@ def ingest_csv(path: str | Path, schema: DatasetSchema) -> DatasetTable:
         if kind == NUMERIC:
             features[name] = FeatureColumn(NUMERIC, floats(columns[name], name))
         else:
-            features[name] = FeatureColumn(CATEGORICAL, *codes(columns[name], name))
+            features[name] = FeatureColumn(CATEGORICAL, codes(columns[name], name))
 
     return DatasetTable(
         ids=ids,

@@ -61,13 +61,14 @@ from ..errors import (
     EmptyVector,
     FairleakError,
     Infeasible,
+    LengthMismatch,
     SchemaError,
     UnsupportedCardinality,
 )
 from ..estimator import estimate_constraint
 from ..oracle import solve_general_bruteforce
 from ._csv import write_columns, write_text
-from .data import DatasetTable, all_distinct, split_dataset
+from .data import DatasetTable, all_distinct, one_dimensional, split_dataset
 from .predictor import RepairState, encode_features, fit_discretizer, fit_label_predictor
 from .predictor import repair_predictions  # noqa: F401  (perfbench traces this name)
 
@@ -90,11 +91,11 @@ class ExternalGuess:
     raw_scores: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = np.asarray(self.ids, dtype=np.int64)
-        guess = np.asarray(self.guess, dtype=np.int64)
-        raw = np.asarray(self.raw_scores, dtype=np.float64)
+        ids = one_dimensional(self.ids, np.int64, "ids")
+        guess = one_dimensional(self.guess, np.int64, "guess")
+        raw = one_dimensional(self.raw_scores, np.float64, "raw_scores")
         if not ids.size == guess.size == raw.size:
-            raise SchemaError("guess file columns differ in length")
+            raise LengthMismatch("guess file columns differ in length")
         if not all_distinct(ids):
             raise DuplicateId("guess ids are not unique")
         object.__setattr__(self, "ids", ids)
@@ -189,6 +190,11 @@ def _min_group_floor(sensitive: np.ndarray) -> float:
     if present.size == 0:
         return 1.0
     return 1.0 / int(present.min())
+
+
+def _floored(spec: FairnessSpec, floor: float) -> FairnessSpec:
+    """``spec`` with its tolerance raised to at least ``floor``."""
+    return dataclasses.replace(spec, epsilon=max(spec.epsilon, floor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,11 +337,7 @@ def _run_cell(config: ExperimentConfig, seed: int, index: int, state: _Seed) -> 
 
     # exact-zero parity is generically unattainable on integer counts, so the
     # pipeline floors the corrected tolerance at one-count resolution
-    corr_spec = FairnessSpec(
-        spec_used.metric,
-        max(spec_used.epsilon, state.floors[0]),
-        spec_used.epsilon_lower,
-    )
+    corr_spec = _floored(spec_used, state.floors[0])
 
     adversary = state.adversary
     if isinstance(adversary, FairleakError):
@@ -347,11 +349,7 @@ def _run_cell(config: ExperimentConfig, seed: int, index: int, state: _Seed) -> 
         baseline, val_guess = adversary.guesses(yh_train, yh_attack)
         guess = baseline.guess
         val_idx = adversary.val_idx
-        val_spec = FairnessSpec(
-            spec_used.metric,
-            max(spec_used.epsilon, adversary.val_floor),
-            spec_used.epsilon_lower,
-        )
+        val_spec = _floored(spec_used, adversary.val_floor)
         val_instance = AttackInstance(
             predictions=yh_attack[val_idx],
             labels=attack.labels[val_idx],

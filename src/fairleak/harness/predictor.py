@@ -64,16 +64,16 @@ def encode_features(
 
 @dataclass(frozen=True, eq=False)
 class LabelPredictor:
-    """Naive Bayes label model with the decile edges fitted alongside it."""
+    """Naive Bayes label model with the decile edges fitted alongside it.
+    The model's columns are the table's features, in training order."""
 
     nb: CategoricalNaiveBayes
     discretizer: dict[str, np.ndarray]  # numeric feature -> decile edges
-    feature_names: tuple[str, ...]  # in training order
 
     def raw_predictions(self, table: DatasetTable) -> tuple[np.ndarray, np.ndarray]:
         """Predicted labels and the posterior margin of each prediction."""
         proba = self.nb.predict_proba(
-            encode_features(table, self.discretizer, self.feature_names)
+            encode_features(table, self.discretizer, self.nb.log_likelihood)
         )
         yhat, _ = best_class(proba)
         return yhat, np.abs(proba[1] - proba[0])
@@ -85,11 +85,10 @@ def fit_label_predictor(train: DatasetTable) -> LabelPredictor:
     if not train.features:
         # a model of no columns could not tell how many rows it predicts
         raise SchemaError("the label predictor needs at least one feature column")
-    names = tuple(train.features)
     disc = fit_discretizer(train)
-    columns = encode_features(train, disc, names)
-    nb = fit_naive_bayes(columns, train.labels, n_classes=2, class_prior="empirical")
-    return LabelPredictor(nb=nb, discretizer=disc, feature_names=names)
+    columns = encode_features(train, disc, train.features)
+    nb = fit_naive_bayes(columns, train.labels, class_prior="empirical")
+    return LabelPredictor(nb=nb, discretizer=disc)
 
 
 class RepairState:

@@ -1,13 +1,13 @@
-"""Categorical naive Bayes with Laplace smoothing.
+"""Two-class categorical naive Bayes with Laplace smoothing.
 
-Inputs are integer-coded categorical columns.  Codes unseen at fit time fall
-into a reserved bucket whose likelihood is the bare smoothing mass, so
-prediction is defined for any input.  Everything is deterministic.
+Inputs are integer-coded categorical columns and a 0/1 target: the attack
+model's binary sensitive attribute, or the label predictor's labels.  Codes
+unseen at fit time fall into a reserved bucket whose likelihood is the bare
+smoothing mass, so prediction is defined for any input.  Everything is
+deterministic.
 
-Log joints and probabilities are class-major, ``(n_classes, n)``, and bit for
-bit what the row-major formulas along axis 1 give.  numpy sums a row of eight
-or more entries pairwise, not in class order, so with that many classes
-:func:`posterior` sums a row-major copy.
+Log joints and probabilities are class-major, ``(2, n)``, and bit for bit
+what the row-major formulas along axis 1 give.
 """
 
 from __future__ import annotations
@@ -21,24 +21,24 @@ from .errors import BadParameters, SchemaMismatch
 
 @dataclass(frozen=True, eq=False)
 class CategoricalNaiveBayes:
-    """Fitted model; build with :func:`fit_naive_bayes`."""
+    """Fitted model; build with :func:`fit_naive_bayes`.  Its columns are the
+    keys of ``log_likelihood``, in fitting order."""
 
-    feature_names: tuple[str, ...]
-    log_likelihood: dict[str, np.ndarray]  # name -> (n_classes, n_values + 1)
+    log_likelihood: dict[str, np.ndarray]  # name -> (2, n_values + 1)
     log_prior: np.ndarray
 
     def predict_log_joint(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        missing = set(self.feature_names) - set(columns)
+        missing = self.log_likelihood.keys() - columns.keys()
         if missing:
             raise SchemaMismatch(f"missing feature columns: {sorted(missing)}")
         n = next(iter(columns.values())).size if columns else 0
         scores = np.repeat(self.log_prior[:, None], n, axis=1)
-        for name in self.feature_names:
+        for name in self.log_likelihood:
             scores += self.column_log_likelihood(name, columns[name])
         return scores
 
     def column_log_likelihood(self, name: str, codes: np.ndarray) -> np.ndarray:
-        """One column's (n_classes, n) term of the log joint.
+        """One column's (2, n) term of the log joint.
 
         Every column is fitted on its own, so a model fitted on one column
         adds that column's term onto the log joint of the others.
@@ -60,26 +60,19 @@ def posterior(scores: np.ndarray) -> np.ndarray:
     proba = np.zeros_like(scores)
     np.subtract(scores, shift, out=proba, where=np.isfinite(shift))
     np.exp(proba, out=proba)
-    proba /= proba.sum(axis=0) if len(proba) < 8 else proba.T.copy().sum(axis=1)
+    proba /= proba.sum(axis=0)
     return proba
 
 
 def best_class(proba: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's first most probable class, as ``argmax`` picks it, and its
     probability."""
-    best = np.zeros(proba.shape[1], dtype=np.int64)
-    top = proba[0].copy()
-    for c in range(1, len(proba)):
-        # classes come in order, so a strictly better one raises the index
-        np.maximum(best, (proba[c] > top) * c, out=best)
-        np.maximum(top, proba[c], out=top)
-    return best, top
+    return (proba[1] > proba[0]).astype(np.int64), np.maximum(proba[0], proba[1])
 
 
 def fit_naive_bayes(
     columns: dict[str, np.ndarray],
     target: np.ndarray,
-    n_classes: int,
     class_prior: str = "uniform",
 ) -> CategoricalNaiveBayes:
     """Fit the model with Laplace smoothing: one pseudo-count per class and
@@ -89,9 +82,9 @@ def fit_naive_bayes(
     empirical frequency; ``"empirical"`` uses the observed frequencies.
     """
     target = np.asarray(target, dtype=np.int64)
-    class_counts = np.bincount(target, minlength=n_classes).astype(np.float64)
+    class_counts = np.bincount(target, minlength=2).astype(np.float64)
     if class_prior == "uniform":
-        log_prior = np.full(n_classes, -np.log(n_classes))
+        log_prior = np.full(2, -np.log(2))
     elif class_prior == "empirical":
         with np.errstate(divide="ignore"):
             log_prior = np.log(class_counts / max(target.size, 1))
@@ -104,11 +97,7 @@ def fit_naive_bayes(
         n_values = int(codes.max()) + 1 if codes.size else 1
         # a negative code is counted in the unseen bucket, where prediction puts it
         cells = target * (n_values + 1) + np.where(codes < 0, n_values, codes)
-        counts = np.bincount(cells, minlength=n_classes * (n_values + 1)).reshape(n_classes, -1)
+        counts = np.bincount(cells, minlength=2 * (n_values + 1)).reshape(2, -1)
         denom = (class_counts + n_values)[:, None]
         tables[name] = np.log((counts + 1.0) / denom)
-    return CategoricalNaiveBayes(
-        feature_names=tuple(columns),
-        log_likelihood=tables,
-        log_prior=log_prior,
-    )
+    return CategoricalNaiveBayes(log_likelihood=tables, log_prior=log_prior)

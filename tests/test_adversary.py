@@ -168,6 +168,8 @@ class TestConfidenceProcessing:
             normalize_scores([0.4])
         with pytest.raises(ScoreOutOfRange):
             normalize_scores([1.2])
+        with pytest.raises(ScoreOutOfRange):
+            normalize_scores([0.75, np.nan, 0.5])
 
     def test_monotone_and_order_invariant_in_k(self, rng):
         raw = 0.5 + 0.5 * rng.random(50)
@@ -380,7 +382,6 @@ class TestNaiveBayes:
         model = fit_naive_bayes(
             {"a": np.array([0, 1, 1]), "b": np.array([1, 0, 1])},
             np.array([0, 1, 1]),
-            n_classes=2,
         )
         with pytest.raises(SchemaMismatch, match=r"^missing feature columns: \['a'\]$"):
             model.predict_log_joint({"b": np.array([0]), "c": np.array([1])})
@@ -388,23 +389,23 @@ class TestNaiveBayes:
     def test_counts_match_the_scattered_add(self, rng):
         from fairleak.nb import fit_naive_bayes
 
-        for n_classes, n, span in ((2, 8000, 12), (3, 50, 4), (5, 7, 40)):
-            target = rng.integers(0, n_classes, n)
+        for n, span in ((8000, 12), (50, 4), (7, 40)):
+            target = rng.integers(0, 2, n)
             codes = rng.integers(-1, span, n)
-            model = fit_naive_bayes({"a": codes}, target, n_classes=n_classes)
+            model = fit_naive_bayes({"a": codes}, target)
             # the scattered add the counts replaced: numpy sends -1 to the
             # last column, the unseen bucket
             n_values = int(codes.max()) + 1
-            counts = np.zeros((n_classes, n_values + 1))
+            counts = np.zeros((2, n_values + 1))
             np.add.at(counts, (target, codes), 1.0)
-            denom = (np.bincount(target, minlength=n_classes) + n_values)[:, None]
+            denom = (np.bincount(target, minlength=2) + n_values)[:, None]
             want = np.log((counts + 1.0) / denom)
             assert np.array_equal(model.log_likelihood["a"], want)
 
     def test_negative_codes_fit_the_bucket_they_predict_from(self):
         from fairleak.nb import fit_naive_bayes
 
-        model = fit_naive_bayes({"a": np.array([0, 1, -3, -1])}, np.array([0, 0, 1, 1]), 2)
+        model = fit_naive_bayes({"a": np.array([0, 1, -3, -1])}, np.array([0, 0, 1, 1]))
         table = model.log_likelihood["a"]
         # class 1 saw no code 0 or 1: both its negative codes are unseen ones
         assert table[1].tolist() == np.log(np.array([1, 1, 3]) / 4).tolist()
@@ -412,7 +413,9 @@ class TestNaiveBayes:
         scores = model.column_log_likelihood("a", np.array([-3, -1, 2, 0]))
         assert scores.T[:3].tolist() == [table[:, 2].tolist()] * 3
 
-    @pytest.mark.parametrize("classes", [*range(1, 9), 50])
+    # the model is two-class, but the posterior's softmax reads any class
+    # count; numpy sums eight or more in a row pairwise, so up to seven
+    @pytest.mark.parametrize("classes", range(1, 8))
     def test_posterior_is_the_row_reduction_bit_for_bit(self, rng, classes):
         scores = rng.normal(0.0, 30.0, (5000, classes))
         scores[rng.random(scores.shape) < 0.3] = -np.inf
@@ -434,6 +437,8 @@ class TestNaiveBayes:
         got = posterior(np.ascontiguousarray(scores.T)).T
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if classes != 2:
+            return
         guess = guess_from_log_joint(np.ascontiguousarray(scores.T))
         assert guess.guess.tolist() == np.argmax(want, axis=1).tolist()
         chosen = want[np.arange(want.shape[0]), guess.guess]

@@ -242,6 +242,21 @@ class TestEstimateCommand:
         assert payload["metric"] in {"sp", "pe", "eo"}
         assert set(payload["per_metric_unfairness"]) == {"sp", "pe", "eo", "eodds"}
 
+    def test_one_sided_attack_set_leaves_out_pe(self, tmp_path, capsys):
+        # every label is 1: PE has no slice, SP and EO are measurable
+        path = tmp_path / "attack.csv"
+        path.write_text("id,f0,s,y,yhat\n0,a,0,1,1\n1,b,0,1,0\n2,a,1,1,1\n3,b,1,1,1\n")
+        schema = tmp_path / "attack.schema.json"
+        schema.write_text('{"features": {"f0": "categorical"}}\n')
+        code = main(["estimate", "--attack-set", str(path), "--schema", str(schema)])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "metric": "eo",
+            "epsilon": 0.25,
+            "per_metric_unfairness": {"eo": 0.25, "sp": 0.25, "eodds": 0.25},
+        }
+
     def test_missing_predictions_is_input_error(self, dataset):
         data, schema = dataset
         code = main(["estimate", "--attack-set", str(data), "--schema", str(schema)])

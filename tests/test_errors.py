@@ -24,6 +24,7 @@ from fairleak.errors import (
     LengthMismatch,
     SchemaError,
     SchemaMismatch,
+    ScoreOutOfRange,
 )
 from fairleak.harness import (
     DatasetTable,
@@ -42,7 +43,7 @@ SPEC = FairnessSpec("sp", 0.5)
 
 
 def _fitted():
-    return fit_naive_bayes({"a": np.array([0, 1])}, np.array([0, 1]), n_classes=2)
+    return fit_naive_bayes({"a": np.array([0, 1])}, np.array([0, 1]))
 
 
 def _repair_state():
@@ -100,7 +101,7 @@ CASES = {
     ),
     "guess file lengths": (
         lambda: ExternalGuess(ids=[0, 1], guess=[0], raw_scores=[0.5, 0.6]),
-        SchemaError,
+        LengthMismatch,
         "guess file columns differ in length",
     ),
     "dataset lengths": (
@@ -124,7 +125,7 @@ CASES = {
         "sensitive values must be non-negative",
     ),
     "class prior": (
-        lambda: fit_naive_bayes({"a": np.array([0])}, np.array([0]), 2, class_prior="flat"),
+        lambda: fit_naive_bayes({"a": np.array([0])}, np.array([0]), class_prior="flat"),
         BadParameters,
         "unknown class prior: 'flat'",
     ),
@@ -147,6 +148,31 @@ CASES = {
         lambda: as_confidence_array([[0.5]]),
         SchemaError,
         "confidence must be one-dimensional",
+    ),
+    "2-D table column": (
+        lambda: DatasetTable(ids=[[0, 1]], features={}, sensitive=[0, 1], labels=[0, 1]),
+        SchemaError,
+        "ids must be one-dimensional",
+    ),
+    "2-D table predictions": (
+        lambda: DatasetTable([0, 1], {}, [0, 1], [0, 1], predictions=[[0], [1]]),
+        SchemaError,
+        "predictions must be one-dimensional",
+    ),
+    "2-D feature": (
+        lambda: FeatureColumn("numeric", [[0.5, 1.5]]),
+        SchemaError,
+        "feature values must be one-dimensional",
+    ),
+    "2-D guess file column": (
+        lambda: ExternalGuess(ids=[0, 1], guess=[0, 1], raw_scores=[[0.5, 0.6]]),
+        SchemaError,
+        "raw_scores must be one-dimensional",
+    ),
+    "NaN raw score": (
+        lambda: shape_confidences([0.6, float("nan")], 1),
+        ScoreOutOfRange,
+        "raw scores must lie in [0.5, 1.0]",
     ),
     "cardinality": (
         lambda: as_sensitive_array([0], cardinality=1),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairleak.core import FairnessMetric, unfairness
+from fairleak.core import FairnessMetric, FairnessSpec, unfairness
 from fairleak.errors import EmptySlice
 from fairleak.estimator import estimate_constraint
 
@@ -62,8 +62,19 @@ class TestEstimateConstraint:
             )
 
     def test_propagates_empty_slice(self):
-        with pytest.raises(EmptySlice):
-            estimate_constraint([1, 0], [1, 0], [1, 1])
+        # an empty attack set leaves every metric an empty slice
+        with pytest.raises(EmptySlice, match="^the attack set is empty: no metric can be measured$"):
+            estimate_constraint([], [], [])
+
+    def test_one_sided_labels_leave_out_the_unmeasurable_metric(self):
+        # every label is 1: PE has no slice, and EOdds keeps EO's alone
+        est = estimate_constraint([0, 0, 1, 1], [1, 0, 1, 1], [1, 1, 1, 1])
+        assert est.per_metric_unfairness == {EO: 0.25, SP: 0.25, EODDS: 0.25}
+        assert est.spec == FairnessSpec(EO, 0.25)
+        # every label is 0: EO has no slice, and the tie goes to PE
+        est = estimate_constraint([0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 0, 0])
+        assert est.per_metric_unfairness == {PE: 0.25, SP: 0.25, EODDS: 0.25}
+        assert est.spec == FairnessSpec(PE, 0.25)
 
     def test_true_constraint_recovered_when_tightest(self):
         # globally balanced rates but opposite per-slice biases, so SP is

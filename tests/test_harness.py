@@ -87,7 +87,8 @@ class TestIngestCsv:
         path = _write(tmp_path, "id,f0,x,s,y\n1,a,0.5,0,1\n2,b,1.5,1,0\n3,a,2.5,0,1\n")
         table = ingest_csv(path, _schema())
         assert table.n == 3
-        assert table.features["f0"].categories == ("a", "b")
+        # codes index the sorted distinct cells
+        assert table.features["f0"].values.tolist() == [0, 1, 0]
         assert table.features["x"].values.tolist() == [0.5, 1.5, 2.5]
         assert table.predictions is None
 
@@ -184,8 +185,8 @@ class TestCsvRules:
         parsed = _read(tmp_path, kind, [header, quoted, padded])
         assert _ids(parsed) == [1, 2]
         if kind == "dataset":
-            # categories are raw text: the padding is kept
-            assert parsed.features["f0"].categories == (" b ", "a")
+            # categories are raw text: the padding is kept, and " b " sorts first
+            assert parsed.features["f0"].values.tolist() == [1, 0]
             assert parsed.features["x"].values.tolist() == [0.5, 1.5]
         elif kind == "instance":
             assert parsed[1].confidence.tolist() == plain[1].confidence.tolist()
@@ -303,9 +304,8 @@ def _per_cell_floats(cells, column):
 def _per_cell_codes(cells, column):
     if None in cells:
         raise ParseError(f"row {cells.index(None) + 2}, column {column!r}: the cell is missing")
-    categories = tuple(sorted(set(cells)))
-    index = {c: i for i, c in enumerate(categories)}
-    return np.array([index[c] for c in cells], dtype=np.int64), categories
+    index = {c: i for i, c in enumerate(sorted(set(cells)))}
+    return np.array([index[c] for c in cells], dtype=np.int64)
 
 
 _CONVERTERS = [
@@ -322,8 +322,7 @@ def _outcome(convert, cells):
         got = convert(cells, "c")
     except ParseError as exc:
         return "error", str(exc)
-    values, categories = got if isinstance(got, tuple) else (got, None)
-    return values.dtype.str, values.shape, values.tobytes(), categories
+    return got.dtype.str, got.shape, got.tobytes()
 
 
 class TestColumnConverters:
@@ -419,9 +418,8 @@ class TestCsvFraming:
         columns = _csv.read_columns(path, ())
         assert columns == _per_cell_columns(path, ())
         table = ingest_csv(path, _schema())
-        codes, categories = _per_cell_codes(columns["f0"], "f0")
+        codes = _per_cell_codes(columns["f0"], "f0")
         assert table.features["f0"].values.tobytes() == codes.tobytes()
-        assert table.features["f0"].categories == categories
         assert table.features["x"].values.tobytes() == _per_cell_floats(columns["x"], "x").tobytes()
         assert table.labels.tobytes() == _per_cell_ints(columns["y"], "y").tobytes()
 
@@ -901,7 +899,7 @@ class TestEncodeFeatures:
     def test_label_predictor_encodes_in_training_order(self):
         table = self._mixed_table(3)
         model = fit_label_predictor(table)
-        assert model.feature_names == tuple(table.features)
+        assert tuple(model.nb.log_likelihood) == tuple(table.features)
         shuffled = dataclasses.replace(table, features=dict(reversed(table.features.items())))
         for got, want in zip(model.raw_predictions(shuffled), model.raw_predictions(table)):
             assert got.tobytes() == want.tobytes()
@@ -919,7 +917,7 @@ class TestEncodeFeatures:
             model = fit_label_predictor(table)
             yhat, margins = model.raw_predictions(table)
             proba = model.nb.predict_proba(
-                encode_features(table, model.discretizer, model.feature_names)
+                encode_features(table, model.discretizer, table.features)
             ).T
             assert yhat.dtype == np.int64
             assert np.array_equal(yhat, np.argmax(proba, axis=1))
@@ -978,7 +976,6 @@ class TestHoistedAttackModel:
                 joint = fit_naive_bayes(
                     {**fit.features, "y": fit.labels, "yhat": fit.target_predictions},
                     fit.sensitive,
-                    n_classes=2,
                     class_prior="uniform",
                 )
                 proba = joint.predict_proba(
@@ -1020,6 +1017,18 @@ class TestRunExperiment:
         assert row.corrected_accuracy == 1.0
         assert row.improvement == 0.0
         assert row.flips == 0
+
+    def test_nan_raw_score_is_out_of_range_in_every_cell(self):
+        table = synth_generate(60, seed=1)
+        raw_scores = np.full(table.n, 0.75)
+        raw_scores[::2] = np.nan  # every training part holds some
+        external = ExternalGuess(ids=table.ids, guess=table.sensitive, raw_scores=raw_scores)
+        config = ExperimentConfig(
+            epsilon_grid=(0.0, 0.1), seeds=(0, 1), adversary_mode="external",
+            external_guess=external,
+        )
+        statuses = {row.status for row in run_experiment(config, table).rows}
+        assert statuses == {"ScoreOutOfRange"}
 
     def test_per_cell_error_isolation(self):
         table = synth_generate(300, seed=2)
