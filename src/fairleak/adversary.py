@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AttackInstance, FairnessSpec, as_binary_array, as_sensitive_array
+from .core import AttackInstance, FairnessSpec, column, read_only_copy
 from .corrector import correct  # noqa: F401  (perfbench traces this name)
 from .corrector import _solve_rows
 from .errors import (
@@ -62,21 +62,19 @@ class AttackSet:
     target_predictions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        labels = as_binary_array(self.labels, "labels")
-        sensitive = as_sensitive_array(self.sensitive, 2, "sensitive")
+        columns = dict(
+            labels=column(self.labels, "labels", high=2),
+            sensitive=column(self.sensitive, "sensitive", high=2),
+        )
         preds = self.target_predictions
         if preds is not None:
-            preds = as_binary_array(preds, "target_predictions")
-        features = {k: np.asarray(v, dtype=np.int64) for k, v in self.features.items()}
-        lengths = {labels.size, sensitive.size} | {v.size for v in features.values()}
-        if preds is not None:
-            lengths.add(preds.size)
-        if len(lengths) > 1:
+            columns["target_predictions"] = column(preds, "target_predictions", high=2)
+        features = {k: column(v, k) for k, v in self.features.items()}
+        if len({v.size for v in (*columns.values(), *features.values())}) > 1:
             raise LengthMismatch("attack set columns differ in length")
+        for attr, value in columns.items():
+            object.__setattr__(self, attr, read_only_copy(value))
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sensitive", sensitive)
-        object.__setattr__(self, "target_predictions", preds)
 
     @property
     def n(self) -> int:
@@ -134,12 +132,12 @@ def fit_prediction_column(sensitive: np.ndarray, predictions: np.ndarray) -> Cat
 
 
 def prediction_log_likelihood(
-    column: CategoricalNaiveBayes, predictions: Sequence[int]
+    fitted: CategoricalNaiveBayes, predictions: Sequence[int]
 ) -> np.ndarray:
     """The term the target-prediction column adds to the log joint; it comes
     last, as in :func:`predict_guess`."""
-    return column.column_log_likelihood(
-        _PREDICTION_COLUMN, as_binary_array(predictions, "predictions")
+    return fitted.column_log_likelihood(
+        _PREDICTION_COLUMN, column(predictions, "predictions", high=2)
     )
 
 
@@ -151,8 +149,10 @@ def label_log_joint(
     one."""
     if set(features) | {_LABEL_COLUMN} != model.nb.log_likelihood.keys():
         raise SchemaMismatch("feature columns differ from the training schema")
-    columns = {k: np.asarray(v, dtype=np.int64) for k, v in features.items()}
-    columns[_LABEL_COLUMN] = as_binary_array(labels, "labels")
+    columns = {k: column(v, k) for k, v in features.items()}
+    columns[_LABEL_COLUMN] = labels = column(labels, "labels", high=2)
+    if any(v.size != labels.size for v in columns.values()):
+        raise LengthMismatch("feature and label columns differ in length")
     return model.nb.predict_log_joint(columns)
 
 
@@ -173,13 +173,16 @@ def predict_guess(
     if model.prediction_nb is not None:
         if predictions is None:
             raise SchemaMismatch("model was trained with target predictions")
-        scores += prediction_log_likelihood(model.prediction_nb, predictions)
+        term = prediction_log_likelihood(model.prediction_nb, predictions)
+        if term.shape != scores.shape:
+            raise LengthMismatch("predictions and labels differ in length")
+        scores += term
     return guess_from_log_joint(scores)
 
 
 def normalize_scores(raw_scores: Sequence[float]) -> np.ndarray:
     """Map raw binary-classifier scores from [0.5, 1.0] onto [0, 1]."""
-    raw = np.asarray(raw_scores, dtype=np.float64)
+    raw = column(raw_scores, "raw scores", np.float64, finite=False)
     # negated, so that a NaN, whose comparisons are all false, is out of range
     if raw.size and not (raw.min() >= 0.5 - 1e-9 and raw.max() <= 1.0 + 1e-9):
         raise ScoreOutOfRange("raw scores must lie in [0.5, 1.0]")

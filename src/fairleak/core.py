@@ -4,7 +4,8 @@ Each metric's slice rule is written once, in ``slice_for_metric``, and a
 metric's unfairness is the largest group rate gap over its nonempty slices.
 Rates are compared as exact integer ratios (``fractions.Fraction``) so that
 feasibility questions never depend on floating-point summation order.
-Out-of-range labels or groups are a ``SchemaError``.  A correction's result
+Every array that a public record or function takes passes ``column``, the
+one check of its shape, numbers and range.  A correction's result
 types, ``CorrectionResult`` with its ``MoveCounts`` and ``SolverStats``, are
 shared by the lattice solver and the brute-force oracle.
 
@@ -20,6 +21,7 @@ Empty groups follow one rule, in three parts:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameters, EmptySlice, EmptyVector, LengthMismatch
+from .errors import BadParameters, EmptySlice, EmptyVector, FairleakError, LengthMismatch
 from .errors import NegativeConfidence, SchemaError
 
 
@@ -43,39 +45,54 @@ class FairnessMetric(str, Enum):
         return self.value
 
 
-def as_binary_array(values: Sequence[int], name: str = "vector") -> np.ndarray:
-    """Validate and convert a 0/1 sequence to a read-only int64 array."""
-    arr = np.asarray(values, dtype=np.int64).copy()
-    if arr.ndim != 1:
-        raise SchemaError(f"{name} must be one-dimensional")
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise SchemaError(f"{name} must contain only 0 and 1")
-    arr.setflags(write=False)
-    return arr
-
-
-def as_sensitive_array(
-    values: Sequence[int], cardinality: int = 2, name: str = "sensitive"
+def column(
+    values,
+    name: str,
+    dtype: type = np.int64,
+    high: float | None = None,
+    *,
+    finite: bool = True,
+    error: type[FairleakError] = SchemaError,
 ) -> np.ndarray:
-    """Validate a sensitive-value sequence against its declared cardinality."""
-    if cardinality < 2:
-        raise BadParameters("cardinality must be at least 2")
-    arr = np.asarray(values, dtype=np.int64).copy()
+    """The one check of every array a public record or function takes:
+    ``values`` as a one-dimensional array of ``dtype``, int64 or float64,
+    copied only to convert it.
+
+    The values must be numbers; finite, unless ``finite`` is false; whole
+    and within int64 where ``dtype`` is int64; and in [0, ``high``) where
+    ``high`` is given.  A bad shape or conversion is a ``SchemaError``, a bad
+    value an ``error``.  Integer input costs no pass beyond the range
+    check's min and max, and only float input is checked for whole numbers.
+    """
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biuf":  # text, complex, or integers past int64
+            arr = np.array(arr.tolist(), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{name} must hold numbers") from None
     if arr.ndim != 1:
         raise SchemaError(f"{name} must be one-dimensional")
-    if arr.size and (arr.min() < 0 or arr.max() >= cardinality):
-        raise SchemaError(f"{name} values must lie in [0, {cardinality})")
-    arr.setflags(write=False)
-    return arr
+    kind, integer = arr.dtype.kind, dtype is np.int64
+    wide = integer and kind in "uf"
+    if arr.size and (high is not None or wide or kind == "f" and finite):
+        lo, hi = arr.min(), arr.max()  # NaN if any value is
+        if kind == "f" and (finite or integer) and not (np.isfinite(lo) and np.isfinite(hi)):
+            raise error(f"{name} must be finite")
+        if high is not None and not (lo >= 0 and hi < high):
+            bound = ("be non-negative" if high == math.inf
+                     else "be 0 or 1" if high == 2 else f"lie in [0, {high})")
+            raise error(f"{name} must {bound}")
+        if wide and not (-(2**63) <= lo and hi < 2**63):
+            raise error(f"{name} must hold 64-bit integers")
+    out = arr.astype(dtype, copy=False)
+    if integer and kind == "f" and not np.array_equal(out, arr):
+        raise error(f"{name} must hold 64-bit integers")
+    return out
 
 
-def as_confidence_array(values: Sequence[float], name: str = "confidence") -> np.ndarray:
-    """Validate a non-negative, finite confidence sequence."""
-    arr = np.asarray(values, dtype=np.float64).copy()
-    if arr.ndim != 1:
-        raise SchemaError(f"{name} must be one-dimensional")
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0):
-        raise NegativeConfidence(f"{name} must be finite and non-negative")
+def read_only_copy(arr: np.ndarray) -> np.ndarray:
+    """A private copy that its holder hands out without a caller's writes."""
+    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -119,28 +136,22 @@ class AttackInstance:
     cardinality: int = 2
 
     def __post_init__(self) -> None:
-        predictions = as_binary_array(self.predictions, "predictions")
-        labels = as_binary_array(self.labels, "labels")
-        guess = as_sensitive_array(self.guess, self.cardinality, "guess")
-        confidence = as_confidence_array(self.confidence)
-        truth = None
+        if self.cardinality < 2:
+            raise BadParameters("cardinality must be at least 2")
+        columns = dict(
+            predictions=column(self.predictions, "predictions", high=2),
+            labels=column(self.labels, "labels", high=2),
+            guess=column(self.guess, "guess", high=self.cardinality),
+            confidence=column(
+                self.confidence, "confidence", np.float64, math.inf, error=NegativeConfidence
+            ),
+        )
         if self.truth is not None:
-            values = np.asarray(self.truth, dtype=np.int64)
-            span = max(self.cardinality, int(values.max(initial=0)) + 1)
-            truth = as_sensitive_array(values, span, "truth")
-        lengths = {predictions.size, labels.size, guess.size, confidence.size}
-        if truth is not None:
-            lengths.add(truth.size)
-        if len(lengths) > 1:
+            columns["truth"] = column(self.truth, "truth", high=math.inf)
+        if len({arr.size for arr in columns.values()}) > 1:
             raise LengthMismatch("instance vectors must share one length")
-        for attr, value in (
-            ("predictions", predictions),
-            ("labels", labels),
-            ("guess", guess),
-            ("confidence", confidence),
-            ("truth", truth),
-        ):
-            object.__setattr__(self, attr, value)
+        for attr, value in columns.items():
+            object.__setattr__(self, attr, read_only_copy(value))
 
     @property
     def n(self) -> int:
@@ -180,8 +191,10 @@ def slice_for_metric(metric: FairnessMetric, y: Sequence[int]) -> tuple[np.ndarr
 
     Empty sets are permitted; callers treat an empty slice as a no-op.
     """
-    labels = as_binary_array(y, "labels")
-    metric = FairnessMetric(metric)
+    return _slices(FairnessMetric(metric), column(y, "labels", high=2))
+
+
+def _slices(metric: FairnessMetric, labels: np.ndarray) -> tuple[np.ndarray, ...]:
     if metric is FairnessMetric.SP:
         return (np.arange(labels.size),)
     if metric is FairnessMetric.PE:
@@ -216,20 +229,20 @@ def unfairness_exact(
     the largest group rate gap over the metric's nonempty slices.  EOdds is
     the conjunction of PE and EO, so one-sided labels leave it one slice."""
     metric = FairnessMetric(metric)
-    s_arr = np.asarray(s, dtype=np.int64)
-    if s_arr.size and s_arr.min() < 0:
-        raise SchemaError("sensitive values must be non-negative")
-    yhat_arr = as_binary_array(yhat, "predictions")
+    s_arr = column(s, "sensitive", high=math.inf)
+    yhat_arr = column(yhat, "predictions", high=2)
     if s_arr.size != yhat_arr.size:
         raise LengthMismatch("sensitive and prediction vectors differ in length")
-    if metric is FairnessMetric.SP:
+    if y is not None:
+        y = column(y, "labels", high=2)
+    elif metric is FairnessMetric.SP:
         y = yhat_arr  # SP reads no labels, only their count
-    elif y is None:
+    else:
         raise SchemaError(f"{metric.value} requires the label vector")
-    if as_binary_array(y, "labels").size != yhat_arr.size:
+    if y.size != yhat_arr.size:
         raise LengthMismatch("label vector differs in length")
     gaps = [_group_rate_gap(s_arr[idx], yhat_arr[idx])
-            for idx in slice_for_metric(metric, y) if idx.size]
+            for idx in _slices(metric, y) if idx.size]
     if not gaps:
         raise EmptySlice("metric slice contains zero examples")
     return max(gaps)
@@ -247,8 +260,8 @@ def unfairness(
 
 def reconstruction_accuracy(guess: Sequence[int], truth: Sequence[int]) -> float:
     """Fraction of positions where two sensitive vectors agree."""
-    g = np.asarray(guess, dtype=np.int64)
-    t = np.asarray(truth, dtype=np.int64)
+    g = column(guess, "guess")
+    t = column(truth, "truth")
     if g.size != t.size:
         raise LengthMismatch("guess and truth differ in length")
     if g.size == 0:

@@ -4,7 +4,8 @@ A dataset CSV holds an id column, the feature columns, the sensitive column,
 the label column and optionally the target model's prediction column; a JSON
 schema sidecar names them and declares each feature categorical or numeric.
 ``split_dataset`` deals a seeded permutation of the rows into thirds: the
-target model's training part, its test part and the attack part.
+target model's training part, its test part and the attack part.  Each
+column passes ``core.column``; a table adds the length and distinct-id checks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core import column
 from ..errors import DuplicateId, LengthMismatch, SchemaError
 from ._csv import code_cells, codes, float_cells, floats, int_cells, ints, read_columns
 from ._csv import write_columns, write_text
@@ -28,14 +30,6 @@ def all_distinct(values: np.ndarray) -> bool:
     return bool(np.diff(np.sort(values)).all())
 
 
-def one_dimensional(values, dtype, name: str) -> np.ndarray:
-    """``values`` as an array of ``dtype``, copied only to convert it."""
-    arr = np.asarray(values, dtype=dtype)
-    if arr.ndim != 1:
-        raise SchemaError(f"{name} must be one-dimensional")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureColumn:
     """One feature column: integer codes or raw numeric values."""
@@ -47,9 +41,7 @@ class FeatureColumn:
         if self.kind not in (CATEGORICAL, NUMERIC):
             raise SchemaError(f"unknown feature kind: {self.kind!r}")
         dtype = np.int64 if self.kind == CATEGORICAL else np.float64
-        object.__setattr__(self, "values", one_dimensional(self.values, dtype, "feature values"))
-        if self.kind == NUMERIC and not np.isfinite(self.values).all():
-            raise SchemaError("numeric feature values must be finite")
+        object.__setattr__(self, "values", column(self.values, "feature values", dtype))
 
     def take(self, indices: np.ndarray) -> "FeatureColumn":
         return FeatureColumn(self.kind, self.values[indices])
@@ -67,37 +59,20 @@ class DatasetTable:
     sensitive_cardinality: int = 2
 
     def __post_init__(self) -> None:
-        ids = one_dimensional(self.ids, np.int64, "ids")
-        sensitive = one_dimensional(self.sensitive, np.int64, "sensitive")
-        labels = one_dimensional(self.labels, np.int64, "labels")
-        predictions = self.predictions
-        if predictions is not None:
-            predictions = one_dimensional(predictions, np.int64, "predictions")
-        lengths = {ids.size, sensitive.size, labels.size}
-        lengths |= {col.values.size for col in self.features.values()}
-        if predictions is not None:
-            lengths.add(predictions.size)
-        if len(lengths) > 1:
+        columns = dict(
+            ids=column(self.ids, "ids"),
+            sensitive=column(self.sensitive, "sensitive", high=self.sensitive_cardinality),
+            labels=column(self.labels, "labels", high=2),
+        )
+        if self.predictions is not None:
+            columns["predictions"] = column(self.predictions, "predictions", high=2)
+        sizes = {arr.size for arr in columns.values()}
+        if len(sizes | {col.values.size for col in self.features.values()}) > 1:
             raise LengthMismatch("dataset columns differ in length")
-        if not all_distinct(ids):
+        if not all_distinct(columns["ids"]):
             raise DuplicateId("dataset ids are not unique")
-        if sensitive.size and (
-            sensitive.min() < 0 or sensitive.max() >= self.sensitive_cardinality
-        ):
-            raise SchemaError(
-                "sensitive values exceed the declared cardinality "
-                f"{self.sensitive_cardinality}"
-            )
-        if labels.size and (labels.min() < 0 or labels.max() > 1):
-            raise SchemaError("labels must be 0 or 1")
-        if predictions is not None and predictions.size and (
-            predictions.min() < 0 or predictions.max() > 1
-        ):
-            raise SchemaError("predictions must be 0 or 1")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "sensitive", sensitive)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "predictions", predictions)
+        for attr, value in columns.items():
+            object.__setattr__(self, attr, value)
 
     @property
     def n(self) -> int:

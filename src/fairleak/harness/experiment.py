@@ -51,6 +51,7 @@ from ..core import (
     AttackInstance,
     FairnessMetric,
     FairnessSpec,
+    column,
     reconstruction_accuracy,
     unfairness,  # noqa: F401  (perfbench traces this name)
 )
@@ -68,7 +69,7 @@ from ..errors import (
 from ..estimator import estimate_constraint
 from ..oracle import solve_general_bruteforce
 from ._csv import write_columns, write_text
-from .data import DatasetTable, all_distinct, one_dimensional, split_dataset
+from .data import DatasetTable, all_distinct, split_dataset
 from .predictor import RepairState, encode_features, fit_discretizer, fit_label_predictor
 from .predictor import repair_predictions  # noqa: F401  (perfbench traces this name)
 
@@ -91,9 +92,9 @@ class ExternalGuess:
     raw_scores: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = one_dimensional(self.ids, np.int64, "ids")
-        guess = one_dimensional(self.guess, np.int64, "guess")
-        raw = one_dimensional(self.raw_scores, np.float64, "raw_scores")
+        ids = column(self.ids, "ids")
+        guess = column(self.guess, "guess")
+        raw = column(self.raw_scores, "raw_scores", np.float64, finite=False)
         if not ids.size == guess.size == raw.size:
             raise LengthMismatch("guess file columns differ in length")
         if not all_distinct(ids):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameters, SchemaMismatch
+from .core import column
+from .errors import BadParameters, LengthMismatch, SchemaMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +82,7 @@ def fit_naive_bayes(
     ``class_prior="uniform"`` balances the classes regardless of their
     empirical frequency; ``"empirical"`` uses the observed frequencies.
     """
-    target = np.asarray(target, dtype=np.int64)
+    target = column(target, "target", high=2)
     class_counts = np.bincount(target, minlength=2).astype(np.float64)
     if class_prior == "uniform":
         log_prior = np.full(2, -np.log(2))
@@ -93,8 +94,10 @@ def fit_naive_bayes(
 
     tables: dict[str, np.ndarray] = {}
     for name, values in columns.items():
-        codes = np.asarray(values, dtype=np.int64)
-        n_values = int(codes.max()) + 1 if codes.size else 1
+        codes = column(values, name)
+        if codes.size != target.size:
+            raise LengthMismatch(f"{name} and target differ in length")
+        n_values = int(codes.max(initial=0)) + 1
         # a negative code is counted in the unseen bucket, where prediction puts it
         cells = target * (n_values + 1) + np.where(codes < 0, n_values, codes)
         counts = np.bincount(cells, minlength=2 * (n_values + 1)).reshape(2, -1)

@@ -534,20 +534,27 @@ _POOL = [
     "0", "1", "2", "-1", "", " 1", "1.5", "0.5", "0.75", "nan", "inf", "-inf", "1e999",
     "99999999999999999999", "-99999999999999999999", "zap", "a", "b", "\"1\"", "0,1",
 ]
+# each past some column's range: a 0/1 column, a group count of 3, the raw
+# scores' [0.5, 1], the non-negative columns, and int64 for the ids
+_PAST_RANGE = ["2", "3", "-1", "-0.5", "9223372036854775808"]
 
 
 @st.composite
 def _malformed(draw, rows):
-    """A CSV file as bytes: ``rows`` with a few cells replaced, rows cut
-    short, extended or dropped, or ids repeated; then maybe a byte-order
-    mark, bytes that are not UTF-8, or no content at all."""
+    """A CSV file as bytes: ``rows`` with a few cells replaced, some by a value
+    past their column's range, rows cut short, extended or dropped, or ids
+    repeated; then maybe a byte-order mark, bytes that are not UTF-8, or no
+    content at all."""
     rows = [list(row) for row in rows]
     for _ in range(draw(st.integers(1, 3))):
         r = draw(st.integers(0, len(rows) - 1))
         row = rows[r]
-        edit = draw(st.sampled_from(["cell", "cell", "cut", "extend", "repeat_id", "drop_row"]))
-        if edit == "cell" and row:
-            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_POOL))
+        edit = draw(st.sampled_from(
+            ["cell", "cell", "code", "code", "cut", "extend", "repeat_id", "drop_row"]
+        ))
+        if edit in ("cell", "code") and row:
+            pool = _POOL if edit == "cell" else _PAST_RANGE
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(pool))
         elif edit == "cut" and row:
             del row[draw(st.integers(0, len(row) - 1)):]
         elif edit == "extend":

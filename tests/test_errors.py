@@ -8,24 +8,31 @@ stderr line, and leaves any other exception, a program bug, to a traceback.
 import numpy as np
 import pytest
 
-from fairleak.adversary import AttackSet, process_confidences, shape_confidences, train_baseline
+from fairleak.adversary import (
+    AttackSet,
+    label_log_joint,
+    predict_guess,
+    process_confidences,
+    shape_confidences,
+    train_baseline,
+)
 from fairleak.core import (
     AttackInstance,
     FairnessSpec,
-    as_binary_array,
-    as_confidence_array,
-    as_sensitive_array,
     reconstruction_accuracy,
+    unfairness,
     unfairness_exact,
 )
 from fairleak.errors import (
     BadParameters,
     FairleakError,
     LengthMismatch,
+    NegativeConfidence,
     SchemaError,
     SchemaMismatch,
     ScoreOutOfRange,
 )
+from fairleak.estimator import estimate_constraint
 from fairleak.harness import (
     DatasetTable,
     ExperimentConfig,
@@ -44,6 +51,11 @@ SPEC = FairnessSpec("sp", 0.5)
 
 def _fitted():
     return fit_naive_bayes({"a": np.array([0, 1])}, np.array([0, 1]))
+
+
+def _model(mode="a"):
+    attack_set = AttackSet({"a": [0, 1, 1, 0]}, [0, 1, 1, 0], [0, 1, 0, 1], [0, 1, 0, 1])
+    return train_baseline(attack_set, mode)
 
 
 def _repair_state():
@@ -122,7 +134,7 @@ CASES = {
     "negative group": (
         lambda: unfairness_exact("sp", [-1, 1], [0, 1]),
         SchemaError,
-        "sensitive values must be non-negative",
+        "sensitive must be non-negative",
     ),
     "class prior": (
         lambda: fit_naive_bayes({"a": np.array([0])}, np.array([0]), class_prior="flat"),
@@ -135,17 +147,17 @@ CASES = {
         "missing feature columns: ['a']",
     ),
     "2-D binary": (
-        lambda: as_binary_array([[0, 1]], "guess"),
+        lambda: AttackInstance([[0, 1]], [0, 1], [0, 1], [0.5, 0.5]),
         SchemaError,
-        "guess must be one-dimensional",
+        "predictions must be one-dimensional",
     ),
     "2-D sensitive": (
-        lambda: as_sensitive_array([[0, 1]]),
+        lambda: AttackSet({}, labels=[0, 1], sensitive=[[0, 1]]),
         SchemaError,
         "sensitive must be one-dimensional",
     ),
     "2-D confidence": (
-        lambda: as_confidence_array([[0.5]]),
+        lambda: AttackInstance([0, 1], [0, 1], [0, 1], [[0.5, 0.5]]),
         SchemaError,
         "confidence must be one-dimensional",
     ),
@@ -175,7 +187,7 @@ CASES = {
         "raw scores must lie in [0.5, 1.0]",
     ),
     "cardinality": (
-        lambda: as_sensitive_array([0], cardinality=1),
+        lambda: AttackInstance([0], [0], [0], [0.5], cardinality=1),
         BadParameters,
         "cardinality must be at least 2",
     ),
@@ -189,6 +201,143 @@ CASES = {
         lambda: synth_generate(2**58),
         BadParameters,
         "n must be below 2**58",
+    ),
+    # every array column goes through core.column: 1-D, numbers, finite,
+    # whole where the column holds integers, and in its range
+    "2-D attack set feature": (
+        lambda: AttackSet({"a": np.array([[0, 1, 1, 0]])}, [0, 1, 1, 0], [0, 1, 0, 1]),
+        SchemaError,
+        "a must be one-dimensional",
+    ),
+    "2-D log joint feature": (
+        lambda: label_log_joint(_model(), {"a": np.array([[0, 1]])}, [0, 1]),
+        SchemaError,
+        "a must be one-dimensional",
+    ),
+    "log joint lengths": (
+        lambda: label_log_joint(_model(), {"a": [0, 1, 1]}, [0, 1]),
+        LengthMismatch,
+        "feature and label columns differ in length",
+    ),
+    "naive Bayes target": (
+        lambda: fit_naive_bayes({"a": np.array([0, 1])}, np.array([0, 2])),
+        SchemaError,
+        "target must be 0 or 1",
+    ),
+    "2-D naive Bayes target": (
+        lambda: fit_naive_bayes({"a": np.array([0, 1])}, np.array([[0, 1]])),
+        SchemaError,
+        "target must be one-dimensional",
+    ),
+    "naive Bayes lengths": (
+        lambda: fit_naive_bayes({"a": np.array([0, 1, 1])}, np.array([0, 1])),
+        LengthMismatch,
+        "a and target differ in length",
+    ),
+    "NaN guess": (
+        lambda: AttackInstance([0, 1], [0, 1], [0, float("nan")], [0.5, 0.5]),
+        SchemaError,
+        "guess must be finite",
+    ),
+    "NaN table sensitive": (
+        lambda: DatasetTable([0, 1], {}, [0, float("nan")], [0, 1]),
+        SchemaError,
+        "sensitive must be finite",
+    ),
+    "NaN guess file id": (
+        lambda: ExternalGuess(ids=[0, float("nan")], guess=[0, 1], raw_scores=[0.5, 0.6]),
+        SchemaError,
+        "ids must be finite",
+    ),
+    "NaN categorical feature": (
+        lambda: FeatureColumn("categorical", [0, float("nan")]),
+        SchemaError,
+        "feature values must be finite",
+    ),
+    "NaN estimate sensitive": (
+        lambda: estimate_constraint([0, float("nan")], [0, 1], [0, 1]),
+        SchemaError,
+        "sensitive must be finite",
+    ),
+    "prediction past int64": (
+        lambda: AttackInstance([0, 2**70], [0, 1], [0, 1], [0.5, 0.5]),
+        SchemaError,
+        "predictions must be 0 or 1",
+    ),
+    "text confidence": (
+        lambda: AttackInstance([0, 1], [0, 1], [0, 1], ["a", 0.5]),
+        SchemaError,
+        "confidence must hold numbers",
+    ),
+    "text table label": (
+        lambda: DatasetTable([0, 1], {}, [0, 1], ["a", 1]),
+        SchemaError,
+        "labels must hold numbers",
+    ),
+    "text raw score": (
+        lambda: shape_confidences(["a"], 2),
+        SchemaError,
+        "raw scores must hold numbers",
+    ),
+    "2-D unfairness groups": (
+        lambda: unfairness("sp", [[0, 1], [1, 0]], [0, 1, 0, 1]),
+        SchemaError,
+        "sensitive must be one-dimensional",
+    ),
+    "2-D predicted feature": (
+        lambda: predict_guess(_model(), {"a": np.array([[0, 1]])}, [0, 1]),
+        SchemaError,
+        "a must be one-dimensional",
+    ),
+    "predicted feature lengths": (
+        lambda: predict_guess(_model(), {"a": [0, 1, 1]}, [0, 1]),
+        LengthMismatch,
+        "feature and label columns differ in length",
+    ),
+    "predicted prediction lengths": (
+        lambda: predict_guess(_model("aprime"), {"a": [0, 1]}, [0, 1], [1]),
+        LengthMismatch,
+        "predictions and labels differ in length",
+    ),
+    "fractional guess": (
+        lambda: AttackInstance([0, 1], [0, 1], [0.5, 1], [0.5, 0.5]),
+        SchemaError,
+        "guess must hold 64-bit integers",
+    ),
+    "fractional attack set label": (
+        lambda: AttackSet({}, labels=[0.5, 1], sensitive=[0, 1]),
+        SchemaError,
+        "labels must hold 64-bit integers",
+    ),
+    "fractional unfairness groups": (
+        lambda: unfairness("sp", [0, 2.5], [0, 1]),
+        SchemaError,
+        "sensitive must hold 64-bit integers",
+    ),
+    "fractional categorical feature": (
+        lambda: FeatureColumn("categorical", [0.5, 1]),
+        SchemaError,
+        "feature values must hold 64-bit integers",
+    ),
+    "fractional table id": (
+        lambda: DatasetTable([0, 1.5], {}, [0, 1], [0, 1]),
+        SchemaError,
+        "ids must hold 64-bit integers",
+    ),
+    "2-D accuracy": (
+        lambda: reconstruction_accuracy([[0, 1]], [[0, 1]]),
+        SchemaError,
+        "guess must be one-dimensional",
+    ),
+    "NaN predicted feature": (
+        lambda: predict_guess(_model(), {"a": [0, float("nan")]}, [0, 1]),
+        SchemaError,
+        "a must be finite",
+    ),
+    "NaN confidence": (
+        lambda: AttackInstance([0, 1], [0, 1], [0, 1], [0.5, float("nan")]),
+        NegativeConfidence,
+        "confidence must be finite",
     ),
 }
 

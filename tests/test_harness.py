@@ -124,7 +124,7 @@ class TestIngestCsv:
 
     def test_non_finite_numeric_feature(self, tmp_path):
         path = _write(tmp_path, "id,f0,x,s,y\n1,a,0.5,0,1\n2,b,inf,1,0\n")
-        with pytest.raises(SchemaError, match="numeric feature values must be finite"):
+        with pytest.raises(SchemaError, match="^feature values must be finite$"):
             ingest_csv(path, _schema())
 
     def test_dataset_csv_round_trip(self, tmp_path):
@@ -250,8 +250,7 @@ class TestCsvRules:
 
     @pytest.mark.parametrize(
         "column, value, message",
-        [("y", "2", "labels must contain only 0 and 1"),
-         ("s_hat", "-1", r"guess values must lie in \[0, 2\)")],
+        [("y", "2", "labels must be 0 or 1"), ("s_hat", "-1", "guess must be 0 or 1")],
         ids=["y", "s_hat"],
     )
     def test_out_of_range_instance_value_is_a_schema_error(
