@@ -149,11 +149,11 @@ def label_log_joint(
     one."""
     if set(features) | {_LABEL_COLUMN} != model.nb.log_likelihood.keys():
         raise SchemaMismatch("feature columns differ from the training schema")
-    columns = {k: column(v, k) for k, v in features.items()}
-    columns[_LABEL_COLUMN] = labels = column(labels, "labels", high=2)
-    if any(v.size != labels.size for v in columns.values()):
+    labels = column(labels, "labels", high=2)
+    # the model checks each feature column as it reads it
+    if any(np.size(v) != labels.size for v in features.values()):
         raise LengthMismatch("feature and label columns differ in length")
-    return model.nb.predict_log_joint(columns)
+    return model.nb.predict_log_joint({**features, _LABEL_COLUMN: labels})
 
 
 def guess_from_log_joint(scores: np.ndarray) -> BaselineGuess:

@@ -182,7 +182,7 @@ class CorrectionResult:
     corrected: np.ndarray
     objective: float
     moves: "MoveCounts | dict[tuple[int, int], int]"
-    changed_indices: tuple[int, ...]
+    changed_indices: np.ndarray  # ascending int64 row indices, read-only
     stats: SolverStats
 
 

@@ -8,14 +8,14 @@ holds that lattice for any 0/1 vector split by another, read in place at a
 metric slice's rows: here the guess split by the predictions, and in the
 simulated fair target's prediction repair the predictions split by the
 groups.  A flip names the rows it changes, and ``_flip_all`` scatters every
-slice's flips into one copy of the vector.  ``search_net_moves`` sweeps it in
-numpy, taking columns cheapest first in blocks of doubling size; the feasible
-rows of each column form at most two integer intervals, and the cheapest row
-of each is the one nearest zero.  The sweep stops once a block's cheapest
-column costs more than the best cell found, which proves optimality.  It
-answers a list of upper bounds under a list of cost rows at once: windows
-never depend on the costs, so each block's windows serve every pair, and each
-pair keeps its own stop test.
+slice's flips into one copy of the vector.  ``search_net_moves`` searches it
+in numpy from the half-planes the solvers hand it: costs are convex, so the
+cheapest row of the continuous band bounds each column's cells by a convex
+function, and the search takes columns outward from its minimum until it
+exceeds the best cell found, which proves optimality.  The feasible rows of
+a column form at most two intervals, each cheapest at its row nearest zero.
+It answers a list of upper bounds under a list of cost rows at once: windows
+never depend on the costs, so each block's windows serve every pair.
 
 Both solvers bound one parity gap.  With c[x][z] the lattice's 2x2 table of
 counts and z_k the entries where z = k, a group of m entries has rate gap
@@ -75,12 +75,16 @@ def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nda
     return values, totals
 
 
-#: Columns in the sweep's first block; each later block doubles, up to the cap.
-_FIRST_BLOCK = 512
+#: Columns, times bounds and cost rows, that one block of exact windows takes at most.
 _MAX_BLOCK = 1 << 15
 #: Float screen of a fractional part: bound on its rounding error for any
 #: |u| below 1e8, so only values this close to an integer are rechecked.
 _NEAR = 1e-7
+#: Points per pair in each round that brackets the column bound's minimum,
+#: until the bracket fits in half as many; and columns times bounds times
+#: cost rows up to which one block of every column costs less than that.
+_GRID = 128
+_SMALL = 1 << 13
 
 
 def _floor_affine(
@@ -100,7 +104,9 @@ def _floor_affine(
     qa, ra = zip(*(divmod(int(offset), d) for offset in a))
     ra, rb, d = [r // g for r in ra], rb // g, d // g
     span = int(np.abs(u).max(initial=0)) + 1
-    if d * span < 2**62:
+    if d == 1:  # d divided b, so the remainder is ra/d, below 1
+        whole = 0
+    elif d * span < 2**62:
         whole = (np.array(ra)[:, None] + rb * u) // d
     else:
         frac = np.array([r / d for r in ra])[:, None] + u * (rb / d)
@@ -246,110 +252,194 @@ class _SolvedCell:
         return _group_gap(self.lattice.counts, self.u, self.v, False)
 
 
-#: window(u, nums, den, strict) -> (lo, hi): for each bound nums[r]/den, one
-#: row each, and each column u, the rows v at which every group gap is at
-#: most the bound (strictly below it when ``strict``); a column whose lo
-#: exceeds its hi has no such row.  Both windows narrow ``_rows_within(...,
-#: -c10, c00)``, so no lo is below -c10 and no hi above c00, the lattice's rows.
-WindowFn = Callable[[np.ndarray, Sequence[int], int, bool], tuple[np.ndarray, np.ndarray]]
+#: A half-plane q*v <= c[b] + k*u of the cells (u, v), one offset c[b] per
+#: bound b of the search it is handed to.
+Plane = tuple[int, Sequence[int], int]
+
+
+def _sp_planes(counts: Sequence[int], bound: Fraction) -> list[Plane]:
+    """Where both guess groups of a slice whose cells hold ``counts`` entries
+    have gap within ``bound``: cell (u, v) has guess-1 group size
+    m = n1 + u + v, and its gaps are within num/den iff s*den*D <= t*m and
+    s*den*D <= t*(n - m) for both signs s, t = num*n."""
+    c01, c11, c00, c10 = counts  # c[guess][prediction]
+    z1, z0, n1 = c01 + c11, c00 + c10, c11 + c10
+    n, det = z0 + z1, c00 * c11 - c01 * c10
+    den, t = bound.denominator, bound.numerator * n
+    return [(-s * den * z1 - g * t, [t * size - s * den * det], g * t - s * den * z0)
+            for size, g in ((n1, 1), (n - n1, -1)) for s in (1, -1)]
+
+
+def _repair_planes(counts: Sequence[int], bounds: Sequence[Fraction]) -> list[Plane]:
+    """Where both fixed groups of a slice whose cells hold ``counts`` entries
+    have gap within each of ``bounds``, over one common denominator: the
+    smaller group binds, s*den*D <= num*n*min(z0, z1) for both signs s."""
+    c01, c11, c00, c10 = counts  # c[prediction][group]
+    z1, z0, det = c01 + c11, c00 + c10, c00 * c11 - c01 * c10
+    den = math.lcm(*(bound.denominator for bound in bounds))
+    reach = [b.numerator * (den // b.denominator) * (z0 + z1) * min(z0, z1) for b in bounds]
+    return [(-s * den * z1, [r - s * den * det for r in reach], -s * den * z0) for s in (1, -1)]
+
+
+def _column_bound(
+    sums: Sequence[np.ndarray], planes: Sequence[Plane], ulo: int, uhi: int,
+    b: np.ndarray, r: np.ndarray,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``bound(u, p)``: for pairs ``p`` of bound b[p] and cost row r[p], LB at
+    columns ``u``, indexed (pair, point), and the cost of the cell at LB's row
+    rounded away from zero.  LB(u) is column u's cost plus the row sums of
+    ``sums``, interpolated, at max(lo, 0) and max(-hi, 0) for the continuous
+    band's ends lo and hi: convex, and no more than any cell of the column.
+    Lines are anchored where they cross v = 0, so that float64 does not
+    cancel; planes near vertical or masking columns alone are left out."""
+    lines = [(q, c, k) for q, c, k in planes if q and abs(k) <= abs(q) << 20]
+    shape = len(lines), len(planes[0][1])
+    anchor = [[min(max(-ci // k if k else 0, ulo), uhi) for ci in c] for q, c, k in lines]
+    at = np.array([[(ci + k * a) / q for ci, a in zip(c, us)]
+                   for (q, c, k), us in zip(lines, anchor)]).reshape(shape)[:, b, None]
+    anchors = np.array(anchor, dtype=np.int64).reshape(shape)[:, b, None]
+    slope = np.array([k / q for q, _, k in lines])[:, None, None]
+    upper = np.array([q > 0 for q, _, _ in lines], dtype=bool)
+    # each pair's row offset into each flattened sum
+    offsets = np.array([r * totals.shape[1] for totals in sums])[:, :, None]
+    flat = [(totals.ravel(), totals.shape[1] - 1) for totals in sums]
+
+    def bound(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        line = at[:, p] + slope * (u - anchors[:, p])
+        moves = (np.maximum(u, 0), -np.minimum(u, 0),
+                 line[~upper].max(axis=0, initial=0.0), -line[upper].min(axis=0, initial=0.0))
+        value = cell = 0.0
+        for x, row, (totals, end) in zip(moves, offsets[:, p], flat):
+            # past the last row the last step goes on, which keeps LB convex
+            k = np.minimum(x, max(end - 1, 0)).astype(np.int64)
+            a, z = totals.take(row + k), totals.take(row + np.minimum(k + 1, end))
+            value, cell = value + a + (x - k) * (z - a), cell + np.where(x == k, a, z)
+        return value, cell
+
+    return bound
 
 
 def search_net_moves(
     part: _Lattice,
     rows: Sequence[int],
-    window: WindowFn,
-    bounds: Sequence[Fraction],
-    lower: Fraction | None,
+    planes: Sequence[Plane],
+    carve: Sequence[Plane],
     origin: Sequence[bool],
 ) -> list[list[_SolvedCell | None]]:
-    """For each upper bound in ``bounds`` and each cost row ``rows`` names,
-    ascending: the cheapest cell of ``part`` whose gaps are within the bound
-    and, when ``lower`` is positive, not all strictly below ``lower``, as a
-    ``_SolvedCell`` counting the columns scanned, or None if there is none.
-    Results are indexed [bound][position in ``rows``].
+    """For each bound b of ``planes`` and each cost row ``rows`` names,
+    ascending: the cheapest cell of ``part`` inside every plane at its
+    offset c[b] and, where ``carve`` holds planes, outside the rows strictly
+    inside all of them, as a ``_SolvedCell`` counting the columns no dearer
+    than it, or None if there is none.  Results are indexed [bound][position
+    in ``rows``].
 
-    ``origin[b]`` says whether (0, 0) is feasible under bound b, as the caller
-    reads it from the counts; such a bound gets it with no window.  Otherwise
-    columns are taken cheapest first in blocks of doubling size, and a (bound,
-    cost row) pair leaves the scan once the cheapest column left costs more
-    than its best cell so far.  Each cost row orders the columns its own way,
-    so a block is the union of each row's cut of its cheapest columns, cut
-    short so that the bounds left times the cost rows times the columns stay
-    within ``_MAX_BLOCK``.  Row costs are V-shaped with minimum zero, so each
-    feasible interval offers its row nearest zero.  Ties on cost break on
-    fewest total moves, then on the (column, row) pair, keeping the result
-    deterministic and invariant under positive rescaling of all costs.  The
-    count is that of the columns no dearer than the best cell, which a
-    one-column-at-a-time best-first scan visits; so neither result depends on
-    where blocks end.
+    ``origin[b]`` says whether (0, 0) is feasible under bound b, as the
+    caller reads it from the counts; such a bound gets it with no window.  A
+    small lattice takes every column in one block.  Otherwise each (bound,
+    cost row) pair brackets the minimum of its ``_column_bound`` in rounds of
+    ``_GRID`` points, reads the bound across the bracket and at doubling
+    steps beyond, and on each side takes the columns short of the first
+    point above its threshold: the cost of the cell at the minimum, then its
+    best cell's.  It is done once its best cell costs no more than that; else
+    the threshold rises to that cost, or with no cell yet to infinity.
+    The bound is convex, so no column past a stop holds a cell as cheap; the
+    threshold's margin, relative and growing with n, covers float rounding
+    in the bound and in locating its minimum.  The columns no pair took
+    before get exact windows in blocks of at most ``_MAX_BLOCK`` columns
+    times bounds times cost rows.
 
-    Windows never depend on the costs: each block's windows, and each
-    piece's row nearest zero, are computed once for every cost row.  The
-    bounds are passed to ``window`` over one common denominator, and the
-    carve-out window of ``lower`` is computed once per block for all of
-    them.
+    Row costs are V-shaped with minimum zero, so each piece of a column's
+    rows, two where ``carve`` cuts them, offers its row nearest zero.  Ties
+    on cost break on fewest total moves, then on the (column, row) pair,
+    keeping the result deterministic and invariant under positive rescaling
+    of all costs.  The count is that of the columns no dearer than the best
+    cell, which a one-column-at-a-time best-first scan visits; so neither
+    result depends on which columns were taken.
     """
-    den = math.lcm(*(bound.denominator for bound in bounds))
-    nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
-    carve = lower is not None and lower > 0
-
-    # prefix sums of the column's up and down flips, then of the row's
+    c00, c10 = part.counts[2:]
     pick = slice(None) if len(rows) == len(part.costs) else list(rows)
-    pos, neg, row_pos, row_neg = (totals[pick] for _, totals, _ in part.cells)
-    best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in nums]
-    live = [(b, r) for b, free in enumerate(origin) if not free for r in range(len(rows))]
-    i, j, size = 0, 1, _FIRST_BLOCK
-    while live and (i < pos.shape[1] or j < neg.shape[1]):
-        head = np.concatenate((pos[:, i : i + size], neg[:, j : j + size]), axis=1)
-        cheapest = head.min(axis=1).tolist()
-        live = [(b, r) for b, r in live if best[b][r] is None or cheapest[r] <= best[b][r][0]]
-        if not live:
-            break
-        bs, rs = sorted({b for b, _ in live}), sorted({r for _, r in live})
-        budget = max(1, _MAX_BLOCK // (len(bs) * len(rows)))
-        take = min(size, budget, head.shape[1])
-        # each row in the scan cuts at its take-th cheapest column, ties included
-        cut = np.partition(head, take - 1, axis=1)[:, take - 1]
-        ends = [max(int(a[r].searchsorted(cut[r], "right")) for r in rs) for a in (pos, neg)]
-        i_next = min(max(i, ends[0]), i + budget)
-        j_next = min(max(j, ends[1]), j + budget - (i_next - i))
-        u = np.concatenate((np.arange(i, i_next), -np.arange(j, j_next)))
-        cu = np.concatenate((pos[:, i:i_next], neg[:, j:j_next]), axis=1)
-        lo, hi = window(u, [nums[b] for b in bs], den, False)
+    sums = pos, neg, row_pos, row_neg = [totals[pick] for _, totals, _ in part.cells]
+    ulo, uhi = 1 - neg.shape[1], pos.shape[1] - 1
+    best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in origin]
+
+    def scan(u: np.ndarray, bs: list[int]) -> None:
+        lo, hi = _rows_within(u, [(q, [c[b] for b in bs], k) for q, c, k in planes], False, -c10, c00)
         if carve:
-            # the lower bound carves out the rows where every gap is below it,
-            # leaving two pieces per column, indexed (bound, piece, column)
-            ilo, ihi = window(u, [lower.numerator], lower.denominator, True)
+            # the pieces each side of the carved rows, indexed (bound, piece, column)
+            ilo, ihi = _rows_within(u, carve, True, -c10, c00)
             hollow = ilo <= ihi
             lo, hi = (np.stack((lo, np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)), axis=1),
                       np.stack((np.where(hollow, np.minimum(hi, ilo - 1), hi), hi), axis=1))
-        i, j, size = i_next, j_next, min(2 * size, _MAX_BLOCK)
-
         ok = np.flatnonzero(lo <= hi)
-        if not ok.size:
-            continue
         # "wrap" takes each entry's position modulo u.size, back to its column
         ok_u = u.take(ok, mode="wrap")
         v = np.minimum(np.maximum(lo.ravel().take(ok), 0), hi.ravel().take(ok))
-        cost = cu.take(ok, axis=1, mode="wrap") + np.where(
-            v >= 0, row_pos.take(np.maximum(v, 0), axis=1), row_neg.take(np.maximum(-v, 0), axis=1)
-        )
+        cost = sum(np.where(k >= 0, up.take(np.maximum(k, 0), axis=1), down.take(np.maximum(-k, 0), axis=1))
+                   for up, down, k in ((pos, neg, ok_u), (row_pos, row_neg, v)))
         # ok runs bound by bound: edges delimit each bound's entries
         edges = np.searchsorted(ok, np.arange(0, lo.size + 1, lo.size // len(bs))).tolist()
         for b, start, end in zip(bs, edges, edges[1:]):
             if start == end:
                 continue
             least = cost[:, start:end].min(axis=1).tolist()
-            for r in rs:
-                if best[b][r] is not None and least[r] > best[b][r][0]:
+            for r, key in enumerate(best[b]):
+                if key is not None and least[r] > key[0]:
                     continue
                 tied = start + np.flatnonzero(cost[r, start:end] == least[r])
                 tied_u, tied_v = ok_u[tied], v[tied]
                 moves = np.abs(tied_u) + np.abs(tied_v)
                 m = np.lexsort((tied_v, tied_u, moves))[0]
-                key = (least[r], int(moves[m]), int(tied_u[m]), int(tied_v[m]))
-                if best[b][r] is None or key < best[b][r]:
-                    best[b][r] = key
+                new = (least[r], int(moves[m]), int(tied_u[m]), int(tied_v[m]))
+                if key is None or new < key:
+                    best[b][r] = new
+
+    pairs = [(b, r) for b, free in enumerate(origin) if not free for r in range(len(rows))]
+    bs = sorted({b for b, _ in pairs})
+    if pairs and (uhi - ulo + 1) * len(bs) * len(rows) <= min(_SMALL, _MAX_BLOCK):
+        scan(np.arange(ulo, uhi + 1), bs)
+    elif pairs:
+        bi, ri = (np.array(side) for side in zip(*pairs))
+        bound = _column_bound(sums, planes, ulo, uhi, bi, ri)
+        todo = np.arange(len(pairs))
+        lo, hi = np.full(todo.size, ulo), np.full(todo.size, uhi)
+        while (hi - lo).max() > _GRID:
+            grid = lo[:, None] + np.arange(_GRID) * (hi - lo)[:, None] // (_GRID - 1)
+            least = bound(grid, todo)[0].argmin(axis=1)
+            lo, hi = (grid[todo, np.clip(least + d, 0, _GRID - 1)] for d in (-1, 1))
+        far = 2 ** np.arange(_GRID.bit_length() - 1, (uhi - ulo).bit_length() + 1)
+        steps = np.concatenate((-far[::-1], np.arange(-_GRID // 2, _GRID // 2 + 1), far))
+        start, threshold = (lo + hi) // 2, None
+        margin = (sum(part.counts) + 2**20) * 2.0**-44
+        seen = np.zeros(uhi - ulo + 1, dtype=bool)
+        while todo.size:
+            ends = np.clip(start[todo, None] + steps, ulo, uhi)
+            value, cell = bound(ends, todo)
+            if threshold is None:
+                # LB's least point in the bracket
+                least = value[:, far.size : far.size + _GRID + 1].argmin(axis=1) + far.size
+                start, threshold = ends[todo, least], cell[todo, least]
+            s, t = start[todo, None], threshold[todo, None]
+            # the cell's cost holds the row step that a float error in the band's ends moves LB by
+            over = value > t + margin * (value + cell + t)
+            right = np.where(over & (ends > s), ends, uhi + 1).min(axis=1)
+            left = np.where(over & (ends < s), ends, ulo - 1).max(axis=1)
+            need = np.zeros_like(seen)
+            for a, z in zip(left + 1 - ulo, right - ulo):
+                need[a:z] = True
+            cols = np.flatnonzero(need & ~seen)
+            seen[cols] = True
+            bs = sorted(set(bi[todo].tolist()))
+            budget = max(1, _MAX_BLOCK // (len(bs) * len(rows)))
+            for i in range(0, cols.size, budget):
+                scan(cols[i : i + budget] + ulo, bs)
+            keep = []
+            # a pair is done once its best cell is within the threshold, or it took every column
+            for p, stopped in zip(todo.tolist(), over.any(axis=1).tolist()):
+                key = best[bi[p]][ri[p]]
+                if stopped and (key is None or key[0] > threshold[p]):
+                    threshold[p] = math.inf if key is None else key[0]
+                    keep.append(p)
+            todo = np.array(keep, dtype=np.int64)
 
     def result(b: int, r: int) -> _SolvedCell | None:
         key = best[b][r]
@@ -360,7 +450,7 @@ def search_net_moves(
         scanned = sum(int(np.searchsorted(side[r], key[0], side="right")) for side in (pos, neg))
         return _SolvedCell(part, rows[r], key[2], key[3], scanned - 1)
 
-    return [[result(b, r) for r in range(len(rows))] for b in range(len(nums))]
+    return [[result(b, r) for r in range(len(rows))] for b in range(len(origin))]
 
 
 def _solve_sp_form(
@@ -370,30 +460,16 @@ def _solve_sp_form(
     predictions, under each cost row of ``rows``; raises Infeasible for all
     rows alike.  Both groups must be present, as the empty-group rule in
     ``core`` says."""
-    # z1 positive predictions, z0 negative ones, n1 guess ones
     counts = c01, c11, c00, c10 = part.counts  # c[guess][prediction]
-    z1, z0 = c01 + c11, c00 + c10
-    n, n1 = z0 + z1, c11 + c10
+    n, n1 = sum(counts), c11 + c10
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
-    det = c00 * c11 - c01 * c10
-
-    def window(
-        u: np.ndarray, nums: Sequence[int], den: int, strict: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # Cell (u, v) has D = det + u*z0 - v*z1 and guess-1 group size
-        # m = n1 + u + v in [1, n - 1]; its gaps are within num/den iff
-        # s*den*D <= t*m and s*den*D <= t*(n - m) for both signs s, t = num*n.
-        (num,) = nums
-        t = num * n
-        planes = [(-s * den * z1 - g * t, [t * size - s * den * det], g * t - s * den * z0)
-                  for size, g in ((n1, 1), (n - n1, -1)) for s in (1, -1)]
-        lo, hi = _rows_within(u, planes, strict, -c10, c00)
-        return np.maximum(lo, 1 - n1 - u), np.minimum(hi, n - 1 - n1 - u)
-
-    # the window's verdict: both groups present, the gap within both bounds
+    # both guess groups nonempty: 1 <= n1 + u + v <= n - 1
+    groups: list[Plane] = [(-1, [n1 - 1], 1), (1, [n - 1 - n1], -1)]
+    carve = _sp_planes(counts, lower) if lower else []
+    # the planes' verdict: both groups present, the gap within both bounds
     origin = 0 < n1 < n and (lower or 0) <= _group_gap(counts, 0, 0, False) <= epsilon
-    (cells,) = search_net_moves(part, rows, window, [epsilon], lower, [origin])
+    (cells,) = search_net_moves(part, rows, _sp_planes(counts, epsilon) + groups, carve, [origin])
     # which cells are feasible never depends on the costs
     if cells[0] is None:
         raise Infeasible("no move assignment satisfies the rate constraints")
@@ -405,25 +481,12 @@ def _repair_slice(part: _Lattice, epsilons: Sequence[Fraction]) -> list[_SolvedC
     its groups, under each upper bound of ``epsilons``, the margins its one
     cost row."""
     c01, c11, c00, c10 = part.counts  # c[prediction][group]
-    z1, z0 = c01 + c11, c00 + c10
-    if not z1 or not z0:
+    if not c01 + c11 or not c00 + c10:
         # a one-group slice: the empty-group rule in ``core``
         return [_SolvedCell(part, 0, 0, 0, 0)] * len(epsilons)
-    det = c00 * c11 - c01 * c10
-
-    def window(
-        u: np.ndarray, nums: Sequence[int], den: int, strict: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Net group-0 flips v keeping both gaps within each nums[r]/den
-        (strictly below it when ``strict``), for net group-1 flips u: the
-        smaller group binds, s*den*D <= num*n*min(z0, z1) for both signs s."""
-        reach = [num * (z0 + z1) * min(z0, z1) for num in nums]
-        planes = [(-s * den * z1, [r - s * den * det for r in reach], -s * den * z0)
-                  for s in (1, -1)]
-        return _rows_within(u, planes, strict, -c10, c00)
-
     gap = _group_gap(part.counts, 0, 0, True)
-    found = search_net_moves(part, [0], window, epsilons, None, [gap <= e for e in epsilons])
+    planes = _repair_planes(part.counts, epsilons)
+    found = search_net_moves(part, [0], planes, [], [gap <= e for e in epsilons])
     return [cell for (cell,) in found]
 
 
@@ -490,6 +553,7 @@ def _result(guess: np.ndarray, cells: Sequence[_SolvedCell]) -> CorrectionResult
     """The correction of ``guess`` that the solved cells of its slices make."""
     corrected, changed = _flip_all(guess, [cell.changed for cell in cells])
     corrected.setflags(write=False)
+    changed.setflags(write=False)
     moves = MoveCounts(
         sum(max(cell.u, 0) for cell in cells),
         sum(max(-cell.u, 0) for cell in cells),
@@ -500,6 +564,6 @@ def _result(guess: np.ndarray, cells: Sequence[_SolvedCell]) -> CorrectionResult
         corrected,
         sum((cell.objective for cell in cells), 0.0),
         moves,
-        tuple(changed.tolist()),
+        changed,
         SolverStats(sum(cell.columns for cell in cells)),
     )

@@ -10,8 +10,8 @@ memberships the constraint depends only on the net number of prediction
 flips inside each sensitive group, so the repair searches the guess
 corrector's lattice type, ``corrector._Lattice``, with the two vectors
 swapped: the predictions split by the groups, flip costs the margins.  Its
-window, with every other determinant-band window, lives in ``corrector``:
-``corrector._repair_slice`` runs the corrector's sweep on one slice for a
+half-planes, with every other determinant band's, live in ``corrector``:
+``corrector._repair_slice`` runs the corrector's search on one slice for a
 whole tolerance list.
 
 ``RepairState`` holds what does not depend on the tolerance: the lattice of
@@ -35,9 +35,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core import FairnessMetric, FairnessSpec
+from ..core import FairnessMetric, FairnessSpec, column
 from ..corrector import _flip_all, _group_gap, _metric_lattices, _repair_slice, _SolvedCell
-from ..errors import BadParameters, EmptySlice, EmptyVector, SchemaError
+from ..errors import BadParameters, EmptySlice, EmptyVector, LengthMismatch, SchemaError
 from ..nb import CategoricalNaiveBayes, best_class, fit_naive_bayes
 from .data import CATEGORICAL, DatasetTable
 
@@ -105,7 +105,13 @@ class RepairState:
         labels: np.ndarray,
         metric: FairnessMetric,
     ) -> None:
+        # checked, but kept in the caller's dtype, bool included, which the repair keeps
         self.yhat = np.asarray(yhat)
+        checked = [column(yhat, "predictions", high=2), column(sensitive, "sensitive", high=2),
+                   column(labels, "labels", high=2), column(margins, "margins", np.float64, np.inf)]
+        if len({arr.size for arr in checked}) > 1:
+            raise LengthMismatch("repair columns differ in length")
+        _, sensitive, labels, margins = checked
         self.parts = _metric_lattices(
             FairnessMetric(metric), labels, self.yhat, sensitive, margins[None]
         )

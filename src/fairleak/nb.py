@@ -32,10 +32,13 @@ class CategoricalNaiveBayes:
         missing = self.log_likelihood.keys() - columns.keys()
         if missing:
             raise SchemaMismatch(f"missing feature columns: {sorted(missing)}")
-        n = next(iter(columns.values())).size if columns else 0
+        n = np.size(next(iter(columns.values()))) if columns else 0
         scores = np.repeat(self.log_prior[:, None], n, axis=1)
         for name in self.log_likelihood:
-            scores += self.column_log_likelihood(name, columns[name])
+            term = self.column_log_likelihood(name, columns[name])
+            if term.shape != scores.shape:
+                raise LengthMismatch("feature columns differ in length")
+            scores += term
         return scores
 
     def column_log_likelihood(self, name: str, codes: np.ndarray) -> np.ndarray:
@@ -45,7 +48,7 @@ class CategoricalNaiveBayes:
         adds that column's term onto the log joint of the others.
         """
         table = self.log_likelihood[name]
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = column(codes, name)
         seen = table.shape[1] - 1
         codes = np.where((codes < 0) | (codes >= seen), seen, codes)
         return table.take(codes, axis=1)

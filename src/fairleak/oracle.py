@@ -22,6 +22,7 @@ from .core import (
     FairnessSpec,
     MoveCounts,
     SolverStats,
+    read_only_copy,
     slice_for_metric,
 )
 from .errors import BudgetExceeded, Infeasible
@@ -92,7 +93,8 @@ def solve_general_bruteforce(instance: AttackInstance, spec: FairnessSpec) -> Co
         corrected = np.array(guess)
         corrected.setflags(write=False)
         moves = MoveCounts(0, 0, 0, 0) if k == 2 else {}
-        return CorrectionResult(corrected, 0.0, moves, (), SolverStats(0))
+        none = read_only_copy(np.zeros(0, dtype=np.int64))
+        return CorrectionResult(corrected, 0.0, moves, none, SolverStats(0))
 
     enum_idx = np.unique(np.concatenate(slices))
     local_slices = [enum_idx.searchsorted(idx) for idx in slices]
@@ -142,7 +144,7 @@ def solve_general_bruteforce(instance: AttackInstance, spec: FairnessSpec) -> Co
     corrected.setflags(write=False)
     old = guess[enum_idx]
     changed_mask = assignment != old
-    changed_indices = tuple(int(i) for i in enum_idx[changed_mask])
+    changed_indices = read_only_copy(enum_idx[changed_mask])
 
     moves: MoveCounts | dict[tuple[int, int], int]
     if k == 2:

@@ -55,7 +55,7 @@ def _solve_both(inst, spec):
 
 def _exact_cost(result, confidence) -> Fraction:
     return sum(
-        (Fraction(float(confidence[i])) for i in result.changed_indices), Fraction(0)
+        (Fraction(float(confidence[i])) for i in result.changed_indices.tolist()), Fraction(0)
     )
 
 
@@ -192,10 +192,10 @@ class TestCriterion3MonotonicityAndInvariance:
                 assert scaled.corrected.tolist() == base.corrected.tolist()
                 scale_checked += 1
             if metric is FairnessMetric.PE:
-                assert all(inst.labels[i] == 0 for i in base.changed_indices)
+                assert all(inst.labels[i] == 0 for i in base.changed_indices.tolist())
                 isolation_checked += 1
             if metric is FairnessMetric.EO:
-                assert all(inst.labels[i] == 1 for i in base.changed_indices)
+                assert all(inst.labels[i] == 1 for i in base.changed_indices.tolist())
                 isolation_checked += 1
             assert len(base.changed_indices) == sum(dataclasses.astuple(base.moves))
 

@@ -22,6 +22,7 @@ from fairleak.core import unfairness, unfairness_exact
 from fairleak.errors import FairleakError
 from fairleak.estimator import estimate_constraint
 from fairleak.harness import DatasetTable, ExternalGuess, FeatureColumn
+from fairleak.harness.predictor import RepairState
 from fairleak.nb import fit_naive_bayes
 
 
@@ -121,6 +122,17 @@ ENTRIES = {
     "slice_for_metric": Entry(dict(y=BIT), lambda c, m: slice_for_metric(m, c["y"])),
     "reconstruction_accuracy": Entry(
         dict(guess=CODE, truth=CODE), lambda c, _: reconstruction_accuracy(c["guess"], c["truth"])
+    ),
+    "RepairState": Entry(
+        dict(yhat=BIT, margins=WEIGHT, sensitive=BIT, labels=BIT),
+        lambda c, m: RepairState(c["yhat"], c["margins"], c["sensitive"], c["labels"], m),
+    ),
+    "column_log_likelihood": Entry(
+        dict(a=CODE), lambda c, _: _MODEL["a"].nb.column_log_likelihood("a", c["a"])
+    ),
+    "predict_log_joint": Entry(
+        dict(a=CODE, labels=CODE),
+        lambda c, _: _MODEL["a"].nb.predict_log_joint({"a": c["a"], "__label__": c["labels"]}),
     ),
 }
 

@@ -34,7 +34,7 @@ def objective_or_none(solver, inst, spec):
 
 def exact_cost(result, confidence) -> Fraction:
     return sum(
-        (Fraction(float(confidence[i])) for i in result.changed_indices), Fraction(0)
+        (Fraction(float(confidence[i])) for i in result.changed_indices.tolist()), Fraction(0)
     )
 
 
@@ -143,7 +143,7 @@ class TestSliceIsolation:
             if result is None:
                 continue
             solved += 1
-            for i in result.changed_indices:
+            for i in result.changed_indices.tolist():
                 assert inst.labels[i] != untouched_label
         assert solved > 10
 
@@ -157,7 +157,7 @@ class TestFlipCount:
             if result is None:
                 continue
             assert len(result.changed_indices) == sum(dataclasses.astuple(result.moves))
-            assert inst.confidence[list(result.changed_indices)].sum() == pytest.approx(
+            assert inst.confidence[result.changed_indices].sum() == pytest.approx(
                 result.objective, abs=1e-9
             )
 

@@ -42,7 +42,7 @@ from fairleak.harness import (
     emit_report,
     synth_generate,
 )
-from fairleak.harness.predictor import RepairState
+from fairleak.harness.predictor import RepairState, repair_predictions
 from fairleak.nb import fit_naive_bayes
 
 UNSCORED = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7])
@@ -338,6 +338,35 @@ CASES = {
         lambda: AttackInstance([0, 1], [0, 1], [0, 1], [0.5, float("nan")]),
         NegativeConfidence,
         "confidence must be finite",
+    ),
+    "repaired prediction of 2": (
+        lambda: repair_predictions(
+            np.array([0, 2]), np.array([0.5, 0.5]), np.array([0, 1]), np.array([0, 1]),
+            FairnessSpec("sp", 0.1),
+        ),
+        SchemaError,
+        "predictions must be 0 or 1",
+    ),
+    "NaN repair margin": (
+        lambda: repair_predictions(
+            np.array([0, 1]), np.array([0.5, np.nan]), np.array([0, 1]), np.array([0, 1]),
+            FairnessSpec("sp", 0.1),
+        ),
+        SchemaError,
+        "margins must be finite",
+    ),
+    "2-D repair groups": (
+        lambda: repair_predictions(
+            np.array([0, 1]), np.array([0.5, 0.5]), [[0, 1]], np.array([0, 1]),
+            FairnessSpec("sp", 0.1),
+        ),
+        SchemaError,
+        "sensitive must be one-dimensional",
+    ),
+    "NaN naive Bayes code": (
+        lambda: _fitted().predict_log_joint({"a": np.array([0.0, np.nan])}),
+        SchemaError,
+        "a must be finite",
     ),
 }
 

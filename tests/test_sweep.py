@@ -31,6 +31,15 @@ from fairleak.harness.predictor import RepairState, repair_predictions
 METRICS = list(FairnessMetric)
 SP = FairnessMetric.SP
 EPSILONS = (0.0, 0.001, 0.01, 1 / 3, 0.2)
+#: (_SMALL, _MAX_BLOCK): tiny blocks through the column bound, the defaults,
+#: where small lattices take every column in one block, and every lattice
+#: through the bound in default blocks
+BLOCKS = [(0, 4), None, (0, 1 << 15)]
+
+
+def _set_blocks(monkeypatch, blocks):
+    monkeypatch.setattr(corrector, "_SMALL", blocks[0])
+    monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
 
 
 def _outcome(solve, *args):
@@ -57,7 +66,7 @@ def _instance(rng, n, style):
 def _assert_same_result(ours, ref):
     assert ours.objective == ref.objective
     assert ours.moves == ref.moves
-    assert ours.changed_indices == ref.changed_indices
+    assert np.array_equal(ours.changed_indices, ref.changed_indices)
     assert ours.stats.nodes == ref.stats.nodes
     assert np.array_equal(ours.corrected, ref.corrected)
 
@@ -126,6 +135,28 @@ def _logged_solves(patch):
 
     patch.setattr(corrector, "_solve_sp_form", spy_solve)
     return log
+
+
+def _spied_blocks(monkeypatch):
+    """Spy on the net-move searches: one list per search, in call order, of
+    each block whose windows it computes, as (its cost rows times bounds,
+    its columns)."""
+    searches = []
+    search, rows_within = corrector.search_net_moves, corrector._rows_within
+
+    def spy(lattice, rows, planes, carve, origin):
+        def recording(u, planes, strict, lo, hi):
+            if not strict:
+                searches[-1].append((len(rows) * len(planes[0][1]), u.tolist()))
+            return rows_within(u, planes, strict, lo, hi)
+
+        searches.append([])
+        with monkeypatch.context() as patch:
+            patch.setattr(corrector, "_rows_within", recording)
+            return search(lattice, rows, planes, carve, origin)
+
+    monkeypatch.setattr(corrector, "search_net_moves", spy)
+    return searches
 
 
 def _eodds_solves(monkeypatch, inst, spec, vectors):
@@ -207,12 +238,11 @@ class TestFloorAffine:
 
 
 class TestCorrectionCrossCheck:
-    @pytest.mark.parametrize("blocks", [(1, 4), None])
+    @pytest.mark.parametrize("blocks", BLOCKS)
     def test_random_instances(self, monkeypatch, rng, blocks):
         if blocks:
             # tiny blocks put every block boundary and stop test to work
-            monkeypatch.setattr(corrector, "_FIRST_BLOCK", blocks[0])
-            monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
+            _set_blocks(monkeypatch, blocks)
         solved = 0
         for trial in range(240):
             n = int(rng.choice([2, 5, 12, 40, 300, 3000]))
@@ -310,17 +340,77 @@ class TestCorrectionCrossCheck:
         assert meets_spec(spec, ours.corrected, inst.predictions)
 
 
+class TestColumnBound:
+    """The search takes only the columns its convex bound LB cannot rule
+    out, and finds the cells the scalar reference finds."""
+
+    def test_best_cell_within_the_margin_of_its_bound(self, monkeypatch, rng):
+        # the cheapest cell often costs exactly LB at its column, where the
+        # band's cheapest row is a whole number; LB raised by a quarter of
+        # the rounding margin must still leave that cell found
+        monkeypatch.setattr(corrector, "_SMALL", 0)
+        bound_at, search = corrector._column_bound, corrector.search_net_moves
+        gaps = []  # each solved cell's cost above LB at its column
+
+        def spy(part, rows, planes, carve, origin):
+            found = search(part, rows, planes, carve, origin)
+            sums = [totals[list(rows)] for _, totals, _ in part.cells]
+            ulo, uhi = 1 - sums[1].shape[1], sums[0].shape[1] - 1
+            for b, cells in enumerate(found):
+                for r, cell in enumerate(cells):
+                    if cell is not None and not origin[b]:
+                        bound = bound_at(sums, planes, ulo, uhi, np.array([b]), np.array([r]))
+                        lb = bound(np.array([[cell.u]]), np.array([0]))[0][0, 0]
+                        gaps.append(cell.objective - lb)
+            return found
+
+        def raised(sums, planes, ulo, uhi, b, r):
+            bound = bound_at(sums, planes, ulo, uhi, b, r)
+            lift = 1 + (sum(totals.shape[1] - 1 for totals in sums) + 2**20) * 2.0**-46
+
+            def lifted(u, p):
+                value, cell = bound(u, p)
+                return value * lift, cell
+
+            return lifted
+
+        monkeypatch.setattr(corrector, "search_net_moves", spy)
+        monkeypatch.setattr(corrector, "_column_bound", raised)
+        solved = 0
+        for trial in range(120):
+            n = int(rng.choice([12, 60, 500, 3000]))
+            inst = _instance(rng, n, ("uniform", "ties", "identity")[trial % 3])
+            eps = EPSILONS[(trial // 3) % 5]
+            lower = (None, eps / 2)[(trial // 15) % 2] if eps else None
+            spec = FairnessSpec(METRICS[trial % 4], eps, lower)
+            solved += _assert_same_correction(monkeypatch, inst, spec)
+        assert solved > 60
+        assert min(gaps) >= -1e-12
+        assert sum(gap == 0 for gap in gaps) > 30
+
+    @pytest.mark.parametrize("metric", [FairnessMetric.SP, FairnessMetric.EODDS])
+    def test_large_instance_takes_few_columns(self, monkeypatch, metric):
+        rng = np.random.default_rng(11)
+        inst = _instance(rng, 100_000, "uniform")
+        spec = FairnessSpec(metric, 0.01)
+        nodes = correct(inst, spec).stats.nodes
+        searches = _spied_blocks(monkeypatch)
+        # the stats count the scalar sweep's columns, which are many more
+        assert _assert_same_correction(monkeypatch, inst, spec)
+        columns = [len(block) for blocks in searches for _, block in blocks]
+        assert sum(columns) <= 300 and nodes > 10_000
+
+
 class TestCorrectEach:
     """The corrector's batched solve, each vector's cells built into a
     result: the one ``correct`` gives on the instance carrying the vector."""
 
     @pytest.mark.parametrize("style", ["orders", "ties", "shaped"])
-    @pytest.mark.parametrize("blocks", [(1, 4), None])
+    @pytest.mark.parametrize("blocks", BLOCKS)
     def test_random_instances(self, monkeypatch, rng, style, blocks):
         if blocks:
-            # tiny blocks make the window memo grow over many blocks
-            monkeypatch.setattr(corrector, "_FIRST_BLOCK", blocks[0])
-            monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
+            # tiny blocks spread each round's columns over many blocks
+            _set_blocks(monkeypatch, blocks)
         solved = 0
         for trial in range(48):
             n = int(rng.choice([2, 7, 40, 300, 2000]))
@@ -365,7 +455,7 @@ class TestCorrectEach:
         inst = AttackInstance([1, 1, 0, 0] * 2, [0] * 4 + [1] * 4, [1, 0, 1, 0] * 2, [1.0] * 8)
         spec = FairnessSpec(FairnessMetric.EODDS, 1.0, 0.5)
         results = solve_each(inst, spec, [inst.confidence, np.full(8, 0.5)])
-        assert [result.changed_indices for result in results] == [(0,), (0,)]
+        assert [result.changed_indices.tolist() for result in results] == [[0], [0]]
 
     def test_infeasible_raises_once(self, monkeypatch, rng):
         calls = []
@@ -402,6 +492,9 @@ class TestCorrectEach:
     def test_window_pieces_are_computed_once(self, monkeypatch, rng):
         inst = _instance(rng, 2000, "uniform")
         spec = FairnessSpec(FairnessMetric.SP, 0.001)
+        # every search through the column bound, so that one vector and six
+        # take the same path
+        monkeypatch.setattr(corrector, "_SMALL", 0)
         windows = []
         real = corrector._floor_affine
         monkeypatch.setattr(
@@ -416,60 +509,32 @@ class TestCorrectEach:
             _assert_same_result(result, alone)
 
         # vectors that order the columns each their own way: no column's
-        # window is computed twice in a search, column 0 only inside the first
-        # block (the origin is judged from the lattice's counts, with no
-        # window), and the batch takes no more blocks than its slowest vector
-        # alone
-        searches = []
-        search = corrector.search_net_moves
-
-        def spy(lattice, rows, window, bounds, lower, origin):
-            seen = []
-
-            def recording(u, nums, den, strict):
-                if not strict:
-                    seen.append(u.tolist())
-                return window(u, nums, den, strict)
-
-            assert origin == [False]
-            found = search(lattice, rows, recording, bounds, lower, origin)
-            columns = sum(seen, [])
-            assert columns[0] == 0 and len(seen[0]) > 1 and [0] not in seen
-            assert len(set(columns)) == len(columns)
-            searches.append((len(seen), len(columns)))
-            return found
-
-        monkeypatch.setattr(corrector, "search_net_moves", spy)
-        for first in (4, 16, 64):
-            monkeypatch.setattr(corrector, "_FIRST_BLOCK", first)
+        # window is computed twice in a search, the batch takes no more
+        # columns than its vectors alone together, fewer than the columns no
+        # dearer than the best cell, which the stats count; and in blocks
+        # that hold a whole round, no more blocks than its slowest vector
+        searches = _spied_blocks(monkeypatch)
+        for block in (64, 1024, 1 << 15):
+            monkeypatch.setattr(corrector, "_MAX_BLOCK", block)
             vectors = _vectors(rng, 2000, "orders")[:3] + _cheap_sides(rng, inst.guess)
             searches.clear()
             results = solve_each(inst, spec, vectors)
-            ((blocks, scanned),) = searches
             for vector in vectors:
                 solve_each(inst, spec, [vector])
-            assert blocks <= max(count for count, _ in searches[1:])
-            # the union of the vectors' scans, never their sum
-            nodes = [result.stats.nodes for result in results]
-            assert max(nodes) <= scanned < sum(nodes)
+            (batch, *each) = [[columns for _, columns in blocks] for blocks in searches]
+            columns = sum(batch, [])
+            assert len(set(columns)) == len(columns)
+            if block == 1 << 15:
+                assert len(batch) <= max(len(blocks) for blocks in each)
+            assert len(columns) <= sum(len(sum(blocks, [])) for blocks in each)
+            assert len(columns) < min(result.stats.nodes for result in results)
             assert _assert_same_each(monkeypatch, inst, spec, vectors)
 
     def test_batch_windows_stay_within_one_block(self, monkeypatch, rng):
         # six vectors share each block's windows and costs, so that vectors
         # times columns stay within _MAX_BLOCK
-        monkeypatch.setattr(corrector, "_FIRST_BLOCK", 16)
-        monkeypatch.setattr(corrector, "_MAX_BLOCK", 64)
-        sizes = []
-        search = corrector.search_net_moves
-
-        def spy(lattice, rows, window, bounds, lower, origin):
-            def sized(u, nums, den, strict):
-                sizes.append(len(rows) * len(nums) * u.size)
-                return window(u, nums, den, strict)
-
-            return search(lattice, rows, sized, bounds, lower, origin)
-
-        monkeypatch.setattr(corrector, "search_net_moves", spy)
+        monkeypatch.setattr(corrector, "_MAX_BLOCK", 32)
+        searches = _spied_blocks(monkeypatch)
         n = 3000
         # a guess that mostly copies the predictions takes many columns to
         # correct
@@ -479,9 +544,10 @@ class TestCorrectEach:
         vectors = _cheap_sides(rng, guess) + _vectors(rng, n, "orders")[:3]
         vectors.append(_vectors(rng, n, "shaped")[-1])
         for metric in METRICS:
-            sizes.clear()
+            searches.clear()
             assert _assert_same_each(monkeypatch, inst, FairnessSpec(metric, 0.001), vectors)
-            assert max(sizes) <= 64 and len(sizes) > 5
+            sizes = [n * len(columns) for blocks in searches for n, columns in blocks]
+            assert max(sizes) <= 32 and len(sizes) > 5
 
     def test_carrier_searches_only_the_lanes_that_miss_the_bound(self, monkeypatch, rng):
         """The corrector re-solves with the lower bound, once per slice,
@@ -526,11 +592,10 @@ class TestCorrectEach:
 
 
 class TestRepairCrossCheck:
-    @pytest.mark.parametrize("blocks", [(1, 4), None])
+    @pytest.mark.parametrize("blocks", BLOCKS)
     def test_random_predictions(self, monkeypatch, rng, blocks):
         if blocks:
-            monkeypatch.setattr(corrector, "_FIRST_BLOCK", blocks[0])
-            monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
+            _set_blocks(monkeypatch, blocks)
         flipped = 0
         for trial in range(160):
             n = int(rng.choice([3, 20, 200, 3000]))
@@ -608,11 +673,10 @@ class TestBatchedRepair:
             ref = _scalar_repair(yhat, margins, sensitive, labels, metric, Fraction(epsilon))
             assert np.array_equal(state.apply(repair), ref)
 
-    @pytest.mark.parametrize("blocks", [(1, 4), None])
+    @pytest.mark.parametrize("blocks", BLOCKS)
     def test_each_tolerance_matches_the_scalar_reference(self, monkeypatch, rng, blocks):
         if blocks:
-            monkeypatch.setattr(corrector, "_FIRST_BLOCK", blocks[0])
-            monkeypatch.setattr(corrector, "_MAX_BLOCK", blocks[1])
+            _set_blocks(monkeypatch, blocks)
         for trial in range(64):
             n = int(rng.choice([3, 20, 200, 2000]))
             inputs = self._inputs(rng, n, trial)
@@ -621,24 +685,14 @@ class TestBatchedRepair:
     def test_batch_windows_stay_within_one_block(self, monkeypatch, rng):
         # a block is cut short while many tolerances remain, so that no
         # window array holds more than _MAX_BLOCK bounds times columns
-        monkeypatch.setattr(corrector, "_FIRST_BLOCK", 16)
         monkeypatch.setattr(corrector, "_MAX_BLOCK", 64)
-        sizes = []
-        real = corrector.search_net_moves
-
-        def spy(lattice, rows, window, bounds, lower, origin):
-            def sized(u, nums, den, strict):
-                sizes.append(len(rows) * len(nums) * u.size)
-                return window(u, nums, den, strict)
-
-            return real(lattice, rows, sized, bounds, lower, origin)
-
-        monkeypatch.setattr(corrector, "search_net_moves", spy)
+        searches = _spied_blocks(monkeypatch)
         n = 3000
         yhat, margins, sensitive, labels = self._inputs(rng, n, 1)
         grid = [0.0] + list(np.geomspace(0.001, 0.2, 24))
         state = RepairState(yhat, margins, sensitive, labels, FairnessMetric.SP)
         batch = state.solve(grid)
+        sizes = [n * len(columns) for blocks in searches for n, columns in blocks]
         assert max(sizes) <= 64 and len(sizes) > 10
         for epsilon, repair in zip(grid, batch):
             alone = state.apply(state.solve([epsilon])[0])

@@ -1,24 +1,25 @@
-"""Every net-move window against the definition of the gap it bounds.
+"""Every net-move half-plane against the definition of the gap it bounds.
 
-Both solvers hand ``search_net_moves`` a window function: for a block of
-columns u and a list of bounds, the rows v whose cell keeps the group gaps
-within each bound, or strictly below it.  A spy captures each window the
-solvers build on small lattices, and for every column, every bound and both
-strictnesses, the window must hold exactly the rows whose cell meets the
-bound by ``core.unfairness_exact``, and for the corrector also leaves both
-guess groups nonempty.  The solvers judge the origin from the lattice's
-counts, with no window; the spy checks each verdict against the window at
-column 0 and against the same definition.
+Both solvers hand ``search_net_moves`` half-planes of the cells (u, v): for
+each bound, the cells whose gaps are within it, and for a lower bound, the
+cells whose gaps are all strictly below it.  ``_rows_within`` turns them
+into each column's rows.  For every column of small lattices, every bound
+and both strictnesses, the plane builders ``_sp_planes`` and
+``_repair_planes`` must hold exactly the rows whose cell meets the bound by
+``core.unfairness_exact``, the corrector's only where both guess groups are
+nonempty.  A spy also captures each search the solvers make and checks its
+planes at the solver's own bounds the same way.  The solvers judge the
+origin from the lattice's counts, with no window; the spy checks each
+verdict against the planes at column 0 and against the same definition.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from fairleak import corrector
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, unfairness_exact
-from fairleak.corrector import correct
+from fairleak.corrector import _repair_planes, _rows_within, _sp_planes, correct
 from fairleak.errors import Infeasible
 from fairleak.harness.predictor import RepairState
 
@@ -55,9 +56,29 @@ def _ends(part):
     return -ones1, zeros1, -ones0, zeros0
 
 
-def _check_windows(part, window, gap, batch):
-    """Compare ``window`` with ``gap`` on every cell of the lattice; when
-    ``batch``, also pass all bounds at once over one denominator."""
+def _groups(part):
+    """The corrector's half-planes where both guess groups are nonempty:
+    1 <= n1 + u + v <= n - 1."""
+    c01, c11, c00, c10 = part.counts
+    n, n1 = sum(part.counts), c11 + c10
+    return [(-1, [n1 - 1], 1), (1, [n - 1 - n1], -1)]
+
+
+def _window(part, planes, strict, us, groups=()):
+    """Each column's rows inside ``planes``, strictly when ``strict``, and
+    inside ``groups`` either way."""
+    _, _, v_lo, v_hi = _ends(part)
+    lo, hi = _rows_within(us, planes, strict, v_lo, v_hi)
+    if groups:
+        glo, ghi = _rows_within(us, list(groups), False, v_lo, v_hi)
+        lo, hi = np.maximum(lo, glo), np.minimum(hi, ghi)
+    return lo, hi
+
+
+def _check_planes(part, planes_for, gap, batch, groups=()):
+    """Compare the planes ``planes_for(bounds)`` builds with ``gap`` on every
+    cell of the lattice; when ``batch``, also build all bounds at once over
+    one denominator."""
     u_lo, u_hi, v_lo, v_hi = _ends(part)
     us = np.arange(u_lo, u_hi + 1)
     vs = range(v_lo, v_hi + 1)
@@ -70,43 +91,47 @@ def _check_windows(part, window, gap, batch):
         {g for g in gaps.values() if g is not None}
         | {Fraction(0), Fraction(z1, n), Fraction(1, 3), Fraction(0.01), Fraction(1)}
     )
-
-    def want(u, bound, strict):
-        return [
-            v
-            for v in vs
-            if gaps[u, v] is not None and (gaps[u, v] < bound if strict else gaps[u, v] <= bound)
-        ]
-
-    def got(lo, hi):
-        return list(range(max(int(lo), v_lo), min(int(hi), v_hi) + 1))
-
-    den = math.lcm(*(bound.denominator for bound in bounds))
-    nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
     for strict in (False, True):
         for bound in bounds:
-            lo, hi = window(us, [bound.numerator], bound.denominator, strict)
-            assert lo.shape == hi.shape == (1, us.size)
-            for k, u in enumerate(us.tolist()):
-                assert got(lo[0, k], hi[0, k]) == want(u, bound, strict), (u, bound, strict)
+            _check_window(part, gaps, us, [bound], planes_for([bound]), strict, groups)
         if batch:
-            lo, hi = window(us, nums, den, strict)
-            assert lo.shape == hi.shape == (len(bounds), us.size)
-            for r, bound in enumerate(bounds):
-                for k, u in enumerate(us.tolist()):
-                    assert got(lo[r, k], hi[r, k]) == want(u, bound, strict)
+            _check_window(part, gaps, us, bounds, planes_for(bounds), strict, groups)
 
 
-def _check_origin(part, window, gap, bounds, lower, origin):
-    """Compare the caller's verdict on cell (0, 0) under each bound with the
-    window's at column 0, carve-out included, and with ``gap``; return it."""
+def _check_window(part, gaps, us, bounds, planes, strict, groups=()):
+    """The rows ``planes`` hold at each column, one list per bound, against
+    the cells whose gap meets that bound."""
     _, _, v_lo, v_hi = _ends(part)
-    den = math.lcm(*(bound.denominator for bound in bounds))
-    nums = [bound.numerator * (den // bound.denominator) for bound in bounds]
-    lo, hi = window(np.zeros(1, dtype=np.int64), nums, den, False)
+    lo, hi = _window(part, planes, strict, us, groups)
+    assert lo.shape == hi.shape == (len(bounds), us.size)
+    for r, bound in enumerate(bounds):
+        for k, u in enumerate(us.tolist()):
+            want = [
+                v
+                for v in range(v_lo, v_hi + 1)
+                if gaps[u, v] is not None and (gaps[u, v] < bound if strict else gaps[u, v] <= bound)
+            ]
+            got = list(range(max(int(lo[r, k]), v_lo), min(int(hi[r, k]), v_hi) + 1))
+            assert got == want, (u, bound, strict)
+
+
+def _check_search(part, gap, planes, carve, origin, bounds, lower):
+    """The planes a search was handed, at the solver's own ``bounds`` and
+    ``lower``, against ``gap``; and the caller's verdict on cell (0, 0)
+    under each bound against the planes at column 0, carve-out included,
+    and against ``gap``.  Returns the verdicts."""
+    u_lo, u_hi, v_lo, v_hi = _ends(part)
+    us = np.arange(u_lo, u_hi + 1)
+    gaps = {(u, v): gap(part, u, v) for u in us.tolist() for v in range(v_lo, v_hi + 1)}
+    _check_window(part, gaps, us, bounds, planes, False)
+    if carve:
+        # the carved rows: every gap strictly below the lower bound
+        groups = _groups(part) if gap is _corrector_gap else ()
+        _check_window(part, gaps, us, [lower], carve, True, groups)
+    lo, hi = _window(part, planes, False, np.zeros(1, dtype=np.int64))
     inside = (np.maximum(lo, v_lo) <= 0) & (0 <= np.minimum(hi, v_hi))
-    if lower is not None and lower > 0:
-        ilo, ihi = window(np.zeros(1, dtype=np.int64), [lower.numerator], lower.denominator, True)
+    if carve:
+        ilo, ihi = _window(part, carve, True, np.zeros(1, dtype=np.int64))
         inside &= ~((ilo <= 0) & (0 <= ihi))
     assert list(origin) == inside[:, 0].tolist()
     at = gap(part, 0, 0)
@@ -118,14 +143,14 @@ def _check_origin(part, window, gap, bounds, lower, origin):
 
 
 def _captured(monkeypatch, run):
-    """The arguments (lattice, window, bounds, lower, origin) of every search
-    ``run`` makes through ``corrector.search_net_moves``."""
+    """The arguments (lattice, planes, carve, origin) of every search ``run``
+    makes through ``corrector.search_net_moves``."""
     seen = []
     real = corrector.search_net_moves
 
-    def spy(part, rows, window, bounds, lower, origin):
-        seen.append((part, window, bounds, lower, origin))
-        return real(part, rows, window, bounds, lower, origin)
+    def spy(part, rows, planes, carve, origin):
+        seen.append((part, planes, carve, origin))
+        return real(part, rows, planes, carve, origin)
 
     with monkeypatch.context() as patch:
         patch.setattr(corrector, "search_net_moves", spy)
@@ -182,13 +207,20 @@ class TestWindowsMatchTheDefinition:
                 (FairnessMetric.EODDS, 0.5, 0.2),
             ):
                 spec = FairnessSpec(metric, eps, lower)
-                for part, window, bounds, low, origin in _captured(
+                for part, planes, carve, origin in _captured(
                     monkeypatch, lambda: correct(inst, spec)
                 ):
-                    _check_windows(part, window, _corrector_gap, batch=False)
-                    verdicts += _check_origin(part, window, _corrector_gap, bounds, low, origin)
+                    _check_planes(
+                        part, lambda bounds: _sp_planes(part.counts, *bounds), _corrector_gap,
+                        batch=False, groups=_groups(part),
+                    )
+                    # a search carries the lower bound, or none: the EOdds carrier
+                    low = Fraction(lower) if carve else None
+                    verdicts += _check_search(
+                        part, _corrector_gap, planes, carve, origin, [Fraction(eps)], low
+                    )
                     searched += 1
-                    carved += low is not None
+                    carved += bool(carve)
         assert searched > 300 and carved > 100
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
@@ -203,11 +235,16 @@ class TestWindowsMatchTheDefinition:
             labels = rng.integers(0, 2, n)
             for metric in (SP, FairnessMetric.EODDS):
                 state = RepairState(yhat, rng.random(n), sensitive, labels, metric)
-                for part, window, bounds, lower, origin in _captured(
+                for part, planes, carve, origin in _captured(
                     monkeypatch, lambda: state.solve(grid)
                 ):
-                    _check_windows(part, window, _repair_gap, batch=True)
-                    verdicts += _check_origin(part, window, _repair_gap, bounds, lower, origin)
+                    _check_planes(
+                        part, lambda bounds: _repair_planes(part.counts, bounds), _repair_gap,
+                        batch=True,
+                    )
+                    assert carve == []
+                    bounds = [Fraction(epsilon) for epsilon in grid]
+                    verdicts += _check_search(part, _repair_gap, planes, carve, origin, bounds, None)
                     searched += 1
         assert searched > 150
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100
