@@ -13,25 +13,26 @@ in numpy from the half-planes the solvers hand it: costs are convex, so the
 cheapest row of the continuous band bounds each column's cells by a convex
 function, and the search takes columns outward from its minimum until it
 exceeds the best cell found, which proves optimality.  The feasible rows of
-a column form at most two intervals, each cheapest at its row nearest zero.
-It answers a list of upper bounds under a list of cost rows at once: windows
+a column form one interval, cheapest at its row nearest zero.  It answers
+bounds, one offset per half-plane each, under cost rows at once: windows
 never depend on the costs, so each block's windows serve every pair.
 
 Both solvers bound one parity gap.  With c[x][z] the lattice's 2x2 table of
 counts and z_k the entries where z = k, a group of m entries has rate gap
 |D| / (n*m), where D = c00*c11 - c01*c10, and cell (u, v) moves D to
 D + u*z0 - v*z1.  ``_group_gap`` reads one cell's gap from the four counts in
-exact integers: each solver judges the origin by it, with no window, and it
-gives the EOdds carrier its slices' gaps and the sweep its fair target's
-unfairness.  A gap bound is a band of the determinant: a few half-planes in v
-per column, whose exact integer ends ``_rows_within`` finds for a whole block.
-``_solve_sp_form``'s guess groups move with the cell; the repair's groups are
-fixed, so ``_repair_slice`` bounds group g's gap |D| / (n * z_g) by two
-half-planes of the smaller group, for a whole grid of upper bounds at once.
+exact integers: it gives the lower-bound carrier its slices' gaps and the
+sweep its fair target's unfairness.  A gap bound is a band of the
+determinant: a few half-planes in v per column, whose exact integer ends
+``_rows_within`` finds for a whole block.  ``_solve_sp_form``'s guess groups
+move with the cell; a gap at or above a lower bound lies past one of its
+band's four planes, so the bound is four convex pieces, one search bound
+each.  The repair's groups are fixed, so ``_repair_planes`` bounds group g's
+gap |D| / (n * z_g) by two half-planes of the smaller group.
 
 ``_solve_rows`` solves one instance under several confidence vectors in
 one search per slice with one cost row per vector, and only it decides which
-slice carries an EOdds lower bound.  Each solver hands ``search_net_moves`` a
+slice carries a lower bound.  Each solver hands ``search_net_moves`` a
 slice's lattice and the cost rows to read, and gets one ``_SolvedCell`` per
 bound and row: a lattice cell under one cost row, priced by
 ``_Lattice.cost`` and flipped by ``_Lattice.flip``, in one pass where no
@@ -122,24 +123,26 @@ def _floor_affine(
 
 
 def _rows_within(
-    u: np.ndarray, planes: Sequence[tuple[int, Sequence[int], int]], strict: bool, lo: int, hi: int
+    u: np.ndarray, planes: Sequence[Plane], lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ends, indexed (bound row r, column), of the rows v in [lo, hi] of each
-    column u with q*v <= c[r] + k*u for every plane (q, c, k), strictly when
-    ``strict``; a column with no such row has its ends crossed.  All terms are
-    integers, so a strict plane is the plain one with c - 1.  q > 0 caps the
-    rows at a floor, q < 0 raises them to a ceiling, q = 0 masks columns."""
+    column u with q*v <= c[r] + k*u for every plane (q, c, k); a column with
+    no such row has its ends crossed.  q > 0 caps the rows at a floor, q < 0
+    raises them to a ceiling, q = 0 masks columns."""
     low, high = (np.full((len(planes[0][1]), u.size), end) for end in (lo, hi))
     for q, c, k in planes:
-        offsets = [ci - strict for ci in c]
+        # each distinct offset is floored once, as a lower bound's pieces share most
+        index: dict[int, int] = {}
+        at = [index.setdefault(ci, len(index)) for ci in c]
+        at = at if len(index) > 1 else slice(None)  # one row broadcasts over the bounds
         if q > 0:
-            high = np.minimum(high, _floor_affine(offsets, k, q, u, lo - 1, hi + 1))
+            high = np.minimum(high, _floor_affine(list(index), k, q, u, lo - 1, hi + 1)[at])
         elif q < 0:
             # q*v <= c + k*u iff v >= -floor((c + k*u) / -q)
-            low = np.maximum(low, -_floor_affine(offsets, k, -q, u, -hi - 1, 1 - lo))
+            low = np.maximum(low, -_floor_affine(list(index), k, -q, u, -hi - 1, 1 - lo)[at])
         else:
             # clip(c + k*u, -1, 0) is -1 exactly where the plane fails
-            high = np.where(_floor_affine(offsets, k, 1, u, -1, 0) < 0, lo - 1, high)
+            high = np.where(_floor_affine(list(index), k, 1, u, -1, 0)[at] < 0, lo - 1, high)
     return low, high
 
 
@@ -284,14 +287,16 @@ def _repair_planes(counts: Sequence[int], bounds: Sequence[Fraction]) -> list[Pl
 def _column_bound(
     sums: Sequence[np.ndarray], planes: Sequence[Plane], ulo: int, uhi: int,
     b: np.ndarray, r: np.ndarray,
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``bound(u, p)``: for pairs ``p`` of bound b[p] and cost row r[p], LB at
-    columns ``u``, indexed (pair, point), and the cost of the cell at LB's row
-    rounded away from zero.  LB(u) is column u's cost plus the row sums of
-    ``sums``, interpolated, at max(lo, 0) and max(-hi, 0) for the continuous
-    band's ends lo and hi: convex, and no more than any cell of the column.
-    Lines are anchored where they cross v = 0, so that float64 does not
-    cancel; planes near vertical or masking columns alone are left out."""
+) -> tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """``bound(u, p)``, for pairs ``p`` of bound b[p] and cost row r[p]: LB at
+    columns ``u``, indexed (pair, point), and the cost of the cell at LB's
+    row rounded away from zero; and top[p], the pair's dearest cell's cost.
+    LB(u) is column u's cost plus the row sums of ``sums``, interpolated, at
+    max(lo, 0) and max(-hi, 0) for the continuous band's ends lo and hi,
+    plus top * 2**20 + 1 per row that the band lies empty beyond float
+    error: convex, and no more than any cell of the column.  Lines are
+    anchored where they cross v = 0, so that float64 does not cancel; planes
+    near vertical or masking columns alone are left out."""
     lines = [(q, c, k) for q, c, k in planes if q and abs(k) <= abs(q) << 20]
     shape = len(lines), len(planes[0][1])
     anchor = [[min(max(-ci // k if k else 0, ulo), uhi) for ci in c] for q, c, k in lines]
@@ -303,12 +308,17 @@ def _column_bound(
     # each pair's row offset into each flattened sum
     offsets = np.array([r * totals.shape[1] for totals in sums])[:, :, None]
     flat = [(totals.ravel(), totals.shape[1] - 1) for totals in sums]
+    vlo, vhi = -flat[3][1], flat[2][1]
+    top = sum(np.maximum(*(totals[r, -1] for totals in pair)) for pair in (sums[:2], sums[2:]))
+    weight = (top * 2.0**20 + 1)[:, None]
 
     def bound(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         line = at[:, p] + slope * (u - anchors[:, p])
-        moves = (np.maximum(u, 0), -np.minimum(u, 0),
-                 line[~upper].max(axis=0, initial=0.0), -line[upper].min(axis=0, initial=0.0))
-        value = cell = 0.0
+        lo, hi = line[~upper].max(axis=0, initial=-np.inf), line[upper].min(axis=0, initial=np.inf)
+        moves = (np.maximum(u, 0), -np.minimum(u, 0), np.maximum(lo, 0.0), np.maximum(-hi, 0.0))
+        # the ends are within 1 of exact for |u| < 1e8: a band empty by more holds no cell
+        value = weight[p] * np.maximum(np.maximum(lo, vlo) - np.minimum(hi, vhi) - 1, 0)
+        cell = 0.0
         for x, row, (totals, end) in zip(moves, offsets[:, p], flat):
             # past the last row the last step goes on, which keeps LB convex
             k = np.minimum(x, max(end - 1, 0)).astype(np.int64)
@@ -316,43 +326,38 @@ def _column_bound(
             value, cell = value + a + (x - k) * (z - a), cell + np.where(x == k, a, z)
         return value, cell
 
-    return bound
+    return bound, top
 
 
 def search_net_moves(
-    part: _Lattice,
-    rows: Sequence[int],
-    planes: Sequence[Plane],
-    carve: Sequence[Plane],
-    origin: Sequence[bool],
+    part: _Lattice, rows: Sequence[int], planes: Sequence[Plane]
 ) -> list[list[_SolvedCell | None]]:
     """For each bound b of ``planes`` and each cost row ``rows`` names,
     ascending: the cheapest cell of ``part`` inside every plane at its
-    offset c[b] and, where ``carve`` holds planes, outside the rows strictly
-    inside all of them, as a ``_SolvedCell`` counting the columns no dearer
-    than it, or None if there is none.  Results are indexed [bound][position
-    in ``rows``].
+    offset c[b], as a ``_SolvedCell`` counting the columns no dearer than
+    it, or None if there is none.  Results are indexed [bound][position in
+    ``rows``].
 
-    ``origin[b]`` says whether (0, 0) is feasible under bound b, as the
-    caller reads it from the counts; such a bound gets it with no window.  A
-    small lattice takes every column in one block.  Otherwise each (bound,
-    cost row) pair brackets the minimum of its ``_column_bound`` in rounds of
-    ``_GRID`` points, reads the bound across the bracket and at doubling
-    steps beyond, and on each side takes the columns short of the first
-    point above its threshold: the cost of the cell at the minimum, then its
-    best cell's.  It is done once its best cell costs no more than that; else
-    the threshold rises to that cost, or with no cell yet to infinity.
+    (0, 0) lies inside bound b exactly when every offset c[b] is
+    non-negative; such a bound gets it with no window.  A small lattice
+    takes every column in one block.  Otherwise each (bound, cost row) pair
+    brackets the minimum of its ``_column_bound`` in rounds of ``_GRID``
+    points, reads the bound across the bracket and at doubling steps
+    beyond, and on each side takes the columns short of the first point
+    above its threshold: the cost of the cell at the minimum, then its best
+    cell's.  It is done once its best cell costs no more than that; else the
+    threshold rises to that cost, or with no cell yet to the dearest cell's.
     The bound is convex, so no column past a stop holds a cell as cheap; the
     threshold's margin, relative and growing with n, covers float rounding
     in the bound and in locating its minimum.  The columns no pair took
     before get exact windows in blocks of at most ``_MAX_BLOCK`` columns
     times bounds times cost rows.
 
-    Row costs are V-shaped with minimum zero, so each piece of a column's
-    rows, two where ``carve`` cuts them, offers its row nearest zero.  Ties
-    on cost break on fewest total moves, then on the (column, row) pair,
-    keeping the result deterministic and invariant under positive rescaling
-    of all costs.  The count is that of the columns no dearer than the best
+    Row costs are V-shaped with minimum zero, so a column's rows inside a
+    bound, one interval, offer their row nearest zero.  Ties on cost break
+    on fewest total moves, then on the (column, row) pair, keeping the
+    result deterministic and invariant under positive rescaling of all
+    costs.  The count is that of the columns no dearer than the best
     cell, which a one-column-at-a-time best-first scan visits; so neither
     result depends on which columns were taken.
     """
@@ -360,16 +365,11 @@ def search_net_moves(
     pick = slice(None) if len(rows) == len(part.costs) else list(rows)
     sums = pos, neg, row_pos, row_neg = [totals[pick] for _, totals, _ in part.cells]
     ulo, uhi = 1 - neg.shape[1], pos.shape[1] - 1
-    best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in origin]
+    free = [all(c[b] >= 0 for _, c, _ in planes) for b in range(len(planes[0][1]))]
+    best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in free]
 
     def scan(u: np.ndarray, bs: list[int]) -> None:
-        lo, hi = _rows_within(u, [(q, [c[b] for b in bs], k) for q, c, k in planes], False, -c10, c00)
-        if carve:
-            # the pieces each side of the carved rows, indexed (bound, piece, column)
-            ilo, ihi = _rows_within(u, carve, True, -c10, c00)
-            hollow = ilo <= ihi
-            lo, hi = (np.stack((lo, np.where(hollow, np.maximum(lo, ihi + 1), hi + 1)), axis=1),
-                      np.stack((np.where(hollow, np.minimum(hi, ilo - 1), hi), hi), axis=1))
+        lo, hi = _rows_within(u, [(q, [c[b] for b in bs], k) for q, c, k in planes], -c10, c00)
         ok = np.flatnonzero(lo <= hi)
         # "wrap" takes each entry's position modulo u.size, back to its column
         ok_u = u.take(ok, mode="wrap")
@@ -393,13 +393,13 @@ def search_net_moves(
                 if key is None or new < key:
                     best[b][r] = new
 
-    pairs = [(b, r) for b, free in enumerate(origin) if not free for r in range(len(rows))]
+    pairs = [(b, r) for b in range(len(free)) if not free[b] for r in range(len(rows))]
     bs = sorted({b for b, _ in pairs})
     if pairs and (uhi - ulo + 1) * len(bs) * len(rows) <= min(_SMALL, _MAX_BLOCK):
         scan(np.arange(ulo, uhi + 1), bs)
     elif pairs:
         bi, ri = (np.array(side) for side in zip(*pairs))
-        bound = _column_bound(sums, planes, ulo, uhi, bi, ri)
+        bound, top = _column_bound(sums, planes, ulo, uhi, bi, ri)
         todo = np.arange(len(pairs))
         lo, hi = np.full(todo.size, ulo), np.full(todo.size, uhi)
         while (hi - lo).max() > _GRID:
@@ -433,24 +433,24 @@ def search_net_moves(
             for i in range(0, cols.size, budget):
                 scan(cols[i : i + budget] + ulo, bs)
             keep = []
-            # a pair is done once its best cell is within the threshold, or it took every column
+            # done when the best cell is within the threshold, or it is top, or no column is left
             for p, stopped in zip(todo.tolist(), over.any(axis=1).tolist()):
                 key = best[bi[p]][ri[p]]
-                if stopped and (key is None or key[0] > threshold[p]):
-                    threshold[p] = math.inf if key is None else key[0]
+                if stopped and (rise := top[p] if key is None else key[0]) > threshold[p]:
+                    threshold[p] = rise
                     keep.append(p)
             todo = np.array(keep, dtype=np.int64)
 
     def result(b: int, r: int) -> _SolvedCell | None:
         key = best[b][r]
-        if origin[b]:
+        if free[b]:
             return _SolvedCell(part, rows[r], 0, 0, 0)
         if key is None:
             return None
         scanned = sum(int(np.searchsorted(side[r], key[0], side="right")) for side in (pos, neg))
         return _SolvedCell(part, rows[r], key[2], key[3], scanned - 1)
 
-    return [[result(b, r) for r in range(len(rows))] for b in range(len(origin))]
+    return [[result(b, r) for r in range(len(rows))] for b in range(len(free))]
 
 
 def _solve_sp_form(
@@ -465,29 +465,20 @@ def _solve_sp_form(
     if n < 2:
         raise Infeasible("both groups must be nonempty, impossible with n < 2")
     # both guess groups nonempty: 1 <= n1 + u + v <= n - 1
-    groups: list[Plane] = [(-1, [n1 - 1], 1), (1, [n - 1 - n1], -1)]
-    carve = _sp_planes(counts, lower) if lower else []
-    # the planes' verdict: both groups present, the gap within both bounds
-    origin = 0 < n1 < n and (lower or 0) <= _group_gap(counts, 0, 0, False) <= epsilon
-    (cells,) = search_net_moves(part, rows, _sp_planes(counts, epsilon) + groups, carve, [origin])
+    planes = _sp_planes(counts, epsilon) + [(-1, [n1 - 1], 1), (1, [n - 1 - n1], -1)]
+    if lower:
+        # a gap at or above ``lower`` fails one of the four planes that hold below it
+        # strictly: piece i reverses plane i and moves the others past every cell
+        planes = [(q, c * 4, k) for q, c, k in planes] + [
+            (-q, [-c[0] if j == i else (abs(q) + abs(k)) * n for j in range(4)], -k)
+            for i, (q, c, k) in enumerate(_sp_planes(counts, lower))]
     # which cells are feasible never depends on the costs
-    if cells[0] is None:
+    pieces = [cells for cells in search_net_moves(part, rows, planes) if cells[0] is not None]
+    if not pieces:
         raise Infeasible("no move assignment satisfies the rate constraints")
-    return cells
-
-
-def _repair_slice(part: _Lattice, epsilons: Sequence[Fraction]) -> list[_SolvedCell]:
-    """The cheapest repair of one slice's lattice, its predictions split by
-    its groups, under each upper bound of ``epsilons``, the margins its one
-    cost row."""
-    c01, c11, c00, c10 = part.counts  # c[prediction][group]
-    if not c01 + c11 or not c00 + c10:
-        # a one-group slice: the empty-group rule in ``core``
-        return [_SolvedCell(part, 0, 0, 0, 0)] * len(epsilons)
-    gap = _group_gap(part.counts, 0, 0, True)
-    planes = _repair_planes(part.counts, epsilons)
-    found = search_net_moves(part, [0], planes, [], [gap <= e for e in epsilons])
-    return [cell for (cell,) in found]
+    # each row's least cell over the pieces, by the search's own key
+    return [min(cells, key=lambda c: (c.objective, abs(c.u) + abs(c.v), c.u, c.v))
+            for cells in zip(*pieces)]
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
@@ -507,45 +498,39 @@ def _solve_rows(
     must be finite and non-negative, in place of its own confidences: each
     vector's solved cells, one per nonempty slice of the metric.
 
-    A single slice carries the lower bound itself.  EOdds with a lower bound
-    couples its two slices: the larger slice gap must reach the bound, so at
-    most one slice has to carry it.  Both slices are solved upper-only, and
-    only the vectors that miss the bound are re-solved with the bound
-    attached to each slice in turn, each keeping its cheaper combination,
-    ties to slice 0.  Which cells are feasible never depends on the costs,
-    so every solve below succeeds or raises for all of its vectors alike.
+    The largest slice gap must reach a lower bound, so one slice carries it.
+    Every slice is solved upper-only, and only the vectors that miss the
+    bound are re-solved with each slice carrying it in turn, keeping the
+    cheapest combination, ties to slice 0.  Which cells are feasible never
+    depends on the costs, so every solve below succeeds or raises for all of
+    its vectors alike; a lone slice that cannot carry the bound raises as
+    its solve does.
     """
     if instance.cardinality != 2:
         raise UnsupportedCardinality("correct() handles binary guesses; use the general model")
     metric = FairnessMetric(spec.metric)
-    guess = instance.guess
     epsilon = Fraction(spec.epsilon)
     lower = Fraction(spec.epsilon_lower) if spec.epsilon_lower else None
-    lattices = _metric_lattices(metric, instance.labels, guess, instance.predictions, confs)
-    coupled = metric is FairnessMetric.EODDS and lower is not None and len(lattices) > 1
-
+    lattices = _metric_lattices(metric, instance.labels, instance.guess, instance.predictions, confs)
     vectors = list(range(confs.shape[0]))
-    bound = None if coupled else lower
-    slices = [_solve_sp_form(part, vectors, epsilon, bound) for part in lattices]
+    slices = [_solve_sp_form(part, vectors, epsilon, None) for part in lattices]
     solved = [[cells[t] for cells in slices] for t in vectors]
-    missed = [t for t in vectors if coupled and max(cell.gap for cell in solved[t]) < lower]
-    if missed:
-        best: dict[int, tuple[float, list[_SolvedCell]]] = {}
-        for carrier in (0, 1):
-            try:
-                forced = _solve_sp_form(lattices[carrier], missed, epsilon, lower)
-            except Infeasible:
-                continue
-            for t, cell in zip(missed, forced):
-                combo = [cell if i == carrier else sol for i, sol in enumerate(solved[t])]
-                cost = sum(sol.objective for sol in combo)
-                if t not in best or cost < best[t][0]:
-                    best[t] = cost, combo
-        if not best:
-            raise Infeasible("no slice can reach the required lower unfairness bound")
-        for t, (_, combo) in best.items():
-            solved[t] = combo
-
+    missed = [t for t in vectors if lower and lattices and max(c.gap for c in solved[t]) < lower]
+    cost = dict.fromkeys(missed, math.inf)
+    for carrier, part in enumerate(lattices if missed else []):
+        try:
+            forced = _solve_sp_form(part, missed, epsilon, lower)
+        except Infeasible:
+            if len(lattices) == 1:
+                raise
+            continue
+        for t, cell in zip(missed, forced):
+            combo = [cell if i == carrier else cells[t] for i, cells in enumerate(slices)]
+            total = sum(sol.objective for sol in combo)
+            if total < cost[t]:
+                cost[t], solved[t] = total, combo
+    if math.inf in cost.values():
+        raise Infeasible("no slice can reach the required lower unfairness bound")
     return solved
 
 

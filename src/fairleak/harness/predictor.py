@@ -10,17 +10,16 @@ memberships the constraint depends only on the net number of prediction
 flips inside each sensitive group, so the repair searches the guess
 corrector's lattice type, ``corrector._Lattice``, with the two vectors
 swapped: the predictions split by the groups, flip costs the margins.  Its
-half-planes, with every other determinant band's, live in ``corrector``:
-``corrector._repair_slice`` runs the corrector's search on one slice for a
-whole tolerance list.
+half-planes, ``corrector._repair_planes``, live with every other band's.
 
 ``RepairState`` holds what does not depend on the tolerance: the lattice of
 each metric slice, read in place.  ``RepairState.solve`` repairs a whole
-tolerance list with one search per slice, all tolerances sharing its blocks,
-each judging the origin from the slice's counts (``corrector._group_gap``).
-The repair enforces an upper bound alone, as fair training does; a lower
-bound is the adversary's knowledge, used by the correction only.  An
-upper-only repair always exists: predictions all 0 leave a slice no gap.
+tolerance list with one ``corrector.search_net_moves`` per slice, all
+tolerances sharing its blocks; the search reads from each tolerance's
+offsets whether the predictions already meet it.  The repair enforces an
+upper bound alone, as fair training does; a lower bound is the adversary's
+knowledge, used by the correction only.  An upper-only repair always
+exists: predictions all 0 leave a slice no gap.
 Each tolerance's cells are ``corrector._SolvedCell``s, whose flips
 ``RepairState.apply`` scatters into one copy of the predictions and whose
 counts give ``RepairState.unfairness`` with no rescan of the predictions;
@@ -36,7 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core import FairnessMetric, FairnessSpec, column
-from ..corrector import _flip_all, _group_gap, _metric_lattices, _repair_slice, _SolvedCell
+from ..corrector import _flip_all, _group_gap, _metric_lattices, _repair_planes, _SolvedCell
+from ..corrector import search_net_moves
 from ..errors import BadParameters, EmptySlice, EmptyVector, LengthMismatch, SchemaError
 from ..nb import CategoricalNaiveBayes, best_class, fit_naive_bayes
 from .data import CATEGORICAL, DatasetTable
@@ -123,8 +123,8 @@ class RepairState:
         if not all(0.0 <= epsilon <= 1.0 for epsilon in epsilons):
             raise BadParameters("epsilon must lie in [0, 1]")
         uppers = [Fraction(epsilon) for epsilon in epsilons]
-        slices = [_repair_slice(part, uppers) for part in self.parts]
-        return [[cells[t] for cells in slices] for t in range(len(uppers))]
+        found = [search_net_moves(p, [0], _repair_planes(p.counts, uppers)) for p in self.parts]
+        return [[cells[t][0] for cells in found] for t in range(len(uppers))]
 
     def apply(self, repair: list[_SolvedCell]) -> np.ndarray:
         """The predictions one result of :meth:`solve` repairs."""

@@ -75,6 +75,12 @@ INSTANCES = (
         "pe", "0.0", None,
     ),
     (
+        "lower",
+        b"id,y,yhat,s_hat,confidence\n0,0,1,1,0.8\n1,0,0,1,0.6\n2,0,0,0,0.1\n"
+        b"3,0,0,0,0.4\n4,0,0,0,0.7\n5,0,1,0,0.2\n",
+        "sp", "0.5", "0.25",
+    ),
+    (
         "three",
         b"id,y,yhat,s_hat,confidence\n0,0,0,0,0.5\n1,0,1,1,0.2\n2,0,1,2,0.3\n"
         b"3,0,0,2,0.8\n4,0,0,0,0.6\n5,0,0,2,0.4\n6,0,0,2,0.1\n",
@@ -125,6 +131,11 @@ def _experiments() -> dict:
             seeds=(0, 1),
         ),
         table,
+    )
+    # SP whose upper-only solves miss the lower bound on some cells, so that
+    # the solves carrying it run, and on some cells find nothing
+    runs["attack-sp-lower"] = (
+        ExperimentConfig(epsilon_grid=(0.01, 0.03), epsilon_lower=0.01, seeds=(0, 1)), table
     )
     runs["attack-oracle-check"] = (
         ExperimentConfig(epsilon_grid=GRID, seeds=(0,), oracle_check=True), table

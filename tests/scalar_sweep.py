@@ -6,10 +6,10 @@ is derived independently of the package: the corrector's in terms of the
 group-1 size, the upper-only repair's by tightening one linear constraint
 at a time.
 ``solve_sp_form`` has the signature of ``fairleak.corrector._solve_sp_form``
-(the sweep on one cost row at a time) and ``repair_slice_state`` that of
-``fairleak.corrector._repair_slice`` (``repair_slice`` on one prepared
-slice, one tolerance at a time): each takes a slice's lattice and answers
-with the package's solved cells, so a test can swap them in.
+(the sweep on one cost row at a time) and ``solve_repair_state`` that of
+``fairleak.harness.predictor.RepairState.solve`` (``repair_slice`` on each
+prepared slice, one tolerance at a time): each reads the package's slice
+lattices and answers with its solved cells, so a test can swap them in.
 """
 
 from __future__ import annotations
@@ -291,7 +291,14 @@ def repair_slice(
     return _RepairSlice(repaired, cost)
 
 
-def repair_slice_state(part, epsilons: list[Fraction]) -> list[_SolvedCell]:
+def solve_repair_state(state, epsilons: list[float]) -> list[list[_SolvedCell]]:
+    """For each tolerance: one cell per slice of ``state``, a
+    ``RepairState``, as ``_repair_slice_state`` repairs it."""
+    slices = [_repair_slice_state(part, [Fraction(e) for e in epsilons]) for part in state.parts]
+    return [[cells[t] for cells in slices] for t in range(len(epsilons))]
+
+
+def _repair_slice_state(part, epsilons: list[Fraction]) -> list[_SolvedCell]:
     """``repair_slice`` on a slice the package prepared, one tolerance at a
     time: only its raw predictions, margins and groups are read, never its
     sorted costs.  Each repair is returned as the package returns it: a

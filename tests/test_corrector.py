@@ -391,16 +391,26 @@ class TestCorrect:
         assert res.corrected.tolist() == [1, 1, 0, 0]
         assert res.moves == MoveCounts(0, 0, 0, 0)
 
-    def test_eodds_on_all_negative_matches_sp(self):
-        inst = AttackInstance(
-            [1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [0.1, 1, 1, 0.2]
-        )
-        eodds = correct(inst, FairnessSpec(EODDS, 0.1))
-        sp = correct(inst, FairnessSpec(SP, 0.1))
-        brute = solve_general_bruteforce(inst, FairnessSpec(SP, 0.1))
+    @pytest.mark.parametrize(
+        "yhat, guess, conf, eps, lower",
+        [
+            ([1, 1, 0, 0], [1, 1, 0, 0], [0.1, 1, 1, 0.2], 0.1, None),
+            # the upper-only optimum leaves a gap of 1/6, so the one label
+            # slice carries the bound, at cost 0.2 where upper-only costs 0
+            ([1, 0, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0], [0.8, 0.6, 0.1, 0.4, 0.7, 0.2], 0.5, 0.25),
+        ],
+        ids=["upper", "lower"],
+    )
+    def test_eodds_on_all_negative_matches_sp(self, yhat, guess, conf, eps, lower):
+        inst = AttackInstance(yhat, [0] * len(yhat), guess, conf)
+        eodds = correct(inst, FairnessSpec(EODDS, eps, lower))
+        sp = correct(inst, FairnessSpec(SP, eps, lower))
+        brute = solve_general_bruteforce(inst, FairnessSpec(SP, eps, lower))
         assert eodds.objective == pytest.approx(sp.objective)
         assert sp.objective == pytest.approx(brute.objective)
         assert eodds.corrected.tolist() == sp.corrected.tolist()
+        if lower is not None:
+            assert sp.objective > correct(inst, FairnessSpec(SP, eps)).objective
 
     def test_result_satisfies_spec(self, rng):
         solved = 0

@@ -58,11 +58,18 @@ class TestOracleEquivalence:
             assert ours.objective == pytest.approx(brute.objective, abs=1e-9)
         assert agreements > 25
 
-    def test_with_lower_bound(self, rng):
-        agreements = 0
+    @pytest.mark.parametrize(
+        "eps, lower, least_agreements, least_binding",
+        [(0.3, 0.1, 10, 0), (0.5, 0.3, 25, 8), (0.5, 0.5, 10, 2)],
+        ids=["loose", "binding", "equal"],
+    )
+    def test_with_lower_bound(self, rng, eps, lower, least_agreements, least_binding):
+        # binding: the lower bound makes the optimum dearer than upper-only;
+        # equal: the gap must be exactly eps
+        agreements = binding = 0
         for trial in range(60):
             inst = random_instance(rng)
-            spec = FairnessSpec(METRICS[trial % 4], 0.3, epsilon_lower=0.1)
+            spec = FairnessSpec(METRICS[trial % 4], eps, epsilon_lower=lower)
             ours = objective_or_none(correct, inst, spec)
             brute = objective_or_none(solve_general_bruteforce, inst, spec)
             assert (ours is None) == (brute is None)
@@ -71,7 +78,9 @@ class TestOracleEquivalence:
                 assert exact_cost(ours, inst.confidence) == exact_cost(
                     brute, inst.confidence
                 )
-        assert agreements > 10
+                upper = correct(inst, dataclasses.replace(spec, epsilon_lower=None))
+                binding += exact_cost(ours, inst.confidence) > exact_cost(upper, inst.confidence)
+        assert agreements > least_agreements and binding >= least_binding
 
 
 class TestFeasibility:

@@ -137,6 +137,13 @@ def _logged_solves(patch):
     return log
 
 
+def _spy_searches(monkeypatch, spy):
+    """Put ``spy`` in place of the net-move search, for the corrector and
+    for the prediction repair, which imports it."""
+    monkeypatch.setattr(corrector, "search_net_moves", spy)
+    monkeypatch.setattr(predictor, "search_net_moves", spy)
+
+
 def _spied_blocks(monkeypatch):
     """Spy on the net-move searches: one list per search, in call order, of
     each block whose windows it computes, as (its cost rows times bounds,
@@ -144,18 +151,17 @@ def _spied_blocks(monkeypatch):
     searches = []
     search, rows_within = corrector.search_net_moves, corrector._rows_within
 
-    def spy(lattice, rows, planes, carve, origin):
-        def recording(u, planes, strict, lo, hi):
-            if not strict:
-                searches[-1].append((len(rows) * len(planes[0][1]), u.tolist()))
-            return rows_within(u, planes, strict, lo, hi)
+    def spy(lattice, rows, planes):
+        def recording(u, planes, lo, hi):
+            searches[-1].append((len(rows) * len(planes[0][1]), u.tolist()))
+            return rows_within(u, planes, lo, hi)
 
         searches.append([])
         with monkeypatch.context() as patch:
             patch.setattr(corrector, "_rows_within", recording)
-            return search(lattice, rows, planes, carve, origin)
+            return search(lattice, rows, planes)
 
-    monkeypatch.setattr(corrector, "search_net_moves", spy)
+    _spy_searches(monkeypatch, spy)
     return searches
 
 
@@ -182,7 +188,7 @@ def _eodds_solves(monkeypatch, inst, spec, vectors):
 def _assert_same_repair(monkeypatch, yhat, margins, sensitive, labels, spec):
     ours = repair_predictions(yhat, margins, sensitive, labels, spec)
     with monkeypatch.context() as patch:
-        patch.setattr(predictor, "_repair_slice", scalar_sweep.repair_slice_state)
+        patch.setattr(RepairState, "solve", scalar_sweep.solve_repair_state)
         ref = repair_predictions(yhat, margins, sensitive, labels, spec)
     assert np.array_equal(ours, ref)
     return bool(np.any(ours != yhat))
@@ -252,7 +258,7 @@ class TestCorrectionCrossCheck:
         assert solved > 100
 
     def test_lower_bound(self, monkeypatch, rng):
-        # exercises the two-interval carve-out and the EOdds carrier choice
+        # exercises the lower bound's four pieces and the carrier rule
         solved = 0
         for trial in range(160):
             n = int(rng.choice([4, 12, 60, 500, 3000]))
@@ -352,29 +358,31 @@ class TestColumnBound:
         bound_at, search = corrector._column_bound, corrector.search_net_moves
         gaps = []  # each solved cell's cost above LB at its column
 
-        def spy(part, rows, planes, carve, origin):
-            found = search(part, rows, planes, carve, origin)
+        def spy(part, rows, planes):
+            found = search(part, rows, planes)
             sums = [totals[list(rows)] for _, totals, _ in part.cells]
             ulo, uhi = 1 - sums[1].shape[1], sums[0].shape[1] - 1
             for b, cells in enumerate(found):
+                # a bound whose offsets are all non-negative holds (0, 0), unsearched
+                free = all(c[b] >= 0 for _, c, _ in planes)
                 for r, cell in enumerate(cells):
-                    if cell is not None and not origin[b]:
-                        bound = bound_at(sums, planes, ulo, uhi, np.array([b]), np.array([r]))
+                    if cell is not None and not free:
+                        bound, _ = bound_at(sums, planes, ulo, uhi, np.array([b]), np.array([r]))
                         lb = bound(np.array([[cell.u]]), np.array([0]))[0][0, 0]
                         gaps.append(cell.objective - lb)
             return found
 
         def raised(sums, planes, ulo, uhi, b, r):
-            bound = bound_at(sums, planes, ulo, uhi, b, r)
+            bound, top = bound_at(sums, planes, ulo, uhi, b, r)
             lift = 1 + (sum(totals.shape[1] - 1 for totals in sums) + 2**20) * 2.0**-46
 
             def lifted(u, p):
                 value, cell = bound(u, p)
                 return value * lift, cell
 
-            return lifted
+            return lifted, top
 
-        monkeypatch.setattr(corrector, "search_net_moves", spy)
+        _spy_searches(monkeypatch, spy)
         monkeypatch.setattr(corrector, "_column_bound", raised)
         solved = 0
         for trial in range(120):

@@ -1,16 +1,19 @@
 """Every net-move half-plane against the definition of the gap it bounds.
 
-Both solvers hand ``search_net_moves`` half-planes of the cells (u, v): for
-each bound, the cells whose gaps are within it, and for a lower bound, the
-cells whose gaps are all strictly below it.  ``_rows_within`` turns them
-into each column's rows.  For every column of small lattices, every bound
-and both strictnesses, the plane builders ``_sp_planes`` and
-``_repair_planes`` must hold exactly the rows whose cell meets the bound by
-``core.unfairness_exact``, the corrector's only where both guess groups are
-nonempty.  A spy also captures each search the solvers make and checks its
-planes at the solver's own bounds the same way.  The solvers judge the
-origin from the lattice's counts, with no window; the spy checks each
-verdict against the planes at column 0 and against the same definition.
+Both solvers hand ``search_net_moves`` half-planes of the cells (u, v), the
+cells whose gaps are within each bound; ``_rows_within`` turns them into
+each column's rows.  For every column of small lattices and every bound,
+the plane builders ``_sp_planes`` and ``_repair_planes`` must hold exactly
+the rows whose cell meets the bound by ``core.unfairness_exact``, the
+corrector's only where both guess groups are nonempty.  A gap at or above a
+lower bound lies past one of its four planes, each reversed, so the union of
+those four reversed pieces must hold exactly the cells the gap does not
+keep below the bound.  A spy also captures each search the solvers make and
+checks its planes at the solver's own bounds the same way, the four pieces
+of a search that carries a lower bound as one union.  The search reads
+whether (0, 0) is feasible from the planes' offsets; the spy checks each
+verdict against the piece's rows at column 0, against the exact verdict
+``_group_gap`` gives from the lattice's counts, and against the definition.
 """
 
 from fractions import Fraction
@@ -19,8 +22,9 @@ import numpy as np
 
 from fairleak import corrector
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, unfairness_exact
-from fairleak.corrector import _repair_planes, _rows_within, _sp_planes, correct
+from fairleak.corrector import _group_gap, _repair_planes, _rows_within, _sp_planes, correct
 from fairleak.errors import Infeasible
+from fairleak.harness import predictor
 from fairleak.harness.predictor import RepairState
 
 SP = FairnessMetric.SP
@@ -64,21 +68,27 @@ def _groups(part):
     return [(-1, [n1 - 1], 1), (1, [n - 1 - n1], -1)]
 
 
-def _window(part, planes, strict, us, groups=()):
-    """Each column's rows inside ``planes``, strictly when ``strict``, and
-    inside ``groups`` either way."""
+def _window(part, planes, us, groups=()):
+    """Each column's rows inside ``planes`` and inside ``groups``."""
     _, _, v_lo, v_hi = _ends(part)
-    lo, hi = _rows_within(us, planes, strict, v_lo, v_hi)
+    lo, hi = _rows_within(us, planes, v_lo, v_hi)
     if groups:
-        glo, ghi = _rows_within(us, list(groups), False, v_lo, v_hi)
+        glo, ghi = _rows_within(us, list(groups), v_lo, v_hi)
         lo, hi = np.maximum(lo, glo), np.minimum(hi, ghi)
     return lo, hi
+
+
+def _rows(lo, hi, k, part):
+    """The rows of column k between the ends ``lo`` and ``hi``, in the lattice."""
+    _, _, v_lo, v_hi = _ends(part)
+    return set(range(max(int(lo[k]), v_lo), min(int(hi[k]), v_hi) + 1))
 
 
 def _check_planes(part, planes_for, gap, batch, groups=()):
     """Compare the planes ``planes_for(bounds)`` builds with ``gap`` on every
     cell of the lattice; when ``batch``, also build all bounds at once over
-    one denominator."""
+    one denominator.  With ``groups``, the corrector's, also compare each
+    bound's four reversed planes with the cells at or above it."""
     u_lo, u_hi, v_lo, v_hi = _ends(part)
     us = np.arange(u_lo, u_hi + 1)
     vs = range(v_lo, v_hi + 1)
@@ -91,69 +101,90 @@ def _check_planes(part, planes_for, gap, batch, groups=()):
         {g for g in gaps.values() if g is not None}
         | {Fraction(0), Fraction(z1, n), Fraction(1, 3), Fraction(0.01), Fraction(1)}
     )
-    for strict in (False, True):
-        for bound in bounds:
-            _check_window(part, gaps, us, [bound], planes_for([bound]), strict, groups)
-        if batch:
-            _check_window(part, gaps, us, bounds, planes_for(bounds), strict, groups)
+    for bound in bounds:
+        _check_window(part, gaps, us, [bound], planes_for([bound]), groups)
+        if groups:
+            # past one reversed plane, within both groups: a gap of at least ``bound``
+            us_rows = [set() for _ in us.tolist()]
+            for q, (c,), k in planes_for([bound]):
+                lo, hi = _window(part, [(-q, [-c], -k)], us, groups)
+                for k_col, rows in enumerate(us_rows):
+                    rows |= _rows(lo[0], hi[0], k_col, part)
+            for k_col, u in enumerate(us.tolist()):
+                want = {v for v in vs if gaps[u, v] is not None and gaps[u, v] >= bound}
+                assert us_rows[k_col] == want, (u, bound)
+    if batch:
+        _check_window(part, gaps, us, bounds, planes_for(bounds), groups)
 
 
-def _check_window(part, gaps, us, bounds, planes, strict, groups=()):
+def _check_window(part, gaps, us, bounds, planes, groups=()):
     """The rows ``planes`` hold at each column, one list per bound, against
     the cells whose gap meets that bound."""
     _, _, v_lo, v_hi = _ends(part)
-    lo, hi = _window(part, planes, strict, us, groups)
+    lo, hi = _window(part, planes, us, groups)
     assert lo.shape == hi.shape == (len(bounds), us.size)
     for r, bound in enumerate(bounds):
         for k, u in enumerate(us.tolist()):
-            want = [
-                v
-                for v in range(v_lo, v_hi + 1)
-                if gaps[u, v] is not None and (gaps[u, v] < bound if strict else gaps[u, v] <= bound)
-            ]
-            got = list(range(max(int(lo[r, k]), v_lo), min(int(hi[r, k]), v_hi) + 1))
-            assert got == want, (u, bound, strict)
+            want = {
+                v for v in range(v_lo, v_hi + 1) if gaps[u, v] is not None and gaps[u, v] <= bound
+            }
+            assert _rows(lo[r], hi[r], k, part) == want, (u, bound)
 
 
-def _check_search(part, gap, planes, carve, origin, bounds, lower):
+def _check_search(part, gap, planes, bounds, lower):
     """The planes a search was handed, at the solver's own ``bounds`` and
-    ``lower``, against ``gap``; and the caller's verdict on cell (0, 0)
-    under each bound against the planes at column 0, carve-out included,
-    and against ``gap``.  Returns the verdicts."""
+    ``lower``, against ``gap``: with a lower bound, the union of the four
+    pieces' rows against the cells whose gap lies within both bounds.  Then
+    the search's verdict on cell (0, 0), read from each bound's offsets,
+    against the bound's rows at column 0, against ``_group_gap``'s exact
+    verdict and against ``gap``.  Returns the verdicts, one per bound of the
+    solver, the pieces' taken together."""
     u_lo, u_hi, v_lo, v_hi = _ends(part)
     us = np.arange(u_lo, u_hi + 1)
     gaps = {(u, v): gap(part, u, v) for u in us.tolist() for v in range(v_lo, v_hi + 1)}
-    _check_window(part, gaps, us, bounds, planes, False)
-    if carve:
-        # the carved rows: every gap strictly below the lower bound
-        groups = _groups(part) if gap is _corrector_gap else ()
-        _check_window(part, gaps, us, [lower], carve, True, groups)
-    lo, hi = _window(part, planes, False, np.zeros(1, dtype=np.int64))
-    inside = (np.maximum(lo, v_lo) <= 0) & (0 <= np.minimum(hi, v_hi))
-    if carve:
-        ilo, ihi = _window(part, carve, True, np.zeros(1, dtype=np.int64))
-        inside &= ~((ilo <= 0) & (0 <= ihi))
-    assert list(origin) == inside[:, 0].tolist()
+    if lower is None:
+        _check_window(part, gaps, us, bounds, planes)
+    else:
+        assert len(planes[0][1]) == 4 and len(bounds) == 1
+        lo, hi = _window(part, planes, us)
+        for k, u in enumerate(us.tolist()):
+            got = set().union(*(_rows(lo[b], hi[b], k, part) for b in range(4)))
+            want = {
+                v for v in range(v_lo, v_hi + 1)
+                if gaps[u, v] is not None and lower <= gaps[u, v] <= bounds[0]
+            }
+            assert got == want, (u, lower, bounds[0])
+    free = [all(c[b] >= 0 for _, c, _ in planes) for b in range(len(planes[0][1]))]
+    lo, hi = _window(part, planes, np.zeros(1, dtype=np.int64))
+    assert free == ((lo[:, 0] <= 0) & (0 <= hi[:, 0])).tolist()
+    verdicts = free if lower is None else [any(free)]
+    fixed = gap is _repair_gap
+    at = _group_gap(part.counts, 0, 0, fixed)
+    # the corrector's guess groups must both be present
+    n1 = part.counts[1] + part.counts[3]
+    present = fixed or 0 < n1 < sum(part.counts)
+    assert verdicts == [present and (lower or 0) <= at <= bound for bound in bounds]
     at = gap(part, 0, 0)
-    assert list(origin) == [
+    assert verdicts == [
         at is not None and bound >= at and not (lower is not None and at < lower)
         for bound in bounds
     ]
-    return list(origin)
+    return verdicts
 
 
 def _captured(monkeypatch, run):
-    """The arguments (lattice, planes, carve, origin) of every search ``run``
-    makes through ``corrector.search_net_moves``."""
+    """The arguments (lattice, planes) of every search ``run`` makes through
+    ``search_net_moves``, the corrector's or the prediction repair's."""
     seen = []
     real = corrector.search_net_moves
 
-    def spy(part, rows, planes, carve, origin):
-        seen.append((part, planes, carve, origin))
-        return real(part, rows, planes, carve, origin)
+    def spy(part, rows, planes):
+        seen.append((part, planes))
+        return real(part, rows, planes)
 
     with monkeypatch.context() as patch:
         patch.setattr(corrector, "search_net_moves", spy)
+        patch.setattr(predictor, "search_net_moves", spy)
         try:
             run()
         except Infeasible:
@@ -195,7 +226,7 @@ def _group_cases(rng):
 
 class TestWindowsMatchTheDefinition:
     def test_corrector(self, monkeypatch, rng):
-        searched = carved = 0
+        searched = carried = 0
         verdicts = []
         for yhat, guess in _guess_cases(rng):
             n = yhat.size
@@ -205,23 +236,23 @@ class TestWindowsMatchTheDefinition:
                 (FairnessMetric.EODDS, 0.1, None),
                 (SP, 0.3, 0.1),
                 (FairnessMetric.EODDS, 0.5, 0.2),
+                # a quarter is a gap many cells reach exactly
+                (SP, 0.5, 0.25),
             ):
                 spec = FairnessSpec(metric, eps, lower)
-                for part, planes, carve, origin in _captured(
-                    monkeypatch, lambda: correct(inst, spec)
-                ):
+                for part, planes in _captured(monkeypatch, lambda: correct(inst, spec)):
                     _check_planes(
                         part, lambda bounds: _sp_planes(part.counts, *bounds), _corrector_gap,
                         batch=False, groups=_groups(part),
                     )
-                    # a search carries the lower bound, or none: the EOdds carrier
-                    low = Fraction(lower) if carve else None
-                    verdicts += _check_search(
-                        part, _corrector_gap, planes, carve, origin, [Fraction(eps)], low
-                    )
+                    # a search carries the lower bound in four pieces, or has
+                    # one bound: the carrier rule's upper-only solves
+                    carries = len(planes[0][1]) == 4
+                    low = Fraction(lower) if carries else None
+                    verdicts += _check_search(part, _corrector_gap, planes, [Fraction(eps)], low)
                     searched += 1
-                    carved += bool(carve)
-        assert searched > 300 and carved > 100
+                    carried += carries
+        assert searched > 300 and carried >= 100
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
     def test_repair(self, monkeypatch, rng):
@@ -235,16 +266,13 @@ class TestWindowsMatchTheDefinition:
             labels = rng.integers(0, 2, n)
             for metric in (SP, FairnessMetric.EODDS):
                 state = RepairState(yhat, rng.random(n), sensitive, labels, metric)
-                for part, planes, carve, origin in _captured(
-                    monkeypatch, lambda: state.solve(grid)
-                ):
+                for part, planes in _captured(monkeypatch, lambda: state.solve(grid)):
                     _check_planes(
                         part, lambda bounds: _repair_planes(part.counts, bounds), _repair_gap,
                         batch=True,
                     )
-                    assert carve == []
                     bounds = [Fraction(epsilon) for epsilon in grid]
-                    verdicts += _check_search(part, _repair_gap, planes, carve, origin, bounds, None)
+                    verdicts += _check_search(part, _repair_gap, planes, bounds, None)
                     searched += 1
         assert searched > 150
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100
