@@ -8,7 +8,7 @@ holds that lattice for any 0/1 vector split by another, read in place at a
 metric slice's rows: here the guess split by the predictions, and in the
 simulated fair target's prediction repair the predictions split by the
 groups.  A flip names the rows it changes, and ``_flip_all`` scatters every
-slice's flips into one copy of the vector.  ``search_net_moves`` searches it
+slice's flips into one copy of the vector.  ``_search_net_moves`` searches it
 in numpy from the half-planes the solvers hand it: costs are convex, so the
 cheapest row of the continuous band bounds each column's cells by a convex
 function, and the search takes columns outward from its minimum until it
@@ -32,7 +32,7 @@ gap |D| / (n * z_g) by two half-planes of the smaller group.
 
 ``_solve_rows`` solves one instance under several confidence vectors in
 one search per slice with one cost row per vector, and only it decides which
-slice carries a lower bound.  Each solver hands ``search_net_moves`` a
+slice carries a lower bound.  Each solver hands ``_search_net_moves`` a
 slice's lattice and the cost rows to read, and gets one ``_SolvedCell`` per
 bound and row: a lattice cell under one cost row, priced by
 ``_Lattice.cost`` and flipped by ``_Lattice.flip``, in one pass where no
@@ -41,6 +41,11 @@ its result from the cells with ``_result``; k-selection solves every
 exponent at once and scores their flips without building results.  The
 brute-force oracle this solver is checked against, and the only solver for
 more than two groups, is ``fairleak.oracle``.
+
+``RepairState`` is the prediction repair: ``RepairState.solve`` searches
+each slice once for a whole tolerance list, under upper bounds alone, as
+fair training sets them, so a repair always exists (predictions all 0 leave
+no gap); ``repair_predictions`` is its one-tolerance form.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ from .core import (
     FairnessSpec,
     MoveCounts,
     SolverStats,
+    column,
     slice_for_metric,
 )
-from .errors import Infeasible, UnsupportedCardinality
+from .errors import BadParameters, EmptySlice, Infeasible, LengthMismatch, UnsupportedCardinality
 
 
 def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +335,7 @@ def _column_bound(
     return bound, top
 
 
-def search_net_moves(
+def _search_net_moves(
     part: _Lattice, rows: Sequence[int], planes: Sequence[Plane]
 ) -> list[list[_SolvedCell | None]]:
     """For each bound b of ``planes`` and each cost row ``rows`` names,
@@ -473,7 +479,7 @@ def _solve_sp_form(
             (-q, [-c[0] if j == i else (abs(q) + abs(k)) * n for j in range(4)], -k)
             for i, (q, c, k) in enumerate(_sp_planes(counts, lower))]
     # which cells are feasible never depends on the costs
-    pieces = [cells for cells in search_net_moves(part, rows, planes) if cells[0] is not None]
+    pieces = [cells for cells in _search_net_moves(part, rows, planes) if cells[0] is not None]
     if not pieces:
         raise Infeasible("no move assignment satisfies the rate constraints")
     # each row's least cell over the pieces, by the search's own key
@@ -552,3 +558,64 @@ def _result(guess: np.ndarray, cells: Sequence[_SolvedCell]) -> CorrectionResult
         changed,
         SolverStats(sum(cell.columns for cell in cells)),
     )
+
+
+class RepairState:
+    """A table's tolerance-free repair inputs for one metric: its slices and
+    the lattice of each.  Build it once; :meth:`solve` repairs a whole list
+    of tolerances at once and :meth:`apply` builds one tolerance's repaired
+    predictions."""
+
+    def __init__(
+        self,
+        yhat: np.ndarray,
+        margins: np.ndarray,
+        sensitive: np.ndarray,
+        labels: np.ndarray,
+        metric: FairnessMetric,
+    ) -> None:
+        # checked, but kept in the caller's dtype, bool included, which the repair keeps
+        self.yhat = np.asarray(yhat)
+        checked = [column(yhat, "predictions", high=2), column(sensitive, "sensitive", high=2),
+                   column(labels, "labels", high=2), column(margins, "margins", np.float64, np.inf)]
+        if len({arr.size for arr in checked}) > 1:
+            raise LengthMismatch("repair columns differ in length")
+        _, sensitive, labels, margins = checked
+        self.parts = _metric_lattices(
+            FairnessMetric(metric), labels, self.yhat, sensitive, margins[None]
+        )
+
+    def solve(self, epsilons: Sequence[float]) -> list[list[_SolvedCell]]:
+        """For each tolerance in ``epsilons``: the minimal repair that makes
+        the metric hold within it, as one solved lattice cell per slice.
+        Each slice's lattice is searched once for all tolerances."""
+        if not all(0.0 <= epsilon <= 1.0 for epsilon in epsilons):
+            raise BadParameters("epsilon must lie in [0, 1]")
+        uppers = [Fraction(epsilon) for epsilon in epsilons]
+        found = [_search_net_moves(p, [0], _repair_planes(p.counts, uppers)) for p in self.parts]
+        return [[cells[t][0] for cells in found] for t in range(len(uppers))]
+
+    def apply(self, repair: list[_SolvedCell]) -> np.ndarray:
+        """The predictions one result of :meth:`solve` repairs."""
+        return _flip_all(self.yhat, [cell.changed for cell in repair])[0]
+
+    def unfairness(self, repair: list[_SolvedCell]) -> Fraction:
+        """``core.unfairness_exact`` of :meth:`apply`'s predictions, from the counts."""
+        if not repair:
+            raise EmptySlice("metric slice contains zero examples")
+        return max(_group_gap(cell.lattice.counts, cell.u, cell.v, True) for cell in repair)
+
+
+def repair_predictions(
+    yhat: np.ndarray,
+    margins: np.ndarray,
+    sensitive: np.ndarray,
+    labels: np.ndarray,
+    spec: FairnessSpec,
+) -> np.ndarray:
+    """Minimally flip predictions so that ``spec`` holds, groups held fixed.
+    The repair takes an upper bound only."""
+    if spec.epsilon_lower is not None:
+        raise BadParameters("the prediction repair takes no lower bound")
+    state = RepairState(yhat, margins, sensitive, labels, spec.metric)
+    return state.apply(state.solve([spec.epsilon])[0])

@@ -1,5 +1,6 @@
 """End-to-end pipeline: data handling, synthetic benchmark, experiments."""
 
+from ..corrector import repair_predictions
 from .data import (
     CATEGORICAL,
     NUMERIC,
@@ -15,19 +16,14 @@ from .experiment import (
     MODE_EXTERNAL,
     ExperimentConfig,
     ExperimentReport,
-    ExternalGuess,
     REPORT_COLUMNS,
     ReportRow,
     emit_report,
     run_benchmark,
     run_experiment,
 )
-from .instances import read_guess_csv, read_instance_csv, write_correction_csv
-from .predictor import (
-    LabelPredictor,
-    fit_label_predictor,
-    repair_predictions,
-)
+from .instances import ExternalGuess, read_guess_csv, read_instance_csv, write_correction_csv
+from .predictor import LabelPredictor, fit_label_predictor
 from .synth import synth_generate
 
 __all__ = [

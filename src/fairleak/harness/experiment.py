@@ -51,27 +51,25 @@ from ..core import (
     AttackInstance,
     FairnessMetric,
     FairnessSpec,
-    column,
     reconstruction_accuracy,
     unfairness,  # noqa: F401  (perfbench traces this name)
 )
-from ..corrector import correct
+from ..corrector import RepairState, correct
+from ..corrector import repair_predictions  # noqa: F401  (perfbench traces this name)
 from ..errors import (
     BadParameters,
-    DuplicateId,
     EmptyVector,
     FairleakError,
     Infeasible,
-    LengthMismatch,
     SchemaError,
     UnsupportedCardinality,
 )
 from ..estimator import estimate_constraint
 from ..oracle import solve_general_bruteforce
 from ._csv import write_columns, write_text
-from .data import DatasetTable, all_distinct, split_dataset
-from .predictor import RepairState, encode_features, fit_discretizer, fit_label_predictor
-from .predictor import repair_predictions  # noqa: F401  (perfbench traces this name)
+from .data import DatasetTable, split_dataset
+from .instances import ExternalGuess
+from .predictor import encode_features, fit_discretizer, fit_label_predictor
 
 MODE_EXTERNAL = "external"
 
@@ -81,35 +79,6 @@ DEFAULT_EPSILON_GRID = (0.0,) + tuple(
 )
 
 _ORACLE_SLICE = 12
-
-
-@dataclass(frozen=True, eq=False)
-class ExternalGuess:
-    """An externally produced guess, keyed by dataset id."""
-
-    ids: np.ndarray
-    guess: np.ndarray
-    raw_scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        ids = column(self.ids, "ids")
-        guess = column(self.guess, "guess")
-        raw = column(self.raw_scores, "raw_scores", np.float64, finite=False)
-        if not ids.size == guess.size == raw.size:
-            raise LengthMismatch("guess file columns differ in length")
-        if not all_distinct(ids):
-            raise DuplicateId("guess ids are not unique")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "guess", guess)
-        object.__setattr__(self, "raw_scores", raw)
-
-    def for_ids(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lookup = {int(i): pos for pos, i in enumerate(self.ids)}
-        try:
-            sel = np.asarray([lookup[int(i)] for i in wanted], dtype=np.int64)
-        except KeyError as exc:
-            raise SchemaError(f"guess file misses id {exc.args[0]}") from exc
-        return self.guess[sel], self.raw_scores[sel]
 
 
 @dataclass(frozen=True)

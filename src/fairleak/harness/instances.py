@@ -7,17 +7,16 @@ carry ``id,s_hat,confidence_raw``.  Both follow the shared CSV rules of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..core import AttackInstance
-from ..corrector import CorrectionResult
-from ..errors import DuplicateId
+from ..core import AttackInstance, CorrectionResult, column
+from ..errors import DuplicateId, LengthMismatch, SchemaError
 from ._csv import code_cells, fast_columns, float_cells, floats, int_cells, ints, read_columns
 from ._csv import write_columns
 from .data import all_distinct
-from .experiment import ExternalGuess
 
 INSTANCE_COLUMNS = dict(id=np.int64, y=np.int64, yhat=np.int64, s_hat=np.int64, confidence=float)
 GUESS_COLUMNS = dict(id=np.int64, s_hat=np.int64, confidence_raw=float)
@@ -62,6 +61,35 @@ def write_correction_csv(
         header.append("s_true")
         cells.append(code_cells(instance.truth))
     return write_columns(path, header, cells, "corrected instance")
+
+
+@dataclass(frozen=True, eq=False)
+class ExternalGuess:
+    """An externally produced guess, keyed by dataset id."""
+
+    ids: np.ndarray
+    guess: np.ndarray
+    raw_scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids = column(self.ids, "ids")
+        guess = column(self.guess, "guess")
+        raw = column(self.raw_scores, "raw_scores", np.float64, finite=False)
+        if not ids.size == guess.size == raw.size:
+            raise LengthMismatch("guess file columns differ in length")
+        if not all_distinct(ids):
+            raise DuplicateId("guess ids are not unique")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "guess", guess)
+        object.__setattr__(self, "raw_scores", raw)
+
+    def for_ids(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lookup = {int(i): pos for pos, i in enumerate(self.ids)}
+        try:
+            sel = np.asarray([lookup[int(i)] for i in wanted], dtype=np.int64)
+        except KeyError as exc:
+            raise SchemaError(f"guess file misses id {exc.args[0]}") from exc
+        return self.guess[sel], self.raw_scores[sel]
 
 
 def read_guess_csv(path: str | Path) -> ExternalGuess:

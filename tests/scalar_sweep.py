@@ -7,7 +7,7 @@ group-1 size, the upper-only repair's by tightening one linear constraint
 at a time.
 ``solve_sp_form`` has the signature of ``fairleak.corrector._solve_sp_form``
 (the sweep on one cost row at a time) and ``solve_repair_state`` that of
-``fairleak.harness.predictor.RepairState.solve`` (``repair_slice`` on each
+``fairleak.corrector.RepairState.solve`` (``repair_slice`` on each
 prepared slice, one tolerance at a time): each reads the package's slice
 lattices and answers with its solved cells, so a test can swap them in.
 """

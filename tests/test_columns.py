@@ -19,10 +19,10 @@ from fairleak.adversary import AttackSet, label_log_joint, predict_guess, shape_
 from fairleak.adversary import train_baseline
 from fairleak.core import AttackInstance, reconstruction_accuracy, slice_for_metric
 from fairleak.core import unfairness, unfairness_exact
+from fairleak.corrector import RepairState
 from fairleak.errors import FairleakError
 from fairleak.estimator import estimate_constraint
 from fairleak.harness import DatasetTable, ExternalGuess, FeatureColumn
-from fairleak.harness.predictor import RepairState
 from fairleak.nb import fit_naive_bayes
 
 

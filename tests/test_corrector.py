@@ -13,8 +13,7 @@ from conftest import meets_spec, solve_each
 from fairleak import corrector, oracle
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec
 from fairleak.adversary import MIN_CONFIDENCE
-from fairleak.corrector import MoveCounts, _Lattice, correct
-from fairleak.harness.predictor import repair_predictions
+from fairleak.corrector import MoveCounts, _Lattice, correct, repair_predictions
 from fairleak.oracle import _signature_classes, solve_general_bruteforce
 from fairleak.errors import (
     BadParameters,

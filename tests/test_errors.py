@@ -23,6 +23,7 @@ from fairleak.core import (
     unfairness,
     unfairness_exact,
 )
+from fairleak.corrector import RepairState, repair_predictions
 from fairleak.errors import (
     BadParameters,
     FairleakError,
@@ -42,7 +43,6 @@ from fairleak.harness import (
     emit_report,
     synth_generate,
 )
-from fairleak.harness.predictor import RepairState, repair_predictions
 from fairleak.nb import fit_naive_bayes
 
 UNSCORED = AttackInstance([1, 0], [0, 0], [1, 0], [0.6, 0.7])

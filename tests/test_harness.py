@@ -28,7 +28,7 @@ from fairleak.core import (
     unfairness,
     unfairness_exact,
 )
-from fairleak.corrector import correct
+from fairleak.corrector import RepairState, correct, repair_predictions
 from fairleak.errors import (
     BadParameters,
     DegenerateClasses,
@@ -60,12 +60,7 @@ from fairleak.harness import (
 from fairleak.harness import CATEGORICAL, NUMERIC, _csv, experiment, instances, predictor
 from fairleak.harness.data import all_distinct
 from fairleak.harness.experiment import _train_attack_model
-from fairleak.harness.predictor import (
-    RepairState,
-    encode_features,
-    fit_discretizer,
-    repair_predictions,
-)
+from fairleak.harness.predictor import encode_features, fit_discretizer
 from fairleak.nb import fit_naive_bayes
 from test_cli import _GUESS, _INSTANCE, _POOL, _file
 
@@ -1164,6 +1159,27 @@ class TestRunExperiment:
                 with pytest.raises(EmptyVector) as caught:
                     run_experiment(config, table)
                 assert str(caught.value) == f"a table of {n} rows leaves the {part} part empty"
+
+    def test_attack_part_of_two_rows_leaves_no_validation_rows(self):
+        # the attack third at seed 0 is rows 0 and 1, one of each class: the
+        # attack model trains on both, and k-selection has nothing to score
+        bits = np.array([0, 1, 0, 1, 0, 1])
+        table = DatasetTable(
+            ids=np.arange(6),
+            features={"x": FeatureColumn(CATEGORICAL, bits)},
+            sensitive=np.array([0, 1, 1, 0, 0, 1]),
+            labels=np.array([0, 1, 0, 1, 1, 0]),
+        )
+        for mode in (MODE_A, MODE_A_PRIME):
+            config = ExperimentConfig(epsilon_grid=(0.1, 0.5), seeds=(0,), adversary_mode=mode)
+            rows = run_experiment(config, table).rows
+            assert [row.status for row in rows] == ["EmptyVector"] * 2
+        external = ExternalGuess(ids=range(6), guess=bits, raw_scores=[0.7] * 6)
+        config = ExperimentConfig(
+            epsilon_grid=(0.1, 0.5), seeds=(0,), adversary_mode="external",
+            external_guess=external,
+        )
+        assert [row.status for row in run_experiment(config, table).rows] == ["ok"] * 2
 
     def test_external_guess_ids_are_unique(self):
         # a repeated id would silently map every row to its last guess

@@ -23,10 +23,8 @@ from fairleak.core import (
     slice_for_metric,
     unfairness_exact,
 )
-from fairleak.corrector import _floor_affine, correct
+from fairleak.corrector import RepairState, _floor_affine, correct, repair_predictions
 from fairleak.errors import Infeasible
-from fairleak.harness import predictor
-from fairleak.harness.predictor import RepairState, repair_predictions
 
 METRICS = list(FairnessMetric)
 SP = FairnessMetric.SP
@@ -139,9 +137,8 @@ def _logged_solves(patch):
 
 def _spy_searches(monkeypatch, spy):
     """Put ``spy`` in place of the net-move search, for the corrector and
-    for the prediction repair, which imports it."""
-    monkeypatch.setattr(corrector, "search_net_moves", spy)
-    monkeypatch.setattr(predictor, "search_net_moves", spy)
+    the prediction repair alike."""
+    monkeypatch.setattr(corrector, "_search_net_moves", spy)
 
 
 def _spied_blocks(monkeypatch):
@@ -149,7 +146,7 @@ def _spied_blocks(monkeypatch):
     each block whose windows it computes, as (its cost rows times bounds,
     its columns)."""
     searches = []
-    search, rows_within = corrector.search_net_moves, corrector._rows_within
+    search, rows_within = corrector._search_net_moves, corrector._rows_within
 
     def spy(lattice, rows, planes):
         def recording(u, planes, lo, hi):
@@ -355,7 +352,7 @@ class TestColumnBound:
         # band's cheapest row is a whole number; LB raised by a quarter of
         # the rounding margin must still leave that cell found
         monkeypatch.setattr(corrector, "_SMALL", 0)
-        bound_at, search = corrector._column_bound, corrector.search_net_moves
+        bound_at, search = corrector._column_bound, corrector._search_net_moves
         gaps = []  # each solved cell's cost above LB at its column
 
         def spy(part, rows, planes):

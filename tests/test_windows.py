@@ -1,6 +1,6 @@
 """Every net-move half-plane against the definition of the gap it bounds.
 
-Both solvers hand ``search_net_moves`` half-planes of the cells (u, v), the
+Both solvers hand ``_search_net_moves`` half-planes of the cells (u, v), the
 cells whose gaps are within each bound; ``_rows_within`` turns them into
 each column's rows.  For every column of small lattices and every bound,
 the plane builders ``_sp_planes`` and ``_repair_planes`` must hold exactly
@@ -8,9 +8,11 @@ the rows whose cell meets the bound by ``core.unfairness_exact``, the
 corrector's only where both guess groups are nonempty.  A gap at or above a
 lower bound lies past one of its four planes, each reversed, so the union of
 those four reversed pieces must hold exactly the cells the gap does not
-keep below the bound.  A spy also captures each search the solvers make and
-checks its planes at the solver's own bounds the same way, the four pieces
-of a search that carries a lower bound as one union.  The search reads
+keep below the bound.  A spy in place of ``corrector._search_net_moves``,
+which ``correct`` and ``corrector.RepairState`` both call, also captures
+each search the solvers make and checks its planes at the solver's own
+bounds the same way, the four pieces of a search that carries a lower bound
+as one union.  The search reads
 whether (0, 0) is feasible from the planes' offsets; the spy checks each
 verdict against the piece's rows at column 0, against the exact verdict
 ``_group_gap`` gives from the lattice's counts, and against the definition.
@@ -22,10 +24,9 @@ import numpy as np
 
 from fairleak import corrector
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec, unfairness_exact
-from fairleak.corrector import _group_gap, _repair_planes, _rows_within, _sp_planes, correct
+from fairleak.corrector import RepairState, _group_gap, _repair_planes, _rows_within, _sp_planes
+from fairleak.corrector import correct
 from fairleak.errors import Infeasible
-from fairleak.harness import predictor
-from fairleak.harness.predictor import RepairState
 
 SP = FairnessMetric.SP
 
@@ -174,17 +175,16 @@ def _check_search(part, gap, planes, bounds, lower):
 
 def _captured(monkeypatch, run):
     """The arguments (lattice, planes) of every search ``run`` makes through
-    ``search_net_moves``, the corrector's or the prediction repair's."""
+    ``_search_net_moves``, the corrector's or the prediction repair's."""
     seen = []
-    real = corrector.search_net_moves
+    real = corrector._search_net_moves
 
     def spy(part, rows, planes):
         seen.append((part, planes))
         return real(part, rows, planes)
 
     with monkeypatch.context() as patch:
-        patch.setattr(corrector, "search_net_moves", spy)
-        patch.setattr(predictor, "search_net_moves", spy)
+        patch.setattr(corrector, "_search_net_moves", spy)
         try:
             run()
         except Infeasible:
