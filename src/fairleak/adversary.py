@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import AttackInstance, FairnessSpec, column, read_only_copy
 from .corrector import correct  # noqa: F401  (perfbench traces this name)
-from .corrector import _solve_rows
+from .corrector import _flipped_rows, _solve_rows
 from .errors import (
     BadParameters,
     DegenerateClasses,
@@ -236,5 +236,5 @@ def _k_scores(validation: AttackInstance, spec: FairnessSpec) -> list[float]:
     # a flip gains a match or loses one; a truth of 2 matches neither guess
     base = np.count_nonzero(truth == guess)
     gain = (truth == 1 - guess) - (truth == guess).astype(np.int64)
-    gained = [sum(int(gain.take(cell.changed).sum()) for cell in cells) for cells in solved]
+    gained = [int(gain.take(_flipped_rows(cells)).sum()) for cells in solved]
     return [(base + g) / validation.n for g in gained]

@@ -1,6 +1,6 @@
 """Domain types, statistical fairness metrics, metric slicing and scoring.
 
-Each metric's slice rule is written once, in ``slice_for_metric``, and a
+Each metric's slice rule is written once, in ``_SLICE_LABELS``, and a
 metric's unfairness is the largest group rate gap over its nonempty slices.
 Rates are compared as exact integer ratios (``fractions.Fraction``) so that
 feasibility questions never depend on floating-point summation order.
@@ -58,11 +58,12 @@ def column(
     ``values`` as a one-dimensional array of ``dtype``, int64 or float64,
     copied only to convert it.
 
-    The values must be numbers; finite, unless ``finite`` is false; whole
-    and within int64 where ``dtype`` is int64; and in [0, ``high``) where
-    ``high`` is given.  A bad shape or conversion is a ``SchemaError``, a bad
-    value an ``error``.  Integer input costs no pass beyond the range
-    check's min and max, and only float input is checked for whole numbers.
+    The values must be numbers; finite, and of finite sum if float64, unless
+    ``finite`` is false; whole and within int64 where ``dtype`` is int64; and
+    in [0, ``high``) where ``high`` is given.  A bad shape or conversion is a
+    ``SchemaError``, a bad value an ``error``.  An int64 column costs no pass
+    beyond the range check's min and max, and only float input is checked
+    for whole numbers.
     """
     try:
         arr = np.asarray(values)
@@ -87,6 +88,9 @@ def column(
     out = arr.astype(dtype, copy=False)
     if integer and kind == "f" and not np.array_equal(out, arr):
         raise error(f"{name} must hold 64-bit integers")
+    with np.errstate(over="ignore"):  # a finite float column is a cost vector
+        if not integer and finite and not np.isfinite(out.sum()):
+            raise error(f"{name} must have a finite sum")
     return out
 
 
@@ -194,14 +198,16 @@ def slice_for_metric(metric: FairnessMetric, y: Sequence[int]) -> tuple[np.ndarr
     return _slices(FairnessMetric(metric), column(y, "labels", high=2))
 
 
+#: The label of each slice a metric constrains; None for SP's one slice of every row.
+_SLICE_LABELS = {FairnessMetric.SP: None, FairnessMetric.PE: (0,), FairnessMetric.EO: (1,),
+                 FairnessMetric.EODDS: (0, 1)}
+
+
 def _slices(metric: FairnessMetric, labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    if metric is FairnessMetric.SP:
+    ys = _SLICE_LABELS[metric]
+    if ys is None:
         return (np.arange(labels.size),)
-    if metric is FairnessMetric.PE:
-        return (np.flatnonzero(labels == 0),)
-    if metric is FairnessMetric.EO:
-        return (np.flatnonzero(labels == 1),)
-    return (np.flatnonzero(labels == 0), np.flatnonzero(labels == 1))
+    return tuple(np.flatnonzero(labels == y) for y in ys)
 
 
 def _group_rate_gap(s: np.ndarray, yhat: np.ndarray) -> Fraction:

@@ -4,11 +4,12 @@
 the *net* number of guess flips among positively and among negatively
 predicted examples, so the search collapses onto a 2-D integer lattice whose
 per-axis costs are prefix sums of ascending-sorted confidences.  ``_Lattice``
-holds that lattice for any 0/1 vector split by another, read in place at a
-metric slice's rows: here the guess split by the predictions, and in the
-simulated fair target's prediction repair the predictions split by the
-groups.  A flip names the rows it changes, and ``_flip_all`` scatters every
-slice's flips into one copy of the vector.  ``_search_net_moves`` searches it
+holds that lattice for any 0/1 vector x split by another, z, over one metric
+slice: here the guess split by the predictions, and in the simulated fair
+target's prediction repair the predictions split by the groups.  A row's
+cell code, 2*x + z plus 4*y where label y slices the rows, gathers its cost
+into its cell, and ``_flipped_rows`` reads the codes for the rows one
+vector's solved cells flip.  ``_search_net_moves`` searches it
 in numpy from the half-planes the solvers hand it: costs are convex, so the
 cheapest row of the continuous band bounds each column's cells by a convex
 function, and the search takes columns outward from its minimum until it
@@ -35,8 +36,7 @@ one search per slice with one cost row per vector, and only it decides which
 slice carries a lower bound.  Each solver hands ``_search_net_moves`` a
 slice's lattice and the cost rows to read, and gets one ``_SolvedCell`` per
 bound and row: a lattice cell under one cost row, priced by
-``_Lattice.cost`` and flipped by ``_Lattice.flip``, in one pass where no
-cost tie straddles its cut.  ``correct`` is its one-vector case, and builds
+``_Lattice.cost``.  ``correct`` is its one-vector case, and builds
 its result from the cells with ``_result``; k-selection solves every
 exponent at once and scores their flips without building results.  The
 brute-force oracle this solver is checked against, and the only solver for
@@ -64,20 +64,18 @@ from .core import (
     FairnessSpec,
     MoveCounts,
     SolverStats,
+    _SLICE_LABELS,
     column,
-    slice_for_metric,
 )
 from .errors import BadParameters, EmptySlice, Infeasible, LengthMismatch, UnsupportedCardinality
 
 
-def _sorted_sums(costs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``costs``: its entries at ``idx`` in ascending order,
-    and their prefix sums.  Ties may sit in any order, as neither the values
-    nor their sums depend on it."""
-    # take() is numpy's fast gather; 2-D fancy indexing is several times slower
-    values = costs.take(idx, axis=1)
+def _sorted_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``values``, sorted ascending in place, and its prefix sums.
+    Ties may sit in any order, as neither the values nor their sums depend
+    on it."""
     values.sort(axis=1)
-    totals = np.zeros((costs.shape[0], idx.size + 1))
+    totals = np.zeros((values.shape[0], values.shape[1] + 1))
     np.cumsum(values, axis=1, out=totals[:, 1:])
     return values, totals
 
@@ -153,56 +151,31 @@ def _rows_within(
 
 
 class _Lattice:
-    """The net-move lattice of 0/1 vectors ``x`` split by ``z``, read in place
-    at their ascending entries ``idx`` (every entry when it is None), with one
-    cost row per row of ``costs``.
+    """The net-move lattice of the rows whose cell code, 2*x + z plus 4*y where
+    a label y slices the rows, lies in base..base+3, with one cost row per
+    row of ``costs``; ``by_code[c]`` holds code c's costs, which it sorts.
 
-    Column u flips |u| entries of ``x`` where z = 1, zeros to one when u > 0
-    and ones to zero when u < 0; row v does the same where z = 0.  Its cells
-    c[x][z], and their sizes ``counts``, come as c01, c11, c00, c10: the
-    column's up and down flips, then the row's.  A cell keeps its indices
-    into ``x`` and its sorted costs with their prefix sums; a flip of k
-    entries takes its k cheapest, ties on the lowest index.
+    Column u flips |u| rows of x where z = 1, zeros to one when u > 0 and
+    ones to zero when u < 0; row v does the same where z = 0.  Its cells
+    c[x][z], their ``codes`` and their sizes ``counts`` come as c01, c11,
+    c00, c10: the column's up and down flips, then the row's.  A cell keeps
+    its sorted costs with their prefix sums.
     """
 
-    def __init__(
-        self, x: np.ndarray, z: np.ndarray, costs: np.ndarray, idx: np.ndarray | None
-    ) -> None:
-        self.x, self.z, self.costs, self.idx = x, z, costs, idx
-        whole = idx is None
-        xb, zb = ((a if whole else a.take(idx)).astype(bool) for a in (x, z))
-        cells = [np.flatnonzero(m) for m in (~xb & zb, xb & zb, ~xb & ~zb, xb & ~zb)]
-        cells = cells if whole else [idx.take(cell) for cell in cells]
-        self.counts = tuple(cell.size for cell in cells)
-        # (values, totals, indices) of the up and down flips of the column, then the row
-        self.cells = [(*_sorted_sums(costs, cell), cell) for cell in cells]
+    def __init__(self, code: np.ndarray, costs: np.ndarray, by_code: Sequence[np.ndarray],
+                 base: int) -> None:
+        self.code, self.costs = code, costs
+        self.codes = (base + 1, base + 3, base, base + 2)
+        # (values, totals) of the up and down flips of the column, then the row
+        self.cells = [_sorted_sums(by_code[c]) for c in self.codes]
+        self.counts = tuple(values.shape[1] for values, _ in self.cells)
 
     def cost(self, r: int, u: int, v: int) -> float:
         """The cost of cell (u, v) under cost row ``r``: its column's prefix
         sum plus its row's."""
-        up1, down1, up0, down0 = (totals[r] for _, totals, _ in self.cells)
+        up1, down1, up0, down0 = (totals[r] for _, totals in self.cells)
         column = float((up1 if u >= 0 else down1)[abs(u)])
         return column + float((up0 if v >= 0 else down0)[abs(v)])
-
-    def flip(self, r: int, u: int, v: int) -> np.ndarray:
-        """The indices into ``x`` of the entries cell (u, v) flips under cost
-        row ``r``: the column's, then the row's, each ascending."""
-        picks = []
-        for k, up, down in ((u, *self.cells[:2]), (v, *self.cells[2:])):
-            values, _, idx = up if k > 0 else down
-            k = abs(k)
-            if 0 < k < idx.size:
-                cost, kth = self.costs[r].take(idx), values[r, k - 1]
-                if values[r, k] > kth:
-                    # no tie straddles the cut: the k entries up to the k-th cost
-                    idx = idx[cost <= kth]
-                else:
-                    # every entry below the k-th smallest cost, then the first ties
-                    chosen = cost < kth
-                    chosen[np.flatnonzero(cost == kth)[: k - np.count_nonzero(chosen)]] = True
-                    idx = idx[chosen]
-            picks.append(idx[:k])
-        return np.concatenate(picks)
 
 
 def _group_gap(counts: Sequence[int], u: int, v: int, fixed: bool) -> Fraction:
@@ -220,20 +193,17 @@ def _group_gap(counts: Sequence[int], u: int, v: int, fixed: bool) -> Fraction:
 def _metric_lattices(
     metric: FairnessMetric, labels: np.ndarray, x: np.ndarray, z: np.ndarray, costs: np.ndarray
 ) -> list[_Lattice]:
-    """The lattice of each nonempty slice of ``metric``; SP's slice is every
-    row, read with no index array."""
-    if metric is FairnessMetric.SP:
-        return [_Lattice(x, z, costs, None)] if x.size else []
-    return [_Lattice(x, z, costs, idx) for idx in slice_for_metric(metric, labels) if idx.size]
-
-
-def _flip_all(x: np.ndarray, flips: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """A copy of the 0/1 vector ``x`` with the disjoint index arrays ``flips``
-    flipped, and their union, ascending."""
-    changed = np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *flips]))
-    flipped = np.array(x)
-    flipped[changed] = x.take(changed) == 0
-    return flipped, changed
+    """The lattice of each nonempty slice of ``metric``, over one cell code per
+    row, 2*x + z plus 4*y where label y slices the rows: one stable sort of
+    the codes, a radix sort, partitions every cost row by code."""
+    code = x.astype(np.uint8) << 1 | z.astype(np.uint8)
+    ys = _SLICE_LABELS[metric]
+    if ys is not None:
+        code |= labels.astype(np.uint8) << 2
+    ends = np.cumsum([np.count_nonzero(code == c) for c in range(7)])
+    by_code = np.split(costs.take(np.argsort(code, kind="stable"), axis=1), ends, axis=1)
+    lattices = [_Lattice(code, costs, by_code, 4 * y) for y in ys or (0,)]
+    return [part for part in lattices if sum(part.counts)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +218,6 @@ class _SolvedCell:
     columns: int
 
     @property
-    def changed(self) -> np.ndarray:
-        return self.lattice.flip(self.r, self.u, self.v)
-
-    @property
     def objective(self) -> float:
         return self.lattice.cost(self.r, self.u, self.v)
 
@@ -259,6 +225,29 @@ class _SolvedCell:
     def gap(self) -> Fraction:
         """The slice's SP gap, ``x`` split by ``z``, once the cell's flips apply."""
         return _group_gap(self.lattice.counts, self.u, self.v, False)
+
+
+def _flipped_rows(cells: Sequence[_SolvedCell]) -> np.ndarray:
+    """The ascending rows that one vector's solved cells, of one solve, flip.
+    A cell flipping k rows takes those of its code costing less than its
+    k-th least cost, then the first rows costing that: all costing at most
+    it where no tie straddles the cut.  Each flipped cell reads the codes
+    and costs once into one mask of every row, a straddling tie once more."""
+    flipped = None
+    for cell in cells:
+        part = cell.lattice
+        code, cost = part.code, part.costs[cell.r]
+        for k, at in ((cell.u, 0 if cell.u > 0 else 1), (cell.v, 2 if cell.v > 0 else 3)):
+            if not k:
+                continue
+            values, k = part.cells[at][0][cell.r], abs(k)
+            kth, mine = values[k - 1], code == part.codes[at]
+            straddles = k < values.size and values[k] == kth
+            rows = mine & (cost < kth if straddles else cost <= kth)
+            if straddles:
+                rows[np.flatnonzero(mine & (cost == kth))[: k - np.count_nonzero(rows)]] = True
+            flipped = rows if flipped is None else flipped | rows
+    return np.zeros(0, dtype=np.int64) if flipped is None else np.flatnonzero(flipped)
 
 
 #: A half-plane q*v <= c[b] + k*u of the cells (u, v), one offset c[b] per
@@ -293,16 +282,18 @@ def _repair_planes(counts: Sequence[int], bounds: Sequence[Fraction]) -> list[Pl
 def _column_bound(
     sums: Sequence[np.ndarray], planes: Sequence[Plane], ulo: int, uhi: int,
     b: np.ndarray, r: np.ndarray,
-) -> tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
     """``bound(u, p)``, for pairs ``p`` of bound b[p] and cost row r[p]: LB at
     columns ``u``, indexed (pair, point), and the cost of the cell at LB's
-    row rounded away from zero; and top[p], the pair's dearest cell's cost.
-    LB(u) is column u's cost plus the row sums of ``sums``, interpolated, at
-    max(lo, 0) and max(-hi, 0) for the continuous band's ends lo and hi,
-    plus top * 2**20 + 1 per row that the band lies empty beyond float
-    error: convex, and no more than any cell of the column.  Lines are
-    anchored where they cross v = 0, so that float64 does not cancel; planes
-    near vertical or masking columns alone are left out."""
+    row rounded away from zero, both in units of unit[p]; top[p], the pair's
+    dearest cell's cost; and unit[p], the least power of two at least 1 and
+    top[p], in which no LB overflows.  LB(u) is column u's cost plus the row
+    sums of ``sums``, interpolated, at max(lo, 0) and max(-hi, 0) for the
+    continuous band's ends lo and hi, plus top * 2**20 + unit per row that
+    the band lies empty beyond float error: convex, and no more than any
+    cell of the column.  Lines are anchored where they cross v = 0, so that
+    float64 does not cancel; planes near vertical or masking columns alone
+    are left out."""
     lines = [(q, c, k) for q, c, k in planes if q and abs(k) <= abs(q) << 20]
     shape = len(lines), len(planes[0][1])
     anchor = [[min(max(-ci // k if k else 0, ulo), uhi) for ci in c] for q, c, k in lines]
@@ -316,7 +307,8 @@ def _column_bound(
     flat = [(totals.ravel(), totals.shape[1] - 1) for totals in sums]
     vlo, vhi = -flat[3][1], flat[2][1]
     top = sum(np.maximum(*(totals[r, -1] for totals in pair)) for pair in (sums[:2], sums[2:]))
-    weight = (top * 2.0**20 + 1)[:, None]
+    unit = np.ldexp(1.0, np.maximum(np.frexp(top)[1], 0))
+    weight = (top / unit * 2.0**20 + 1)[:, None]
 
     def bound(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         line = at[:, p] + slope * (u - anchors[:, p])
@@ -328,11 +320,11 @@ def _column_bound(
         for x, row, (totals, end) in zip(moves, offsets[:, p], flat):
             # past the last row the last step goes on, which keeps LB convex
             k = np.minimum(x, max(end - 1, 0)).astype(np.int64)
-            a, z = totals.take(row + k), totals.take(row + np.minimum(k + 1, end))
+            a, z = (totals.take(row + i) / unit[p, None] for i in (k, np.minimum(k + 1, end)))
             value, cell = value + a + (x - k) * (z - a), cell + np.where(x == k, a, z)
         return value, cell
 
-    return bound, top
+    return bound, top, unit
 
 
 def _search_net_moves(
@@ -369,7 +361,7 @@ def _search_net_moves(
     """
     c00, c10 = part.counts[2:]
     pick = slice(None) if len(rows) == len(part.costs) else list(rows)
-    sums = pos, neg, row_pos, row_neg = [totals[pick] for _, totals, _ in part.cells]
+    sums = pos, neg, row_pos, row_neg = [totals[pick] for _, totals in part.cells]
     ulo, uhi = 1 - neg.shape[1], pos.shape[1] - 1
     free = [all(c[b] >= 0 for _, c, _ in planes) for b in range(len(planes[0][1]))]
     best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in free]
@@ -405,7 +397,7 @@ def _search_net_moves(
         scan(np.arange(ulo, uhi + 1), bs)
     elif pairs:
         bi, ri = (np.array(side) for side in zip(*pairs))
-        bound, top = _column_bound(sums, planes, ulo, uhi, bi, ri)
+        bound, top, unit = _column_bound(sums, planes, ulo, uhi, bi, ri)
         todo = np.arange(len(pairs))
         lo, hi = np.full(todo.size, ulo), np.full(todo.size, uhi)
         while (hi - lo).max() > _GRID:
@@ -442,7 +434,8 @@ def _search_net_moves(
             # done when the best cell is within the threshold, or it is top, or no column is left
             for p, stopped in zip(todo.tolist(), over.any(axis=1).tolist()):
                 key = best[bi[p]][ri[p]]
-                if stopped and (rise := top[p] if key is None else key[0]) > threshold[p]:
+                rise = (top[p] if key is None else key[0]) / unit[p]  # in the bound's units
+                if stopped and rise > threshold[p]:
                     threshold[p] = rise
                     keep.append(p)
             todo = np.array(keep, dtype=np.int64)
@@ -542,7 +535,8 @@ def _solve_rows(
 
 def _result(guess: np.ndarray, cells: Sequence[_SolvedCell]) -> CorrectionResult:
     """The correction of ``guess`` that the solved cells of its slices make."""
-    corrected, changed = _flip_all(guess, [cell.changed for cell in cells])
+    changed, corrected = _flipped_rows(cells), np.array(guess)
+    corrected[changed] = guess.take(changed) == 0
     corrected.setflags(write=False)
     changed.setflags(write=False)
     moves = MoveCounts(
@@ -580,10 +574,8 @@ class RepairState:
                    column(labels, "labels", high=2), column(margins, "margins", np.float64, np.inf)]
         if len({arr.size for arr in checked}) > 1:
             raise LengthMismatch("repair columns differ in length")
-        _, sensitive, labels, margins = checked
-        self.parts = _metric_lattices(
-            FairnessMetric(metric), labels, self.yhat, sensitive, margins[None]
-        )
+        yhat, sensitive, labels, margins = checked
+        self.parts = _metric_lattices(FairnessMetric(metric), labels, yhat, sensitive, margins[None])
 
     def solve(self, epsilons: Sequence[float]) -> list[list[_SolvedCell]]:
         """For each tolerance in ``epsilons``: the minimal repair that makes
@@ -597,7 +589,9 @@ class RepairState:
 
     def apply(self, repair: list[_SolvedCell]) -> np.ndarray:
         """The predictions one result of :meth:`solve` repairs."""
-        return _flip_all(self.yhat, [cell.changed for cell in repair])[0]
+        changed, repaired = _flipped_rows(repair), np.array(self.yhat)
+        repaired[changed] = self.yhat.take(changed) == 0
+        return repaired
 
     def unfairness(self, repair: list[_SolvedCell]) -> Fraction:
         """``core.unfairness_exact`` of :meth:`apply`'s predictions, from the counts."""

@@ -18,7 +18,7 @@ class EmptySlice(FairleakError):
 
 
 class NegativeConfidence(FairleakError):
-    """A confidence score is negative or not finite."""
+    """A confidence score is negative or not finite, or their sum is not."""
 
 
 class Infeasible(FairleakError):

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from fairleak.core import MoveCounts
-from fairleak.corrector import _SolvedCell
+from fairleak.corrector import _flipped_rows, _SolvedCell
 from fairleak.errors import Infeasible
 
 
@@ -152,7 +152,7 @@ def solve_sp_form(
     from its prefix sums.  Each result is returned as the package returns
     it: a solved cell whose (u, v) are the net flips among positive and among
     negative predictions, with the columns scanned."""
-    up1, down1, up0, down0 = (totals for _, totals, _ in part.cells)
+    up1, down1, up0, down0 = (totals for _, totals in part.cells)
     cells = []
     for r in rows:
         moves, columns = _solve_sp_form_row(
@@ -300,14 +300,17 @@ def solve_repair_state(state, epsilons: list[float]) -> list[list[_SolvedCell]]:
 
 def _repair_slice_state(part, epsilons: list[Fraction]) -> list[_SolvedCell]:
     """``repair_slice`` on a slice the package prepared, one tolerance at a
-    time: only its raw predictions, margins and groups are read, never its
-    sorted costs.  Each repair is returned as the package returns it: a
-    solved cell whose (u, v) are the net flips in group 1 and in group 0;
-    the reference counts no columns.  The package must rebuild from that
-    cell the very vector the reference repaired, and price it at the
-    reference's cost."""
-    idx = np.arange(part.x.size) if part.idx is None else part.idx
-    x, z, margins = part.x[idx], part.z[idx], part.costs[0][idx]
+    time: only its cell codes and margins are read, never its sorted costs;
+    a code is 2*x + z, plus 4*y where the rows are sliced by label y, and
+    the slice holds the rows of the lattice's four codes.  Each repair is
+    returned as the package returns it: a solved cell whose (u, v) are the
+    net flips in group 1 and in group 0; the reference counts no columns.
+    The package must rebuild from that cell the very vector the reference
+    repaired, and price it at the reference's cost."""
+    idx = np.flatnonzero(np.isin(part.code, part.codes))
+    # every row's prediction, in the slice or not, signed so that flips subtract
+    whole = ((part.code >> 1) & 1).astype(np.int64)
+    x, z, margins = whole[idx], part.code[idx] & 1, part.costs[0][idx]
     local = np.arange(idx.size)
     cells = []
     for epsilon in epsilons:
@@ -316,13 +319,14 @@ def _repair_slice_state(part, epsilons: list[Fraction]) -> list[_SolvedCell]:
         cell = (int(flips[z == 1].sum()), int(flips[z == 0].sum()))
         # the flip, applied to the caller's whole vector, must change no
         # entry twice, and none outside the slice
-        changed = part.flip(0, *cell)
+        solved = _SolvedCell(part, 0, *cell, 0)
+        changed = _flipped_rows([solved])
         assert np.unique(changed).size == changed.size
-        want = np.array(part.x)
+        want = np.array(whole)
         want[idx] = ref.yhat
-        repaired = np.array(part.x)
+        repaired = np.array(whole)
         repaired[changed] = 1 - repaired[changed]
         assert np.array_equal(repaired, want)
-        assert float(part.costs[0][repaired != part.x].sum()) == ref.objective
-        cells.append(_SolvedCell(part, 0, *cell, 0))
+        assert float(part.costs[0][repaired != whole].sum()) == ref.objective
+        cells.append(solved)
     return cells

@@ -13,7 +13,7 @@ from conftest import meets_spec, solve_each
 from fairleak import corrector, oracle
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec
 from fairleak.adversary import MIN_CONFIDENCE
-from fairleak.corrector import MoveCounts, _Lattice, correct, repair_predictions
+from fairleak.corrector import MoveCounts, _Lattice, _SolvedCell, correct, repair_predictions
 from fairleak.oracle import _signature_classes, solve_general_bruteforce
 from fairleak.errors import (
     BadParameters,
@@ -32,27 +32,34 @@ SP, PE, EO, EODDS = (
 )
 
 
-def _lattice(x, z, costs, idx=None):
-    """The lattice of ``x`` split by ``z`` over the entries ``idx``, every
-    entry when it is None."""
-    x = np.asarray(x, dtype=np.int64)
-    return _Lattice(
-        x,
-        np.asarray(z, dtype=np.int64),
-        np.atleast_2d(np.asarray(costs, dtype=np.float64)),
-        idx,
-    )
+def _lattice(x, z, costs, labels=None, y=0):
+    """The lattice of ``x`` split by ``z`` over every row, or over the rows
+    of label ``y`` where ``labels`` slice them: its cell codes are
+    2*x + z, plus 4*label, and each code's costs are gathered by a mask."""
+    code = 2 * np.asarray(x, dtype=np.int64) + np.asarray(z, dtype=np.int64)
+    if labels is not None:
+        code += 4 * np.asarray(labels, dtype=np.int64)
+    costs = np.atleast_2d(np.asarray(costs, dtype=np.float64))
+    by_code = [costs.compress(code == c, axis=1) for c in range(8)]
+    return _Lattice(code.astype(np.uint8), costs, by_code, 4 * y)
+
+
+def _vectors(lattice):
+    """``x`` and ``z`` at every row, read back from the cell codes."""
+    code = lattice.code.astype(np.int64)
+    return (code >> 1) & 1, code & 1
 
 
 def _rows(lattice):
-    """The lattice's slice as indices into ``x``."""
-    return np.arange(lattice.x.size) if lattice.idx is None else lattice.idx
+    """The lattice's slice: the rows of its label, ``code >> 2``, which its
+    cell c00's code, 4*label, carries."""
+    return np.flatnonzero(lattice.code >> 2 == lattice.codes[2] >> 2)
 
 
 def _totals(lattice):
     """Each cell's prefix sums, one row per cost row: the up and down flips of
     the column, then of the row."""
-    return [totals for _, totals, _ in lattice.cells]
+    return [totals for _, totals in lattice.cells]
 
 
 def _ends(lattice):
@@ -71,17 +78,18 @@ def _sizes(lattice):
 
 
 def _stable_orders(lattice, r):
-    """Each cell's indices into ``x`` in the stable order of cost row ``r``:
-    the up and down flips of the column, then of the row."""
+    """Each cell's rows in the stable order of cost row ``r``: the up and
+    down flips of the column, then of the row."""
     idx = _rows(lattice)
-    x, z, cost = lattice.x[idx], lattice.z[idx], lattice.costs[r][idx]
+    x, z = (vector[idx] for vector in _vectors(lattice))
+    cost = lattice.costs[r][idx]
     cells = [np.flatnonzero((x == xv) & (z == zv)) for zv in (1, 0) for xv in (0, 1)]
     return [idx[cell[np.argsort(cost[cell], kind="stable")]] for cell in cells]
 
 
 def _stable_flip(lattice, r, u, v, orders=None):
-    """``_Lattice.flip`` by a stable argsort: the first |k| entries of each
-    cell's stable order."""
+    """The rows cell (u, v) flips, by a stable argsort: the first |k| rows of
+    each cell's stable order, the column's, then the row's."""
     up1, down1, up0, down0 = orders or _stable_orders(lattice, r)
     return np.concatenate(
         [(up if k > 0 else down)[: abs(k)] for k, up, down in ((u, up1, down1), (v, up0, down0))]
@@ -92,18 +100,31 @@ def _flipped(lattice, changed):
     """The full ``x`` with the entries ``changed`` flipped, which must be
     distinct entries of the lattice's slice."""
     assert changed.dtype == np.int64
-    flipped = np.array(lattice.x)
+    x = _vectors(lattice)[0]
+    flipped = np.array(x)
     flipped[changed] = 1 - flipped[changed]
     # an entry named twice flips back, and one outside the slice is missed
     idx = _rows(lattice)
-    assert np.count_nonzero(flipped.take(idx) != lattice.x.take(idx)) == changed.size
-    assert np.count_nonzero(flipped != lattice.x) == changed.size
+    assert np.count_nonzero(flipped.take(idx) != x.take(idx)) == changed.size
+    assert np.count_nonzero(flipped != x) == changed.size
     return flipped
+
+
+def _flip(lattice, r, u, v):
+    """The ascending rows cell (u, v) flips under cost row ``r``."""
+    return corrector._flipped_rows([_SolvedCell(lattice, r, u, v, 0)])
+
+
+def _stable_flipped_rows(cells):
+    """``corrector._flipped_rows`` by the stable argsort: every cell's
+    ``_stable_flip``, ascending."""
+    flips = [_stable_flip(cell.lattice, cell.r, cell.u, cell.v) for cell in cells]
+    return np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *flips]))
 
 
 def _apply(lattice, r, u, v):
     """The full ``x`` with cell (u, v) applied under cost row ``r``."""
-    return _flipped(lattice, lattice.flip(r, u, v))
+    return _flipped(lattice, _flip(lattice, r, u, v))
 
 
 def _draw(rng, style, n):
@@ -131,14 +152,14 @@ def _tie_moves(sorted_costs):
 
 class TestSortedGroup:
     """Cells sorted by value alone give the stable order's prefix sums, and
-    ``flip`` picks the stable order's first entries."""
+    ``_flipped_rows`` picks the stable order's first entries."""
 
     @staticmethod
-    def _check(costs, x, z, rng=None, idx=None):
-        """Prefix sums under every row, and ``flip`` at every move of each
+    def _check(costs, x, z, rng=None, labels=None, y=0):
+        """Prefix sums under every row, and the flips at every move of each
         side; a side of more than 201 moves takes its ends, the moves at and
         next to each tie run's ends (``_tie_moves``) and 40 random moves."""
-        lattice = _lattice(x, z, costs, idx)
+        lattice = _lattice(x, z, costs, labels, y)
         u_lo, u_hi, v_lo, v_hi = _ends(lattice)
         for r, cost in enumerate(lattice.costs):
             orders = _stable_orders(lattice, r)
@@ -168,9 +189,9 @@ class TestSortedGroup:
             first = _draw(rng, style, n)
             costs = np.stack((first, first**2, _draw(rng, style, n)))
             z = rng.random(n) < rng.uniform(0.2, 1.0)
-            # odd trials take a metric slice of the entries, read in place
-            idx = np.flatnonzero(rng.random(n) < 0.6) if trial % 2 else None
-            self._check(costs, rng.integers(0, 2, n), z, rng, idx)
+            # odd trials take the rows of one label, as PE and EO slice them
+            labels = (rng.random(n) < 0.4).astype(int) if trial % 2 else None
+            self._check(costs, rng.integers(0, 2, n), z, rng, labels, trial // 2 % 2)
 
     def test_large_cells_flip_at_every_move(self, rng):
         # one fixed large trial per tie style, every move of both sides
@@ -209,7 +230,7 @@ class TestSortedGroup:
         want = {1: [3], 2: [0, 3], 3: [0, 2, 3], 4: [0, 2, 3, 4]}
         for k, inside in ((1, False), (2, True), (3, True), (4, False)):
             assert bool(values[k] == values[k - 1]) is inside
-            changed = lattice.flip(0, -k, 0)
+            changed = _flip(lattice, 0, -k, 0)
             assert changed.tolist() == want[k]
             assert sorted(changed) == sorted(_stable_flip(lattice, 0, -k, 0))
 
@@ -218,6 +239,64 @@ class TestSortedGroup:
             self._check(conf[None], np.ones(conf.size, dtype=int), np.ones(conf.size, dtype=int))
         for z in ([0, 0], [0, 1]):
             self._check(np.array([[0.3, 0.3]]), [1, 0], z)
+
+
+class TestOneVectorFlip:
+    """``_flipped_rows`` reads one vector's cells of both EOdds slices at
+    once, by the tie rule of the stable argsort."""
+
+    # (label, guess x, prediction z, cost) per row; the code is 2*x + z + 4*label
+    ROWS = [
+        (1, 0, 1, 0.4), (0, 1, 1, 0.5), (0, 0, 0, 0.3), (1, 0, 1, 0.4), (0, 1, 1, 0.2),
+        (0, 0, 0, 0.1), (1, 0, 1, 0.1), (0, 1, 1, 0.5), (0, 0, 0, 0.3), (1, 1, 0, 0.7),
+        (0, 1, 1, 0.5), (0, 0, 0, 0.8), (1, 0, 1, 0.4), (1, 1, 0, 0.6), (0, 1, 1, 0.9),
+        (1, 0, 0, 0.2), (0, 0, 1, 0.05),
+    ]
+
+    def _instance(self):
+        labels, x, z, cost = (np.array(column) for column in zip(*self.ROWS))
+        return AttackInstance(z, labels, x, cost)
+
+    def test_both_slices_by_the_tie_rule(self):
+        inst = self._instance()
+        first, second = corrector._metric_lattices(
+            EODDS, inst.labels, inst.guess, inst.predictions, inst.confidence[None]
+        )
+        cells = [
+            # y = 0: two of the ones where z = 1 cost 0.2, 0.5, 0.5, 0.5, 0.9, so
+            # the cut splits the run of 0.5 and row 1 flips before rows 7 and 10;
+            # three of the zeros where z = 0 cost 0.1, 0.3, 0.3, 0.8, so both
+            # rows at the third cost, 0.3, flip with no tie past the cut
+            _SolvedCell(first, 0, -2, 3, 0),
+            # y = 1: two of the zeros where z = 1 cost 0.1, 0.4, 0.4, 0.4, so
+            # row 0 flips before rows 3 and 12; one one where z = 0, at 0.6
+            _SolvedCell(second, 0, 2, -1, 0),
+        ]
+        changed = corrector._flipped_rows(cells)
+        assert changed.dtype == np.int64
+        assert changed.tolist() == [0, 1, 2, 4, 5, 6, 8, 13]
+        assert np.array_equal(changed, _stable_flipped_rows(cells))
+        result = corrector._result(inst.guess, cells)
+        assert np.array_equal(result.changed_indices, changed)
+        assert result.objective == pytest.approx(inst.confidence[changed].sum())
+        # each slice alone flips its own rows only
+        for cell in cells:
+            assert np.array_equal(corrector._flipped_rows([cell]), _stable_flipped_rows([cell]))
+
+    def test_feasible_origin_flips_nothing(self):
+        inst = self._instance()
+        result = correct(inst, FairnessSpec(EODDS, 1.0))
+        changed = result.changed_indices
+        assert changed.dtype == np.int64 and changed.tolist() == []
+        assert not changed.flags.writeable
+        assert result.corrected.tolist() == inst.guess.tolist()
+        # a cell that flips nothing reads no row: its codes are never touched
+        part = corrector._metric_lattices(
+            EODDS, inst.labels, inst.guess, inst.predictions, inst.confidence[None]
+        )[0]
+        part.code = None
+        assert corrector._flipped_rows([_SolvedCell(part, 0, 0, 0, 0)]).tolist() == []
+        assert corrector._flipped_rows([]).dtype == np.int64
 
 
 class TestTallyGroups:
@@ -316,7 +395,7 @@ class TestSolveEfficient:
 
 
 class TestApplyMoves:
-    """``_Lattice.flip`` flips the cheapest members of each cell."""
+    """``_flipped_rows`` flips the cheapest members of each cell."""
 
     def test_all_zero_is_identity(self):
         corrected = _apply(_lattice([1, 0, 1], [1, 1, 0], [0.5, 0.5, 0.5]), 0, 0, 0)
@@ -366,7 +445,7 @@ class TestTiedTraffic:
             for spec in (FairnessSpec(metric, 0.01), FairnessSpec(metric, 0.2, epsilon_lower=0.15)):
                 got = solve_each(inst, spec, vectors)
                 with monkeypatch.context() as patch:
-                    patch.setattr(_Lattice, "flip", _stable_flip)
+                    patch.setattr(corrector, "_flipped_rows", _stable_flipped_rows)
                     want = solve_each(inst, spec, vectors)
                 assert len(got) == len(want) == len(vectors)
                 for ours, ref in zip(got, want):

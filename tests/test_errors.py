@@ -5,6 +5,8 @@ command line exits 3 on a ``FairleakError`` with its message as the one
 stderr line, and leaves any other exception, a program bug, to a traceback.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from fairleak.core import (
     unfairness,
     unfairness_exact,
 )
-from fairleak.corrector import RepairState, repair_predictions
+from fairleak.corrector import RepairState, correct, repair_predictions
 from fairleak.errors import (
     BadParameters,
     FairleakError,
@@ -61,6 +63,19 @@ def _model(mode="a"):
 def _repair_state():
     bits = np.array([0, 1])
     return RepairState(bits, np.array([0.5, 0.5]), bits, bits, "sp")
+
+
+def _huge_costs():
+    """Predictions, labels, guess and costs of about 1e300 each, whose sum,
+    about 1e304, is finite; at 1e306 each it is not."""
+    rng = np.random.default_rng(0)
+    n = 20000
+    y, yhat = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    guess = np.where(rng.random(n) < 0.7, yhat, 1 - yhat)
+    return yhat, y, guess, (rng.random(n) + 0.01) * 1e300
+
+
+_HUGE = _huge_costs()
 
 
 CASES = {
@@ -339,6 +354,16 @@ CASES = {
         NegativeConfidence,
         "confidence must be finite",
     ),
+    "confidences past the float range": (
+        lambda: AttackInstance(*_HUGE[:3], _HUGE[3] * 1e6),
+        NegativeConfidence,
+        "confidence must have a finite sum",
+    ),
+    "repair margins past the float range": (
+        lambda: repair_predictions(_HUGE[0], _HUGE[3] * 1e6, *_HUGE[1:3], SPEC),
+        SchemaError,
+        "margins must have a finite sum",
+    ),
     "repaired prediction of 2": (
         lambda: repair_predictions(
             np.array([0, 2]), np.array([0.5, 0.5]), np.array([0, 1]), np.array([0, 1]),
@@ -381,3 +406,20 @@ def test_bad_input_raises_its_typed_error(case, tmp_path, monkeypatch):
     assert str(caught.value) == message
     # nothing was written on the way to the error
     assert list(tmp_path.iterdir()) == []
+
+
+def test_costs_near_the_float_range_solve_without_warnings():
+    # the column bound's penalty once grew with the costs and overflowed,
+    # and inf * 0 gave NaN; it now stays finite at any finite cost sum
+    yhat, labels, guess, costs = _HUGE
+    spec = FairnessSpec("sp", 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = correct(AttackInstance(yhat, labels, guess, costs), spec)
+        repaired = repair_predictions(yhat, costs, guess, labels, spec)
+    # costs scaled by a power of two solve alike
+    small = correct(AttackInstance(yhat, labels, guess, costs * 2.0**-990), spec)
+    assert np.array_equal(huge.changed_indices, small.changed_indices)
+    assert huge.stats.nodes == small.stats.nodes > 0
+    assert huge.objective == small.objective * 2.0**990
+    assert np.array_equal(repaired, repair_predictions(yhat, costs * 2.0**-990, guess, labels, spec))

@@ -357,27 +357,28 @@ class TestColumnBound:
 
         def spy(part, rows, planes):
             found = search(part, rows, planes)
-            sums = [totals[list(rows)] for _, totals, _ in part.cells]
+            sums = [totals[list(rows)] for _, totals in part.cells]
             ulo, uhi = 1 - sums[1].shape[1], sums[0].shape[1] - 1
             for b, cells in enumerate(found):
                 # a bound whose offsets are all non-negative holds (0, 0), unsearched
                 free = all(c[b] >= 0 for _, c, _ in planes)
                 for r, cell in enumerate(cells):
                     if cell is not None and not free:
-                        bound, _ = bound_at(sums, planes, ulo, uhi, np.array([b]), np.array([r]))
-                        lb = bound(np.array([[cell.u]]), np.array([0]))[0][0, 0]
+                        bound, _, unit = bound_at(sums, planes, ulo, uhi, np.array([b]), np.array([r]))
+                        # LB comes in units of unit, a power of two, so this is exact
+                        lb = bound(np.array([[cell.u]]), np.array([0]))[0][0, 0] * unit[0]
                         gaps.append(cell.objective - lb)
             return found
 
         def raised(sums, planes, ulo, uhi, b, r):
-            bound, top = bound_at(sums, planes, ulo, uhi, b, r)
+            bound, top, unit = bound_at(sums, planes, ulo, uhi, b, r)
             lift = 1 + (sum(totals.shape[1] - 1 for totals in sums) + 2**20) * 2.0**-46
 
             def lifted(u, p):
                 value, cell = bound(u, p)
                 return value * lift, cell
 
-            return lifted, top
+            return lifted, top, unit
 
         _spy_searches(monkeypatch, spy)
         monkeypatch.setattr(corrector, "_column_bound", raised)
@@ -448,8 +449,9 @@ class TestCorrectEach:
             for i, rows, cells in carried if results else ():
                 for r, cell in zip(rows, cells or ()):
                     assert (cell.lattice, cell.r) == (lattices[i], r)
-                    kept = np.intersect1d(results[r].changed_indices, lattices[i].idx)
-                    if np.array_equal(kept, np.sort(lattices[i].flip(r, cell.u, cell.v))):
+                    # slice i holds the rows of label i
+                    kept = np.intersect1d(results[r].changed_indices, np.flatnonzero(inst.labels == i))
+                    if np.array_equal(kept, corrector._flipped_rows([cell])):
                         corrected.add(i)
             _assert_same_each(monkeypatch, inst, spec, vectors)
         assert {0, 1} <= corrected
@@ -571,9 +573,9 @@ class TestCorrectEach:
                 solved = [] if any(cells is None for *_, cells in upper) else range(len(vectors))
 
                 def gap(i, r):
-                    cell, idx = upper[i][2][r], lattices[i].idx
+                    cell, idx = upper[i][2][r], np.flatnonzero(inst.labels == i)
                     guess = np.array(inst.guess)
-                    changed = lattices[i].flip(r, cell.u, cell.v)
+                    changed = corrector._flipped_rows([cell])
                     guess[changed] = 1 - guess[changed]
                     return unfairness_exact(SP, guess[idx], inst.predictions[idx])
 

@@ -33,8 +33,8 @@ SP = FairnessMetric.SP
 
 def _cell(part, u, v):
     """The lattice's two vectors after cell (u, v), rebuilt from its cells'
-    indices: x the flipped vector, z the one that splits it."""
-    zeros1, ones1, zeros0, ones0 = (idx.size for *_, idx in part.cells)
+    sizes: x the flipped vector, z the one that splits it."""
+    zeros1, ones1, zeros0, ones0 = part.counts
     z1, z0 = zeros1 + ones1, zeros0 + ones0
     # column u turns u zeros into ones where z = 1 (ones into zeros when
     # negative), row v the same where z = 0; which entries move is immaterial
@@ -57,7 +57,7 @@ def _repair_gap(part, u, v):
 def _ends(part):
     """The lattice's lowest and highest column, then row, from the sizes of
     its cells: a column's up flips are its zeros, its down flips its ones."""
-    zeros1, ones1, zeros0, ones0 = (idx.size for *_, idx in part.cells)
+    zeros1, ones1, zeros0, ones0 = part.counts
     return -ones1, zeros1, -ones0, zeros0
 
 
