@@ -9,7 +9,9 @@ slice: here the guess split by the predictions, and in the simulated fair
 target's prediction repair the predictions split by the groups.  A row's
 cell code, 2*x + z plus 4*y where label y slices the rows, gathers its cost
 into its cell, and ``_flipped_rows`` reads the codes for the rows one
-vector's solved cells flip.  ``_search_net_moves`` searches it
+vector's solved cells flip.  A cell sorts its costs only as far as a solve
+reads their prefix sums, which it selects with one partition, so a feasible
+origin sorts nothing.  ``_search_net_moves`` searches it
 in numpy from the half-planes the solvers hand it: costs are convex, so the
 cheapest row of the continuous band bounds each column's cells by a convex
 function, and the search takes columns outward from its minimum until it
@@ -50,6 +52,7 @@ no gap); ``repair_predictions`` is its one-tolerance form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,16 +71,6 @@ from .core import (
     column,
 )
 from .errors import BadParameters, EmptySlice, Infeasible, LengthMismatch, UnsupportedCardinality
-
-
-def _sorted_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``values``, sorted ascending in place, and its prefix sums.
-    Ties may sit in any order, as neither the values nor their sums depend
-    on it."""
-    values.sort(axis=1)
-    totals = np.zeros((values.shape[0], values.shape[1] + 1))
-    np.cumsum(values, axis=1, out=totals[:, 1:])
-    return values, totals
 
 
 #: Columns, times bounds and cost rows, that one block of exact windows takes at most.
@@ -153,29 +146,63 @@ def _rows_within(
 class _Lattice:
     """The net-move lattice of the rows whose cell code, 2*x + z plus 4*y where
     a label y slices the rows, lies in base..base+3, with one cost row per
-    row of ``costs``; ``by_code[c]`` holds code c's costs, which it sorts.
+    row of ``costs``; ``counts[c]`` rows hold code c, whose costs the first
+    read gathers, ``by_code()[c]``.
 
     Column u flips |u| rows of x where z = 1, zeros to one when u > 0 and
     ones to zero when u < 0; row v does the same where z = 0.  Its cells
     c[x][z], their ``codes`` and their sizes ``counts`` come as c01, c11,
-    c00, c10: the column's up and down flips, then the row's.  A cell keeps
-    its sorted costs with their prefix sums.
+    c00, c10: the column's up and down flips, then the row's.  Cell i holds
+    its K = ``sorted[i]`` least costs first, ascending, then the K-th least
+    once K > 0, and their prefix sums S(0) = 0 to S(K) in ``totals[i]``;
+    ``sums`` moves K.
     """
 
-    def __init__(self, code: np.ndarray, costs: np.ndarray, by_code: Sequence[np.ndarray],
-                 base: int) -> None:
-        self.code, self.costs = code, costs
+    def __init__(self, code: np.ndarray, costs: np.ndarray, counts: Sequence[int],
+                 by_code: Callable[[], Sequence[np.ndarray]], base: int) -> None:
+        self.code, self.costs, self.by_code = code, costs, by_code
         self.codes = (base + 1, base + 3, base, base + 2)
-        # (values, totals) of the up and down flips of the column, then the row
-        self.cells = [_sorted_sums(by_code[c]) for c in self.codes]
-        self.counts = tuple(values.shape[1] for values, _ in self.cells)
+        self.counts = tuple(int(counts[c]) for c in self.codes)
+        self.totals = [np.zeros((len(costs), m + 1)) for m in self.counts]
+        self.sorted = [0] * 4
+
+    @functools.cached_property
+    def cells(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(values, totals) of the up and down flips of the column, then the row."""
+        return [(self.by_code()[c], totals) for c, totals in zip(self.codes, self.totals)]
+
+    def sums(self, at: int, stop: int) -> np.ndarray:
+        """Cell ``at``'s prefix sums, exact through S(stop) at least.  The first
+        read past K = 0 partitions the costs at ``stop``, short of half of them,
+        and a later one sorts the rest whole; the sorted block sums on from
+        S(K), bit for bit one ``cumsum`` of the sorted cell, as S(0) seeds none."""
+        k, size = self.sorted[at], self.counts[at]
+        if stop > k:
+            stop = size if k or 2 * stop >= size else stop
+            values, totals = self.cells[at]
+            if stop < size:
+                values[:, k:].partition(stop - k, axis=1)
+            values[:, k:stop].sort(axis=1)
+            block = np.hstack((totals[:, k : k + 1], values[:, k:stop])) if k else values[:, :stop]
+            np.cumsum(block, axis=1, out=totals[:, max(k, 1) : stop + 1])
+            self.sorted[at] = stop
+        return self.totals[at]
+
+    def count(self, at: int, r: int, cost: float) -> int:
+        """How many of cell ``at``'s prefix sums under cost row ``r`` are at most
+        ``cost``.  Past K > 0, S(K + 1) is S(K) + v_K, v_K the K-th least cost,
+        and each next sum adds v_K or more: K moves to K + (cost - S(K)) / v_K + 1
+        at most, while S(K + 1) is at most ``cost``."""
+        (values, totals), size = self.cells[at], self.counts[at]
+        while (k := self.sorted[at]) < size and totals[r, k] + (least := values[r, k] if k else 0.0) <= cost:
+            self.sums(at, int(min(k + 1 + (cost - totals[r, k]) / least, size)) if least else size)
+        return int(np.searchsorted(totals[r, : self.sorted[at] + 1], cost, side="right"))
 
     def cost(self, r: int, u: int, v: int) -> float:
         """The cost of cell (u, v) under cost row ``r``: its column's prefix
         sum plus its row's."""
-        up1, down1, up0, down0 = (totals[r] for _, totals in self.cells)
-        column = float((up1 if u >= 0 else down1)[abs(u)])
-        return column + float((up0 if v >= 0 else down0)[abs(v)])
+        column = float(self.sums(0 if u >= 0 else 1, abs(u))[r, abs(u)])
+        return column + float(self.sums(2 if v >= 0 else 3, abs(v))[r, abs(v)])
 
 
 def _group_gap(counts: Sequence[int], u: int, v: int, fixed: bool) -> Fraction:
@@ -195,14 +222,17 @@ def _metric_lattices(
 ) -> list[_Lattice]:
     """The lattice of each nonempty slice of ``metric``, over one cell code per
     row, 2*x + z plus 4*y where label y slices the rows: one stable sort of
-    the codes, a radix sort, partitions every cost row by code."""
+    the codes, a radix sort, partitions every cost row by code once a solve
+    first reads a cost, so a feasible origin gathers none."""
     code = x.astype(np.uint8) << 1 | z.astype(np.uint8)
     ys = _SLICE_LABELS[metric]
     if ys is not None:
         code |= labels.astype(np.uint8) << 2
-    ends = np.cumsum([np.count_nonzero(code == c) for c in range(7)])
-    by_code = np.split(costs.take(np.argsort(code, kind="stable"), axis=1), ends, axis=1)
-    lattices = [_Lattice(code, costs, by_code, 4 * y) for y in ys or (0,)]
+    counts = [np.count_nonzero(code == c) for c in range(7)]
+    counts.append(code.size - sum(counts))
+    by_code = functools.cache(lambda: np.split(costs.take(np.argsort(code, kind="stable"), axis=1),
+                                               np.cumsum(counts[:7]), axis=1))
+    lattices = [_Lattice(code, costs, counts, by_code, 4 * y) for y in ys or (0,)]
     return [part for part in lattices if sum(part.counts)]
 
 
@@ -240,6 +270,7 @@ def _flipped_rows(cells: Sequence[_SolvedCell]) -> np.ndarray:
         for k, at in ((cell.u, 0 if cell.u > 0 else 1), (cell.v, 2 if cell.v > 0 else 3)):
             if not k:
                 continue
+            part.sums(at, abs(k))
             values, k = part.cells[at][0][cell.r], abs(k)
             kth, mine = values[k - 1], code == part.codes[at]
             straddles = k < values.size and values[k] == kth
@@ -279,48 +310,67 @@ def _repair_planes(counts: Sequence[int], bounds: Sequence[Fraction]) -> list[Pl
     return [(-s * den * z1, [r - s * den * det for r in reach], -s * den * z0) for s in (1, -1)]
 
 
+def _nearest(sides: Sequence[tuple[int, int]], lo: int, hi: int) -> int:
+    """The w in [lo, hi] nearest 0 with q*w <= c for every (q, c) with q != 0,
+    or the end of that window nearest 0 if it holds none."""
+    hi = min([hi] + [c // q for q, c in sides if q > 0])
+    return min(max([0, lo] + [-(c // -q) for q, c in sides if q < 0]), hi)
+
+
 def _column_bound(
-    sums: Sequence[np.ndarray], planes: Sequence[Plane], ulo: int, uhi: int,
-    b: np.ndarray, r: np.ndarray,
+    part: _Lattice, planes: Sequence[Plane], b: np.ndarray, r: np.ndarray
 ) -> tuple[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-    """``bound(u, p)``, for pairs ``p`` of bound b[p] and cost row r[p]: LB at
-    columns ``u``, indexed (pair, point), and the cost of the cell at LB's
-    row rounded away from zero, both in units of unit[p]; top[p], the pair's
-    dearest cell's cost; and unit[p], the least power of two at least 1 and
-    top[p], in which no LB overflows.  LB(u) is column u's cost plus the row
-    sums of ``sums``, interpolated, at max(lo, 0) and max(-hi, 0) for the
-    continuous band's ends lo and hi, plus top * 2**20 + unit per row that
-    the band lies empty beyond float error: convex, and no more than any
-    cell of the column.  Lines are anchored where they cross v = 0, so that
-    float64 does not cancel; planes near vertical or masking columns alone
-    are left out."""
+    """``bound(u, p)``, for pairs ``p`` of bound b[p] and cost row r[p] of
+    ``part``: LB at columns ``u``, indexed (pair, point), and the cost of the
+    cell at LB's row rounded away from zero, both in units of unit[p]; top[p],
+    the pair's dearest cell's cost, beyond float rounding; and unit[p], the
+    least power of two at least 1 and top[p], in which no LB overflows.
+    LB(u) is column u's cost plus the row sums, interpolated, at max(lo, 0)
+    and max(-hi, 0) for the continuous band's ends lo and hi, plus
+    top * 2**20 + unit per row that the band lies empty beyond float error:
+    convex, and no more than any cell of the column.  Past a cell's frontier
+    K, S(j) reads S(K) + (j - K) * v_K, v_K the K-th least cost (0 at K = 0):
+    below S(j), and convex.  Lines are anchored where they cross v = 0, so
+    that float64 does not cancel; planes near vertical or masking columns
+    alone are left out."""
+    ulo, uhi = -part.counts[1], part.counts[0]
     lines = [(q, c, k) for q, c, k in planes if q and abs(k) <= abs(q) << 20]
     shape = len(lines), len(planes[0][1])
     anchor = [[min(max(-ci // k if k else 0, ulo), uhi) for ci in c] for q, c, k in lines]
-    at = np.array([[(ci + k * a) / q for ci, a in zip(c, us)]
-                   for (q, c, k), us in zip(lines, anchor)]).reshape(shape)[:, b, None]
+    cross = np.array([[(ci + k * a) / q for ci, a in zip(c, us)]
+                      for (q, c, k), us in zip(lines, anchor)]).reshape(shape)[:, b, None]
     anchors = np.array(anchor, dtype=np.int64).reshape(shape)[:, b, None]
     slope = np.array([k / q for q, _, k in lines])[:, None, None]
     upper = np.array([q > 0 for q, _, _ in lines], dtype=bool)
-    # each pair's row offset into each flattened sum
-    offsets = np.array([r * totals.shape[1] for totals in sums])[:, :, None]
-    flat = [(totals.ravel(), totals.shape[1] - 1) for totals in sums]
-    vlo, vhi = -flat[3][1], flat[2][1]
-    top = sum(np.maximum(*(totals[r, -1] for totals in pair)) for pair in (sums[:2], sums[2:]))
+    vlo, vhi = -part.counts[3], part.counts[2]
+    cost = [values.sum(axis=1) for values, _ in part.cells]
+    top = (np.maximum(*cost[:2]) + np.maximum(*cost[2:]))[r]
     unit = np.ldexp(1.0, np.maximum(np.frexp(top)[1], 0))
     weight = (top / unit * 2.0**20 + 1)[:, None]
+    # each pair's row offset into each cell's flattened sums; each cell's frontier K and v_K
+    offsets = [r[:, None] * (m + 1) for m in part.counts]
+    flat, known = [totals.ravel() for totals in part.totals], list(part.sorted)
+    least = [values[r, k, None] if 0 < k < m else np.zeros((len(r), 1))
+             for (values, _), k, m in zip(part.cells, known, part.counts)]
+
+    def read(at: int, i: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Cell ``at``'s prefix sums at ``i``, past K its line, in units of unit[p]."""
+        row, k, sums = offsets[at][p], known[at], flat[at]
+        if k == part.counts[at]:
+            return sums.take(row + i) / unit[p, None]
+        return (sums.take(row + np.minimum(i, k)) + np.maximum(i - k, 0) * least[at][p]) / unit[p, None]
 
     def bound(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        line = at[:, p] + slope * (u - anchors[:, p])
+        line = cross[:, p] + slope * (u - anchors[:, p])
         lo, hi = line[~upper].max(axis=0, initial=-np.inf), line[upper].min(axis=0, initial=np.inf)
         moves = (np.maximum(u, 0), -np.minimum(u, 0), np.maximum(lo, 0.0), np.maximum(-hi, 0.0))
         # the ends are within 1 of exact for |u| < 1e8: a band empty by more holds no cell
         value = weight[p] * np.maximum(np.maximum(lo, vlo) - np.minimum(hi, vhi) - 1, 0)
         cell = 0.0
-        for x, row, (totals, end) in zip(moves, offsets[:, p], flat):
+        for at, (x, end) in enumerate(zip(moves, part.counts)):
             # past the last row the last step goes on, which keeps LB convex
             k = np.minimum(x, max(end - 1, 0)).astype(np.int64)
-            a, z = (totals.take(row + i) / unit[p, None] for i in (k, np.minimum(k + 1, end)))
+            a, z = (read(at, i, p) for i in (k, np.minimum(k + 1, end)))
             value, cell = value + a + (x - k) * (z - a), cell + np.where(x == k, a, z)
         return value, cell
 
@@ -337,13 +387,15 @@ def _search_net_moves(
     ``rows``].
 
     (0, 0) lies inside bound b exactly when every offset c[b] is
-    non-negative; such a bound gets it with no window.  A small lattice
-    takes every column in one block.  Otherwise each (bound, cost row) pair
-    brackets the minimum of its ``_column_bound`` in rounds of ``_GRID``
-    points, reads the bound across the bracket and at doubling steps
-    beyond, and on each side takes the columns short of the first point
-    above its threshold: the cost of the cell at the minimum, then its best
-    cell's.  It is done once its best cell costs no more than that; else the
+    non-negative; such a bound gets it with no window, and a lattice no
+    bound reads sorts nothing.  One of at most ``_SMALL`` columns per cost
+    row sorts its cells whole, and a small one takes every column in one
+    block.  Otherwise the frontiers first take each window's cell nearest 0
+    in column 0 and in row 0, and each (bound, cost row) pair brackets the
+    minimum of its ``_column_bound`` in rounds of ``_GRID`` points, reads the
+    bound across the bracket and at doubling steps beyond, and on each side
+    takes the columns short of the first point above its threshold: the
+    cost of the cell at the minimum, then its best cell's.  It is done once its best cell costs no more than that; else the
     threshold rises to that cost, or with no cell yet to the dearest cell's.
     The bound is convex, so no column past a stop holds a cell as cheap; the
     threshold's margin, relative and growing with n, covers float rounding
@@ -359,10 +411,9 @@ def _search_net_moves(
     cell, which a one-column-at-a-time best-first scan visits; so neither
     result depends on which columns were taken.
     """
-    c00, c10 = part.counts[2:]
+    c01, c11, c00, c10 = part.counts
+    ulo, uhi = -c11, c01
     pick = slice(None) if len(rows) == len(part.costs) else list(rows)
-    sums = pos, neg, row_pos, row_neg = [totals[pick] for _, totals in part.cells]
-    ulo, uhi = 1 - neg.shape[1], pos.shape[1] - 1
     free = [all(c[b] >= 0 for _, c, _ in planes) for b in range(len(planes[0][1]))]
     best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in free]
 
@@ -372,6 +423,10 @@ def _search_net_moves(
         # "wrap" takes each entry's position modulo u.size, back to its column
         ok_u = u.take(ok, mode="wrap")
         v = np.minimum(np.maximum(lo.ravel().take(ok), 0), hi.ravel().take(ok))
+        # u ascends, so its ends are the columns read
+        for at, k in ((0, u[-1]), (1, -u[0]), (2, v.max(initial=0)), (3, -v.min(initial=0))):
+            part.sums(at, int(k))
+        pos, neg, row_pos, row_neg = (totals[pick] for totals in part.totals)
         cost = sum(np.where(k >= 0, up.take(np.maximum(k, 0), axis=1), down.take(np.maximum(-k, 0), axis=1))
                    for up, down, k in ((pos, neg, ok_u), (row_pos, row_neg, v)))
         # ok runs bound by bound: edges delimit each bound's entries
@@ -393,11 +448,20 @@ def _search_net_moves(
 
     pairs = [(b, r) for b in range(len(free)) if not free[b] for r in range(len(rows))]
     bs = sorted({b for b, _ in pairs})
+    if pairs and (uhi - ulo + 1) * len(rows) <= _SMALL:
+        for at, size in enumerate(part.counts):  # so few columns that bracketing costs more
+            part.sums(at, size)
     if pairs and (uhi - ulo + 1) * len(bs) * len(rows) <= min(_SMALL, _MAX_BLOCK):
         scan(np.arange(ulo, uhi + 1), bs)
     elif pairs:
         bi, ri = (np.array(side) for side in zip(*pairs))
-        bound, top, unit = _column_bound(sums, planes, ulo, uhi, bi, ri)
+        # the frontiers first take each bound's cells nearest 0 in column 0 and in row 0, where
+        # q*v <= c + k*u reads q*v <= c and -k*u <= c: a band's cheapest cells lie between its two
+        for at, lo, hi, axis in ((2, -c10, c00, 0), (0, ulo, uhi, 1)):
+            near = [_nearest([(-k if axis else q, c[b]) for q, c, k in planes], lo, hi) for b in bs]
+            part.sums(at, max(near))
+            part.sums(at + 1, -min(near))
+        bound, top, unit = _column_bound(part, planes, bi, np.array(rows)[ri])
         todo = np.arange(len(pairs))
         lo, hi = np.full(todo.size, ulo), np.full(todo.size, uhi)
         while (hi - lo).max() > _GRID:
@@ -446,7 +510,7 @@ def _search_net_moves(
             return _SolvedCell(part, rows[r], 0, 0, 0)
         if key is None:
             return None
-        scanned = sum(int(np.searchsorted(side[r], key[0], side="right")) for side in (pos, neg))
+        scanned = part.count(0, rows[r], key[0]) + part.count(1, rows[r], key[0])
         return _SolvedCell(part, rows[r], key[2], key[3], scanned - 1)
 
     return [[result(b, r) for r in range(len(rows))] for b in range(len(free))]
@@ -534,10 +598,13 @@ def _solve_rows(
 
 
 def _result(guess: np.ndarray, cells: Sequence[_SolvedCell]) -> CorrectionResult:
-    """The correction of ``guess`` that the solved cells of its slices make."""
-    changed, corrected = _flipped_rows(cells), np.array(guess)
-    corrected[changed] = guess.take(changed) == 0
-    corrected.setflags(write=False)
+    """The correction of ``guess``, a read-only vector handed back as it is
+    when nothing flips, that the solved cells of its slices make."""
+    changed, corrected = _flipped_rows(cells), guess
+    if changed.size:
+        corrected = np.array(guess)
+        corrected[changed] = guess.take(changed) == 0
+        corrected.setflags(write=False)
     changed.setflags(write=False)
     moves = MoveCounts(
         sum(max(cell.u, 0) for cell in cells),

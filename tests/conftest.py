@@ -24,6 +24,14 @@ def solve_each(instance: AttackInstance, spec: FairnessSpec, vectors) -> list[Co
     return [_result(instance.guess, cells) for cells in _solve_rows(instance, spec, confs)]
 
 
+def whole_sums(part) -> list[np.ndarray]:
+    """A lattice's four cells' prefix sums over each whole cell, one row per
+    cost row: the up and down flips of the column, then of the row.  The
+    read moves every frontier to its cell's end, so each cell's values come
+    sorted too."""
+    return [part.sums(at, size) for at, size in enumerate(part.counts)]
+
+
 def random_instance(
     rng: np.random.Generator,
     n: int | None = None,

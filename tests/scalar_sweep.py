@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from conftest import whole_sums
 from fairleak.core import MoveCounts
 from fairleak.corrector import _flipped_rows, _SolvedCell
 from fairleak.errors import Infeasible
@@ -152,7 +153,7 @@ def solve_sp_form(
     from its prefix sums.  Each result is returned as the package returns
     it: a solved cell whose (u, v) are the net flips among positive and among
     negative predictions, with the columns scanned."""
-    up1, down1, up0, down0 = (totals for _, totals in part.cells)
+    up1, down1, up0, down0 = whole_sums(part)
     cells = []
     for r in rows:
         moves, columns = _solve_sp_form_row(

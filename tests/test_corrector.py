@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import meets_spec, solve_each
+from conftest import meets_spec, solve_each, whole_sums
 from fairleak import corrector, oracle
 from fairleak.core import AttackInstance, FairnessMetric, FairnessSpec
 from fairleak.adversary import MIN_CONFIDENCE
@@ -41,7 +41,7 @@ def _lattice(x, z, costs, labels=None, y=0):
         code += 4 * np.asarray(labels, dtype=np.int64)
     costs = np.atleast_2d(np.asarray(costs, dtype=np.float64))
     by_code = [costs.compress(code == c, axis=1) for c in range(8)]
-    return _Lattice(code.astype(np.uint8), costs, by_code, 4 * y)
+    return _Lattice(code.astype(np.uint8), costs, [c.shape[1] for c in by_code], lambda: by_code, 4 * y)
 
 
 def _vectors(lattice):
@@ -58,8 +58,8 @@ def _rows(lattice):
 
 def _totals(lattice):
     """Each cell's prefix sums, one row per cost row: the up and down flips of
-    the column, then of the row."""
-    return [totals for _, totals in lattice.cells]
+    the column, then of the row, each read whole."""
+    return whole_sums(lattice)
 
 
 def _ends(lattice):
@@ -226,6 +226,7 @@ class TestSortedGroup:
         conf = np.array([0.3, 0.7, 0.3, 0.1, 0.3])
         ones = np.ones(conf.size, dtype=int)
         lattice = _lattice(ones, ones, conf)
+        _totals(lattice)  # the read sorts every cell whole
         values = lattice.cells[1][0][0]
         want = {1: [3], 2: [0, 3], 3: [0, 2, 3], 4: [0, 2, 3, 4]}
         for k, inside in ((1, False), (2, True), (3, True), (4, False)):

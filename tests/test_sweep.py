@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_sweep
-from conftest import meets_spec, solve_each
+from conftest import meets_spec, solve_each, whole_sums
 from fairleak import corrector
 from fairleak.adversary import DEFAULT_K_GRID, MIN_CONFIDENCE, shape_confidences
 from fairleak.core import (
@@ -357,22 +357,21 @@ class TestColumnBound:
 
         def spy(part, rows, planes):
             found = search(part, rows, planes)
-            sums = [totals[list(rows)] for _, totals in part.cells]
-            ulo, uhi = 1 - sums[1].shape[1], sums[0].shape[1] - 1
+            whole_sums(part)  # LB read from the whole cells, as exact as it gets
             for b, cells in enumerate(found):
                 # a bound whose offsets are all non-negative holds (0, 0), unsearched
                 free = all(c[b] >= 0 for _, c, _ in planes)
                 for r, cell in enumerate(cells):
                     if cell is not None and not free:
-                        bound, _, unit = bound_at(sums, planes, ulo, uhi, np.array([b]), np.array([r]))
+                        bound, _, unit = bound_at(part, planes, np.array([b]), np.array([rows[r]]))
                         # LB comes in units of unit, a power of two, so this is exact
                         lb = bound(np.array([[cell.u]]), np.array([0]))[0][0, 0] * unit[0]
                         gaps.append(cell.objective - lb)
             return found
 
-        def raised(sums, planes, ulo, uhi, b, r):
-            bound, top, unit = bound_at(sums, planes, ulo, uhi, b, r)
-            lift = 1 + (sum(totals.shape[1] - 1 for totals in sums) + 2**20) * 2.0**-46
+        def raised(part, planes, b, r):
+            bound, top, unit = bound_at(part, planes, b, r)
+            lift = 1 + (sum(part.counts) + 2**20) * 2.0**-46
 
             def lifted(u, p):
                 value, cell = bound(u, p)
