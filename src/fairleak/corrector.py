@@ -17,8 +17,8 @@ cheapest row of the continuous band bounds each column's cells by a convex
 function, and the search takes columns outward from its minimum until it
 exceeds the best cell found, which proves optimality.  The feasible rows of
 a column form one interval, cheapest at its row nearest zero.  It answers
-bounds, one offset per half-plane each, under cost rows at once: windows
-never depend on the costs, so each block's windows serve every pair.
+groups of bounds, one offset per half-plane each, under cost rows at once:
+windows never depend on the costs, so each block's windows serve every pair.
 
 Both solvers bound one parity gap.  With c[x][z] the lattice's 2x2 table of
 counts and z_k the entries where z = k, a group of m entries has rate gap
@@ -29,9 +29,9 @@ sweep its fair target's unfairness.  A gap bound is a band of the
 determinant: a few half-planes in v per column, whose exact integer ends
 ``_rows_within`` finds for a whole block.  ``_solve_sp_form``'s guess groups
 move with the cell; a gap at or above a lower bound lies past one of its
-band's four planes, so the bound is four convex pieces, one search bound
-each.  The repair's groups are fixed, so ``_repair_planes`` bounds group g's
-gap |D| / (n * z_g) by two half-planes of the smaller group.
+band's four planes, so the bound is one group of four pieces sharing a best
+cell and a stop.  The repair's groups are fixed, so ``_repair_planes``
+bounds group g's gap |D| / (n * z_g) by two half-planes of the smaller group.
 
 ``_solve_rows`` solves one instance under several confidence vectors in
 one search per slice with one cost row per vector, and only it decides which
@@ -155,7 +155,7 @@ class _Lattice:
     c00, c10: the column's up and down flips, then the row's.  Cell i holds
     its K = ``sorted[i]`` least costs first, ascending, then the K-th least
     once K > 0, and their prefix sums S(0) = 0 to S(K) in ``totals[i]``;
-    ``sums`` moves K.
+    ``sums`` moves K, and ``count`` only to the cell's end.
     """
 
     def __init__(self, code: np.ndarray, costs: np.ndarray, counts: Sequence[int],
@@ -189,13 +189,12 @@ class _Lattice:
         return self.totals[at]
 
     def count(self, at: int, r: int, cost: float) -> int:
-        """How many of cell ``at``'s prefix sums under cost row ``r`` are at most
-        ``cost``.  Past K > 0, S(K + 1) is S(K) + v_K, v_K the K-th least cost,
-        and each next sum adds v_K or more: K moves to K + (cost - S(K)) / v_K + 1
-        at most, while S(K + 1) is at most ``cost``."""
-        (values, totals), size = self.cells[at], self.counts[at]
-        while (k := self.sorted[at]) < size and totals[r, k] + (least := values[r, k] if k else 0.0) <= cost:
-            self.sums(at, int(min(k + 1 + (cost - totals[r, k]) / least, size)) if least else size)
+        """How many of cell ``at``'s prefix sums under cost row ``r`` are at
+        most ``cost``; the cell sorts whole first if S(K) + v_K is, v_K the K-th
+        least cost past K > 0 and 0 at K = 0: no later sum is less."""
+        (values, totals), k, size = self.cells[at], self.sorted[at], self.counts[at]
+        if k < size and totals[r, k] + (values[r, k] if k else 0.0) <= cost:
+            self.sums(at, size)
         return int(np.searchsorted(totals[r, : self.sorted[at] + 1], cost, side="right"))
 
     def cost(self, r: int, u: int, v: int) -> float:
@@ -356,8 +355,6 @@ def _column_bound(
     def read(at: int, i: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Cell ``at``'s prefix sums at ``i``, past K its line, in units of unit[p]."""
         row, k, sums = offsets[at][p], known[at], flat[at]
-        if k == part.counts[at]:
-            return sums.take(row + i) / unit[p, None]
         return (sums.take(row + np.minimum(i, k)) + np.maximum(i - k, 0) * least[at][p]) / unit[p, None]
 
     def bound(u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,30 +375,30 @@ def _column_bound(
 
 
 def _search_net_moves(
-    part: _Lattice, rows: Sequence[int], planes: Sequence[Plane]
+    part: _Lattice, rows: Sequence[int], planes: Sequence[Plane], group: Sequence[int]
 ) -> list[list[_SolvedCell | None]]:
-    """For each bound b of ``planes`` and each cost row ``rows`` names,
-    ascending: the cheapest cell of ``part`` inside every plane at its
-    offset c[b], as a ``_SolvedCell`` counting the columns no dearer than
-    it, or None if there is none.  Results are indexed [bound][position in
-    ``rows``].
+    """For each group g of the bounds b of ``planes``, those with group[b] = g,
+    and each cost row ``rows`` names, ascending: the cheapest cell of ``part``
+    inside every plane at the offset c[b] of some member b, as a
+    ``_SolvedCell`` counting the columns no dearer than it, or None if there is
+    none.  Results are indexed [group][position in ``rows``].
 
-    (0, 0) lies inside bound b exactly when every offset c[b] is
-    non-negative; such a bound gets it with no window, and a lattice no
-    bound reads sorts nothing.  One of at most ``_SMALL`` columns per cost
-    row sorts its cells whole, and a small one takes every column in one
-    block.  Otherwise the frontiers first take each window's cell nearest 0
-    in column 0 and in row 0, and each (bound, cost row) pair brackets the
-    minimum of its ``_column_bound`` in rounds of ``_GRID`` points, reads the
-    bound across the bracket and at doubling steps beyond, and on each side
-    takes the columns short of the first point above its threshold: the
-    cost of the cell at the minimum, then its best cell's.  It is done once its best cell costs no more than that; else the
-    threshold rises to that cost, or with no cell yet to the dearest cell's.
-    The bound is convex, so no column past a stop holds a cell as cheap; the
-    threshold's margin, relative and growing with n, covers float rounding
-    in the bound and in locating its minimum.  The columns no pair took
-    before get exact windows in blocks of at most ``_MAX_BLOCK`` columns
-    times bounds times cost rows.
+    (0, 0) lies inside bound b exactly when every offset c[b] is non-negative;
+    its group gets it with no window, and a lattice no bound reads sorts
+    nothing.  One of at most ``_SMALL`` columns per cost row sorts its cells
+    whole, and a small one takes every column in one block.  Otherwise the
+    frontiers first take each window's cell nearest 0 in column 0 and in row 0,
+    and each (bound, cost row) pair brackets the minimum of its
+    ``_column_bound`` in rounds of ``_GRID`` points, reads the bound across the
+    bracket and at doubling steps beyond, and on each side takes the columns
+    short of the first point above its threshold: the cost of the cell at the
+    minimum, then the best cell's, which a group's members share.  It is done
+    once that cell costs no more; else the threshold rises to its cost, or with
+    no cell yet to the dearest cell's.  The bound is convex, so no column past
+    a stop holds a cell as cheap; the threshold's margin, relative and growing
+    with n, covers float rounding in the bound and in locating its minimum.
+    The columns no pair took before get exact windows in blocks of at most
+    ``_MAX_BLOCK`` columns times bounds times cost rows.
 
     Row costs are V-shaped with minimum zero, so a column's rows inside a
     bound, one interval, offer their row nearest zero.  Ties on cost break
@@ -414,8 +411,8 @@ def _search_net_moves(
     c01, c11, c00, c10 = part.counts
     ulo, uhi = -c11, c01
     pick = slice(None) if len(rows) == len(part.costs) else list(rows)
-    free = [all(c[b] >= 0 for _, c, _ in planes) for b in range(len(planes[0][1]))]
-    best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in free]
+    free = {g for b, g in enumerate(group) if all(c[b] >= 0 for _, c, _ in planes)}
+    best: list[list[tuple[float, int, int, int] | None]] = [[None] * len(rows) for _ in range(max(group) + 1)]
 
     def scan(u: np.ndarray, bs: list[int]) -> None:
         lo, hi = _rows_within(u, [(q, [c[b] for b in bs], k) for q, c, k in planes], -c10, c00)
@@ -435,7 +432,7 @@ def _search_net_moves(
             if start == end:
                 continue
             least = cost[:, start:end].min(axis=1).tolist()
-            for r, key in enumerate(best[b]):
+            for r, key in enumerate(best[group[b]]):
                 if key is not None and least[r] > key[0]:
                     continue
                 tied = start + np.flatnonzero(cost[r, start:end] == least[r])
@@ -444,9 +441,9 @@ def _search_net_moves(
                 m = np.lexsort((tied_v, tied_u, moves))[0]
                 new = (least[r], int(moves[m]), int(tied_u[m]), int(tied_v[m]))
                 if key is None or new < key:
-                    best[b][r] = new
+                    best[group[b]][r] = new
 
-    pairs = [(b, r) for b in range(len(free)) if not free[b] for r in range(len(rows))]
+    pairs = [(b, r) for b, g in enumerate(group) if g not in free for r in range(len(rows))]
     bs = sorted({b for b, _ in pairs})
     if pairs and (uhi - ulo + 1) * len(rows) <= _SMALL:
         for at, size in enumerate(part.counts):  # so few columns that bracketing costs more
@@ -497,32 +494,32 @@ def _search_net_moves(
             keep = []
             # done when the best cell is within the threshold, or it is top, or no column is left
             for p, stopped in zip(todo.tolist(), over.any(axis=1).tolist()):
-                key = best[bi[p]][ri[p]]
+                key = best[group[bi[p]]][ri[p]]
                 rise = (top[p] if key is None else key[0]) / unit[p]  # in the bound's units
                 if stopped and rise > threshold[p]:
                     threshold[p] = rise
                     keep.append(p)
             todo = np.array(keep, dtype=np.int64)
 
-    def result(b: int, r: int) -> _SolvedCell | None:
-        key = best[b][r]
-        if free[b]:
+    def result(g: int, r: int) -> _SolvedCell | None:
+        key = best[g][r]
+        if g in free:
             return _SolvedCell(part, rows[r], 0, 0, 0)
         if key is None:
             return None
         scanned = part.count(0, rows[r], key[0]) + part.count(1, rows[r], key[0])
         return _SolvedCell(part, rows[r], key[2], key[3], scanned - 1)
 
-    return [[result(b, r) for r in range(len(rows))] for b in range(len(free))]
+    return [[result(g, r) for r in range(len(rows))] for g in range(len(best))]
 
 
 def _solve_sp_form(
     part: _Lattice, rows: Sequence[int], epsilon: Fraction, lower: Fraction | None
 ) -> list[_SolvedCell]:
     """The cheapest correction of one slice's lattice, its guess split by its
-    predictions, under each cost row of ``rows``; raises Infeasible for all
-    rows alike.  Both groups must be present, as the empty-group rule in
-    ``core`` says."""
+    predictions, under each cost row of ``rows``; raises Infeasible for all rows
+    alike.  Both groups must be present (``core``'s empty-group rule), and a
+    lower bound is one group of four pieces sharing a best cell and a stop."""
     counts = c01, c11, c00, c10 = part.counts  # c[guess][prediction]
     n, n1 = sum(counts), c11 + c10
     if n < 2:
@@ -535,13 +532,10 @@ def _solve_sp_form(
         planes = [(q, c * 4, k) for q, c, k in planes] + [
             (-q, [-c[0] if j == i else (abs(q) + abs(k)) * n for j in range(4)], -k)
             for i, (q, c, k) in enumerate(_sp_planes(counts, lower))]
-    # which cells are feasible never depends on the costs
-    pieces = [cells for cells in _search_net_moves(part, rows, planes) if cells[0] is not None]
-    if not pieces:
+    (cells,) = _search_net_moves(part, rows, planes, [0] * len(planes[0][1]))
+    if cells[0] is None:  # which cells are feasible never depends on the costs
         raise Infeasible("no move assignment satisfies the rate constraints")
-    # each row's least cell over the pieces, by the search's own key
-    return [min(cells, key=lambda c: (c.objective, abs(c.u) + abs(c.v), c.u, c.v))
-            for cells in zip(*pieces)]
+    return cells
 
 
 def correct(instance: AttackInstance, spec: FairnessSpec) -> CorrectionResult:
@@ -651,7 +645,8 @@ class RepairState:
         if not all(0.0 <= epsilon <= 1.0 for epsilon in epsilons):
             raise BadParameters("epsilon must lie in [0, 1]")
         uppers = [Fraction(epsilon) for epsilon in epsilons]
-        found = [_search_net_moves(p, [0], _repair_planes(p.counts, uppers)) for p in self.parts]
+        found = [_search_net_moves(p, [0], _repair_planes(p.counts, uppers), range(len(uppers)))
+                 for p in self.parts]
         return [[cells[t][0] for cells in found] for t in range(len(uppers))]
 
     def apply(self, repair: list[_SolvedCell]) -> np.ndarray:

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +68,26 @@ class TestCorrectCommand:
             "corrected_accuracy",
         }
         assert "baseline_accuracy" in payload
+
+    def test_tied_eodds_instance_flips_the_lowest_rows(self, tmp_path):
+        # every confidence equal: each slice flips one of two tied rows in
+        # each prediction group, and takes its lowest rows
+        path = tmp_path / "eodds-tied.csv"
+        path.write_text(
+            "id,y,yhat,s_hat,confidence,s_true\n"
+            "0,0,1,1,0.5,0\n1,0,1,1,0.5,1\n2,0,0,0,0.5,0\n3,0,0,0,0.5,1\n"
+            "4,1,1,1,0.5,0\n5,1,1,1,0.5,1\n6,1,0,0,0.5,0\n7,1,0,0,0.5,1\n",
+            encoding="utf-8",
+        )
+        out, report = tmp_path / "eodds-tied-corrected.csv", tmp_path / "eodds-tied-solve.json"
+        code = main(["correct", "--input", str(path), "--metric", "eodds", "--epsilon", "0.1",
+                     "--out", str(out), "--report", str(report)])
+        assert code == EXIT_OK
+        with out.open(newline="", encoding="utf-8") as handle:
+            corrected = "".join(row["s_corrected"] for row in csv.DictReader(handle))
+        payload = json.loads(report.read_text())
+        assert corrected == "01100110" and payload["flips"] == 4
+        assert math.isclose(payload["objective"], 2.0)
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

@@ -148,7 +148,7 @@ def _spied_blocks(monkeypatch):
     searches = []
     search, rows_within = corrector._search_net_moves, corrector._rows_within
 
-    def spy(lattice, rows, planes):
+    def spy(lattice, rows, planes, group):
         def recording(u, planes, lo, hi):
             searches[-1].append((len(rows) * len(planes[0][1]), u.tolist()))
             return rows_within(u, planes, lo, hi)
@@ -156,7 +156,7 @@ def _spied_blocks(monkeypatch):
         searches.append([])
         with monkeypatch.context() as patch:
             patch.setattr(corrector, "_rows_within", recording)
-            return search(lattice, rows, planes)
+            return search(lattice, rows, planes, group)
 
     _spy_searches(monkeypatch, spy)
     return searches
@@ -355,14 +355,18 @@ class TestColumnBound:
         bound_at, search = corrector._column_bound, corrector._search_net_moves
         gaps = []  # each solved cell's cost above LB at its column
 
-        def spy(part, rows, planes):
-            found = search(part, rows, planes)
+        def spy(part, rows, planes, group):
+            found = search(part, rows, planes, group)
             whole_sums(part)  # LB read from the whole cells, as exact as it gets
-            for b, cells in enumerate(found):
-                # a bound whose offsets are all non-negative holds (0, 0), unsearched
-                free = all(c[b] >= 0 for _, c, _ in planes)
+            for g, cells in enumerate(found):
+                members = [b for b, of in enumerate(group) if of == g]
+                # a group with a bound whose offsets are all non-negative holds (0, 0), unsearched
+                free = any(all(c[b] >= 0 for _, c, _ in planes) for b in members)
                 for r, cell in enumerate(cells):
                     if cell is not None and not free:
+                        # LB of the member bound whose window holds the cell
+                        b = next(b for b in members
+                                 if all(q * cell.v <= c[b] + k * cell.u for q, c, k in planes))
                         bound, _, unit = bound_at(part, planes, np.array([b]), np.array([rows[r]]))
                         # LB comes in units of unit, a power of two, so this is exact
                         lb = bound(np.array([[cell.u]]), np.array([0]))[0][0, 0] * unit[0]

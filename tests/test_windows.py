@@ -179,9 +179,9 @@ def _captured(monkeypatch, run):
     seen = []
     real = corrector._search_net_moves
 
-    def spy(part, rows, planes):
+    def spy(part, rows, planes, group):
         seen.append((part, planes))
-        return real(part, rows, planes)
+        return real(part, rows, planes, group)
 
     with monkeypatch.context() as patch:
         patch.setattr(corrector, "_search_net_moves", spy)
